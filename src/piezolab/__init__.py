@@ -5,10 +5,10 @@ Core entry points:
 
 * :func:`piezolab.model.validate_parameters`, :func:`piezolab.model.build_grid`
 * :func:`piezolab.operators.build_operators`, :func:`piezolab.operators.assemble_mass`
-* :func:`piezolab.generator.assemble_generator`
-* :func:`piezolab.dynamics.simulate`
+* :class:`piezolab.generator.GeneratorAssembly`, the linear system every
+  actuation model builds; :func:`piezolab.variants.build_system` picks one
+* :func:`piezolab.dynamics.run`, :func:`piezolab.dynamics.simulate`
 * :func:`piezolab.spectral.compute_spectrum`
-* :mod:`piezolab.variants` for the electrostatic and charge-actuated models
 * ``piezolab`` console script for the experiment suite
 """
 
@@ -20,6 +20,7 @@ from .model import (BeamParameters, StaggeredGrid, StateVector, build_grid,
 from .operators import ActuationMode, build_operators, energy
 from .spectral import (SpectrumReport, closed_loop_spectrum, compute_spectrum,
                        decay_rate_fit, kernel_basis)
+from .variants import build_system
 
 __all__ = [
     "ActuationMode",
@@ -35,6 +36,7 @@ __all__ = [
     "b_star",
     "build_grid",
     "build_operators",
+    "build_system",
     "closed_loop_spectrum",
     "compute_spectrum",
     "config_from_dict",

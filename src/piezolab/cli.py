@@ -19,16 +19,18 @@ import numpy as np
 
 from . import acceptance
 from .config import ExperimentConfig, load_config
-from .dynamics import default_dt, simulate
+from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
-from .generator import assemble_generator
 from .model import build_grid
 from .operators import ActuationMode
 from .spectral import (classify_stabilizability, closed_loop_spectrum,
                        compute_spectrum)
 from .variants import (assemble_charge_magnetic, assemble_electrostatic,
-                       charge_magnetic_influence, electrostatic_spectrum,
-                       influence_norm)
+                       build_system, influence_norm)
+
+VARIANTS = {"full": ActuationMode.CURRENT,
+            "electrostatic": ActuationMode.CHARGE_ELECTROSTATIC,
+            "charge_magnetic": ActuationMode.CHARGE_MAGNETIC}
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -80,8 +82,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigParseError(f"n_cells must be at least 8, got {args.n_cells}")
         updates["n_cells"] = args.n_cells
     if getattr(args, "gain", None) is not None:
-        if args.gain < 0:
-            raise ConfigParseError(f"gain must be nonnegative, got {args.gain}")
+        if not (np.isfinite(args.gain) and args.gain >= 0):
+            raise ConfigParseError(
+                f"gain must be finite and nonnegative, got {args.gain}")
         updates["feedback_gain"] = args.gain
         if args.gain > 0 and config.actuation is ActuationMode.NONE:
             updates["actuation"] = ActuationMode.CURRENT
@@ -115,76 +118,59 @@ def cmd_simulate(args) -> ExperimentReport:
         pass_fail["energy_nonincreasing"] = bool(increments.max() <= tol)
     elif not forced:
         pass_fail["energy_drift"] = bool(drift <= 1e-9)
-        if config.actuation is not ActuationMode.CHARGE_ELECTROSTATIC:
-            pass_fail["gauge_bounded"] = bool(
-                max(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) <= 1e-10)
+        pass_fail["gauge_bounded"] = bool(
+            max(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) <= 1e-10)
     return ExperimentReport("simulate", _echo_config(config), outcome,
                             [str(traj)], pass_fail)
 
 
-def _electrostatic_spectrum_csv(params, grid, path: Path, eig_tol: float) -> dict:
-    es = assemble_electrostatic(params, grid)
-    lams, vecs = electrostatic_spectrum(es)
-    coeff = params.gamma / (params.eps3 * params.h)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "bstar_abs", "stabilizable", "dominant_block"])
-        for j in range(lams.size):
-            phi = vecs[:, j]
-            nrm = np.sqrt(abs(np.vdot(phi, es.m_es @ phi).real))
-            bst = abs(coeff * phi[es.trace_index]) / max(nrm, 1e-30)
-            writer.writerow([f"{lams[j].real:.17g}", f"{lams[j].imag:.17g}",
-                             f"{bst:.17g}", int(bst > eig_tol), "mechanical"])
-    scale = float(np.max(np.abs(lams.imag))) if lams.size else 1.0
-    return {"max_abs_real": float(np.max(np.abs(lams.real))),
-            "spectral_radius": scale, "n_modes": int(lams.size)}
+def _closed_loop_csv(asm, gain: float, eig_tol: float, out: Path,
+                     outcome: dict, pass_fail: dict) -> str:
+    cl = closed_loop_spectrum(asm, gain, eig_tol=eig_tol)
+    cl_path = out / "closed_loop_spectrum.csv"
+    cl.write_csv(str(cl_path))
+    outcome["closed_loop_abscissa"] = float(cl.eigenvalues.real.max())
+    pass_fail["closed_loop_left_half"] = bool(
+        cl.eigenvalues.real.max() <= 1e-12 * max(cl.g_norm, 1.0))
+    return str(cl_path)
 
 
 def cmd_spectrum(args) -> ExperimentReport:
     config = _apply_overrides(load_config(args.config), args)
-    out = _ensure_outdir(args.out)
     params = config.params
     grid = build_grid(params.L, config.n_cells)
+    asm = build_system(params, grid, VARIANTS[args.variant])
+    if args.closed_loop is not None:
+        if not asm.bstar_feedback:
+            raise ConfigParseError(
+                f"--closed-loop needs a system fed back through B*; the "
+                f"{args.variant} gain is in units of its own output row")
+        if not (np.isfinite(args.closed_loop) and args.closed_loop >= 0):
+            raise ConfigParseError(f"--closed-loop gain must be finite and "
+                                   f"nonnegative, got {args.closed_loop}")
+    out = _ensure_outdir(args.out)
     eig_tol = config.tolerances.eig_tol
-    paths = []
-    pass_fail = {}
 
-    if args.variant == "electrostatic":
-        spec_path = out / "spectrum.csv"
-        outcome = _electrostatic_spectrum_csv(params, grid, spec_path, eig_tol)
-        paths.append(str(spec_path))
-        rel = outcome["max_abs_real"] / max(outcome["spectral_radius"], 1e-30)
-        outcome["abscissa_relative"] = rel
-        pass_fail["imaginary_axis"] = bool(rel <= 1e-10)
-    else:
-        asm = assemble_generator(params, grid)
-        if args.variant == "charge_magnetic":
-            asm = assemble_charge_magnetic(params, grid, base=asm)
-        report = compute_spectrum(asm, eig_tol=eig_tol)
-        spec_path = out / "spectrum.csv"
-        report.write_csv(str(spec_path))
-        paths.append(str(spec_path))
-        summary = classify_stabilizability(report)
-        rel = report.max_abs_real / max(report.g_norm, 1e-30)
-        outcome = {
-            "max_abs_real": report.max_abs_real,
-            "spectral_radius": report.g_norm,
-            "abscissa_relative": rel,
-            "kernel_dimension": report.kernel_dimension,
-            "n_modes": summary["n_modes"],
-            "n_stabilizable": summary["n_stabilizable"],
-            "n_non_stabilizable": summary["n_non_stabilizable"],
-        }
-        pass_fail["imaginary_axis"] = bool(rel <= 1e-10)
-        if args.closed_loop is not None:
-            cl = closed_loop_spectrum(asm, args.closed_loop, eig_tol=eig_tol)
-            cl_path = out / "closed_loop_spectrum.csv"
-            cl.write_csv(str(cl_path))
-            paths.append(str(cl_path))
-            outcome["closed_loop_gain"] = args.closed_loop
-            outcome["closed_loop_abscissa"] = float(cl.eigenvalues.real.max())
-            pass_fail["closed_loop_left_half"] = bool(
-                cl.eigenvalues.real.max() <= 1e-12 * max(cl.g_norm, 1.0))
+    report = compute_spectrum(asm, eig_tol=eig_tol)
+    spec_path = out / "spectrum.csv"
+    report.write_csv(str(spec_path))
+    paths = [str(spec_path)]
+    summary = classify_stabilizability(report)
+    rel = report.max_abs_real / max(report.g_norm, 1e-30)
+    outcome = {
+        "max_abs_real": report.max_abs_real,
+        "spectral_radius": report.g_norm,
+        "abscissa_relative": rel,
+        "kernel_dimension": report.kernel_dimension,
+        "n_modes": summary["n_modes"],
+        "n_stabilizable": summary["n_stabilizable"],
+        "n_non_stabilizable": summary["n_non_stabilizable"],
+    }
+    pass_fail = {"imaginary_axis": bool(rel <= 1e-10)}
+    if args.closed_loop is not None:
+        outcome["closed_loop_gain"] = args.closed_loop
+        paths.append(_closed_loop_csv(asm, args.closed_loop, eig_tol, out,
+                                      outcome, pass_fail))
     return ExperimentReport("spectrum", _echo_config(config), outcome, paths,
                             pass_fail)
 
@@ -211,36 +197,30 @@ def cmd_stabilize(args) -> ExperimentReport:
     pass_fail = {"energy_nonincreasing":
                  bool(np.diff(e).max() <= 1e-12 * max(e[0], 1.0))}
 
-    if config.actuation is not ActuationMode.CHARGE_ELECTROSTATIC:
-        params = config.params
-        grid = build_grid(params.L, config.n_cells)
-        asm = assemble_generator(params, grid)
-        if config.actuation is ActuationMode.CHARGE_MAGNETIC:
-            asm = assemble_charge_magnetic(params, grid, base=asm)
-        cl = closed_loop_spectrum(asm, config.feedback_gain,
-                                  eig_tol=config.tolerances.eig_tol)
-        cl_path = out / "closed_loop_spectrum.csv"
-        cl.write_csv(str(cl_path))
-        paths.append(str(cl_path))
-        outcome["closed_loop_abscissa"] = float(cl.eigenvalues.real.max())
-        pass_fail["closed_loop_left_half"] = bool(
-            cl.eigenvalues.real.max() <= 1e-12 * max(cl.g_norm, 1.0))
+    params = config.params
+    asm = build_system(params, build_grid(params.L, config.n_cells),
+                       config.actuation)
+    # a closed-loop spectrum acts through B*, so it shows this run's loop
+    # only where the output row is B*
+    if asm.bstar_feedback:
+        paths.append(_closed_loop_csv(asm, config.feedback_gain,
+                                      config.tolerances.eig_tol, out,
+                                      outcome, pass_fail))
     return ExperimentReport("stabilize", _echo_config(config), outcome, paths,
                             pass_fail)
 
 
 def cmd_variants(args) -> ExperimentReport:
-    from .model import toy_parameters, validate_parameters
+    from .model import toy_parameters
 
     out = _ensure_outdir(args.out)
     n = args.n_cells if args.n_cells is not None else 64
     toy = toy_parameters()
-    flat = validate_parameters(dict(rho=1.0, alpha=1.0, gamma=0.0, eps1=1.0,
-                                    eps3=1.0, mu=1.0, h=1.0, L=1.0))
+    flat = toy_parameters(gamma=0.0)
     grid = build_grid(1.0, n)
 
-    lam0, _ = electrostatic_spectrum(assemble_electrostatic(flat, grid))
-    lam1, _ = electrostatic_spectrum(assemble_electrostatic(toy, grid))
+    lam0 = compute_spectrum(assemble_electrostatic(flat, grid)).eigenvalues
+    lam1 = compute_spectrum(assemble_electrostatic(toy, grid)).eigenvalues
     low0 = float(np.sort(lam0.imag[lam0.imag > 1e-12])[0])
     low1 = float(np.sort(lam1.imag[lam1.imag > 1e-12])[0])
     target = 0.5 * np.pi
@@ -302,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (created)")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for randomized diagnostics")
         p.add_argument("--n-cells", type=int, default=None,
                        help="override the config grid resolution")
 
@@ -317,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_spec)
     p_spec.add_argument("--closed-loop", type=float, default=None,
                         metavar="GAIN", help="also emit the closed-loop spectrum")
-    p_spec.add_argument("--variant",
-                        choices=("full", "electrostatic", "charge_magnetic"),
-                        default="full")
+    p_spec.add_argument("--variant", choices=tuple(VARIANTS), default="full")
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_stab = sub.add_parser("stabilize", help="closed-loop feedback experiment")

@@ -74,7 +74,6 @@ class InitialStateSpec:
 @dataclass(frozen=True)
 class Tolerances:
     gauge_tol: float = 1e-8
-    solver_tol: float = 1e-10
     eig_tol: float = 1e-8
 
 
@@ -106,6 +105,14 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
             raise ConfigParseError(f"unknown key {key!r} in {where}")
 
 
+def _finite(value, where: str) -> float:
+    """float(value), rejecting NaN and infinities, which JSON admits."""
+    v = float(value)
+    if not np.isfinite(v):
+        raise ConfigParseError(f"{where} must be finite, got {v}")
+    return v
+
+
 def _load_signal_samples(path: Path) -> tuple:
     try:
         with open(path, newline="") as fh:
@@ -123,9 +130,12 @@ def _load_signal_samples(path: Path) -> tuple:
     t = np.array(times)
     if t.size == 0:
         raise ConfigParseError(f"signal file {path} has no samples")
+    v = np.array(values)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ConfigParseError(f"signal file {path} has a non-finite sample")
     if np.any(np.diff(t) <= 0):
         raise ConfigParseError(f"signal file {path} times must be strictly increasing")
-    return (t, np.array(values))
+    return (t, v)
 
 
 def _load_state_rows(path: Path) -> tuple:
@@ -142,6 +152,8 @@ def _load_state_rows(path: Path) -> tuple:
         raise ConfigParseError(f"cannot read state file {path}: {exc}") from exc
     if not rows:
         raise ConfigParseError(f"state file {path} has no rows")
+    if not all(np.isfinite(value) for _, _, value in rows):
+        raise ConfigParseError(f"state file {path} has a non-finite value")
     return rows
 
 
@@ -162,9 +174,9 @@ def _parse_signal(raw, base_dir: Path) -> SignalSpec:
         samples = _load_signal_samples(path)
         return SignalSpec(kind=kind, path=str(path), samples=samples)
     return SignalSpec(kind=kind,
-                      amplitude=float(raw.get("amplitude", 0.0)),
-                      frequency=float(raw.get("frequency", 0.0)),
-                      phase=float(raw.get("phase", 0.0)))
+                      amplitude=_finite(raw.get("amplitude", 0.0), "input_signal.amplitude"),
+                      frequency=_finite(raw.get("frequency", 0.0), "input_signal.frequency"),
+                      phase=_finite(raw.get("phase", 0.0), "input_signal.phase"))
 
 
 def _parse_initial_state(raw, base_dir: Path) -> InitialStateSpec:
@@ -187,7 +199,8 @@ def _parse_initial_state(raw, base_dir: Path) -> InitialStateSpec:
     if mode_index < 0:
         raise ConfigParseError("initial_state.mode_index must be nonnegative")
     return InitialStateSpec(kind=kind, mode_index=mode_index,
-                            amplitude=float(raw.get("amplitude", 1.0)))
+                            amplitude=_finite(raw.get("amplitude", 1.0),
+                                              "initial_state.amplitude"))
 
 
 def _parse_tolerances(raw) -> Tolerances:
@@ -195,11 +208,10 @@ def _parse_tolerances(raw) -> Tolerances:
         return Tolerances()
     if not isinstance(raw, dict):
         raise ConfigParseError("tolerances must be an object")
-    _reject_unknown(raw, ("gauge_tol", "solver_tol", "eig_tol"), "tolerances")
-    tol = Tolerances(gauge_tol=float(raw.get("gauge_tol", 1e-8)),
-                     solver_tol=float(raw.get("solver_tol", 1e-10)),
-                     eig_tol=float(raw.get("eig_tol", 1e-8)))
-    for name in ("gauge_tol", "solver_tol", "eig_tol"):
+    _reject_unknown(raw, ("gauge_tol", "eig_tol"), "tolerances")
+    tol = Tolerances(gauge_tol=_finite(raw.get("gauge_tol", 1e-8), "tolerances.gauge_tol"),
+                     eig_tol=_finite(raw.get("eig_tol", 1e-8), "tolerances.eig_tol"))
+    for name in ("gauge_tol", "eig_tol"):
         if getattr(tol, name) <= 0:
             raise ConfigParseError(f"tolerances.{name} must be positive")
     return tol
@@ -255,7 +267,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                                f"got {actuation_name!r}") from None
 
     signal = _parse_signal(doc.get("input_signal"), base_dir)
-    gain = float(doc.get("feedback_gain", 0.0))
+    gain = _finite(doc.get("feedback_gain", 0.0), "feedback_gain")
     if gain < 0:
         raise ConfigParseError(f"feedback_gain must be nonnegative, got {gain}")
     if gain > 0.0 and not signal.trivial:

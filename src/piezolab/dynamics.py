@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import GaugeDrift, LinearSolveFailure
-from .generator import (GeneratorAssembly, gauge_residual, gauge_residual_interior)
-from .model import BeamParameters, StaggeredGrid, StateVector
-from .operators import EnergyBreakdown, energy
+from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure
+from .generator import GeneratorAssembly
+from .model import BeamParameters, StaggeredGrid, StateVector, build_grid
+from .variants import build_system
 
 CSV_COLUMNS = ["time", "E_total", "E_kin_v", "E_kin_theta", "E_kin_eta",
                "E_elastic", "E_nonlocal", "E_magnetic",
@@ -57,9 +57,7 @@ class TimeSeries:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for i, t in enumerate(self.times):
-                e = self.energies[i]
-                row = [t, e.total, e.kinetic_v, e.kinetic_theta, e.kinetic_eta,
-                       e.elastic, e.nonlocal_, e.magnetic,
+                row = [t, *self.energies[i].as_row(),
                        self.gauge_pos[i], self.gauge_vel[i], self.inputs[i]]
                 writer.writerow([f"{v:.17g}" for v in row])
 
@@ -123,41 +121,33 @@ class RankOneMidpoint:
         return sol, u_mid
 
 
-class MidpointStepper(RankOneMidpoint):
-    """RankOneMidpoint bound to an assembly with collocated B* feedback."""
-
-    def __init__(self, assembly: GeneratorAssembly, dt: float, gain: float = 0.0):
-        super().__init__(assembly.g, assembly.b, assembly.b_dual, dt, gain=gain)
-        self.assembly = assembly
-
-
 def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
         dt: float, input_fn: Callable[[float], float] | None = None,
         gain: float = 0.0, record_stride: int = 1,
-        gauge_tol: float = 1e-8, gauge_guard: str | None = "full",
+        gauge_tol: float = 1e-8, gauge_guard: str = "full",
         keep_states: bool = False) -> TimeSeries:
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  ``gauge_guard``
     selects the drift diagnostic: "full" for unforced runs, "interior" for
     runs forced through the distributed current influence (whose boundary
-    jump puts an expected layer in the outermost cells), or None to disable.
+    jump puts an expected layer in the outermost cells).
     Aborts with :class:`GaugeDrift` when the selected residual exceeds
     100 * gauge_tol.
     """
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
-    params, grid, ops = assembly.params, assembly.grid, assembly.ops
     if isinstance(y0, StateVector):
         y = y0.flat().copy()
     else:
         y = np.asarray(y0, dtype=float).copy()
-    stepper = MidpointStepper(assembly, dt, gain=gain)
+    if y.shape != (assembly.dim,):
+        raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
+    stepper = RankOneMidpoint(assembly.g, assembly.b, assembly.output, dt, gain=gain)
 
     times = [0.0]
-    state0 = StateVector.from_flat(y, grid)
-    energies = [energy(state0, params, grid, ops)]
-    rp, rv = gauge_residual(state0, assembly)
+    energies = [assembly.energy_split(y)]
+    rp, rv = assembly.gauge(y)
     gauge_pos, gauge_vel = [rp], [rv]
     inputs = [0.0]
     states = [y.copy()] if keep_states else []
@@ -170,37 +160,27 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
             u = float(input_fn((j + 0.5) * dt)) if input_fn is not None else 0.0
             y = stepper.step(y, u)
         if (j + 1) % record_stride == 0 or j == n_steps - 1:
-            state = StateVector.from_flat(y, grid)
             times.append((j + 1) * dt)
-            energies.append(energy(state, params, grid, ops))
-            rp, rv = gauge_residual(state, assembly)
+            energies.append(assembly.energy_split(y))
+            rp, rv = assembly.gauge(y)
             gauge_pos.append(rp)
             gauge_vel.append(rv)
             inputs.append(u)
             if keep_states:
                 states.append(y.copy())
-            if gauge_guard is not None:
-                if gauge_guard == "interior":
-                    rp_g, rv_g = gauge_residual_interior(state, assembly)
-                else:
-                    rp_g, rv_g = rp, rv
-                if rp_g > threshold or rv_g > threshold:
-                    raise GaugeDrift(
-                        f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "
-                        f"{threshold:.3e} at step {j + 1} (t={(j + 1) * dt:.6g})")
+            if gauge_guard == "interior":
+                rp_g, rv_g = assembly.gauge(y, interior=True)
+            else:
+                rp_g, rv_g = rp, rv
+            if rp_g > threshold or rv_g > threshold:
+                raise GaugeDrift(
+                    f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "
+                    f"{threshold:.3e} at step {j + 1} (t={(j + 1) * dt:.6g})")
 
     return TimeSeries(times=np.array(times), energies=energies,
                       gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
                       inputs=np.array(inputs), states=states, dt=dt,
                       stride=record_stride)
-
-
-def step_midpoint(y: StateVector | np.ndarray, u_mid: float, dt: float,
-                  assembly: GeneratorAssembly) -> np.ndarray:
-    """Single midpoint step (convenience wrapper; factors the shift anew)."""
-    stepper = MidpointStepper(assembly, dt)
-    vec = y.flat() if isinstance(y, StateVector) else np.asarray(y, dtype=float)
-    return stepper.step(vec, u_mid)
 
 
 def _trial_profiles(grid: StaggeredGrid, params: BeamParameters,
@@ -244,7 +224,7 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
     dt = default_dt(params, grid)
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
-    stepper = MidpointStepper(assembly, dt)
+    stepper = RankOneMidpoint(assembly.g, assembly.b, assembly.output, dt)
     m = assembly.m
 
     best = 0.0
@@ -299,59 +279,44 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     return (amplitude / nrm) * y
 
 
-def _tabulated_state(rows, grid: StaggeredGrid, params: BeamParameters,
-                     ops, gauge_tol: float) -> np.ndarray:
+def _tabulated_state(rows, assembly: GeneratorAssembly,
+                     gauge_tol: float) -> np.ndarray:
     """Assemble a flat state from (field, index, value) rows.
 
-    When no y3/y6 rows are given those blocks are filled by the gauge
-    projection; explicitly tabulated y3/y6 must satisfy the constraint.
+    Fields are the blocks the assembly names.  When no y3/y6 rows are given
+    the gauge-bound blocks are filled by the model's lift; explicitly
+    tabulated y3/y6 must satisfy the constraint.
     """
-    from .errors import GaugeViolation
-    from .operators import gauge_residual_raw
-
-    lengths = {"y1": grid.n_cells, "y2": grid.n_interior, "y3": grid.n_cells,
-               "y4": grid.n_nodes, "y5": grid.n_interior, "y6": grid.n_cells}
-    fields = {name: np.zeros(size) for name, size in lengths.items()}
-    explicit = set()
+    y = np.zeros(assembly.dim)
+    given = set()
     for name, idx, value in rows:
-        if name not in lengths:
+        block = assembly.blocks.get(name)
+        if block is None:
             raise ValueError(f"unknown state field {name!r}")
-        if not 0 <= idx < lengths[name]:
+        size = block.stop - block.start
+        if not 0 <= idx < size:
             raise ValueError(f"index {idx} out of range for field {name}")
-        fields[name][idx] = value
-        explicit.add(name)
+        y[block.start + idx] = value
+        given.add(name)
 
-    if "y3" not in explicit and "y6" not in explicit:
-        sv = StateVector.gauge_projected(fields["y1"], fields["y2"],
-                                         fields["y4"], fields["y5"],
-                                         grid, params)
-        return sv.flat()
-    sv = StateVector(y1=fields["y1"], y2=fields["y2"], y3=fields["y3"],
-                     y4=fields["y4"], y5=fields["y5"], y6=fields["y6"],
-                     grid=grid)
-    r_pos, r_vel = gauge_residual_raw(sv, ops)
-    floor = 1e-30
-    rp = float(np.linalg.norm(r_pos) / max(np.linalg.norm(sv.y3), floor))
-    rv = float(np.linalg.norm(r_vel) / max(np.linalg.norm(sv.y6), floor))
+    if given.isdisjoint(("y3", "y6")):
+        return assembly.lift(y)
+    rp, rv = assembly.gauge(y)
     if max(rp, rv) > gauge_tol:
         raise GaugeViolation(
             f"tabulated state violates the gauge constraint "
             f"(pos={rp:.3e}, vel={rv:.3e}, tol={gauge_tol:.1e}); omit y3/y6 "
             f"rows to have them filled by projection")
-    return sv.flat()
+    return y
 
 
 def simulate(config) -> TimeSeries:
     """Run the experiment described by an ExperimentConfig.
 
-    Dispatches on the actuation mode: the electrostatic variant goes through
-    its own clamped-free solver, everything else through the six-field
-    midpoint integrator.  Returns the recorded TimeSeries.
+    Builds the linear system of the configured actuation model, its initial
+    state, and integrates it with the midpoint stepper.  Returns the
+    recorded TimeSeries.
     """
-    from .generator import assemble_generator
-    from .model import build_grid
-    from .operators import ActuationMode
-
     params = config.params
     grid = build_grid(params.L, config.n_cells)
     dt = config.dt if config.dt is not None else default_dt(params, grid)
@@ -360,43 +325,13 @@ def simulate(config) -> TimeSeries:
     input_fn = config.input_signal.as_function()
     spec = config.initial_state
 
-    if config.actuation is ActuationMode.CHARGE_ELECTROSTATIC:
-        from .variants import (assemble_electrostatic, boundary_feedback_simulate,
-                               electrostatic_mode_state)
-
-        es = assemble_electrostatic(params, grid)
-        if spec.kind == "zero":
-            y0 = np.zeros(es.dim)
-        elif spec.kind == "modal":
-            y0 = spec.amplitude * electrostatic_mode_state(es, spec.mode_index)
-        else:
-            # tabulated: fields s (strain on cells) and w (velocity, nodes 1..N)
-            y0 = np.zeros(es.dim)
-            n = grid.n_cells
-            for name, idx, value in spec.rows:
-                if name in ("s", "y1") and 0 <= idx < n:
-                    y0[idx] = value
-                elif name in ("w", "y4") and 0 <= idx < n:
-                    y0[n + idx] = value
-                else:
-                    raise ValueError(f"bad electrostatic state row ({name}, {idx})")
-        return boundary_feedback_simulate(es, gain, y0, config.t_final, dt=dt,
-                                          record_stride=config.record_stride,
-                                          input_fn=input_fn)
-
-    assembly = assemble_generator(params, grid)
-    if config.actuation is ActuationMode.CHARGE_MAGNETIC:
-        from .variants import assemble_charge_magnetic
-
-        assembly = assemble_charge_magnetic(params, grid, base=assembly)
-
+    assembly = build_system(params, grid, config.actuation)
     if spec.kind == "zero":
         y0 = np.zeros(assembly.dim)
     elif spec.kind == "modal":
         y0 = modal_state(assembly, spec.mode_index, spec.amplitude)
     else:
-        y0 = _tabulated_state(spec.rows, grid, params, assembly.ops,
-                              config.tolerances.gauge_tol)
+        y0 = _tabulated_state(spec.rows, assembly, config.tolerances.gauge_tol)
 
     # forcing through the distributed current influence leaves an expected
     # boundary-cell layer in the gauge residual; guard the interior only

@@ -23,30 +23,40 @@ sharp.
 The constrained subspace is parametrized by (y1, y2, y4, y5) through the
 lift T: y3 = xi*grad(y2), y6 = xi*grad(y5).  G maps the manifold into
 itself, so G T = T G_red with G_red the reduced generator used for spectra.
+
+:class:`GeneratorAssembly` is the linear system that every actuation model
+builds; the run loop, the mode table and the spectra take nothing else.
+The six-field models are assembled here, the electrostatic one in
+:mod:`piezolab.variants`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .errors import AssemblyInconsistent
 from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
-from .operators import DiscreteOperators, assemble_mass, build_operators
+from .operators import (NORM_FLOOR, DiscreteOperators, EnergyBreakdown,
+                        assemble_mass, build_operators, energy, gauge_residual)
 
-NORM_FLOOR = 1e-30
 SKEW_TOL = 1e-12
 CONSTRAINT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class Reduction:
-    """Constraint-eliminated coordinates (y1, y2, y4, y5)."""
+    """Coordinates in which the Gram matrix is definite.
 
-    t_map: np.ndarray   # lift, (6N-1, 4N-1)
+    The six-field models eliminate the gauge-bound y3 and y6 and keep
+    (y1, y2, y4, y5); a model without a gauge keeps every coordinate.
+    """
+
+    t_map: np.ndarray   # lift to the full coordinates
     m_red: np.ndarray   # SPD Gram on reduced coordinates
     g_red: np.ndarray   # reduced generator, G T = T G_red
     b_red: np.ndarray   # M-orthogonal representative of b on the manifold
@@ -54,7 +64,18 @@ class Reduction:
 
 @dataclass(frozen=True)
 class GeneratorAssembly:
-    """Generator, Gram matrix, control vector, and reduction for one setup."""
+    """One actuation model as the linear system y' = G y + b u.
+
+    Current, charge-magnetic and electrostatic actuation differ only in the
+    data held here: the generator G, the Gram matrix M of the energy, the
+    influence b, the feedback output row v of the closed loop u = -k v^T y,
+    and the reduction to coordinates where M is definite.  ``blocks`` names
+    the slices of the flat state (the mechanical ones are y1 and y4), and
+    three functions of a flat state complete the model: ``energy_split``
+    gives the energy in its parts, ``gauge(y, interior=False)`` the relative
+    gauge residuals (pos, vel), zero for a model without a gauge, and
+    ``lift`` fills the gauge-bound blocks from the free ones.
+    """
 
     params: BeamParameters
     grid: StaggeredGrid
@@ -63,17 +84,37 @@ class GeneratorAssembly:
     m: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dual: np.ndarray = field(repr=False)  # M b, the row form of B*
+    output: np.ndarray = field(repr=False)  # feedback output row v
     reduction: Reduction = field(repr=False)
+    blocks: dict = field(repr=False)
+    energy_split: Callable[[np.ndarray], EnergyBreakdown] = field(repr=False)
+    gauge: Callable[..., tuple] = field(repr=False)
+    lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     skew_defect: float = 0.0
     influence: str = "distributed_current"
 
     @property
     def dim(self) -> int:
-        return self.grid.state_dim
+        return self.g.shape[0]
 
     @property
     def dim_reduced(self) -> int:
-        return 4 * self.grid.n_cells - 1
+        return self.reduction.t_map.shape[1]
+
+    @property
+    def mechanical(self) -> np.ndarray:
+        """Coordinates of the mechanical blocks: strain y1 and velocity y4."""
+        idx = np.arange(self.dim)
+        return np.r_[idx[self.blocks["y1"]], idx[self.blocks["y4"]]]
+
+    @property
+    def bstar_feedback(self) -> bool:
+        """Whether the output row is B* itself.
+
+        Closed-loop spectra act through B*, so only then does their gain
+        mean the gain of a closed-loop run.
+        """
+        return self.output is self.b_dual
 
 
 def _generator_matrix(params: BeamParameters, grid: StaggeredGrid,
@@ -143,6 +184,16 @@ def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperato
     return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red)
 
 
+def certify_skewness(m: np.ndarray, g: np.ndarray) -> float:
+    """||M G + G^T M|| / ||M G||; raises AssemblyInconsistent above SKEW_TOL."""
+    mg = m @ g
+    scale = np.linalg.norm(mg)
+    skew = float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
+    if skew > SKEW_TOL:
+        raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
+    return skew
+
+
 def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
     """Distributed current influence: 12/(eps1 h^3) on every y5 coordinate."""
     sl = block_slices(grid)
@@ -151,32 +202,42 @@ def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
     return b
 
 
-def assemble_generator(params: BeamParameters, grid: StaggeredGrid,
-                       ops: DiscreteOperators | None = None) -> GeneratorAssembly:
+def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:
     """Build and certify the full assembly (generator, Gram, control).
 
     Raises :class:`AssemblyInconsistent` if the skewness certificate
     ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge-invariance certificate
     fails; both would signal an operator compatibility bug.
     """
-    if ops is None:
-        ops = build_operators(params, grid)
+    ops = build_operators(params, grid)
     g = _generator_matrix(params, grid, ops)
     m = assemble_mass(params, grid, ops)
     b = assemble_control(params, grid)
 
-    mg = m @ g
-    defect = np.linalg.norm(mg + mg.T)
-    scale = np.linalg.norm(mg)
-    skew = float(defect / scale)
-    if skew > SKEW_TOL:
-        raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
-
+    skew = certify_skewness(m, g)
     red = _reduction(params, grid, ops, g, m, b)
     for arr in (g, m, b):
         arr.setflags(write=False)
-    return GeneratorAssembly(params=params, grid=grid, ops=ops, g=g, m=m, b=b,
-                             b_dual=m @ b, reduction=red, skew_defect=skew)
+    b_dual = m @ b
+    return GeneratorAssembly(
+        params=params, grid=grid, ops=ops, g=g, m=m, b=b, b_dual=b_dual,
+        output=b_dual, reduction=red, blocks=block_slices(grid),
+        energy_split=partial(_energy_split, params, grid, ops),
+        gauge=partial(_gauge, grid, ops), lift=partial(_lift, params, grid),
+        skew_defect=skew)
+
+
+def _energy_split(params, grid, ops, y: np.ndarray) -> EnergyBreakdown:
+    return energy(StateVector.from_flat(y, grid), params, grid, ops)
+
+
+def _gauge(grid, ops, y: np.ndarray, interior: bool = False) -> tuple:
+    return gauge_residual(StateVector.from_flat(y, grid), ops, interior)
+
+
+def _lift(params, grid, y: np.ndarray) -> np.ndarray:
+    s = StateVector.from_flat(y, grid)
+    return StateVector.gauge_projected(s.y1, s.y2, s.y4, s.y5, grid, params).flat()
 
 
 def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
@@ -187,7 +248,8 @@ def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
     red = assembly.reduction
     rhs = red.t_map.T @ (assembly.m @ b)
     b_red = scipy.linalg.solve(red.m_red, rhs, assume_a="pos")
-    return replace(assembly, b=b, b_dual=assembly.m @ b,
+    b_dual = assembly.m @ b
+    return replace(assembly, b=b, b_dual=b_dual, output=b_dual,
                    reduction=replace(red, b_red=b_red), influence=influence)
 
 
@@ -202,32 +264,6 @@ def b_star(z, assembly: GeneratorAssembly) -> float:
         np.dot(assembly.b_dual, z))
 
 
-def gauge_residual(y: StateVector, assembly: GeneratorAssembly) -> tuple:
-    """Relative gauge residuals (r_pos, r_vel) of a state."""
-    ops = assembly.ops
-    r_pos = -ops.xi * (ops.grad_nc @ y.y2) + y.y3
-    r_vel = -ops.xi * (ops.grad_nc @ y.y5) + y.y6
-    rp = float(np.linalg.norm(r_pos) / max(np.linalg.norm(y.y3), NORM_FLOOR))
-    rv = float(np.linalg.norm(r_vel) / max(np.linalg.norm(y.y6), NORM_FLOOR))
-    return rp, rv
-
-
-def gauge_residual_interior(y: StateVector, assembly: GeneratorAssembly) -> tuple:
-    """Gauge residuals excluding the two boundary cells.
-
-    Forced trajectories with the distributed current influence develop a
-    discretization layer in the first and last cells (the influence has a
-    boundary jump that the interior-node gradient cannot represent); the
-    interior residual is the meaningful drift diagnostic there.
-    """
-    ops = assembly.ops
-    r_pos = (-ops.xi * (ops.grad_nc @ y.y2) + y.y3)[1:-1]
-    r_vel = (-ops.xi * (ops.grad_nc @ y.y5) + y.y6)[1:-1]
-    rp = float(np.linalg.norm(r_pos) / max(np.linalg.norm(y.y3), NORM_FLOOR))
-    rv = float(np.linalg.norm(r_vel) / max(np.linalg.norm(y.y6), NORM_FLOOR))
-    return rp, rv
-
-
 def skewness_defect(assembly: GeneratorAssembly) -> float:
     """Recompute ||M G + G^T M|| / ||M G|| from the stored matrices."""
     mg = assembly.m @ assembly.g
@@ -239,26 +275,3 @@ def constraint_defect(assembly: GeneratorAssembly) -> float:
     red = assembly.reduction
     return float(np.linalg.norm(assembly.g @ red.t_map - red.t_map @ red.g_red)
                  / max(np.linalg.norm(assembly.g), NORM_FLOOR))
-
-
-def dump_matrix(mat: np.ndarray, path: str) -> None:
-    """Write a matrix (or vector) in coordinate text format with 17 digits."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[0] == 1 and mat.size > 1:
-        mat = mat.T
-    rows, cols = np.nonzero(mat)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {mat.shape[0]} {mat.shape[1]} {len(rows)}\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r} {c} {mat[r, c]:.17g}\n")
-
-
-def dump_assembly(assembly: GeneratorAssembly, directory: str) -> list:
-    """Dump G, M, b as coordinate files; returns the written paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, mat in (("g", assembly.g), ("m", assembly.m), ("b", assembly.b)):
-        path = os.path.join(directory, f"{name}.txt")
-        dump_matrix(mat, path)
-        paths.append(path)
-    return paths

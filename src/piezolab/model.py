@@ -186,10 +186,7 @@ class StateVector:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (grid.state_dim,):
             raise ValueError(f"flat state must have {grid.state_dim} entries, got {vec.shape}")
-        n = grid.n_cells
-        sizes = [n, n - 1, n, n + 1, n - 1, n]
-        parts = np.split(vec, np.cumsum(sizes)[:-1])
-        return cls(*parts, grid=grid)
+        return cls(*(vec[sl] for sl in block_slices(grid).values()), grid=grid)
 
     @classmethod
     def zero(cls, grid: StaggeredGrid) -> "StateVector":

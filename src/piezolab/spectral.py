@@ -26,11 +26,11 @@ import scipy.linalg
 
 from .errors import AssemblyInconsistent, DegenerateWindow
 from .generator import GeneratorAssembly
-from .model import block_slices
 
 DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
 CLOSED_LOOP_REAL_TOL = 1e-12
+TABLE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,10 @@ def _energy_similarity(assembly: GeneratorAssembly):
     """R (upper Cholesky of M_red) and S = R G_red R^{-1}."""
     from .operators import mass_cholesky
 
+    if assembly.dim > DENSE_DIM_GUARD:
+        raise ValueError(
+            f"state dimension {assembly.dim} exceeds the dense eigensolve guard "
+            f"({DENSE_DIM_GUARD})")
     red = assembly.reduction
     r = mass_cholesky(red.m_red)
     z = r @ red.g_red
@@ -84,16 +88,37 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
-def _mechanical_fraction(phi_full: np.ndarray, assembly: GeneratorAssembly) -> float:
-    sl = block_slices(assembly.grid)
+def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, v: np.ndarray,
+                phi_red: np.ndarray, eig_tol: float) -> list:
+    """Per-mode records, built over blocks of TABLE_BLOCK eigenvectors.
+
+    Blocking keeps the lifted eigenvectors of one block in memory at a time
+    while turning the per-mode products into matrix products.
+    """
+    t = assembly.reduction.t_map
     m = assembly.m
-    idx_mech = np.r_[np.arange(m.shape[0])[sl["y1"]], np.arange(m.shape[0])[sl["y4"]]]
-    pm = phi_full[idx_mech]
-    mech = float(np.real(np.conj(pm) @ m[np.ix_(idx_mech, idx_mech)] @ pm))
-    total = float(np.real(np.conj(phi_full) @ m @ phi_full))
-    if total <= 0.0:
-        return 0.0
-    return mech / total
+    mech = assembly.mechanical
+    m_mech = m[np.ix_(mech, mech)]
+    norms = np.linalg.norm(v, axis=0)
+    table = []
+    for start in range(0, len(w), TABLE_BLOCK):
+        cols = slice(start, start + TABLE_BLOCK)
+        phi = t @ phi_red[:, cols]
+        bstar = assembly.b_dual @ phi
+        total = np.einsum("ij,ij->j", phi.conj(), m @ phi).real
+        pm = phi[mech]
+        mech_energy = np.einsum("ij,ij->j", pm.conj(), m_mech @ pm).real
+        frac = np.divide(mech_energy, total, out=np.zeros_like(total),
+                         where=total > 0.0)
+        for j, k in enumerate(range(start, start + phi.shape[1])):
+            bst = complex(bstar[j])
+            block = ("mechanical" if frac[j] >= 0.9
+                     else "electromagnetic" if frac[j] <= 0.1 else "mixed")
+            table.append(ModeRecord(eigenvalue=complex(w[k]), bstar=bst,
+                                    bstar_abs=abs(bst), norm_m=float(norms[k]),
+                                    stabilizable=bool(abs(bst) > eig_tol * norms[k]),
+                                    dominant_block=block))
+    return table
 
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarray,
@@ -104,22 +129,9 @@ def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarr
     v = v[:, order]
 
     phi_red = scipy.linalg.solve_triangular(r, v)  # unit M-norm columns
-    t = assembly.reduction.t_map
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-
-    table = []
-    for j in range(len(w)):
-        phi_full = t @ phi_red[:, j]
-        bst = complex(np.dot(assembly.b_dual, phi_full))
-        norm_m = float(np.linalg.norm(v[:, j]))
-        stab = abs(bst) > eig_tol * norm_m
-        frac = _mechanical_fraction(phi_full, assembly)
-        block = "mechanical" if frac >= 0.9 else ("electromagnetic" if frac <= 0.1 else "mixed")
-        table.append(ModeRecord(eigenvalue=complex(w[j]), bstar=bst,
-                                bstar_abs=abs(bst), norm_m=norm_m,
-                                stabilizable=bool(stab), dominant_block=block))
-
+    table = _mode_table(assembly, w, v, phi_red, eig_tol)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, mode_table=table,
                           vectors_reduced=phi_red, g_norm=g_norm, gain=gain)
@@ -127,10 +139,6 @@ def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarr
 
 def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> SpectrumReport:
     """Dense spectrum of the generator on the constrained subspace."""
-    if assembly.dim > DENSE_DIM_GUARD:
-        raise ValueError(
-            f"state dimension {assembly.dim} exceeds the dense eigensolve guard "
-            f"({DENSE_DIM_GUARD})")
     r, s = _energy_similarity(assembly)
     return _build_report(assembly, s, r, eig_tol, gain=0.0)
 
@@ -140,10 +148,6 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
     """Spectrum of the collocated-feedback generator G - gain * b (b^T M)."""
     if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
-    if assembly.dim > DENSE_DIM_GUARD:
-        raise ValueError(
-            f"state dimension {assembly.dim} exceeds the dense eigensolve guard "
-            f"({DENSE_DIM_GUARD})")
     r, s = _energy_similarity(assembly)
     g_vec = r @ assembly.reduction.b_red
     s_cl = s - gain * np.outer(g_vec, g_vec)

@@ -1,6 +1,8 @@
 """Comparison models: electrostatic charge actuation and boundary charge forcing.
 
-Two reduced systems share the staggered operators of the full magnetic model:
+Both are :class:`~piezolab.generator.GeneratorAssembly` systems built on the
+staggered operators of the full magnetic model, and :func:`build_system`
+returns the system of each actuation mode:
 
 * electrostatic: the charge-actuated clamped-free wave system for (v_x, v_dot)
   with rho v_tt = alpha v_xx + (gamma^2/eps3) (P_xi v_x)_x, v(0) = 0, and a
@@ -16,214 +18,77 @@ Two reduced systems share the staggered operators of the full magnetic model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.linalg
 
-from .dynamics import RankOneMidpoint, TimeSeries, default_dt
-from .errors import AssemblyInconsistent, NotPositiveDefinite
-from .generator import GeneratorAssembly, assemble_generator, with_influence
+from .generator import (GeneratorAssembly, Reduction, assemble_generator,
+                        certify_skewness, with_influence)
 from .model import BeamParameters, StaggeredGrid
-from .operators import DiscreteOperators, EnergyBreakdown, build_operators
-
-ES_SKEW_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ElectrostaticAssembly:
-    """Discretized clamped-free stretching system with boundary charge input.
-
-    State layout is (s, w) with s = v_x on the n_cells cells and w = v_dot on
-    the nodes 1..n_cells (node 0 clamped to zero and removed).
-    """
-
-    params: BeamParameters
-    grid: StaggeredGrid
-    ops: DiscreteOperators
-    g_es: np.ndarray
-    m_es: np.ndarray
-    b_es: np.ndarray
-    trace_index: int
-    skew_defect: float
-
-    @property
-    def dim(self) -> int:
-        return self.g_es.shape[0]
-
-    def trace_l(self, y: np.ndarray) -> float:
-        """Free-end velocity v_dot(L)."""
-        return float(np.real(y[self.trace_index]))
+from .operators import (ActuationMode, DiscreteOperators, EnergyBreakdown,
+                        build_operators)
 
 
-def _clamped_gradient(n: int, dx: float) -> np.ndarray:
-    """Cells <- stored nodes 1..n map for v_x with the clamped node implicit."""
-    g = np.zeros((n, n))
-    g[0, 0] = 1.0 / dx
-    for j in range(1, n):
-        g[j, j - 1] = -1.0 / dx
-        g[j, j] = 1.0 / dx
-    return g
+def assemble_electrostatic(params: BeamParameters,
+                           grid: StaggeredGrid) -> GeneratorAssembly:
+    """Build the clamped-free electrostatic system on the staggered grid.
 
-
-def _free_divergence(n: int, dx: float) -> np.ndarray:
-    """Stored nodes 1..n <- cells map; stress-free right end (ghost -s_last)."""
-    d = np.zeros((n, n))
-    for i in range(0, n - 1):
-        # node i+1 sits between cells i and i+1
-        d[i, i] = -1.0 / dx
-        d[i, i + 1] = 1.0 / dx
-    d[n - 1, n - 1] = -2.0 / dx
-    return d
-
-
-def assemble_electrostatic(params: BeamParameters, grid: StaggeredGrid,
-                           ops: DiscreteOperators | None = None) -> ElectrostaticAssembly:
-    """Build the clamped-free electrostatic assembly on the staggered grid.
+    The state is (s, w): s = v_x on the n_cells cells (block y1, alias s)
+    and w = v_dot on the nodes 1..n_cells (block y4, alias w; node 0 is
+    clamped to zero and removed).  Every coordinate is mechanical, there is
+    no gauge, the reduction is the identity, and the feedback output is the
+    free-end velocity v_dot(L), which equals (eps3 h / gamma) B* y.
 
     The stiffness alpha I + (gamma^2/eps3) P_xi reuses the magnetic model's
     nonlocal solve, so the variant is an actual limit study rather than an
     independent discretization.  Raises AssemblyInconsistent when the
     energy-weighted generator fails the skewness certificate.
     """
-    if ops is None:
-        ops = build_operators(params, grid)
+    ops = build_operators(params, grid)
     n = grid.n_cells
     dx = grid.dx
-    grad_c = _clamped_gradient(n, dx)
-    div_es = _free_divergence(n, dx)
+    stiff = params.alpha * np.eye(n) + (params.gamma**2 / params.eps3) * ops.p_dense
 
-    stiff = params.alpha * np.eye(n)
-    if params.gamma != 0.0:
-        stiff = stiff + (params.gamma**2 / params.eps3) * ops.p_dense
-    stiff = 0.5 * (stiff + stiff.T)
-
+    # the six-field stencils restricted to the nodes 1..n: the clamped
+    # node 0 drops out of the gradient and the divergence keeps the
+    # stress-free right end
     g = np.zeros((2 * n, 2 * n))
-    g[:n, n:] = grad_c
-    g[n:, :n] = (1.0 / params.rho) * (div_es @ stiff)
+    g[:n, n:] = ops.grad_f[:, 1:]
+    g[n:, :n] = (1.0 / params.rho) * (ops.div_f[1:, :] @ stiff)
 
-    # node weights for nodes 1..n: interior dx, boundary half-cell dx/2
-    w_nodes = np.full(n, dx)
-    w_nodes[-1] = 0.5 * dx
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = dx * stiff
-    m[n:, n:] = params.rho * np.diag(w_nodes)
+    m[n:, n:] = params.rho * np.diag(ops.node_weights[1:])
 
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
 
-    mg = m @ g
-    denom = np.linalg.norm(mg)
-    defect = np.linalg.norm(mg + mg.T) / denom if denom > 0 else 0.0
-    if defect > ES_SKEW_TOL:
-        raise AssemblyInconsistent(
-            f"electrostatic skewness defect {defect:.3e} exceeds {ES_SKEW_TOL:.1e}")
+    skew = certify_skewness(m, g)
+    trace = np.zeros(2 * n)
+    trace[-1] = 1.0
+    strain, velocity = slice(0, n), slice(n, 2 * n)
+    return GeneratorAssembly(
+        params=params, grid=grid, ops=ops, g=g, m=m, b=b, b_dual=m @ b,
+        output=trace,
+        reduction=Reduction(t_map=np.eye(2 * n), m_red=m, g_red=g, b_red=b),
+        blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},
+        energy_split=partial(_electrostatic_energy, params, grid, ops),
+        gauge=lambda y, interior=False: (0.0, 0.0), lift=lambda y: y,
+        skew_defect=skew, influence="boundary_trace")
 
-    return ElectrostaticAssembly(params=params, grid=grid, ops=ops, g_es=g,
-                                 m_es=m, b_es=b, trace_index=2 * n - 1,
-                                 skew_defect=defect)
 
-
-def electrostatic_energy(assembly: ElectrostaticAssembly, y: np.ndarray) -> EnergyBreakdown:
-    """Split 0.5 y^T M_es y into kinetic, elastic, and nonlocal parts."""
-    p = assembly.params
-    n = assembly.grid.n_cells
-    dx = assembly.grid.dx
+def _electrostatic_energy(params: BeamParameters, grid: StaggeredGrid,
+                          ops: DiscreteOperators, y: np.ndarray) -> EnergyBreakdown:
+    """Split 0.5 y^T M y into kinetic, elastic, and nonlocal parts."""
+    n = grid.n_cells
+    dx = grid.dx
     s = y[:n]
     w = y[n:]
-    w_nodes = np.full(n, dx)
-    w_nodes[-1] = 0.5 * dx
-    kin = 0.5 * p.rho * float(w_nodes @ (w * w))
-    elastic = 0.5 * p.alpha * dx * float(s @ s)
-    if p.gamma != 0.0:
-        nonloc = 0.5 * (p.gamma**2 / p.eps3) * dx * float(s @ (assembly.ops.p_dense @ s))
-    else:
-        nonloc = 0.0
+    kin = 0.5 * params.rho * float(ops.node_weights[1:] @ (w * w))
+    elastic = 0.5 * params.alpha * dx * float(s @ s)
+    nonloc = 0.5 * (params.gamma**2 / params.eps3) * dx * float(s @ (ops.p_dense @ s))
     return EnergyBreakdown(kinetic_v=kin, kinetic_theta=0.0, kinetic_eta=0.0,
                            elastic=elastic, nonlocal_=nonloc, magnetic=0.0)
-
-
-def electrostatic_spectrum(assembly: ElectrostaticAssembly):
-    """Eigenvalues and M-normalized eigenvectors of the clamped-free system.
-
-    Returns (eigenvalues, vectors) with columns in the original (s, w)
-    coordinates, sorted by |Im| with the positive member of each pair first.
-    """
-    try:
-        r = scipy.linalg.cholesky(assembly.m_es, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"electrostatic Gram not SPD: {exc}") from exc
-    # similarity S = R G R^-1 via one triangular solve: S^T = R^-T (R G)^T
-    rg = r @ assembly.g_es
-    s_mat = scipy.linalg.solve_triangular(r.T, rg.T, lower=True).T
-    lams, vecs = scipy.linalg.eig(s_mat)
-    order = np.lexsort((lams.real, -np.sign(lams.imag), np.abs(lams.imag)))
-    lams = lams[order]
-    vecs = vecs[:, order]
-    full = scipy.linalg.solve_triangular(r, vecs, lower=False)
-    return lams, full
-
-
-def electrostatic_mode_state(assembly: ElectrostaticAssembly, index: int = 0) -> np.ndarray:
-    """Real standing-wave state built from the index-th conjugate mode pair."""
-    lams, vecs = electrostatic_spectrum(assembly)
-    pos = np.flatnonzero(lams.imag > 0)
-    if index >= pos.size:
-        raise ValueError(f"mode index {index} out of range ({pos.size} pairs)")
-    phi = vecs[:, pos[index]]
-    y = np.real(phi)
-    nrm = np.sqrt(float(y @ (assembly.m_es @ y)))
-    if nrm == 0.0:
-        y = np.imag(phi)
-        nrm = np.sqrt(float(y @ (assembly.m_es @ y)))
-    return y / nrm
-
-
-def boundary_feedback_simulate(assembly: ElectrostaticAssembly, k: float,
-                               y0: np.ndarray, t_final: float,
-                               dt: float | None = None,
-                               record_stride: int = 1,
-                               input_fn=None) -> TimeSeries:
-    """Closed-loop run with collocated trace feedback sigma_s = -k v_dot(L).
-
-    The feedback output equals (eps3 h / gamma) B* y; for gamma > 0 the loop
-    dissipates 0.5 y^T M_es y at every midpoint step.  With k = 0 an optional
-    open-loop charge input ``input_fn`` (sampled at midpoint times) drives
-    the system instead.
-    """
-    if k < 0:
-        raise ValueError(f"feedback gain must be nonnegative, got {k}")
-    if k > 0 and input_fn is not None:
-        raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
-    if dt is None:
-        dt = default_dt(assembly.params, assembly.grid)
-    n_steps = max(1, int(round(t_final / dt)))
-    trace_row = np.zeros(assembly.dim)
-    trace_row[assembly.trace_index] = 1.0
-    stepper = RankOneMidpoint(assembly.g_es, assembly.b_es, trace_row, dt, gain=k)
-
-    y = np.array(y0, dtype=float)
-    if y.shape != (assembly.dim,):
-        raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
-
-    times = [0.0]
-    energies = [electrostatic_energy(assembly, y)]
-    inputs = [-k * assembly.trace_l(y) if k > 0 else 0.0]
-    for step in range(1, n_steps + 1):
-        if k > 0:
-            y, u_mid = stepper.step_closed(y)
-        else:
-            u_mid = float(input_fn((step - 0.5) * dt)) if input_fn is not None else 0.0
-            y = stepper.step(y, u_mid)
-        if step % record_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            energies.append(electrostatic_energy(assembly, y))
-            inputs.append(u_mid)
-    n_rec = len(times)
-    return TimeSeries(times=np.array(times), energies=energies,
-                      gauge_pos=np.zeros(n_rec), gauge_vel=np.zeros(n_rec),
-                      inputs=np.array(inputs), states=[], dt=dt,
-                      stride=record_stride)
 
 
 def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
@@ -239,20 +104,32 @@ def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np
     return b
 
 
-def assemble_charge_magnetic(params: BeamParameters, grid: StaggeredGrid,
-                             base: GeneratorAssembly | None = None) -> GeneratorAssembly:
+def assemble_charge_magnetic(params: BeamParameters,
+                             grid: StaggeredGrid) -> GeneratorAssembly:
     """Full magnetic generator with boundary charge forcing on the y4 rows.
 
     The interior dynamics are identical to the current-actuated system; only
     the influence vector changes, and its M-norm is grid-sensitive because
     the delta loads concentrate on single boundary nodes.
     """
-    if base is None:
-        base = assemble_generator(params, grid)
-    b = charge_magnetic_influence(params, grid)
-    return with_influence(base, b, influence="boundary_charge")
+    return with_influence(assemble_generator(params, grid),
+                          charge_magnetic_influence(params, grid),
+                          influence="boundary_charge")
 
 
 def influence_norm(assembly: GeneratorAssembly) -> float:
     """Energy norm ||b||_M of the control influence vector."""
     return float(np.sqrt(assembly.b @ (assembly.m @ assembly.b)))
+
+
+def build_system(params: BeamParameters, grid: StaggeredGrid,
+                 actuation: ActuationMode) -> GeneratorAssembly:
+    """The linear system of one actuation model.
+
+    ``none`` and ``current`` share the distributed-current assembly.
+    """
+    if actuation is ActuationMode.CHARGE_ELECTROSTATIC:
+        return assemble_electrostatic(params, grid)
+    if actuation is ActuationMode.CHARGE_MAGNETIC:
+        return assemble_charge_magnetic(params, grid)
+    return assemble_generator(params, grid)

@@ -111,6 +111,48 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="line 2"):
             load_config(path)
 
+    @pytest.mark.parametrize("path,value", [
+        (("feedback_gain",), float("nan")),
+        (("feedback_gain",), float("inf")),
+        (("input_signal", "amplitude"), float("inf")),
+        (("input_signal", "frequency"), float("nan")),
+        (("input_signal", "phase"), float("-inf")),
+        (("initial_state", "amplitude"), float("nan")),
+        (("tolerances", "gauge_tol"), float("nan")),
+        (("tolerances", "eig_tol"), float("inf")),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_non_finite_number_rejected(self, path, value):
+        doc = toy_config_dict()
+        doc["actuation"] = "current"
+        doc["input_signal"] = {"kind": "sinusoid", "amplitude": 1.0,
+                               "frequency": 1.0, "phase": 0.0}
+        doc["tolerances"] = {}
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ConfigParseError, match=path[-1]):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("kind,text", [
+        ("input_signal", "time,value\n0.0,0.0\n1.0,nan\n"),
+        ("input_signal", "time,value\n0.0,0.0\ninf,1.0\n"),
+        ("initial_state", "field,index,value\ny1,0,inf\n"),
+    ], ids=["signal_value", "signal_time", "state_value"])
+    def test_non_finite_tabulated_sample_rejected(self, tmp_path, kind, text):
+        (tmp_path / "tab.csv").write_text(text, encoding="utf-8")
+        doc = toy_config_dict()
+        doc["actuation"] = "current"
+        doc[kind] = {"kind": "tabulated", "path": "tab.csv"}
+        with pytest.raises(ConfigParseError, match="non-finite"):
+            config_from_dict(doc, base_dir=tmp_path)
+
+    def test_solver_tol_is_unknown(self):
+        doc = toy_config_dict()
+        doc["tolerances"] = {"solver_tol": 1e-10}
+        with pytest.raises(ConfigParseError, match="solver_tol"):
+            config_from_dict(doc)
+
     def test_tabulated_state_gauge_projection(self, tmp_path):
         # y3/y6 omitted: the free fields are projected onto the gauge manifold
         from piezolab.dynamics import simulate
@@ -155,6 +197,29 @@ class TestCliExitCodes:
         assert res.returncode == 2
         assert "rho" in res.stderr
 
+    def test_non_finite_config_exits_2(self, tmp_path):
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "actuation": "current", "feedback_gain": float("nan")}
+        res = _cli("simulate", "--config", str(_write(tmp_path, doc)),
+                   "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "feedback_gain" in res.stderr
+
+    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    def test_non_finite_gain_flag_exits_2(self, tmp_path, gain):
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        res = _cli("simulate", "--config", str(cfg), "--gain", gain,
+                   "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "gain" in res.stderr
+
+    def test_seed_flag_removed(self, tmp_path):
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        res = _cli("simulate", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "--seed" in res.stderr
+
     def test_bad_time_bounds_exit_2(self, tmp_path):
         doc = toy_config_dict()
         doc["dt"] = 2.0
@@ -180,6 +245,25 @@ class TestCliExitCodes:
         assert res.returncode == 0, res.stderr
         header = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "re,im,bstar_abs,stabilizable,dominant_block"
+
+    def test_electrostatic_closed_loop_spectrum_exits_2(self, tmp_path):
+        # closed-loop spectra take the gain in B* units; the electrostatic
+        # gain is in free-end-velocity units
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        res = _cli("spectrum", "--config", str(cfg), "--variant",
+                   "electrostatic", "--closed-loop", "1.0",
+                   "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "--closed-loop" in res.stderr
+
+    def test_paper_suite_report_json(self, tmp_path):
+        # the check computes its verdict with numpy; the report must still
+        # serialize it
+        out = tmp_path / "suite"
+        res = _cli("paper-suite", "--only", "gain_perturbation", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["pass_fail"] == {"gain_perturbation": True}
 
     def test_paper_suite_filter(self, tmp_path):
         out = tmp_path / "suite"

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from piezolab.dynamics import (MidpointStepper, RankOneMidpoint,
-                               admissibility_estimate, default_dt,
-                               modal_state, run, step_midpoint)
+from piezolab.dynamics import (RankOneMidpoint, admissibility_estimate,
+                               default_dt, modal_state, run)
 from piezolab.errors import GaugeDrift
 from piezolab.generator import assemble_generator, b_star
 from piezolab.model import StateVector, build_grid, toy_parameters
+from piezolab.operators import ActuationMode
+from piezolab.variants import build_system
 
 TOY = toy_parameters()
+
+SYSTEMS = (ActuationMode.CURRENT, ActuationMode.CHARGE_MAGNETIC,
+           ActuationMode.CHARGE_ELECTROSTATIC)
 
 
 def _assembly(n=32):
@@ -18,25 +22,30 @@ def _assembly(n=32):
 
 
 def _random_state(asm, seed=0):
+    """Random flat state on the model's gauge manifold, drawn block by block."""
     rng = np.random.default_rng(seed)
-    n = asm.grid.n_cells
-    return StateVector.gauge_projected(rng.standard_normal(n),
-                                       rng.standard_normal(n - 1),
-                                       rng.standard_normal(n + 1),
-                                       rng.standard_normal(n - 1),
-                                       asm.grid, asm.params)
+    y = np.zeros(asm.dim)
+    for name in ("y1", "y2", "y4", "y5"):
+        block = asm.blocks.get(name)
+        if block is not None:
+            y[block] = rng.standard_normal(block.stop - block.start)
+    return asm.lift(y)
 
 
-class TestStepMidpoint:
+def _stepper(asm, dt, gain=0.0):
+    return RankOneMidpoint(asm.g, asm.b, asm.output, dt, gain=gain)
+
+
+class TestRankOneMidpoint:
     def test_zero_fixed_point(self):
         asm = _assembly(16)
-        y = step_midpoint(StateVector.zero(asm.grid), 0.0, 1e-3, asm)
+        y = _stepper(asm, 1e-3).step(np.zeros(asm.dim), 0.0)
         np.testing.assert_array_equal(y, 0.0)
 
     def test_single_step_conservation(self):
         asm = _assembly(32)
-        y0 = _random_state(asm, seed=7).flat()
-        y1 = step_midpoint(y0, 0.0, 1e-3, asm)
+        y0 = _random_state(asm, seed=7)
+        y1 = _stepper(asm, 1e-3).step(y0, 0.0)
         n0 = y0 @ (asm.m @ y0)
         n1 = y1 @ (asm.m @ y1)
         assert abs(n1 - n0) <= 1e-12 * n0
@@ -45,7 +54,7 @@ class TestStepMidpoint:
         # y+ = dt (I - dt/2 G)^{-1} b from rest, checked against a direct solve
         asm = _assembly(8)
         dt = 1e-2
-        stepped = step_midpoint(np.zeros(asm.dim), 1.0, dt, asm)
+        stepped = _stepper(asm, dt).step(np.zeros(asm.dim), 1.0)
         oracle = dt * np.linalg.solve(np.eye(asm.dim) - 0.5 * dt * asm.g, asm.b)
         np.testing.assert_allclose(stepped, oracle, rtol=1e-11, atol=1e-14)
 
@@ -53,9 +62,9 @@ class TestStepMidpoint:
         # the backward flow is the midpoint scheme applied to -G
         asm = _assembly(32)
         dt = 5e-3
-        fwd = MidpointStepper(asm, dt)
-        bwd = RankOneMidpoint(-asm.g, asm.b, asm.b_dual, dt)
-        y0 = _random_state(asm, seed=3).flat()
+        fwd = _stepper(asm, dt)
+        bwd = RankOneMidpoint(-asm.g, asm.b, asm.output, dt)
+        y0 = _random_state(asm, seed=3)
         y = y0.copy()
         for _ in range(50):
             y = fwd.step(y)
@@ -65,8 +74,9 @@ class TestStepMidpoint:
 
 
 class TestRun:
-    def test_open_loop_conservation_and_gauge(self):
-        asm = _assembly(32)
+    @pytest.mark.parametrize("actuation", SYSTEMS, ids=lambda a: a.value)
+    def test_open_loop_conservation_and_gauge(self, actuation):
+        asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
         series = run(asm, _random_state(asm, seed=1), n_steps=2000,
                      dt=default_dt(TOY, asm.grid), record_stride=50)
         e = series.total_energy()
@@ -74,10 +84,12 @@ class TestRun:
         assert series.gauge_pos.max() <= 1e-10
         assert series.gauge_vel.max() <= 1e-10
 
-    def test_closed_loop_dissipation_identity(self):
-        # E_{n+1} - E_n = -k dt (B* y_mid)^2, checked per step against
-        # states recorded every step
-        asm = _assembly(32)
+    @pytest.mark.parametrize("actuation", SYSTEMS, ids=lambda a: a.value)
+    def test_closed_loop_dissipation_identity(self, actuation):
+        # E_{n+1} - E_n = -k dt (v^T y_mid)(B* y_mid) with v the output row,
+        # which is B* itself for the six-field models; checked per step
+        # against states recorded every step
+        asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
         k, dt = 0.7, 2e-3
         series = run(asm, modal_state(asm, 0), n_steps=200, dt=dt, gain=k,
                      record_stride=1, gauge_guard="interior", keep_states=True)
@@ -85,7 +97,7 @@ class TestRun:
         worst = 0.0
         for j in range(len(e) - 1):
             y_mid = 0.5 * (series.states[j] + series.states[j + 1])
-            pred = -k * dt * b_star(y_mid, asm) ** 2
+            pred = -k * dt * (asm.output @ y_mid) * b_star(y_mid, asm)
             worst = max(worst, abs((e[j + 1] - e[j]) - pred) / e[j])
         assert worst <= 1e-10
 
@@ -132,8 +144,8 @@ class TestAdmissibility:
     def test_unforced_ratio_is_one(self):
         # with i_s = 0 the flow is unitary, so ||y(T)||^2 / ||y0||^2 = 1
         asm = _assembly(32)
-        y0 = _random_state(asm, seed=8).flat()
-        stepper = MidpointStepper(asm, 1e-3)
+        y0 = _random_state(asm, seed=8)
+        stepper = _stepper(asm, 1e-3)
         y = y0.copy()
         for _ in range(500):
             y = stepper.step(y)

@@ -1,4 +1,4 @@
-"""Generator assembly: skewness, gauge invariance, control influence, dumps."""
+"""Generator assembly: skewness, gauge invariance, control influence."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezolab.generator import (assemble_control, assemble_generator, b_star,
-                                constraint_defect, dump_assembly,
-                                gauge_residual, skewness_defect, with_influence)
+                                constraint_defect, skewness_defect,
+                                with_influence)
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
+from piezolab.operators import gauge_residual
 
 TOY = toy_parameters()
 
@@ -137,7 +138,7 @@ class TestGaugeResidual:
                                         rng.standard_normal(33),
                                         rng.standard_normal(31),
                                         asm.grid, TOY)
-        rp, rv = gauge_residual(y, asm)
+        rp, rv = gauge_residual(y, asm.ops)
         assert rp <= 1e-14 and rv <= 1e-14
 
     def test_perturbation_linearity(self):
@@ -149,9 +150,18 @@ class TestGaugeResidual:
         delta = 1e-3 * rng.standard_normal(32)
         bad = StateVector(y.y1, y.y2, y.y3 + delta, y.y4, y.y5, y.y6,
                           grid=asm.grid)
-        rp, _ = gauge_residual(bad, asm)
+        rp, _ = gauge_residual(bad, asm.ops)
         expected = np.linalg.norm(delta) / np.linalg.norm(bad.y3)
         assert rp == pytest.approx(expected, rel=1e-10)
+
+    def test_interior_drops_boundary_cells(self):
+        asm = _assembly(16)
+        y = StateVector.zero(asm.grid)
+        y3 = np.zeros(16)
+        y3[0] = y3[-1] = 1.0
+        bad = StateVector(y.y1, y.y2, y3, y.y4, y.y5, y.y6, grid=asm.grid)
+        assert gauge_residual(bad, asm.ops)[0] == pytest.approx(1.0)
+        assert gauge_residual(bad, asm.ops, interior=True)[0] == 0.0
 
 
 class TestWithInfluence:
@@ -164,18 +174,3 @@ class TestWithInfluence:
         np.testing.assert_array_equal(alt.b, b_new)
         np.testing.assert_array_equal(alt.g, asm.g)
 
-
-class TestDumps:
-    def test_coordinate_format(self, tmp_path):
-        asm = _assembly(8)
-        paths = dump_assembly(asm, str(tmp_path))
-        assert len(paths) == 3
-        lines = open(paths[0], encoding="utf-8").read().splitlines()
-        header = lines[0].split()
-        assert header[0] == "#"
-        rows, cols, nnz = int(header[1]), int(header[2]), int(header[3])
-        assert rows == cols == asm.dim
-        assert len(lines) == nnz + 1
-        r, c, val = lines[1].split()
-        # 17 significant digits round-trips doubles exactly
-        assert float(val) == asm.g[int(r), int(c)]

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from piezolab.errors import GaugeViolation
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
-from piezolab.operators import (ActuationMode, apply_p_xi, assemble_mass,
-                                build_operators, energy, p_xi_identity_check,
-                                solve_potential)
+from piezolab.operators import (apply_p_xi, assemble_mass, build_operators,
+                                energy, p_xi_identity_check)
 
 TOY = toy_parameters()
 
@@ -112,26 +111,6 @@ class TestPXiIdentity:
         c = np.ones(16)
         np.testing.assert_allclose(ops.lap_cc @ apply_p_xi(c, ops), 0.0, atol=1e-12)
         np.testing.assert_allclose((apply_p_xi(c, ops) - c) / ops.xi, 0.0, atol=1e-12)
-
-
-class TestSolvePotential:
-    def test_zero_input(self):
-        grid, ops = _ops(16)
-        field = solve_potential(np.zeros(16), 0.0, ActuationMode.CURRENT, TOY, ops)
-        np.testing.assert_array_equal(field.phi1, 0.0)
-
-    def test_charge_constant_offset(self):
-        grid, ops = _ops(16)
-        field = solve_potential(np.zeros(16), TOY.eps3 * TOY.h,
-                                ActuationMode.CHARGE_MAGNETIC, TOY, ops)
-        np.testing.assert_allclose(field.phi1, 1.0, rtol=1e-14)
-
-    def test_cosine_current_mode(self):
-        grid, ops = _ops(128)
-        y1 = np.cos(np.pi * grid.cell_coords / grid.L)
-        field = solve_potential(y1, 0.0, ActuationMode.CURRENT, TOY, ops)
-        pred = (TOY.gamma / TOY.eps3) * y1 / (1.0 + TOY.xi * np.pi**2 / grid.L**2)
-        assert np.linalg.norm(field.phi1 - pred) <= 1e-3 * np.linalg.norm(pred)
 
 
 class TestMassMatrix:

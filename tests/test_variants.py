@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from piezolab.dynamics import run
+from piezolab.dynamics import default_dt, modal_state, run
 from piezolab.generator import assemble_generator
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters)
-from piezolab.spectral import decay_rate_fit
+from piezolab.spectral import compute_spectrum, decay_rate_fit
 from piezolab.variants import (assemble_charge_magnetic, assemble_electrostatic,
-                               boundary_feedback_simulate,
-                               charge_magnetic_influence, electrostatic_energy,
-                               electrostatic_mode_state, electrostatic_spectrum,
-                               influence_norm)
+                               charge_magnetic_influence, influence_norm)
 
 TOY = toy_parameters()
 
@@ -20,6 +17,17 @@ TOY = toy_parameters()
 def _es(n=64, gamma=0.0):
     params = toy_parameters(gamma=gamma)
     return assemble_electrostatic(params, build_grid(params.L, n))
+
+
+def _omegas(es):
+    lams = compute_spectrum(es).eigenvalues
+    return np.sort(lams.imag[lams.imag > 1e-10])
+
+
+def _es_run(es, gain, y0, t_final, record_stride=1):
+    dt = default_dt(es.params, es.grid)
+    return run(es, y0, max(1, int(round(t_final / dt))), dt, gain=gain,
+               record_stride=record_stride)
 
 
 class TestElectrostaticAssembly:
@@ -31,9 +39,7 @@ class TestElectrostaticAssembly:
         # the clamped-free staggered stencil has a closed-form spectrum:
         # omega_k = (2/dx) sqrt(alpha/rho) sin((k+1/2) pi / (2N))
         n = 64
-        es = _es(n)
-        lams, _ = electrostatic_spectrum(es)
-        omegas = np.sort(lams.imag[lams.imag > 1e-10])
+        omegas = _omegas(_es(n))
         k = np.arange(n)
         dx = 1.0 / n
         exact = (2.0 / dx) * np.sin((k + 0.5) * np.pi / (2 * n))
@@ -43,51 +49,51 @@ class TestElectrostaticAssembly:
         # lowest five modes approach (k+1/2) pi sqrt(alpha/rho)/L at O(dx^2)
         errs = []
         for n in (64, 128):
-            lams, _ = electrostatic_spectrum(_es(n))
-            omegas = np.sort(lams.imag[lams.imag > 1e-10])[:5]
+            omegas = _omegas(_es(n))[:5]
             exact = (np.arange(5) + 0.5) * np.pi
             errs.append(np.max(np.abs(omegas - exact) / exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
 
     def test_pxi_term_stiffens(self):
-        lam0, _ = electrostatic_spectrum(_es(64))
-        lam1, _ = electrostatic_spectrum(_es(64, gamma=1.0))
-        low0 = np.sort(lam0.imag[lam0.imag > 1e-10])[0]
-        low1 = np.sort(lam1.imag[lam1.imag > 1e-10])[0]
-        assert low1 > low0
+        assert _omegas(_es(64, gamma=1.0))[0] > _omegas(_es(64))[0]
 
     def test_energy_is_half_gram_quadratic(self):
         es = _es(32, gamma=1.0)
         rng = np.random.default_rng(17)
         y = rng.standard_normal(es.dim)
-        br = electrostatic_energy(es, y)
-        assert br.total == pytest.approx(0.5 * y @ (es.m_es @ y), rel=1e-12)
+        br = es.energy_split(y)
+        assert br.total == pytest.approx(0.5 * y @ (es.m @ y), rel=1e-12)
+
+    def test_output_is_scaled_bstar(self):
+        # the free-end velocity trace is (eps3 h / gamma) B*
+        params = toy_parameters(gamma=0.7)
+        es = assemble_electrostatic(params, build_grid(params.L, 32))
+        coeff = params.gamma / (params.eps3 * params.h)
+        np.testing.assert_allclose(es.b_dual, coeff * es.output, rtol=1e-15)
+        assert not es.bstar_feedback
 
 
 class TestBoundaryFeedback:
     def test_zero_gain_conserves(self):
         es = _es(64, gamma=1.0)
-        y0 = electrostatic_mode_state(es, 0)
-        series = boundary_feedback_simulate(es, 0.0, y0, t_final=2.0)
+        series = _es_run(es, 0.0, modal_state(es, 0), t_final=2.0)
         e = series.total_energy()
         assert np.max(np.abs(e - e[0])) <= 1e-9 * e[0]
 
     def test_zero_state_stays_zero(self):
         es = _es(32, gamma=1.0)
-        series = boundary_feedback_simulate(es, 1.0, np.zeros(es.dim),
-                                            t_final=0.5)
+        series = _es_run(es, 1.0, np.zeros(es.dim), t_final=0.5)
         assert np.all(series.total_energy() == 0.0)
 
     def test_negative_gain_rejected(self):
         es = _es(16, gamma=1.0)
         with pytest.raises(ValueError):
-            boundary_feedback_simulate(es, -1.0, np.zeros(es.dim), t_final=0.1)
+            _es_run(es, -1.0, np.zeros(es.dim), t_final=0.1)
 
     def test_decay_rate(self):
         es = _es(64, gamma=1.0)
-        y0 = electrostatic_mode_state(es, 0)
-        series = boundary_feedback_simulate(es, 1.0, y0, t_final=8.0,
-                                            record_stride=4)
+        series = _es_run(es, 1.0, modal_state(es, 0), t_final=8.0,
+                         record_stride=4)
         e = series.total_energy()
         assert np.all(np.diff(e) <= 1e-12 * e[0])     # monotone decay
         assert e[-1] > 0.0                            # no finite-time extinction
@@ -109,9 +115,8 @@ class TestChargeMagnetic:
 
     def test_same_interior_generator(self):
         grid = build_grid(1.0, 16)
-        base = assemble_generator(TOY, grid)
-        cm = assemble_charge_magnetic(TOY, grid, base=base)
-        np.testing.assert_array_equal(cm.g, base.g)
+        cm = assemble_charge_magnetic(TOY, grid)
+        np.testing.assert_array_equal(cm.g, assemble_generator(TOY, grid).g)
         assert cm.influence == "boundary_charge"
 
     def test_norm_grows_without_bound(self):
