@@ -1,12 +1,14 @@
 """JSON config ingestion and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import piezolab
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
 from piezolab.operators import ActuationMode
@@ -19,8 +21,13 @@ def _write(tmp_path, doc, name="cfg.json"):
 
 
 def _cli(*args):
+    # the child imports the same piezolab as this process, so the suite also
+    # runs under pytest's own pythonpath setting without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(piezolab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "piezolab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestConfigParsing:

@@ -13,8 +13,8 @@ from piezolab.variants import build_system
 
 TOY = toy_parameters()
 
-SYSTEMS = (ActuationMode.CURRENT, ActuationMode.CHARGE_MAGNETIC,
-           ActuationMode.CHARGE_ELECTROSTATIC)
+CHARGE_SYSTEMS = (ActuationMode.CHARGE_MAGNETIC,
+                  ActuationMode.CHARGE_ELECTROSTATIC)
 
 
 def _assembly(n=32):
@@ -36,7 +36,7 @@ def _stepper(asm, dt, gain=0.0):
     return RankOneMidpoint(asm.g, asm.b, asm.output, dt, gain=gain)
 
 
-class TestRankOneMidpoint:
+class TestStepMidpoint:
     def test_zero_fixed_point(self):
         asm = _assembly(16)
         y = _stepper(asm, 1e-3).step(np.zeros(asm.dim), 0.0)
@@ -73,33 +73,47 @@ class TestRankOneMidpoint:
         assert np.linalg.norm(y - y0) <= 1e-10 * np.linalg.norm(y0)
 
 
-class TestRun:
-    @pytest.mark.parametrize("actuation", SYSTEMS, ids=lambda a: a.value)
-    def test_open_loop_conservation_and_gauge(self, actuation):
-        asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
-        series = run(asm, _random_state(asm, seed=1), n_steps=2000,
-                     dt=default_dt(TOY, asm.grid), record_stride=50)
-        e = series.total_energy()
-        assert np.max(np.abs(e - e[0])) <= 1e-9 * e[0]
-        assert series.gauge_pos.max() <= 1e-10
-        assert series.gauge_vel.max() <= 1e-10
+def _check_open_loop_conservation_and_gauge(actuation):
+    asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
+    series = run(asm, _random_state(asm, seed=1), n_steps=2000,
+                 dt=default_dt(TOY, asm.grid), record_stride=50)
+    e = series.total_energy()
+    assert np.max(np.abs(e - e[0])) <= 1e-9 * e[0]
+    assert series.gauge_pos.max() <= 1e-10
+    assert series.gauge_vel.max() <= 1e-10
 
-    @pytest.mark.parametrize("actuation", SYSTEMS, ids=lambda a: a.value)
-    def test_closed_loop_dissipation_identity(self, actuation):
-        # E_{n+1} - E_n = -k dt (v^T y_mid)(B* y_mid) with v the output row,
-        # which is B* itself for the six-field models; checked per step
-        # against states recorded every step
-        asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
-        k, dt = 0.7, 2e-3
-        series = run(asm, modal_state(asm, 0), n_steps=200, dt=dt, gain=k,
-                     record_stride=1, gauge_guard="interior", keep_states=True)
-        e = series.total_energy()
-        worst = 0.0
-        for j in range(len(e) - 1):
-            y_mid = 0.5 * (series.states[j] + series.states[j + 1])
-            pred = -k * dt * (asm.output @ y_mid) * b_star(y_mid, asm)
-            worst = max(worst, abs((e[j + 1] - e[j]) - pred) / e[j])
-        assert worst <= 1e-10
+
+def _check_closed_loop_dissipation_identity(actuation):
+    # E_{n+1} - E_n = -k dt (v^T y_mid)(B* y_mid) with v the output row,
+    # which is B* itself for the six-field models; checked per step
+    # against states recorded every step
+    asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
+    k, dt = 0.7, 2e-3
+    series = run(asm, modal_state(asm, 0), n_steps=200, dt=dt, gain=k,
+                 record_stride=1, gauge_guard="interior", keep_states=True)
+    e = series.total_energy()
+    worst = 0.0
+    for j in range(len(e) - 1):
+        y_mid = 0.5 * (series.states[j] + series.states[j + 1])
+        pred = -k * dt * (asm.output @ y_mid) * b_star(y_mid, asm)
+        worst = max(worst, abs((e[j + 1] - e[j]) - pred) / e[j])
+    assert worst <= 1e-10
+
+
+class TestRun:
+    def test_open_loop_conservation_and_gauge(self):
+        _check_open_loop_conservation_and_gauge(ActuationMode.CURRENT)
+
+    @pytest.mark.parametrize("actuation", CHARGE_SYSTEMS, ids=lambda a: a.value)
+    def test_open_loop_conservation_and_gauge_charge(self, actuation):
+        _check_open_loop_conservation_and_gauge(actuation)
+
+    def test_closed_loop_dissipation_identity(self):
+        _check_closed_loop_dissipation_identity(ActuationMode.CURRENT)
+
+    @pytest.mark.parametrize("actuation", CHARGE_SYSTEMS, ids=lambda a: a.value)
+    def test_closed_loop_dissipation_identity_charge(self, actuation):
+        _check_closed_loop_dissipation_identity(actuation)
 
     def test_closed_loop_energy_monotone(self):
         asm = _assembly(32)
