@@ -25,8 +25,8 @@ from .model import build_grid
 from .operators import ActuationMode
 from .spectral import (classify_stabilizability, closed_loop_spectrum,
                        compute_spectrum)
-from .variants import (assemble_charge_magnetic, assemble_electrostatic,
-                       build_system, influence_norm)
+from .variants import (assemble_electrostatic, build_system,
+                       charge_influence_norm)
 
 VARIANTS = {"full": ActuationMode.CURRENT,
             "electrostatic": ActuationMode.CHARGE_ELECTROSTATIC,
@@ -75,12 +75,18 @@ def _ensure_outdir(out: str) -> Path:
     return path
 
 
+def _n_cells_override(args) -> int | None:
+    """The --n-cells flag, held to the same lower bound as the config."""
+    if args.n_cells is not None and args.n_cells < 8:
+        raise ConfigParseError(f"n_cells must be at least 8, got {args.n_cells}")
+    return args.n_cells
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
-    if getattr(args, "n_cells", None) is not None:
-        if args.n_cells < 8:
-            raise ConfigParseError(f"n_cells must be at least 8, got {args.n_cells}")
-        updates["n_cells"] = args.n_cells
+    n_cells = _n_cells_override(args)
+    if n_cells is not None:
+        updates["n_cells"] = n_cells
     if getattr(args, "gain", None) is not None:
         if not (np.isfinite(args.gain) and args.gain >= 0):
             raise ConfigParseError(
@@ -197,13 +203,10 @@ def cmd_stabilize(args) -> ExperimentReport:
     pass_fail = {"energy_nonincreasing":
                  bool(np.diff(e).max() <= 1e-12 * max(e[0], 1.0))}
 
-    params = config.params
-    asm = build_system(params, build_grid(params.L, config.n_cells),
-                       config.actuation)
     # a closed-loop spectrum acts through B*, so it shows this run's loop
     # only where the output row is B*
-    if asm.bstar_feedback:
-        paths.append(_closed_loop_csv(asm, config.feedback_gain,
+    if series.system.bstar_feedback:
+        paths.append(_closed_loop_csv(series.system, config.feedback_gain,
                                       config.tolerances.eig_tol, out,
                                       outcome, pass_fail))
     return ExperimentReport("stabilize", _echo_config(config), outcome, paths,
@@ -213,8 +216,10 @@ def cmd_stabilize(args) -> ExperimentReport:
 def cmd_variants(args) -> ExperimentReport:
     from .model import toy_parameters
 
+    n = _n_cells_override(args)
+    if n is None:
+        n = 64
     out = _ensure_outdir(args.out)
-    n = args.n_cells if args.n_cells is not None else 64
     toy = toy_parameters()
     flat = toy_parameters(gamma=0.0)
     grid = build_grid(1.0, n)
@@ -225,11 +230,8 @@ def cmd_variants(args) -> ExperimentReport:
     low1 = float(np.sort(lam1.imag[lam1.imag > 1e-12])[0])
     target = 0.5 * np.pi
 
-    rows = []
-    for n_ref in (32, 64, 128, 256):
-        g = build_grid(1.0, n_ref)
-        asm = assemble_charge_magnetic(toy, g)
-        rows.append((n_ref, influence_norm(asm)))
+    rows = [(n_ref, charge_influence_norm(toy, build_grid(1.0, n_ref)))
+            for n_ref in (32, 64, 128, 256)]
     table = out / "charge_influence_norms.csv"
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.set_defaults(fn=cmd_variants)
 
     p_suite = sub.add_parser("paper-suite", help="run the acceptance suite")
-    common(p_suite, config_required=False)
+    p_suite.add_argument("--out", default=".", help="output directory (created)")
     p_suite.add_argument("--only", default=None,
                          help="run only checks whose name contains this string")
     p_suite.set_defaults(fn=cmd_paper_suite)

@@ -23,6 +23,7 @@ import scipy.linalg
 from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure
 from .generator import GeneratorAssembly
 from .model import BeamParameters, StaggeredGrid, StateVector, build_grid
+from .spectral import open_loop_modes
 from .variants import build_system
 
 CSV_COLUMNS = ["time", "E_total", "E_kin_v", "E_kin_theta", "E_kin_eta",
@@ -46,8 +47,8 @@ class TimeSeries:
     gauge_vel: np.ndarray = field(repr=False)
     inputs: np.ndarray = field(repr=False)       # applied input per record
     states: list = field(repr=False)             # flat snapshots per record
-    dt: float = 0.0
-    stride: int = 1
+    dt: float
+    system: GeneratorAssembly = field(repr=False)  # the system that ran
 
     def total_energy(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
@@ -124,16 +125,15 @@ class RankOneMidpoint:
 def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
         dt: float, input_fn: Callable[[float], float] | None = None,
         gain: float = 0.0, record_stride: int = 1,
-        gauge_tol: float = 1e-8, gauge_guard: str = "full",
-        keep_states: bool = False) -> TimeSeries:
+        gauge_tol: float = 1e-8, keep_states: bool = False) -> TimeSeries:
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
-    ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  ``gauge_guard``
-    selects the drift diagnostic: "full" for unforced runs, "interior" for
-    runs forced through the distributed current influence (whose boundary
-    jump puts an expected layer in the outermost cells).
-    Aborts with :class:`GaugeDrift` when the selected residual exceeds
-    100 * gauge_tol.
+    ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
+    :class:`GaugeDrift` when a recorded gauge residual exceeds
+    100 * gauge_tol.  A run driven through the distributed current influence
+    (by ``input_fn`` or a positive gain) is guarded on the interior cells
+    only: the influence's boundary jump puts an expected layer in the
+    outermost cells.  Every other run is guarded on all cells.
     """
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
@@ -144,6 +144,8 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
     if y.shape != (assembly.dim,):
         raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
     stepper = RankOneMidpoint(assembly.g, assembly.b, assembly.output, dt, gain=gain)
+    interior_guard = (assembly.influence == "distributed_current"
+                      and (input_fn is not None or gain > 0.0))
 
     times = [0.0]
     energies = [assembly.energy_split(y)]
@@ -168,7 +170,7 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
             inputs.append(u)
             if keep_states:
                 states.append(y.copy())
-            if gauge_guard == "interior":
+            if interior_guard:
                 rp_g, rv_g = assembly.gauge(y, interior=True)
             else:
                 rp_g, rv_g = rp, rv
@@ -180,7 +182,7 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
     return TimeSeries(times=np.array(times), energies=energies,
                       gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
                       inputs=np.array(inputs), states=states, dt=dt,
-                      stride=record_stride)
+                      system=assembly)
 
 
 def _trial_profiles(grid: StaggeredGrid, params: BeamParameters,
@@ -262,14 +264,11 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     Takes the real part of the lifted eigenvector of the positive-imaginary
     member, renormalized to M-norm ``amplitude``.  Kernel modes are skipped.
     """
-    from .spectral import compute_spectrum
-
-    report = compute_spectrum(assembly)
-    pos = np.flatnonzero(report.eigenvalues.imag >
-                         1e-10 * max(report.g_norm, 1.0))
+    w, vectors_reduced = open_loop_modes(assembly)
+    pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
     if mode_index >= pos.size:
         raise ValueError(f"mode index {mode_index} out of range ({pos.size} pairs)")
-    phi_red = report.vectors_reduced[:, pos[mode_index]]
+    phi_red = vectors_reduced[:, pos[mode_index]]
     phi = assembly.reduction.t_map @ phi_red
     y = np.real(phi)
     nrm = np.sqrt(float(y @ assembly.m @ y))
@@ -315,7 +314,7 @@ def simulate(config) -> TimeSeries:
 
     Builds the linear system of the configured actuation model, its initial
     state, and integrates it with the midpoint stepper.  Returns the
-    recorded TimeSeries.
+    recorded TimeSeries, which holds the system it ran.
     """
     params = config.params
     grid = build_grid(params.L, config.n_cells)
@@ -332,12 +331,6 @@ def simulate(config) -> TimeSeries:
         y0 = modal_state(assembly, spec.mode_index, spec.amplitude)
     else:
         y0 = _tabulated_state(spec.rows, assembly, config.tolerances.gauge_tol)
-
-    # forcing through the distributed current influence leaves an expected
-    # boundary-cell layer in the gauge residual; guard the interior only
-    forced_current = (assembly.influence == "distributed_current"
-                      and (input_fn is not None or gain > 0.0))
-    guard = "interior" if forced_current else "full"
     return run(assembly, y0, n_steps, dt, input_fn=input_fn, gain=gain,
                record_stride=config.record_stride,
-               gauge_tol=config.tolerances.gauge_tol, gauge_guard=guard)
+               gauge_tol=config.tolerances.gauge_tol)

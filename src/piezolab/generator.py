@@ -41,8 +41,8 @@ import scipy.linalg
 
 from .errors import AssemblyInconsistent
 from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
-from .operators import (NORM_FLOOR, DiscreteOperators, EnergyBreakdown,
-                        assemble_mass, build_operators, energy, gauge_residual)
+from .operators import (DiscreteOperators, EnergyBreakdown, assemble_mass,
+                        build_operators, energy, gauge_residual)
 
 SKEW_TOL = 1e-12
 CONSTRAINT_TOL = 1e-11
@@ -75,11 +75,15 @@ class GeneratorAssembly:
     gives the energy in its parts, ``gauge(y, interior=False)`` the relative
     gauge residuals (pos, vel), zero for a model without a gauge, and
     ``lift`` fills the gauge-bound blocks from the free ones.
+
+    The certificates measured while assembling are kept: ``skew_defect`` is
+    ||M G + G^T M|| / ||M G|| and ``gauge_defect`` is
+    ||G T - T G_red|| / max(||G||, 1), how exactly G preserves the gauge
+    manifold (zero for a model without a gauge).
     """
 
     params: BeamParameters
     grid: StaggeredGrid
-    ops: DiscreteOperators = field(repr=False)
     g: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -91,15 +95,12 @@ class GeneratorAssembly:
     gauge: Callable[..., tuple] = field(repr=False)
     lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     skew_defect: float = 0.0
+    gauge_defect: float = 0.0
     influence: str = "distributed_current"
 
     @property
     def dim(self) -> int:
         return self.g.shape[0]
-
-    @property
-    def dim_reduced(self) -> int:
-        return self.reduction.t_map.shape[1]
 
     @property
     def mechanical(self) -> np.ndarray:
@@ -150,7 +151,8 @@ def _generator_matrix(params: BeamParameters, grid: StaggeredGrid,
 
 
 def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
-               g: np.ndarray, m: np.ndarray, b: np.ndarray) -> Reduction:
+               g: np.ndarray, m: np.ndarray, b: np.ndarray) -> tuple:
+    """The reduction to (y1, y2, y4, y5) and its relative gauge defect."""
     n = grid.n_cells
     sl = block_slices(grid)
     dim = grid.state_dim
@@ -173,15 +175,14 @@ def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperato
     keep = np.concatenate([np.arange(dim)[sl[b_]] for b_ in ("y1", "y2", "y4", "y5")])
     g_red = gt[keep, :]
 
-    defect = np.linalg.norm(gt - t @ g_red)
-    scale = max(np.linalg.norm(g), 1.0)
-    if defect > CONSTRAINT_TOL * scale:
+    defect = float(np.linalg.norm(gt - t @ g_red) / max(np.linalg.norm(g), 1.0))
+    if defect > CONSTRAINT_TOL:
         raise AssemblyInconsistent(
             f"generator does not preserve the gauge manifold: defect {defect:.3e}")
 
     rhs = t.T @ (m @ b)
     b_red = scipy.linalg.solve(m_red, rhs, assume_a="pos")
-    return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red)
+    return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red), defect
 
 
 def certify_skewness(m: np.ndarray, g: np.ndarray) -> float:
@@ -215,16 +216,16 @@ def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> Generator
     b = assemble_control(params, grid)
 
     skew = certify_skewness(m, g)
-    red = _reduction(params, grid, ops, g, m, b)
+    red, gauge_defect = _reduction(params, grid, ops, g, m, b)
     for arr in (g, m, b):
         arr.setflags(write=False)
     b_dual = m @ b
     return GeneratorAssembly(
-        params=params, grid=grid, ops=ops, g=g, m=m, b=b, b_dual=b_dual,
+        params=params, grid=grid, g=g, m=m, b=b, b_dual=b_dual,
         output=b_dual, reduction=red, blocks=block_slices(grid),
         energy_split=partial(_energy_split, params, grid, ops),
         gauge=partial(_gauge, grid, ops), lift=partial(_lift, params, grid),
-        skew_defect=skew)
+        skew_defect=skew, gauge_defect=gauge_defect)
 
 
 def _energy_split(params, grid, ops, y: np.ndarray) -> EnergyBreakdown:
@@ -263,15 +264,3 @@ def b_star(z, assembly: GeneratorAssembly) -> float:
     return float(np.dot(assembly.b_dual, z)) if np.isrealobj(z) else complex(
         np.dot(assembly.b_dual, z))
 
-
-def skewness_defect(assembly: GeneratorAssembly) -> float:
-    """Recompute ||M G + G^T M|| / ||M G|| from the stored matrices."""
-    mg = assembly.m @ assembly.g
-    return float(np.linalg.norm(mg + mg.T) / np.linalg.norm(mg))
-
-
-def constraint_defect(assembly: GeneratorAssembly) -> float:
-    """||G T - T G_red|| / ||G||: how exactly G preserves the gauge manifold."""
-    red = assembly.reduction
-    return float(np.linalg.norm(assembly.g @ red.t_map - red.t_map @ red.g_red)
-                 / max(np.linalg.norm(assembly.g), NORM_FLOOR))

@@ -27,9 +27,9 @@ second identity assumes the stress s carries zero boundary faces (built into
 div_f).
 
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
-tridiagonal).  A dense, exactly symmetric realization backs assembly, time
-stepping and spectra; the banded factorization of A builds it and backs the
-O(N) solve :func:`apply_p_xi`.
+tridiagonal).  A dense, exactly symmetric realization, built from the banded
+Cholesky factorization of A, backs assembly, energy, time stepping and
+spectra.
 The companion matrix ``one_minus_p`` realizes I - P_xi through the algebraic
 identity lap_cc P_xi = (P_xi - I)/xi, so that the gauge-preservation
 cancellation in the generator holds to rounding rather than to solver
@@ -38,13 +38,13 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from .errors import GaugeViolation, NotPositiveDefinite, SolverFailure
+from .errors import NotPositiveDefinite, SolverFailure
 from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
 
 NORM_FLOOR = 1e-30
@@ -91,7 +91,7 @@ def _div_free(grid: StaggeredGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Immutable bundle of difference operators and the P_xi realizations."""
+    """Immutable bundle of difference operators and the P_xi realization."""
 
     grid: StaggeredGrid
     xi: float
@@ -103,7 +103,6 @@ class DiscreteOperators:
     p_dense: np.ndarray     # (N, N) symmetric realization of P_xi
     one_minus_p: np.ndarray  # (N, N) = -xi * sym(lap_cc @ p_dense)
     node_weights: np.ndarray  # (N+1,) trapezoid weights including dx
-    helmholtz_bands: np.ndarray = field(repr=False)  # Cholesky bands of A
 
     @property
     def n_cells(self) -> int:
@@ -111,7 +110,7 @@ class DiscreteOperators:
 
 
 def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOperators:
-    """Assemble the stencils and both P_xi realizations for one grid."""
+    """Assemble the stencils and the P_xi realization for one grid."""
     xi = params.xi
     div_int = _div_interior(grid)
     grad_nc = -div_int.T  # bit-exact negative adjoint
@@ -150,27 +149,8 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
     return DiscreteOperators(
         grid=grid, xi=xi, div_int=div_int, grad_nc=grad_nc, grad_f=grad_f,
         div_f=div_f, lap_cc=lap_cc, p_dense=p_dense,
-        one_minus_p=one_minus_p, node_weights=weights, helmholtz_bands=bands,
+        one_minus_p=one_minus_p, node_weights=weights,
     )
-
-
-def apply_p_xi(z: np.ndarray, ops: DiscreteOperators,
-               solver_tol: float | None = None) -> np.ndarray:
-    """Solve w - xi*lap_cc(w) = z by the banded factorization.
-
-    When ``solver_tol`` is given the forward residual is checked against
-    solver_tol * ||z||.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (ops.n_cells,):
-        raise ValueError(f"expected cell field of length {ops.n_cells}, got {z.shape}")
-    w = scipy.linalg.cho_solve_banded((ops.helmholtz_bands, False), z)
-    if solver_tol is not None:
-        residual = np.linalg.norm(w - ops.xi * (ops.lap_cc @ w) - z)
-        if residual > solver_tol * max(np.linalg.norm(z), 1e-300):
-            raise SolverFailure(
-                f"P_xi solve residual {residual:.3e} exceeds tolerance")
-    return w
 
 
 def p_xi_identity_check(ops: DiscreteOperators) -> float:
@@ -259,18 +239,12 @@ def gauge_residual(y: StateVector, ops: DiscreteOperators,
 
 
 def energy(y: StateVector, params: BeamParameters, grid: StaggeredGrid,
-           ops: DiscreteOperators, gauge_tol: float | None = None) -> EnergyBreakdown:
+           ops: DiscreteOperators) -> EnergyBreakdown:
     """Energy of a state; equals (1/2) y^T M y.
 
-    When ``gauge_tol`` is given, a :class:`GaugeViolation` is raised if either
-    relative gauge residual exceeds it (the energy is only coercive on the
-    constrained subspace).
+    The energy is only coercive on the gauge-constrained subspace; the run
+    loop and tabulated starts guard the gauge with :func:`gauge_residual`.
     """
-    if gauge_tol is not None:
-        rp, rv = gauge_residual(y, ops)
-        if rp > gauge_tol or rv > gauge_tol:
-            raise GaugeViolation(
-                f"gauge residuals (pos={rp:.3e}, vel={rv:.3e}) exceed {gauge_tol:.3e}")
     dx = grid.dx
     kin_v = 0.5 * params.rho * float(np.dot(ops.node_weights, y.y4 ** 2))
     kin_theta = 0.5 * (params.eps1 * params.h ** 2 / 12.0) * dx * float(np.dot(y.y5, y.y5))

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import AssemblyInconsistent, DegenerateWindow
+from .errors import DegenerateWindow
 from .generator import GeneratorAssembly
 
 DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
-CLOSED_LOOP_REAL_TOL = 1e-12
 TABLE_BLOCK = 128
 
 
@@ -38,7 +37,6 @@ class ModeRecord:
     """Per-mode summary used for stabilizability classification."""
 
     eigenvalue: complex
-    bstar: complex
     bstar_abs: float
     norm_m: float
     stabilizable: bool
@@ -55,7 +53,6 @@ class SpectrumReport:
     mode_table: list = field(repr=False)
     vectors_reduced: np.ndarray = field(repr=False)   # columns: phi_red, unit M-norm
     g_norm: float = 0.0          # spectral radius, the scale for tolerances
-    gain: float = 0.0
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -111,52 +108,69 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, v: np.ndarray,
         frac = np.divide(mech_energy, total, out=np.zeros_like(total),
                          where=total > 0.0)
         for j, k in enumerate(range(start, start + phi.shape[1])):
-            bst = complex(bstar[j])
+            bstar_abs = abs(complex(bstar[j]))
             block = ("mechanical" if frac[j] >= 0.9
                      else "electromagnetic" if frac[j] <= 0.1 else "mixed")
-            table.append(ModeRecord(eigenvalue=complex(w[k]), bstar=bst,
-                                    bstar_abs=abs(bst), norm_m=float(norms[k]),
-                                    stabilizable=bool(abs(bst) > eig_tol * norms[k]),
+            table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=bstar_abs,
+                                    norm_m=float(norms[k]),
+                                    stabilizable=bool(bstar_abs > eig_tol * norms[k]),
                                     dominant_block=block))
     return table
 
 
-def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarray,
-                  eig_tol: float, gain: float) -> SpectrumReport:
+def _eigenpairs(s_matrix: np.ndarray, r: np.ndarray) -> tuple:
+    """Sorted eigenvalues of S, its eigenvectors, and their reduced lifts.
+
+    The lifts phi_red = R^{-1} v have unit M-norm.
+    """
     w, v = scipy.linalg.eig(s_matrix)
     order = _sort_order(w)
     w = w[order]
     v = v[:, order]
+    return w, v, scipy.linalg.solve_triangular(r, v)
 
-    phi_red = scipy.linalg.solve_triangular(r, v)  # unit M-norm columns
+
+def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
+    """Eigenvalues and unit M-norm reduced eigenvectors, in spectrum order.
+
+    The eigenpairs of :func:`compute_spectrum` without its mode table.
+    """
+    r, s = _energy_similarity(assembly)
+    w, _, phi_red = _eigenpairs(s, r)
+    return w, phi_red
+
+
+def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarray,
+                  eig_tol: float) -> SpectrumReport:
+    w, v, phi_red = _eigenpairs(s_matrix, r)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
     table = _mode_table(assembly, w, v, phi_red, eig_tol)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, mode_table=table,
-                          vectors_reduced=phi_red, g_norm=g_norm, gain=gain)
+                          vectors_reduced=phi_red, g_norm=g_norm)
 
 
 def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> SpectrumReport:
     """Dense spectrum of the generator on the constrained subspace."""
     r, s = _energy_similarity(assembly)
-    return _build_report(assembly, s, r, eig_tol, gain=0.0)
+    return _build_report(assembly, s, r, eig_tol)
 
 
 def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
                          eig_tol: float = 1e-8) -> SpectrumReport:
-    """Spectrum of the collocated-feedback generator G - gain * b (b^T M)."""
+    """Spectrum of the collocated-feedback generator G - gain * b (b^T M).
+
+    Collocated feedback keeps the spectrum in the closed left half plane;
+    the eigenvalues are returned unchecked, so a caller can report a
+    crossing.
+    """
     if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
     r, s = _energy_similarity(assembly)
     g_vec = r @ assembly.reduction.b_red
     s_cl = s - gain * np.outer(g_vec, g_vec)
-    report = _build_report(assembly, s_cl, r, eig_tol, gain=gain)
-    if report.eigenvalues.real.max(initial=0.0) > CLOSED_LOOP_REAL_TOL * max(report.g_norm, 1.0):
-        raise AssemblyInconsistent(
-            f"closed-loop spectrum crossed into the right half plane: "
-            f"max Re = {report.eigenvalues.real.max():.3e}")
-    return report
+    return _build_report(assembly, s_cl, r, eig_tol)
 
 
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float,
@@ -214,11 +228,10 @@ def kernel_basis(assembly: GeneratorAssembly, rel_tol: float = ZERO_MODE_REL_TOL
 
 
 def classify_stabilizability(report: SpectrumReport) -> dict:
-    """Summary counts and the per-mode table of a computed spectrum."""
+    """Summary counts of a computed spectrum."""
     stab = [rec for rec in report.mode_table if rec.stabilizable]
     non = [rec for rec in report.mode_table if not rec.stabilizable]
     return {
-        "mode_table": report.mode_table,
         "n_modes": len(report.mode_table),
         "n_stabilizable": len(stab),
         "n_non_stabilizable": len(non),
@@ -232,8 +245,6 @@ class DecayFit:
 
     rate: float
     r_squared: float
-    n_records: int
-    window: tuple
 
 
 def decay_rate_fit(series, window: tuple) -> DecayFit:
@@ -260,5 +271,4 @@ def decay_rate_fit(series, window: tuple) -> DecayFit:
     ss_res = float(np.sum((loge - fitted) ** 2))
     ss_tot = float(np.sum((loge - loge.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(rate=float(-coef[1]), r_squared=float(r2),
-                    n_records=int(len(t)), window=(float(t0), float(t1)))
+    return DecayFit(rate=float(-coef[1]), r_squared=float(r2))

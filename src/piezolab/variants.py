@@ -26,7 +26,7 @@ from .generator import (GeneratorAssembly, Reduction, assemble_generator,
                         certify_skewness, with_influence)
 from .model import BeamParameters, StaggeredGrid
 from .operators import (ActuationMode, DiscreteOperators, EnergyBreakdown,
-                        build_operators)
+                        assemble_mass, build_operators)
 
 
 def assemble_electrostatic(params: BeamParameters,
@@ -68,7 +68,7 @@ def assemble_electrostatic(params: BeamParameters,
     trace[-1] = 1.0
     strain, velocity = slice(0, n), slice(n, 2 * n)
     return GeneratorAssembly(
-        params=params, grid=grid, ops=ops, g=g, m=m, b=b, b_dual=m @ b,
+        params=params, grid=grid, g=g, m=m, b=b, b_dual=m @ b,
         output=trace,
         reduction=Reduction(t_map=np.eye(2 * n), m_red=m, g_red=g, b_red=b),
         blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},
@@ -117,9 +117,14 @@ def assemble_charge_magnetic(params: BeamParameters,
                           influence="boundary_charge")
 
 
-def influence_norm(assembly: GeneratorAssembly) -> float:
-    """Energy norm ||b||_M of the control influence vector."""
-    return float(np.sqrt(assembly.b @ (assembly.m @ assembly.b)))
+def charge_influence_norm(params: BeamParameters, grid: StaggeredGrid) -> float:
+    """Energy norm ||b||_M of the boundary charge influence.
+
+    Only the Gram matrix is assembled; the generator is not needed.
+    """
+    m = assemble_mass(params, grid, build_operators(params, grid))
+    b = charge_magnetic_influence(params, grid)
+    return float(np.sqrt(b @ (m @ b)))
 
 
 def build_system(params: BeamParameters, grid: StaggeredGrid,

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import piezolab
+from piezolab import cli, dynamics, spectral
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
 from piezolab.operators import ActuationMode
+from piezolab.variants import build_system
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -252,6 +254,55 @@ class TestCliExitCodes:
         assert res.returncode == 0, res.stderr
         header = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "re,im,bstar_abs,stabilizable,dominant_block"
+
+    def test_variants_coarse_grid_exits_2(self, tmp_path):
+        res = _cli("variants", "--n-cells", "4", "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "n_cells" in res.stderr
+
+    def test_paper_suite_has_no_grid_flag(self, tmp_path):
+        # every check pins its own grids; a grid flag would be ignored
+        res = _cli("paper-suite", "--only", "skewness", "--n-cells", "999",
+                   "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "--n-cells" in res.stderr
+
+    def test_stabilize_builds_one_system(self, tmp_path, monkeypatch):
+        # the closed-loop spectrum reads the system the run used
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_system(*args)
+
+        monkeypatch.setattr(dynamics, "build_system", counting)
+        monkeypatch.setattr(cli, "build_system", counting)
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        out = tmp_path / "o"
+        assert cli.main(["stabilize", "--config", str(cfg), "--gain", "0.5",
+                         "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "closed_loop_spectrum.csv").stat().st_size > 0
+
+    def test_red_closed_loop_is_reported(self, tmp_path, monkeypatch, capsys):
+        # shift the energy-coordinate generator right: the closed loop then
+        # crosses the imaginary axis, and the flag, not an exception, says so
+        similarity = spectral._energy_similarity
+
+        def shifted(asm):
+            r, s = similarity(asm)
+            return r, s + 0.1 * np.eye(s.shape[0])
+
+        monkeypatch.setattr(spectral, "_energy_similarity", shifted)
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--config", str(cfg),
+                         "--closed-loop", "1.0", "--out", str(out)]) == 1
+        assert "FAIL  closed_loop_left_half" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["pass_fail"]["closed_loop_left_half"] is False
+        assert report["outcome"]["closed_loop_abscissa"] > 0.0
+        assert (out / "closed_loop_spectrum.csv").stat().st_size > 0
 
     def test_electrostatic_closed_loop_spectrum_exits_2(self, tmp_path):
         # closed-loop spectra take the gain in B* units; the electrostatic

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from piezolab import spectral
 from piezolab.dynamics import (RankOneMidpoint, admissibility_estimate,
                                default_dt, modal_state, run)
 from piezolab.errors import GaugeDrift
@@ -90,7 +91,7 @@ def _check_closed_loop_dissipation_identity(actuation):
     asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
     k, dt = 0.7, 2e-3
     series = run(asm, modal_state(asm, 0), n_steps=200, dt=dt, gain=k,
-                 record_stride=1, gauge_guard="interior", keep_states=True)
+                 record_stride=1, keep_states=True)
     e = series.total_energy()
     worst = 0.0
     for j in range(len(e) - 1):
@@ -118,17 +119,22 @@ class TestRun:
     def test_closed_loop_energy_monotone(self):
         asm = _assembly(32)
         series = run(asm, modal_state(asm, 0), n_steps=400, dt=2e-3, gain=1.0,
-                     record_stride=10, gauge_guard="interior")
+                     record_stride=10)
         increments = np.diff(series.total_energy())
         assert increments.max() <= 1e-12 * series.total_energy()[0]
 
-    def test_forced_full_guard_trips(self):
-        # the distributed influence has a boundary jump; a forced run with the
-        # full-residual guard must abort rather than report silently
+    def test_driven_current_guard_is_interior(self):
+        # the distributed influence has a boundary jump that leaves a layer in
+        # the outermost cells of a forced run; the guard skips that layer but
+        # aborts on drift in the interior rather than report it silently
         asm = _assembly(32)
+        forced = run(asm, StateVector.zero(asm.grid), n_steps=200, dt=2e-3,
+                     input_fn=lambda t: 1.0)
+        assert forced.gauge_pos.max() > 1e-6  # the full residual would trip
+        y0 = _random_state(asm, seed=2)
+        y0[asm.blocks["y3"].start + 5] += 1e-3
         with pytest.raises(GaugeDrift):
-            run(asm, StateVector.zero(asm.grid), n_steps=200, dt=2e-3,
-                input_fn=lambda t: 1.0, gauge_guard="full")
+            run(asm, y0, n_steps=10, dt=2e-3, input_fn=lambda t: 1.0)
 
     def test_gain_and_input_mutually_exclusive(self):
         asm = _assembly(16)
@@ -152,6 +158,24 @@ class TestRun:
         series = run(asm, _random_state(asm, seed=6), n_steps=40, dt=1e-3,
                      record_stride=4)
         np.testing.assert_allclose(np.diff(series.times), 4e-3, rtol=1e-12)
+
+
+class TestModalState:
+    def test_eigenvector_without_mode_table(self, monkeypatch):
+        # the start is the real part of the lifted eigenvector from the
+        # spectrum, bit for bit, but no per-mode table is built for it
+        asm = _assembly(32)
+        report = spectral.compute_spectrum(asm)
+        pos = np.flatnonzero(report.eigenvalues.imag
+                             > 1e-10 * max(report.g_norm, 1.0))
+        y = np.real(asm.reduction.t_map @ report.vectors_reduced[:, pos[2]])
+        expected = (1.5 / np.sqrt(float(y @ asm.m @ y))) * y
+
+        def no_table(*args):
+            raise AssertionError("modal_state built a mode table")
+
+        monkeypatch.setattr(spectral, "_mode_table", no_table)
+        np.testing.assert_array_equal(modal_state(asm, 2, 1.5), expected)
 
 
 class TestAdmissibility:

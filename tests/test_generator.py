@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezolab.generator import (assemble_control, assemble_generator, b_star,
-                                constraint_defect, skewness_defect,
                                 with_influence)
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
-from piezolab.operators import gauge_residual
+from piezolab.operators import build_operators, gauge_residual
 
 TOY = toy_parameters()
 
@@ -19,9 +18,14 @@ def _assembly(n=16, params=TOY):
     return assemble_generator(params, build_grid(params.L, n))
 
 
+def _ops(n):
+    grid = build_grid(TOY.L, n)
+    return grid, build_operators(TOY, grid)
+
+
 class TestSkewness:
     def test_toy_n16(self):
-        assert skewness_defect(_assembly(16)) <= 1e-12
+        assert _assembly(16).skew_defect <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -32,7 +36,7 @@ class TestSkewness:
                                      gamma=rng.uniform(-2.0, 2.0),
                                      eps1=vals[2], eps3=vals[3], mu=vals[4],
                                      h=vals[5], L=vals[6]))
-        assert skewness_defect(_assembly(16, p)) <= 1e-12
+        assert _assembly(16, p).skew_defect <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -66,7 +70,7 @@ class TestStructure:
 
     def test_constraint_invariance(self):
         # G maps the gauge manifold into itself: G T = T G_red
-        assert constraint_defect(_assembly(32)) <= 1e-12
+        assert _assembly(32).gauge_defect <= 1e-12
 
     def test_invertible_off_the_kernel(self):
         # on the constraint-reduced subspace the kernel is one-dimensional;
@@ -131,37 +135,37 @@ class TestBStar:
 
 class TestGaugeResidual:
     def test_projection_exact(self):
-        asm = _assembly(32)
+        grid, ops = _ops(32)
         rng = np.random.default_rng(2)
         y = StateVector.gauge_projected(rng.standard_normal(32),
                                         rng.standard_normal(31),
                                         rng.standard_normal(33),
                                         rng.standard_normal(31),
-                                        asm.grid, TOY)
-        rp, rv = gauge_residual(y, asm.ops)
+                                        grid, TOY)
+        rp, rv = gauge_residual(y, ops)
         assert rp <= 1e-14 and rv <= 1e-14
 
     def test_perturbation_linearity(self):
-        asm = _assembly(32)
+        grid, ops = _ops(32)
         rng = np.random.default_rng(4)
         y = StateVector.gauge_projected(np.zeros(32), rng.standard_normal(31),
                                         np.zeros(33), rng.standard_normal(31),
-                                        asm.grid, TOY)
+                                        grid, TOY)
         delta = 1e-3 * rng.standard_normal(32)
         bad = StateVector(y.y1, y.y2, y.y3 + delta, y.y4, y.y5, y.y6,
-                          grid=asm.grid)
-        rp, _ = gauge_residual(bad, asm.ops)
+                          grid=grid)
+        rp, _ = gauge_residual(bad, ops)
         expected = np.linalg.norm(delta) / np.linalg.norm(bad.y3)
         assert rp == pytest.approx(expected, rel=1e-10)
 
     def test_interior_drops_boundary_cells(self):
-        asm = _assembly(16)
-        y = StateVector.zero(asm.grid)
+        grid, ops = _ops(16)
+        y = StateVector.zero(grid)
         y3 = np.zeros(16)
         y3[0] = y3[-1] = 1.0
-        bad = StateVector(y.y1, y.y2, y3, y.y4, y.y5, y.y6, grid=asm.grid)
-        assert gauge_residual(bad, asm.ops)[0] == pytest.approx(1.0)
-        assert gauge_residual(bad, asm.ops, interior=True)[0] == 0.0
+        bad = StateVector(y.y1, y.y2, y3, y.y4, y.y5, y.y6, grid=grid)
+        assert gauge_residual(bad, ops)[0] == pytest.approx(1.0)
+        assert gauge_residual(bad, ops, interior=True)[0] == 0.0
 
 
 class TestWithInfluence:

@@ -41,7 +41,7 @@ class TestOpenLoopSpectrum:
         asm, report = _report(32)
         t = asm.reduction.t_map
         m = asm.m
-        for j in range(0, asm.dim_reduced, 37):
+        for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
             phi = t @ report.vectors_reduced[:, j]
             res = asm.g @ phi - lam * phi

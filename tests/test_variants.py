@@ -9,7 +9,7 @@ from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters)
 from piezolab.spectral import compute_spectrum, decay_rate_fit
 from piezolab.variants import (assemble_charge_magnetic, assemble_electrostatic,
-                               charge_magnetic_influence, influence_norm)
+                               charge_influence_norm, charge_magnetic_influence)
 
 TOY = toy_parameters()
 
@@ -123,8 +123,7 @@ class TestChargeMagnetic:
         # ||b||_M = (2|gamma|/(eps3 h)) / sqrt(rho dx): doubling N scales by sqrt(2)
         norms = []
         for n in (32, 64, 128, 256):
-            grid = build_grid(1.0, n)
-            norms.append(influence_norm(assemble_charge_magnetic(TOY, grid)))
+            norms.append(charge_influence_norm(TOY, build_grid(1.0, n)))
         assert all(a < b for a, b in zip(norms, norms[1:]))
         np.testing.assert_allclose(norms, [2.0 * np.sqrt(n) for n in (32, 64, 128, 256)],
                                    rtol=1e-12)
@@ -136,7 +135,7 @@ class TestChargeMagnetic:
         cm = assemble_charge_magnetic(TOY, grid)
         series = run(cm, StateVector.zero(grid), n_steps=400, dt=1e-3,
                      input_fn=lambda t: 1.0, keep_states=True,
-                     record_stride=100, gauge_guard="full")
+                     record_stride=100)
         sl = block_slices(grid)["y4"]
         y4 = series.states[-1][sl]
         defect = np.linalg.norm(y4 + y4[::-1]) / max(np.linalg.norm(y4), 1e-30)
