@@ -2,14 +2,19 @@
 
     python3 scripts/cli_snapshot.py OUT            # run every job into OUT/
     python3 scripts/cli_snapshot.py --compare A B  # exit 1 naming each CSV that differs
+    python3 scripts/cli_snapshot.py --compare A B --rtol 1e-10
+                                                   # print each CSV's largest relative
+                                                   # difference; exit 1 only above R
 
 Each job runs ``piezolab.cli.main`` in this process with its own output
 directory under OUT; the configs and tabulated inputs the jobs read are
 written to OUT/_inputs, and every job's exit code goes to OUT/exit_codes.csv.
 Snapshot two checkouts on the same machine and compare them: a refactor that
-keeps behaviour leaves every CSV byte-identical.  ``piezolab`` is imported
-from the path as given (set PYTHONPATH to snapshot another checkout's
-``src``); when it is not importable, this checkout's ``src`` is used.
+keeps behaviour leaves every CSV byte-identical, and one that changes only
+rounding (a different linear solver, say) stays within a small ``--rtol``.
+``piezolab`` is imported from the path as given (set PYTHONPATH to snapshot
+another checkout's ``src``); when it is not importable, this checkout's
+``src`` is used.
 """
 
 from __future__ import annotations
@@ -134,18 +139,68 @@ def snapshot(out: Path) -> int:
     return 0
 
 
-def compare(a: Path, b: Path) -> int:
-    """Name every CSV present on one side only or differing in a byte."""
+def _largest_difference(path_a: Path, path_b: Path) -> tuple:
+    """(difference, column) of the column that differs most between two CSVs.
+
+    Each numeric column's largest |a - b| is divided by max(its largest
+    magnitude on either side, 1): the jobs run in O(1) units, so a column
+    whose values all lie below 1 is compared absolutely.  That covers the
+    gauge residuals, relative quantities which sit at rounding level here.
+    A text cell that differs, or a different shape, counts as infinite.
+    """
+    with open(path_a, newline="", encoding="utf-8") as fa, \
+            open(path_b, newline="", encoding="utf-8") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a[:1] != rows_b[:1] or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf, "shape or header"
+    worst, where = 0.0, ""
+    for col, name in enumerate(rows_a[0]):
+        cells = [(ra[col], rb[col]) for ra, rb in zip(rows_a[1:], rows_b[1:])]
+        try:
+            pairs = [(float(x), float(y)) for x, y in cells]
+        except ValueError:
+            diff = 0.0 if all(x == y for x, y in cells) else math.inf
+        else:
+            scale = max([1.0] + [max(abs(x), abs(y)) for x, y in pairs])
+            diff = max([abs(x - y) for x, y in pairs] + [0.0]) / scale
+            if any(math.isnan(x) != math.isnan(y) for x, y in pairs):
+                diff = math.inf
+        if diff > worst or not where:
+            worst, where = diff, name
+    return worst, where
+
+
+def compare(a: Path, b: Path, rtol: float | None = None) -> int:
+    """Name every CSV present on one side only or differing in a byte.
+
+    With ``rtol`` a differing CSV also prints its largest relative
+    difference (see :func:`_largest_difference`), and only one above
+    ``rtol`` makes the comparison fail.
+    """
     files_a = {p.relative_to(a) for p in a.rglob("*.csv")}
     files_b = {p.relative_to(b) for p in b.rglob("*.csv")}
     problems = [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
     problems += [f"only in {b}: {rel}" for rel in sorted(files_b - files_a)]
-    problems += [f"differs: {rel}" for rel in sorted(files_a & files_b)
+    differing = [rel for rel in sorted(files_a & files_b)
                  if not filecmp.cmp(a / rel, b / rel, shallow=False)]
+    within = 0
+    for rel in differing:
+        if rtol is None:
+            problems.append(f"differs: {rel}")
+            continue
+        diff, column = _largest_difference(a / rel, b / rel)
+        line = f"differs: {rel}: largest relative difference {diff:.3e} ({column})"
+        if diff <= rtol:
+            within += 1
+            print(line)
+        else:
+            problems.append(line + f" above {rtol:.1e}")
     for line in problems:
         print(line)
-    same = len(files_a & files_b) - sum(p.startswith("differs") for p in problems)
+    same = len(files_a & files_b) - len(differing)
     print(f"{same} of {len(files_a | files_b)} CSV files byte-identical")
+    if rtol is not None:
+        print(f"{within} differ within relative {rtol:.1e}")
     return 1 if problems else 0
 
 
@@ -154,13 +209,18 @@ def main(argv=None) -> int:
     parser.add_argument("out", nargs="?", help="directory to snapshot into")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two snapshot directories instead")
+    parser.add_argument("--rtol", type=float, default=None, metavar="R",
+                        help="with --compare: accept CSVs whose largest "
+                             "relative difference is at most R")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (Path(p) for p in args.compare)
         for path in (a, b):
             if not path.is_dir():
                 parser.error(f"{path} is not a directory")
-        return compare(a, b)
+        return compare(a, b, args.rtol)
+    if args.rtol is not None and not args.rtol >= 0:
+        parser.error(f"--rtol must be nonnegative, got {args.rtol}")
     if args.out is None:
         parser.error("give an output directory or --compare A B")
     return snapshot(Path(args.out))

@@ -5,10 +5,18 @@ The midpoint step for y' = G y + b u is
     (I - dt/2 G) y+ = (I + dt/2 G) y + dt b u_mid
 
 which conserves every quadratic invariant of the skew flow exactly (in exact
-arithmetic) and is time reversible.  Closed-loop runs use u = -k B* y
-evaluated at the midpoint state; the rank-one modified solve is done with a
-Sherman-Morrison update of the factored shift so the per-step dissipation
-identity  E(n+1) - E(n) = -k dt (B* y_mid)^2  holds to rounding.
+arithmetic) and is time reversible.  It is taken in the equivalent form
+
+    (I - dt/2 G) y_mid = y + dt/2 b u_mid,    y+ = 2 y_mid - y,
+
+which needs no product with G.  G is dense only because P_xi is, so the
+stepper never forms it: it factors once a sparse augmented system in which
+the fields P_xi(...) are extra unknowns tied down by tridiagonal Helmholtz
+rows (see :class:`RankOneMidpoint`), and a step costs O(N).  Closed-loop runs
+use u = -k v^T y evaluated at the midpoint state; the rank-one modified solve
+is done with a Sherman-Morrison update of the factored shift so the per-step
+dissipation identity  E(n+1) - E(n) = -k dt (v^T y_mid)(B* y_mid)  holds to
+rounding.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure
-from .generator import GeneratorAssembly
+from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure, NonFiniteState
+from .generator import GeneratorAssembly, SplitGenerator
 from .model import BeamParameters, StaggeredGrid, StateVector, build_grid
 from .spectral import open_loop_modes
 from .variants import build_system
@@ -66,12 +75,21 @@ class TimeSeries:
 class RankOneMidpoint:
     """Factored midpoint stepper for y' = G y + b u, u = -gain * v^T y.
 
+    G is given in split form G0 + C A^{-1} K (a :class:`SplitGenerator`).
+    The midpoint state and the auxiliary fields z = A^{-1} K y_mid solve
+
+        [I - dt/2 G0   -dt/2 C] [y_mid]   [y + dt/2 b u]
+        [    -K           A   ] [  z  ] = [     0      ]
+
+    whose blocks are all sparse; it is factored once with SuperLU, and a
+    step is one solve, one refinement solve and y+ = 2 y_mid - y.
+
     ``v`` is the feedback output row (B* for collocated current feedback,
     the boundary trace for the electrostatic variant).  With gain 0 the
     stepper integrates the open-loop system with a prescribed input.
     """
 
-    def __init__(self, g: np.ndarray, b: np.ndarray, v: np.ndarray,
+    def __init__(self, g: SplitGenerator, b: np.ndarray, v: np.ndarray,
                  dt: float, gain: float = 0.0):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -79,47 +97,51 @@ class RankOneMidpoint:
             raise ValueError(f"feedback gain must be nonnegative, got {gain}")
         self.dt = float(dt)
         self.gain = float(gain)
-        n = g.shape[0]
-        half = 0.5 * dt
-        self._a_plus = np.eye(n) + half * g
-        self._a_minus = np.eye(n) - half * g
+        self._dim = g.shape[0]
+        self._half = 0.5 * dt
+        self._aug = sparse.block_array(
+            [[sparse.eye_array(self._dim) - self._half * g.g0, -self._half * g.c],
+             [-g.k, g.a]], format="csc")
         try:
-            self._lu = scipy.linalg.lu_factor(self._a_minus)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise LinearSolveFailure(f"shifted system factorization failed: {exc}") from exc
+            self._lu = splu(self._aug)
+        except RuntimeError as exc:
+            raise LinearSolveFailure(
+                f"shifted system factorization failed: {exc}") from exc
         self._b = b
         self._v = v
         if gain > 0.0:
             # Sherman-Morrison data for (I - dt/2 G) + (gain dt/2) b v^T
-            self._w0 = self._solve(self._b)
-            self._sm_c = 0.5 * dt * gain
+            self._w0 = self._midpoint(self._b)
+            self._sm_c = self._half * gain
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Shifted-system solve with one refinement pass.
+    def _midpoint(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - dt/2 G) x = rhs through the augmented system.
 
-        The refinement keeps the per-step residual at rounding level so the
-        gauge constraint does not accumulate solver error over long runs.
+        ``rhs`` may hold one right-hand side per column.  One refinement
+        pass on the augmented residual keeps the per-step error at rounding
+        level so the gauge constraint does not accumulate solver error over
+        long runs.
         """
-        sol = scipy.linalg.lu_solve(self._lu, rhs)
-        sol += scipy.linalg.lu_solve(self._lu, rhs - self._a_minus @ sol)
-        return sol
+        full = np.zeros((self._aug.shape[0],) + rhs.shape[1:])
+        full[:self._dim] = rhs
+        sol = self._lu.solve(full)
+        sol += self._lu.solve(full - self._aug @ sol)
+        return sol[:self._dim]
 
-    def step(self, y: np.ndarray, u_mid: float = 0.0) -> np.ndarray:
-        """One open-loop step with prescribed midpoint input."""
-        rhs = self._a_plus @ y
-        if u_mid != 0.0:
-            rhs = rhs + (self.dt * u_mid) * self._b
-        return self._solve(rhs)
+    def step(self, y: np.ndarray, u_mid=0.0) -> np.ndarray:
+        """One open-loop step with prescribed midpoint input.
+
+        ``y`` may hold one state per column and ``u_mid`` one input each.
+        """
+        rhs = y + np.multiply.outer(self._b, self._half * u_mid)
+        return 2.0 * self._midpoint(rhs) - y
 
     def step_closed(self, y: np.ndarray) -> tuple:
         """One closed-loop step; returns (y_next, applied midpoint input)."""
-        c = self._sm_c
-        rhs = self._a_plus @ y - c * float(self._v @ y) * self._b
-        sol = self._solve(rhs)
-        sol = sol - (c * float(self._v @ sol) / self._sm_denom) * self._w0
-        u_mid = -self.gain * 0.5 * float(self._v @ (y + sol))
-        return sol, u_mid
+        x = self._midpoint(y)
+        y_mid = x - (self._sm_c * float(self._v @ x) / self._sm_denom) * self._w0
+        return 2.0 * y_mid - y, -self.gain * float(self._v @ y_mid)
 
 
 def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
@@ -129,11 +151,13 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
+    :class:`NonFiniteState` when a recorded state holds NaN or Inf, and with
     :class:`GaugeDrift` when a recorded gauge residual exceeds
-    100 * gauge_tol.  A run driven through the distributed current influence
-    (by ``input_fn`` or a positive gain) is guarded on the interior cells
-    only: the influence's boundary jump puts an expected layer in the
-    outermost cells.  Every other run is guarded on all cells.
+    100 * gauge_tol or is not a number.  A run driven through the
+    distributed current influence (by ``input_fn`` or a positive gain) is
+    guarded on the interior cells only: the influence's boundary jump puts
+    an expected layer in the outermost cells.  Every other run is guarded
+    on all cells.
     """
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
@@ -143,7 +167,8 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
         y = np.asarray(y0, dtype=float).copy()
     if y.shape != (assembly.dim,):
         raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
-    stepper = RankOneMidpoint(assembly.g, assembly.b, assembly.output, dt, gain=gain)
+    stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt,
+                              gain=gain)
     interior_guard = (assembly.influence == "distributed_current"
                       and (input_fn is not None or gain > 0.0))
 
@@ -162,6 +187,10 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
             u = float(input_fn((j + 0.5) * dt)) if input_fn is not None else 0.0
             y = stepper.step(y, u)
         if (j + 1) % record_stride == 0 or j == n_steps - 1:
+            if not np.isfinite(y).all():
+                raise NonFiniteState(
+                    f"state is not finite at step {j + 1} (t={(j + 1) * dt:.6g}, "
+                    f"last input {u!r})")
             times.append((j + 1) * dt)
             energies.append(assembly.energy_split(y))
             rp, rv = assembly.gauge(y)
@@ -174,7 +203,7 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
                 rp_g, rv_g = assembly.gauge(y, interior=True)
             else:
                 rp_g, rv_g = rp, rv
-            if rp_g > threshold or rv_g > threshold:
+            if not (rp_g <= threshold and rv_g <= threshold):
                 raise GaugeDrift(
                     f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "
                     f"{threshold:.3e} at step {j + 1} (t={(j + 1) * dt:.6g})")
@@ -226,35 +255,31 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
     dt = default_dt(params, grid)
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
-    stepper = RankOneMidpoint(assembly.g, assembly.b, assembly.output, dt)
+    stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt)
     m = assembly.m
 
-    best = 0.0
+    # draws in the order of one trial after another; the trials then run
+    # together, one state per column and one input per column
+    y0, amp, phase = [], [], []
     for _ in range(trials):
-        coeffs = rng.standard_normal((4, n_modes))
-        amp = rng.standard_normal(n_harmonics)
-        phase = rng.uniform(0.0, 2.0 * np.pi, n_harmonics)
-        y0 = _trial_profiles(grid, params, coeffs).flat()
+        y0.append(_trial_profiles(grid, params, rng.standard_normal((4, n_modes))).flat())
+        amp.append(rng.standard_normal(n_harmonics))
+        phase.append(rng.uniform(0.0, 2.0 * np.pi, n_harmonics))
+    y0 = np.stack(y0, axis=1)
+    amp, phase = np.array(amp), np.array(phase)
+    harmonic = np.arange(1, n_harmonics + 1)
 
-        def signal(t: float) -> float:
-            acc = 0.0
-            for q in range(n_harmonics):
-                acc += amp[q] * np.sin(2.0 * np.pi * (q + 1) * t / T + phase[q])
-            return acc
+    y = y0.copy()
+    input_sq = np.zeros(trials)
+    for j in range(n_steps):
+        t = (j + 0.5) * dt
+        u = np.sum(amp * np.sin(2.0 * np.pi * harmonic * t / T + phase), axis=1)
+        input_sq += u * u * dt
+        y = stepper.step(y, u)
 
-        y = y0.copy()
-        input_sq = 0.0
-        for j in range(n_steps):
-            u = signal((j + 0.5) * dt)
-            input_sq += u * u * dt
-            y = stepper.step(y, u)
-
-        denom = float(y0 @ m @ y0) + input_sq
-        if denom <= 1e-14:
-            continue
-        ratio = float(y @ m @ y) / denom
-        best = max(best, ratio)
-    return best
+    denom = np.einsum("ij,ij->j", y0, m @ y0) + input_sq
+    ratio = np.einsum("ij,ij->j", y, m @ y)[denom > 1e-14] / denom[denom > 1e-14]
+    return float(ratio.max(initial=0.0))
 
 
 def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,

@@ -34,6 +34,10 @@ class GaugeDrift(PiezolabError, RuntimeError):
     """Gauge residual grew beyond the abort threshold during a simulation."""
 
 
+class NonFiniteState(PiezolabError, RuntimeError):
+    """A simulated state holds NaN or Inf, e.g. from a non-finite input."""
+
+
 class AssemblyInconsistent(PiezolabError, RuntimeError):
     """An assembled operator failed its structural certificate (e.g. skewness)."""
 

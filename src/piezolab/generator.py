@@ -28,6 +28,17 @@ itself, so G T = T G_red with G_red the reduced generator used for spectra.
 builds; the run loop, the mode table and the spectra take nothing else.
 The six-field models are assembled here, the electrostatic one in
 :mod:`piezolab.variants`.
+
+Every assembly carries its generator twice: dense, as the reference that
+spectra, certificates and tests read, and in the sparse split form
+G = G0 + C A^{-1} K (:class:`SplitGenerator`) that time stepping uses.
+For the six-field models A^{-1} K produces two auxiliary cell fields,
+
+    q = P_xi [(gamma^2/eps3) y1 - gamma y6 + gamma xi grad(y5)]
+    r = P_xi grad_f(y4)
+
+so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
+-(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .errors import AssemblyInconsistent
 from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
@@ -63,6 +75,42 @@ class Reduction:
 
 
 @dataclass(frozen=True)
+class SplitGenerator:
+    """A generator in sparse split form G = G0 + C A^{-1} K.
+
+    G0, C and K are built from the difference stencils; A = I - xi lap_cc
+    is tridiagonal, one block per auxiliary field z = A^{-1} K y.  Every
+    application of P_xi goes through z, so no block is dense.  ``shape`` is
+    the shape of G, as for any linear operator.
+    """
+
+    g0: sparse.csr_array    # (dim, dim)
+    c: sparse.csr_array     # (dim, n_aux)
+    k: sparse.csr_array     # (n_aux, dim)
+    a: sparse.csr_array     # (n_aux, n_aux)
+
+    @property
+    def shape(self) -> tuple:
+        return self.g0.shape
+
+
+def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
+    """CSR matrix of the given shape from (row slice, col slice, block) parts.
+
+    Each block is placed at its slices; its zero entries are not stored.
+    """
+    rows, cols, vals = [], [], []
+    for rs, cs, block in parts:
+        coo = sparse.coo_array(np.asarray(block, dtype=float))
+        rows.append(coo.row + rs.start)
+        cols.append(coo.col + cs.start)
+        vals.append(coo.data)
+    return sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape)
+
+
+@dataclass(frozen=True)
 class GeneratorAssembly:
     """One actuation model as the linear system y' = G y + b u.
 
@@ -74,7 +122,8 @@ class GeneratorAssembly:
     three functions of a flat state complete the model: ``energy_split``
     gives the energy in its parts, ``gauge(y, interior=False)`` the relative
     gauge residuals (pos, vel), zero for a model without a gauge, and
-    ``lift`` fills the gauge-bound blocks from the free ones.
+    ``lift`` fills the gauge-bound blocks from the free ones.  ``split``
+    is G in the sparse form the time stepper factors.
 
     The certificates measured while assembling are kept: ``skew_defect`` is
     ||M G + G^T M|| / ||M G|| and ``gauge_defect`` is
@@ -85,6 +134,7 @@ class GeneratorAssembly:
     params: BeamParameters
     grid: StaggeredGrid
     g: np.ndarray = field(repr=False)
+    split: SplitGenerator = field(repr=False)
     m: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dual: np.ndarray = field(repr=False)  # M b, the row form of B*
@@ -148,6 +198,47 @@ def _generator_matrix(params: BeamParameters, grid: StaggeredGrid,
     g[sl["y6"], sl["y2"]] = -(mu / eps3) * ops.grad_nc
     g[sl["y6"], sl["y4"]] = (gamma / eps3) * (one_minus_p @ ops.grad_f)
     return g
+
+
+def _split_generator(params: BeamParameters, grid: StaggeredGrid,
+                     ops: DiscreteOperators) -> SplitGenerator:
+    """The six-field generator as G0 + C A^{-1} K with fields z = (q, r)."""
+    n = grid.n_cells
+    sl = block_slices(grid)
+    dim = grid.state_dim
+    q, r = slice(0, n), slice(n, 2 * n)
+
+    rho, alpha, gamma = params.rho, params.alpha, params.gamma
+    eps3, mu, xi = params.eps3, params.mu, params.xi
+    c5 = 12.0 / (params.eps1 * params.h ** 2)
+    eye_n, eye_i = np.eye(n), np.eye(n - 1)
+
+    g0 = sparse_blocks((dim, dim), [
+        (sl["y1"], sl["y4"], ops.grad_f),
+        (sl["y2"], sl["y5"], eye_i),
+        (sl["y3"], sl["y6"], eye_n),
+        (sl["y4"], sl["y1"], (alpha / rho) * ops.div_f),
+        (sl["y4"], sl["y6"], (gamma / rho) * ops.div_f),
+        (sl["y5"], sl["y2"], -c5 * mu * eye_i),
+        (sl["y5"], sl["y3"], c5 * mu * ops.div_int),
+        (sl["y6"], sl["y3"], (mu / eps3) * ops.lap_cc),
+        (sl["y6"], sl["y2"], -(mu / eps3) * ops.grad_nc),
+        (sl["y6"], sl["y4"], (gamma / eps3) * ops.grad_f),
+    ])
+    c = sparse_blocks((dim, 2 * n), [
+        (sl["y4"], q, (1.0 / rho) * ops.div_f),
+        (sl["y5"], r, -(gamma / eps3) * ops.div_int),
+        (sl["y6"], r, -(gamma / eps3) * eye_n),
+    ])
+    k = sparse_blocks((2 * n, dim), [
+        (q, sl["y1"], (gamma ** 2 / eps3) * eye_n),
+        (q, sl["y5"], gamma * xi * ops.grad_nc),
+        (q, sl["y6"], -gamma * eye_n),
+        (r, sl["y4"], ops.grad_f),
+    ])
+    helmholtz = eye_n - xi * ops.lap_cc
+    a = sparse_blocks((2 * n, 2 * n), [(q, q, helmholtz), (r, r, helmholtz)])
+    return SplitGenerator(g0=g0, c=c, k=k, a=a)
 
 
 def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
@@ -221,7 +312,8 @@ def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> Generator
         arr.setflags(write=False)
     b_dual = m @ b
     return GeneratorAssembly(
-        params=params, grid=grid, g=g, m=m, b=b, b_dual=b_dual,
+        params=params, grid=grid, g=g,
+        split=_split_generator(params, grid, ops), m=m, b=b, b_dual=b_dual,
         output=b_dual, reduction=red, blocks=block_slices(grid),
         energy_split=partial(_energy_split, params, grid, ops),
         gauge=partial(_gauge, grid, ops), lift=partial(_lift, params, grid),

@@ -28,8 +28,10 @@ div_f).
 
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
 tridiagonal).  A dense, exactly symmetric realization, built from the banded
-Cholesky factorization of A, backs assembly, energy, time stepping and
-spectra.
+Cholesky factorization of A, backs the dense reference generator, the
+energy and the spectra.  Time stepping does not use it: the stepper keeps
+A itself as tridiagonal constraint rows of a sparse augmented system (see
+:mod:`piezolab.dynamics`).
 The companion matrix ``one_minus_p`` realizes I - P_xi through the algebraic
 identity lap_cc P_xi = (P_xi - I)/xi, so that the gauge-preservation
 cancellation in the generator holds to rounding rather than to solver

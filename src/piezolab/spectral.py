@@ -51,7 +51,6 @@ class SpectrumReport:
     max_abs_real: float
     kernel_dimension: int
     mode_table: list = field(repr=False)
-    vectors_reduced: np.ndarray = field(repr=False)   # columns: phi_red, unit M-norm
     g_norm: float = 0.0          # spectral radius, the scale for tolerances
 
     def write_csv(self, path: str) -> None:
@@ -85,7 +84,7 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
-def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, v: np.ndarray,
+def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
                 phi_red: np.ndarray, eig_tol: float) -> list:
     """Per-mode records, built over blocks of TABLE_BLOCK eigenvectors.
 
@@ -96,7 +95,6 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, v: np.ndarray,
     m = assembly.m
     mech = assembly.mechanical
     m_mech = m[np.ix_(mech, mech)]
-    norms = np.linalg.norm(v, axis=0)
     table = []
     for start in range(0, len(w), TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
@@ -119,15 +117,16 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, v: np.ndarray,
 
 
 def _eigenpairs(s_matrix: np.ndarray, r: np.ndarray) -> tuple:
-    """Sorted eigenvalues of S, its eigenvectors, and their reduced lifts.
+    """Sorted eigenvalues of S, and the M-norms and reduced lifts of its eigenvectors.
 
-    The lifts phi_red = R^{-1} v have unit M-norm.
+    The lifts phi_red = R^{-1} v have unit M-norm up to rounding; their
+    M-norms are the 2-norms of the eigenvectors v, which are not kept.
     """
     w, v = scipy.linalg.eig(s_matrix)
     order = _sort_order(w)
     w = w[order]
     v = v[:, order]
-    return w, v, scipy.linalg.solve_triangular(r, v)
+    return w, np.linalg.norm(v, axis=0), scipy.linalg.solve_triangular(r, v)
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
@@ -142,13 +141,13 @@ def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarray,
                   eig_tol: float) -> SpectrumReport:
-    w, v, phi_red = _eigenpairs(s_matrix, r)
+    w, norms, phi_red = _eigenpairs(s_matrix, r)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-    table = _mode_table(assembly, w, v, phi_red, eig_tol)
+    table = _mode_table(assembly, w, norms, phi_red, eig_tol)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, mode_table=table,
-                          vectors_reduced=phi_red, g_norm=g_norm)
+                          g_norm=g_norm)
 
 
 def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> SpectrumReport:

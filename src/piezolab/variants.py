@@ -22,8 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from .generator import (GeneratorAssembly, Reduction, assemble_generator,
-                        certify_skewness, with_influence)
+from .generator import (GeneratorAssembly, Reduction, SplitGenerator,
+                        assemble_generator, certify_skewness, sparse_blocks,
+                        with_influence)
 from .model import BeamParameters, StaggeredGrid
 from .operators import (ActuationMode, DiscreteOperators, EnergyBreakdown,
                         assemble_mass, build_operators)
@@ -63,12 +64,24 @@ def assemble_electrostatic(params: BeamParameters,
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
 
+    # the same system split as G0 + C A^{-1} K with the one field q = P_xi s
+    strain, velocity = slice(0, n), slice(n, 2 * n)
+    q = slice(0, n)
+    split = SplitGenerator(
+        g0=sparse_blocks((2 * n, 2 * n), [
+            (strain, velocity, ops.grad_f[:, 1:]),
+            (velocity, strain, (params.alpha / params.rho) * ops.div_f[1:, :])]),
+        c=sparse_blocks((2 * n, n), [
+            (velocity, q, (params.gamma**2 / (params.eps3 * params.rho))
+             * ops.div_f[1:, :])]),
+        k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
+        a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]))
+
     skew = certify_skewness(m, g)
     trace = np.zeros(2 * n)
     trace[-1] = 1.0
-    strain, velocity = slice(0, n), slice(n, 2 * n)
     return GeneratorAssembly(
-        params=params, grid=grid, g=g, m=m, b=b, b_dual=m @ b,
+        params=params, grid=grid, g=g, split=split, m=m, b=b, b_dual=m @ b,
         output=trace,
         reduction=Reduction(t_map=np.eye(2 * n), m_red=m, g_red=g, b_red=b),
         blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},

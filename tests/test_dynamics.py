@@ -1,12 +1,16 @@
 """Midpoint integration: conservation, dissipation identity, reversibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from piezolab import spectral
-from piezolab.dynamics import (RankOneMidpoint, admissibility_estimate,
-                               default_dt, modal_state, run)
-from piezolab.errors import GaugeDrift
+from piezolab.dynamics import (RankOneMidpoint, _trial_profiles,
+                               admissibility_estimate, default_dt, modal_state,
+                               run)
+from piezolab.errors import GaugeDrift, NonFiniteState, PiezolabError
 from piezolab.generator import assemble_generator, b_star
 from piezolab.model import StateVector, build_grid, toy_parameters
 from piezolab.operators import ActuationMode
@@ -16,6 +20,7 @@ TOY = toy_parameters()
 
 CHARGE_SYSTEMS = (ActuationMode.CHARGE_MAGNETIC,
                   ActuationMode.CHARGE_ELECTROSTATIC)
+ALL_SYSTEMS = (ActuationMode.CURRENT,) + CHARGE_SYSTEMS
 
 
 def _assembly(n=32):
@@ -34,7 +39,7 @@ def _random_state(asm, seed=0):
 
 
 def _stepper(asm, dt, gain=0.0):
-    return RankOneMidpoint(asm.g, asm.b, asm.output, dt, gain=gain)
+    return RankOneMidpoint(asm.split, asm.b, asm.output, dt, gain=gain)
 
 
 class TestStepMidpoint:
@@ -64,7 +69,8 @@ class TestStepMidpoint:
         asm = _assembly(32)
         dt = 5e-3
         fwd = _stepper(asm, dt)
-        bwd = RankOneMidpoint(-asm.g, asm.b, asm.output, dt)
+        neg = replace(asm.split, g0=-asm.split.g0, c=-asm.split.c)
+        bwd = RankOneMidpoint(neg, asm.b, asm.output, dt)
         y0 = _random_state(asm, seed=3)
         y = y0.copy()
         for _ in range(50):
@@ -72,6 +78,83 @@ class TestStepMidpoint:
         for _ in range(50):
             y = bwd.step(y)
         assert np.linalg.norm(y - y0) <= 1e-10 * np.linalg.norm(y0)
+
+
+class DenseMidpoint:
+    """Reference midpoint step on the dense generator.
+
+    Solves (I - dt/2 G + c b v^T) y+ = (I + dt/2 G - c b v^T) y + dt b u,
+    c = gain dt/2, directly: an LU factorization of the dense matrix with
+    one refinement pass, no Sherman-Morrison and no split form.
+    """
+
+    def __init__(self, asm, dt, gain=0.0):
+        eye = np.eye(asm.dim)
+        feedback = 0.5 * dt * gain * np.outer(asm.b, asm.output)
+        self.a_minus = eye - 0.5 * dt * asm.g + feedback
+        self.a_plus = eye + 0.5 * dt * asm.g - feedback
+        self.lu = scipy.linalg.lu_factor(self.a_minus)
+        self.asm, self.dt, self.gain = asm, dt, gain
+
+    def step(self, y, u=0.0):
+        rhs = self.a_plus @ y + (self.dt * u) * self.asm.b
+        sol = scipy.linalg.lu_solve(self.lu, rhs)
+        return sol + scipy.linalg.lu_solve(self.lu, rhs - self.a_minus @ sol)
+
+    def step_closed(self, y):
+        y_next = self.step(y)
+        return y_next, -self.gain * float(self.asm.output @ (0.5 * (y + y_next)))
+
+
+class TestSparseAgainstDense:
+    """The sparse augmented stepper against dense solves on the same data."""
+
+    @pytest.mark.parametrize("n", (16, 32, 64))
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("gain", (0.0, 0.7), ids=("open", "closed"))
+    def test_thousand_steps(self, actuation, n, gain):
+        asm = build_system(TOY, build_grid(TOY.L, n), actuation)
+        dt = default_dt(TOY, asm.grid)
+        sparse_stepper = _stepper(asm, dt, gain)
+        dense = DenseMidpoint(asm, dt, gain)
+        y = y_ref = _random_state(asm, seed=1)
+        worst, inputs, inputs_ref = 0.0, [], []
+        for j in range(1000):
+            if gain > 0.0:
+                y, u = sparse_stepper.step_closed(y)
+                y_ref, u_ref = dense.step_closed(y_ref)
+            else:
+                u = u_ref = np.sin(3.0 * (j + 0.5) * dt)
+                y = sparse_stepper.step(y, u)
+                y_ref = dense.step(y_ref, u)
+            worst = max(worst, np.linalg.norm(y - y_ref) / np.linalg.norm(y_ref))
+            inputs.append(u)
+            inputs_ref.append(u_ref)
+        assert worst <= 1e-11
+        inputs, inputs_ref = np.array(inputs), np.array(inputs_ref)
+        assert np.abs(inputs - inputs_ref).max() <= 1e-11 * np.abs(inputs_ref).max()
+
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("gain", (0.0, 0.7), ids=("forced", "closed"))
+    def test_dissipation_identity_per_step(self, actuation, gain):
+        # E(n+1) - E(n) = dt u B* y_mid, with u = -k v^T y_mid in closed loop,
+        # holds for every single step to rounding in the energy itself
+        asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
+        dt = default_dt(TOY, asm.grid)
+        stepper = _stepper(asm, dt, gain)
+        y = _random_state(asm, seed=4)
+        worst = 0.0
+        for j in range(300):
+            if gain > 0.0:
+                y_next, u = stepper.step_closed(y)
+            else:
+                u = np.cos(5.0 * (j + 0.5) * dt)
+                y_next = stepper.step(y, u)
+            e, e_next = 0.5 * y @ (asm.m @ y), 0.5 * y_next @ (asm.m @ y_next)
+            pred = dt * u * b_star(0.5 * (y + y_next), asm)
+            worst = max(worst, abs((e_next - e) - pred) / e)
+            y = y_next
+        assert worst <= 1e-13
 
 
 def _check_open_loop_conservation_and_gauge(actuation):
@@ -136,6 +219,17 @@ class TestRun:
         with pytest.raises(GaugeDrift):
             run(asm, y0, n_steps=10, dt=2e-3, input_fn=lambda t: 1.0)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_fails_loudly(self, bad):
+        # the sparse solve does not check finiteness, so the run loop does:
+        # a non-finite state raises at the first record instead of running on
+        asm = _assembly(16)
+        with pytest.raises(NonFiniteState, match="step 5 ") as info:
+            run(asm, _random_state(asm, seed=9), n_steps=20, dt=1e-3,
+                input_fn=lambda t: bad if t > 2e-3 else 0.0, record_stride=5)
+        assert isinstance(info.value, PiezolabError)
+
     def test_gain_and_input_mutually_exclusive(self):
         asm = _assembly(16)
         with pytest.raises(ValueError):
@@ -166,9 +260,11 @@ class TestModalState:
         # spectrum, bit for bit, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
+        w, vectors_reduced = spectral.open_loop_modes(asm)
+        np.testing.assert_array_equal(w, report.eigenvalues)
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
-        y = np.real(asm.reduction.t_map @ report.vectors_reduced[:, pos[2]])
+        y = np.real(asm.reduction.t_map @ vectors_reduced[:, pos[2]])
         expected = (1.5 / np.sqrt(float(y @ asm.m @ y))) * y
 
         def no_table(*args):
@@ -189,6 +285,32 @@ class TestAdmissibility:
             y = stepper.step(y)
         ratio = (y @ asm.m @ y) / (y0 @ asm.m @ y0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
+
+    def test_batched_trials_match_serial(self):
+        # the trials run as columns of one block; the estimate equals the
+        # trials run one after another with their own scalar input loop
+        asm = _assembly(16)
+        T, trials = 0.5, 10
+        rng = np.random.default_rng(5)
+        dt = default_dt(TOY, asm.grid)
+        n_steps = max(1, int(round(T / dt)))
+        dt = T / n_steps
+        stepper = _stepper(asm, dt)
+        best = 0.0
+        for _ in range(trials):
+            y0 = _trial_profiles(asm.grid, TOY, rng.standard_normal((4, 4))).flat()
+            amp = rng.standard_normal(4)
+            phase = rng.uniform(0.0, 2.0 * np.pi, 4)
+            y, input_sq = y0.copy(), 0.0
+            for j in range(n_steps):
+                t = (j + 0.5) * dt
+                u = sum(amp[q] * np.sin(2.0 * np.pi * (q + 1) * t / T + phase[q])
+                        for q in range(4))
+                input_sq += u * u * dt
+                y = stepper.step(y, u)
+            best = max(best, (y @ asm.m @ y) / (y0 @ asm.m @ y0 + input_sq))
+        batched = admissibility_estimate(trials, T, asm, seed=5)
+        assert batched == pytest.approx(best, rel=1e-13)
 
     def test_deterministic_under_seed(self):
         asm = _assembly(32)

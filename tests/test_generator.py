@@ -9,7 +9,8 @@ from piezolab.generator import (assemble_control, assemble_generator, b_star,
                                 with_influence)
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
-from piezolab.operators import build_operators, gauge_residual
+from piezolab.operators import ActuationMode, build_operators, gauge_residual
+from piezolab.variants import build_system
 
 TOY = toy_parameters()
 
@@ -45,6 +46,33 @@ class TestSkewness:
         y = np.random.default_rng(seed).standard_normal(asm.dim)
         norm2 = y @ (asm.m @ y)
         assert abs(y @ (asm.m @ (asm.g @ y))) <= 1e-12 * max(norm2, 1.0)
+
+
+class TestSplitForm:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 48),
+           actuation=st.sampled_from([ActuationMode.CURRENT,
+                                      ActuationMode.CHARGE_MAGNETIC,
+                                      ActuationMode.CHARGE_ELECTROSTATIC]))
+    @settings(max_examples=25, deadline=None)
+    def test_split_equals_dense(self, seed, n, actuation):
+        # G0 + C A^{-1} K reproduces the dense reference generator
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.5, 2.0, size=7)
+        p = validate_parameters(dict(rho=vals[0], alpha=vals[1],
+                                     gamma=rng.uniform(-2.0, 2.0),
+                                     eps1=vals[2], eps3=vals[3], mu=vals[4],
+                                     h=vals[5], L=vals[6]))
+        asm = build_system(p, build_grid(p.L, n), actuation)
+        split = asm.split
+        assert split.shape == asm.g.shape
+        g = split.g0.toarray() + split.c.toarray() @ np.linalg.solve(
+            split.a.toarray(), split.k.toarray())
+        assert np.linalg.norm(g - asm.g) <= 1e-12 * np.linalg.norm(asm.g)
+
+    def test_influence_keeps_split(self):
+        asm = _assembly(16)
+        swapped = with_influence(asm, np.ones(asm.dim), "test")
+        assert swapped.split is asm.split
 
 
 class TestStructure:
