@@ -213,14 +213,16 @@ def main(argv=None) -> int:
                         help="with --compare: accept CSVs whose largest "
                              "relative difference is at most R")
     args = parser.parse_args(argv)
+    if args.rtol is not None and not args.compare:
+        parser.error("--rtol applies only with --compare")
+    if args.rtol is not None and not args.rtol >= 0:
+        parser.error(f"--rtol must be nonnegative, got {args.rtol}")
     if args.compare:
         a, b = (Path(p) for p in args.compare)
         for path in (a, b):
             if not path.is_dir():
                 parser.error(f"{path} is not a directory")
         return compare(a, b, args.rtol)
-    if args.rtol is not None and not args.rtol >= 0:
-        parser.error(f"--rtol must be nonnegative, got {args.rtol}")
     if args.out is None:
         parser.error("give an output directory or --compare A B")
     return snapshot(Path(args.out))

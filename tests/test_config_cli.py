@@ -1,5 +1,6 @@
 """JSON config ingestion and the command-line front end."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -340,3 +341,46 @@ class TestCliExitCodes:
             assert res.returncode == 0
             blobs.append((out / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _snapshot_script():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "cli_snapshot.py")
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSnapshotCompare:
+    @staticmethod
+    def _pair(tmp_path, value_b):
+        dirs = []
+        for sub, value in (("a", 1.0), ("b", value_b)):
+            d = tmp_path / sub
+            d.mkdir()
+            (d / "trajectory.csv").write_text(f"t,energy\n0.0,{value!r}\n",
+                                              encoding="utf-8")
+            dirs.append(d)
+        return dirs
+
+    @pytest.mark.parametrize("rtol", ["-1", "nan"])
+    def test_bad_rtol_exits_2(self, tmp_path, rtol):
+        a, b = self._pair(tmp_path, 1.0 + 1e-12)
+        with pytest.raises(SystemExit) as exc:
+            _snapshot_script().main(["--compare", str(a), str(b),
+                                     "--rtol", rtol])
+        assert exc.value.code == 2
+
+    def test_rtol_needs_compare(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _snapshot_script().main([str(tmp_path / "out"), "--rtol", "1e-10"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value_b, rtol, code", [
+        (1.0 + 1e-12, None, 1), (1.0 + 1e-12, 1e-10, 0), (1.0 + 1e-6, 1e-10, 1)])
+    def test_rtol_bounds_the_difference(self, tmp_path, capsys, value_b, rtol,
+                                        code):
+        a, b = self._pair(tmp_path, value_b)
+        assert _snapshot_script().compare(a, b, rtol) == code
+        assert "differs: trajectory.csv" in capsys.readouterr().out
