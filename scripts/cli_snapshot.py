@@ -117,6 +117,12 @@ def _jobs(configs: dict) -> list:
         ("spectrum_non_unit_closed_loop",
          ["spectrum", "--config", configs["spectrum_non_unit"],
           "--closed-loop", "0.5"]),
+        ("spectrum_non_unit_electrostatic",
+         ["spectrum", "--config", configs["spectrum_non_unit"],
+          "--variant", "electrostatic"]),
+        ("spectrum_non_unit_charge_magnetic_closed_loop",
+         ["spectrum", "--config", configs["spectrum_non_unit"],
+          "--variant", "charge_magnetic", "--closed-loop", "0.5"]),
         ("variants", ["variants"]),
         ("paper_suite_skewness", ["paper-suite", "--only", "skewness"]),
     ]

@@ -151,8 +151,8 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
-    :class:`NonFiniteState` when a recorded state holds NaN or Inf, and with
-    :class:`GaugeDrift` when a recorded gauge residual exceeds
+    :class:`NonFiniteState` when an input or a recorded state holds NaN or
+    Inf, and with :class:`GaugeDrift` when a recorded gauge residual exceeds
     100 * gauge_tol or is not a number.  A run driven through the
     distributed current influence (by ``input_fn`` or a positive gain) is
     guarded on the interior cells only: the influence's boundary jump puts
@@ -185,6 +185,10 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
             y, u = stepper.step_closed(y)
         else:
             u = float(input_fn((j + 0.5) * dt)) if input_fn is not None else 0.0
+            if not np.isfinite(u):
+                raise NonFiniteState(
+                    f"input is not finite at step {j + 1} "
+                    f"(t={(j + 0.5) * dt:.6g}, input {u!r})")
             y = stepper.step(y, u)
         if (j + 1) % record_stride == 0 or j == n_steps - 1:
             if not np.isfinite(y).all():

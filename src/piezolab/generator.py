@@ -29,16 +29,19 @@ builds; the run loop, the mode table and the spectra take nothing else.
 The six-field models are assembled here, the electrostatic one in
 :mod:`piezolab.variants`.
 
-Every assembly carries its generator twice: dense, as the reference that
-spectra, certificates and tests read, and in the sparse split form
-G = G0 + C A^{-1} K (:class:`SplitGenerator`) that time stepping uses.
-For the six-field models A^{-1} K produces two auxiliary cell fields,
+Every model is built in the sparse split form G = G0 + C A^{-1} K
+(:class:`SplitGenerator`) that time stepping factors.  For the six-field
+models A^{-1} K produces two auxiliary cell fields,
 
     q = P_xi [(gamma^2/eps3) y1 - gamma y6 + gamma xi grad(y5)]
     r = P_xi grad_f(y4)
 
 so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
--(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).
+-(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The dense
+G that spectra and certificates read is formed from the split, with the
+dense P_xi in place of A^{-1}; it is the only dense (dim, dim) matrix.  The
+Gram matrix M and the lift T are sparse, so the certificates, M_red and
+G_red are sparse-times-dense products.
 """
 
 from __future__ import annotations
@@ -68,10 +71,11 @@ class Reduction:
     (y1, y2, y4, y5); a model without a gauge keeps every coordinate.
     """
 
-    t_map: np.ndarray   # lift to the full coordinates
+    t_map: sparse.csr_array  # lift to the full coordinates
     m_red: np.ndarray   # SPD Gram on reduced coordinates
     g_red: np.ndarray   # reduced generator, G T = T G_red
     b_red: np.ndarray   # M-orthogonal representative of b on the manifold
+    mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,17 @@ class SplitGenerator:
     @property
     def shape(self) -> tuple:
         return self.g0.shape
+
+    def dense(self, p: np.ndarray) -> np.ndarray:
+        """G as a dense array, given the dense P_xi ``p``.
+
+        A is block diagonal with one Helmholtz block per auxiliary field, so
+        A^{-1} K is ``p`` applied to each block of rows of K.  Every product
+        is sparse times dense.
+        """
+        n = p.shape[0]
+        pk = np.vstack([p @ self.k[i:i + n] for i in range(0, self.k.shape[0], n)])
+        return self.g0 + self.c @ pk
 
 
 def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
@@ -135,7 +150,7 @@ class GeneratorAssembly:
     grid: StaggeredGrid
     g: np.ndarray = field(repr=False)
     split: SplitGenerator = field(repr=False)
-    m: np.ndarray = field(repr=False)
+    m: sparse.csr_array = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dual: np.ndarray = field(repr=False)  # M b, the row form of B*
     output: np.ndarray = field(repr=False)  # feedback output row v
@@ -153,12 +168,6 @@ class GeneratorAssembly:
         return self.g.shape[0]
 
     @property
-    def mechanical(self) -> np.ndarray:
-        """Coordinates of the mechanical blocks: strain y1 and velocity y4."""
-        idx = np.arange(self.dim)
-        return np.r_[idx[self.blocks["y1"]], idx[self.blocks["y4"]]]
-
-    @property
     def bstar_feedback(self) -> bool:
         """Whether the output row is B* itself.
 
@@ -166,38 +175,6 @@ class GeneratorAssembly:
         mean the gain of a closed-loop run.
         """
         return self.output is self.b_dual
-
-
-def _generator_matrix(params: BeamParameters, grid: StaggeredGrid,
-                      ops: DiscreteOperators) -> np.ndarray:
-    n = grid.n_cells
-    sl = block_slices(grid)
-    g = np.zeros((grid.state_dim, grid.state_dim))
-
-    alpha, gamma = params.alpha, params.gamma
-    eps1, eps3, mu, h = params.eps1, params.eps3, params.mu, params.h
-    xi = params.xi
-    p = ops.p_dense
-    one_minus_p = ops.one_minus_p
-
-    g[sl["y1"], sl["y4"]] = ops.grad_f
-    g[sl["y2"], sl["y5"]] = np.eye(n - 1)
-    g[sl["y3"], sl["y6"]] = np.eye(n)
-
-    stiff = alpha * np.eye(n) + (gamma ** 2 / eps3) * p
-    g[sl["y4"], sl["y1"]] = (1.0 / params.rho) * (ops.div_f @ stiff)
-    g[sl["y4"], sl["y6"]] = (gamma / params.rho) * (ops.div_f @ one_minus_p)
-    g[sl["y4"], sl["y5"]] = (gamma * xi / params.rho) * (ops.div_f @ (p @ ops.grad_nc))
-
-    c5 = 12.0 / (eps1 * h ** 2)
-    g[sl["y5"], sl["y2"]] = -c5 * mu * np.eye(n - 1)
-    g[sl["y5"], sl["y3"]] = c5 * mu * ops.div_int
-    g[sl["y5"], sl["y4"]] = -(gamma / eps3) * (ops.div_int @ (p @ ops.grad_f))
-
-    g[sl["y6"], sl["y3"]] = (mu / eps3) * ops.lap_cc
-    g[sl["y6"], sl["y2"]] = -(mu / eps3) * ops.grad_nc
-    g[sl["y6"], sl["y4"]] = (gamma / eps3) * (one_minus_p @ ops.grad_f)
-    return g
 
 
 def _split_generator(params: BeamParameters, grid: StaggeredGrid,
@@ -242,41 +219,42 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
 
 
 def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
-               g: np.ndarray, m: np.ndarray, b: np.ndarray) -> tuple:
+               g: np.ndarray, m: sparse.csr_array, b: np.ndarray) -> tuple:
     """The reduction to (y1, y2, y4, y5) and its relative gauge defect."""
     n = grid.n_cells
     sl = block_slices(grid)
     dim = grid.state_dim
-    dim_red = 4 * n - 1
-
-    t = np.zeros((dim, dim_red))
     col = {"y1": slice(0, n), "y2": slice(n, 2 * n - 1),
            "y4": slice(2 * n - 1, 3 * n), "y5": slice(3 * n, 4 * n - 1)}
-    t[sl["y1"], col["y1"]] = np.eye(n)
-    t[sl["y2"], col["y2"]] = np.eye(n - 1)
-    t[sl["y3"], col["y2"]] = params.xi * ops.grad_nc
-    t[sl["y4"], col["y4"]] = np.eye(n + 1)
-    t[sl["y5"], col["y5"]] = np.eye(n - 1)
-    t[sl["y6"], col["y5"]] = params.xi * ops.grad_nc
+    t = sparse_blocks((dim, 4 * n - 1), [
+        (sl["y1"], col["y1"], np.eye(n)),
+        (sl["y2"], col["y2"], np.eye(n - 1)),
+        (sl["y3"], col["y2"], params.xi * ops.grad_nc),
+        (sl["y4"], col["y4"], np.eye(n + 1)),
+        (sl["y5"], col["y5"], np.eye(n - 1)),
+        (sl["y6"], col["y5"], params.xi * ops.grad_nc),
+    ])
 
-    m_red = t.T @ (m @ t)
+    m_red = (t.T @ (m @ t)).toarray()
     m_red = 0.5 * (m_red + m_red.T)
 
     gt = g @ t
     keep = np.concatenate([np.arange(dim)[sl[b_]] for b_ in ("y1", "y2", "y4", "y5")])
     g_red = gt[keep, :]
 
-    defect = float(np.linalg.norm(gt - t @ g_red) / max(np.linalg.norm(g), 1.0))
+    gt -= t @ g_red  # G T - T G_red, in place
+    defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
     if defect > CONSTRAINT_TOL:
         raise AssemblyInconsistent(
             f"generator does not preserve the gauge manifold: defect {defect:.3e}")
 
     rhs = t.T @ (m @ b)
     b_red = scipy.linalg.solve(m_red, rhs, assume_a="pos")
-    return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red), defect
+    return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red,
+                     mechanical=np.r_[col["y1"], col["y4"]]), defect
 
 
-def certify_skewness(m: np.ndarray, g: np.ndarray) -> float:
+def certify_skewness(m: sparse.csr_array, g: np.ndarray) -> float:
     """||M G + G^T M|| / ||M G||; raises AssemblyInconsistent above SKEW_TOL."""
     mg = m @ g
     scale = np.linalg.norm(mg)
@@ -302,18 +280,18 @@ def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> Generator
     fails; both would signal an operator compatibility bug.
     """
     ops = build_operators(params, grid)
-    g = _generator_matrix(params, grid, ops)
+    split = _split_generator(params, grid, ops)
+    g = split.dense(ops.p_dense)
     m = assemble_mass(params, grid, ops)
     b = assemble_control(params, grid)
 
     skew = certify_skewness(m, g)
     red, gauge_defect = _reduction(params, grid, ops, g, m, b)
-    for arr in (g, m, b):
+    for arr in (g, b):
         arr.setflags(write=False)
     b_dual = m @ b
     return GeneratorAssembly(
-        params=params, grid=grid, g=g,
-        split=_split_generator(params, grid, ops), m=m, b=b, b_dual=b_dual,
+        params=params, grid=grid, g=g, split=split, m=m, b=b, b_dual=b_dual,
         output=b_dual, reduction=red, blocks=block_slices(grid),
         energy_split=partial(_energy_split, params, grid, ops),
         gauge=partial(_gauge, grid, ops), lift=partial(_lift, params, grid),

@@ -29,13 +29,9 @@ div_f).
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
 tridiagonal).  A dense, exactly symmetric realization, built from the banded
 Cholesky factorization of A, backs the dense reference generator, the
-energy and the spectra.  Time stepping does not use it: the stepper keeps
-A itself as tridiagonal constraint rows of a sparse augmented system (see
-:mod:`piezolab.dynamics`).
-The companion matrix ``one_minus_p`` realizes I - P_xi through the algebraic
-identity lap_cc P_xi = (P_xi - I)/xi, so that the gauge-preservation
-cancellation in the generator holds to rounding rather than to solver
-tolerance.
+energy and the spectra, and is the one dense block of the Gram matrix.
+Time stepping does not use it: the stepper keeps A itself as tridiagonal
+constraint rows of a sparse augmented system (see :mod:`piezolab.dynamics`).
 """
 
 from __future__ import annotations
@@ -45,9 +41,10 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .errors import NotPositiveDefinite, SolverFailure
-from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
+from .model import BeamParameters, StaggeredGrid, StateVector
 
 NORM_FLOOR = 1e-30
 
@@ -103,7 +100,6 @@ class DiscreteOperators:
     div_f: np.ndarray       # (N+1, N)
     lap_cc: np.ndarray      # (N, N) = grad_nc @ div_int
     p_dense: np.ndarray     # (N, N) symmetric realization of P_xi
-    one_minus_p: np.ndarray  # (N, N) = -xi * sym(lap_cc @ p_dense)
     node_weights: np.ndarray  # (N+1,) trapezoid weights including dx
 
     @property
@@ -137,21 +133,16 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
     p_raw = p_raw @ (2.0 * np.eye(n) - a_mat @ p_raw)
     p_dense = 0.5 * (p_raw + p_raw.T)
 
-    lp = lap_cc @ p_dense
-    one_minus_p = -xi * 0.5 * (lp + lp.T)
-
     weights = np.full(n + 1, grid.dx)
     weights[0] = 0.5 * grid.dx
     weights[-1] = 0.5 * grid.dx
 
-    for arr in (div_int, grad_nc, grad_f, div_f, lap_cc,
-                p_dense, one_minus_p, weights):
+    for arr in (div_int, grad_nc, grad_f, div_f, lap_cc, p_dense, weights):
         arr.setflags(write=False)
 
     return DiscreteOperators(
         grid=grid, xi=xi, div_int=div_int, grad_nc=grad_nc, grad_f=grad_f,
-        div_f=div_f, lap_cc=lap_cc, p_dense=p_dense,
-        one_minus_p=one_minus_p, node_weights=weights,
+        div_f=div_f, lap_cc=lap_cc, p_dense=p_dense, node_weights=weights,
     )
 
 
@@ -171,33 +162,26 @@ class ActuationMode(Enum):
 
 
 def assemble_mass(params: BeamParameters, grid: StaggeredGrid,
-                  ops: DiscreteOperators) -> np.ndarray:
+                  ops: DiscreteOperators) -> sparse.csr_array:
     """Gram matrix of the energy inner product over the 6N-1 coordinates.
 
     Symmetric positive semidefinite on the full coordinate space, positive
     definite on the gauge-constrained subspace.  The magnetic term couples
     (y2, y3) through |y2 - div(y3)|^2 on interior nodes; boundary nodes
     contribute nothing because theta and the flux of eta vanish there.
+    Returned as a CSR array: only the y1 block, which carries P_xi, is dense.
     """
     n = grid.n_cells
     dx = grid.dx
-    sl = block_slices(grid)
-    dim = grid.state_dim
-    m = np.zeros((dim, dim))
-
-    m[sl["y1"], sl["y1"]] = dx * (params.alpha * np.eye(n)
-                                  + (params.gamma ** 2 / params.eps3) * ops.p_dense)
-    m[sl["y4"], sl["y4"]] = params.rho * np.diag(ops.node_weights)
-    m[sl["y5"], sl["y5"]] = (params.eps1 * params.h ** 2 / 12.0) * dx * np.eye(n - 1)
-    m[sl["y6"], sl["y6"]] = params.eps3 * dx * np.eye(n)
-
-    d = ops.div_int
-    mu_dx = params.mu * dx
-    m[sl["y2"], sl["y2"]] = mu_dx * np.eye(n - 1)
-    m[sl["y2"], sl["y3"]] = -mu_dx * d
-    m[sl["y3"], sl["y2"]] = -mu_dx * d.T
-    m[sl["y3"], sl["y3"]] = mu_dx * (d.T @ d)
-    return m
+    # y2 - div(y3) over the adjacent blocks (y2, y3)
+    mag = sparse.hstack([sparse.eye_array(n - 1), -sparse.csr_array(ops.div_int)])
+    return sparse.block_diag([
+        dx * (params.alpha * np.eye(n) + (params.gamma ** 2 / params.eps3) * ops.p_dense),
+        (params.mu * dx) * (mag.T @ mag),
+        params.rho * sparse.diags_array(ops.node_weights),
+        (params.eps1 * params.h ** 2 / 12.0) * dx * sparse.eye_array(n - 1),
+        params.eps3 * dx * sparse.eye_array(n),
+    ], format="csr")
 
 
 @dataclass(frozen=True)

@@ -86,27 +86,25 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
 
 def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
                 phi_red: np.ndarray, eig_tol: float) -> list:
-    """Per-mode records, built over blocks of TABLE_BLOCK eigenvectors.
+    """Per-mode records from the reduced eigenvectors, which are never lifted.
 
-    Blocking keeps the lifted eigenvectors of one block in memory at a time
-    while turning the per-mode products into matrix products.
+    B* phi is (T^T b_dual) phi_red, the M-norm of phi is the norm of its
+    energy coordinates (``norms``) and the mechanical energy is taken on the
+    mechanical block of M_red.  That block's products run over blocks of
+    TABLE_BLOCK eigenvectors.
     """
-    t = assembly.reduction.t_map
-    m = assembly.m
-    mech = assembly.mechanical
-    m_mech = m[np.ix_(mech, mech)]
+    red = assembly.reduction
+    bstar = (red.t_map.T @ assembly.b_dual) @ phi_red
+    mech = red.mechanical
+    m_mech = red.m_red[np.ix_(mech, mech)]
     table = []
     for start in range(0, len(w), TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
-        phi = t @ phi_red[:, cols]
-        bstar = assembly.b_dual @ phi
-        total = np.einsum("ij,ij->j", phi.conj(), m @ phi).real
-        pm = phi[mech]
+        pm = phi_red[mech, cols]
         mech_energy = np.einsum("ij,ij->j", pm.conj(), m_mech @ pm).real
-        frac = np.divide(mech_energy, total, out=np.zeros_like(total),
-                         where=total > 0.0)
-        for j, k in enumerate(range(start, start + phi.shape[1])):
-            bstar_abs = abs(complex(bstar[j]))
+        frac = mech_energy / norms[cols] ** 2
+        for j, k in enumerate(range(start, start + pm.shape[1])):
+            bstar_abs = abs(complex(bstar[k]))
             block = ("mechanical" if frac[j] >= 0.9
                      else "electromagnetic" if frac[j] <= 0.1 else "mixed")
             table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=bstar_abs,

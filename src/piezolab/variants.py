@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
+from scipy import sparse
 
 from .generator import (GeneratorAssembly, Reduction, SplitGenerator,
                         assemble_generator, certify_skewness, sparse_blocks,
@@ -48,23 +49,10 @@ def assemble_electrostatic(params: BeamParameters,
     ops = build_operators(params, grid)
     n = grid.n_cells
     dx = grid.dx
-    stiff = params.alpha * np.eye(n) + (params.gamma**2 / params.eps3) * ops.p_dense
 
     # the six-field stencils restricted to the nodes 1..n: the clamped
     # node 0 drops out of the gradient and the divergence keeps the
-    # stress-free right end
-    g = np.zeros((2 * n, 2 * n))
-    g[:n, n:] = ops.grad_f[:, 1:]
-    g[n:, :n] = (1.0 / params.rho) * (ops.div_f[1:, :] @ stiff)
-
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = dx * stiff
-    m[n:, n:] = params.rho * np.diag(ops.node_weights[1:])
-
-    b = np.zeros(2 * n)
-    b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
-
-    # the same system split as G0 + C A^{-1} K with the one field q = P_xi s
+    # stress-free right end; the one auxiliary field is q = P_xi s
     strain, velocity = slice(0, n), slice(n, 2 * n)
     q = slice(0, n)
     split = SplitGenerator(
@@ -76,6 +64,13 @@ def assemble_electrostatic(params: BeamParameters,
              * ops.div_f[1:, :])]),
         k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
         a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]))
+    g = split.dense(ops.p_dense)
+    m = sparse.block_diag([
+        dx * (params.alpha * np.eye(n) + (params.gamma**2 / params.eps3) * ops.p_dense),
+        params.rho * sparse.diags_array(ops.node_weights[1:])], format="csr")
+
+    b = np.zeros(2 * n)
+    b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
 
     skew = certify_skewness(m, g)
     trace = np.zeros(2 * n)
@@ -83,7 +78,9 @@ def assemble_electrostatic(params: BeamParameters,
     return GeneratorAssembly(
         params=params, grid=grid, g=g, split=split, m=m, b=b, b_dual=m @ b,
         output=trace,
-        reduction=Reduction(t_map=np.eye(2 * n), m_red=m, g_red=g, b_red=b),
+        reduction=Reduction(t_map=sparse.eye_array(2 * n, format="csr"),
+                            m_red=m.toarray(), g_red=g, b_red=b,
+                            mechanical=np.arange(2 * n)),
         blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},
         energy_split=partial(_electrostatic_energy, params, grid, ops),
         gauge=lambda y, interior=False: (0.0, 0.0), lift=lambda y: y,

@@ -220,12 +220,11 @@ class TestRun:
             run(asm, y0, n_steps=10, dt=2e-3, input_fn=lambda t: 1.0)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_input_fails_loudly(self, bad):
         # the sparse solve does not check finiteness, so the run loop does:
-        # a non-finite state raises at the first record instead of running on
+        # the first non-finite input raises before it reaches the state
         asm = _assembly(16)
-        with pytest.raises(NonFiniteState, match="step 5 ") as info:
+        with pytest.raises(NonFiniteState, match="step 3 ") as info:
             run(asm, _random_state(asm, seed=9), n_steps=20, dt=1e-3,
                 input_fn=lambda t: bad if t > 2e-3 else 0.0, record_stride=5)
         assert isinstance(info.value, PiezolabError)

@@ -1,18 +1,26 @@
 """Generator assembly: skewness, gauge invariance, control influence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from piezolab import spectral
 from piezolab.generator import (assemble_control, assemble_generator, b_star,
                                 with_influence)
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
 from piezolab.operators import ActuationMode, build_operators, gauge_residual
+from piezolab.spectral import ModeRecord
 from piezolab.variants import build_system
 
 TOY = toy_parameters()
+ALL_SYSTEMS = (ActuationMode.CURRENT, ActuationMode.CHARGE_MAGNETIC,
+               ActuationMode.CHARGE_ELECTROSTATIC)
 
 
 def _assembly(n=16, params=TOY):
@@ -24,6 +32,126 @@ def _ops(n):
     return grid, build_operators(TOY, grid)
 
 
+def _random_parameters(seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 2.0, size=7)
+    return validate_parameters(dict(rho=vals[0], alpha=vals[1],
+                                    gamma=rng.uniform(-2.0, 2.0),
+                                    eps1=vals[2], eps3=vals[3], mu=vals[4],
+                                    h=vals[5], L=vals[6]))
+
+
+# Dense reference constructions, written independently of the split form:
+# every P_xi block is applied as a dense product, and I - P_xi comes from
+# the identity lap_cc P_xi = (P_xi - I)/xi, so the gauge cancellation in
+# the generator holds to rounding rather than to solver tolerance.
+
+def _one_minus_p(ops):
+    lp = ops.lap_cc @ ops.p_dense
+    return -ops.xi * 0.5 * (lp + lp.T)
+
+
+def _dense_six_field(params, grid, ops):
+    """Dense generator, Gram matrix and lift T of the six-field model."""
+    n = grid.n_cells
+    sl = block_slices(grid)
+    dim = grid.state_dim
+    alpha, gamma = params.alpha, params.gamma
+    eps1, eps3, mu, h, xi = params.eps1, params.eps3, params.mu, params.h, params.xi
+    p = ops.p_dense
+    one_minus_p = _one_minus_p(ops)
+
+    g = np.zeros((dim, dim))
+    g[sl["y1"], sl["y4"]] = ops.grad_f
+    g[sl["y2"], sl["y5"]] = np.eye(n - 1)
+    g[sl["y3"], sl["y6"]] = np.eye(n)
+    stiff = alpha * np.eye(n) + (gamma ** 2 / eps3) * p
+    g[sl["y4"], sl["y1"]] = (1.0 / params.rho) * (ops.div_f @ stiff)
+    g[sl["y4"], sl["y6"]] = (gamma / params.rho) * (ops.div_f @ one_minus_p)
+    g[sl["y4"], sl["y5"]] = (gamma * xi / params.rho) * (ops.div_f @ (p @ ops.grad_nc))
+    c5 = 12.0 / (eps1 * h ** 2)
+    g[sl["y5"], sl["y2"]] = -c5 * mu * np.eye(n - 1)
+    g[sl["y5"], sl["y3"]] = c5 * mu * ops.div_int
+    g[sl["y5"], sl["y4"]] = -(gamma / eps3) * (ops.div_int @ (p @ ops.grad_f))
+    g[sl["y6"], sl["y3"]] = (mu / eps3) * ops.lap_cc
+    g[sl["y6"], sl["y2"]] = -(mu / eps3) * ops.grad_nc
+    g[sl["y6"], sl["y4"]] = (gamma / eps3) * (one_minus_p @ ops.grad_f)
+
+    dx = grid.dx
+    d = ops.div_int
+    mu_dx = mu * dx
+    m = np.zeros((dim, dim))
+    m[sl["y1"], sl["y1"]] = dx * stiff
+    m[sl["y4"], sl["y4"]] = params.rho * np.diag(ops.node_weights)
+    m[sl["y5"], sl["y5"]] = (eps1 * h ** 2 / 12.0) * dx * np.eye(n - 1)
+    m[sl["y6"], sl["y6"]] = eps3 * dx * np.eye(n)
+    m[sl["y2"], sl["y2"]] = mu_dx * np.eye(n - 1)
+    m[sl["y2"], sl["y3"]] = -mu_dx * d
+    m[sl["y3"], sl["y2"]] = -mu_dx * d.T
+    m[sl["y3"], sl["y3"]] = mu_dx * (d.T @ d)
+
+    t = np.zeros((dim, 4 * n - 1))
+    col = {"y1": slice(0, n), "y2": slice(n, 2 * n - 1),
+           "y4": slice(2 * n - 1, 3 * n), "y5": slice(3 * n, 4 * n - 1)}
+    t[sl["y1"], col["y1"]] = np.eye(n)
+    t[sl["y2"], col["y2"]] = np.eye(n - 1)
+    t[sl["y3"], col["y2"]] = xi * ops.grad_nc
+    t[sl["y4"], col["y4"]] = np.eye(n + 1)
+    t[sl["y5"], col["y5"]] = np.eye(n - 1)
+    t[sl["y6"], col["y5"]] = xi * ops.grad_nc
+    idx = np.arange(dim)
+    keep = np.r_[idx[sl["y1"]], idx[sl["y2"]], idx[sl["y4"]], idx[sl["y5"]]]
+    mech = np.r_[idx[sl["y1"]], idx[sl["y4"]]]
+    return g, m, t, keep, mech
+
+
+def _dense_electrostatic(params, grid, ops):
+    """Dense generator and Gram matrix of the clamped-free model; T = I."""
+    n = grid.n_cells
+    stiff = params.alpha * np.eye(n) + (params.gamma ** 2 / params.eps3) * ops.p_dense
+    g = np.zeros((2 * n, 2 * n))
+    g[:n, n:] = ops.grad_f[:, 1:]
+    g[n:, :n] = (1.0 / params.rho) * (ops.div_f[1:, :] @ stiff)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = grid.dx * stiff
+    m[n:, n:] = params.rho * np.diag(ops.node_weights[1:])
+    idx = np.arange(2 * n)
+    return g, m, np.eye(2 * n), idx, idx
+
+
+def _dense_reference(asm, actuation):
+    """G, M, T, M_red, G_red and b_red of an assembly's model, all dense."""
+    ops = build_operators(asm.params, asm.grid)
+    build = (_dense_electrostatic if actuation is ActuationMode.CHARGE_ELECTROSTATIC
+             else _dense_six_field)
+    g, m, t, keep, mech = build(asm.params, asm.grid, ops)
+    m_red = t.T @ (m @ t)
+    m_red = 0.5 * (m_red + m_red.T)
+    b_red = scipy.linalg.solve(m_red, t.T @ (m @ asm.b), assume_a="pos")
+    return SimpleNamespace(g=g, m=m, t=t, m_red=m_red, g_red=(g @ t)[keep],
+                           b_red=b_red, mech=mech)
+
+
+def _lifted_mode_table(ref, b, w, norms, phi_red, eig_tol=1e-8):
+    """Mode records from eigenvectors lifted through the dense T and M."""
+    phi = ref.t @ phi_red
+    bstar = (ref.m @ b) @ phi
+    total = np.einsum("ij,ij->j", phi.conj(), ref.m @ phi).real
+    pm = phi[ref.mech]
+    mech_energy = np.einsum("ij,ij->j", pm.conj(),
+                            ref.m[np.ix_(ref.mech, ref.mech)] @ pm).real
+    table = []
+    for k in range(len(w)):
+        frac = mech_energy[k] / total[k]
+        block = ("mechanical" if frac >= 0.9
+                 else "electromagnetic" if frac <= 0.1 else "mixed")
+        table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=abs(bstar[k]),
+                                norm_m=float(norms[k]),
+                                stabilizable=bool(abs(bstar[k]) > eig_tol * norms[k]),
+                                dominant_block=block))
+    return table
+
+
 class TestSkewness:
     def test_toy_n16(self):
         assert _assembly(16).skew_defect <= 1e-12
@@ -31,13 +159,7 @@ class TestSkewness:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_random_parameter_sets(self, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.uniform(0.5, 2.0, size=7)
-        p = validate_parameters(dict(rho=vals[0], alpha=vals[1],
-                                     gamma=rng.uniform(-2.0, 2.0),
-                                     eps1=vals[2], eps3=vals[3], mu=vals[4],
-                                     h=vals[5], L=vals[6]))
-        assert _assembly(16, p).skew_defect <= 1e-12
+        assert _assembly(16, _random_parameters(seed)).skew_defect <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -50,29 +172,67 @@ class TestSkewness:
 
 class TestSplitForm:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 48),
-           actuation=st.sampled_from([ActuationMode.CURRENT,
-                                      ActuationMode.CHARGE_MAGNETIC,
-                                      ActuationMode.CHARGE_ELECTROSTATIC]))
+           actuation=st.sampled_from(ALL_SYSTEMS))
     @settings(max_examples=25, deadline=None)
     def test_split_equals_dense(self, seed, n, actuation):
         # G0 + C A^{-1} K reproduces the dense reference generator
-        rng = np.random.default_rng(seed)
-        vals = rng.uniform(0.5, 2.0, size=7)
-        p = validate_parameters(dict(rho=vals[0], alpha=vals[1],
-                                     gamma=rng.uniform(-2.0, 2.0),
-                                     eps1=vals[2], eps3=vals[3], mu=vals[4],
-                                     h=vals[5], L=vals[6]))
+        p = _random_parameters(seed)
         asm = build_system(p, build_grid(p.L, n), actuation)
         split = asm.split
-        assert split.shape == asm.g.shape
+        ref = _dense_reference(asm, actuation).g
+        assert split.shape == ref.shape
         g = split.g0.toarray() + split.c.toarray() @ np.linalg.solve(
             split.a.toarray(), split.k.toarray())
-        assert np.linalg.norm(g - asm.g) <= 1e-12 * np.linalg.norm(asm.g)
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_influence_keeps_split(self):
         asm = _assembly(16)
         swapped = with_influence(asm, np.ones(asm.dim), "test")
         assert swapped.split is asm.split
+
+
+class TestDenseReference:
+    """The assembly, built from sparse parts, against the dense constructions."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 48),
+           actuation=st.sampled_from(ALL_SYSTEMS))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_reference(self, seed, n, actuation):
+        p = _random_parameters(seed)
+        asm = build_system(p, build_grid(p.L, n), actuation)
+        ref = _dense_reference(asm, actuation)
+        red = asm.reduction
+        for got, want in ((asm.m.toarray(), ref.m), (red.m_red, ref.m_red),
+                          (red.b_red, ref.b_red)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # the reference forms I - P_xi as -xi lap_cc P_xi, whose rounding
+        # grows with the condition number of A = I - xi lap_cc; G and G_red
+        # carry that block
+        ops = build_operators(p, asm.grid)
+        kappa = np.linalg.cond(np.eye(n) - p.xi * ops.lap_cc)
+        tol = max(1e-12, 10.0 * np.finfo(float).eps * kappa)
+        for got, want in ((asm.g, ref.g), (red.g_red, ref.g_red)):
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+        # the mode table in reduced coordinates against the lifted one,
+        # on the same eigenpairs
+        r, s = spectral._energy_similarity(asm)
+        w, norms, phi_red = spectral._eigenpairs(s, r)
+        table = spectral.compute_spectrum(asm).mode_table
+        lifted = _lifted_mode_table(ref, asm.b, w, norms, phi_red)
+        assert [(rec.stabilizable, rec.dominant_block) for rec in table] == \
+            [(rec.stabilizable, rec.dominant_block) for rec in lifted]
+        for rec, want in zip(table, lifted):
+            if want.bstar_abs > 1e-8 * want.norm_m:
+                assert rec.bstar_abs == pytest.approx(want.bstar_abs, rel=1e-6)
+
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("n", (16, 64))
+    def test_gram_and_lift_stay_sparse(self, actuation, n):
+        # only the y1 block of M, which carries P_xi, is dense
+        asm = build_system(TOY, build_grid(TOY.L, n), actuation)
+        assert sparse.issparse(asm.m) and sparse.issparse(asm.reduction.t_map)
+        assert asm.m.nnz <= n * n + 20 * n
 
 
 class TestStructure:

@@ -117,7 +117,7 @@ class TestPXiIdentity:
 class TestMassMatrix:
     def test_symmetry_exact(self):
         grid, ops = _ops(20)
-        m = assemble_mass(TOY, grid, ops)
+        m = assemble_mass(TOY, grid, ops).toarray()
         assert np.linalg.norm(m - m.T) == 0.0
 
     def test_positive_definite_on_constrained_subspace(self):
@@ -125,7 +125,7 @@ class TestMassMatrix:
         grid = build_grid(1.0, 32)
         asm = assemble_generator(TOY, grid)
         t = asm.reduction.t_map
-        m_red = t.T @ (asm.m @ t)
+        m_red = (t.T @ (asm.m @ t)).toarray()
         assert np.linalg.eigvalsh(0.5 * (m_red + m_red.T))[0] > 0.0
 
     def test_rho_block(self):
@@ -133,7 +133,7 @@ class TestMassMatrix:
         p = validate_parameters(dict(rho=2.0, alpha=1e-30, gamma=0.0, eps1=1e-30,
                                      eps3=1e30, mu=1e-30, h=1.0, L=1.0))
         grid, ops = _ops(8, p)
-        m = assemble_mass(p, grid, ops)
+        m = assemble_mass(p, grid, ops).toarray()
         sl = block_slices(grid)["y4"]
         w = np.full(9, grid.dx)
         w[0] = w[-1] = grid.dx / 2.0
