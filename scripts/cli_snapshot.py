@@ -41,6 +41,7 @@ NON_UNIT = {"rho": 1.3, "alpha": 0.8, "gamma": -0.7, "eps1": 1.7, "eps3": 0.9,
             "mu": 1.2, "h": 0.6, "L": 1.4}
 N_CELLS = 16
 MODELS = ("current", "charge_magnetic", "charge_electrostatic")
+NON_UNIT_MODELS = ("charge_magnetic", "charge_electrostatic")
 SIGNAL = {"kind": "sinusoid", "amplitude": 0.8, "frequency": 1.5, "phase": 0.3}
 
 
@@ -88,6 +89,15 @@ def _write_inputs(inputs: Path) -> dict:
     config("non_unit_closed_modal", params=NON_UNIT, n_cells=N_CELLS,
            t_final=0.25, actuation="current", feedback_gain=0.9,
            initial_state={"kind": "modal", "mode_index": 0})
+    # toy units round exactly in places; these runs expose the lift and the
+    # energy parts to parameters that do not
+    for model in NON_UNIT_MODELS:
+        base = dict(params=NON_UNIT, n_cells=N_CELLS, t_final=0.25,
+                    actuation=model, record_stride=2,
+                    initial_state={"kind": "tabulated",
+                                   "path": f"state_{model}.csv"})
+        config(f"non_unit_{model}_open_tabulated", **base)
+        config(f"non_unit_{model}_closed_tabulated", **base, feedback_gain=0.6)
     config("spectrum", params=TOY, n_cells=N_CELLS, t_final=0.1)
     config("spectrum_non_unit", params=NON_UNIT, n_cells=N_CELLS, t_final=0.1)
     return configs
@@ -107,6 +117,10 @@ def _jobs(configs: dict) -> list:
                       "--gain", "0.8"]))
     jobs.append(("simulate_non_unit_closed_modal",
                  ["simulate", "--config", configs["non_unit_closed_modal"]]))
+    for model in NON_UNIT_MODELS:
+        for loop in ("open", "closed"):
+            key = f"non_unit_{model}_{loop}_tabulated"
+            jobs.append((f"simulate_{key}", ["simulate", "--config", configs[key]]))
     spec = ["spectrum", "--config", configs["spectrum"]]
     jobs += [
         ("spectrum_full", spec),

@@ -4,9 +4,10 @@ beams with fully dynamic magnetic effects.
 Core entry points:
 
 * :func:`piezolab.model.validate_parameters`, :func:`piezolab.model.build_grid`
-* :func:`piezolab.operators.build_operators`, :func:`piezolab.operators.assemble_mass`
+* :func:`piezolab.operators.build_operators`
 * :class:`piezolab.generator.GeneratorAssembly`, the linear system every
-  actuation model builds; :func:`piezolab.variants.build_system` picks one
+  actuation model builds, with its energy parts, lift and gauge residuals;
+  :func:`piezolab.variants.build_system` picks one
 * :func:`piezolab.dynamics.run`, :func:`piezolab.dynamics.simulate`
 * :func:`piezolab.spectral.compute_spectrum`
 * ``piezolab`` console script for the experiment suite
@@ -17,7 +18,7 @@ from .dynamics import TimeSeries, admissibility_estimate, run, simulate
 from .generator import GeneratorAssembly, assemble_generator, b_star
 from .model import (BeamParameters, StaggeredGrid, StateVector, build_grid,
                     toy_parameters, validate_parameters)
-from .operators import ActuationMode, build_operators, energy
+from .operators import ActuationMode, build_operators
 from .spectral import (SpectrumReport, closed_loop_spectrum, compute_spectrum,
                        decay_rate_fit, kernel_basis)
 from .variants import build_system
@@ -41,7 +42,6 @@ __all__ = [
     "compute_spectrum",
     "config_from_dict",
     "decay_rate_fit",
-    "energy",
     "kernel_basis",
     "load_config",
     "run",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import admissibility_estimate, default_dt, modal_state, run
 from .generator import assemble_generator
-from .model import StateVector, build_grid, toy_parameters, validate_parameters
+from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
 from .spectral import (closed_loop_mode_shifts, compute_spectrum, decay_rate_fit,
                        kernel_basis)
@@ -61,16 +61,14 @@ def _conservation_series():
     """Shared 1e4-step open-loop trajectory for checks 2 and 3."""
     key = ("run10k",)
     if key not in _cache:
-        params = toy_parameters()
-        grid = build_grid(params.L, 32)
         asm = _assembly(32)
         rng = np.random.default_rng(7)
-        y0 = StateVector.gauge_projected(rng.standard_normal(32),
-                                         rng.standard_normal(31),
-                                         rng.standard_normal(33),
-                                         rng.standard_normal(31), grid, params)
-        dt = default_dt(params, grid)
-        _cache[key] = run(asm, y0, 10_000, dt, record_stride=100,
+        y0 = np.zeros(asm.dim)
+        for name in ("y1", "y2", "y4", "y5"):
+            block = asm.blocks[name]
+            y0[block] = rng.standard_normal(block.stop - block.start)
+        dt = default_dt(asm.params, asm.grid)
+        _cache[key] = run(asm, asm.lift(y0), 10_000, dt, record_stride=100,
                           gauge_tol=1e-8)
     return _cache[key]
 
@@ -328,9 +326,8 @@ def check_kernel_audit() -> CheckResult:
         asm = _assembly(n)
         basis = kernel_basis(asm)
         dims[n] = basis.shape[1]
-        grid = asm.grid
         y_tr = np.zeros(asm.dim)
-        y_tr[3 * grid.n_cells - 1: 4 * grid.n_cells] = 1.0
+        y_tr[asm.blocks["y4"]] = 1.0
         m = asm.m
         y_tr = y_tr / np.sqrt(float(y_tr @ m @ y_tr))
         coeff = basis.T @ (m @ y_tr)

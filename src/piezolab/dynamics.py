@@ -35,6 +35,9 @@ from .model import BeamParameters, StaggeredGrid, StateVector, build_grid
 from .spectral import open_loop_modes
 from .variants import build_system
 
+TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
+TRIAL_HARMONICS = 4  # harmonics of an admissibility trial's input
+
 CSV_COLUMNS = ["time", "E_total", "E_kin_v", "E_kin_theta", "E_kin_eta",
                "E_elastic", "E_nonlocal", "E_magnetic",
                "gauge_pos", "gauge_vel", "input"]
@@ -218,39 +221,39 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
                       system=assembly)
 
 
-def _trial_profiles(grid: StaggeredGrid, params: BeamParameters,
-                    coeffs: np.ndarray) -> StateVector:
-    """Smooth gauge-constrained state from grid-independent modal coefficients.
+def _trial_profiles(assembly: GeneratorAssembly, coeffs: np.ndarray) -> np.ndarray:
+    """Smooth gauge-constrained flat state from grid-independent modal coefficients.
 
-    coeffs has shape (4, n_modes); rows drive y1, y2, y4, y5.  Profiles are
-    analytic in x, so states on different grids sample the same function.
+    coeffs has shape (4, n_modes); rows drive y1, y2, y4, y5, and the lift
+    fills the gauge-bound blocks.  Profiles are analytic in x, so states on
+    different grids sample the same function.
     """
+    grid = assembly.grid
     L = grid.L
     xc = grid.cell_coords
     xn = grid.node_coords
     xi_nodes = xn[1:-1]
     n_modes = coeffs.shape[1]
-    y1 = np.zeros(grid.n_cells)
-    y2 = np.zeros(grid.n_interior)
-    y4 = np.zeros(grid.n_nodes)
-    y5 = np.zeros(grid.n_interior)
+    y = np.zeros(assembly.dim)
+    # the block slices are views, so the sums below fill y in place
+    y1, y2, y4, y5 = (y[assembly.blocks[name]] for name in ("y1", "y2", "y4", "y5"))
     for m in range(1, n_modes + 1):
         k = m * np.pi / L
         y1 += coeffs[0, m - 1] * np.cos(k * xc)
         y2 += coeffs[1, m - 1] * np.sin(k * xi_nodes)
         y4 += coeffs[2, m - 1] * np.cos(k * xn)
         y5 += coeffs[3, m - 1] * np.sin(k * xi_nodes)
-    return StateVector.gauge_projected(y1, y2, y4, y5, grid, params)
+    return assembly.lift(y)
 
 
 def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
-                           seed: int = 42, n_modes: int = 4,
-                           n_harmonics: int = 4) -> float:
+                           seed: int = 42) -> float:
     """Largest observed ||y(T)||_M^2 / (||y0||_M^2 + ||i_s||_{L2}^2).
 
-    Randomness is drawn in a grid-independent modal basis so estimates on
-    different grids probe the same ensemble of smooth data.  Trials with a
-    vanishing denominator are skipped.
+    Randomness is drawn in a grid-independent modal basis (TRIAL_MODES
+    profiles per field, an input of TRIAL_HARMONICS harmonics) so estimates
+    on different grids probe the same ensemble of smooth data.  Trials with
+    a vanishing denominator are skipped.
     """
     if trials < 10:
         raise ValueError(f"at least 10 trials required, got {trials}")
@@ -266,12 +269,12 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
     # together, one state per column and one input per column
     y0, amp, phase = [], [], []
     for _ in range(trials):
-        y0.append(_trial_profiles(grid, params, rng.standard_normal((4, n_modes))).flat())
-        amp.append(rng.standard_normal(n_harmonics))
-        phase.append(rng.uniform(0.0, 2.0 * np.pi, n_harmonics))
+        y0.append(_trial_profiles(assembly, rng.standard_normal((4, TRIAL_MODES))))
+        amp.append(rng.standard_normal(TRIAL_HARMONICS))
+        phase.append(rng.uniform(0.0, 2.0 * np.pi, TRIAL_HARMONICS))
     y0 = np.stack(y0, axis=1)
     amp, phase = np.array(amp), np.array(phase)
-    harmonic = np.arange(1, n_harmonics + 1)
+    harmonic = np.arange(1, TRIAL_HARMONICS + 1)
 
     y = y0.copy()
     input_sq = np.zeros(trials)
@@ -311,9 +314,9 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
                      gauge_tol: float) -> np.ndarray:
     """Assemble a flat state from (field, index, value) rows.
 
-    Fields are the blocks the assembly names.  When no y3/y6 rows are given
-    the gauge-bound blocks are filled by the model's lift; explicitly
-    tabulated y3/y6 must satisfy the constraint.
+    Fields are the blocks the assembly names.  When no gauge-bound block
+    (y3, y6) is given the model's lift fills them; explicitly tabulated
+    gauge-bound blocks must satisfy the constraint.
     """
     y = np.zeros(assembly.dim)
     given = set()
@@ -327,7 +330,7 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
         y[block.start + idx] = value
         given.add(name)
 
-    if given.isdisjoint(("y3", "y6")):
+    if given.isdisjoint(assembly.reduction.bound):
         return assembly.lift(y)
     rp, rv = assembly.gauge(y)
     if max(rp, rv) > gauge_tol:

@@ -39,16 +39,19 @@ models A^{-1} K produces two auxiliary cell fields,
 so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
 -(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The dense
 G that spectra and certificates read is formed from the split, with the
-dense P_xi in place of A^{-1}; it is the only dense (dim, dim) matrix.  The
-Gram matrix M and the lift T are sparse, so the certificates, M_red and
-G_red are sparse-times-dense products.
+dense P_xi in place of A^{-1}; it is the only dense (dim, dim) matrix.
+
+Each model declares its energy once, as named quadratic forms on blocks of
+the state (``energy_parts``): the Gram matrix M is their sum and the energy
+split evaluates them one by one.  The gauge is declared once too, by the
+lift T and the blocks it binds (:class:`Reduction`).  M and T are sparse
+except for the nonlocal part, the one dense block of M, so the
+certificates, M_red and G_red are sparse-times-dense products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -56,11 +59,35 @@ from scipy import sparse
 
 from .errors import AssemblyInconsistent
 from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
-from .operators import (DiscreteOperators, EnergyBreakdown, assemble_mass,
-                        build_operators, energy, gauge_residual)
+from .operators import DiscreteOperators, build_operators
 
 SKEW_TOL = 1e-12
 CONSTRAINT_TOL = 1e-11
+NORM_FLOOR = 1e-30
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """Energy split into its six nonnegative quadratic contributions.
+
+    A model without some of the parts leaves them at zero.
+    """
+
+    kinetic_v: float = 0.0
+    kinetic_theta: float = 0.0
+    kinetic_eta: float = 0.0
+    elastic: float = 0.0
+    nonlocal_: float = 0.0
+    magnetic: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return (self.kinetic_v + self.kinetic_theta + self.kinetic_eta
+                + self.elastic + self.nonlocal_ + self.magnetic)
+
+    def as_row(self) -> list:
+        return [self.total, self.kinetic_v, self.kinetic_theta, self.kinetic_eta,
+                self.elastic, self.nonlocal_, self.magnetic]
 
 
 @dataclass(frozen=True)
@@ -69,9 +96,13 @@ class Reduction:
 
     The six-field models eliminate the gauge-bound y3 and y6 and keep
     (y1, y2, y4, y5); a model without a gauge keeps every coordinate.
+    ``keep`` lists the free full coordinates, on which T is the identity,
+    and ``bound`` names the blocks T fills from them (none without a gauge).
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
+    keep: np.ndarray    # full coordinates of the reduced ones, T[keep] = I
+    bound: tuple        # gauge-bound block names, (pos, vel) or empty
     m_red: np.ndarray   # SPD Gram on reduced coordinates
     g_red: np.ndarray   # reduced generator, G T = T G_red
     b_red: np.ndarray   # M-orthogonal representative of b on the manifold
@@ -112,11 +143,12 @@ class SplitGenerator:
 def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
     """CSR matrix of the given shape from (row slice, col slice, block) parts.
 
-    Each block is placed at its slices; its zero entries are not stored.
+    Each block, dense or sparse, is placed at its slices; its zero entries
+    are not stored, and blocks that overlap are summed.
     """
     rows, cols, vals = [], [], []
     for rs, cs, block in parts:
-        coo = sparse.coo_array(np.asarray(block, dtype=float))
+        coo = sparse.coo_array(block)
         rows.append(coo.row + rs.start)
         cols.append(coo.col + cs.start)
         vals.append(coo.data)
@@ -125,20 +157,28 @@ def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
         shape=shape)
 
 
+def gram(parts: dict, dim: int) -> sparse.csr_array:
+    """The Gram matrix M of an energy given as named quadratic forms.
+
+    ``parts`` maps each name to (block slice, matrix): the part's energy is
+    (1/2) y[sl]^T A y[sl], and M is the sum of the parts placed on their
+    diagonal blocks.
+    """
+    return sparse_blocks((dim, dim), [(sl, sl, a) for sl, a in parts.values()])
+
+
 @dataclass(frozen=True)
 class GeneratorAssembly:
     """One actuation model as the linear system y' = G y + b u.
 
     Current, charge-magnetic and electrostatic actuation differ only in the
-    data held here: the generator G, the Gram matrix M of the energy, the
-    influence b, the feedback output row v of the closed loop u = -k v^T y,
-    and the reduction to coordinates where M is definite.  ``blocks`` names
-    the slices of the flat state (the mechanical ones are y1 and y4), and
-    three functions of a flat state complete the model: ``energy_split``
-    gives the energy in its parts, ``gauge(y, interior=False)`` the relative
-    gauge residuals (pos, vel), zero for a model without a gauge, and
-    ``lift`` fills the gauge-bound blocks from the free ones.  ``split``
-    is G in the sparse form the time stepper factors.
+    data held here: the generator G, the energy, the influence b, the
+    feedback output row v of the closed loop u = -k v^T y, and the
+    reduction to coordinates where the energy is definite.  ``blocks`` names
+    the slices of the flat state (the mechanical ones are y1 and y4).  The
+    energy is declared once, as the named quadratic forms ``energy_parts``
+    (see :func:`gram`); the Gram matrix ``m`` is their sum.  ``split`` is G
+    in the sparse form the time stepper factors.
 
     The certificates measured while assembling are kept: ``skew_defect`` is
     ||M G + G^T M|| / ||M G|| and ``gauge_defect`` is
@@ -150,15 +190,13 @@ class GeneratorAssembly:
     grid: StaggeredGrid
     g: np.ndarray = field(repr=False)
     split: SplitGenerator = field(repr=False)
+    energy_parts: dict = field(repr=False)
     m: sparse.csr_array = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dual: np.ndarray = field(repr=False)  # M b, the row form of B*
     output: np.ndarray = field(repr=False)  # feedback output row v
     reduction: Reduction = field(repr=False)
     blocks: dict = field(repr=False)
-    energy_split: Callable[[np.ndarray], EnergyBreakdown] = field(repr=False)
-    gauge: Callable[..., tuple] = field(repr=False)
-    lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     skew_defect: float = 0.0
     gauge_defect: float = 0.0
     influence: str = "distributed_current"
@@ -175,6 +213,62 @@ class GeneratorAssembly:
         mean the gain of a closed-loop run.
         """
         return self.output is self.b_dual
+
+    def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
+        """The energy (1/2) y^T M y of a flat state, part by part."""
+        return EnergyBreakdown(**{name: 0.5 * float(y[sl] @ (a @ y[sl]))
+                                  for name, (sl, a) in self.energy_parts.items()})
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """T y[keep]: the free coordinates of ``y`` lifted onto the gauge manifold."""
+        red = self.reduction
+        return red.t_map @ y[red.keep]
+
+    def gauge(self, y: np.ndarray, interior: bool = False) -> tuple:
+        """Relative gauge residuals (pos, vel) of a flat state.
+
+        Each is the residual y - lift(y) on one gauge-bound block, measured
+        against that block of y; both are zero for a model without a gauge.
+        ``interior`` drops the first and last cell: forced trajectories with
+        the distributed current influence develop a discretization layer
+        there (the influence has a boundary jump that the interior-node
+        gradient cannot represent), so the interior residual is the
+        meaningful drift diagnostic for them.
+        """
+        if not self.reduction.bound:
+            return 0.0, 0.0
+        cells = slice(1, -1) if interior else slice(None)
+        r = y - self.lift(y)
+        bound = [self.blocks[name] for name in self.reduction.bound]
+        return tuple(float(np.linalg.norm(r[sl][cells])
+                           / max(np.linalg.norm(y[sl]), NORM_FLOOR)) for sl in bound)
+
+
+def energy_parts(params: BeamParameters, grid: StaggeredGrid,
+                 ops: DiscreteOperators) -> dict:
+    """The six-field energy as named quadratic forms over the 6N-1 coordinates.
+
+    Positive semidefinite on the full coordinate space, positive definite on
+    the gauge-constrained subspace.  The magnetic part couples (y2, y3)
+    through |y2 - div(y3)|^2 on interior nodes; boundary nodes contribute
+    nothing because theta and the flux of eta vanish there.  Only the
+    nonlocal part, which carries P_xi, is dense.
+    """
+    n = grid.n_cells
+    dx = grid.dx
+    sl = block_slices(grid)
+    # y2 - div(y3) over the adjacent blocks (y2, y3)
+    mag = sparse.hstack([sparse.eye_array(n - 1), -sparse.csr_array(ops.div_int)])
+    return {
+        "kinetic_v": (sl["y4"], params.rho * sparse.diags_array(ops.node_weights)),
+        "kinetic_theta": (sl["y5"], (params.eps1 * params.h ** 2 / 12.0) * dx
+                          * sparse.eye_array(n - 1)),
+        "kinetic_eta": (sl["y6"], params.eps3 * dx * sparse.eye_array(n)),
+        "elastic": (sl["y1"], params.alpha * dx * sparse.eye_array(n)),
+        "nonlocal_": (sl["y1"], (params.gamma ** 2 / params.eps3) * dx * ops.p_dense),
+        "magnetic": (slice(sl["y2"].start, sl["y3"].stop),
+                     (params.mu * dx) * (mag.T @ mag)),
+    }
 
 
 def _split_generator(params: BeamParameters, grid: StaggeredGrid,
@@ -250,13 +344,20 @@ def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperato
 
     rhs = t.T @ (m @ b)
     b_red = scipy.linalg.solve(m_red, rhs, assume_a="pos")
-    return Reduction(t_map=t, m_red=m_red, g_red=g_red, b_red=b_red,
+    return Reduction(t_map=t, keep=keep, bound=("y3", "y6"), m_red=m_red,
+                     g_red=g_red, b_red=b_red,
                      mechanical=np.r_[col["y1"], col["y4"]]), defect
 
 
-def certify_skewness(m: sparse.csr_array, g: np.ndarray) -> float:
-    """||M G + G^T M|| / ||M G||; raises AssemblyInconsistent above SKEW_TOL."""
-    mg = m @ g
+def certify_skewness(parts: dict, g: np.ndarray) -> float:
+    """||M G + G^T M|| / ||M G||; raises AssemblyInconsistent above SKEW_TOL.
+
+    M G is formed part by part from the energy parts of M: the dense
+    nonlocal part goes through BLAS and the sparse parts stay sparse.
+    """
+    mg = np.zeros_like(g)
+    for sl, a in parts.values():
+        mg[sl] += a @ g[sl]
     scale = np.linalg.norm(mg)
     skew = float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
     if skew > SKEW_TOL:
@@ -282,33 +383,19 @@ def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> Generator
     ops = build_operators(params, grid)
     split = _split_generator(params, grid, ops)
     g = split.dense(ops.p_dense)
-    m = assemble_mass(params, grid, ops)
+    parts = energy_parts(params, grid, ops)
+    m = gram(parts, grid.state_dim)
     b = assemble_control(params, grid)
 
-    skew = certify_skewness(m, g)
+    skew = certify_skewness(parts, g)
     red, gauge_defect = _reduction(params, grid, ops, g, m, b)
     for arr in (g, b):
         arr.setflags(write=False)
     b_dual = m @ b
     return GeneratorAssembly(
-        params=params, grid=grid, g=g, split=split, m=m, b=b, b_dual=b_dual,
-        output=b_dual, reduction=red, blocks=block_slices(grid),
-        energy_split=partial(_energy_split, params, grid, ops),
-        gauge=partial(_gauge, grid, ops), lift=partial(_lift, params, grid),
-        skew_defect=skew, gauge_defect=gauge_defect)
-
-
-def _energy_split(params, grid, ops, y: np.ndarray) -> EnergyBreakdown:
-    return energy(StateVector.from_flat(y, grid), params, grid, ops)
-
-
-def _gauge(grid, ops, y: np.ndarray, interior: bool = False) -> tuple:
-    return gauge_residual(StateVector.from_flat(y, grid), ops, interior)
-
-
-def _lift(params, grid, y: np.ndarray) -> np.ndarray:
-    s = StateVector.from_flat(y, grid)
-    return StateVector.gauge_projected(s.y1, s.y2, s.y4, s.y5, grid, params).flat()
+        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
+        b=b, b_dual=b_dual, output=b_dual, reduction=red,
+        blocks=block_slices(grid), skew_defect=skew, gauge_defect=gauge_defect)
 
 
 def with_influence(assembly: GeneratorAssembly, b: np.ndarray,

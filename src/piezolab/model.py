@@ -19,7 +19,9 @@ State layout (contiguous blocks, total 6N - 1 coordinates):
 theta carries homogeneous Dirichlet conditions, so only interior values are
 stored; eta and the potential moment are Neumann fields and live on cells.
 The gauge constraint ties the pairs: y3 = xi * grad(y2) and y6 = xi * grad(y5)
-with xi = eps1 h^2 / (12 eps3).
+with xi = eps1 h^2 / (12 eps3).  The lift of an assembled model
+(:meth:`piezolab.generator.GeneratorAssembly.lift`) fills y3 and y6 from the
+free blocks.
 """
 
 from __future__ import annotations
@@ -135,19 +137,6 @@ def build_grid(L: float, n_cells: int) -> StaggeredGrid:
     return StaggeredGrid(n_cells=n_cells, dx=dx, node_coords=nodes, cell_coords=cells)
 
 
-def node_to_cell_gradient(w_interior: np.ndarray, grid: StaggeredGrid) -> np.ndarray:
-    """First difference of an interior-node field onto cells.
-
-    The implicit boundary values are zero (Dirichlet), so the result has
-    N entries for N-1 interior inputs.
-    """
-    w = np.asarray(w_interior, dtype=float)
-    if w.shape != (grid.n_interior,):
-        raise ValueError(f"expected {grid.n_interior} interior-node values, got {w.shape}")
-    ext = np.concatenate(([0.0], w, [0.0]))
-    return np.diff(ext) / grid.dx
-
-
 _BLOCKS = ("y1", "y2", "y3", "y4", "y5", "y6")
 
 
@@ -191,19 +180,6 @@ class StateVector:
     @classmethod
     def zero(cls, grid: StaggeredGrid) -> "StateVector":
         return cls.from_flat(np.zeros(grid.state_dim), grid)
-
-    @classmethod
-    def gauge_projected(cls, y1, y2, y4, y5, grid: StaggeredGrid,
-                        params: BeamParameters) -> "StateVector":
-        """Construct a state on the gauge manifold from the free fields.
-
-        y3 and y6 are set to xi*grad(y2) and xi*grad(y5); the residual of the
-        result is exactly zero by construction.
-        """
-        y3 = params.xi * node_to_cell_gradient(y2, grid)
-        y6 = params.xi * node_to_cell_gradient(y5, grid)
-        return cls(np.asarray(y1, float), np.asarray(y2, float), y3,
-                   np.asarray(y4, float), np.asarray(y5, float), y6, grid=grid)
 
 
 def block_slices(grid: StaggeredGrid) -> dict:

@@ -1,4 +1,4 @@
-"""Staggered difference operators, the Helmholtz inverse P_xi, and the energy.
+"""Staggered difference operators and the Helmholtz inverse P_xi.
 
 Operator conventions
 --------------------
@@ -29,7 +29,8 @@ div_f).
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
 tridiagonal).  A dense, exactly symmetric realization, built from the banded
 Cholesky factorization of A, backs the dense reference generator, the
-energy and the spectra, and is the one dense block of the Gram matrix.
+nonlocal part of the energy and the spectra, and is the one dense block of
+the Gram matrix.
 Time stepping does not use it: the stepper keeps A itself as tridiagonal
 constraint rows of a sparse augmented system (see :mod:`piezolab.dynamics`).
 """
@@ -41,12 +42,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy import sparse
 
 from .errors import NotPositiveDefinite, SolverFailure
-from .model import BeamParameters, StaggeredGrid, StateVector
-
-NORM_FLOOR = 1e-30
+from .model import BeamParameters, StaggeredGrid
 
 
 def _div_interior(grid: StaggeredGrid) -> np.ndarray:
@@ -159,89 +157,6 @@ class ActuationMode(Enum):
     CURRENT = "current"
     CHARGE_MAGNETIC = "charge_magnetic"
     CHARGE_ELECTROSTATIC = "charge_electrostatic"
-
-
-def assemble_mass(params: BeamParameters, grid: StaggeredGrid,
-                  ops: DiscreteOperators) -> sparse.csr_array:
-    """Gram matrix of the energy inner product over the 6N-1 coordinates.
-
-    Symmetric positive semidefinite on the full coordinate space, positive
-    definite on the gauge-constrained subspace.  The magnetic term couples
-    (y2, y3) through |y2 - div(y3)|^2 on interior nodes; boundary nodes
-    contribute nothing because theta and the flux of eta vanish there.
-    Returned as a CSR array: only the y1 block, which carries P_xi, is dense.
-    """
-    n = grid.n_cells
-    dx = grid.dx
-    # y2 - div(y3) over the adjacent blocks (y2, y3)
-    mag = sparse.hstack([sparse.eye_array(n - 1), -sparse.csr_array(ops.div_int)])
-    return sparse.block_diag([
-        dx * (params.alpha * np.eye(n) + (params.gamma ** 2 / params.eps3) * ops.p_dense),
-        (params.mu * dx) * (mag.T @ mag),
-        params.rho * sparse.diags_array(ops.node_weights),
-        (params.eps1 * params.h ** 2 / 12.0) * dx * sparse.eye_array(n - 1),
-        params.eps3 * dx * sparse.eye_array(n),
-    ], format="csr")
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Energy split into its six nonnegative quadratic contributions."""
-
-    kinetic_v: float
-    kinetic_theta: float
-    kinetic_eta: float
-    elastic: float
-    nonlocal_: float
-    magnetic: float
-
-    @property
-    def total(self) -> float:
-        return (self.kinetic_v + self.kinetic_theta + self.kinetic_eta
-                + self.elastic + self.nonlocal_ + self.magnetic)
-
-    def as_row(self) -> list:
-        return [self.total, self.kinetic_v, self.kinetic_theta, self.kinetic_eta,
-                self.elastic, self.nonlocal_, self.magnetic]
-
-
-def gauge_residual(y: StateVector, ops: DiscreteOperators,
-                   interior: bool = False) -> tuple:
-    """Relative gauge residuals (pos, vel) of a six-field state.
-
-    The residual cell fields y3 - xi grad(y2) and y6 - xi grad(y5) are
-    measured against |y3| and |y6|.  ``interior`` drops the first and last
-    cell: forced trajectories with the distributed current influence develop
-    a discretization layer there (the influence has a boundary jump that the
-    interior-node gradient cannot represent), so the interior residual is
-    the meaningful drift diagnostic for them.
-    """
-    cells = slice(1, -1) if interior else slice(None)
-    r_pos = (-ops.xi * (ops.grad_nc @ y.y2) + y.y3)[cells]
-    r_vel = (-ops.xi * (ops.grad_nc @ y.y5) + y.y6)[cells]
-    rp = float(np.linalg.norm(r_pos) / max(np.linalg.norm(y.y3), NORM_FLOOR))
-    rv = float(np.linalg.norm(r_vel) / max(np.linalg.norm(y.y6), NORM_FLOOR))
-    return rp, rv
-
-
-def energy(y: StateVector, params: BeamParameters, grid: StaggeredGrid,
-           ops: DiscreteOperators) -> EnergyBreakdown:
-    """Energy of a state; equals (1/2) y^T M y.
-
-    The energy is only coercive on the gauge-constrained subspace; the run
-    loop and tabulated starts guard the gauge with :func:`gauge_residual`.
-    """
-    dx = grid.dx
-    kin_v = 0.5 * params.rho * float(np.dot(ops.node_weights, y.y4 ** 2))
-    kin_theta = 0.5 * (params.eps1 * params.h ** 2 / 12.0) * dx * float(np.dot(y.y5, y.y5))
-    kin_eta = 0.5 * params.eps3 * dx * float(np.dot(y.y6, y.y6))
-    elastic = 0.5 * params.alpha * dx * float(np.dot(y.y1, y.y1))
-    nonloc = 0.5 * (params.gamma ** 2 / params.eps3) * dx * float(y.y1 @ ops.p_dense @ y.y1)
-    mag_field = y.y2 - ops.div_int @ y.y3
-    magnetic = 0.5 * params.mu * dx * float(np.dot(mag_field, mag_field))
-    return EnergyBreakdown(kinetic_v=kin_v, kinetic_theta=kin_theta,
-                           kinetic_eta=kin_eta, elastic=elastic,
-                           nonlocal_=nonloc, magnetic=magnetic)
 
 
 def mass_cholesky(m_reduced: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .generator import GeneratorAssembly
 DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
 TABLE_BLOCK = 128
+SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
+SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,7 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
     return _build_report(assembly, s_cl, r, eig_tol)
 
 
-def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float,
-                            max_iter: int = 60, rtol: float = 1e-12):
+def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     """Per-mode closed-loop eigenvalues from the rank-one secular equation.
 
     Returns (omega, lam, coupling) for the open-loop modes with omega > 0,
@@ -196,11 +197,11 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float,
         others = np.arange(len(omega_all)) != j
         lam0 = 1j * omega_all[j]
         delta = 0.0 + 0.0j
-        for _ in range(max_iter):
+        for _ in range(SECULAR_MAX_ITER):
             denom_terms = (lam0 + delta) - 1j * omega_all[others]
             corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
             new_delta = -gain * c2[j] / corr
-            if abs(new_delta - delta) <= rtol * abs(new_delta) + 1e-300:
+            if abs(new_delta - delta) <= SECULAR_RTOL * abs(new_delta) + 1e-300:
                 delta = new_delta
                 break
             delta = 0.5 * (delta + new_delta)
@@ -208,17 +209,17 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float,
     return omegas, lams, np.abs(c[pos])
 
 
-def kernel_basis(assembly: GeneratorAssembly, rel_tol: float = ZERO_MODE_REL_TOL):
+def kernel_basis(assembly: GeneratorAssembly):
     """M-orthonormal basis of the kernel of G on the constrained subspace.
 
     Returns an array of full-state columns; contains the rigid translation
     (constant y4).  Computed from the singular values of the energy-coordinate
-    similarity of G_red.
+    similarity of G_red that lie below ZERO_MODE_REL_TOL times the largest.
     """
     r, s = _energy_similarity(assembly)
     u_svd, sing, vt = np.linalg.svd(s)
     scale = sing[0] if len(sing) else 0.0
-    null_mask = sing <= rel_tol * scale
+    null_mask = sing <= ZERO_MODE_REL_TOL * scale
     vecs = vt[null_mask].T  # orthonormal in energy coordinates = M-orthonormal
     phi_red = scipy.linalg.solve_triangular(r, vecs)
     return assembly.reduction.t_map @ phi_red

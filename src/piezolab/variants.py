@@ -7,8 +7,9 @@ returns the system of each actuation mode:
 * electrostatic: the charge-actuated clamped-free wave system for (v_x, v_dot)
   with rho v_tt = alpha v_xx + (gamma^2/eps3) (P_xi v_x)_x, v(0) = 0, and a
   stress-free right end carrying the boundary load gamma sigma_s/(eps3 h).
-  Collocated trace feedback sigma_s = -k v_dot(L) makes the closed loop
-  dissipative and, unlike the magnetic model, exponentially decaying.
+  Trace feedback sigma_s = -k sign(gamma) v_dot(L) is collocated for either
+  poling direction, which makes the closed loop dissipative and, unlike the
+  magnetic model, exponentially decaying.
 * charge-magnetic: the full six-field generator driven through delta loads
   at both ends of the bending-velocity momentum row.  The influence vector
   carries boundary trapezoid weights 2/dx, so its energy norm grows without
@@ -18,17 +19,14 @@ returns the system of each actuation mode:
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 from scipy import sparse
 
 from .generator import (GeneratorAssembly, Reduction, SplitGenerator,
-                        assemble_generator, certify_skewness, sparse_blocks,
-                        with_influence)
-from .model import BeamParameters, StaggeredGrid
-from .operators import (ActuationMode, DiscreteOperators, EnergyBreakdown,
-                        assemble_mass, build_operators)
+                        assemble_generator, certify_skewness, energy_parts,
+                        gram, sparse_blocks, with_influence)
+from .model import BeamParameters, StaggeredGrid, block_slices
+from .operators import ActuationMode, build_operators
 
 
 def assemble_electrostatic(params: BeamParameters,
@@ -38,8 +36,10 @@ def assemble_electrostatic(params: BeamParameters,
     The state is (s, w): s = v_x on the n_cells cells (block y1, alias s)
     and w = v_dot on the nodes 1..n_cells (block y4, alias w; node 0 is
     clamped to zero and removed).  Every coordinate is mechanical, there is
-    no gauge, the reduction is the identity, and the feedback output is the
-    free-end velocity v_dot(L), which equals (eps3 h / gamma) B* y.
+    no gauge, and the reduction is the identity.  The energy has a kinetic,
+    an elastic and a nonlocal part.  The feedback output is
+    sign(gamma) v_dot(L), which equals (eps3 h / |gamma|) B* y, so the loop
+    u = -k v^T y is collocated and dissipative for either sign of gamma.
 
     The stiffness alpha I + (gamma^2/eps3) P_xi reuses the magnetic model's
     nonlocal solve, so the variant is an actual limit study rather than an
@@ -65,52 +65,36 @@ def assemble_electrostatic(params: BeamParameters,
         k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
         a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]))
     g = split.dense(ops.p_dense)
-    m = sparse.block_diag([
-        dx * (params.alpha * np.eye(n) + (params.gamma**2 / params.eps3) * ops.p_dense),
-        params.rho * sparse.diags_array(ops.node_weights[1:])], format="csr")
+    parts = {
+        "kinetic_v": (velocity, params.rho * sparse.diags_array(ops.node_weights[1:])),
+        "elastic": (strain, params.alpha * dx * sparse.eye_array(n)),
+        "nonlocal_": (strain, (params.gamma**2 / params.eps3) * dx * ops.p_dense),
+    }
+    m = gram(parts, 2 * n)
 
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
 
-    skew = certify_skewness(m, g)
-    trace = np.zeros(2 * n)
-    trace[-1] = 1.0
+    skew = certify_skewness(parts, g)
+    output = np.zeros(2 * n)
+    output[-1] = np.copysign(1.0, params.gamma)
     return GeneratorAssembly(
-        params=params, grid=grid, g=g, split=split, m=m, b=b, b_dual=m @ b,
-        output=trace,
+        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
+        b=b, b_dual=m @ b, output=output,
         reduction=Reduction(t_map=sparse.eye_array(2 * n, format="csr"),
-                            m_red=m.toarray(), g_red=g, b_red=b,
-                            mechanical=np.arange(2 * n)),
+                            keep=np.arange(2 * n), bound=(), m_red=m.toarray(),
+                            g_red=g, b_red=b, mechanical=np.arange(2 * n)),
         blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},
-        energy_split=partial(_electrostatic_energy, params, grid, ops),
-        gauge=lambda y, interior=False: (0.0, 0.0), lift=lambda y: y,
         skew_defect=skew, influence="boundary_trace")
-
-
-def _electrostatic_energy(params: BeamParameters, grid: StaggeredGrid,
-                          ops: DiscreteOperators, y: np.ndarray) -> EnergyBreakdown:
-    """Split 0.5 y^T M y into kinetic, elastic, and nonlocal parts."""
-    n = grid.n_cells
-    dx = grid.dx
-    s = y[:n]
-    w = y[n:]
-    kin = 0.5 * params.rho * float(ops.node_weights[1:] @ (w * w))
-    elastic = 0.5 * params.alpha * dx * float(s @ s)
-    nonloc = 0.5 * (params.gamma**2 / params.eps3) * dx * float(s @ (ops.p_dense @ s))
-    return EnergyBreakdown(kinetic_v=kin, kinetic_theta=0.0, kinetic_eta=0.0,
-                           elastic=elastic, nonlocal_=nonloc, magnetic=0.0)
 
 
 def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
     """Influence vector for +/- delta charge loads at x = 0 and x = L."""
-    dim = grid.state_dim
-    n = grid.n_cells
-    b = np.zeros(dim)
+    y4 = block_slices(grid)["y4"]
+    b = np.zeros(grid.state_dim)
     weight = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / grid.dx)
-    first_y4 = 3 * n - 1
-    last_y4 = first_y4 + n
-    b[first_y4] = weight
-    b[last_y4] = -weight
+    b[y4.start] = weight
+    b[y4.stop - 1] = -weight
     return b
 
 
@@ -132,7 +116,8 @@ def charge_influence_norm(params: BeamParameters, grid: StaggeredGrid) -> float:
 
     Only the Gram matrix is assembled; the generator is not needed.
     """
-    m = assemble_mass(params, grid, build_operators(params, grid))
+    m = gram(energy_parts(params, grid, build_operators(params, grid)),
+             grid.state_dim)
     b = charge_magnetic_influence(params, grid)
     return float(np.sqrt(b @ (m @ b)))
 

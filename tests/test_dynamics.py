@@ -297,7 +297,7 @@ class TestAdmissibility:
         stepper = _stepper(asm, dt)
         best = 0.0
         for _ in range(trials):
-            y0 = _trial_profiles(asm.grid, TOY, rng.standard_normal((4, 4))).flat()
+            y0 = _trial_profiles(asm, rng.standard_normal((4, 4)))
             amp = rng.standard_normal(4)
             phase = rng.uniform(0.0, 2.0 * np.pi, 4)
             y, input_sq = y0.copy(), 0.0

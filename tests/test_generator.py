@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -14,7 +14,7 @@ from piezolab.generator import (assemble_control, assemble_generator, b_star,
                                 with_influence)
 from piezolab.model import (StateVector, block_slices, build_grid,
                             toy_parameters, validate_parameters)
-from piezolab.operators import ActuationMode, build_operators, gauge_residual
+from piezolab.operators import ActuationMode, build_operators
 from piezolab.spectral import ModeRecord
 from piezolab.variants import build_system
 
@@ -27,9 +27,12 @@ def _assembly(n=16, params=TOY):
     return assemble_generator(params, build_grid(params.L, n))
 
 
-def _ops(n):
-    grid = build_grid(TOY.L, n)
-    return grid, build_operators(TOY, grid)
+def _lifted(asm, y1, y2, y4, y5):
+    """Flat state on the gauge manifold from its free blocks."""
+    y = np.zeros(asm.dim)
+    for name, values in (("y1", y1), ("y2", y2), ("y4", y4), ("y5", y5)):
+        y[asm.blocks[name]] = values
+    return asm.lift(y)
 
 
 def _random_parameters(seed):
@@ -39,6 +42,12 @@ def _random_parameters(seed):
                                     gamma=rng.uniform(-2.0, 2.0),
                                     eps1=vals[2], eps3=vals[3], mu=vals[4],
                                     h=vals[5], L=vals[6]))
+
+
+# the corner of the box _random_parameters draws from where xi/dx^2, and so
+# cond(I - xi lap_cc), is largest: 12 300 at N = 48
+BOX_CORNER = validate_parameters(dict(rho=1.0, alpha=1.0, gamma=2.0, eps1=2.0,
+                                      eps3=0.5, mu=1.0, h=2.0, L=0.5))
 
 
 # Dense reference constructions, written independently of the split form:
@@ -171,19 +180,22 @@ class TestSkewness:
 
 
 class TestSplitForm:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 48),
-           actuation=st.sampled_from(ALL_SYSTEMS))
+    @given(params=st.integers(0, 2**32 - 1).map(_random_parameters),
+           n=st.integers(8, 48), actuation=st.sampled_from(ALL_SYSTEMS))
+    @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CURRENT)
+    @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CHARGE_MAGNETIC)
+    @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CHARGE_ELECTROSTATIC)
     @settings(max_examples=25, deadline=None)
-    def test_split_equals_dense(self, seed, n, actuation):
-        # G0 + C A^{-1} K reproduces the dense reference generator
-        p = _random_parameters(seed)
-        asm = build_system(p, build_grid(p.L, n), actuation)
+    def test_split_equals_dense(self, params, n, actuation):
+        # G0 + C A^{-1} K, with A^{-1} K from a dense solve, reproduces the
+        # dense G formed with P_xi; the independent dense constructions are
+        # TestDenseReference's oracle, under its cond(A) bound
+        asm = build_system(params, build_grid(params.L, n), actuation)
         split = asm.split
-        ref = _dense_reference(asm, actuation).g
-        assert split.shape == ref.shape
+        assert split.shape == asm.g.shape
         g = split.g0.toarray() + split.c.toarray() @ np.linalg.solve(
             split.a.toarray(), split.k.toarray())
-        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(g - asm.g) <= 1e-12 * np.linalg.norm(asm.g)
 
     def test_influence_keeps_split(self):
         asm = _assembly(16)
@@ -323,37 +335,57 @@ class TestBStar:
 
 class TestGaugeResidual:
     def test_projection_exact(self):
-        grid, ops = _ops(32)
+        asm = _assembly(32)
         rng = np.random.default_rng(2)
-        y = StateVector.gauge_projected(rng.standard_normal(32),
-                                        rng.standard_normal(31),
-                                        rng.standard_normal(33),
-                                        rng.standard_normal(31),
-                                        grid, TOY)
-        rp, rv = gauge_residual(y, ops)
+        y = _lifted(asm, rng.standard_normal(32), rng.standard_normal(31),
+                    rng.standard_normal(33), rng.standard_normal(31))
+        rp, rv = asm.gauge(y)
         assert rp <= 1e-14 and rv <= 1e-14
 
     def test_perturbation_linearity(self):
-        grid, ops = _ops(32)
+        asm = _assembly(32)
         rng = np.random.default_rng(4)
-        y = StateVector.gauge_projected(np.zeros(32), rng.standard_normal(31),
-                                        np.zeros(33), rng.standard_normal(31),
-                                        grid, TOY)
+        y = _lifted(asm, np.zeros(32), rng.standard_normal(31),
+                    np.zeros(33), rng.standard_normal(31))
         delta = 1e-3 * rng.standard_normal(32)
-        bad = StateVector(y.y1, y.y2, y.y3 + delta, y.y4, y.y5, y.y6,
-                          grid=grid)
-        rp, _ = gauge_residual(bad, ops)
-        expected = np.linalg.norm(delta) / np.linalg.norm(bad.y3)
+        bad = y.copy()
+        bad[asm.blocks["y3"]] += delta
+        rp, _ = asm.gauge(bad)
+        expected = np.linalg.norm(delta) / np.linalg.norm(bad[asm.blocks["y3"]])
         assert rp == pytest.approx(expected, rel=1e-10)
 
     def test_interior_drops_boundary_cells(self):
-        grid, ops = _ops(16)
-        y = StateVector.zero(grid)
-        y3 = np.zeros(16)
-        y3[0] = y3[-1] = 1.0
-        bad = StateVector(y.y1, y.y2, y3, y.y4, y.y5, y.y6, grid=grid)
-        assert gauge_residual(bad, ops)[0] == pytest.approx(1.0)
-        assert gauge_residual(bad, ops, interior=True)[0] == 0.0
+        asm = _assembly(16)
+        y3 = asm.blocks["y3"]
+        bad = np.zeros(asm.dim)
+        bad[y3.start] = bad[y3.stop - 1] = 1.0
+        assert asm.gauge(bad)[0] == pytest.approx(1.0)
+        assert asm.gauge(bad, interior=True)[0] == 0.0
+
+
+class TestSharedModelData:
+    """Lift, gauge residuals and energy split: one method each for every model."""
+
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    def test_lift_is_idempotent_and_gauge_exact(self, actuation):
+        asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
+        lifted = asm.lift(np.random.default_rng(3).standard_normal(asm.dim))
+        np.testing.assert_array_equal(asm.lift(lifted), lifted)
+        assert asm.gauge(lifted) == (0.0, 0.0)
+        assert asm.gauge(lifted, interior=True) == (0.0, 0.0)
+
+    def test_electrostatic_lift_is_identity(self):
+        es = build_system(TOY, build_grid(TOY.L, 24),
+                          ActuationMode.CHARGE_ELECTROSTATIC)
+        y = np.random.default_rng(5).standard_normal(es.dim)
+        np.testing.assert_array_equal(es.lift(y), y)
+
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    def test_energy_split_is_half_gram_quadratic(self, actuation):
+        asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
+        y = asm.lift(np.random.default_rng(9).standard_normal(asm.dim))
+        assert asm.energy_split(y).total == pytest.approx(
+            0.5 * y @ (asm.m @ y), rel=1e-12)
 
 
 class TestWithInfluence:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezolab.errors import GridTooCoarse, NonPositiveParameter
+from piezolab.generator import assemble_generator
 from piezolab.model import (StateVector, block_slices, build_grid,
-                            node_to_cell_gradient, toy_parameters,
-                            validate_parameters)
+                            toy_parameters, validate_parameters)
 
 TOY = dict(rho=1.0, alpha=1.0, gamma=1.0, eps1=1.0, eps3=1.0,
            mu=1.0, h=1.0, L=1.0)
@@ -95,13 +95,20 @@ class TestStateVector:
     def test_gauge_projection_is_exact(self):
         g = build_grid(1.0, 32)
         p = toy_parameters()
+        asm = assemble_generator(p, g)
         rng = np.random.default_rng(11)
-        y = StateVector.gauge_projected(rng.standard_normal(32),
-                                        rng.standard_normal(31),
-                                        rng.standard_normal(33),
-                                        rng.standard_normal(31), g, p)
-        r3 = y.y3 - p.xi * node_to_cell_gradient(y.y2, g)
-        r6 = y.y6 - p.xi * node_to_cell_gradient(y.y5, g)
+        y = np.zeros(asm.dim)
+        for name in ("y1", "y2", "y4", "y5"):
+            block = asm.blocks[name]
+            y[block] = rng.standard_normal(block.stop - block.start)
+        y = StateVector.from_flat(asm.lift(y), g)
+
+        def node_to_cell_gradient(w):
+            # first difference onto cells with zero (Dirichlet) boundary values
+            return np.diff(np.concatenate(([0.0], w, [0.0]))) / g.dx
+
+        r3 = y.y3 - p.xi * node_to_cell_gradient(y.y2)
+        r6 = y.y6 - p.xi * node_to_cell_gradient(y.y5)
         assert np.linalg.norm(r3) <= 1e-13 * np.linalg.norm(y.y3)
         assert np.linalg.norm(r6) <= 1e-13 * np.linalg.norm(y.y6)
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piezolab.model import (StateVector, block_slices, build_grid,
-                            toy_parameters, validate_parameters)
-from piezolab.operators import (assemble_mass, build_operators, energy,
-                                p_xi_identity_check)
+from piezolab.generator import assemble_generator, energy_parts, gram
+from piezolab.model import (block_slices, build_grid, toy_parameters,
+                            validate_parameters)
+from piezolab.operators import build_operators, p_xi_identity_check
 
 TOY = toy_parameters()
 
@@ -16,6 +16,18 @@ TOY = toy_parameters()
 def _ops(n=32, params=TOY):
     grid = build_grid(params.L, n)
     return grid, build_operators(params, grid)
+
+
+def _mass(params, grid, ops):
+    return gram(energy_parts(params, grid, ops), grid.state_dim)
+
+
+def _lifted(asm, y1, y2, y4, y5):
+    """Flat state on the gauge manifold from its free blocks."""
+    y = np.zeros(asm.dim)
+    for name, values in (("y1", y1), ("y2", y2), ("y4", y4), ("y5", y5)):
+        y[asm.blocks[name]] = values
+    return asm.lift(y)
 
 
 class TestAdjointStructure:
@@ -117,11 +129,10 @@ class TestPXiIdentity:
 class TestMassMatrix:
     def test_symmetry_exact(self):
         grid, ops = _ops(20)
-        m = assemble_mass(TOY, grid, ops).toarray()
+        m = _mass(TOY, grid, ops).toarray()
         assert np.linalg.norm(m - m.T) == 0.0
 
     def test_positive_definite_on_constrained_subspace(self):
-        from piezolab.generator import assemble_generator
         grid = build_grid(1.0, 32)
         asm = assemble_generator(TOY, grid)
         t = asm.reduction.t_map
@@ -133,7 +144,7 @@ class TestMassMatrix:
         p = validate_parameters(dict(rho=2.0, alpha=1e-30, gamma=0.0, eps1=1e-30,
                                      eps3=1e30, mu=1e-30, h=1.0, L=1.0))
         grid, ops = _ops(8, p)
-        m = assemble_mass(p, grid, ops).toarray()
+        m = _mass(p, grid, ops).toarray()
         sl = block_slices(grid)["y4"]
         w = np.full(9, grid.dx)
         w[0] = w[-1] = grid.dx / 2.0
@@ -142,41 +153,28 @@ class TestMassMatrix:
 
 class TestEnergy:
     def test_zero_state(self):
-        grid, ops = _ops(16)
-        assert energy(StateVector.zero(grid), TOY, grid, ops).total == 0.0
+        asm = assemble_generator(TOY, build_grid(TOY.L, 16))
+        assert asm.energy_split(np.zeros(asm.dim)).total == 0.0
 
     def test_uniform_velocity(self):
         p = validate_parameters(dict(rho=2.0, alpha=1.0, gamma=1.0, eps1=1.0,
                                      eps3=1.0, mu=1.0, h=1.0, L=1.0))
-        grid, ops = _ops(16, p)
-        y = StateVector.gauge_projected(np.zeros(16), np.zeros(15),
-                                        np.ones(17), np.zeros(15), grid, p)
-        assert energy(y, p, grid, ops).total == pytest.approx(1.0, rel=1e-12)
-
-    def test_total_is_half_gram_quadratic(self):
-        grid, ops = _ops(24)
-        m = assemble_mass(TOY, grid, ops)
-        rng = np.random.default_rng(9)
-        y = StateVector.gauge_projected(rng.standard_normal(24),
-                                        rng.standard_normal(23),
-                                        rng.standard_normal(25),
-                                        rng.standard_normal(23), grid, TOY)
-        v = y.flat()
-        assert energy(y, TOY, grid, ops).total == pytest.approx(
-            0.5 * v @ (m @ v), rel=1e-12)
+        asm = assemble_generator(p, build_grid(p.L, 16))
+        y = _lifted(asm, np.zeros(16), np.zeros(15), np.ones(17), np.zeros(15))
+        assert asm.energy_split(y).total == pytest.approx(1.0, rel=1e-12)
 
     def test_modal_state_matches_independent_quadrature(self):
         # y2 = sin(pi x/L) gauge-projected leaves only the magnetic term.
         # Rebuild that integral with an explicitly written trapezoid sum and,
         # separately, compare against the continuum value (1/2)mu(1+xi pi^2)^2/2.
-        grid, ops = _ops(256)
+        grid = build_grid(TOY.L, 256)
+        asm = assemble_generator(TOY, grid)
         theta = np.sin(np.pi * grid.node_coords[1:-1] / grid.L)
-        y = StateVector.gauge_projected(np.zeros(256), theta,
-                                        np.zeros(257), np.zeros(255), grid, TOY)
-        br = energy(y, TOY, grid, ops)
+        y = _lifted(asm, np.zeros(256), theta, np.zeros(257), np.zeros(255))
+        br = asm.energy_split(y)
         theta_full = np.concatenate(([0.0], theta, [0.0]))
         eta_x = np.zeros(257)                      # flux-free at both ends
-        eta_x[1:-1] = np.diff(y.y3) / grid.dx
+        eta_x[1:-1] = np.diff(y[asm.blocks["y3"]]) / grid.dx
         integrand = 0.5 * TOY.mu * (theta_full - eta_x) ** 2
         quad = np.trapezoid(integrand, dx=grid.dx)
         assert br.magnetic == pytest.approx(quad, rel=1e-10)
@@ -184,13 +182,11 @@ class TestEnergy:
         assert br.total == pytest.approx(exact, rel=2e-3)
 
     def test_components_nonnegative(self):
-        grid, ops = _ops(32)
+        asm = assemble_generator(TOY, build_grid(TOY.L, 32))
         rng = np.random.default_rng(21)
-        y = StateVector.gauge_projected(rng.standard_normal(32),
-                                        rng.standard_normal(31),
-                                        rng.standard_normal(33),
-                                        rng.standard_normal(31), grid, TOY)
-        br = energy(y, TOY, grid, ops)
+        y = _lifted(asm, rng.standard_normal(32), rng.standard_normal(31),
+                    rng.standard_normal(33), rng.standard_normal(31))
+        br = asm.energy_split(y)
         for val in (br.kinetic_v, br.kinetic_theta, br.kinetic_eta,
                     br.elastic, br.nonlocal_, br.magnetic):
             assert val >= -1e-14 * br.total

@@ -149,11 +149,11 @@ class TestDecayFit:
     def test_conservative_run_has_zero_rate(self):
         asm = assemble_generator(TOY, build_grid(1.0, 32))
         rng = np.random.default_rng(13)
-        y0 = StateVector.gauge_projected(rng.standard_normal(32),
-                                         rng.standard_normal(31),
-                                         rng.standard_normal(33),
-                                         rng.standard_normal(31),
-                                         asm.grid, TOY)
+        y0 = np.zeros(asm.dim)
+        for name in ("y1", "y2", "y4", "y5"):
+            block = asm.blocks[name]
+            y0[block] = rng.standard_normal(block.stop - block.start)
+        y0 = asm.lift(y0)
         series = run(asm, y0, n_steps=2000, dt=default_dt(TOY, asm.grid),
                      record_stride=20)
         fit = decay_rate_fit(series, (0.0, series.times[-1]))
