@@ -7,7 +7,9 @@ Core entry points:
 * :func:`piezolab.operators.build_operators`
 * :class:`piezolab.generator.GeneratorAssembly`, the linear system every
   actuation model builds, with its energy parts, lift and gauge residuals;
-  :func:`piezolab.variants.build_system` picks one
+  :func:`piezolab.variants.build_system` picks one.  A state is a flat float
+  array of ``asm.dim`` coordinates, its named blocks are the slices
+  ``asm.blocks``, and the collocated output B* y is ``asm.b_dual @ y``
 * :func:`piezolab.dynamics.run`, :func:`piezolab.dynamics.simulate`
 * :func:`piezolab.spectral.compute_spectrum`
 * ``piezolab`` console script for the experiment suite
@@ -15,9 +17,9 @@ Core entry points:
 
 from .config import ExperimentConfig, config_from_dict, load_config, toy_config_dict
 from .dynamics import TimeSeries, admissibility_estimate, run, simulate
-from .generator import GeneratorAssembly, assemble_generator, b_star
-from .model import (BeamParameters, StaggeredGrid, StateVector, build_grid,
-                    toy_parameters, validate_parameters)
+from .generator import GeneratorAssembly, assemble_generator
+from .model import (BeamParameters, StaggeredGrid, build_grid, toy_parameters,
+                    validate_parameters)
 from .operators import ActuationMode, build_operators
 from .spectral import (SpectrumReport, closed_loop_spectrum, compute_spectrum,
                        decay_rate_fit, kernel_basis)
@@ -30,11 +32,9 @@ __all__ = [
     "GeneratorAssembly",
     "SpectrumReport",
     "StaggeredGrid",
-    "StateVector",
     "TimeSeries",
     "admissibility_estimate",
     "assemble_generator",
-    "b_star",
     "build_grid",
     "build_operators",
     "build_system",

@@ -23,8 +23,7 @@ from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
 from .model import build_grid
 from .operators import ActuationMode
-from .spectral import (classify_stabilizability, closed_loop_spectrum,
-                       compute_spectrum)
+from .spectral import closed_loop_spectrum, compute_spectrum
 from .variants import (assemble_electrostatic, build_system,
                        charge_influence_norm)
 
@@ -161,16 +160,17 @@ def cmd_spectrum(args) -> ExperimentReport:
     spec_path = out / "spectrum.csv"
     report.write_csv(str(spec_path))
     paths = [str(spec_path)]
-    summary = classify_stabilizability(report)
+    n_modes = len(report.mode_table)
+    n_stabilizable = sum(1 for rec in report.mode_table if rec.stabilizable)
     rel = report.max_abs_real / max(report.g_norm, 1e-30)
     outcome = {
         "max_abs_real": report.max_abs_real,
         "spectral_radius": report.g_norm,
         "abscissa_relative": rel,
         "kernel_dimension": report.kernel_dimension,
-        "n_modes": summary["n_modes"],
-        "n_stabilizable": summary["n_stabilizable"],
-        "n_non_stabilizable": summary["n_non_stabilizable"],
+        "n_modes": n_modes,
+        "n_stabilizable": n_stabilizable,
+        "n_non_stabilizable": n_modes - n_stabilizable,
     }
     pass_fail = {"imaginary_axis": bool(rel <= 1e-10)}
     if args.closed_loop is not None:

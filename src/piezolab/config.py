@@ -106,31 +106,56 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 
 
 def _finite(value, where: str) -> float:
-    """float(value), rejecting NaN and infinities, which JSON admits."""
-    v = float(value)
+    """float(value), rejecting non-numbers and the NaN and infinities JSON admits."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"{where} must be a number, got {value!r}") from None
     if not np.isfinite(v):
         raise ConfigParseError(f"{where} must be finite, got {v}")
     return v
 
 
-def _load_signal_samples(path: Path) -> tuple:
+def _integer(value, where: str, minimum: int) -> int:
+    """An integer of at least ``minimum``; JSON floats and booleans are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigParseError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigParseError(f"{where} must be at least {minimum}, got {value}")
+    return value
+
+
+def _csv_rows(path: Path, kind: str, columns: dict) -> list:
+    """Rows of a CSV file whose header names ``columns``, each column parsed.
+
+    ``columns`` maps a column name to its parser; a value it cannot parse
+    is reported with the file and its line.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "time" not in reader.fieldnames \
-                    or "value" not in reader.fieldnames:
-                raise ConfigParseError(
-                    f"signal file {path} needs a header with time,value columns")
-            times, values = [], []
+            if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+                raise ConfigParseError(f"{kind} file {path} needs a header with "
+                                       f"{','.join(columns)} columns")
+            rows = []
             for row in reader:
-                times.append(float(row["time"]))
-                values.append(float(row["value"]))
+                try:
+                    rows.append(tuple(parse(row[name]) for name, parse in columns.items()))
+                except (TypeError, ValueError):
+                    values = ",".join(str(row[name]) for name in columns)
+                    raise ConfigParseError(
+                        f"{kind} file {path} line {reader.line_num}: cannot parse "
+                        f"{values!r} as {','.join(columns)}") from None
     except OSError as exc:
-        raise ConfigParseError(f"cannot read signal file {path}: {exc}") from exc
-    t = np.array(times)
-    if t.size == 0:
+        raise ConfigParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    return rows
+
+
+def _load_signal_samples(path: Path) -> tuple:
+    rows = _csv_rows(path, "signal", {"time": float, "value": float})
+    if not rows:
         raise ConfigParseError(f"signal file {path} has no samples")
-    v = np.array(values)
+    t, v = (np.array(col) for col in zip(*rows))
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
         raise ConfigParseError(f"signal file {path} has a non-finite sample")
     if np.any(np.diff(t) <= 0):
@@ -139,17 +164,7 @@ def _load_signal_samples(path: Path) -> tuple:
 
 
 def _load_state_rows(path: Path) -> tuple:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            need = {"field", "index", "value"}
-            if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-                raise ConfigParseError(
-                    f"state file {path} needs a header with field,index,value columns")
-            rows = tuple((row["field"], int(row["index"]), float(row["value"]))
-                         for row in reader)
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read state file {path}: {exc}") from exc
+    rows = tuple(_csv_rows(path, "state", {"field": str, "index": int, "value": float}))
     if not rows:
         raise ConfigParseError(f"state file {path} has no rows")
     if not all(np.isfinite(value) for _, _, value in rows):
@@ -195,9 +210,7 @@ def _parse_initial_state(raw, base_dir: Path) -> InitialStateSpec:
         path = (base_dir / rel).resolve()
         rows = _load_state_rows(path)
         return InitialStateSpec(kind=kind, path=str(path), rows=rows)
-    mode_index = int(raw.get("mode_index", 0))
-    if mode_index < 0:
-        raise ConfigParseError("initial_state.mode_index must be nonnegative")
+    mode_index = _integer(raw.get("mode_index", 0), "initial_state.mode_index", 0)
     return InitialStateSpec(kind=kind, mode_index=mode_index,
                             amplitude=_finite(raw.get("amplitude", 1.0),
                                               "initial_state.amplitude"))
@@ -239,20 +252,16 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     except (ValueError, PiezolabError) as exc:
         raise ConfigParseError(f"invalid params: {exc}") from exc
 
-    n_cells = _require(doc, "n_cells", "config")
-    if not isinstance(n_cells, int) or isinstance(n_cells, bool):
-        raise ConfigParseError(f"n_cells must be an integer, got {n_cells!r}")
-    if n_cells < 8:
-        raise ConfigParseError(f"n_cells must be at least 8, got {n_cells}")
+    n_cells = _integer(_require(doc, "n_cells", "config"), "n_cells", 8)
 
-    t_final = float(_require(doc, "t_final", "config"))
-    if not np.isfinite(t_final) or t_final <= 0:
+    t_final = _finite(_require(doc, "t_final", "config"), "t_final")
+    if t_final <= 0:
         raise ConfigParseError(f"t_final must be positive, got {t_final}")
 
     dt = doc.get("dt")
     if dt is not None:
-        dt = float(dt)
-        if not np.isfinite(dt) or dt <= 0:
+        dt = _finite(dt, "dt")
+        if dt <= 0:
             raise ConfigParseError(f"dt must be positive, got {dt}")
         if t_final < dt:
             raise ConfigParseError(
@@ -281,10 +290,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     initial = _parse_initial_state(doc.get("initial_state"), base_dir)
     tolerances = _parse_tolerances(doc.get("tolerances"))
 
-    stride = doc.get("record_stride", 1)
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-        raise ConfigParseError(f"record_stride must be a positive integer, "
-                               f"got {stride!r}")
+    stride = _integer(doc.get("record_stride", 1), "record_stride", 1)
 
     return ExperimentConfig(params=params, n_cells=n_cells, t_final=t_final,
                             dt=dt, actuation=actuation, input_signal=signal,

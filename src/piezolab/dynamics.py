@@ -31,7 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure, NonFiniteState
 from .generator import GeneratorAssembly, SplitGenerator
-from .model import BeamParameters, StaggeredGrid, StateVector, build_grid
+from .model import BeamParameters, StaggeredGrid, build_grid
 from .spectral import open_loop_modes
 from .variants import build_system
 
@@ -147,7 +147,7 @@ class RankOneMidpoint:
         return 2.0 * y_mid - y, -self.gain * float(self._v @ y_mid)
 
 
-def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
+def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
         dt: float, input_fn: Callable[[float], float] | None = None,
         gain: float = 0.0, record_stride: int = 1,
         gauge_tol: float = 1e-8, keep_states: bool = False) -> TimeSeries:
@@ -164,10 +164,7 @@ def run(assembly: GeneratorAssembly, y0: StateVector | np.ndarray, n_steps: int,
     """
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
-    if isinstance(y0, StateVector):
-        y = y0.flat().copy()
-    else:
-        y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).copy()
     if y.shape != (assembly.dim,):
         raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
     stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt,

@@ -25,7 +25,10 @@ lift T: y3 = xi*grad(y2), y6 = xi*grad(y5).  G maps the manifold into
 itself, so G T = T G_red with G_red the reduced generator used for spectra.
 
 :class:`GeneratorAssembly` is the linear system that every actuation model
-builds; the run loop, the mode table and the spectra take nothing else.
+builds; the run loop, the mode table and the spectra take nothing else.  It
+acts on flat state arrays whose named blocks are the slices ``blocks``, and
+its row ``b_dual`` = M b is the control adjoint: B* y = b^T M y is
+``b_dual @ y``, which equals (dx/h) * sum(y5) for the current influence.
 The six-field models are assembled here, the electrostatic one in
 :mod:`piezolab.variants`.
 
@@ -58,7 +61,7 @@ import scipy.linalg
 from scipy import sparse
 
 from .errors import AssemblyInconsistent
-from .model import BeamParameters, StaggeredGrid, StateVector, block_slices
+from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import DiscreteOperators, build_operators
 
 SKEW_TOL = 1e-12
@@ -409,15 +412,3 @@ def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
     b_dual = assembly.m @ b
     return replace(assembly, b=b, b_dual=b_dual, output=b_dual,
                    reduction=replace(red, b_red=b_red), influence=influence)
-
-
-def b_star(z, assembly: GeneratorAssembly) -> float:
-    """Adjoint output b^T M z; equals (dx/h) * sum(z5) for the current influence."""
-    if isinstance(z, StateVector):
-        z = z.flat()
-    z = np.asarray(z)
-    if z.shape != (assembly.dim,):
-        raise ValueError(f"state must have {assembly.dim} coordinates, got {z.shape}")
-    return float(np.dot(assembly.b_dual, z)) if np.isrealobj(z) else complex(
-        np.dot(assembly.b_dual, z))
-

@@ -1,4 +1,4 @@
-"""Physical parameters, staggered grid geometry, and the simulation state.
+"""Physical parameters, staggered grid geometry, and the block layout of the state.
 
 The beam occupies (0, L).  All fields live on a uniform staggered grid with
 N cells of width dx = L/N:
@@ -7,7 +7,8 @@ N cells of width dx = L/N:
 * nodes          x_j       = j dx,          j = 0..N,
 * interior nodes x_j,                       j = 1..N-1.
 
-State layout (contiguous blocks, total 6N - 1 coordinates):
+A state is one flat float array of 6N - 1 coordinates, in contiguous named
+blocks (:func:`block_slices`; a six-field assembly holds them as ``blocks``):
 
     y1  strain v_x           on cells          (N)
     y2  theta                on interior nodes (N-1), zero at both ends
@@ -26,7 +27,7 @@ free blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -64,15 +65,18 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
 
     Raises :class:`NonPositiveParameter` naming the offending field when a
     required-positive constant is not strictly positive, ValueError when a
-    constant is missing or non-finite, and reports if the derived xi
-    underflows to zero.
+    constant is missing, not a number or non-finite, and reports if the
+    derived xi underflows to zero.
     """
     for name in _ALL_FIELDS:
         if name not in raw:
             raise ValueError(f"missing parameter {name!r}")
     values = {}
     for name in _ALL_FIELDS:
-        v = float(raw[name])
+        try:
+            v = float(raw[name])
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {name!r} is not a number: {raw[name]!r}") from None
         if not np.isfinite(v):
             raise ValueError(f"parameter {name!r} is not finite: {v!r}")
         values[name] = v
@@ -107,14 +111,6 @@ class StaggeredGrid:
         return float(self.node_coords[-1])
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_cells + 1
-
-    @property
-    def n_interior(self) -> int:
-        return self.n_cells - 1
-
-    @property
     def state_dim(self) -> int:
         # 3 cell fields + 2 interior-node fields + 1 node field
         return 6 * self.n_cells - 1
@@ -137,58 +133,13 @@ def build_grid(L: float, n_cells: int) -> StaggeredGrid:
     return StaggeredGrid(n_cells=n_cells, dx=dx, node_coords=nodes, cell_coords=cells)
 
 
-_BLOCKS = ("y1", "y2", "y3", "y4", "y5", "y6")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Simulation state split into its six field blocks.
-
-    Instances are immutable; the flat coordinate vector (block order
-    y1|y2|y3|y4|y5|y6) is what the assembled matrices act on.
-    """
-
-    y1: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
-    y4: np.ndarray
-    y5: np.ndarray
-    y6: np.ndarray
-    grid: StaggeredGrid = field(repr=False)
-
-    def __post_init__(self):
-        n = self.grid.n_cells
-        expected = {"y1": n, "y2": n - 1, "y3": n, "y4": n + 1, "y5": n - 1, "y6": n}
-        for name, size in expected.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (size,):
-                raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, b) for b in _BLOCKS])
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, grid: StaggeredGrid) -> "StateVector":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (grid.state_dim,):
-            raise ValueError(f"flat state must have {grid.state_dim} entries, got {vec.shape}")
-        return cls(*(vec[sl] for sl in block_slices(grid).values()), grid=grid)
-
-    @classmethod
-    def zero(cls, grid: StaggeredGrid) -> "StateVector":
-        return cls.from_flat(np.zeros(grid.state_dim), grid)
-
-
 def block_slices(grid: StaggeredGrid) -> dict:
-    """Index ranges of the six blocks inside the flat coordinate vector."""
+    """Index ranges of the six blocks inside the flat state vector."""
     n = grid.n_cells
-    sizes = [n, n - 1, n, n + 1, n - 1, n]
+    sizes = {"y1": n, "y2": n - 1, "y3": n, "y4": n + 1, "y5": n - 1, "y6": n}
     out = {}
     start = 0
-    for name, size in zip(_BLOCKS, sizes):
+    for name, size in sizes.items():
         out[name] = slice(start, start + size)
         start += size
     return out

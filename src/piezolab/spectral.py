@@ -225,18 +225,6 @@ def kernel_basis(assembly: GeneratorAssembly):
     return assembly.reduction.t_map @ phi_red
 
 
-def classify_stabilizability(report: SpectrumReport) -> dict:
-    """Summary counts of a computed spectrum."""
-    stab = [rec for rec in report.mode_table if rec.stabilizable]
-    non = [rec for rec in report.mode_table if not rec.stabilizable]
-    return {
-        "n_modes": len(report.mode_table),
-        "n_stabilizable": len(stab),
-        "n_non_stabilizable": len(non),
-        "kernel_dimension": report.kernel_dimension,
-    }
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponential decay fit of log E(t)."""

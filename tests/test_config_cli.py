@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def _write(tmp_path, doc, name="cfg.json"):
     return path
 
 
-def _cli(*args):
+def _cli_subprocess(*args):
     # the child imports the same piezolab as this process, so the suite also
     # runs under pytest's own pythonpath setting without PYTHONPATH
     src = os.path.dirname(os.path.dirname(piezolab.__file__))
@@ -31,6 +32,22 @@ def _cli(*args):
     return subprocess.run([sys.executable, "-m", "piezolab.cli", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """``cli.main`` in this process, returning what a subprocess run would.
+
+    argparse exits through SystemExit; its code becomes the return code.
+    """
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+    return run
 
 
 class TestConfigParsing:
@@ -190,7 +207,8 @@ class TestCliExitCodes:
         cfg = _write(tmp_path, {**toy_config_dict(n_cells=16, t_final=0.2),
                                 "record_stride": 4})
         out = tmp_path / "out"
-        res = _cli("simulate", "--config", str(cfg), "--out", str(out))
+        res = _cli_subprocess("simulate", "--config", str(cfg),
+                              "--out", str(out))
         assert res.returncode == 0, res.stderr
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["pass_fail"]["energy_drift"] is True
@@ -199,72 +217,111 @@ class TestCliExitCodes:
         for path in report["artifact_paths"]:
             assert os.path.getsize(path) > 0
 
-    def test_missing_key_exits_2(self, tmp_path):
+    def test_missing_key_exits_2(self, tmp_path, run_cli):
         doc = toy_config_dict()
         del doc["params"]["rho"]
-        res = _cli("simulate", "--config", str(_write(tmp_path, doc)),
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "rho" in res.stderr
 
-    def test_non_finite_config_exits_2(self, tmp_path):
+    def test_non_finite_config_exits_2(self, tmp_path, run_cli):
         doc = {**toy_config_dict(n_cells=16, t_final=0.1),
                "actuation": "current", "feedback_gain": float("nan")}
-        res = _cli("simulate", "--config", str(_write(tmp_path, doc)),
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "feedback_gain" in res.stderr
 
     @pytest.mark.parametrize("gain", ["nan", "inf"])
-    def test_non_finite_gain_flag_exits_2(self, tmp_path, gain):
+    def test_non_finite_gain_flag_exits_2(self, tmp_path, gain, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
-        res = _cli("simulate", "--config", str(cfg), "--gain", gain,
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("simulate", "--config", str(cfg), "--gain", gain,
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "gain" in res.stderr
 
-    def test_seed_flag_removed(self, tmp_path):
+    def test_seed_flag_removed(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
-        res = _cli("simulate", "--config", str(cfg), "--seed", "1",
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("simulate", "--config", str(cfg), "--seed", "1",
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "--seed" in res.stderr
 
-    def test_bad_time_bounds_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("path,value", [
+        (("t_final",), None),
+        (("t_final",), "abc"),
+        (("dt",), [1]),
+        (("dt",), "abc"),
+        (("feedback_gain",), None),
+        (("params", "rho"), None),
+        (("initial_state", "amplitude"), None),
+        (("initial_state", "mode_index"), "x"),
+        (("initial_state", "mode_index"), 1.5),
+        (("tolerances", "gauge_tol"), "x"),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_malformed_number_exits_2(self, tmp_path, run_cli, path, value):
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "actuation": "current", "tolerances": {}}
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert path[-1] in res.stderr
+
+    @pytest.mark.parametrize("kind,text,line", [
+        ("initial_state", "field,index,value\ny1,0,1.0\ny1,abc,1.0\n", 3),
+        ("initial_state", "field,index,value\ny1,0,abc\n", 2),
+        ("input_signal", "time,value\n0.0,0.0\n1.0,abc\n", 3),
+    ], ids=["state_index", "state_value", "signal_value"])
+    def test_malformed_tabulated_row_exits_2(self, tmp_path, run_cli, kind,
+                                             text, line):
+        (tmp_path / "tab.csv").write_text(text, encoding="utf-8")
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1), "actuation": "current",
+               kind: {"kind": "tabulated", "path": "tab.csv"}}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert f"tab.csv line {line}:" in res.stderr
+
+    def test_bad_time_bounds_exit_2(self, tmp_path, run_cli):
         doc = toy_config_dict()
         doc["dt"] = 2.0
-        res = _cli("simulate", "--config", str(_write(tmp_path, doc)),
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
 
-    def test_unwritable_out_exits_3(self, tmp_path):
+    def test_unwritable_out_exits_3(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
-        res = _cli("simulate", "--config", str(cfg), "--out", "/proc/nope/dir")
+        res = run_cli("simulate", "--config", str(cfg), "--out", "/proc/nope/dir")
         assert res.returncode == 3
 
-    def test_stabilize_requires_gain(self, tmp_path):
+    def test_stabilize_requires_gain(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
-        res = _cli("stabilize", "--config", str(cfg),
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("stabilize", "--config", str(cfg),
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
 
-    def test_spectrum_success(self, tmp_path):
+    def test_spectrum_success(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
         out = tmp_path / "spec"
-        res = _cli("spectrum", "--config", str(cfg), "--out", str(out))
+        res = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
         assert res.returncode == 0, res.stderr
         header = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "re,im,bstar_abs,stabilizable,dominant_block"
 
-    def test_variants_coarse_grid_exits_2(self, tmp_path):
-        res = _cli("variants", "--n-cells", "4", "--out", str(tmp_path / "o"))
+    def test_variants_coarse_grid_exits_2(self, tmp_path, run_cli):
+        res = run_cli("variants", "--n-cells", "4", "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "n_cells" in res.stderr
 
-    def test_paper_suite_has_no_grid_flag(self, tmp_path):
+    def test_paper_suite_has_no_grid_flag(self, tmp_path, run_cli):
         # every check pins its own grids; a grid flag would be ignored
-        res = _cli("paper-suite", "--only", "skewness", "--n-cells", "999",
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("paper-suite", "--only", "skewness", "--n-cells", "999",
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "--n-cells" in res.stderr
 
@@ -305,39 +362,39 @@ class TestCliExitCodes:
         assert report["outcome"]["closed_loop_abscissa"] > 0.0
         assert (out / "closed_loop_spectrum.csv").stat().st_size > 0
 
-    def test_electrostatic_closed_loop_spectrum_exits_2(self, tmp_path):
+    def test_electrostatic_closed_loop_spectrum_exits_2(self, tmp_path, run_cli):
         # closed-loop spectra take the gain in B* units; the electrostatic
         # gain is in free-end-velocity units
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
-        res = _cli("spectrum", "--config", str(cfg), "--variant",
-                   "electrostatic", "--closed-loop", "1.0",
-                   "--out", str(tmp_path / "o"))
+        res = run_cli("spectrum", "--config", str(cfg), "--variant",
+                      "electrostatic", "--closed-loop", "1.0",
+                      "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "--closed-loop" in res.stderr
 
-    def test_paper_suite_report_json(self, tmp_path):
+    def test_paper_suite_report_json(self, tmp_path, run_cli):
         # the check computes its verdict with numpy; the report must still
         # serialize it
         out = tmp_path / "suite"
-        res = _cli("paper-suite", "--only", "gain_perturbation", "--out", str(out))
+        res = run_cli("paper-suite", "--only", "gain_perturbation", "--out", str(out))
         assert res.returncode == 0, res.stderr
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["pass_fail"] == {"gain_perturbation": True}
 
-    def test_paper_suite_filter(self, tmp_path):
+    def test_paper_suite_filter(self, tmp_path, run_cli):
         out = tmp_path / "suite"
-        res = _cli("paper-suite", "--only", "skewness", "--out", str(out))
+        res = run_cli("paper-suite", "--only", "skewness", "--out", str(out))
         assert res.returncode == 0, res.stderr
         assert "[PASS] skewness" in res.stdout
         assert (out / "acceptance_summary.csv").stat().st_size > 0
 
-    def test_deterministic_artifacts(self, tmp_path):
+    def test_deterministic_artifacts(self, tmp_path, run_cli):
         cfg = _write(tmp_path, {**toy_config_dict(n_cells=16, t_final=0.2),
                                 "record_stride": 4})
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            res = _cli("simulate", "--config", str(cfg), "--out", str(out))
+            res = run_cli("simulate", "--config", str(cfg), "--out", str(out))
             assert res.returncode == 0
             blobs.append((out / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]

@@ -11,8 +11,8 @@ from piezolab.dynamics import (RankOneMidpoint, _trial_profiles,
                                admissibility_estimate, default_dt, modal_state,
                                run)
 from piezolab.errors import GaugeDrift, NonFiniteState, PiezolabError
-from piezolab.generator import assemble_generator, b_star
-from piezolab.model import StateVector, build_grid, toy_parameters
+from piezolab.generator import assemble_generator
+from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode
 from piezolab.variants import build_system
 
@@ -151,7 +151,7 @@ class TestSparseAgainstDense:
                 u = np.cos(5.0 * (j + 0.5) * dt)
                 y_next = stepper.step(y, u)
             e, e_next = 0.5 * y @ (asm.m @ y), 0.5 * y_next @ (asm.m @ y_next)
-            pred = dt * u * b_star(0.5 * (y + y_next), asm)
+            pred = dt * u * (asm.b_dual @ (0.5 * (y + y_next)))
             worst = max(worst, abs((e_next - e) - pred) / e)
             y = y_next
         assert worst <= 1e-13
@@ -179,7 +179,7 @@ def _check_closed_loop_dissipation_identity(actuation):
     worst = 0.0
     for j in range(len(e) - 1):
         y_mid = 0.5 * (series.states[j] + series.states[j + 1])
-        pred = -k * dt * (asm.output @ y_mid) * b_star(y_mid, asm)
+        pred = -k * dt * (asm.output @ y_mid) * (asm.b_dual @ y_mid)
         worst = max(worst, abs((e[j + 1] - e[j]) - pred) / e[j])
     assert worst <= 1e-10
 
@@ -211,7 +211,7 @@ class TestRun:
         # the outermost cells of a forced run; the guard skips that layer but
         # aborts on drift in the interior rather than report it silently
         asm = _assembly(32)
-        forced = run(asm, StateVector.zero(asm.grid), n_steps=200, dt=2e-3,
+        forced = run(asm, np.zeros(asm.dim), n_steps=200, dt=2e-3,
                      input_fn=lambda t: 1.0)
         assert forced.gauge_pos.max() > 1e-6  # the full residual would trip
         y0 = _random_state(asm, seed=2)
@@ -232,8 +232,17 @@ class TestRun:
     def test_gain_and_input_mutually_exclusive(self):
         asm = _assembly(16)
         with pytest.raises(ValueError):
-            run(asm, StateVector.zero(asm.grid), n_steps=1, dt=1e-3,
+            run(asm, np.zeros(asm.dim), n_steps=1, dt=1e-3,
                 input_fn=lambda t: 1.0, gain=1.0)
+
+    @pytest.mark.parametrize("shape", [lambda d: (d - 1,), lambda d: (d + 1,),
+                                       lambda d: (d, 1)],
+                             ids=["short", "long", "column"])
+    def test_wrong_state_shape_rejected(self, shape):
+        # a state is one flat array of asm.dim coordinates, nothing else
+        asm = _assembly(16)
+        with pytest.raises(ValueError, match="does not match dim"):
+            run(asm, np.zeros(shape(asm.dim)), n_steps=1, dt=1e-3)
 
     def test_csv_schema(self, tmp_path):
         asm = _assembly(16)

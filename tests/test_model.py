@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from piezolab.errors import GridTooCoarse, NonPositiveParameter
 from piezolab.generator import assemble_generator
-from piezolab.model import (StateVector, block_slices, build_grid,
-                            toy_parameters, validate_parameters)
+from piezolab.model import (block_slices, build_grid, toy_parameters,
+                            validate_parameters)
 
 TOY = dict(rho=1.0, alpha=1.0, gamma=1.0, eps1=1.0, eps3=1.0,
            mu=1.0, h=1.0, L=1.0)
@@ -74,23 +74,13 @@ class TestBuildGrid:
 
 
 class TestStateVector:
+    """Block layout of the flat state vector."""
+
     def test_block_lengths(self):
-        g = build_grid(1.0, 16)
-        y = StateVector.zero(g)
-        assert (len(y.y1), len(y.y2), len(y.y3)) == (16, 15, 16)
-        assert (len(y.y4), len(y.y5), len(y.y6)) == (17, 15, 16)
-
-    def test_flat_round_trip(self):
-        g = build_grid(1.0, 12)
-        rng = np.random.default_rng(3)
-        vec = rng.standard_normal(g.state_dim)
-        np.testing.assert_array_equal(StateVector.from_flat(vec, g).flat(), vec)
-
-    def test_wrong_length_rejected(self):
-        g = build_grid(1.0, 8)
-        with pytest.raises(ValueError, match="y2"):
-            StateVector(np.zeros(8), np.zeros(8), np.zeros(8),
-                        np.zeros(9), np.zeros(7), np.zeros(8), grid=g)
+        sl = block_slices(build_grid(1.0, 16))
+        lengths = {name: s.stop - s.start for name, s in sl.items()}
+        assert (lengths["y1"], lengths["y2"], lengths["y3"]) == (16, 15, 16)
+        assert (lengths["y4"], lengths["y5"], lengths["y6"]) == (17, 15, 16)
 
     def test_gauge_projection_is_exact(self):
         g = build_grid(1.0, 32)
@@ -101,16 +91,17 @@ class TestStateVector:
         for name in ("y1", "y2", "y4", "y5"):
             block = asm.blocks[name]
             y[block] = rng.standard_normal(block.stop - block.start)
-        y = StateVector.from_flat(asm.lift(y), g)
+        y = asm.lift(y)
+        y2, y3, y5, y6 = (y[asm.blocks[name]] for name in ("y2", "y3", "y5", "y6"))
 
         def node_to_cell_gradient(w):
             # first difference onto cells with zero (Dirichlet) boundary values
             return np.diff(np.concatenate(([0.0], w, [0.0]))) / g.dx
 
-        r3 = y.y3 - p.xi * node_to_cell_gradient(y.y2)
-        r6 = y.y6 - p.xi * node_to_cell_gradient(y.y5)
-        assert np.linalg.norm(r3) <= 1e-13 * np.linalg.norm(y.y3)
-        assert np.linalg.norm(r6) <= 1e-13 * np.linalg.norm(y.y6)
+        r3 = y3 - p.xi * node_to_cell_gradient(y2)
+        r6 = y6 - p.xi * node_to_cell_gradient(y5)
+        assert np.linalg.norm(r3) <= 1e-13 * np.linalg.norm(y3)
+        assert np.linalg.norm(r6) <= 1e-13 * np.linalg.norm(y6)
 
     def test_block_slices_cover_state(self):
         g = build_grid(1.0, 10)
