@@ -3,12 +3,14 @@
 Each check builds what it needs, measures one quantitative property of the
 discretization at a pinned tolerance, and returns a CheckResult.  The CLI
 ``paper-suite`` subcommand and tests/test_acceptance.py both drive
-:func:`run_all`.  Assemblies and spectra are cached per (params, N) because
-several checks share them.
+:func:`run_all`.  Assemblies, spectra and the shared trajectory are cached
+(``functools.cache``, keyed by N and gamma) because several checks share
+them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,38 +41,28 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.measured} (tolerance {self.tolerance})"
 
 
-_cache: dict = {}
+@functools.cache
+def _assembly(n_cells: int, gamma: float):
+    params = toy_parameters(gamma)
+    return assemble_generator(params, build_grid(params.L, n_cells))
 
 
-def _assembly(n_cells: int, gamma: float = 1.0):
-    key = ("asm", n_cells, gamma)
-    if key not in _cache:
-        params = toy_parameters(gamma)
-        _cache[key] = assemble_generator(params, build_grid(params.L, n_cells))
-    return _cache[key]
+@functools.cache
+def _spectrum(n_cells: int, gamma: float):
+    return compute_spectrum(_assembly(n_cells, gamma))
 
 
-def _spectrum(n_cells: int, gamma: float = 1.0):
-    key = ("spec", n_cells, gamma)
-    if key not in _cache:
-        _cache[key] = compute_spectrum(_assembly(n_cells, gamma))
-    return _cache[key]
-
-
+@functools.cache
 def _conservation_series():
     """Shared 1e4-step open-loop trajectory for checks 2 and 3."""
-    key = ("run10k",)
-    if key not in _cache:
-        asm = _assembly(32)
-        rng = np.random.default_rng(7)
-        y0 = np.zeros(asm.dim)
-        for name in ("y1", "y2", "y4", "y5"):
-            block = asm.blocks[name]
-            y0[block] = rng.standard_normal(block.stop - block.start)
-        dt = default_dt(asm.params, asm.grid)
-        _cache[key] = run(asm, asm.lift(y0), 10_000, dt, record_stride=100,
-                          gauge_tol=1e-8)
-    return _cache[key]
+    asm = _assembly(32, 1.0)
+    rng = np.random.default_rng(7)
+    y0 = np.zeros(asm.dim)
+    for name in ("y1", "y2", "y4", "y5"):
+        block = asm.blocks[name]
+        y0[block] = rng.standard_normal(block.stop - block.start)
+    dt = default_dt(asm.params, asm.grid)
+    return run(asm, asm.lift(y0), 10_000, dt, record_stride=100, gauge_tol=1e-8)
 
 
 def _em_modes(report):
@@ -124,7 +116,7 @@ def check_gauge() -> CheckResult:
 
 def check_imaginary_spectrum() -> CheckResult:
     """4: spectral abscissa relative to the spectral radius at N=128."""
-    rep = _spectrum(128)
+    rep = _spectrum(128, 1.0)
     rel = rep.max_abs_real / rep.g_norm
     tol = 1e-10
     return CheckResult("imaginary_spectrum", rel <= tol,
@@ -230,8 +222,8 @@ def check_gain_perturbation() -> CheckResult:
     The prediction -k |B*phi|^2 / ||phi||_M^2 uses the Gram normalization
     in which the energy is half the squared norm; modes carry unit M-norm.
     """
-    rep = _spectrum(64)
-    asm = _assembly(64)
+    rep = _spectrum(64, 1.0)
+    asm = _assembly(64, 1.0)
     stab = [r for r in rep.mode_table
             if r.stabilizable and r.eigenvalue.imag > 1e-8]
     stab.sort(key=lambda r: r.eigenvalue.imag)
@@ -304,7 +296,7 @@ def check_admissibility() -> CheckResult:
     """11: input-to-state gain estimate stable under refinement."""
     vals = {}
     for n in (32, 64):
-        vals[n] = admissibility_estimate(25, 1.0, _assembly(n), seed=42)
+        vals[n] = admissibility_estimate(25, 1.0, _assembly(n, 1.0), seed=42)
     rel = abs(vals[64] - vals[32]) / vals[32]
     passed = np.isfinite(vals[32]) and np.isfinite(vals[64]) and rel <= 0.20
     return CheckResult("admissibility", bool(passed),
@@ -323,7 +315,7 @@ def check_kernel_audit() -> CheckResult:
     dims = {}
     worst_proj = 0.0
     for n in (32, 64, 128):
-        asm = _assembly(n)
+        asm = _assembly(n, 1.0)
         basis = kernel_basis(asm)
         dims[n] = basis.shape[1]
         y_tr = np.zeros(asm.dim)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,11 +107,10 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 
 
 def _finite(value, where: str) -> float:
-    """float(value), rejecting non-numbers and the NaN and infinities JSON admits."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigParseError(f"{where} must be a number, got {value!r}") from None
+    """A JSON number as a float; booleans, strings, NaN and infinities are refused."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigParseError(f"{where} must be a number, got {value!r}")
+    v = float(value)
     if not np.isfinite(v):
         raise ConfigParseError(f"{where} must be finite, got {v}")
     return v

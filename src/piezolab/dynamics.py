@@ -29,7 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import GaugeDrift, GaugeViolation, LinearSolveFailure, NonFiniteState
+from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
+                     NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator
 from .model import BeamParameters, StaggeredGrid, build_grid
 from .spectral import open_loop_modes
@@ -296,7 +297,7 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     w, vectors_reduced = open_loop_modes(assembly)
     pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
     if mode_index >= pos.size:
-        raise ValueError(f"mode index {mode_index} out of range ({pos.size} pairs)")
+        raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
     phi_red = vectors_reduced[:, pos[mode_index]]
     phi = assembly.reduction.t_map @ phi_red
     y = np.real(phi)
@@ -320,10 +321,10 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
     for name, idx, value in rows:
         block = assembly.blocks.get(name)
         if block is None:
-            raise ValueError(f"unknown state field {name!r}")
+            raise ConfigParseError(f"unknown state field {name!r}")
         size = block.stop - block.start
         if not 0 <= idx < size:
-            raise ValueError(f"index {idx} out of range for field {name}")
+            raise ConfigParseError(f"index {idx} out of range for field {name}")
         y[block.start + idx] = value
         given.add(name)
 

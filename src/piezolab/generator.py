@@ -29,7 +29,9 @@ builds; the run loop, the mode table and the spectra take nothing else.  It
 acts on flat state arrays whose named blocks are the slices ``blocks``, and
 its row ``b_dual`` = M b is the control adjoint: B* y = b^T M y is
 ``b_dual @ y``, which equals (dx/h) * sum(y5) for the current influence.
-The six-field models are assembled here, the electrostatic one in
+A model is a declaration (split generator, energy parts, b, lift T, bound
+blocks, output row) that the one builder :func:`assemble` certifies; the
+six-field models are declared here, the electrostatic one in
 :mod:`piezolab.variants`.
 
 Every model is built in the sparse split form G = G0 + C A^{-1} K
@@ -57,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 from .errors import AssemblyInconsistent
@@ -108,7 +109,6 @@ class Reduction:
     bound: tuple        # gauge-bound block names, (pos, vel) or empty
     m_red: np.ndarray   # SPD Gram on reduced coordinates
     g_red: np.ndarray   # reduced generator, G T = T G_red
-    b_red: np.ndarray   # M-orthogonal representative of b on the manifold
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
 
 
@@ -315,15 +315,14 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
     return SplitGenerator(g0=g0, c=c, k=k, a=a)
 
 
-def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
-               g: np.ndarray, m: sparse.csr_array, b: np.ndarray) -> tuple:
-    """The reduction to (y1, y2, y4, y5) and its relative gauge defect."""
+def _lift(params: BeamParameters, grid: StaggeredGrid,
+          ops: DiscreteOperators) -> sparse.csr_array:
+    """The lift T of (y1, y2, y4, y5) onto y3 = xi grad(y2), y6 = xi grad(y5)."""
     n = grid.n_cells
     sl = block_slices(grid)
-    dim = grid.state_dim
     col = {"y1": slice(0, n), "y2": slice(n, 2 * n - 1),
            "y4": slice(2 * n - 1, 3 * n), "y5": slice(3 * n, 4 * n - 1)}
-    t = sparse_blocks((dim, 4 * n - 1), [
+    return sparse_blocks((grid.state_dim, 4 * n - 1), [
         (sl["y1"], col["y1"], np.eye(n)),
         (sl["y2"], col["y2"], np.eye(n - 1)),
         (sl["y3"], col["y2"], params.xi * ops.grad_nc),
@@ -332,32 +331,27 @@ def _reduction(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperato
         (sl["y6"], col["y5"], params.xi * ops.grad_nc),
     ])
 
-    m_red = (t.T @ (m @ t)).toarray()
-    m_red = 0.5 * (m_red + m_red.T)
 
-    gt = g @ t
-    keep = np.concatenate([np.arange(dim)[sl[b_]] for b_ in ("y1", "y2", "y4", "y5")])
-    g_red = gt[keep, :]
+def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
+             split: SplitGenerator, parts: dict, b: np.ndarray,
+             t: sparse.csr_array, bound: tuple, blocks: dict,
+             output: np.ndarray | None = None,
+             influence: str = "distributed_current") -> GeneratorAssembly:
+    """Build and certify the linear system a model declares.
 
-    gt -= t @ g_red  # G T - T G_red, in place
-    defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
-    if defect > CONSTRAINT_TOL:
-        raise AssemblyInconsistent(
-            f"generator does not preserve the gauge manifold: defect {defect:.3e}")
-
-    rhs = t.T @ (m @ b)
-    b_red = scipy.linalg.solve(m_red, rhs, assume_a="pos")
-    return Reduction(t_map=t, keep=keep, bound=("y3", "y6"), m_red=m_red,
-                     g_red=g_red, b_red=b_red,
-                     mechanical=np.r_[col["y1"], col["y4"]]), defect
-
-
-def certify_skewness(parts: dict, g: np.ndarray) -> float:
-    """||M G + G^T M|| / ||M G||; raises AssemblyInconsistent above SKEW_TOL.
-
-    M G is formed part by part from the energy parts of M: the dense
-    nonlocal part goes through BLAS and the sparse parts stay sparse.
+    The only producer of the dense reference: G from the split with the
+    dense P_xi ``p``, M as the sum of the energy parts, and the reduction to
+    the coordinates outside the ``bound`` blocks.  The output row defaults
+    to B* itself.  Raises :class:`AssemblyInconsistent` if the skewness
+    certificate ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge
+    certificate ||G T - T G_red|| > CONSTRAINT_TOL * max(||G||, 1) fails;
+    either would signal an operator compatibility bug.
     """
+    g = split.dense(p)
+    dim = g.shape[0]
+    m = gram(parts, dim)
+    # M G part by part: the dense nonlocal part goes through BLAS and the
+    # sparse parts stay sparse
     mg = np.zeros_like(g)
     for sl, a in parts.values():
         mg[sl] += a @ g[sl]
@@ -365,7 +359,34 @@ def certify_skewness(parts: dict, g: np.ndarray) -> float:
     skew = float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
     if skew > SKEW_TOL:
         raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
-    return skew
+    del mg  # dense (dim, dim): freed before the reduction's products
+
+    free, mechanical = np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool)
+    for name in bound:
+        free[blocks[name]] = False
+    for name in ("y1", "y4"):
+        mechanical[blocks[name]] = True
+    keep = np.flatnonzero(free)
+    m_red = (t.T @ (m @ t)).toarray()
+    m_red = 0.5 * (m_red + m_red.T)
+    gt = g @ t
+    g_red = gt[keep]
+    gt -= t @ g_red  # G T - T G_red, in place
+    gauge_defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
+    if gauge_defect > CONSTRAINT_TOL:
+        raise AssemblyInconsistent(
+            f"generator does not preserve the gauge manifold: defect {gauge_defect:.3e}")
+    red = Reduction(t_map=t, keep=keep, bound=bound, m_red=m_red,
+                    g_red=g_red, mechanical=np.flatnonzero(mechanical[keep]))
+
+    for arr in (g, b):
+        arr.setflags(write=False)
+    b_dual = m @ b
+    return GeneratorAssembly(
+        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
+        b=b, b_dual=b_dual, output=b_dual if output is None else output,
+        reduction=red, blocks=blocks, skew_defect=skew,
+        gauge_defect=gauge_defect, influence=influence)
 
 
 def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
@@ -377,38 +398,20 @@ def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
 
 
 def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:
-    """Build and certify the full assembly (generator, Gram, control).
-
-    Raises :class:`AssemblyInconsistent` if the skewness certificate
-    ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge-invariance certificate
-    fails; both would signal an operator compatibility bug.
-    """
+    """The current-actuated six-field model, built and certified by :func:`assemble`."""
     ops = build_operators(params, grid)
-    split = _split_generator(params, grid, ops)
-    g = split.dense(ops.p_dense)
-    parts = energy_parts(params, grid, ops)
-    m = gram(parts, grid.state_dim)
-    b = assemble_control(params, grid)
-
-    skew = certify_skewness(parts, g)
-    red, gauge_defect = _reduction(params, grid, ops, g, m, b)
-    for arr in (g, b):
-        arr.setflags(write=False)
-    b_dual = m @ b
-    return GeneratorAssembly(
-        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
-        b=b, b_dual=b_dual, output=b_dual, reduction=red,
-        blocks=block_slices(grid), skew_defect=skew, gauge_defect=gauge_defect)
+    return assemble(params, grid, ops.p_dense, _split_generator(params, grid, ops),
+                    energy_parts(params, grid, ops), assemble_control(params, grid),
+                    _lift(params, grid, ops), ("y3", "y6"), block_slices(grid))
 
 
 def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
                    influence: str) -> GeneratorAssembly:
-    """Same interior dynamics with a different control influence vector."""
+    """Same interior dynamics with a different control influence vector.
+
+    A field swap of b, b_dual = M b, the output row (B*) and the name.
+    """
     b = np.asarray(b, dtype=float).copy()
     b.setflags(write=False)
-    red = assembly.reduction
-    rhs = red.t_map.T @ (assembly.m @ b)
-    b_red = scipy.linalg.solve(red.m_red, rhs, assume_a="pos")
     b_dual = assembly.m @ b
-    return replace(assembly, b=b, b_dual=b_dual, output=b_dual,
-                   reduction=replace(red, b_red=b_red), influence=influence)
+    return replace(assembly, b=b, b_dual=b_dual, output=b_dual, influence=influence)

@@ -27,6 +27,7 @@ free blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -65,18 +66,18 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
 
     Raises :class:`NonPositiveParameter` naming the offending field when a
     required-positive constant is not strictly positive, ValueError when a
-    constant is missing, not a number or non-finite, and reports if the
-    derived xi underflows to zero.
+    constant is missing, not a real number (booleans and numeric strings
+    are refused) or non-finite, and reports if the derived xi underflows
+    to zero.
     """
     for name in _ALL_FIELDS:
         if name not in raw:
             raise ValueError(f"missing parameter {name!r}")
     values = {}
     for name in _ALL_FIELDS:
-        try:
-            v = float(raw[name])
-        except (TypeError, ValueError):
-            raise ValueError(f"parameter {name!r} is not a number: {raw[name]!r}") from None
+        if not isinstance(raw[name], numbers.Real) or isinstance(raw[name], bool):
+            raise ValueError(f"parameter {name!r} is not a number: {raw[name]!r}")
+        v = float(raw[name])
         if not np.isfinite(v):
             raise ValueError(f"parameter {name!r} is not finite: {v!r}")
         values[name] = v

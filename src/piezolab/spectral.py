@@ -5,8 +5,8 @@ matrix is positive definite: with M_red = R^T R (Cholesky), the matrix
 S = R G_red R^{-1} is similar to the reduced generator and skew-symmetric up
 to rounding, so an honest dense eigensolve of S measures how imaginary the
 spectrum really is.  Closed-loop spectra perturb S by the rank-one collocated
-feedback -k g g^T with g = R b_red, whose symmetric negative-semidefinite
-structure forces Re(lambda) <= 0.
+feedback -k g g^T, whose symmetric negative-semidefinite structure forces
+Re(lambda) <= 0; g = R M_red^{-1} T^T M b is formed where it is used.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -79,6 +79,12 @@ def _energy_similarity(assembly: GeneratorAssembly):
     z = r @ red.g_red
     s = scipy.linalg.solve_triangular(r.T, z.T, lower=True).T
     return r, s
+
+
+def _coupling(assembly: GeneratorAssembly, r: np.ndarray) -> np.ndarray:
+    """The feedback coupling g = R M_red^{-1} T^T M b: b in energy coordinates."""
+    rhs = assembly.reduction.t_map.T @ assembly.b_dual
+    return r @ scipy.linalg.cho_solve((r, False), rhs)
 
 
 def _sort_order(values: np.ndarray) -> np.ndarray:
@@ -167,7 +173,7 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
     if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
     r, s = _energy_similarity(assembly)
-    g_vec = r @ assembly.reduction.b_red
+    g_vec = _coupling(assembly, r)
     s_cl = s - gain * np.outer(g_vec, g_vec)
     return _build_report(assembly, s_cl, r, eig_tol)
 
@@ -185,8 +191,7 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     a_skew = 0.5 * (s - s.T)
     theta, u = np.linalg.eigh(1j * a_skew)
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
-    g_vec = r @ assembly.reduction.b_red
-    c = u.conj().T @ g_vec
+    c = u.conj().T @ _coupling(assembly, r)
     c2 = np.abs(c) ** 2
 
     pos = np.where(omega_all > 0)[0]

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .generator import (GeneratorAssembly, Reduction, SplitGenerator,
-                        assemble_generator, certify_skewness, energy_parts,
-                        gram, sparse_blocks, with_influence)
+from .generator import (GeneratorAssembly, SplitGenerator, assemble,
+                        assemble_generator, energy_parts, gram, sparse_blocks,
+                        with_influence)
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import ActuationMode, build_operators
 
@@ -64,28 +64,19 @@ def assemble_electrostatic(params: BeamParameters,
              * ops.div_f[1:, :])]),
         k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
         a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]))
-    g = split.dense(ops.p_dense)
     parts = {
         "kinetic_v": (velocity, params.rho * sparse.diags_array(ops.node_weights[1:])),
         "elastic": (strain, params.alpha * dx * sparse.eye_array(n)),
         "nonlocal_": (strain, (params.gamma**2 / params.eps3) * dx * ops.p_dense),
     }
-    m = gram(parts, 2 * n)
-
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
-
-    skew = certify_skewness(parts, g)
     output = np.zeros(2 * n)
     output[-1] = np.copysign(1.0, params.gamma)
-    return GeneratorAssembly(
-        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
-        b=b, b_dual=m @ b, output=output,
-        reduction=Reduction(t_map=sparse.eye_array(2 * n, format="csr"),
-                            keep=np.arange(2 * n), bound=(), m_red=m.toarray(),
-                            g_red=g, b_red=b, mechanical=np.arange(2 * n)),
-        blocks={"y1": strain, "y4": velocity, "s": strain, "w": velocity},
-        skew_defect=skew, influence="boundary_trace")
+    return assemble(params, grid, ops.p_dense, split, parts, b,
+                    sparse.eye_array(2 * n, format="csr"), (),
+                    {"y1": strain, "y4": velocity, "s": strain, "w": velocity},
+                    output=output, influence="boundary_trace")
 
 
 def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:

@@ -259,10 +259,19 @@ class TestCliExitCodes:
         (("initial_state", "mode_index"), "x"),
         (("initial_state", "mode_index"), 1.5),
         (("tolerances", "gauge_tol"), "x"),
+        # booleans and numeric strings are not numbers either
+        (("t_final",), True),
+        (("dt",), "0.01"),
+        (("feedback_gain",), False),
+        (("params", "rho"), "2.0"),
+        (("params", "gamma"), True),
+        (("tolerances", "gauge_tol"), "1e-8"),
+        (("input_signal", "amplitude"), True),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
     def test_malformed_number_exits_2(self, tmp_path, run_cli, path, value):
         doc = {**toy_config_dict(n_cells=16, t_final=0.1),
-               "actuation": "current", "tolerances": {}}
+               "actuation": "current", "input_signal": {"kind": "constant"},
+               "tolerances": {}}
         section = doc
         for key in path[:-1]:
             section = section[key]
@@ -286,6 +295,23 @@ class TestCliExitCodes:
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2, res.stderr
         assert f"tab.csv line {line}:" in res.stderr
+
+    @pytest.mark.parametrize("state,text,named", [
+        ({"kind": "tabulated"}, "field,index,value\ny7,0,1.0\n", "'y7'"),
+        ({"kind": "tabulated"}, "field,index,value\ny1,99,1.0\n", "index 99"),
+        ({"kind": "tabulated"}, "field,index,value\ny1,-1,1.0\n", "index -1"),
+        ({"kind": "modal", "mode_index": 5000}, None, "mode_index 5000"),
+    ], ids=["unknown_field", "index_99", "index_-1", "mode_index"])
+    def test_state_out_of_range_exits_2(self, tmp_path, run_cli, state, text,
+                                        named):
+        if text is not None:
+            (tmp_path / "tab.csv").write_text(text, encoding="utf-8")
+            state = {**state, "path": "tab.csv"}
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1), "initial_state": state}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr
 
     def test_bad_time_bounds_exit_2(self, tmp_path, run_cli):
         doc = toy_config_dict()

@@ -1,5 +1,6 @@
 """Generator assembly: skewness, gauge invariance, control influence."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from piezolab import spectral
-from piezolab.generator import (assemble_control, assemble_generator,
+from piezolab.errors import AssemblyInconsistent
+from piezolab.generator import (assemble, assemble_control, assemble_generator,
                                 with_influence)
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
@@ -214,8 +216,10 @@ class TestDenseReference:
         asm = build_system(p, build_grid(p.L, n), actuation)
         ref = _dense_reference(asm, actuation)
         red = asm.reduction
+        # the feedback coupling g = R b_red, formed where spectra use it
+        r, s = spectral._energy_similarity(asm)
         for got, want in ((asm.m.toarray(), ref.m), (red.m_red, ref.m_red),
-                          (red.b_red, ref.b_red)):
+                          (spectral._coupling(asm, r), r @ ref.b_red)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the reference forms I - P_xi as -xi lap_cc P_xi, whose rounding
         # grows with the condition number of A = I - xi lap_cc; G and G_red
@@ -228,7 +232,6 @@ class TestDenseReference:
 
         # the mode table in reduced coordinates against the lifted one,
         # on the same eigenpairs
-        r, s = spectral._energy_similarity(asm)
         w, norms, phi_red = spectral._eigenpairs(s, r)
         table = spectral.compute_spectrum(asm).mode_table
         lifted = _lifted_mode_table(ref, asm.b, w, norms, phi_red)
@@ -245,6 +248,43 @@ class TestDenseReference:
         asm = build_system(TOY, build_grid(TOY.L, n), actuation)
         assert sparse.issparse(asm.m) and sparse.issparse(asm.reduction.t_map)
         assert asm.m.nnz <= n * n + 20 * n
+
+
+class TestAssemble:
+    """The one builder refuses a declaration that breaks a certificate."""
+
+    @staticmethod
+    def _declare(asm, split=None, t=None):
+        # the six-field declaration of ``asm``, with its split or lift replaced
+        p = build_operators(asm.params, asm.grid).p_dense
+        red = asm.reduction
+        return assemble(asm.params, asm.grid, p, asm.split if split is None else split,
+                        asm.energy_parts, asm.b, red.t_map if t is None else t,
+                        red.bound, asm.blocks)
+
+    def test_declaration_reassembles(self):
+        asm = _assembly(16)
+        again = self._declare(asm)
+        np.testing.assert_array_equal(again.g, asm.g)
+        np.testing.assert_array_equal(again.reduction.g_red, asm.reduction.g_red)
+        np.testing.assert_array_equal(again.reduction.mechanical,
+                                      asm.reduction.mechanical)
+
+    def test_perturbed_generator_fails_skewness(self):
+        asm = _assembly(16)
+        g0 = asm.split.g0.copy()
+        g0.data[0] *= 1.0 + 1e-6
+        with pytest.raises(AssemblyInconsistent, match="skewness"):
+            self._declare(asm, split=replace(asm.split, g0=g0))
+
+    def test_wrong_lift_fails_gauge(self):
+        # y3 = 2 xi grad(y2) is not a manifold that G preserves
+        asm = _assembly(16)
+        scale = np.ones(asm.dim)
+        scale[asm.blocks["y3"]] = 2.0
+        t = sparse.csr_array(sparse.diags_array(scale) @ asm.reduction.t_map)
+        with pytest.raises(AssemblyInconsistent, match="gauge"):
+            self._declare(asm, t=t)
 
 
 class TestStructure:

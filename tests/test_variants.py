@@ -64,6 +64,17 @@ class TestElectrostaticAssembly:
         np.testing.assert_allclose(es.b_dual, coeff * es.output, rtol=1e-15)
         assert not es.bstar_feedback
 
+    def test_reduction_is_exact(self):
+        # no gauge: T is the identity and the reduction copies M and G
+        es = _es(32, gamma=1.0)
+        red = es.reduction
+        np.testing.assert_array_equal(red.m_red, es.m.toarray())
+        np.testing.assert_array_equal(red.g_red, es.g)
+        np.testing.assert_array_equal(red.keep, np.arange(es.dim))
+        np.testing.assert_array_equal(red.mechanical, np.arange(es.dim))
+        assert red.bound == ()
+        assert es.gauge_defect == 0.0
+
 
 class TestBoundaryFeedback:
     def test_zero_gain_conserves(self):
