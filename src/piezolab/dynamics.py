@@ -12,9 +12,13 @@ arithmetic) and is time reversible.  It is taken in the equivalent form
 which needs no product with G.  G is dense only because P_xi is, so the
 stepper never forms it: it factors once a sparse augmented system in which
 the fields P_xi(...) are extra unknowns tied down by tridiagonal Helmholtz
-rows (see :class:`RankOneMidpoint`), and a step costs O(N).  Closed-loop runs
-use u = -k v^T y evaluated at the midpoint state; the rank-one modified solve
-is done with a Sherman-Morrison update of the factored shift so the per-step
+rows.  With its unknowns in order of their x-coordinate that system is
+banded, with a bandwidth fixed by the model and not by N, so the banded LU
+of LAPACK factors it (see :class:`RankOneMidpoint`) and a step costs O(N).
+A record (:meth:`GeneratorAssembly.energy_split` and
+:meth:`GeneratorAssembly.gauge`) is O(N) as well.  Closed-loop runs use
+u = -k v^T y evaluated at the midpoint state; the rank-one modified solve is
+done with a Sherman-Morrison update of the factored shift so the per-step
 dissipation identity  E(n+1) - E(n) = -k dt (v^T y_mid)(B* y_mid)  holds to
 rounding.
 """
@@ -27,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
                      NonFiniteState)
@@ -85,8 +89,14 @@ class RankOneMidpoint:
         [I - dt/2 G0   -dt/2 C] [y_mid]   [y + dt/2 b u]
         [    -K           A   ] [  z  ] = [     0      ]
 
-    whose blocks are all sparse; it is factored once with SuperLU, and a
-    step is one solve, one refinement solve and y+ = 2 y_mid - y.
+    whose blocks are all sparse.  Its unknowns are taken in the model's
+    spatial order (``g.order``), in which the matrix is banded: ``kl`` = 9
+    sub- and ``ku`` = 8 superdiagonals for the six-field models and 3 and 3
+    for the electrostatic one, at every N.  Each row is scaled by
+    1/max|row| and the scaled matrix is factored once by LAPACK ``dgbtrf``
+    (banded LU with partial pivoting).  A step is one ``dgbtrs`` solve, one
+    refinement pass on the residual of the unscaled system, and
+    y+ = 2 y_mid - y.
 
     ``v`` is the feedback output row (B* for collocated current feedback,
     the boundary trace for the electrostatic variant).  With gain 0 the
@@ -103,14 +113,29 @@ class RankOneMidpoint:
         self.gain = float(gain)
         self._dim = g.shape[0]
         self._half = 0.5 * dt
-        self._aug = sparse.block_array(
+        aug = sparse.block_array(
             [[sparse.eye_array(self._dim) - self._half * g.g0, -self._half * g.c],
-             [-g.k, g.a]], format="csc")
-        try:
-            self._lu = splu(self._aug)
-        except RuntimeError as exc:
+             [-g.k, g.a]], format="csr")
+        self._aug = aug[g.order][:, g.order]
+        coo = self._aug.tocoo()
+        self.kl = int(np.max(coo.row - coo.col))
+        self.ku = int(np.max(coo.col - coo.row))
+        size = self._aug.shape[0]
+        row_max = np.zeros(size)
+        np.maximum.at(row_max, coo.row, np.abs(coo.data))
+        self._scale = 1.0 / row_max
+        # LAPACK band layout with kl extra rows for the fill-in of pivoting
+        band = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
+        band[self.kl + self.ku + coo.row - coo.col, coo.col] = \
+            coo.data * self._scale[coo.row]
+        self._lu, self._piv, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
             raise LinearSolveFailure(
-                f"shifted system factorization failed: {exc}") from exc
+                f"shifted system factorization failed: zero pivot {info} of {size}")
+        # where each state coordinate sits among the ordered unknowns
+        where = np.empty(size, dtype=np.intp)
+        where[g.order] = np.arange(size)
+        self._where = where[:self._dim]
         self._b = b
         self._v = v
         if gain > 0.0:
@@ -119,19 +144,25 @@ class RankOneMidpoint:
             self._sm_c = self._half * gain
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
 
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The banded LU solve of the unscaled system for ordered ``rhs``."""
+        scale = self._scale if rhs.ndim == 1 else self._scale[:, None]
+        return dgbtrs(self._lu, self.kl, self.ku, scale * rhs, self._piv,
+                      overwrite_b=1)[0]
+
     def _midpoint(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 G) x = rhs through the augmented system.
 
         ``rhs`` may hold one right-hand side per column.  One refinement
-        pass on the augmented residual keeps the per-step error at rounding
-        level so the gauge constraint does not accumulate solver error over
-        long runs.
+        pass on the residual of the unscaled augmented system keeps the
+        per-step error at rounding level so the gauge constraint does not
+        accumulate solver error over long runs.
         """
         full = np.zeros((self._aug.shape[0],) + rhs.shape[1:])
-        full[:self._dim] = rhs
-        sol = self._lu.solve(full)
-        sol += self._lu.solve(full - self._aug @ sol)
-        return sol[:self._dim]
+        full[self._where] = rhs
+        sol = self._solve(full)
+        sol += self._solve(full - self._aug @ sol)
+        return sol[self._where]
 
     def step(self, y: np.ndarray, u_mid=0.0) -> np.ndarray:
         """One open-loop step with prescribed midpoint input.
@@ -198,16 +229,13 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                     f"last input {u!r})")
             times.append((j + 1) * dt)
             energies.append(assembly.energy_split(y))
-            rp, rv = assembly.gauge(y)
+            (rp, rv), interior = assembly.gauge(y, interior=True)
             gauge_pos.append(rp)
             gauge_vel.append(rv)
             inputs.append(u)
             if keep_states:
                 states.append(y.copy())
-            if interior_guard:
-                rp_g, rv_g = assembly.gauge(y, interior=True)
-            else:
-                rp_g, rv_g = rp, rv
+            rp_g, rv_g = interior if interior_guard else (rp, rv)
             if not (rp_g <= threshold and rv_g <= threshold):
                 raise GaugeDrift(
                     f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "

@@ -35,8 +35,9 @@ six-field models are declared here, the electrostatic one in
 :mod:`piezolab.variants`.
 
 Every model is built in the sparse split form G = G0 + C A^{-1} K
-(:class:`SplitGenerator`) that time stepping factors.  For the six-field
-models A^{-1} K produces two auxiliary cell fields,
+(:class:`SplitGenerator`) that time stepping factors, together with the
+order of the unknowns by x-coordinate in which that system is banded.
+For the six-field models A^{-1} K produces two auxiliary cell fields,
 
     q = P_xi [(gamma^2/eps3) y1 - gamma y6 + gamma xi grad(y5)]
     r = P_xi grad_f(y4)
@@ -48,9 +49,12 @@ dense P_xi in place of A^{-1}; it is the only dense (dim, dim) matrix.
 
 Each model declares its energy once, as named quadratic forms on blocks of
 the state (``energy_parts``): the Gram matrix M is their sum and the energy
-split evaluates them one by one.  The gauge is declared once too, by the
-lift T and the blocks it binds (:class:`Reduction`).  M and T are sparse
-except for the nonlocal part, the one dense block of M, so the
+split evaluates them one by one.  A form is a diagonal (a 1-D array), a
+sparse matrix, or the nonlocal :class:`HelmholtzInverse` c P_xi, which a
+record evaluates from the banded Cholesky factor of A at O(N); the dense
+c P_xi is placed only in M, for the dense reference, as its one dense block.
+The gauge is declared once too, by the lift T and the blocks it binds
+(:class:`Reduction`).  M and T are sparse except for that block, so the
 certificates, M_red and G_red are sparse-times-dense products.
 """
 
@@ -60,6 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dtbsv
 
 from .errors import AssemblyInconsistent
 from .model import BeamParameters, StaggeredGrid, block_slices
@@ -102,11 +107,14 @@ class Reduction:
     (y1, y2, y4, y5); a model without a gauge keeps every coordinate.
     ``keep`` lists the free full coordinates, on which T is the identity,
     and ``bound`` names the blocks T fills from them (none without a gauge).
+    ``t_bound`` holds the rows of T on those blocks, so a gauge residual
+    lifts only what it measures.
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
     keep: np.ndarray    # full coordinates of the reduced ones, T[keep] = I
     bound: tuple        # gauge-bound block names, (pos, vel) or empty
+    t_bound: sparse.csr_array  # rows of T on the bound blocks, in their order
     m_red: np.ndarray   # SPD Gram on reduced coordinates
     g_red: np.ndarray   # reduced generator, G T = T G_red
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
@@ -120,12 +128,18 @@ class SplitGenerator:
     is tridiagonal, one block per auxiliary field z = A^{-1} K y.  Every
     application of P_xi goes through z, so no block is dense.  ``shape`` is
     the shape of G, as for any linear operator.
+
+    ``order`` lists the unknowns of the midpoint system, the state and then
+    z, by their x-coordinate on the grid (:func:`spatial_order`).  Every
+    block couples only neighbouring cells and nodes, so in that order the
+    system is banded with a bandwidth that does not grow with N.
     """
 
     g0: sparse.csr_array    # (dim, dim)
     c: sparse.csr_array     # (dim, n_aux)
     k: sparse.csr_array     # (n_aux, dim)
     a: sparse.csr_array     # (n_aux, n_aux)
+    order: np.ndarray       # (dim + n_aux,) unknowns sorted by x-coordinate
 
     @property
     def shape(self) -> tuple:
@@ -141,6 +155,49 @@ class SplitGenerator:
         n = p.shape[0]
         pk = np.vstack([p @ self.k[i:i + n] for i in range(0, self.k.shape[0], n)])
         return self.g0 + self.c @ pk
+
+
+def spatial_order(*coords: np.ndarray) -> np.ndarray:
+    """Indices of unknowns sorted by their x-coordinate.
+
+    ``coords`` gives the coordinates block by block, in the order the
+    unknowns are numbered; unknowns at the same point keep that order.
+    """
+    return np.argsort(np.concatenate(coords), kind="stable")
+
+
+@dataclass(frozen=True)
+class HelmholtzInverse:
+    """The nonlocal energy form c P_xi of one block, with P_xi = A^{-1}.
+
+    A = I - xi lap_cc = R^T R is held by its banded Cholesky factor R, so
+    x^T (c P_xi) x = c |R^{-T} x|^2 costs one banded triangular solve.  The
+    dense P_xi is kept for the dense reference, where :func:`gram` places
+    c P_xi.
+    """
+
+    c: float
+    chol: np.ndarray = field(repr=False)  # R in LAPACK upper band layout, (2, n)
+    p: np.ndarray = field(repr=False)     # dense P_xi
+
+
+def _matrix(form):
+    """The matrix of a declared energy form (see :func:`gram`)."""
+    if isinstance(form, HelmholtzInverse):
+        return form.c * form.p
+    if isinstance(form, np.ndarray) and form.ndim == 1:
+        return sparse.diags_array(form)
+    return form
+
+
+def _quadratic(form, x: np.ndarray) -> float:
+    """x^T F x for a declared energy form F, at O(N) for every kind of form."""
+    if isinstance(form, HelmholtzInverse):
+        z = dtbsv(1, form.chol, x, trans=1)  # R^{-T} x
+        return form.c * float(z @ z)
+    if isinstance(form, np.ndarray) and form.ndim == 1:
+        return float(x @ (form * x))
+    return float(x @ (form @ x))
 
 
 def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
@@ -163,11 +220,12 @@ def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
 def gram(parts: dict, dim: int) -> sparse.csr_array:
     """The Gram matrix M of an energy given as named quadratic forms.
 
-    ``parts`` maps each name to (block slice, matrix): the part's energy is
-    (1/2) y[sl]^T A y[sl], and M is the sum of the parts placed on their
-    diagonal blocks.
+    ``parts`` maps each name to (block slice, form): the part's energy is
+    (1/2) y[sl]^T F y[sl], and M is the sum of the parts placed on their
+    diagonal blocks.  A form F is a diagonal given as a 1-D array, a sparse
+    matrix, or a :class:`HelmholtzInverse`, whose dense c P_xi is placed.
     """
-    return sparse_blocks((dim, dim), [(sl, sl, a) for sl, a in parts.values()])
+    return sparse_blocks((dim, dim), [(sl, sl, _matrix(a)) for sl, a in parts.values()])
 
 
 @dataclass(frozen=True)
@@ -218,9 +276,9 @@ class GeneratorAssembly:
         return self.output is self.b_dual
 
     def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
-        """The energy (1/2) y^T M y of a flat state, part by part."""
-        return EnergyBreakdown(**{name: 0.5 * float(y[sl] @ (a @ y[sl]))
-                                  for name, (sl, a) in self.energy_parts.items()})
+        """The energy (1/2) y^T M y of a flat state, part by part, at O(N)."""
+        return EnergyBreakdown(**{name: 0.5 * _quadratic(form, y[sl])
+                                  for name, (sl, form) in self.energy_parts.items()})
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """T y[keep]: the free coordinates of ``y`` lifted onto the gauge manifold."""
@@ -232,19 +290,27 @@ class GeneratorAssembly:
 
         Each is the residual y - lift(y) on one gauge-bound block, measured
         against that block of y; both are zero for a model without a gauge.
-        ``interior`` drops the first and last cell: forced trajectories with
-        the distributed current influence develop a discretization layer
-        there (the influence has a boundary jump that the interior-node
-        gradient cannot represent), so the interior residual is the
-        meaningful drift diagnostic for them.
+        Only the bound rows of the lift are formed.  With ``interior`` the
+        pair is returned together with the pair over the interior cells,
+        ((pos, vel), (pos_interior, vel_interior)), from the same lift:
+        forced trajectories with the distributed current influence develop a
+        discretization layer in the first and last cell (the influence has a
+        boundary jump that the interior-node gradient cannot represent), so
+        the interior residual is the meaningful drift diagnostic for them.
         """
-        if not self.reduction.bound:
-            return 0.0, 0.0
-        cells = slice(1, -1) if interior else slice(None)
-        r = y - self.lift(y)
-        bound = [self.blocks[name] for name in self.reduction.bound]
-        return tuple(float(np.linalg.norm(r[sl][cells])
-                           / max(np.linalg.norm(y[sl]), NORM_FLOOR)) for sl in bound)
+        red = self.reduction
+        if not red.bound:
+            return ((0.0, 0.0), (0.0, 0.0)) if interior else (0.0, 0.0)
+        lifted = red.t_bound @ y[red.keep]
+        full, inner, start = [], [], 0
+        for name in red.bound:
+            yb = y[self.blocks[name]]
+            r = yb - lifted[start:start + yb.size]
+            start += yb.size
+            scale = max(np.linalg.norm(yb), NORM_FLOOR)
+            full.append(float(np.linalg.norm(r) / scale))
+            inner.append(float(np.linalg.norm(r[1:-1]) / scale))
+        return (tuple(full), tuple(inner)) if interior else tuple(full)
 
 
 def energy_parts(params: BeamParameters, grid: StaggeredGrid,
@@ -254,8 +320,8 @@ def energy_parts(params: BeamParameters, grid: StaggeredGrid,
     Positive semidefinite on the full coordinate space, positive definite on
     the gauge-constrained subspace.  The magnetic part couples (y2, y3)
     through |y2 - div(y3)|^2 on interior nodes; boundary nodes contribute
-    nothing because theta and the flux of eta vanish there.  Only the
-    nonlocal part, which carries P_xi, is dense.
+    nothing because theta and the flux of eta vanish there.  The kinetic
+    and elastic parts are diagonals; the nonlocal part carries P_xi.
     """
     n = grid.n_cells
     dx = grid.dx
@@ -263,12 +329,13 @@ def energy_parts(params: BeamParameters, grid: StaggeredGrid,
     # y2 - div(y3) over the adjacent blocks (y2, y3)
     mag = sparse.hstack([sparse.eye_array(n - 1), -sparse.csr_array(ops.div_int)])
     return {
-        "kinetic_v": (sl["y4"], params.rho * sparse.diags_array(ops.node_weights)),
-        "kinetic_theta": (sl["y5"], (params.eps1 * params.h ** 2 / 12.0) * dx
-                          * sparse.eye_array(n - 1)),
-        "kinetic_eta": (sl["y6"], params.eps3 * dx * sparse.eye_array(n)),
-        "elastic": (sl["y1"], params.alpha * dx * sparse.eye_array(n)),
-        "nonlocal_": (sl["y1"], (params.gamma ** 2 / params.eps3) * dx * ops.p_dense),
+        "kinetic_v": (sl["y4"], params.rho * ops.node_weights),
+        "kinetic_theta": (sl["y5"],
+                          np.full(n - 1, (params.eps1 * params.h ** 2 / 12.0) * dx)),
+        "kinetic_eta": (sl["y6"], np.full(n, params.eps3 * dx)),
+        "elastic": (sl["y1"], np.full(n, params.alpha * dx)),
+        "nonlocal_": (sl["y1"], HelmholtzInverse((params.gamma ** 2 / params.eps3) * dx,
+                                                 ops.a_chol, ops.p_dense)),
         "magnetic": (slice(sl["y2"].start, sl["y3"].stop),
                      (params.mu * dx) * (mag.T @ mag)),
     }
@@ -312,7 +379,11 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
     ])
     helmholtz = eye_n - xi * ops.lap_cc
     a = sparse_blocks((2 * n, 2 * n), [(q, q, helmholtz), (r, r, helmholtz)])
-    return SplitGenerator(g0=g0, c=c, k=k, a=a)
+    # y1, y2, ..., y6, then q and r
+    cells, nodes = grid.cell_coords, grid.node_coords
+    order = spatial_order(cells, nodes[1:-1], cells, nodes, nodes[1:-1], cells,
+                          cells, cells)
+    return SplitGenerator(g0=g0, c=c, k=k, a=a, order=order)
 
 
 def _lift(params: BeamParameters, grid: StaggeredGrid,
@@ -345,7 +416,8 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
     to B* itself.  Raises :class:`AssemblyInconsistent` if the skewness
     certificate ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge
     certificate ||G T - T G_red|| > CONSTRAINT_TOL * max(||G||, 1) fails;
-    either would signal an operator compatibility bug.
+    either would signal an operator compatibility bug.  A model that binds
+    no block has no gauge to certify.
     """
     g = split.dense(p)
     dim = g.shape[0]
@@ -353,8 +425,8 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
     # M G part by part: the dense nonlocal part goes through BLAS and the
     # sparse parts stay sparse
     mg = np.zeros_like(g)
-    for sl, a in parts.values():
-        mg[sl] += a @ g[sl]
+    for sl, form in parts.values():
+        mg[sl] += _matrix(form) @ g[sl]
     scale = np.linalg.norm(mg)
     skew = float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
     if skew > SKEW_TOL:
@@ -369,14 +441,20 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
     keep = np.flatnonzero(free)
     m_red = (t.T @ (m @ t)).toarray()
     m_red = 0.5 * (m_red + m_red.T)
-    gt = g @ t
-    g_red = gt[keep]
-    gt -= t @ g_red  # G T - T G_red, in place
-    gauge_defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
-    if gauge_defect > CONSTRAINT_TOL:
-        raise AssemblyInconsistent(
-            f"generator does not preserve the gauge manifold: defect {gauge_defect:.3e}")
-    red = Reduction(t_map=t, keep=keep, bound=bound, m_red=m_red,
+    if bound:
+        gt = g @ t
+        g_red = gt[keep]
+        gt -= t @ g_red  # G T - T G_red, in place
+        gauge_defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
+        if gauge_defect > CONSTRAINT_TOL:
+            raise AssemblyInconsistent("generator does not preserve the gauge "
+                                       f"manifold: defect {gauge_defect:.3e}")
+        t_bound = t[np.concatenate([np.arange(dim)[blocks[name]] for name in bound])]
+    else:
+        # nothing is bound, so T is the identity: G_red is G (read-only, like
+        # G) and the gauge defect is exactly zero
+        g_red, gauge_defect, t_bound = g, 0.0, t[:0]
+    red = Reduction(t_map=t, keep=keep, bound=bound, t_bound=t_bound, m_red=m_red,
                     g_red=g_red, mechanical=np.flatnonzero(mechanical[keep]))
 
     for arr in (g, b):

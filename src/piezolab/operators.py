@@ -27,10 +27,10 @@ second identity assumes the stress s carries zero boundary faces (built into
 div_f).
 
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
-tridiagonal).  A dense, exactly symmetric realization, built from the banded
-Cholesky factorization of A, backs the dense reference generator, the
-nonlocal part of the energy and the spectra, and is the one dense block of
-the Gram matrix.
+tridiagonal).  Its banded Cholesky factor is kept: the nonlocal energy of a
+record is evaluated from it at O(N).  A dense, exactly symmetric realization
+of P_xi, built from that factor, backs the dense reference generator and the
+spectra, and is the one dense block of the Gram matrix.
 Time stepping does not use it: the stepper keeps A itself as tridiagonal
 constraint rows of a sparse augmented system (see :mod:`piezolab.dynamics`).
 """
@@ -98,6 +98,7 @@ class DiscreteOperators:
     div_f: np.ndarray       # (N+1, N)
     lap_cc: np.ndarray      # (N, N) = grad_nc @ div_int
     p_dense: np.ndarray     # (N, N) symmetric realization of P_xi
+    a_chol: np.ndarray      # (2, N) upper banded Cholesky factor of A, LAPACK layout
     node_weights: np.ndarray  # (N+1,) trapezoid weights including dx
 
     @property
@@ -122,7 +123,7 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
     ab[1, :] = np.diag(a_mat)
     ab[0, 1:] = np.diag(a_mat, 1)
     try:
-        bands = scipy.linalg.cholesky_banded(ab)
+        bands = np.asfortranarray(scipy.linalg.cholesky_banded(ab))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - xi > 0 rules this out
         raise SolverFailure(f"Helmholtz factorization failed: {exc}") from exc
 
@@ -135,12 +136,13 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
     weights[0] = 0.5 * grid.dx
     weights[-1] = 0.5 * grid.dx
 
-    for arr in (div_int, grad_nc, grad_f, div_f, lap_cc, p_dense, weights):
+    for arr in (div_int, grad_nc, grad_f, div_f, lap_cc, p_dense, bands, weights):
         arr.setflags(write=False)
 
     return DiscreteOperators(
         grid=grid, xi=xi, div_int=div_int, grad_nc=grad_nc, grad_f=grad_f,
-        div_f=div_f, lap_cc=lap_cc, p_dense=p_dense, node_weights=weights,
+        div_f=div_f, lap_cc=lap_cc, p_dense=p_dense, a_chol=bands,
+        node_weights=weights,
     )
 
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .generator import (GeneratorAssembly, SplitGenerator, assemble,
-                        assemble_generator, energy_parts, gram, sparse_blocks,
-                        with_influence)
+from .generator import (GeneratorAssembly, HelmholtzInverse, SplitGenerator,
+                        assemble, assemble_generator, energy_parts, gram,
+                        sparse_blocks, spatial_order, with_influence)
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import ActuationMode, build_operators
 
@@ -63,11 +63,13 @@ def assemble_electrostatic(params: BeamParameters,
             (velocity, q, (params.gamma**2 / (params.eps3 * params.rho))
              * ops.div_f[1:, :])]),
         k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
-        a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]))
+        a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]),
+        order=spatial_order(grid.cell_coords, grid.node_coords[1:], grid.cell_coords))
     parts = {
-        "kinetic_v": (velocity, params.rho * sparse.diags_array(ops.node_weights[1:])),
-        "elastic": (strain, params.alpha * dx * sparse.eye_array(n)),
-        "nonlocal_": (strain, (params.gamma**2 / params.eps3) * dx * ops.p_dense),
+        "kinetic_v": (velocity, params.rho * ops.node_weights[1:]),
+        "elastic": (strain, np.full(n, params.alpha * dx)),
+        "nonlocal_": (strain, HelmholtzInverse((params.gamma**2 / params.eps3) * dx,
+                                               ops.a_chol, ops.p_dense)),
     }
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from piezolab import spectral
 from piezolab.dynamics import (RankOneMidpoint, _trial_profiles,
@@ -15,6 +17,7 @@ from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode
 from piezolab.variants import build_system
+from test_generator import BOX_CORNER, _random_parameters
 
 TOY = toy_parameters()
 
@@ -155,6 +158,64 @@ class TestSparseAgainstDense:
             worst = max(worst, abs((e_next - e) - pred) / e)
             y = y_next
         assert worst <= 1e-13
+
+
+class TestRandomStepper:
+    """The banded stepper on random models, step sizes and gains."""
+
+    @given(params=st.integers(0, 2**32 - 1).map(_random_parameters),
+           n=st.integers(8, 48), actuation=st.sampled_from(ALL_SYSTEMS),
+           dt_factor=st.floats(0.2, 1.0),
+           gain=st.just(0.0) | st.floats(0.01, 10.0))
+    @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CURRENT,
+             dt_factor=1.0, gain=10.0)
+    @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CHARGE_ELECTROSTATIC,
+             dt_factor=0.2, gain=0.0)
+    @settings(max_examples=30, deadline=None)
+    def test_fifty_steps_against_dense(self, params, n, actuation, dt_factor, gain):
+        asm = build_system(params, build_grid(params.L, n), actuation)
+        dt = dt_factor * default_dt(params, asm.grid)
+        stepper = _stepper(asm, dt, gain)
+        dense = DenseMidpoint(asm, dt, gain)
+        y = y_ref = _random_state(asm, seed=n)
+        if gain > 0.0:
+            # Sherman-Morrison against a direct solve of the modified matrix
+            y_mid = np.linalg.solve(
+                np.eye(asm.dim) - 0.5 * dt * asm.g
+                + 0.5 * dt * gain * np.outer(asm.b, asm.output), y)
+            y_next, u = stepper.step_closed(y)
+            assert np.linalg.norm(y_next - (2.0 * y_mid - y)) <= \
+                1e-11 * np.linalg.norm(y_next)
+            assert u == pytest.approx(-gain * (asm.output @ y_mid), rel=1e-11, abs=0.0)
+        worst = worst_identity = 0.0
+        for j in range(50):
+            if gain > 0.0:
+                y_next, u = stepper.step_closed(y)
+                y_ref, _ = dense.step_closed(y_ref)
+            else:
+                u = np.sin(3.0 * (j + 0.5) * dt)
+                y_next = stepper.step(y, u)
+                y_ref = dense.step(y_ref, u)
+            worst = max(worst, np.linalg.norm(y_next - y_ref) / np.linalg.norm(y_ref))
+            e, e_next = 0.5 * y @ (asm.m @ y), 0.5 * y_next @ (asm.m @ y_next)
+            pred = dt * u * (asm.b_dual @ (0.5 * (y + y_next)))
+            worst_identity = max(worst_identity, abs((e_next - e) - pred) / e)
+            y = y_next
+        assert worst <= 1e-11
+        assert worst_identity <= 1e-13
+
+
+class TestBandedStepper:
+    """The midpoint system is banded in the models' spatial order."""
+
+    @pytest.mark.parametrize("n", (16, 64, 256))
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    def test_bandwidth_does_not_grow(self, actuation, n):
+        # in block order the band would span O(N) and the LU would be O(N^2)
+        asm = build_system(TOY, build_grid(TOY.L, n), actuation)
+        stepper = _stepper(asm, default_dt(TOY, asm.grid))
+        expected = (3, 3) if actuation is ActuationMode.CHARGE_ELECTROSTATIC else (9, 8)
+        assert (stepper.kl, stepper.ku) == expected
 
 
 def _check_open_loop_conservation_and_gauge(actuation):

@@ -13,7 +13,7 @@ from scipy import sparse
 from piezolab import spectral
 from piezolab.errors import AssemblyInconsistent
 from piezolab.generator import (assemble, assemble_control, assemble_generator,
-                                with_influence)
+                                gram, with_influence)
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
 from piezolab.operators import ActuationMode, build_operators
@@ -399,7 +399,10 @@ class TestGaugeResidual:
         bad = np.zeros(asm.dim)
         bad[y3.start] = bad[y3.stop - 1] = 1.0
         assert asm.gauge(bad)[0] == pytest.approx(1.0)
-        assert asm.gauge(bad, interior=True)[0] == 0.0
+        # the full pair comes back with the interior pair, from one lift
+        full, interior = asm.gauge(bad, interior=True)
+        assert full == asm.gauge(bad)
+        assert interior[0] == 0.0
 
 
 class TestSharedModelData:
@@ -411,7 +414,7 @@ class TestSharedModelData:
         lifted = asm.lift(np.random.default_rng(3).standard_normal(asm.dim))
         np.testing.assert_array_equal(asm.lift(lifted), lifted)
         assert asm.gauge(lifted) == (0.0, 0.0)
-        assert asm.gauge(lifted, interior=True) == (0.0, 0.0)
+        assert asm.gauge(lifted, interior=True) == ((0.0, 0.0), (0.0, 0.0))
 
     def test_electrostatic_lift_is_identity(self):
         es = build_system(TOY, build_grid(TOY.L, 24),
@@ -425,6 +428,25 @@ class TestSharedModelData:
         y = asm.lift(np.random.default_rng(9).standard_normal(asm.dim))
         assert asm.energy_split(y).total == pytest.approx(
             0.5 * y @ (asm.m @ y), rel=1e-12)
+
+    @pytest.mark.parametrize("params, n", ((TOY, 24), (BOX_CORNER, 48)),
+                             ids=("toy", "stiff_corner"))
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    def test_energy_split_matches_dense_parts(self, actuation, params, n):
+        # each part, the nonlocal one from the banded Cholesky factor of A
+        # included, against (1/2) y[sl]^T F y[sl] with the dense matrix of
+        # that part in M; the nonlocal part's rounding grows with cond(A)
+        asm = build_system(params, build_grid(params.L, n), actuation)
+        y = asm.lift(np.random.default_rng(11).standard_normal(asm.dim))
+        split = asm.energy_split(y)
+        ops = build_operators(params, asm.grid)
+        kappa = np.linalg.cond(np.eye(n) - params.xi * ops.lap_cc)
+        for name, (sl, form) in asm.energy_parts.items():
+            dense = gram({name: (sl, form)}, asm.dim).toarray()[sl, sl]
+            want = 0.5 * y[sl] @ dense @ y[sl]
+            tol = (max(1e-12, 10.0 * np.finfo(float).eps * kappa)
+                   if name == "nonlocal_" else 1e-12)
+            assert getattr(split, name) == pytest.approx(want, rel=tol)
 
 
 class TestWithInfluence:
