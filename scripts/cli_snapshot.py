@@ -9,6 +9,8 @@
 Each job runs ``piezolab.cli.main`` in this process with its own output
 directory under OUT; the configs and tabulated inputs the jobs read are
 written to OUT/_inputs, and every job's exit code goes to OUT/exit_codes.csv.
+The last job is the whole ``paper-suite``, so its ``acceptance_summary.csv``
+pins every acceptance measurement.
 Snapshot two checkouts on the same machine and compare them: a refactor that
 keeps behaviour leaves every CSV byte-identical, and one that changes only
 rounding (a different linear solver, say) stays within a small ``--rtol``.
@@ -138,7 +140,7 @@ def _jobs(configs: dict) -> list:
          ["spectrum", "--config", configs["spectrum_non_unit"],
           "--variant", "charge_magnetic", "--closed-loop", "0.5"]),
         ("variants", ["variants"]),
-        ("paper_suite_skewness", ["paper-suite", "--only", "skewness"]),
+        ("paper_suite", ["paper-suite"]),
     ]
     return jobs
 

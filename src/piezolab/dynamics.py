@@ -37,7 +37,7 @@ from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFa
                      NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator
 from .model import BeamParameters, StaggeredGrid, build_grid
-from .spectral import open_loop_modes
+from .spectral import checked_gain, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
@@ -56,14 +56,13 @@ def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Recorded trajectory: energies, gauge residuals, inputs, snapshots."""
+    """Recorded trajectory: energies, gauge residuals and inputs."""
 
     times: np.ndarray
     energies: list = field(repr=False)           # EnergyBreakdown per record
     gauge_pos: np.ndarray = field(repr=False)
     gauge_vel: np.ndarray = field(repr=False)
     inputs: np.ndarray = field(repr=False)       # applied input per record
-    states: list = field(repr=False)             # flat snapshots per record
     dt: float
     system: GeneratorAssembly = field(repr=False)  # the system that ran
 
@@ -100,17 +99,17 @@ class RankOneMidpoint:
 
     ``v`` is the feedback output row (B* for collocated current feedback,
     the boundary trace for the electrostatic variant).  With gain 0 the
-    stepper integrates the open-loop system with a prescribed input.
+    stepper integrates the open-loop system with a prescribed input.  A
+    gain that is negative or not finite, and a dt that is not finite and
+    positive, raise ValueError.
     """
 
     def __init__(self, g: SplitGenerator, b: np.ndarray, v: np.ndarray,
                  dt: float, gain: float = 0.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if gain < 0:
-            raise ValueError(f"feedback gain must be nonnegative, got {gain}")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         self.dt = float(dt)
-        self.gain = float(gain)
+        self.gain = checked_gain(gain)
         self._dim = g.shape[0]
         self._half = 0.5 * dt
         aug = sparse.block_array(
@@ -138,10 +137,10 @@ class RankOneMidpoint:
         self._where = where[:self._dim]
         self._b = b
         self._v = v
-        if gain > 0.0:
+        if self.gain > 0.0:
             # Sherman-Morrison data for (I - dt/2 G) + (gain dt/2) b v^T
             self._w0 = self._midpoint(self._b)
-            self._sm_c = self._half * gain
+            self._sm_c = self._half * self.gain
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -182,7 +181,7 @@ class RankOneMidpoint:
 def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
         dt: float, input_fn: Callable[[float], float] | None = None,
         gain: float = 0.0, record_stride: int = 1,
-        gauge_tol: float = 1e-8, keep_states: bool = False) -> TimeSeries:
+        gauge_tol: float = 1e-8) -> TimeSeries:
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
@@ -209,7 +208,6 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
     rp, rv = assembly.gauge(y)
     gauge_pos, gauge_vel = [rp], [rv]
     inputs = [0.0]
-    states = [y.copy()] if keep_states else []
 
     threshold = 100.0 * gauge_tol
     for j in range(n_steps):
@@ -233,8 +231,6 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
             gauge_pos.append(rp)
             gauge_vel.append(rv)
             inputs.append(u)
-            if keep_states:
-                states.append(y.copy())
             rp_g, rv_g = interior if interior_guard else (rp, rv)
             if not (rp_g <= threshold and rv_g <= threshold):
                 raise GaugeDrift(
@@ -243,7 +239,7 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
 
     return TimeSeries(times=np.array(times), energies=energies,
                       gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
-                      inputs=np.array(inputs), states=states, dt=dt,
+                      inputs=np.array(inputs), dt=dt,
                       system=assembly)
 
 

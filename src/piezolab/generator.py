@@ -43,9 +43,12 @@ For the six-field models A^{-1} K produces two auxiliary cell fields,
     r = P_xi grad_f(y4)
 
 so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
--(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The dense
-G that spectra and certificates read is formed from the split, with the
-dense P_xi in place of A^{-1}; it is the only dense (dim, dim) matrix.
+-(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The
+stencils and A come sparse from :func:`~piezolab.operators.build_operators`.
+The dense G is formed from the split, with the dense P_xi in place of
+A^{-1}, only inside :func:`assemble`: the certificates and the reduced
+generator G_red that spectra read are taken on it, and it is dropped when
+the assembly is returned (a model without a gauge keeps it as its G_red).
 
 Each model declares its energy once, as named quadratic forms on blocks of
 the state (``energy_parts``): the Gram matrix M is their sum and the energy
@@ -238,8 +241,11 @@ class GeneratorAssembly:
     reduction to coordinates where the energy is definite.  ``blocks`` names
     the slices of the flat state (the mechanical ones are y1 and y4).  The
     energy is declared once, as the named quadratic forms ``energy_parts``
-    (see :func:`gram`); the Gram matrix ``m`` is their sum.  ``split`` is G
-    in the sparse form the time stepper factors.
+    (see :func:`gram`); the Gram matrix ``m`` is their sum.  G is held only
+    as ``split``, the sparse form the time stepper factors: the dense G
+    exists only inside :func:`assemble`, and ``split.dense(p_dense)`` forms
+    it again where it is wanted.  The reduced generator G_red is kept in
+    ``reduction``.
 
     The certificates measured while assembling are kept: ``skew_defect`` is
     ||M G + G^T M|| / ||M G|| and ``gauge_defect`` is
@@ -249,7 +255,6 @@ class GeneratorAssembly:
 
     params: BeamParameters
     grid: StaggeredGrid
-    g: np.ndarray = field(repr=False)
     split: SplitGenerator = field(repr=False)
     energy_parts: dict = field(repr=False)
     m: sparse.csr_array = field(repr=False)
@@ -264,7 +269,7 @@ class GeneratorAssembly:
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.split.shape[0]
 
     @property
     def bstar_feedback(self) -> bool:
@@ -327,7 +332,7 @@ def energy_parts(params: BeamParameters, grid: StaggeredGrid,
     dx = grid.dx
     sl = block_slices(grid)
     # y2 - div(y3) over the adjacent blocks (y2, y3)
-    mag = sparse.hstack([sparse.eye_array(n - 1), -sparse.csr_array(ops.div_int)])
+    mag = sparse.hstack([sparse.eye_array(n - 1), -ops.div_int])
     return {
         "kinetic_v": (sl["y4"], params.rho * ops.node_weights),
         "kinetic_theta": (sl["y5"],
@@ -352,7 +357,7 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
     rho, alpha, gamma = params.rho, params.alpha, params.gamma
     eps3, mu, xi = params.eps3, params.mu, params.xi
     c5 = 12.0 / (params.eps1 * params.h ** 2)
-    eye_n, eye_i = np.eye(n), np.eye(n - 1)
+    eye_n, eye_i = sparse.eye_array(n), sparse.eye_array(n - 1)
 
     g0 = sparse_blocks((dim, dim), [
         (sl["y1"], sl["y4"], ops.grad_f),
@@ -377,8 +382,7 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
         (q, sl["y6"], -gamma * eye_n),
         (r, sl["y4"], ops.grad_f),
     ])
-    helmholtz = eye_n - xi * ops.lap_cc
-    a = sparse_blocks((2 * n, 2 * n), [(q, q, helmholtz), (r, r, helmholtz)])
+    a = sparse_blocks((2 * n, 2 * n), [(q, q, ops.a), (r, r, ops.a)])
     # y1, y2, ..., y6, then q and r
     cells, nodes = grid.cell_coords, grid.node_coords
     order = spatial_order(cells, nodes[1:-1], cells, nodes, nodes[1:-1], cells,
@@ -394,11 +398,11 @@ def _lift(params: BeamParameters, grid: StaggeredGrid,
     col = {"y1": slice(0, n), "y2": slice(n, 2 * n - 1),
            "y4": slice(2 * n - 1, 3 * n), "y5": slice(3 * n, 4 * n - 1)}
     return sparse_blocks((grid.state_dim, 4 * n - 1), [
-        (sl["y1"], col["y1"], np.eye(n)),
-        (sl["y2"], col["y2"], np.eye(n - 1)),
+        (sl["y1"], col["y1"], sparse.eye_array(n)),
+        (sl["y2"], col["y2"], sparse.eye_array(n - 1)),
         (sl["y3"], col["y2"], params.xi * ops.grad_nc),
-        (sl["y4"], col["y4"], np.eye(n + 1)),
-        (sl["y5"], col["y5"], np.eye(n - 1)),
+        (sl["y4"], col["y4"], sparse.eye_array(n + 1)),
+        (sl["y5"], col["y5"], sparse.eye_array(n - 1)),
         (sl["y6"], col["y5"], params.xi * ops.grad_nc),
     ])
 
@@ -412,7 +416,8 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
 
     The only producer of the dense reference: G from the split with the
     dense P_xi ``p``, M as the sum of the energy parts, and the reduction to
-    the coordinates outside the ``bound`` blocks.  The output row defaults
+    the coordinates outside the ``bound`` blocks.  G is not kept on the
+    assembly; ``split.dense(p)`` forms it again.  The output row defaults
     to B* itself.  Raises :class:`AssemblyInconsistent` if the skewness
     certificate ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge
     certificate ||G T - T G_red|| > CONSTRAINT_TOL * max(||G||, 1) fails;
@@ -461,7 +466,7 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
         arr.setflags(write=False)
     b_dual = m @ b
     return GeneratorAssembly(
-        params=params, grid=grid, g=g, split=split, energy_parts=parts, m=m,
+        params=params, grid=grid, split=split, energy_parts=parts, m=m,
         b=b, b_dual=b_dual, output=b_dual if output is None else output,
         reduction=red, blocks=blocks, skew_defect=skew,
         gauge_defect=gauge_defect, influence=influence)

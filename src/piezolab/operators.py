@@ -16,7 +16,9 @@ and the cell Laplacian
     lap_cc = grad_nc @ div_int
 
 which is exactly the three-point stencil with mirror (zero-flux) ghost cells.
-Two summation-by-parts identities hold to machine precision and everything
+All five are read-only ``scipy.sparse`` CSR arrays built from their
+diagonals: two entries per row (one in the boundary rows of grad_nc and
+div_f) and three in lap_cc.  Two summation-by-parts identities hold to machine precision and everything
 downstream leans on them:
 
     sum_int  w * (div_int u)        = -sum_cells u * (grad_nc w)
@@ -27,7 +29,9 @@ second identity assumes the stress s carries zero boundary faces (built into
 div_f).
 
 P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
-tridiagonal).  Its banded Cholesky factor is kept: the nonlocal energy of a
+tridiagonal).  A is formed here once, as a sparse array that every model's
+split generator places on its auxiliary fields.  Its banded Cholesky factor
+is kept: the nonlocal energy of a
 record is evaluated from it at O(N).  A dense, exactly symmetric realization
 of P_xi, built from that factor, backs the dense reference generator and the
 spectra, and is the one dense block of the Gram matrix.
@@ -42,62 +46,32 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .errors import NotPositiveDefinite, SolverFailure
 from .model import BeamParameters, StaggeredGrid
 
 
-def _div_interior(grid: StaggeredGrid) -> np.ndarray:
-    """Cells -> interior nodes first difference, shape (N-1, N)."""
-    n = grid.n_cells
-    d = np.zeros((n - 1, n))
-    inv = 1.0 / grid.dx
-    for r in range(n - 1):
-        d[r, r] = -inv
-        d[r, r + 1] = inv
-    return d
-
-
-def _grad_full(grid: StaggeredGrid) -> np.ndarray:
-    """All nodes -> cells first difference, shape (N, N+1)."""
-    n = grid.n_cells
-    g = np.zeros((n, n + 1))
-    inv = 1.0 / grid.dx
-    for j in range(n):
-        g[j, j] = -inv
-        g[j, j + 1] = inv
-    return g
-
-
-def _div_free(grid: StaggeredGrid) -> np.ndarray:
-    """Cells -> all nodes divergence of a stress with zero boundary faces.
-
-    Boundary rows divide by the half spacing dx/2; this is the exact
-    negative adjoint of grad_f under trapezoid node weights.
-    """
-    n = grid.n_cells
-    d = np.zeros((n + 1, n))
-    inv = 1.0 / grid.dx
-    d[0, 0] = 2.0 * inv
-    for r in range(1, n):
-        d[r, r - 1] = -inv
-        d[r, r] = inv
-    d[n, n - 1] = -2.0 * inv
-    return d
+def _frozen(matrix: sparse.csr_array) -> sparse.csr_array:
+    """``matrix`` with its data and index arrays made read-only."""
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        part.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Immutable bundle of difference operators and the P_xi realization."""
+    """Immutable bundle of the sparse stencils, A and the P_xi realization."""
 
     grid: StaggeredGrid
     xi: float
-    div_int: np.ndarray     # (N-1, N)
-    grad_nc: np.ndarray     # (N, N-1), equals -div_int.T
-    grad_f: np.ndarray      # (N, N+1)
-    div_f: np.ndarray       # (N+1, N)
-    lap_cc: np.ndarray      # (N, N) = grad_nc @ div_int
-    p_dense: np.ndarray     # (N, N) symmetric realization of P_xi
+    div_int: sparse.csr_array   # (N-1, N), 2 entries per row
+    grad_nc: sparse.csr_array   # (N, N-1), equals -div_int.T
+    grad_f: sparse.csr_array    # (N, N+1), 2 entries per row
+    div_f: sparse.csr_array     # (N+1, N), 2 entries per column
+    lap_cc: sparse.csr_array    # (N, N) = grad_nc @ div_int, tridiagonal
+    a: sparse.csr_array         # (N, N) Helmholtz matrix I - xi lap_cc
+    p_dense: np.ndarray     # (N, N) symmetric realization of P_xi = A^{-1}
     a_chol: np.ndarray      # (2, N) upper banded Cholesky factor of A, LAPACK layout
     node_weights: np.ndarray  # (N+1,) trapezoid weights including dx
 
@@ -107,21 +81,28 @@ class DiscreteOperators:
 
 
 def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOperators:
-    """Assemble the stencils and the P_xi realization for one grid."""
+    """Assemble the stencils, A and the P_xi realization for one grid."""
     xi = params.xi
-    div_int = _div_interior(grid)
-    grad_nc = -div_int.T  # bit-exact negative adjoint
-    lap_cc = grad_nc @ div_int
-
     n = grid.n_cells
-    grad_f = _grad_full(grid)
-    div_f = _div_free(grid)
+    inv = 1.0 / grid.dx
+    div_int = sparse.diags_array([np.full(n - 1, -inv), np.full(n - 1, inv)],
+                                 offsets=(0, 1), shape=(n - 1, n), format="csr")
+    grad_nc = (-div_int.T).tocsr()  # bit-exact negative adjoint
+    lap_cc = grad_nc @ div_int
+    grad_f = sparse.diags_array([np.full(n, -inv), np.full(n, inv)],
+                                offsets=(0, 1), shape=(n, n + 1), format="csr")
+    # zero boundary faces: the end rows divide by the half spacing dx/2, the
+    # exact negative adjoint of grad_f under trapezoid node weights
+    diag, lower = np.full(n, inv), np.full(n, -inv)
+    diag[0], lower[-1] = 2.0 * inv, -2.0 * inv
+    div_f = sparse.diags_array([diag, lower], offsets=(0, -1), shape=(n + 1, n),
+                               format="csr")
+    a = sparse.eye_array(n, format="csr") - xi * lap_cc
 
-    a_mat = np.eye(n) - xi * lap_cc
     # upper banded storage for the SPD tridiagonal Helmholtz matrix
     ab = np.zeros((2, n))
-    ab[1, :] = np.diag(a_mat)
-    ab[0, 1:] = np.diag(a_mat, 1)
+    ab[1, :] = a.diagonal()
+    ab[0, 1:] = a.diagonal(1)
     try:
         bands = np.asfortranarray(scipy.linalg.cholesky_banded(ab))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - xi > 0 rules this out
@@ -129,20 +110,20 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
 
     p_raw = scipy.linalg.cho_solve_banded((bands, False), np.eye(n))
     # one Newton correction sharpens the inverse before symmetrizing
-    p_raw = p_raw @ (2.0 * np.eye(n) - a_mat @ p_raw)
+    p_raw = p_raw @ (2.0 * np.eye(n) - a.toarray() @ p_raw)
     p_dense = 0.5 * (p_raw + p_raw.T)
 
     weights = np.full(n + 1, grid.dx)
     weights[0] = 0.5 * grid.dx
     weights[-1] = 0.5 * grid.dx
 
-    for arr in (div_int, grad_nc, grad_f, div_f, lap_cc, p_dense, bands, weights):
+    for arr in (p_dense, bands, weights):
         arr.setflags(write=False)
 
     return DiscreteOperators(
-        grid=grid, xi=xi, div_int=div_int, grad_nc=grad_nc, grad_f=grad_f,
-        div_f=div_f, lap_cc=lap_cc, p_dense=p_dense, a_chol=bands,
-        node_weights=weights,
+        grid=grid, xi=xi, div_int=_frozen(div_int), grad_nc=_frozen(grad_nc),
+        grad_f=_frozen(grad_f), div_f=_frozen(div_f), lap_cc=_frozen(lap_cc),
+        a=_frozen(a), p_dense=p_dense, a_chol=bands, node_weights=weights,
     )
 
 

@@ -162,16 +162,22 @@ def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> Spec
     return _build_report(assembly, s, r, eig_tol)
 
 
+def checked_gain(gain: float) -> float:
+    """A feedback gain as a float; ValueError unless finite and nonnegative."""
+    if not (np.isfinite(gain) and gain >= 0):
+        raise ValueError(f"feedback gain must be finite and nonnegative, got {gain}")
+    return float(gain)
+
+
 def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
                          eig_tol: float = 1e-8) -> SpectrumReport:
     """Spectrum of the collocated-feedback generator G - gain * b (b^T M).
 
     Collocated feedback keeps the spectrum in the closed left half plane;
     the eigenvalues are returned unchecked, so a caller can report a
-    crossing.
+    crossing.  A gain that is negative or not finite raises ValueError.
     """
-    if gain < 0:
-        raise ValueError(f"gain must be nonnegative, got {gain}")
+    gain = checked_gain(gain)
     r, s = _energy_similarity(assembly)
     g_vec = _coupling(assembly, r)
     s_cl = s - gain * np.outer(g_vec, g_vec)
@@ -185,8 +191,10 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     sorted by omega: lam[j] solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0
     near i*omega[j], and coupling[j] = |c_j| is the energy-coordinate feedback
     coupling of the mode.  Accurate for shifts far below the dense-eig noise
-    floor; falls back to simple iteration with damping.
+    floor; falls back to simple iteration with damping.  A gain that is
+    negative or not finite raises ValueError.
     """
+    gain = checked_gain(gain)
     r, s = _energy_similarity(assembly)
     a_skew = 0.5 * (s - s.T)
     theta, u = np.linalg.eigh(1j * a_skew)

@@ -62,8 +62,8 @@ def assemble_electrostatic(params: BeamParameters,
         c=sparse_blocks((2 * n, n), [
             (velocity, q, (params.gamma**2 / (params.eps3 * params.rho))
              * ops.div_f[1:, :])]),
-        k=sparse_blocks((n, 2 * n), [(q, strain, np.eye(n))]),
-        a=sparse_blocks((n, n), [(q, q, np.eye(n) - params.xi * ops.lap_cc)]),
+        k=sparse_blocks((n, 2 * n), [(q, strain, sparse.eye_array(n))]),
+        a=sparse_blocks((n, n), [(q, q, ops.a)]),
         order=spatial_order(grid.cell_coords, grid.node_coords[1:], grid.cell_coords))
     parts = {
         "kinetic_v": (velocity, params.rho * ops.node_weights[1:]),

@@ -17,7 +17,7 @@ from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode
 from piezolab.variants import build_system
-from test_generator import BOX_CORNER, _random_parameters
+from test_generator import BOX_CORNER, _dense_g, _random_parameters
 
 TOY = toy_parameters()
 
@@ -64,7 +64,7 @@ class TestStepMidpoint:
         asm = _assembly(8)
         dt = 1e-2
         stepped = _stepper(asm, dt).step(np.zeros(asm.dim), 1.0)
-        oracle = dt * np.linalg.solve(np.eye(asm.dim) - 0.5 * dt * asm.g, asm.b)
+        oracle = dt * np.linalg.solve(np.eye(asm.dim) - 0.5 * dt * _dense_g(asm), asm.b)
         np.testing.assert_allclose(stepped, oracle, rtol=1e-11, atol=1e-14)
 
     def test_reversibility(self):
@@ -92,10 +92,10 @@ class DenseMidpoint:
     """
 
     def __init__(self, asm, dt, gain=0.0):
-        eye = np.eye(asm.dim)
+        eye, g = np.eye(asm.dim), _dense_g(asm)
         feedback = 0.5 * dt * gain * np.outer(asm.b, asm.output)
-        self.a_minus = eye - 0.5 * dt * asm.g + feedback
-        self.a_plus = eye + 0.5 * dt * asm.g - feedback
+        self.a_minus = eye - 0.5 * dt * g + feedback
+        self.a_plus = eye + 0.5 * dt * g - feedback
         self.lu = scipy.linalg.lu_factor(self.a_minus)
         self.asm, self.dt, self.gain = asm, dt, gain
 
@@ -181,7 +181,7 @@ class TestRandomStepper:
         if gain > 0.0:
             # Sherman-Morrison against a direct solve of the modified matrix
             y_mid = np.linalg.solve(
-                np.eye(asm.dim) - 0.5 * dt * asm.g
+                np.eye(asm.dim) - 0.5 * dt * _dense_g(asm)
                 + 0.5 * dt * gain * np.outer(asm.b, asm.output), y)
             y_next, u = stepper.step_closed(y)
             assert np.linalg.norm(y_next - (2.0 * y_mid - y)) <= \
@@ -230,18 +230,20 @@ def _check_open_loop_conservation_and_gauge(actuation):
 
 def _check_closed_loop_dissipation_identity(actuation):
     # E_{n+1} - E_n = -k dt (v^T y_mid)(B* y_mid) with v the output row,
-    # which is B* itself for the six-field models; checked per step
-    # against states recorded every step
+    # which is B* itself for the six-field models; checked per step on the
+    # states of a closed-loop stepper
     asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
     k, dt = 0.7, 2e-3
-    series = run(asm, modal_state(asm, 0), n_steps=200, dt=dt, gain=k,
-                 record_stride=1, keep_states=True)
-    e = series.total_energy()
+    stepper = _stepper(asm, dt, k)
+    y = modal_state(asm, 0)
     worst = 0.0
-    for j in range(len(e) - 1):
-        y_mid = 0.5 * (series.states[j] + series.states[j + 1])
+    for _ in range(200):
+        y_next, _ = stepper.step_closed(y)
+        e, e_next = asm.energy_split(y).total, asm.energy_split(y_next).total
+        y_mid = 0.5 * (y + y_next)
         pred = -k * dt * (asm.output @ y_mid) * (asm.b_dual @ y_mid)
-        worst = max(worst, abs((e[j + 1] - e[j]) - pred) / e[j])
+        worst = max(worst, abs((e_next - e) - pred) / e)
+        y = y_next
     assert worst <= 1e-10
 
 
@@ -289,6 +291,23 @@ class TestRun:
             run(asm, _random_state(asm, seed=9), n_steps=20, dt=1e-3,
                 input_fn=lambda t: bad if t > 2e-3 else 0.0, record_stride=5)
         assert isinstance(info.value, PiezolabError)
+
+    @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
+    def test_bad_gain_rejected(self, gain):
+        # a NaN gain fails both gain < 0 and gain > 0, and once ran open loop
+        asm = _assembly(16)
+        with pytest.raises(ValueError, match="gain"):
+            _stepper(asm, 1e-3, gain)
+        with pytest.raises(ValueError, match="gain"):
+            run(asm, _random_state(asm, seed=9), n_steps=20, dt=5e-3, gain=gain)
+
+    @pytest.mark.parametrize("dt", (np.nan, np.inf, 0.0, -1e-3))
+    def test_bad_dt_rejected(self, dt):
+        asm = _assembly(16)
+        with pytest.raises(ValueError, match="dt"):
+            _stepper(asm, dt)
+        with pytest.raises(ValueError, match="dt"):
+            run(asm, _random_state(asm, seed=9), n_steps=20, dt=dt, gain=1.0)
 
     def test_gain_and_input_mutually_exclusive(self):
         asm = _assembly(16)

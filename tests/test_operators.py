@@ -51,7 +51,55 @@ class TestAdjointStructure:
 
     def test_laplacian_symmetric(self):
         grid, ops = _ops(16)
-        assert np.linalg.norm(ops.lap_cc - ops.lap_cc.T) == 0.0
+        lap = ops.lap_cc.toarray()
+        assert np.linalg.norm(lap - lap.T) == 0.0
+
+
+def _loop_stencils(grid):
+    """Dense stencils filled entry by entry, the oracle for the sparse ones."""
+    n, inv = grid.n_cells, 1.0 / grid.dx
+    div_int = np.zeros((n - 1, n))
+    for r in range(n - 1):
+        div_int[r, r] = -inv
+        div_int[r, r + 1] = inv
+    grad_f = np.zeros((n, n + 1))
+    for j in range(n):
+        grad_f[j, j] = -inv
+        grad_f[j, j + 1] = inv
+    div_f = np.zeros((n + 1, n))
+    div_f[0, 0] = 2.0 * inv
+    for r in range(1, n):
+        div_f[r, r - 1] = -inv
+        div_f[r, r] = inv
+    div_f[n, n - 1] = -2.0 * inv
+    grad_nc = -div_int.T
+    return {"div_int": div_int, "grad_nc": grad_nc, "grad_f": grad_f,
+            "div_f": div_f, "lap_cc": grad_nc @ div_int}
+
+
+class TestSparseStencils:
+    """The stencils are sparse, read-only and equal to the loop-built ones."""
+
+    @pytest.mark.parametrize("length", (1.0, 1.4))
+    @pytest.mark.parametrize("n", (8, 37, 64))
+    def test_match_loop_built(self, n, length):
+        grid = build_grid(length, n)
+        ops = build_operators(TOY, grid)
+        for name, dense in _loop_stencils(grid).items():
+            np.testing.assert_array_equal(getattr(ops, name).toarray(), dense)
+        np.testing.assert_array_equal(
+            ops.a.toarray(), np.eye(n) - TOY.xi * _loop_stencils(grid)["lap_cc"])
+
+    @pytest.mark.parametrize("n", (8, 37, 64))
+    def test_sparse_with_fixed_nnz(self, n):
+        grid, ops = _ops(n)
+        nnz = {"div_int": 2 * (n - 1), "grad_nc": 2 * (n - 1), "grad_f": 2 * n,
+               "div_f": 2 * n, "lap_cc": 3 * n - 2, "a": 3 * n - 2}
+        for name, count in nnz.items():
+            stencil = getattr(ops, name)
+            assert stencil.format == "csr", name
+            assert stencil.nnz == count, name
+            assert not stencil.data.flags.writeable, name
 
 
 class TestApplyPXi:
@@ -110,7 +158,7 @@ class TestPXiIdentity:
             dict(rho=1, alpha=1, gamma=1, eps1=12, eps3=1, mu=1, h=1, L=1)))
         defect = np.linalg.norm(ops.lap_cc @ ops.p_dense
                                 - (ops.p_dense - np.eye(64)) / ops.xi)
-        scale = np.linalg.norm(ops.lap_cc) * np.linalg.norm(ops.p_dense)
+        scale = np.linalg.norm(ops.lap_cc.toarray()) * np.linalg.norm(ops.p_dense)
         assert defect <= 1e-13 * scale
 
     def test_spectrum_in_unit_interval(self):

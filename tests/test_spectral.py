@@ -10,6 +10,7 @@ from piezolab.model import build_grid, toy_parameters
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, decay_rate_fit, kernel_basis,
                                open_loop_modes)
+from test_generator import _dense_g
 
 TOY = toy_parameters()
 
@@ -43,11 +44,11 @@ class TestOpenLoopSpectrum:
         w, vectors_reduced = open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         t = asm.reduction.t_map
-        m = asm.m
+        m, g = asm.m, _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
             phi = t @ vectors_reduced[:, j]
-            res = asm.g @ phi - lam * phi
+            res = g @ phi - lam * phi
             num = np.sqrt(abs(np.vdot(res, m @ res).real))
             den = np.sqrt(abs(np.vdot(phi, m @ phi).real))
             assert num <= 1e-8 * report.g_norm * den
@@ -142,6 +143,14 @@ class TestClosedLoop:
                 continue  # kernel entry has no positive-frequency partner
             match = pos[np.argmin(np.abs(pos.imag - omega[j]))]
             assert abs(match - lam[j]) <= 1e-8 * report.g_norm
+
+
+    @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
+    def test_bad_gain_rejected(self, gain):
+        asm = assemble_generator(TOY, build_grid(1.0, 8))
+        for closed_loop in (closed_loop_spectrum, closed_loop_mode_shifts):
+            with pytest.raises(ValueError, match="gain"):
+                closed_loop(asm, gain)
 
 
 class TestDecayFit:
