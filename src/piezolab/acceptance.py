@@ -73,9 +73,8 @@ def _em_modes(report):
     return recs
 
 
-def check_skewness() -> CheckResult:
-    """1: relative skewness defect of M G at machine level."""
-    tol = 1e-12
+def skewness_parameter_sets() -> list:
+    """Toy units and the three seeded random parameter sets of check 1."""
     rng = np.random.default_rng(12345)
     param_sets = [toy_parameters()]
     for _ in range(3):
@@ -83,8 +82,14 @@ def check_skewness() -> CheckResult:
                for name in ("rho", "alpha", "eps1", "eps3", "mu", "h", "L")}
         raw["gamma"] = float(rng.uniform(-2.0, 2.0))
         param_sets.append(validate_parameters(raw))
+    return param_sets
+
+
+def check_skewness() -> CheckResult:
+    """1: relative skewness defect of M G at machine level."""
+    tol = 1e-12
     worst = 0.0
-    for params in param_sets:
+    for params in skewness_parameter_sets():
         for n in (16, 64):
             asm = assemble_generator(params, build_grid(params.L, n))
             worst = max(worst, asm.skew_defect)

@@ -114,6 +114,8 @@ def cmd_simulate(args) -> ExperimentReport:
         "energy_drift": drift,
         "gauge_pos_max": float(series.gauge_pos.max()),
         "gauge_vel_max": float(series.gauge_vel.max()),
+        "factored_band": list(series.factored_band),
+        "folded_swaps": series.folded_swaps,
     }
     pass_fail = {}
     closed = config.feedback_gain > 0.0

@@ -23,6 +23,10 @@ from .operators import ActuationMode
 SIGNAL_KINDS = ("zero", "constant", "sinusoid", "tabulated")
 STATE_KINDS = ("zero", "modal", "tabulated")
 
+# n_steps * dt ends on t_final when it misses it by at most this, relative
+# to t_final: the rounding of dt and of the product, not a step too few
+T_FINAL_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -92,6 +96,24 @@ class ExperimentConfig:
     initial_state: InitialStateSpec = field(default_factory=InitialStateSpec)
     tolerances: Tolerances = field(default_factory=Tolerances)
     record_stride: int = 1
+
+
+def time_steps(t_final: float, dt: float, explicit: bool = True) -> tuple:
+    """(n_steps, dt) of a run from 0 to t_final in steps of about dt.
+
+    n_steps is the whole number of steps nearest t_final / dt (at least
+    one).  Where n_steps * dt misses t_final by more than rounding, an
+    explicit dt raises ConfigParseError and any other dt becomes
+    t_final / n_steps.
+    """
+    n_steps = max(1, round(t_final / dt))
+    if abs(n_steps * dt - t_final) <= T_FINAL_RTOL * t_final:
+        return n_steps, dt
+    if explicit:
+        raise ConfigParseError(
+            f"dt {dt!r} does not divide t_final {t_final!r}: {n_steps} "
+            f"steps end at {n_steps * dt!r}")
+    return n_steps, t_final / n_steps
 
 
 def _require(section: dict, key: str, where: str):
@@ -263,9 +285,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         dt = _finite(dt, "dt")
         if dt <= 0:
             raise ConfigParseError(f"dt must be positive, got {dt}")
-        if t_final < dt:
-            raise ConfigParseError(
-                f"t_final {t_final} must be at least dt {dt}")
+        time_steps(t_final, dt)
 
     actuation_name = doc.get("actuation", "none")
     try:

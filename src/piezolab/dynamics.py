@@ -15,6 +15,8 @@ the fields P_xi(...) are extra unknowns tied down by tridiagonal Helmholtz
 rows.  With its unknowns in order of their x-coordinate that system is
 banded, with a bandwidth fixed by the model and not by N, so the banded LU
 of LAPACK factors it (see :class:`RankOneMidpoint`) and a step costs O(N).
+The row swaps of partial pivoting are folded into the row order once, so a
+step's solves are two triangular band sweeps each, with no swaps.
 A record (:meth:`GeneratorAssembly.energy_split` and
 :meth:`GeneratorAssembly.gauge`) is O(N) as well.  Closed-loop runs use
 u = -k v^T y evaluated at the midpoint state; the rank-one modified solve is
@@ -31,8 +33,10 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from .config import time_steps
 from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
                      NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator
@@ -65,6 +69,8 @@ class TimeSeries:
     inputs: np.ndarray = field(repr=False)       # applied input per record
     dt: float
     system: GeneratorAssembly = field(repr=False)  # the system that ran
+    factored_band: tuple          # (kl, ku) of the stepper's factored band
+    folded_swaps: int             # row swaps folded into the row order
 
     def total_energy(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
@@ -77,6 +83,57 @@ class TimeSeries:
                 row = [t, *self.energies[i].as_row(),
                        self.gauge_pos[i], self.gauge_vel[i], self.inputs[i]]
                 writer.writerow([f"{v:.17g}" for v in row])
+
+
+class BandLU:
+    """LAPACK banded LU, with partial pivoting, of a row-scaled matrix.
+
+    The matrix holds ``val`` at (``row``, ``col``), and its row i is row i of
+    the system to solve scaled by ``scale[i]``; ``kl`` and ``ku`` are its
+    sub- and superdiagonals.  When ``dgbtrf`` takes every pivot on the
+    diagonal (``swap_free``), L is unit lower with kl subdiagonals and U is
+    upper with ku superdiagonals, and a single right-hand side is solved by
+    two ``dtbsv`` sweeps on copies of them.  Otherwise, and for a block of
+    right-hand sides, ``dgbtrs`` solves on the same factors.
+    """
+
+    def __init__(self, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                 scale: np.ndarray):
+        size = scale.size
+        self.kl = kl = int(np.max(row - col))
+        self.ku = ku = int(np.max(col - row))
+        self.scale = scale
+        # LAPACK band layout with kl extra rows for the fill-in of pivoting
+        band = np.zeros((2 * kl + ku + 1, size), order="F")
+        band[kl + ku + row - col, col] = val
+        self.lu, self.piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+        if info != 0:
+            raise LinearSolveFailure(
+                f"shifted system factorization failed: zero pivot {info} of {size}")
+        # scipy returns the interchanges 0-based: row i with row piv[i]
+        self.swap_free = bool(np.array_equal(self.piv, np.arange(size)))
+        if self.swap_free:
+            self._lower = np.asfortranarray(self.lu[kl + ku:])
+            self._upper = np.asfortranarray(self.lu[kl:kl + ku + 1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the unscaled system for ``rhs`` (one per column if 2-D)."""
+        if rhs.ndim == 1 and self.swap_free:
+            x = dtbsv(self.kl, self._lower, self.scale * rhs, lower=1, diag=1,
+                      overwrite_x=1)
+            return dtbsv(self.ku, self._upper, x, overwrite_x=1)
+        scale = self.scale if rhs.ndim == 1 else self.scale[:, None]
+        return dgbtrs(self.lu, self.kl, self.ku, scale * rhs, self.piv,
+                      overwrite_b=1)[0]
+
+
+def pivot_order(piv: np.ndarray) -> np.ndarray:
+    """The row order that ``dgbtrf``'s interchanges, in turn, compose to."""
+    rows = np.arange(piv.size)
+    for i in np.flatnonzero(piv != rows):
+        j = piv[i]
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
 
 
 class RankOneMidpoint:
@@ -93,9 +150,16 @@ class RankOneMidpoint:
     sub- and ``ku`` = 8 superdiagonals for the six-field models and 3 and 3
     for the electrostatic one, at every N.  Each row is scaled by
     1/max|row| and the scaled matrix is factored once by LAPACK ``dgbtrf``
-    (banded LU with partial pivoting).  A step is one ``dgbtrs`` solve, one
-    refinement pass on the residual of the unscaled system, and
-    y+ = 2 y_mid - y.
+    (banded LU with partial pivoting).  Where that factorization swaps
+    rows, the swaps are folded into the row order and the rows, taken in
+    that order, are factored again: ``dgbtrf`` then takes the same pivots
+    with the same arithmetic, all of them on the diagonal.  The factored
+    band (``factored_band``) is wider, up to 18 and 9 for the six-field
+    models and 7 and 3 for the electrostatic one; the widest rows are the
+    few that move at the ends of the grid.  ``folded_swaps`` counts the
+    swaps.  A step is one solve, one refinement pass on the residual of
+    the unscaled system, and y+ = 2 y_mid - y; a solve is two ``dtbsv``
+    sweeps, L then U, with no swaps (see :class:`BandLU`).
 
     ``v`` is the feedback output row (B* for collocated current feedback,
     the boundary trace for the electrostatic variant).  With gain 0 the
@@ -115,26 +179,32 @@ class RankOneMidpoint:
         aug = sparse.block_array(
             [[sparse.eye_array(self._dim) - self._half * g.g0, -self._half * g.c],
              [-g.k, g.a]], format="csr")
-        self._aug = aug[g.order][:, g.order]
-        coo = self._aug.tocoo()
-        self.kl = int(np.max(coo.row - coo.col))
-        self.ku = int(np.max(coo.col - coo.row))
-        size = self._aug.shape[0]
+        aug = aug[g.order][:, g.order]
+        coo = aug.tocoo()
+        size = aug.shape[0]
         row_max = np.zeros(size)
         np.maximum.at(row_max, coo.row, np.abs(coo.data))
-        self._scale = 1.0 / row_max
-        # LAPACK band layout with kl extra rows for the fill-in of pivoting
-        band = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
-        band[self.kl + self.ku + coo.row - coo.col, coo.col] = \
-            coo.data * self._scale[coo.row]
-        self._lu, self._piv, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
-        if info != 0:
-            raise LinearSolveFailure(
-                f"shifted system factorization failed: zero pivot {info} of {size}")
-        # where each state coordinate sits among the ordered unknowns
-        where = np.empty(size, dtype=np.intp)
-        where[g.order] = np.arange(size)
-        self._where = where[:self._dim]
+        scale = 1.0 / row_max
+        scaled = coo.data * scale[coo.row]
+        lu = BandLU(coo.row, coo.col, scaled, scale)
+        self.kl, self.ku = lu.kl, lu.ku
+        self.folded_swaps = int(np.count_nonzero(lu.piv != np.arange(size)))
+        # row i of the factored system is row rows[i] of the ordered one
+        rows = pivot_order(lu.piv)
+        at = np.argsort(rows)
+        if self.folded_swaps:
+            # in pivot order dgbtrf takes the same pivots, all on the
+            # diagonal: each one still has the largest magnitude of its
+            # column, and the diagonal candidate wins a tie
+            lu = BandLU(at[coo.row], coo.col, scaled, scale[rows])
+            aug = aug[rows]
+        self._lu = lu
+        self._aug = aug
+        self.factored_band = (lu.kl, lu.ku)
+        # where each state coordinate sits among the ordered unknowns, and
+        # the factored row that holds its equation
+        self._where = np.argsort(g.order)[:self._dim]
+        self._rows_in = at[self._where]
         self._b = b
         self._v = v
         if self.gain > 0.0:
@@ -142,12 +212,6 @@ class RankOneMidpoint:
             self._w0 = self._midpoint(self._b)
             self._sm_c = self._half * self.gain
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The banded LU solve of the unscaled system for ordered ``rhs``."""
-        scale = self._scale if rhs.ndim == 1 else self._scale[:, None]
-        return dgbtrs(self._lu, self.kl, self.ku, scale * rhs, self._piv,
-                      overwrite_b=1)[0]
 
     def _midpoint(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 G) x = rhs through the augmented system.
@@ -158,9 +222,9 @@ class RankOneMidpoint:
         accumulate solver error over long runs.
         """
         full = np.zeros((self._aug.shape[0],) + rhs.shape[1:])
-        full[self._where] = rhs
-        sol = self._solve(full)
-        sol += self._solve(full - self._aug @ sol)
+        full[self._rows_in] = rhs
+        sol = self._lu.solve(full)
+        sol += self._lu.solve(full - self._aug @ sol)
         return sol[self._where]
 
     def step(self, y: np.ndarray, u_mid=0.0) -> np.ndarray:
@@ -239,8 +303,9 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
 
     return TimeSeries(times=np.array(times), energies=energies,
                       gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
-                      inputs=np.array(inputs), dt=dt,
-                      system=assembly)
+                      inputs=np.array(inputs), dt=dt, system=assembly,
+                      factored_band=stepper.factored_band,
+                      folded_swaps=stepper.folded_swaps)
 
 
 def _trial_profiles(assembly: GeneratorAssembly, coeffs: np.ndarray) -> np.ndarray:
@@ -368,12 +433,16 @@ def simulate(config) -> TimeSeries:
 
     Builds the linear system of the configured actuation model, its initial
     state, and integrates it with the midpoint stepper.  Returns the
-    recorded TimeSeries, which holds the system it ran.
+    recorded TimeSeries, which holds the system it ran.  The run ends at
+    t_final: an explicit dt must divide it (see :func:`time_steps`), and
+    the default dt is adjusted to divide it where it does not.
     """
     params = config.params
     grid = build_grid(params.L, config.n_cells)
-    dt = config.dt if config.dt is not None else default_dt(params, grid)
-    n_steps = max(1, int(round(config.t_final / dt)))
+    explicit = config.dt is not None
+    n_steps, dt = time_steps(
+        config.t_final, config.dt if explicit else default_dt(params, grid),
+        explicit)
     gain = config.feedback_gain
     input_fn = config.input_signal.as_function()
     spec = config.initial_state

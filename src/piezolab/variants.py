@@ -26,7 +26,30 @@ from .generator import (GeneratorAssembly, HelmholtzInverse, SplitGenerator,
                         assemble, assemble_generator, energy_parts, gram,
                         sparse_blocks, spatial_order, with_influence)
 from .model import BeamParameters, StaggeredGrid, block_slices
-from .operators import ActuationMode, build_operators
+from .operators import ActuationMode, DiscreteOperators, build_operators
+
+
+def _electrostatic_split(params: BeamParameters, grid: StaggeredGrid,
+                         ops: DiscreteOperators) -> SplitGenerator:
+    """The electrostatic generator as G0 + C A^{-1} K with the field q = P_xi s.
+
+    The six-field stencils are restricted to the nodes 1..n: the clamped
+    node 0 drops out of the gradient and the divergence keeps the
+    stress-free right end.
+    """
+    n = grid.n_cells
+    strain, velocity = slice(0, n), slice(n, 2 * n)
+    q = slice(0, n)
+    return SplitGenerator(
+        g0=sparse_blocks((2 * n, 2 * n), [
+            (strain, velocity, ops.grad_f[:, 1:]),
+            (velocity, strain, (params.alpha / params.rho) * ops.div_f[1:, :])]),
+        c=sparse_blocks((2 * n, n), [
+            (velocity, q, (params.gamma**2 / (params.eps3 * params.rho))
+             * ops.div_f[1:, :])]),
+        k=sparse_blocks((n, 2 * n), [(q, strain, sparse.eye_array(n))]),
+        a=sparse_blocks((n, n), [(q, q, ops.a)]),
+        order=spatial_order(grid.cell_coords, grid.node_coords[1:], grid.cell_coords))
 
 
 def assemble_electrostatic(params: BeamParameters,
@@ -49,22 +72,8 @@ def assemble_electrostatic(params: BeamParameters,
     ops = build_operators(params, grid)
     n = grid.n_cells
     dx = grid.dx
-
-    # the six-field stencils restricted to the nodes 1..n: the clamped
-    # node 0 drops out of the gradient and the divergence keeps the
-    # stress-free right end; the one auxiliary field is q = P_xi s
     strain, velocity = slice(0, n), slice(n, 2 * n)
-    q = slice(0, n)
-    split = SplitGenerator(
-        g0=sparse_blocks((2 * n, 2 * n), [
-            (strain, velocity, ops.grad_f[:, 1:]),
-            (velocity, strain, (params.alpha / params.rho) * ops.div_f[1:, :])]),
-        c=sparse_blocks((2 * n, n), [
-            (velocity, q, (params.gamma**2 / (params.eps3 * params.rho))
-             * ops.div_f[1:, :])]),
-        k=sparse_blocks((n, 2 * n), [(q, strain, sparse.eye_array(n))]),
-        a=sparse_blocks((n, n), [(q, q, ops.a)]),
-        order=spatial_order(grid.cell_coords, grid.node_coords[1:], grid.cell_coords))
+    split = _electrostatic_split(params, grid, ops)
     parts = {
         "kinetic_v": (velocity, params.rho * ops.node_weights[1:]),
         "elastic": (strain, np.full(n, params.alpha * dx)),

@@ -83,6 +83,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="t_final"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("t_final, dt", ((1.0, 0.4), (0.123, 0.01)))
+    def test_dt_must_divide_t_final(self, t_final, dt):
+        # 1.0 in steps of 0.4 once ended at 0.8 with exit 0
+        doc = {**toy_config_dict(t_final=t_final), "dt": dt}
+        with pytest.raises(ConfigParseError, match="dt"):
+            config_from_dict(doc)
+
+    def test_dt_dividing_within_rounding_accepted(self):
+        # 10 * 0.1 and 123 * 0.001 are t_final only to rounding
+        for t_final, dt in ((1.0, 0.1), (0.123, 0.001), (0.3, 0.1)):
+            assert config_from_dict({**toy_config_dict(t_final=t_final),
+                                     "dt": dt}).dt == dt
+
     def test_coarse_grid_rejected(self):
         doc = toy_config_dict(n_cells=4)
         with pytest.raises(ConfigParseError, match="n_cells"):
@@ -319,6 +332,54 @@ class TestCliExitCodes:
         res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2
+
+    def test_dt_not_dividing_exits_2(self, tmp_path, run_cli):
+        doc = {**toy_config_dict(n_cells=16, t_final=1.0), "dt": 0.4}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "dt 0.4 does not divide t_final 1.0" in res.stderr
+
+    def test_default_dt_lands_on_t_final(self, tmp_path, run_cli):
+        # 0.123 / (dx / 10) = 19.68 steps at N = 16: 20 steps of 0.123 / 20
+        # end at t_final, where 20 default steps once ended at 0.125
+        doc = toy_config_dict(n_cells=16, t_final=0.123)
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+        assert report["outcome"]["dt"] == 0.123 / 20
+        assert report["outcome"]["n_records"] == 21
+        last = (tmp_path / "o" / "trajectory.csv").read_text(encoding="utf-8") \
+            .splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(0.123, rel=1e-15)
+
+    def test_default_dt_kept_where_it_divides(self):
+        # 0.1 is 16 default steps at N = 16 up to rounding: dt is untouched
+        config = config_from_dict(toy_config_dict(n_cells=16, t_final=0.1))
+        series = dynamics.simulate(config)
+        assert series.dt == dynamics.default_dt(config.params, series.system.grid)
+        assert series.times[-1] == pytest.approx(0.1, rel=1e-15)
+
+    def test_report_has_factored_band_and_swaps(self, tmp_path, run_cli):
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1), "actuation": "current",
+               "feedback_gain": 0.5}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        outcome = json.loads((tmp_path / "o" / "report.json")
+                             .read_text(encoding="utf-8"))["outcome"]
+        series = dynamics.simulate(config_from_dict(doc))
+        asm = series.system
+        stepper = dynamics.RankOneMidpoint(asm.split, asm.b, asm.output,
+                                           series.dt, gain=0.5)
+        assert outcome["factored_band"] == list(series.factored_band) \
+            == list(stepper.factored_band)
+        assert outcome["folded_swaps"] == series.folded_swaps == stepper.folded_swaps
+        # the toy system swaps rows at the ends of the grid, so the fold
+        # widens the band beyond the ordered system's 9 and 8 diagonals
+        assert outcome["folded_swaps"] > 0
+        assert outcome["factored_band"] != [stepper.kl, stepper.ku]
 
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))

@@ -7,16 +7,18 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrs
 
-from piezolab import spectral
-from piezolab.dynamics import (RankOneMidpoint, _trial_profiles,
+from piezolab import dynamics, spectral
+from piezolab.acceptance import skewness_parameter_sets
+from piezolab.dynamics import (BandLU, RankOneMidpoint, _trial_profiles,
                                admissibility_estimate, default_dt, modal_state,
-                               run)
+                               pivot_order, run)
 from piezolab.errors import GaugeDrift, NonFiniteState, PiezolabError
-from piezolab.generator import assemble_generator
+from piezolab.generator import _split_generator, assemble_generator
 from piezolab.model import build_grid, toy_parameters
-from piezolab.operators import ActuationMode
-from piezolab.variants import build_system
+from piezolab.operators import ActuationMode, build_operators
+from piezolab.variants import _electrostatic_split, build_system
 from test_generator import BOX_CORNER, _dense_g, _random_parameters
 
 TOY = toy_parameters()
@@ -216,6 +218,78 @@ class TestBandedStepper:
         stepper = _stepper(asm, default_dt(TOY, asm.grid))
         expected = (3, 3) if actuation is ActuationMode.CHARGE_ELECTROSTATIC else (9, 8)
         assert (stepper.kl, stepper.ku) == expected
+
+
+def _random_band(seed, n=40, kl=3, ku=2):
+    """A random (row, col, val) band matrix whose small diagonal forces swaps."""
+    i, j = np.indices((n, n))
+    band = (i - j <= kl) & (j - i <= ku)
+    row, col = i[band], j[band]
+    val = np.random.default_rng(seed).standard_normal(row.size)
+    val[row == col] *= 1e-3
+    return row, col, val
+
+
+class TestSwapFreeSolve:
+    """The fold of the pivots into the row order, and the two solve routes."""
+
+    # the six-field split is shared by the current and charge-magnetic models
+    # (they differ only in b), and the augmented matrix holds neither b, the
+    # output row nor the gain; the splits are built without assembling the
+    # dense reference, whose certificates fail at BOX_CORNER for N >= 512
+    @pytest.mark.parametrize("n", (16, 64, 256, 1024))
+    @pytest.mark.parametrize("params", skewness_parameter_sets() + [BOX_CORNER],
+                             ids=("toy", "seeded1", "seeded2", "seeded3", "corner"))
+    @pytest.mark.parametrize("split", (_split_generator, _electrostatic_split),
+                             ids=("six_field", "electrostatic"))
+    def test_no_swaps_after_fold(self, split, params, n):
+        grid = build_grid(params.L, n)
+        g = split(params, grid, build_operators(params, grid))
+        zeros = np.zeros(g.shape[0])
+        stepper = RankOneMidpoint(g, zeros, zeros, default_dt(params, grid))
+        lu = stepper._lu
+        assert lu.swap_free
+        # the dtbsv route is dgbtrs on the same factors, bit for bit
+        rhs = np.random.default_rng(n).standard_normal(lu.scale.size)
+        expected = dgbtrs(lu.lu, lu.kl, lu.ku, lu.scale * rhs, lu.piv)[0]
+        np.testing.assert_array_equal(lu.solve(rhs), expected)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_fold_of_random_band(self, seed):
+        row, col, val = _random_band(seed)
+        scale = np.ones(40)
+        first = BandLU(row, col, val, scale)
+        assert not first.swap_free
+        rows = pivot_order(first.piv)
+        folded = BandLU(np.argsort(rows)[row], col, val, scale)
+        assert folded.swap_free
+        dense = np.zeros((40, 40))
+        dense[row, col] = val
+        rhs = np.random.default_rng(seed).standard_normal(40)
+        expected = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(folded.solve(rhs[rows]), expected, rtol=1e-9, atol=1e-9)
+
+    def test_vector_solve_with_swaps_uses_dgbtrs(self, monkeypatch):
+        # factors whose pivots are not the identity solve a single vector
+        # with dgbtrs, on the unscaled system
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape)
+            return dgbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "dgbtrs", counted)
+        row, col, val = _random_band(7)
+        scale = np.random.default_rng(8).uniform(0.5, 2.0, 40)
+        lu = BandLU(row, col, val, scale)
+        assert not lu.swap_free
+        dense = np.zeros((40, 40))
+        dense[row, col] = val
+        rhs = np.random.default_rng(9).standard_normal(40)
+        np.testing.assert_allclose(dense @ lu.solve(rhs), scale * rhs,
+                                   rtol=1e-9, atol=1e-9)
+        assert calls == [(40,)]
 
 
 def _check_open_loop_conservation_and_gauge(actuation):
