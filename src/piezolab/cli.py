@@ -116,6 +116,9 @@ def cmd_simulate(args) -> ExperimentReport:
         "gauge_vel_max": float(series.gauge_vel.max()),
         "factored_band": list(series.factored_band),
         "folded_swaps": series.folded_swaps,
+        "certificates": {"skew_defect": series.system.skew_defect,
+                         "gauge_defect": series.system.gauge_defect,
+                         "method": "probe"},
     }
     pass_fail = {}
     closed = config.feedback_gain > 0.0

@@ -39,9 +39,9 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .config import time_steps
 from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
                      NonFiniteState)
-from .generator import GeneratorAssembly, SplitGenerator
+from .generator import GeneratorAssembly, SplitGenerator, gram_product
 from .model import BeamParameters, StaggeredGrid, build_grid
-from .spectral import checked_gain, open_loop_modes
+from .spectral import DENSE_DIM_GUARD, checked_gain, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
@@ -350,7 +350,6 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
     stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt)
-    m = assembly.m
 
     # draws in the order of one trial after another; the trials then run
     # together, one state per column and one input per column
@@ -371,8 +370,10 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
         input_sq += u * u * dt
         y = stepper.step(y, u)
 
-    denom = np.einsum("ij,ij->j", y0, m @ y0) + input_sq
-    ratio = np.einsum("ij,ij->j", y, m @ y)[denom > 1e-14] / denom[denom > 1e-14]
+    parts = assembly.energy_parts
+    denom = np.einsum("ij,ij->j", y0, gram_product(parts, y0)) + input_sq
+    ratio = (np.einsum("ij,ij->j", y, gram_product(parts, y))[denom > 1e-14]
+             / denom[denom > 1e-14])
     return float(ratio.max(initial=0.0))
 
 
@@ -382,18 +383,27 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
 
     Takes the real part of the lifted eigenvector of the positive-imaginary
     member, renormalized to M-norm ``amplitude``.  Kernel modes are skipped.
+    The eigenvectors come from the dense reference, so a state dimension
+    above DENSE_DIM_GUARD raises :class:`ConfigParseError` before any dense
+    array is formed.
     """
+    if assembly.dim > DENSE_DIM_GUARD:
+        raise ConfigParseError(
+            f"a modal initial state needs the dense eigensolve: n_cells "
+            f"{assembly.grid.n_cells} gives state dimension {assembly.dim}, above "
+            f"DENSE_DIM_GUARD = {DENSE_DIM_GUARD}; use a zero or tabulated start")
     w, vectors_reduced = open_loop_modes(assembly)
     pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
     if mode_index >= pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
     phi_red = vectors_reduced[:, pos[mode_index]]
     phi = assembly.reduction.t_map @ phi_red
+    m = assembly.reference.m
     y = np.real(phi)
-    nrm = np.sqrt(float(y @ assembly.m @ y))
+    nrm = np.sqrt(float(y @ m @ y))
     if nrm == 0.0:
         y = np.imag(phi)
-        nrm = np.sqrt(float(y @ assembly.m @ y))
+        nrm = np.sqrt(float(y @ m @ y))
     return (amplitude / nrm) * y
 
 

@@ -45,28 +45,33 @@ For the six-field models A^{-1} K produces two auxiliary cell fields,
 so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
 -(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The
 stencils and A come sparse from :func:`~piezolab.operators.build_operators`.
-The dense G is formed from the split, with the dense P_xi in place of
-A^{-1}, only inside :func:`assemble`: the certificates and the reduced
-generator G_red that spectra read are taken on it, and it is dropped when
-the assembly is returned (a model without a gauge keeps it as its G_red).
 
 Each model declares its energy once, as named quadratic forms on blocks of
-the state (``energy_parts``): the Gram matrix M is their sum and the energy
-split evaluates them one by one.  A form is a diagonal (a 1-D array), a
-sparse matrix, or the nonlocal :class:`HelmholtzInverse` c P_xi, which a
-record evaluates from the banded Cholesky factor of A at O(N); the dense
-c P_xi is placed only in M, for the dense reference, as its one dense block.
-The gauge is declared once too, by the lift T and the blocks it binds
-(:class:`Reduction`).  M and T are sparse except for that block, so the
-certificates, M_red and G_red are sparse-times-dense products.
+the state (``energy_parts``): the Gram matrix M is their sum, and M y, the
+energy split and B* are evaluated from them part by part.  A form is a
+diagonal (a 1-D array), a sparse matrix, or the nonlocal
+:class:`HelmholtzInverse` c P_xi, which is applied through the banded
+Cholesky factor of A at O(N).  The gauge is declared once too, by the lift
+T and the blocks it binds (:class:`Reduction`).
+
+:func:`assemble` is O(N) and forms no dense array.  It gates every model
+on probe certificates: for a few seeded random probes z it applies G and
+G^T through the split, with banded solves of A, and M part by part, and
+checks M G z + G^T (M z) = 0 and that w = G T z lies on the gauge manifold.
+The dense reference (P_xi, M with its dense block c P_xi, M_red and G_red;
+the dense G on request) is :attr:`GeneratorAssembly.reference`, formed on
+the first read: spectra, the kernel basis, modal starts and the full-space
+skewness of :func:`dense_skew_defect` read it, a time step never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_solve_banded
 from scipy.linalg.blas import dtbsv
 
 from .errors import AssemblyInconsistent
@@ -76,6 +81,8 @@ from .operators import DiscreteOperators, build_operators
 SKEW_TOL = 1e-12
 CONSTRAINT_TOL = 1e-11
 NORM_FLOOR = 1e-30
+PROBES = 3        # seeded random probe vectors of each certificate
+PROBE_SEED = 20160
 
 
 @dataclass(frozen=True)
@@ -111,15 +118,14 @@ class Reduction:
     ``keep`` lists the free full coordinates, on which T is the identity,
     and ``bound`` names the blocks T fills from them (none without a gauge).
     ``t_bound`` holds the rows of T on those blocks, so a gauge residual
-    lifts only what it measures.
+    lifts only what it measures.  The reduced Gram matrix and generator
+    belong to the dense reference (:class:`DenseReference`).
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
     keep: np.ndarray    # full coordinates of the reduced ones, T[keep] = I
     bound: tuple        # gauge-bound block names, (pos, vel) or empty
     t_bound: sparse.csr_array  # rows of T on the bound blocks, in their order
-    m_red: np.ndarray   # SPD Gram on reduced coordinates
-    g_red: np.ndarray   # reduced generator, G T = T G_red
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
 
 
@@ -148,16 +154,33 @@ class SplitGenerator:
     def shape(self) -> tuple:
         return self.g0.shape
 
-    def dense(self, p: np.ndarray) -> np.ndarray:
-        """G as a dense array, given the dense P_xi ``p``.
+    def dense(self, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """G, or its ``rows``, as a dense array, given the dense P_xi ``p``.
 
         A is block diagonal with one Helmholtz block per auxiliary field, so
         A^{-1} K is ``p`` applied to each block of rows of K.  Every product
-        is sparse times dense.
+        is sparse times dense, and each row of G is formed alone, so the
+        rows come out as the same rows of the whole G.
         """
         n = p.shape[0]
         pk = np.vstack([p @ self.k[i:i + n] for i in range(0, self.k.shape[0], n)])
-        return self.g0 + self.c @ pk
+        g0, c = (self.g0, self.c) if rows is None else (self.g0[rows], self.c[rows])
+        return g0 + c @ pk
+
+    def apply(self, ops: DiscreteOperators, z: np.ndarray) -> np.ndarray:
+        """G z, with A^{-1} applied by banded Cholesky solves; z may be a block."""
+        return self.g0 @ z + self.c @ _helmholtz_solve(ops, self.k @ z)
+
+    def apply_transpose(self, ops: DiscreteOperators, y: np.ndarray) -> np.ndarray:
+        """G^T y = G0^T y + K^T A^{-1} C^T y (A is symmetric); y may be a block."""
+        return self.g0.T @ y + self.k.T @ _helmholtz_solve(ops, self.c.T @ y)
+
+
+def _helmholtz_solve(ops: DiscreteOperators, x: np.ndarray) -> np.ndarray:
+    """A^{-1} x for the block-diagonal A of a split: one solve per field's block."""
+    n = ops.n_cells
+    return np.concatenate([cho_solve_banded((ops.a_chol, False), x[i:i + n])
+                           for i in range(0, x.shape[0], n)])
 
 
 def spatial_order(*coords: np.ndarray) -> np.ndarray:
@@ -173,21 +196,20 @@ def spatial_order(*coords: np.ndarray) -> np.ndarray:
 class HelmholtzInverse:
     """The nonlocal energy form c P_xi of one block, with P_xi = A^{-1}.
 
-    A = I - xi lap_cc = R^T R is held by its banded Cholesky factor R, so
-    x^T (c P_xi) x = c |R^{-T} x|^2 costs one banded triangular solve.  The
-    dense P_xi is kept for the dense reference, where :func:`gram` places
-    c P_xi.
+    A = I - xi lap_cc = R^T R is held by its banded Cholesky factor R in
+    ``ops``, so x^T (c P_xi) x = c |R^{-T} x|^2 costs one banded triangular
+    solve and c P_xi x a banded Cholesky solve.  Only :func:`gram` places
+    the dense c P_xi, from ``ops.p_dense``, for the dense reference.
     """
 
     c: float
-    chol: np.ndarray = field(repr=False)  # R in LAPACK upper band layout, (2, n)
-    p: np.ndarray = field(repr=False)     # dense P_xi
+    ops: DiscreteOperators = field(repr=False)
 
 
 def _matrix(form):
     """The matrix of a declared energy form (see :func:`gram`)."""
     if isinstance(form, HelmholtzInverse):
-        return form.c * form.p
+        return form.c * form.ops.p_dense
     if isinstance(form, np.ndarray) and form.ndim == 1:
         return sparse.diags_array(form)
     return form
@@ -196,11 +218,32 @@ def _matrix(form):
 def _quadratic(form, x: np.ndarray) -> float:
     """x^T F x for a declared energy form F, at O(N) for every kind of form."""
     if isinstance(form, HelmholtzInverse):
-        z = dtbsv(1, form.chol, x, trans=1)  # R^{-T} x
+        z = dtbsv(1, form.ops.a_chol, x, trans=1)  # R^{-T} x
         return form.c * float(z @ z)
     if isinstance(form, np.ndarray) and form.ndim == 1:
         return float(x @ (form * x))
     return float(x @ (form @ x))
+
+
+def _product(form, x: np.ndarray) -> np.ndarray:
+    """F x for a declared energy form F, at O(N) per column of x."""
+    if isinstance(form, HelmholtzInverse):
+        return form.c * _helmholtz_solve(form.ops, x)
+    if isinstance(form, np.ndarray) and form.ndim == 1:
+        return form * x if x.ndim == 1 else form[:, None] * x
+    return form @ x
+
+
+def gram_product(parts: dict, y: np.ndarray) -> np.ndarray:
+    """M y for the Gram matrix M of ``parts`` (see :func:`gram`), part by part.
+
+    ``y`` is a state or a block of states, one per column; no dense block
+    is formed.
+    """
+    out = np.zeros(y.shape)
+    for sl, form in parts.values():
+        out[sl] += _product(form, y[sl])
+    return out
 
 
 def sparse_blocks(shape: tuple, parts) -> sparse.csr_array:
@@ -226,9 +269,26 @@ def gram(parts: dict, dim: int) -> sparse.csr_array:
     ``parts`` maps each name to (block slice, form): the part's energy is
     (1/2) y[sl]^T F y[sl], and M is the sum of the parts placed on their
     diagonal blocks.  A form F is a diagonal given as a 1-D array, a sparse
-    matrix, or a :class:`HelmholtzInverse`, whose dense c P_xi is placed.
+    matrix, or a :class:`HelmholtzInverse`, whose dense c P_xi is placed;
+    that block makes M O(N^2), so only the dense reference forms it.
     """
     return sparse_blocks((dim, dim), [(sl, sl, _matrix(a)) for sl, a in parts.values()])
+
+
+@dataclass(frozen=True)
+class DenseReference:
+    """The dense reference of an assembly, for spectra and full-space checks.
+
+    ``m`` is the Gram matrix with its dense block c P_xi; ``m_red`` =
+    T^T M T (symmetrized) and ``g_red`` = (G T)[keep], the reduced generator
+    with G T = T G_red.  The dense G itself, (dim, dim), is not kept:
+    ``split.dense(p)`` forms it where it is wanted.
+    """
+
+    p: np.ndarray = field(repr=False)        # dense P_xi
+    m: sparse.csr_array = field(repr=False)  # Gram matrix
+    m_red: np.ndarray = field(repr=False)    # SPD Gram on reduced coordinates
+    g_red: np.ndarray = field(repr=False)    # reduced generator
 
 
 @dataclass(frozen=True)
@@ -241,23 +301,22 @@ class GeneratorAssembly:
     reduction to coordinates where the energy is definite.  ``blocks`` names
     the slices of the flat state (the mechanical ones are y1 and y4).  The
     energy is declared once, as the named quadratic forms ``energy_parts``
-    (see :func:`gram`); the Gram matrix ``m`` is their sum.  G is held only
-    as ``split``, the sparse form the time stepper factors: the dense G
-    exists only inside :func:`assemble`, and ``split.dense(p_dense)`` forms
-    it again where it is wanted.  The reduced generator G_red is kept in
-    ``reduction``.
+    (see :func:`gram`), on the operators ``ops``.  G is held only as
+    ``split``, the sparse form the time stepper factors.  Everything held
+    is O(N); the dense arrays are :attr:`reference`, formed on demand.
 
-    The certificates measured while assembling are kept: ``skew_defect`` is
-    ||M G + G^T M|| / ||M G|| and ``gauge_defect`` is
-    ||G T - T G_red|| / max(||G||, 1), how exactly G preserves the gauge
-    manifold (zero for a model without a gauge).
+    The probe certificates measured while assembling are kept (see
+    :func:`assemble`): ``skew_defect`` is the largest
+    ||M G z + G^T M z|| / ||M G z|| over the probes z, and ``gauge_defect``
+    the largest relative distance of G T z from the gauge manifold (zero
+    for a model without a gauge).
     """
 
     params: BeamParameters
     grid: StaggeredGrid
+    ops: DiscreteOperators = field(repr=False)
     split: SplitGenerator = field(repr=False)
     energy_parts: dict = field(repr=False)
-    m: sparse.csr_array = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dual: np.ndarray = field(repr=False)  # M b, the row form of B*
     output: np.ndarray = field(repr=False)  # feedback output row v
@@ -279,6 +338,27 @@ class GeneratorAssembly:
         mean the gain of a closed-loop run.
         """
         return self.output is self.b_dual
+
+    @cached_property
+    def reference(self) -> DenseReference:
+        """The dense reference, formed on the first read and kept.
+
+        O(N^2) memory and O(N^3) time (the dense P_xi).  G_red is taken from
+        the free rows of the dense G only; they equal the same rows of the
+        whole G bit for bit.  Without a gauge G_red is G.  The dense arrays
+        are read-only, since every caller shares them.
+        """
+        p = self.ops.p_dense
+        m = gram(self.energy_parts, self.dim)
+        red = self.reduction
+        t = red.t_map
+        m_red = (t.T @ (m @ t)).toarray()
+        m_red = 0.5 * (m_red + m_red.T)
+        g_red = (self.split.dense(p, rows=red.keep) @ t if red.bound
+                 else self.split.dense(p))
+        for arr in (m_red, g_red):
+            arr.setflags(write=False)
+        return DenseReference(p=p, m=m, m_red=m_red, g_red=g_red)
 
     def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
         """The energy (1/2) y^T M y of a flat state, part by part, at O(N)."""
@@ -340,7 +420,7 @@ def energy_parts(params: BeamParameters, grid: StaggeredGrid,
         "kinetic_eta": (sl["y6"], np.full(n, params.eps3 * dx)),
         "elastic": (sl["y1"], np.full(n, params.alpha * dx)),
         "nonlocal_": (sl["y1"], HelmholtzInverse((params.gamma ** 2 / params.eps3) * dx,
-                                                 ops.a_chol, ops.p_dense)),
+                                                 ops)),
         "magnetic": (slice(sl["y2"].start, sl["y3"].stop),
                      (params.mu * dx) * (mag.T @ mag)),
     }
@@ -407,69 +487,94 @@ def _lift(params: BeamParameters, grid: StaggeredGrid,
     ])
 
 
-def assemble(params: BeamParameters, grid: StaggeredGrid, p: np.ndarray,
+def _probe_certificates(ops: DiscreteOperators, split: SplitGenerator, parts: dict,
+                        t: sparse.csr_array, keep: np.ndarray, bound_rows: np.ndarray,
+                        t_bound: sparse.csr_array) -> tuple:
+    """The skewness and gauge certificates on seeded random probes, at O(N).
+
+    Skewness is a full-space statement: for PROBES random states z,
+    ||M G z + G^T (M z)|| / ||M G z||.  The gauge certificate lifts PROBES
+    random reduced vectors, w = G T z, and measures how far w is from the
+    manifold, ||w[bound] - t_bound w[keep]|| / ||w|| (zero without
+    ``bound_rows``).  Each is the largest over its probes.  G and G^T are
+    applied through the split with banded solves of A, M part by part.
+    """
+    rng = np.random.default_rng(PROBE_SEED)
+    z = rng.standard_normal((split.shape[0], PROBES))
+    mgz = gram_product(parts, split.apply(ops, z))
+    sym = mgz + split.apply_transpose(ops, gram_product(parts, z))
+    scale = np.linalg.norm(mgz, axis=0)
+    skew = float(np.max(np.linalg.norm(sym, axis=0) / np.maximum(scale, NORM_FLOOR)))
+    if not bound_rows.size:
+        return skew, 0.0
+    w = split.apply(ops, t @ rng.standard_normal((t.shape[1], PROBES)))
+    off = w[bound_rows] - t_bound @ w[keep]
+    gauge = np.linalg.norm(off, axis=0) / np.maximum(np.linalg.norm(w, axis=0),
+                                                      NORM_FLOOR)
+    return skew, float(np.max(gauge))
+
+
+def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
              split: SplitGenerator, parts: dict, b: np.ndarray,
              t: sparse.csr_array, bound: tuple, blocks: dict,
              output: np.ndarray | None = None,
              influence: str = "distributed_current") -> GeneratorAssembly:
-    """Build and certify the linear system a model declares.
+    """Build and certify the linear system a model declares, at O(N).
 
-    The only producer of the dense reference: G from the split with the
-    dense P_xi ``p``, M as the sum of the energy parts, and the reduction to
-    the coordinates outside the ``bound`` blocks.  G is not kept on the
-    assembly; ``split.dense(p)`` forms it again.  The output row defaults
-    to B* itself.  Raises :class:`AssemblyInconsistent` if the skewness
-    certificate ||M G + G^T M|| > SKEW_TOL * ||M G|| or the gauge
-    certificate ||G T - T G_red|| > CONSTRAINT_TOL * max(||G||, 1) fails;
-    either would signal an operator compatibility bug.  A model that binds
-    no block has no gauge to certify.
+    Forms the reduction to the coordinates outside the ``bound`` blocks and
+    B* = M b part by part; no dense array is formed.  The output row
+    defaults to B* itself.  Raises :class:`AssemblyInconsistent` if the
+    skewness probe exceeds SKEW_TOL or the gauge probe exceeds
+    CONSTRAINT_TOL (see :func:`_probe_certificates`); either would signal an
+    operator compatibility bug.  A model that binds no block has no gauge
+    to certify.
     """
-    g = split.dense(p)
-    dim = g.shape[0]
-    m = gram(parts, dim)
-    # M G part by part: the dense nonlocal part goes through BLAS and the
-    # sparse parts stay sparse
-    mg = np.zeros_like(g)
-    for sl, form in parts.values():
-        mg[sl] += _matrix(form) @ g[sl]
-    scale = np.linalg.norm(mg)
-    skew = float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
-    if skew > SKEW_TOL:
-        raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
-    del mg  # dense (dim, dim): freed before the reduction's products
-
+    dim = split.shape[0]
     free, mechanical = np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool)
     for name in bound:
         free[blocks[name]] = False
     for name in ("y1", "y4"):
         mechanical[blocks[name]] = True
     keep = np.flatnonzero(free)
-    m_red = (t.T @ (m @ t)).toarray()
-    m_red = 0.5 * (m_red + m_red.T)
-    if bound:
-        gt = g @ t
-        g_red = gt[keep]
-        gt -= t @ g_red  # G T - T G_red, in place
-        gauge_defect = float(np.linalg.norm(gt) / max(np.linalg.norm(g), 1.0))
-        if gauge_defect > CONSTRAINT_TOL:
-            raise AssemblyInconsistent("generator does not preserve the gauge "
-                                       f"manifold: defect {gauge_defect:.3e}")
-        t_bound = t[np.concatenate([np.arange(dim)[blocks[name]] for name in bound])]
-    else:
-        # nothing is bound, so T is the identity: G_red is G (read-only, like
-        # G) and the gauge defect is exactly zero
-        g_red, gauge_defect, t_bound = g, 0.0, t[:0]
-    red = Reduction(t_map=t, keep=keep, bound=bound, t_bound=t_bound, m_red=m_red,
-                    g_red=g_red, mechanical=np.flatnonzero(mechanical[keep]))
+    # the bound blocks' rows, in the order ``bound`` names them
+    index = np.arange(dim)
+    bound_rows = (np.concatenate([index[blocks[name]] for name in bound]) if bound
+                  else index[:0])
+    t_bound = t[bound_rows]
+    skew, gauge_defect = _probe_certificates(ops, split, parts, t, keep, bound_rows,
+                                             t_bound)
+    # "not <=" so that a defect that is not a number fails too
+    if not skew <= SKEW_TOL:
+        raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
+    if not gauge_defect <= CONSTRAINT_TOL:
+        raise AssemblyInconsistent("generator does not preserve the gauge "
+                                   f"manifold: defect {gauge_defect:.3e}")
+    red = Reduction(t_map=t, keep=keep, bound=bound, t_bound=t_bound,
+                    mechanical=np.flatnonzero(mechanical[keep]))
 
-    for arr in (g, b):
-        arr.setflags(write=False)
-    b_dual = m @ b
+    b.setflags(write=False)
+    b_dual = gram_product(parts, b)
     return GeneratorAssembly(
-        params=params, grid=grid, split=split, energy_parts=parts, m=m,
+        params=params, grid=grid, ops=ops, split=split, energy_parts=parts,
         b=b, b_dual=b_dual, output=b_dual if output is None else output,
         reduction=red, blocks=blocks, skew_defect=skew,
         gauge_defect=gauge_defect, influence=influence)
+
+
+def dense_skew_defect(assembly: GeneratorAssembly) -> float:
+    """The full-space skewness ||M G + G^T M|| / ||M G|| on the dense reference.
+
+    Frobenius norms of the dense (dim, dim) products: O(N^2) memory and
+    O(N^3) time, for small grids (acceptance check 1).
+    """
+    g = assembly.split.dense(assembly.reference.p)
+    # M G part by part: the dense nonlocal part goes through BLAS and the
+    # sparse parts stay sparse
+    mg = np.zeros_like(g)
+    for sl, form in assembly.energy_parts.values():
+        mg[sl] += _matrix(form) @ g[sl]
+    scale = np.linalg.norm(mg)
+    return float(np.linalg.norm(mg + mg.T) / scale) if scale > 0 else 0.0
 
 
 def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
@@ -483,7 +588,7 @@ def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
 def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:
     """The current-actuated six-field model, built and certified by :func:`assemble`."""
     ops = build_operators(params, grid)
-    return assemble(params, grid, ops.p_dense, _split_generator(params, grid, ops),
+    return assemble(params, grid, ops, _split_generator(params, grid, ops),
                     energy_parts(params, grid, ops), assemble_control(params, grid),
                     _lift(params, grid, ops), ("y3", "y6"), block_slices(grid))
 
@@ -496,5 +601,5 @@ def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
     """
     b = np.asarray(b, dtype=float).copy()
     b.setflags(write=False)
-    b_dual = assembly.m @ b
+    b_dual = gram_product(assembly.energy_parts, b)
     return replace(assembly, b=b, b_dual=b_dual, output=b_dual, influence=influence)

@@ -32,17 +32,20 @@ P_xi is the inverse of A = I - xi*lap_cc (a Neumann problem; A is SPD and
 tridiagonal).  A is formed here once, as a sparse array that every model's
 split generator places on its auxiliary fields.  Its banded Cholesky factor
 is kept: the nonlocal energy of a
-record is evaluated from it at O(N).  A dense, exactly symmetric realization
-of P_xi, built from that factor, backs the dense reference generator and the
-spectra, and is the one dense block of the Gram matrix.
-Time stepping does not use it: the stepper keeps A itself as tridiagonal
-constraint rows of a sparse augmented system (see :mod:`piezolab.dynamics`).
+record, and every P_xi product of the assembly certificates, is evaluated
+from it at O(N).  A dense, exactly symmetric realization of P_xi
+(``p_dense``), built from that factor, is formed only on demand: it backs
+the dense reference (the Gram matrix's one dense block, the reduced
+generator of the spectra) and check 5.  Time stepping does not use it: the
+stepper keeps A itself as tridiagonal constraint rows of a sparse augmented
+system (see :mod:`piezolab.dynamics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -61,7 +64,11 @@ def _frozen(matrix: sparse.csr_array) -> sparse.csr_array:
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Immutable bundle of the sparse stencils, A and the P_xi realization."""
+    """Immutable bundle of the sparse stencils, A and its Cholesky factor.
+
+    Everything held is O(N).  The dense P_xi is ``p_dense``, formed on the
+    first read and kept from then on.
+    """
 
     grid: StaggeredGrid
     xi: float
@@ -71,7 +78,6 @@ class DiscreteOperators:
     div_f: sparse.csr_array     # (N+1, N), 2 entries per column
     lap_cc: sparse.csr_array    # (N, N) = grad_nc @ div_int, tridiagonal
     a: sparse.csr_array         # (N, N) Helmholtz matrix I - xi lap_cc
-    p_dense: np.ndarray     # (N, N) symmetric realization of P_xi = A^{-1}
     a_chol: np.ndarray      # (2, N) upper banded Cholesky factor of A, LAPACK layout
     node_weights: np.ndarray  # (N+1,) trapezoid weights including dx
 
@@ -79,9 +85,20 @@ class DiscreteOperators:
     def n_cells(self) -> int:
         return self.grid.n_cells
 
+    @cached_property
+    def p_dense(self) -> np.ndarray:
+        """(N, N) symmetric realization of P_xi = A^{-1}, read-only."""
+        n = self.n_cells
+        p_raw = scipy.linalg.cho_solve_banded((self.a_chol, False), np.eye(n))
+        # one Newton correction sharpens the inverse before symmetrizing
+        p_raw = p_raw @ (2.0 * np.eye(n) - self.a.toarray() @ p_raw)
+        p = 0.5 * (p_raw + p_raw.T)
+        p.setflags(write=False)
+        return p
+
 
 def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOperators:
-    """Assemble the stencils, A and the P_xi realization for one grid."""
+    """Assemble the stencils, A and its banded Cholesky factor for one grid."""
     xi = params.xi
     n = grid.n_cells
     inv = 1.0 / grid.dx
@@ -108,22 +125,17 @@ def build_operators(params: BeamParameters, grid: StaggeredGrid) -> DiscreteOper
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - xi > 0 rules this out
         raise SolverFailure(f"Helmholtz factorization failed: {exc}") from exc
 
-    p_raw = scipy.linalg.cho_solve_banded((bands, False), np.eye(n))
-    # one Newton correction sharpens the inverse before symmetrizing
-    p_raw = p_raw @ (2.0 * np.eye(n) - a.toarray() @ p_raw)
-    p_dense = 0.5 * (p_raw + p_raw.T)
-
     weights = np.full(n + 1, grid.dx)
     weights[0] = 0.5 * grid.dx
     weights[-1] = 0.5 * grid.dx
 
-    for arr in (p_dense, bands, weights):
+    for arr in (bands, weights):
         arr.setflags(write=False)
 
     return DiscreteOperators(
         grid=grid, xi=xi, div_int=_frozen(div_int), grad_nc=_frozen(grad_nc),
         grad_f=_frozen(grad_f), div_f=_frozen(div_f), lap_cc=_frozen(lap_cc),
-        a=_frozen(a), p_dense=p_dense, a_chol=bands, node_weights=weights,
+        a=_frozen(a), a_chol=bands, node_weights=weights,
     )
 
 

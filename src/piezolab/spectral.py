@@ -7,6 +7,10 @@ to rounding, so an honest dense eigensolve of S measures how imaginary the
 spectrum really is.  Closed-loop spectra perturb S by the rank-one collocated
 feedback -k g g^T, whose symmetric negative-semidefinite structure forces
 Re(lambda) <= 0; g = R M_red^{-1} T^T M b is formed where it is used.
+M_red and G_red are read from the assembly's dense reference
+(:attr:`~piezolab.generator.GeneratorAssembly.reference`), which the first
+spectrum of an assembly forms; state dimensions above DENSE_DIM_GUARD are
+refused before it is.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -74,9 +78,9 @@ def _energy_similarity(assembly: GeneratorAssembly):
         raise ValueError(
             f"state dimension {assembly.dim} exceeds the dense eigensolve guard "
             f"({DENSE_DIM_GUARD})")
-    red = assembly.reduction
-    r = mass_cholesky(red.m_red)
-    z = r @ red.g_red
+    ref = assembly.reference
+    r = mass_cholesky(ref.m_red)
+    z = r @ ref.g_red
     s = scipy.linalg.solve_triangular(r.T, z.T, lower=True).T
     return r, s
 
@@ -104,7 +108,7 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
     red = assembly.reduction
     bstar = (red.t_map.T @ assembly.b_dual) @ phi_red
     mech = red.mechanical
-    m_mech = red.m_red[np.ix_(mech, mech)]
+    m_mech = assembly.reference.m_red[np.ix_(mech, mech)]
     table = []
     for start in range(0, len(w), TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .generator import (GeneratorAssembly, HelmholtzInverse, SplitGenerator,
-                        assemble, assemble_generator, energy_parts, gram,
+                        assemble, assemble_generator, energy_parts, gram_product,
                         sparse_blocks, spatial_order, with_influence)
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import ActuationMode, DiscreteOperators, build_operators
@@ -78,13 +78,13 @@ def assemble_electrostatic(params: BeamParameters,
         "kinetic_v": (velocity, params.rho * ops.node_weights[1:]),
         "elastic": (strain, np.full(n, params.alpha * dx)),
         "nonlocal_": (strain, HelmholtzInverse((params.gamma**2 / params.eps3) * dx,
-                                               ops.a_chol, ops.p_dense)),
+                                               ops)),
     }
     b = np.zeros(2 * n)
     b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
     output = np.zeros(2 * n)
     output[-1] = np.copysign(1.0, params.gamma)
-    return assemble(params, grid, ops.p_dense, split, parts, b,
+    return assemble(params, grid, ops, split, parts, b,
                     sparse.eye_array(2 * n, format="csr"), (),
                     {"y1": strain, "y4": velocity, "s": strain, "w": velocity},
                     output=output, influence="boundary_trace")
@@ -116,12 +116,11 @@ def assemble_charge_magnetic(params: BeamParameters,
 def charge_influence_norm(params: BeamParameters, grid: StaggeredGrid) -> float:
     """Energy norm ||b||_M of the boundary charge influence.
 
-    Only the Gram matrix is assembled; the generator is not needed.
+    Only the energy parts are built; the generator is not needed.
     """
-    m = gram(energy_parts(params, grid, build_operators(params, grid)),
-             grid.state_dim)
+    parts = energy_parts(params, grid, build_operators(params, grid))
     b = charge_magnetic_influence(params, grid)
-    return float(np.sqrt(b @ (m @ b)))
+    return float(np.sqrt(b @ gram_product(parts, b)))
 
 
 def build_system(params: BeamParameters, grid: StaggeredGrid,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ import piezolab
 from piezolab import cli, dynamics, spectral
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
+from piezolab.model import build_grid
 from piezolab.operators import ActuationMode
 from piezolab.variants import build_system
 
@@ -380,6 +382,49 @@ class TestCliExitCodes:
         # widens the band beyond the ordered system's 9 and 8 diagonals
         assert outcome["folded_swaps"] > 0
         assert outcome["factored_band"] != [stepper.kl, stepper.ku]
+
+    def test_report_has_probe_certificates(self, tmp_path, run_cli):
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1), "actuation": "current"}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        certs = json.loads((tmp_path / "o" / "report.json")
+                           .read_text(encoding="utf-8"))["outcome"]["certificates"]
+        config = config_from_dict(doc)
+        asm = build_system(config.params, build_grid(config.params.L, 16),
+                           ActuationMode.CURRENT)
+        assert certs == {"skew_defect": asm.skew_defect,
+                         "gauge_defect": asm.gauge_defect, "method": "probe"}
+        assert 0.0 < certs["skew_defect"] <= 1e-12
+        assert 0.0 < certs["gauge_defect"] <= 1e-11
+
+    @pytest.mark.parametrize("start", ("zero", "tabulated"))
+    def test_simulate_forms_no_dense_reference(self, tmp_path, start):
+        # neither the dense P_xi nor the reference (M, M_red, G_red) is formed
+        (tmp_path / "state.csv").write_text("field,index,value\ny1,3,0.5\n",
+                                            encoding="utf-8")
+        doc = toy_config_dict(n_cells=16, t_final=0.05)
+        doc["initial_state"] = ({"kind": "zero"} if start == "zero"
+                                else {"kind": "tabulated", "path": "state.csv"})
+        series = dynamics.simulate(config_from_dict(doc, base_dir=tmp_path))
+        assert "reference" not in vars(series.system)
+        assert "p_dense" not in vars(series.system.ops)
+
+    def test_modal_start_above_dense_guard_exits_2(self, tmp_path, run_cli):
+        # N = 1025 gives dim 6149 > DENSE_DIM_GUARD: refused before any dense
+        # array, where the reduced Gram matrix alone would take 128 MiB
+        cfg = _write(tmp_path, toy_config_dict(t_final=0.01))
+        tracemalloc.start()
+        try:
+            res = run_cli("simulate", "--config", str(cfg), "--n-cells", "1025",
+                          "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.returncode == 2
+        assert "n_cells 1025" in res.stderr
+        assert f"DENSE_DIM_GUARD = {spectral.DENSE_DIM_GUARD}" in res.stderr
+        assert peak < 32 * 2 ** 20
 
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))

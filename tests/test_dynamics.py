@@ -1,5 +1,6 @@
 """Midpoint integration: conservation, dissipation identity, reversibility."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -57,8 +58,9 @@ class TestStepMidpoint:
         asm = _assembly(32)
         y0 = _random_state(asm, seed=7)
         y1 = _stepper(asm, 1e-3).step(y0, 0.0)
-        n0 = y0 @ (asm.m @ y0)
-        n1 = y1 @ (asm.m @ y1)
+        m = asm.reference.m
+        n0 = y0 @ (m @ y0)
+        n1 = y1 @ (m @ y1)
         assert abs(n1 - n0) <= 1e-12 * n0
 
     def test_forced_step_dense_oracle(self):
@@ -147,6 +149,7 @@ class TestSparseAgainstDense:
         asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
         dt = default_dt(TOY, asm.grid)
         stepper = _stepper(asm, dt, gain)
+        m = asm.reference.m
         y = _random_state(asm, seed=4)
         worst = 0.0
         for j in range(300):
@@ -155,7 +158,7 @@ class TestSparseAgainstDense:
             else:
                 u = np.cos(5.0 * (j + 0.5) * dt)
                 y_next = stepper.step(y, u)
-            e, e_next = 0.5 * y @ (asm.m @ y), 0.5 * y_next @ (asm.m @ y_next)
+            e, e_next = 0.5 * y @ (m @ y), 0.5 * y_next @ (m @ y_next)
             pred = dt * u * (asm.b_dual @ (0.5 * (y + y_next)))
             worst = max(worst, abs((e_next - e) - pred) / e)
             y = y_next
@@ -177,6 +180,7 @@ class TestRandomStepper:
     def test_fifty_steps_against_dense(self, params, n, actuation, dt_factor, gain):
         asm = build_system(params, build_grid(params.L, n), actuation)
         dt = dt_factor * default_dt(params, asm.grid)
+        m = asm.reference.m
         stepper = _stepper(asm, dt, gain)
         dense = DenseMidpoint(asm, dt, gain)
         y = y_ref = _random_state(asm, seed=n)
@@ -199,7 +203,7 @@ class TestRandomStepper:
                 y_next = stepper.step(y, u)
                 y_ref = dense.step(y_ref, u)
             worst = max(worst, np.linalg.norm(y_next - y_ref) / np.linalg.norm(y_ref))
-            e, e_next = 0.5 * y @ (asm.m @ y), 0.5 * y_next @ (asm.m @ y_next)
+            e, e_next = 0.5 * y @ (m @ y), 0.5 * y_next @ (m @ y_next)
             pred = dt * u * (asm.b_dual @ (0.5 * (y + y_next)))
             worst_identity = max(worst_identity, abs((e_next - e) - pred) / e)
             y = y_next
@@ -416,6 +420,24 @@ class TestRun:
         np.testing.assert_allclose(np.diff(series.times), 4e-3, rtol=1e-12)
 
 
+class TestLargeGrid:
+    def test_assembly_and_steps_at_n4096_stay_small(self):
+        # the assembly, its probe certificates, the banded factorization and
+        # 100 steps at N = 4096 (dim 24 575, where a dense G is 4.5 GiB)
+        tracemalloc.start()
+        try:
+            asm = _assembly(4096)
+            stepper = _stepper(asm, default_dt(TOY, asm.grid))
+            y = _random_state(asm, seed=3)
+            for j in range(100):
+                y = stepper.step(y, np.sin(0.1 * j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y))
+        assert peak < 64 * 2 ** 20
+
+
 class TestModalState:
     def test_eigenvector_without_mode_table(self, monkeypatch):
         # the start is the real part of the lifted eigenvector from the
@@ -427,7 +449,7 @@ class TestModalState:
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
         y = np.real(asm.reduction.t_map @ vectors_reduced[:, pos[2]])
-        expected = (1.5 / np.sqrt(float(y @ asm.m @ y))) * y
+        expected = (1.5 / np.sqrt(float(y @ asm.reference.m @ y))) * y
 
         def no_table(*args):
             raise AssertionError("modal_state built a mode table")
@@ -445,13 +467,15 @@ class TestAdmissibility:
         y = y0.copy()
         for _ in range(500):
             y = stepper.step(y)
-        ratio = (y @ asm.m @ y) / (y0 @ asm.m @ y0)
+        m = asm.reference.m
+        ratio = (y @ m @ y) / (y0 @ m @ y0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_batched_trials_match_serial(self):
         # the trials run as columns of one block; the estimate equals the
         # trials run one after another with their own scalar input loop
         asm = _assembly(16)
+        m = asm.reference.m
         T, trials = 0.5, 10
         rng = np.random.default_rng(5)
         dt = default_dt(TOY, asm.grid)
@@ -470,7 +494,7 @@ class TestAdmissibility:
                         for q in range(4))
                 input_sq += u * u * dt
                 y = stepper.step(y, u)
-            best = max(best, (y @ asm.m @ y) / (y0 @ asm.m @ y0 + input_sq))
+            best = max(best, (y @ m @ y) / (y0 @ m @ y0 + input_sq))
         batched = admissibility_estimate(trials, T, asm, seed=5)
         assert batched == pytest.approx(best, rel=1e-13)
 

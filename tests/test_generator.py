@@ -12,8 +12,9 @@ from scipy import sparse
 
 from piezolab import spectral
 from piezolab.errors import AssemblyInconsistent
-from piezolab.generator import (assemble, assemble_control, assemble_generator,
-                                gram, with_influence)
+from piezolab.generator import (CONSTRAINT_TOL, SKEW_TOL, assemble, assemble_control,
+                                assemble_generator, dense_skew_defect, gram,
+                                with_influence)
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
 from piezolab.operators import ActuationMode, build_operators
@@ -184,8 +185,9 @@ class TestSkewness:
     def test_quadratic_form_has_no_real_part(self, seed):
         asm = _assembly(16)
         y = np.random.default_rng(seed).standard_normal(asm.dim)
-        norm2 = y @ (asm.m @ y)
-        assert abs(y @ (asm.m @ (_dense_g(asm) @ y))) <= 1e-12 * max(norm2, 1.0)
+        m = asm.reference.m
+        norm2 = y @ (m @ y)
+        assert abs(y @ (m @ (_dense_g(asm) @ y))) <= 1e-12 * max(norm2, 1.0)
 
 
 class TestSplitForm:
@@ -241,10 +243,10 @@ class TestDenseReference:
         p = _random_parameters(seed)
         asm = build_system(p, build_grid(p.L, n), actuation)
         ref = _dense_reference(asm, actuation)
-        red = asm.reduction
+        own = asm.reference
         # the feedback coupling g = R b_red, formed where spectra use it
         r, s = spectral._energy_similarity(asm)
-        for got, want in ((asm.m.toarray(), ref.m), (red.m_red, ref.m_red),
+        for got, want in ((own.m.toarray(), ref.m), (own.m_red, ref.m_red),
                           (spectral._coupling(asm, r), r @ ref.b_red)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the reference forms I - P_xi as -xi lap_cc P_xi, whose rounding
@@ -252,7 +254,7 @@ class TestDenseReference:
         # carry that block
         kappa = np.linalg.cond(build_operators(p, asm.grid).a.toarray())
         tol = max(1e-12, 10.0 * np.finfo(float).eps * kappa)
-        for got, want in ((_dense_g(asm), ref.g), (red.g_red, ref.g_red)):
+        for got, want in ((_dense_g(asm), ref.g), (own.g_red, ref.g_red)):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
         # the mode table in reduced coordinates against the lifted one,
@@ -271,8 +273,9 @@ class TestDenseReference:
     def test_gram_and_lift_stay_sparse(self, actuation, n):
         # only the y1 block of M, which carries P_xi, is dense
         asm = build_system(TOY, build_grid(TOY.L, n), actuation)
-        assert sparse.issparse(asm.m) and sparse.issparse(asm.reduction.t_map)
-        assert asm.m.nnz <= n * n + 20 * n
+        m = asm.reference.m
+        assert sparse.issparse(m) and sparse.issparse(asm.reduction.t_map)
+        assert m.nnz <= n * n + 20 * n
 
 
 class TestAssemble:
@@ -281,9 +284,9 @@ class TestAssemble:
     @staticmethod
     def _declare(asm, split=None, t=None):
         # the six-field declaration of ``asm``, with its split or lift replaced
-        p = build_operators(asm.params, asm.grid).p_dense
         red = asm.reduction
-        return assemble(asm.params, asm.grid, p, asm.split if split is None else split,
+        return assemble(asm.params, asm.grid, asm.ops,
+                        asm.split if split is None else split,
                         asm.energy_parts, asm.b, red.t_map if t is None else t,
                         red.bound, asm.blocks)
 
@@ -292,7 +295,7 @@ class TestAssemble:
         again = self._declare(asm)
         assert (again.skew_defect, again.gauge_defect) == \
             (asm.skew_defect, asm.gauge_defect)
-        np.testing.assert_array_equal(again.reduction.g_red, asm.reduction.g_red)
+        np.testing.assert_array_equal(again.reference.g_red, asm.reference.g_red)
         np.testing.assert_array_equal(again.reduction.mechanical,
                                       asm.reduction.mechanical)
 
@@ -311,6 +314,54 @@ class TestAssemble:
         t = sparse.csr_array(sparse.diags_array(scale) @ asm.reduction.t_map)
         with pytest.raises(AssemblyInconsistent, match="gauge"):
             self._declare(asm, t=t)
+
+
+def _dense_gauge_defect(asm):
+    """||G T - T G_red|| / max(||G||, 1) on the dense G, in Frobenius norms."""
+    red = asm.reduction
+    if not red.bound:
+        return 0.0
+    g = _dense_g(asm)
+    gt = g @ red.t_map
+    off = gt - red.t_map @ gt[red.keep]
+    return float(np.linalg.norm(off) / max(np.linalg.norm(g), 1.0))
+
+
+class TestProbeCertificates:
+    """The O(N) probe gates beside the dense full-matrix certificates."""
+
+    @pytest.mark.parametrize("n", (512, 1024))
+    def test_stiff_corner_assembles(self, n):
+        # the dense gauge certificate reads 1.49e-11 (N = 512) and 4.40e-11
+        # (N = 1024) here, above CONSTRAINT_TOL: rounding of the dense G,
+        # whose P_xi blocks carry errors of order eps cond(A)
+        asm = _assembly(n, BOX_CORNER)
+        assert asm.skew_defect <= SKEW_TOL == 1e-12
+        assert asm.gauge_defect <= CONSTRAINT_TOL == 1e-11
+        assert max(asm.skew_defect, asm.gauge_defect) <= 1e-15
+
+    @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("params, n", ((TOY, 64), (TOY, 256), (BOX_CORNER, 256)),
+                             ids=("toy-64", "toy-256", "stiff_corner-256"))
+    def test_probe_beside_dense(self, actuation, params, n):
+        # both certify every model; the probes sit at rounding level, while
+        # the dense gauge defect grows with cond(A) = O(xi / dx^2)
+        asm = build_system(params, build_grid(params.L, n), actuation)
+        dense = (dense_skew_defect(asm), _dense_gauge_defect(asm))
+        probe = (asm.skew_defect, asm.gauge_defect)
+        assert max(dense[0], probe[0]) <= SKEW_TOL
+        assert max(dense[1], probe[1]) <= CONSTRAINT_TOL
+        assert max(probe) <= 1e-15
+        if actuation is ActuationMode.CHARGE_ELECTROSTATIC:
+            assert dense[1] == probe[1] == 0.0
+
+    def test_assembly_forms_no_dense_array(self):
+        # P_xi, M, M_red and G_red are formed only when the reference is read
+        asm = _assembly(32)
+        assert "reference" not in vars(asm) and "p_dense" not in vars(asm.ops)
+        ref = asm.reference
+        assert ref is asm.reference and ref.p is asm.ops.p_dense
+        assert ref.g_red.shape == (4 * 32 - 1,) * 2
 
 
 class TestStructure:
@@ -342,7 +393,7 @@ class TestStructure:
         # on the constraint-reduced subspace the kernel is one-dimensional;
         # every other singular value is bounded away from zero
         asm = _assembly(32)
-        sing = np.linalg.svd(asm.reduction.g_red, compute_uv=False)
+        sing = np.linalg.svd(asm.reference.g_red, compute_uv=False)
         assert sing[-1] <= 1e-10 * sing[0]
         assert sing[-2] >= 1e-6 * sing[0]
 
@@ -454,7 +505,7 @@ class TestSharedModelData:
         asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
         y = asm.lift(np.random.default_rng(9).standard_normal(asm.dim))
         assert asm.energy_split(y).total == pytest.approx(
-            0.5 * y @ (asm.m @ y), rel=1e-12)
+            0.5 * y @ (asm.reference.m @ y), rel=1e-12)
 
     @pytest.mark.parametrize("params, n", ((TOY, 24), (BOX_CORNER, 48)),
                              ids=("toy", "stiff_corner"))

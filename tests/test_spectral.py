@@ -44,7 +44,7 @@ class TestOpenLoopSpectrum:
         w, vectors_reduced = open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         t = asm.reduction.t_map
-        m, g = asm.m, _dense_g(asm)
+        m, g = asm.reference.m, _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
             phi = t @ vectors_reduced[:, j]
@@ -80,7 +80,7 @@ class TestKernel:
         sl = block_slices(asm.grid)["y4"]
         tr = np.zeros(asm.dim)
         tr[sl] = 1.0
-        coeffs = basis.T @ (asm.m @ tr)
+        coeffs = basis.T @ (asm.reference.m @ tr)
         recon = basis @ coeffs
         assert np.linalg.norm(recon - tr) <= 1e-8 * np.linalg.norm(tr)
         assert abs(asm.b_dual @ basis[:, 0]) <= 1e-10

@@ -68,9 +68,9 @@ class TestElectrostaticAssembly:
     def test_reduction_is_exact(self):
         # no gauge: T is the identity and the reduction copies M and G
         es = _es(32, gamma=1.0)
-        red = es.reduction
-        np.testing.assert_array_equal(red.m_red, es.m.toarray())
-        np.testing.assert_array_equal(red.g_red, _dense_g(es))
+        red, ref = es.reduction, es.reference
+        np.testing.assert_array_equal(ref.m_red, ref.m.toarray())
+        np.testing.assert_array_equal(ref.g_red, _dense_g(es))
         np.testing.assert_array_equal(red.keep, np.arange(es.dim))
         np.testing.assert_array_equal(red.mechanical, np.arange(es.dim))
         assert red.bound == ()
