@@ -102,6 +102,10 @@ def _write_inputs(inputs: Path) -> dict:
         config(f"non_unit_{model}_closed_tabulated", **base, feedback_gain=0.6)
     config("spectrum", params=TOY, n_cells=N_CELLS, t_final=0.1)
     config("spectrum_non_unit", params=NON_UNIT, n_cells=N_CELLS, t_final=0.1)
+    # at gamma = 0 the mechanics and the fields decouple exactly, so the
+    # spectra are solved block by block
+    config("spectrum_gamma_zero", params={**TOY, "gamma": 0.0}, n_cells=N_CELLS,
+           t_final=0.1)
     return configs
 
 
@@ -139,6 +143,9 @@ def _jobs(configs: dict) -> list:
         ("spectrum_non_unit_charge_magnetic_closed_loop",
          ["spectrum", "--config", configs["spectrum_non_unit"],
           "--variant", "charge_magnetic", "--closed-loop", "0.5"]),
+        ("spectrum_gamma_zero_closed_loop",
+         ["spectrum", "--config", configs["spectrum_gamma_zero"],
+          "--closed-loop", "1.0"]),
         ("variants", ["variants"]),
         ("paper_suite", ["paper-suite"]),
     ]

@@ -114,6 +114,8 @@ def cmd_simulate(args) -> ExperimentReport:
         "energy_drift": drift,
         "gauge_pos_max": float(series.gauge_pos.max()),
         "gauge_vel_max": float(series.gauge_vel.max()),
+        "gauge_interior_pos_max": float(series.gauge_interior_pos.max()),
+        "gauge_interior_vel_max": float(series.gauge_interior_vel.max()),
         "factored_band": list(series.factored_band),
         "folded_swaps": series.folded_swaps,
         "certificates": {"skew_defect": series.system.skew_defect,

@@ -60,12 +60,19 @@ def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Recorded trajectory: energies, gauge residuals and inputs."""
+    """Recorded trajectory: energies, gauge residuals and inputs.
+
+    ``gauge_pos``/``gauge_vel`` are the residuals on all cells and
+    ``gauge_interior_pos``/``gauge_interior_vel`` those on the interior
+    cells, the ones a run driven through the distributed current guards.
+    """
 
     times: np.ndarray
     energies: list = field(repr=False)           # EnergyBreakdown per record
     gauge_pos: np.ndarray = field(repr=False)
     gauge_vel: np.ndarray = field(repr=False)
+    gauge_interior_pos: np.ndarray = field(repr=False)
+    gauge_interior_vel: np.ndarray = field(repr=False)
     inputs: np.ndarray = field(repr=False)       # applied input per record
     dt: float
     system: GeneratorAssembly = field(repr=False)  # the system that ran
@@ -269,8 +276,9 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
 
     times = [0.0]
     energies = [assembly.energy_split(y)]
-    rp, rv = assembly.gauge(y)
+    (rp, rv), (ip, iv) = assembly.gauge(y, interior=True)
     gauge_pos, gauge_vel = [rp], [rv]
+    interior_pos, interior_vel = [ip], [iv]
     inputs = [0.0]
 
     threshold = 100.0 * gauge_tol
@@ -291,11 +299,13 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                     f"last input {u!r})")
             times.append((j + 1) * dt)
             energies.append(assembly.energy_split(y))
-            (rp, rv), interior = assembly.gauge(y, interior=True)
+            (rp, rv), (ip, iv) = assembly.gauge(y, interior=True)
             gauge_pos.append(rp)
             gauge_vel.append(rv)
+            interior_pos.append(ip)
+            interior_vel.append(iv)
             inputs.append(u)
-            rp_g, rv_g = interior if interior_guard else (rp, rv)
+            rp_g, rv_g = (ip, iv) if interior_guard else (rp, rv)
             if not (rp_g <= threshold and rv_g <= threshold):
                 raise GaugeDrift(
                     f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "
@@ -303,6 +313,8 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
 
     return TimeSeries(times=np.array(times), energies=energies,
                       gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
+                      gauge_interior_pos=np.array(interior_pos),
+                      gauge_interior_vel=np.array(interior_vel),
                       inputs=np.array(inputs), dt=dt, system=assembly,
                       factored_band=stepper.factored_band,
                       folded_swaps=stepper.folded_swaps)

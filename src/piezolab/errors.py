@@ -60,3 +60,7 @@ class DegenerateWindow(PiezolabError, ValueError):
 
 class NotPositiveDefinite(PiezolabError, RuntimeError):
     """The Gram matrix restricted to the constrained subspace is not SPD."""
+
+
+class SecularNotConverged(PiezolabError, RuntimeError):
+    """A mode's secular-equation iteration used up its iteration budget."""

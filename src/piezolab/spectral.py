@@ -12,12 +12,23 @@ M_red and G_red are read from the assembly's dense reference
 spectrum of an assembly forms; state dimensions above DENSE_DIM_GUARD are
 refused before it is.
 
+Every dense decomposition runs once per diagonal block of its matrix: the
+index sets between which the matrix holds exact zeros (at gamma = 0 the
+stretching mechanics {y1, y4} and the electromagnetic fields {y2, y5}).
+The block eigenvectors are placed block-diagonally and sorted as one
+spectrum; a matrix of one block goes to the solver unchanged, so its
+output is bit-identical to a full solve.
+
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
 1/omega^2; ``closed_loop_mode_shifts`` therefore also solves the exact
 rank-one secular equation in the eigenbasis of the skew part, giving each
-mode's shift with small relative error.  The two routes agree wherever the
-dense solver can resolve the shift, which the test suite checks.
+mode's shift with small relative error.  One damped iteration runs over all
+modes at once, each mode frozen once it has converged; a mode that has not
+converged after SECULAR_MAX_ITER iterations raises
+:class:`~piezolab.errors.SecularNotConverged`.  The two routes agree
+wherever the dense solver can resolve the shift, which the test suite
+checks.
 """
 
 from __future__ import annotations
@@ -28,13 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateWindow
+from .errors import DegenerateWindow, SecularNotConverged
 from .generator import GeneratorAssembly
 
 DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
 TABLE_BLOCK = 128
-SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
+SECULAR_MAX_ITER = 60   # damped iterations of the secular equation per mode
 SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
 
 
@@ -126,13 +137,55 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
     return table
 
 
+def _diagonal_blocks(m: np.ndarray) -> list:
+    """Sorted index sets of the diagonal blocks of a square matrix.
+
+    No nonzero entry of m links two sets: they are the connected components
+    of the graph (m != 0) | (m.T != 0), found by a breadth-first search
+    over the rows of that boolean matrix.
+    """
+    link = m != 0
+    link = link | link.T
+    unseen = np.ones(len(m), dtype=bool)
+    blocks = []
+    while unseen.any():
+        reached = np.zeros_like(unseen)
+        frontier = np.zeros_like(unseen)
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            reached |= frontier
+            frontier = link[frontier].any(axis=0) & ~reached
+        blocks.append(np.flatnonzero(reached))
+        unseen &= ~reached
+    return blocks
+
+
+def _blockwise(solver, m: np.ndarray) -> tuple:
+    """(values, vectors) of ``solver`` run on each diagonal block of m.
+
+    The values are concatenated block by block and the vectors placed
+    block-diagonally in the same column order.  A matrix of one block is
+    passed to the solver as is.
+    """
+    blocks = _diagonal_blocks(m)
+    if len(blocks) == 1:
+        return solver(m)
+    parts = [solver(m[np.ix_(idx, idx)]) for idx in blocks]
+    vectors = np.zeros(m.shape, dtype=np.result_type(*(v for _, v in parts)))
+    start = 0
+    for idx, (w, v) in zip(blocks, parts):
+        vectors[idx, start:start + len(w)] = v
+        start += len(w)
+    return np.concatenate([w for w, _ in parts]), vectors
+
+
 def _eigenpairs(s_matrix: np.ndarray, r: np.ndarray) -> tuple:
     """Sorted eigenvalues of S, and the M-norms and reduced lifts of its eigenvectors.
 
     The lifts phi_red = R^{-1} v have unit M-norm up to rounding; their
     M-norms are the 2-norms of the eigenvectors v, which are not kept.
     """
-    w, v = scipy.linalg.eig(s_matrix)
+    w, v = _blockwise(scipy.linalg.eig, s_matrix)
     order = _sort_order(w)
     w = w[order]
     v = v[:, order]
@@ -195,35 +248,63 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     sorted by omega: lam[j] solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0
     near i*omega[j], and coupling[j] = |c_j| is the energy-coordinate feedback
     coupling of the mode.  Accurate for shifts far below the dense-eig noise
-    floor; falls back to simple iteration with damping.  A gain that is
-    negative or not finite raises ValueError.
+    floor.  A gain that is negative or not finite raises ValueError, and a
+    mode whose damped iteration does not converge raises
+    :class:`SecularNotConverged`.
     """
     gain = checked_gain(gain)
     r, s = _energy_similarity(assembly)
     a_skew = 0.5 * (s - s.T)
-    theta, u = np.linalg.eigh(1j * a_skew)
+    theta, u = _blockwise(np.linalg.eigh, 1j * a_skew)
+    if np.any(np.diff(theta) < 0):  # blocks: ascending as one eigh would be
+        order = np.argsort(theta, kind="stable")
+        theta, u = theta[order], u[:, order]
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
     c = u.conj().T @ _coupling(assembly, r)
     c2 = np.abs(c) ** 2
 
     pos = np.where(omega_all > 0)[0]
     pos = pos[np.argsort(omega_all[pos])]
-    omegas = omega_all[pos]
-    lams = np.empty(len(pos), dtype=complex)
-    for out_idx, j in enumerate(pos):
-        others = np.arange(len(omega_all)) != j
-        lam0 = 1j * omega_all[j]
-        delta = 0.0 + 0.0j
-        for _ in range(SECULAR_MAX_ITER):
-            denom_terms = (lam0 + delta) - 1j * omega_all[others]
-            corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
-            new_delta = -gain * c2[j] / corr
-            if abs(new_delta - delta) <= SECULAR_RTOL * abs(new_delta) + 1e-300:
-                delta = new_delta
-                break
-            delta = 0.5 * (delta + new_delta)
-        lams[out_idx] = lam0 + delta
-    return omegas, lams, np.abs(c[pos])
+    lams = 1j * omega_all[pos] + _secular_shifts(omega_all, c2, pos, gain)
+    return omega_all[pos], lams, np.abs(c[pos])
+
+
+def _secular_shifts(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
+                    gain: float) -> np.ndarray:
+    """The shift delta_j of each mode pos[j], by one damped iteration for all.
+
+    Row j holds the other modes of pos[j] as one contiguous row, so each
+    row's sum is the pairwise sum a loop over the modes would take.  A mode
+    leaves the iteration once its step is below SECULAR_RTOL relative.
+    """
+    cols = np.arange(len(omega_all) - 1)
+    others = cols + (cols >= pos[:, None])  # row j: every mode but pos[j]
+    i_omega = 1j * omega_all[others]
+    c2_others = c2[others]
+    lam0 = 1j * omega_all[pos]
+    push = -gain * c2[pos]
+    shifts = np.empty(len(pos), dtype=complex)
+    rows = np.arange(len(pos))
+    delta = np.zeros(len(pos), dtype=complex)
+    for _ in range(SECULAR_MAX_ITER):
+        terms = (lam0 + delta)[:, None] - i_omega
+        np.divide(c2_others, terms, out=terms)
+        new_delta = push / (1.0 + gain * np.sum(terms, axis=1))
+        done = np.abs(new_delta - delta) <= SECULAR_RTOL * np.abs(new_delta) + 1e-300
+        shifts[rows[done]] = new_delta[done]
+        if done.all():
+            return shifts
+        if done.any():
+            left = ~done
+            rows, i_omega, c2_others = rows[left], i_omega[left], c2_others[left]
+            lam0, push = lam0[left], push[left]
+            delta, new_delta = delta[left], new_delta[left]
+        delta = 0.5 * (delta + new_delta)
+    j = int(rows[0])
+    raise SecularNotConverged(
+        f"secular equation of mode {j} (omega = {omega_all[pos[j]]:.6g}) did "
+        f"not converge in {SECULAR_MAX_ITER} iterations; {rows.size} of "
+        f"{len(pos)} modes did not")
 
 
 def kernel_basis(assembly: GeneratorAssembly):

@@ -383,6 +383,31 @@ class TestCliExitCodes:
         assert outcome["folded_swaps"] > 0
         assert outcome["factored_band"] != [stepper.kl, stepper.ku]
 
+    def test_report_has_interior_gauge(self, tmp_path, run_cli):
+        # a forced distributed-current run from rest: the boundary layer of the
+        # influence dominates the whole-block residual, while the interior
+        # one, which the run guards, stays at rounding level
+        doc = {**toy_config_dict(n_cells=64, t_final=0.25), "actuation": "current",
+               "initial_state": {"kind": "zero"},
+               "input_signal": {"kind": "sinusoid", "amplitude": 0.8,
+                                "frequency": 1.5, "phase": 0.3}}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        outcome = json.loads((tmp_path / "o" / "report.json")
+                             .read_text(encoding="utf-8"))["outcome"]
+        config = config_from_dict(doc)
+        series = dynamics.simulate(config)
+        guard = 100.0 * config.tolerances.gauge_tol
+        assert outcome["gauge_interior_pos_max"] == series.gauge_interior_pos.max()
+        assert outcome["gauge_interior_vel_max"] == series.gauge_interior_vel.max()
+        assert max(outcome["gauge_interior_pos_max"],
+                   outcome["gauge_interior_vel_max"]) < guard
+        assert min(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) > 1.0
+        header = (tmp_path / "o" / "trajectory.csv").read_text(encoding="utf-8") \
+            .splitlines()[0]
+        assert header.split(",") == dynamics.CSV_COLUMNS
+
     def test_report_has_probe_certificates(self, tmp_path, run_cli):
         doc = {**toy_config_dict(n_cells=16, t_final=0.1), "actuation": "current"}
         res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),

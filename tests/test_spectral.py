@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+
+from piezolab import spectral
 from piezolab.dynamics import default_dt, run
-from piezolab.errors import DegenerateWindow
+from piezolab.errors import DegenerateWindow, SecularNotConverged
 from piezolab.generator import assemble_generator
-from piezolab.model import build_grid, toy_parameters
+from piezolab.model import block_slices, build_grid, toy_parameters, validate_parameters
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, decay_rate_fit, kernel_basis,
                                open_loop_modes)
+from piezolab.variants import assemble_electrostatic
 from test_generator import _dense_g
 
 TOY = toy_parameters()
+NON_UNIT = validate_parameters(dict(rho=1.3, alpha=0.8, gamma=-0.7, eps1=1.7,
+                                    eps3=0.9, mu=1.2, h=0.6, L=1.4))
 
 
 def _report(n=64, gamma=1.0):
@@ -151,6 +157,93 @@ class TestClosedLoop:
         for closed_loop in (closed_loop_spectrum, closed_loop_mode_shifts):
             with pytest.raises(ValueError, match="gain"):
                 closed_loop(asm, gain)
+
+
+def _scalar_secular_loop(omega_all, c2, pos, gain):
+    """The per-mode damped iteration that the vectorized solve replaced."""
+    lams = np.empty(len(pos), dtype=complex)
+    for out_idx, j in enumerate(pos):
+        others = np.arange(len(omega_all)) != j
+        lam0 = 1j * omega_all[j]
+        delta = 0.0 + 0.0j
+        for _ in range(spectral.SECULAR_MAX_ITER):
+            denom_terms = (lam0 + delta) - 1j * omega_all[others]
+            corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
+            new_delta = -gain * c2[j] / corr
+            if abs(new_delta - delta) <= spectral.SECULAR_RTOL * abs(new_delta) + 1e-300:
+                delta = new_delta
+                break
+            delta = 0.5 * (delta + new_delta)
+        lams[out_idx] = lam0 + delta
+    return lams
+
+
+class TestDiagonalBlocks:
+    @pytest.mark.parametrize("system", ("toy", "non_unit", "electrostatic"))
+    def test_coupled_systems_are_one_block(self, system):
+        params = NON_UNIT if system == "non_unit" else TOY
+        grid = build_grid(params.L, 32)
+        asm = (assemble_electrostatic(params, grid) if system == "electrostatic"
+               else assemble_generator(params, grid))
+        _, s = spectral._energy_similarity(asm)
+        blocks = spectral._diagonal_blocks(s)
+        assert len(blocks) == 1
+        np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
+
+    def test_gamma_zero_splits_mechanics_from_fields(self):
+        asm, _ = _report(32, gamma=0.0)
+        _, s = spectral._energy_similarity(asm)
+        blocks = spectral._diagonal_blocks(s)
+        sl = block_slices(asm.grid)
+        keep = asm.reduction.keep
+        in_blocks = [np.isin(keep, np.r_[sl[a], sl[b]])
+                     for a, b in (("y1", "y4"), ("y2", "y5"))]
+        assert len(blocks) == 2
+        for block, mask in zip(blocks, in_blocks):
+            np.testing.assert_array_equal(block, np.flatnonzero(mask))
+        np.testing.assert_array_equal(blocks[0], asm.reduction.mechanical)
+
+    def test_tiny_cross_entry_couples(self):
+        asm, _ = _report(32, gamma=0.0)
+        _, s = spectral._energy_similarity(asm)
+        mech, em = spectral._diagonal_blocks(s)
+        s[em[3], mech[5]] = 1e-300
+        assert len(spectral._diagonal_blocks(s)) == 1
+
+    @pytest.mark.parametrize("n", (32, 64))
+    def test_gamma_zero_spectrum_matches_full_eig(self, n):
+        asm, report = _report(n, gamma=0.0)
+        r, s = spectral._energy_similarity(asm)
+        w, v = scipy.linalg.eig(s)
+        order = spectral._sort_order(w)
+        w, v = w[order], v[:, order]
+        norms = np.linalg.norm(v, axis=0)
+        full = spectral._mode_table(asm, w, norms,
+                                    scipy.linalg.solve_triangular(r, v), 1e-8)
+        np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
+                                   atol=1e-12 * report.g_norm)
+        assert [(rec.dominant_block, rec.stabilizable) for rec in report.mode_table] \
+            == [(rec.dominant_block, rec.stabilizable) for rec in full]
+
+    @pytest.mark.parametrize("gain", (1e-2, 1.0))
+    def test_vectorized_shifts_equal_scalar_loop(self, gain):
+        asm, _ = _report(32)
+        r, s = spectral._energy_similarity(asm)
+        theta, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
+        omega_all = -theta
+        c2 = np.abs(u.conj().T @ spectral._coupling(asm, r)) ** 2
+        pos = np.where(omega_all > 0)[0]
+        pos = pos[np.argsort(omega_all[pos])]
+        omega, lam, _ = closed_loop_mode_shifts(asm, gain)
+        np.testing.assert_array_equal(omega, omega_all[pos])
+        want = _scalar_secular_loop(omega_all, c2, pos, gain)
+        assert lam.tobytes() == want.tobytes()
+
+    def test_unconverged_mode_raises(self, monkeypatch):
+        asm, _ = _report(16)
+        monkeypatch.setattr(spectral, "SECULAR_MAX_ITER", 2)
+        with pytest.raises(SecularNotConverged, match=r"mode 0 \(omega = .*2 iterations"):
+            closed_loop_mode_shifts(asm, 1.0)
 
 
 class TestDecayFit:
