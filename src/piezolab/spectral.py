@@ -12,8 +12,9 @@ M_red and G_red are read from the assembly's dense reference
 spectrum of an assembly forms; state dimensions above DENSE_DIM_GUARD are
 refused before it is.
 
-Every dense decomposition runs once per diagonal block of its matrix: the
-index sets between which the matrix holds exact zeros (at gamma = 0 the
+Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
+the skew part of S) runs once per diagonal block of its matrix: the index
+sets between which the matrix holds exact zeros (at gamma = 0 the
 stretching mechanics {y1, y4} and the electromagnetic fields {y2, y5}).
 The block eigenvectors are placed block-diagonally and sorted as one
 spectrum; a matrix of one block goes to the solver unchanged, so its
@@ -45,7 +46,7 @@ from .generator import GeneratorAssembly
 DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
 TABLE_BLOCK = 128
-SECULAR_MAX_ITER = 60   # damped iterations of the secular equation per mode
+SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
 SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
 
 
@@ -265,13 +266,12 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
 
     pos = np.where(omega_all > 0)[0]
     pos = pos[np.argsort(omega_all[pos])]
-    lams = 1j * omega_all[pos] + _secular_shifts(omega_all, c2, pos, gain)
-    return omega_all[pos], lams, np.abs(c[pos])
+    return omega_all[pos], _secular_roots(omega_all, c2, pos, gain), np.abs(c[pos])
 
 
-def _secular_shifts(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
-                    gain: float) -> np.ndarray:
-    """The shift delta_j of each mode pos[j], by one damped iteration for all.
+def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
+                   gain: float) -> np.ndarray:
+    """The root i omega + delta near each mode pos[j], by one damped iteration.
 
     Row j holds the other modes of pos[j] as one contiguous row, so each
     row's sum is the pairwise sum a loop over the modes would take.  A mode
@@ -283,7 +283,7 @@ def _secular_shifts(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
     c2_others = c2[others]
     lam0 = 1j * omega_all[pos]
     push = -gain * c2[pos]
-    shifts = np.empty(len(pos), dtype=complex)
+    roots = np.empty(len(pos), dtype=complex)
     rows = np.arange(len(pos))
     delta = np.zeros(len(pos), dtype=complex)
     for _ in range(SECULAR_MAX_ITER):
@@ -291,9 +291,9 @@ def _secular_shifts(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
         np.divide(c2_others, terms, out=terms)
         new_delta = push / (1.0 + gain * np.sum(terms, axis=1))
         done = np.abs(new_delta - delta) <= SECULAR_RTOL * np.abs(new_delta) + 1e-300
-        shifts[rows[done]] = new_delta[done]
+        roots[rows[done]] = lam0[done] + new_delta[done]
         if done.all():
-            return shifts
+            return roots
         if done.any():
             left = ~done
             rows, i_omega, c2_others = rows[left], i_omega[left], c2_others[left]

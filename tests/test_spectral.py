@@ -124,6 +124,25 @@ class TestStabilizability:
             assert rec.stabilizable == (rec.bstar_abs > 1e-8 * rec.norm_m)
 
 
+def _scalar_secular_loop(omega_all, c2, pos, gain):
+    """The per-mode damped iteration that the vectorized solve replaced."""
+    lams = np.empty(len(pos), dtype=complex)
+    for out_idx, j in enumerate(pos):
+        others = np.arange(len(omega_all)) != j
+        lam0 = 1j * omega_all[j]
+        delta = 0.0 + 0.0j
+        for _ in range(spectral.SECULAR_MAX_ITER):
+            denom_terms = (lam0 + delta) - 1j * omega_all[others]
+            corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
+            new_delta = -gain * c2[j] / corr
+            if abs(new_delta - delta) <= spectral.SECULAR_RTOL * abs(new_delta) + 1e-300:
+                delta = new_delta
+                break
+            delta = 0.5 * (delta + new_delta)
+        lams[out_idx] = lam0 + delta
+    return lams
+
+
 class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):
         asm, report = _report(32)
@@ -150,6 +169,25 @@ class TestClosedLoop:
             match = pos[np.argmin(np.abs(pos.imag - omega[j]))]
             assert abs(match - lam[j]) <= 1e-8 * report.g_norm
 
+    @pytest.mark.parametrize("gain", (1e-2, 1.0))
+    def test_vectorized_shifts_equal_scalar_loop(self, gain):
+        asm, _ = _report(32)
+        r, s = spectral._energy_similarity(asm)
+        theta, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
+        omega_all = -theta
+        c2 = np.abs(u.conj().T @ spectral._coupling(asm, r)) ** 2
+        pos = np.where(omega_all > 0)[0]
+        pos = pos[np.argsort(omega_all[pos])]
+        omega, lam, _ = closed_loop_mode_shifts(asm, gain)
+        np.testing.assert_array_equal(omega, omega_all[pos])
+        want = _scalar_secular_loop(omega_all, c2, pos, gain)
+        assert lam.tobytes() == want.tobytes()
+
+    def test_unconverged_mode_raises(self, monkeypatch):
+        asm, _ = _report(16)
+        monkeypatch.setattr(spectral, "SECULAR_MAX_ITER", 2)
+        with pytest.raises(SecularNotConverged, match=r"mode 0 \(omega = .*2 iterations"):
+            closed_loop_mode_shifts(asm, 1.0)
 
     @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
     def test_bad_gain_rejected(self, gain):
@@ -157,25 +195,6 @@ class TestClosedLoop:
         for closed_loop in (closed_loop_spectrum, closed_loop_mode_shifts):
             with pytest.raises(ValueError, match="gain"):
                 closed_loop(asm, gain)
-
-
-def _scalar_secular_loop(omega_all, c2, pos, gain):
-    """The per-mode damped iteration that the vectorized solve replaced."""
-    lams = np.empty(len(pos), dtype=complex)
-    for out_idx, j in enumerate(pos):
-        others = np.arange(len(omega_all)) != j
-        lam0 = 1j * omega_all[j]
-        delta = 0.0 + 0.0j
-        for _ in range(spectral.SECULAR_MAX_ITER):
-            denom_terms = (lam0 + delta) - 1j * omega_all[others]
-            corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
-            new_delta = -gain * c2[j] / corr
-            if abs(new_delta - delta) <= spectral.SECULAR_RTOL * abs(new_delta) + 1e-300:
-                delta = new_delta
-                break
-            delta = 0.5 * (delta + new_delta)
-        lams[out_idx] = lam0 + delta
-    return lams
 
 
 class TestDiagonalBlocks:
@@ -224,26 +243,6 @@ class TestDiagonalBlocks:
                                    atol=1e-12 * report.g_norm)
         assert [(rec.dominant_block, rec.stabilizable) for rec in report.mode_table] \
             == [(rec.dominant_block, rec.stabilizable) for rec in full]
-
-    @pytest.mark.parametrize("gain", (1e-2, 1.0))
-    def test_vectorized_shifts_equal_scalar_loop(self, gain):
-        asm, _ = _report(32)
-        r, s = spectral._energy_similarity(asm)
-        theta, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
-        omega_all = -theta
-        c2 = np.abs(u.conj().T @ spectral._coupling(asm, r)) ** 2
-        pos = np.where(omega_all > 0)[0]
-        pos = pos[np.argsort(omega_all[pos])]
-        omega, lam, _ = closed_loop_mode_shifts(asm, gain)
-        np.testing.assert_array_equal(omega, omega_all[pos])
-        want = _scalar_secular_loop(omega_all, c2, pos, gain)
-        assert lam.tobytes() == want.tobytes()
-
-    def test_unconverged_mode_raises(self, monkeypatch):
-        asm, _ = _report(16)
-        monkeypatch.setattr(spectral, "SECULAR_MAX_ITER", 2)
-        with pytest.raises(SecularNotConverged, match=r"mode 0 \(omega = .*2 iterations"):
-            closed_loop_mode_shifts(asm, 1.0)
 
 
 class TestDecayFit:
