@@ -41,7 +41,7 @@ from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFa
                      NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator, gram_product
 from .model import BeamParameters, StaggeredGrid, build_grid
-from .spectral import DENSE_DIM_GUARD, checked_gain, open_loop_modes
+from .spectral import checked_gain, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
@@ -64,7 +64,8 @@ class TimeSeries:
 
     ``gauge_pos``/``gauge_vel`` are the residuals on all cells and
     ``gauge_interior_pos``/``gauge_interior_vel`` those on the interior
-    cells, the ones a run driven through the distributed current guards.
+    cells, the ones a run driven through an influence off the gauge
+    manifold (the distributed current) guards.
     """
 
     times: np.ndarray
@@ -258,11 +259,11 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
     :class:`NonFiniteState` when an input or a recorded state holds NaN or
     Inf, and with :class:`GaugeDrift` when a recorded gauge residual exceeds
-    100 * gauge_tol or is not a number.  A run driven through the
-    distributed current influence (by ``input_fn`` or a positive gain) is
-    guarded on the interior cells only: the influence's boundary jump puts
-    an expected layer in the outermost cells.  Every other run is guarded
-    on all cells.
+    100 * gauge_tol or is not a number.  A run driven (by ``input_fn`` or
+    a positive gain) through an influence b off the gauge manifold,
+    lift(b) != b as for the distributed current, is guarded on the interior
+    cells only: b's boundary jump puts an expected layer in the outermost
+    cells.  Every other run is guarded on all cells.
     """
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
@@ -271,12 +272,12 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
         raise ValueError(f"state shape {y.shape} does not match dim {assembly.dim}")
     stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt,
                               gain=gain)
-    interior_guard = (assembly.influence == "distributed_current"
-                      and (input_fn is not None or gain > 0.0))
+    interior_guard = ((input_fn is not None or gain > 0.0)
+                      and not np.array_equal(assembly.lift(assembly.b), assembly.b))
 
     times = [0.0]
     energies = [assembly.energy_split(y)]
-    (rp, rv), (ip, iv) = assembly.gauge(y, interior=True)
+    (rp, rv), (ip, iv) = assembly.gauge(y)
     gauge_pos, gauge_vel = [rp], [rv]
     interior_pos, interior_vel = [ip], [iv]
     inputs = [0.0]
@@ -299,7 +300,7 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                     f"last input {u!r})")
             times.append((j + 1) * dt)
             energies.append(assembly.energy_split(y))
-            (rp, rv), (ip, iv) = assembly.gauge(y, interior=True)
+            (rp, rv), (ip, iv) = assembly.gauge(y)
             gauge_pos.append(rp)
             gauge_vel.append(rv)
             interior_pos.append(ip)
@@ -396,14 +397,9 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     Takes the real part of the lifted eigenvector of the positive-imaginary
     member, renormalized to M-norm ``amplitude``.  Kernel modes are skipped.
     The eigenvectors come from the dense reference, so a state dimension
-    above DENSE_DIM_GUARD raises :class:`ConfigParseError` before any dense
-    array is formed.
+    above :data:`~piezolab.generator.DENSE_DIM_GUARD` raises
+    :class:`ConfigParseError` before any dense array is formed.
     """
-    if assembly.dim > DENSE_DIM_GUARD:
-        raise ConfigParseError(
-            f"a modal initial state needs the dense eigensolve: n_cells "
-            f"{assembly.grid.n_cells} gives state dimension {assembly.dim}, above "
-            f"DENSE_DIM_GUARD = {DENSE_DIM_GUARD}; use a zero or tabulated start")
     w, vectors_reduced = open_loop_modes(assembly)
     pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
     if mode_index >= pos.size:
@@ -441,7 +437,7 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
 
     if given.isdisjoint(assembly.reduction.bound):
         return assembly.lift(y)
-    rp, rv = assembly.gauge(y)
+    rp, rv = assembly.gauge(y)[0]
     if max(rp, rv) > gauge_tol:
         raise GaugeViolation(
             f"tabulated state violates the gauge constraint "

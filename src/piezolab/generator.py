@@ -58,10 +58,13 @@ T and the blocks it binds (:class:`Reduction`).
 on probe certificates: for a few seeded random probes z it applies G and
 G^T through the split, with banded solves of A, and M part by part, and
 checks M G z + G^T (M z) = 0 and that w = G T z lies on the gauge manifold.
-The dense reference (P_xi, M with its dense block c P_xi, M_red and G_red;
-the dense G on request) is :attr:`GeneratorAssembly.reference`, formed on
-the first read: spectra, the kernel basis, modal starts and the full-space
-skewness of :func:`dense_skew_defect` read it, a time step never does.
+The dense reference is :attr:`GeneratorAssembly.reference`, the one
+producer of dense arrays, formed on the first read: P_xi, M with its dense
+block c P_xi, and the energy-space system of the spectra, S = R G_red R^{-1}
+and g = R M_red^{-1} T^T M b with M_red = R^T R.  Spectra, the kernel basis,
+modal starts and the full-space skewness of :func:`dense_skew_defect` read
+it, a time step never does.  A state dimension above DENSE_DIM_GUARD is
+refused there, before any dense array is formed.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky, solve_triangular
 from scipy.linalg.blas import dtbsv
 
-from .errors import AssemblyInconsistent
+from .errors import AssemblyInconsistent, ConfigParseError, NotPositiveDefinite
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import DiscreteOperators, build_operators
 
@@ -83,6 +86,7 @@ CONSTRAINT_TOL = 1e-11
 NORM_FLOOR = 1e-30
 PROBES = 3        # seeded random probe vectors of each certificate
 PROBE_SEED = 20160
+DENSE_DIM_GUARD = 6 * 1024  # largest state dimension given a dense reference
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class Reduction:
     and ``bound`` names the blocks T fills from them (none without a gauge).
     ``t_bound`` holds the rows of T on those blocks, so a gauge residual
     lifts only what it measures.  The reduced Gram matrix and generator
-    belong to the dense reference (:class:`DenseReference`).
+    are temporaries of the dense reference (:class:`DenseReference`).
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
@@ -277,18 +281,22 @@ def gram(parts: dict, dim: int) -> sparse.csr_array:
 
 @dataclass(frozen=True)
 class DenseReference:
-    """The dense reference of an assembly, for spectra and full-space checks.
+    """The dense reference of an assembly: its system in energy coordinates.
 
-    ``m`` is the Gram matrix with its dense block c P_xi; ``m_red`` =
-    T^T M T (symmetrized) and ``g_red`` = (G T)[keep], the reduced generator
-    with G T = T G_red.  The dense G itself, (dim, dim), is not kept:
-    ``split.dense(p)`` forms it where it is wanted.
+    ``m`` is the Gram matrix with its dense block c P_xi, and ``r`` the
+    upper Cholesky factor of M_red = T^T M T (symmetrized) = R^T R.  ``s`` =
+    R G_red R^{-1} is the reduced generator G_red = (G T)[keep] in energy
+    coordinates, skew-symmetric up to rounding, and ``coupling`` =
+    R M_red^{-1} T^T M b is the influence there, g, so the collocated
+    closed loop is S - k g g^T.  M_red, G_red and the dense G are not kept:
+    ``split.dense(p)`` forms G where it is wanted.
     """
 
     p: np.ndarray = field(repr=False)        # dense P_xi
     m: sparse.csr_array = field(repr=False)  # Gram matrix
-    m_red: np.ndarray = field(repr=False)    # SPD Gram on reduced coordinates
-    g_red: np.ndarray = field(repr=False)    # reduced generator
+    r: np.ndarray = field(repr=False)        # upper Cholesky factor of M_red
+    s: np.ndarray = field(repr=False)        # R G_red R^{-1}
+    coupling: np.ndarray = field(repr=False)  # g = R M_red^{-1} T^T M b
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,6 @@ class GeneratorAssembly:
     blocks: dict = field(repr=False)
     skew_defect: float = 0.0
     gauge_defect: float = 0.0
-    influence: str = "distributed_current"
 
     @property
     def dim(self) -> int:
@@ -343,22 +350,35 @@ class GeneratorAssembly:
     def reference(self) -> DenseReference:
         """The dense reference, formed on the first read and kept.
 
-        O(N^2) memory and O(N^3) time (the dense P_xi).  G_red is taken from
-        the free rows of the dense G only; they equal the same rows of the
-        whole G bit for bit.  Without a gauge G_red is G.  The dense arrays
-        are read-only, since every caller shares them.
+        O(N^2) memory and O(N^3) time.  A state dimension above
+        DENSE_DIM_GUARD raises :class:`ConfigParseError` before any dense
+        array is formed; an M_red that is not positive definite raises
+        :class:`NotPositiveDefinite`.  G_red is taken from the free rows of
+        the dense G only, bit for bit the same rows of the whole G.  The
+        arrays are read-only, since every caller shares them.
         """
+        if self.dim > DENSE_DIM_GUARD:
+            raise ConfigParseError(
+                f"spectra and modal starts need the dense eigensolve: n_cells "
+                f"{self.grid.n_cells} gives state dimension {self.dim}, above "
+                f"DENSE_DIM_GUARD = {DENSE_DIM_GUARD}; a run from a zero or "
+                f"tabulated start needs none")
         p = self.ops.p_dense
         m = gram(self.energy_parts, self.dim)
-        red = self.reduction
-        t = red.t_map
+        t = self.reduction.t_map
         m_red = (t.T @ (m @ t)).toarray()
-        m_red = 0.5 * (m_red + m_red.T)
-        g_red = (self.split.dense(p, rows=red.keep) @ t if red.bound
-                 else self.split.dense(p))
-        for arr in (m_red, g_red):
+        try:
+            r = cholesky(0.5 * (m_red + m_red.T), lower=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("Gram matrix on the constrained subspace "
+                                      "is not positive definite") from exc
+        del m_red  # M_red and G_red are temporaries; R, S and g are kept
+        g_red = self.split.dense(p, rows=self.reduction.keep) @ t
+        s = solve_triangular(r.T, (r @ g_red).T, lower=True).T
+        coupling = r @ cho_solve((r, False), t.T @ self.b_dual)
+        for arr in (r, s, coupling):
             arr.setflags(write=False)
-        return DenseReference(p=p, m=m, m_red=m_red, g_red=g_red)
+        return DenseReference(p=p, m=m, r=r, s=s, coupling=coupling)
 
     def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
         """The energy (1/2) y^T M y of a flat state, part by part, at O(N)."""
@@ -370,22 +390,21 @@ class GeneratorAssembly:
         red = self.reduction
         return red.t_map @ y[red.keep]
 
-    def gauge(self, y: np.ndarray, interior: bool = False) -> tuple:
-        """Relative gauge residuals (pos, vel) of a flat state.
+    def gauge(self, y: np.ndarray) -> tuple:
+        """Relative gauge residuals ((pos, vel), (pos_interior, vel_interior)).
 
         Each is the residual y - lift(y) on one gauge-bound block, measured
-        against that block of y; both are zero for a model without a gauge.
-        Only the bound rows of the lift are formed.  With ``interior`` the
-        pair is returned together with the pair over the interior cells,
-        ((pos, vel), (pos_interior, vel_interior)), from the same lift:
-        forced trajectories with the distributed current influence develop a
-        discretization layer in the first and last cell (the influence has a
-        boundary jump that the interior-node gradient cannot represent), so
-        the interior residual is the meaningful drift diagnostic for them.
+        against that block of y, over all its cells and over the interior
+        ones, from one lift; all are zero for a model without a gauge.  Only
+        the bound rows of the lift are formed.  A run driven through an
+        influence off the gauge manifold develops a discretization layer in
+        the first and last cell (the distributed current has a boundary jump
+        that the interior-node gradient cannot represent), so the interior
+        residual is the meaningful drift diagnostic for it.
         """
         red = self.reduction
         if not red.bound:
-            return ((0.0, 0.0), (0.0, 0.0)) if interior else (0.0, 0.0)
+            return (0.0, 0.0), (0.0, 0.0)
         lifted = red.t_bound @ y[red.keep]
         full, inner, start = [], [], 0
         for name in red.bound:
@@ -395,7 +414,7 @@ class GeneratorAssembly:
             scale = max(np.linalg.norm(yb), NORM_FLOOR)
             full.append(float(np.linalg.norm(r) / scale))
             inner.append(float(np.linalg.norm(r[1:-1]) / scale))
-        return (tuple(full), tuple(inner)) if interior else tuple(full)
+        return tuple(full), tuple(inner)
 
 
 def energy_parts(params: BeamParameters, grid: StaggeredGrid,
@@ -517,8 +536,7 @@ def _probe_certificates(ops: DiscreteOperators, split: SplitGenerator, parts: di
 def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
              split: SplitGenerator, parts: dict, b: np.ndarray,
              t: sparse.csr_array, bound: tuple, blocks: dict,
-             output: np.ndarray | None = None,
-             influence: str = "distributed_current") -> GeneratorAssembly:
+             output: np.ndarray | None = None) -> GeneratorAssembly:
     """Build and certify the linear system a model declares, at O(N).
 
     Forms the reduction to the coordinates outside the ``bound`` blocks and
@@ -558,7 +576,7 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
         params=params, grid=grid, ops=ops, split=split, energy_parts=parts,
         b=b, b_dual=b_dual, output=b_dual if output is None else output,
         reduction=red, blocks=blocks, skew_defect=skew,
-        gauge_defect=gauge_defect, influence=influence)
+        gauge_defect=gauge_defect)
 
 
 def dense_skew_defect(assembly: GeneratorAssembly) -> float:
@@ -593,13 +611,13 @@ def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> Generator
                     _lift(params, grid, ops), ("y3", "y6"), block_slices(grid))
 
 
-def with_influence(assembly: GeneratorAssembly, b: np.ndarray,
-                   influence: str) -> GeneratorAssembly:
+def with_influence(assembly: GeneratorAssembly, b: np.ndarray) -> GeneratorAssembly:
     """Same interior dynamics with a different control influence vector.
 
-    A field swap of b, b_dual = M b, the output row (B*) and the name.
+    A field swap of b, b_dual = M b and the output row (B*); the copy forms
+    its own dense reference, whose coupling g is that of the new b.
     """
     b = np.asarray(b, dtype=float).copy()
     b.setflags(write=False)
     b_dual = gram_product(assembly.energy_parts, b)
-    return replace(assembly, b=b, b_dual=b_dual, output=b_dual, influence=influence)
+    return replace(assembly, b=b, b_dual=b_dual, output=b_dual)

@@ -35,8 +35,8 @@ is kept: the nonlocal energy of a
 record, and every P_xi product of the assembly certificates, is evaluated
 from it at O(N).  A dense, exactly symmetric realization of P_xi
 (``p_dense``), built from that factor, is formed only on demand: it backs
-the dense reference (the Gram matrix's one dense block, the reduced
-generator of the spectra) and check 5.  Time stepping does not use it: the
+the dense reference (the Gram matrix's one dense block, the energy-space
+system of the spectra) and check 5.  Time stepping does not use it: the
 stepper keeps A itself as tridiagonal constraint rows of a sparse augmented
 system (see :mod:`piezolab.dynamics`).
 """
@@ -51,7 +51,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from .errors import NotPositiveDefinite, SolverFailure
+from .errors import SolverFailure
 from .model import BeamParameters, StaggeredGrid
 
 
@@ -152,12 +152,3 @@ class ActuationMode(Enum):
     CURRENT = "current"
     CHARGE_MAGNETIC = "charge_magnetic"
     CHARGE_ELECTROSTATIC = "charge_electrostatic"
-
-
-def mass_cholesky(m_reduced: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor R with M = R^T R; raises NotPositiveDefinite."""
-    try:
-        return scipy.linalg.cholesky(m_reduced, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "Gram matrix on the constrained subspace is not positive definite") from exc

@@ -6,11 +6,12 @@ S = R G_red R^{-1} is similar to the reduced generator and skew-symmetric up
 to rounding, so an honest dense eigensolve of S measures how imaginary the
 spectrum really is.  Closed-loop spectra perturb S by the rank-one collocated
 feedback -k g g^T, whose symmetric negative-semidefinite structure forces
-Re(lambda) <= 0; g = R M_red^{-1} T^T M b is formed where it is used.
-M_red and G_red are read from the assembly's dense reference
+Re(lambda) <= 0, with g = R M_red^{-1} T^T M b.  R, S and g are read from
+the assembly's dense reference
 (:attr:`~piezolab.generator.GeneratorAssembly.reference`), which the first
-spectrum of an assembly forms; state dimensions above DENSE_DIM_GUARD are
-refused before it is.
+spectrum of an assembly forms once for every spectral call; state
+dimensions above :data:`~piezolab.generator.DENSE_DIM_GUARD` are refused
+there, before any dense array is formed.
 
 Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
 the skew part of S) runs once per diagonal block of its matrix: the index
@@ -43,7 +44,6 @@ import scipy.linalg
 from .errors import DegenerateWindow, SecularNotConverged
 from .generator import GeneratorAssembly
 
-DENSE_DIM_GUARD = 6 * 1024
 ZERO_MODE_REL_TOL = 1e-10
 TABLE_BLOCK = 128
 SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
@@ -82,27 +82,6 @@ class SpectrumReport:
                                  int(rec.stabilizable), rec.dominant_block])
 
 
-def _energy_similarity(assembly: GeneratorAssembly):
-    """R (upper Cholesky of M_red) and S = R G_red R^{-1}."""
-    from .operators import mass_cholesky
-
-    if assembly.dim > DENSE_DIM_GUARD:
-        raise ValueError(
-            f"state dimension {assembly.dim} exceeds the dense eigensolve guard "
-            f"({DENSE_DIM_GUARD})")
-    ref = assembly.reference
-    r = mass_cholesky(ref.m_red)
-    z = r @ ref.g_red
-    s = scipy.linalg.solve_triangular(r.T, z.T, lower=True).T
-    return r, s
-
-
-def _coupling(assembly: GeneratorAssembly, r: np.ndarray) -> np.ndarray:
-    """The feedback coupling g = R M_red^{-1} T^T M b: b in energy coordinates."""
-    rhs = assembly.reduction.t_map.T @ assembly.b_dual
-    return r @ scipy.linalg.cho_solve((r, False), rhs)
-
-
 def _sort_order(values: np.ndarray) -> np.ndarray:
     # |Im| ascending, positive imaginary part first among a conjugate pair
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
@@ -113,21 +92,23 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
     """Per-mode records from the reduced eigenvectors, which are never lifted.
 
     B* phi is (T^T b_dual) phi_red, the M-norm of phi is the norm of its
-    energy coordinates (``norms``) and the mechanical energy is taken on the
-    mechanical block of M_red.  That block's products run over blocks of
-    TABLE_BLOCK eigenvectors.
+    energy coordinates (``norms``) and the mechanical energy is
+    ||R[mech][:, mech] phi_mech||^2.  M_red couples no mechanical coordinate
+    to a field one, so the field rows of R's mechanical columns are exactly
+    zero and that norm is the whole mechanical part of ||R phi||^2.  The
+    products run over blocks of TABLE_BLOCK eigenvectors.
     """
     red = assembly.reduction
     bstar = (red.t_map.T @ assembly.b_dual) @ phi_red
     mech = red.mechanical
-    m_mech = assembly.reference.m_red[np.ix_(mech, mech)]
+    r_mech = assembly.reference.r[np.ix_(mech, mech)]
     table = []
     for start in range(0, len(w), TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
-        pm = phi_red[mech, cols]
-        mech_energy = np.einsum("ij,ij->j", pm.conj(), m_mech @ pm).real
+        x = r_mech @ phi_red[mech, cols]
+        mech_energy = np.einsum("ij,ij->j", x.conj(), x).real
         frac = mech_energy / norms[cols] ** 2
-        for j, k in enumerate(range(start, start + pm.shape[1])):
+        for j, k in enumerate(range(start, start + x.shape[1])):
             bstar_abs = abs(complex(bstar[k]))
             block = ("mechanical" if frac[j] >= 0.9
                      else "electromagnetic" if frac[j] <= 0.1 else "mixed")
@@ -180,17 +161,19 @@ def _blockwise(solver, m: np.ndarray) -> tuple:
     return np.concatenate([w for w, _ in parts]), vectors
 
 
-def _eigenpairs(s_matrix: np.ndarray, r: np.ndarray) -> tuple:
+def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
     """Sorted eigenvalues of S, and the M-norms and reduced lifts of its eigenvectors.
 
-    The lifts phi_red = R^{-1} v have unit M-norm up to rounding; their
-    M-norms are the 2-norms of the eigenvectors v, which are not kept.
+    ``s_matrix`` is S or the closed-loop S of the assembly.  The lifts
+    phi_red = R^{-1} v have unit M-norm up to rounding; their M-norms are
+    the 2-norms of the eigenvectors v, which are not kept.
     """
     w, v = _blockwise(scipy.linalg.eig, s_matrix)
     order = _sort_order(w)
     w = w[order]
     v = v[:, order]
-    return w, np.linalg.norm(v, axis=0), scipy.linalg.solve_triangular(r, v)
+    return (w, np.linalg.norm(v, axis=0),
+            scipy.linalg.solve_triangular(assembly.reference.r, v))
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
@@ -198,14 +181,13 @@ def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
 
     The eigenpairs of :func:`compute_spectrum` without its mode table.
     """
-    r, s = _energy_similarity(assembly)
-    w, _, phi_red = _eigenpairs(s, r)
+    w, _, phi_red = _eigenpairs(assembly, assembly.reference.s)
     return w, phi_red
 
 
-def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarray,
+def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray,
                   eig_tol: float) -> SpectrumReport:
-    w, norms, phi_red = _eigenpairs(s_matrix, r)
+    w, norms, phi_red = _eigenpairs(assembly, s_matrix)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
     table = _mode_table(assembly, w, norms, phi_red, eig_tol)
@@ -216,8 +198,7 @@ def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray, r: np.ndarr
 
 def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> SpectrumReport:
     """Dense spectrum of the generator on the constrained subspace."""
-    r, s = _energy_similarity(assembly)
-    return _build_report(assembly, s, r, eig_tol)
+    return _build_report(assembly, assembly.reference.s, eig_tol)
 
 
 def checked_gain(gain: float) -> float:
@@ -236,17 +217,17 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
     crossing.  A gain that is negative or not finite raises ValueError.
     """
     gain = checked_gain(gain)
-    r, s = _energy_similarity(assembly)
-    g_vec = _coupling(assembly, r)
-    s_cl = s - gain * np.outer(g_vec, g_vec)
-    return _build_report(assembly, s_cl, r, eig_tol)
+    ref = assembly.reference
+    s_cl = ref.s - gain * np.outer(ref.coupling, ref.coupling)
+    return _build_report(assembly, s_cl, eig_tol)
 
 
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     """Per-mode closed-loop eigenvalues from the rank-one secular equation.
 
-    Returns (omega, lam, coupling) for the open-loop modes with omega > 0,
-    sorted by omega: lam[j] solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0
+    Returns (omega, lam, coupling) for the open-loop modes with omega above
+    ZERO_MODE_REL_TOL times the largest |omega|, which leaves out the kernel
+    whatever the sign of its rounding, sorted by omega: lam[j] solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0
     near i*omega[j], and coupling[j] = |c_j| is the energy-coordinate feedback
     coupling of the mode.  Accurate for shifts far below the dense-eig noise
     floor.  A gain that is negative or not finite raises ValueError, and a
@@ -254,17 +235,17 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     :class:`SecularNotConverged`.
     """
     gain = checked_gain(gain)
-    r, s = _energy_similarity(assembly)
-    a_skew = 0.5 * (s - s.T)
+    ref = assembly.reference
+    a_skew = 0.5 * (ref.s - ref.s.T)
     theta, u = _blockwise(np.linalg.eigh, 1j * a_skew)
     if np.any(np.diff(theta) < 0):  # blocks: ascending as one eigh would be
         order = np.argsort(theta, kind="stable")
         theta, u = theta[order], u[:, order]
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
-    c = u.conj().T @ _coupling(assembly, r)
+    c = u.conj().T @ ref.coupling
     c2 = np.abs(c) ** 2
 
-    pos = np.where(omega_all > 0)[0]
+    pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     return omega_all[pos], _secular_roots(omega_all, c2, pos, gain), np.abs(c[pos])
 
@@ -314,12 +295,12 @@ def kernel_basis(assembly: GeneratorAssembly):
     (constant y4).  Computed from the singular values of the energy-coordinate
     similarity of G_red that lie below ZERO_MODE_REL_TOL times the largest.
     """
-    r, s = _energy_similarity(assembly)
-    u_svd, sing, vt = np.linalg.svd(s)
+    ref = assembly.reference
+    u_svd, sing, vt = np.linalg.svd(ref.s)
     scale = sing[0] if len(sing) else 0.0
     null_mask = sing <= ZERO_MODE_REL_TOL * scale
     vecs = vt[null_mask].T  # orthonormal in energy coordinates = M-orthonormal
-    phi_red = scipy.linalg.solve_triangular(r, vecs)
+    phi_red = scipy.linalg.solve_triangular(ref.r, vecs)
     return assembly.reduction.t_map @ phi_red
 
 

@@ -87,7 +87,7 @@ def assemble_electrostatic(params: BeamParameters,
     return assemble(params, grid, ops, split, parts, b,
                     sparse.eye_array(2 * n, format="csr"), (),
                     {"y1": strain, "y4": velocity, "s": strain, "w": velocity},
-                    output=output, influence="boundary_trace")
+                    output=output)
 
 
 def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
@@ -109,8 +109,7 @@ def assemble_charge_magnetic(params: BeamParameters,
     the delta loads concentrate on single boundary nodes.
     """
     return with_influence(assemble_generator(params, grid),
-                          charge_magnetic_influence(params, grid),
-                          influence="boundary_charge")
+                          charge_magnetic_influence(params, grid))
 
 
 def charge_influence_norm(params: BeamParameters, grid: StaggeredGrid) -> float:

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import piezolab
-from piezolab import cli, dynamics, spectral
+from piezolab import cli, dynamics, generator
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
 from piezolab.model import build_grid
@@ -448,7 +449,23 @@ class TestCliExitCodes:
             tracemalloc.stop()
         assert res.returncode == 2
         assert "n_cells 1025" in res.stderr
-        assert f"DENSE_DIM_GUARD = {spectral.DENSE_DIM_GUARD}" in res.stderr
+        assert f"DENSE_DIM_GUARD = {generator.DENSE_DIM_GUARD}" in res.stderr
+        assert peak < 32 * 2 ** 20
+
+    def test_spectrum_above_dense_guard_exits_2(self, tmp_path, run_cli):
+        # the one guard sits on the dense reference: a spectrum is refused
+        # as a modal start is, before the dense P_xi or any reduced matrix
+        cfg = _write(tmp_path, toy_config_dict(t_final=0.01))
+        tracemalloc.start()
+        try:
+            res = run_cli("spectrum", "--config", str(cfg), "--n-cells", "1025",
+                          "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.returncode == 2
+        assert "n_cells 1025" in res.stderr
+        assert f"DENSE_DIM_GUARD = {generator.DENSE_DIM_GUARD}" in res.stderr
         assert peak < 32 * 2 ** 20
 
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
@@ -502,13 +519,14 @@ class TestCliExitCodes:
     def test_red_closed_loop_is_reported(self, tmp_path, monkeypatch, capsys):
         # shift the energy-coordinate generator right: the closed loop then
         # crosses the imaginary axis, and the flag, not an exception, says so
-        similarity = spectral._energy_similarity
+        reference = generator.GeneratorAssembly.reference.func
 
         def shifted(asm):
-            r, s = similarity(asm)
-            return r, s + 0.1 * np.eye(s.shape[0])
+            ref = reference(asm)
+            return replace(ref, s=ref.s + 0.1 * np.eye(ref.s.shape[0]))
 
-        monkeypatch.setattr(spectral, "_energy_similarity", shifted)
+        monkeypatch.setattr(generator.GeneratorAssembly, "reference",
+                            property(shifted))
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
         out = tmp_path / "o"
         assert cli.main(["spectrum", "--config", str(cfg),

@@ -360,6 +360,29 @@ class TestRun:
         with pytest.raises(GaugeDrift):
             run(asm, y0, n_steps=10, dt=2e-3, input_fn=lambda t: 1.0)
 
+    def test_driven_charge_guard_is_every_cell(self):
+        # the boundary charge influence lies on the gauge manifold, so a
+        # forced run keeps the whole-block residual at rounding level and is
+        # guarded on every cell: a defect in an end cell, which the interior
+        # guard of a current-driven run lets pass, aborts it
+        grid = build_grid(TOY.L, 32)
+        cm = build_system(TOY, grid, ActuationMode.CHARGE_MAGNETIC)
+        forced = run(cm, np.zeros(cm.dim), n_steps=200, dt=2e-3,
+                     input_fn=lambda t: 1.0)
+        assert max(forced.gauge_pos.max(), forced.gauge_vel.max()) <= 1e-12
+
+        def end_cell_defect(asm):
+            y0 = _random_state(asm, seed=2)
+            y0[asm.blocks["y3"].start] += 1e-3
+            return y0
+
+        current = _assembly(32)
+        run(current, end_cell_defect(current), n_steps=10, dt=2e-3,
+            input_fn=lambda t: 1.0)
+        with pytest.raises(GaugeDrift):
+            run(cm, end_cell_defect(cm), n_steps=10, dt=2e-3,
+                input_fn=lambda t: 1.0)
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_input_fails_loudly(self, bad):
         # the sparse solve does not check finiteness, so the run loop does:

@@ -229,7 +229,7 @@ class TestSplitForm:
 
     def test_influence_keeps_split(self):
         asm = _assembly(16)
-        swapped = with_influence(asm, np.ones(asm.dim), "test")
+        swapped = with_influence(asm, np.ones(asm.dim))
         assert swapped.split is asm.split
 
 
@@ -244,22 +244,23 @@ class TestDenseReference:
         asm = build_system(p, build_grid(p.L, n), actuation)
         ref = _dense_reference(asm, actuation)
         own = asm.reference
-        # the feedback coupling g = R b_red, formed where spectra use it
-        r, s = spectral._energy_similarity(asm)
-        for got, want in ((own.m.toarray(), ref.m), (own.m_red, ref.m_red),
-                          (spectral._coupling(asm, r), r @ ref.b_red)):
+        r = own.r
+        # M_red = R^T R, and the feedback coupling g = R b_red
+        for got, want in ((own.m.toarray(), ref.m), (r.T @ r, ref.m_red),
+                          (own.coupling, r @ ref.b_red)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the reference forms I - P_xi as -xi lap_cc P_xi, whose rounding
-        # grows with the condition number of A = I - xi lap_cc; G and G_red
-        # carry that block
+        # grows with the condition number of A = I - xi lap_cc; G and
+        # G_red = R^{-1} S R carry that block
         kappa = np.linalg.cond(build_operators(p, asm.grid).a.toarray())
         tol = max(1e-12, 10.0 * np.finfo(float).eps * kappa)
-        for got, want in ((_dense_g(asm), ref.g), (own.g_red, ref.g_red)):
+        g_red = scipy.linalg.solve_triangular(r, own.s @ r)
+        for got, want in ((_dense_g(asm), ref.g), (g_red, ref.g_red)):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
         # the mode table in reduced coordinates against the lifted one,
         # on the same eigenpairs
-        w, norms, phi_red = spectral._eigenpairs(s, r)
+        w, norms, phi_red = spectral._eigenpairs(asm, own.s)
         table = spectral.compute_spectrum(asm).mode_table
         lifted = _lifted_mode_table(ref, asm.b, w, norms, phi_red)
         assert [(rec.stabilizable, rec.dominant_block) for rec in table] == \
@@ -295,7 +296,9 @@ class TestAssemble:
         again = self._declare(asm)
         assert (again.skew_defect, again.gauge_defect) == \
             (asm.skew_defect, asm.gauge_defect)
-        np.testing.assert_array_equal(again.reference.g_red, asm.reference.g_red)
+        for name in ("r", "s", "coupling"):
+            np.testing.assert_array_equal(getattr(again.reference, name),
+                                          getattr(asm.reference, name))
         np.testing.assert_array_equal(again.reduction.mechanical,
                                       asm.reduction.mechanical)
 
@@ -356,12 +359,13 @@ class TestProbeCertificates:
             assert dense[1] == probe[1] == 0.0
 
     def test_assembly_forms_no_dense_array(self):
-        # P_xi, M, M_red and G_red are formed only when the reference is read
+        # P_xi, M, R, S and g are formed only when the reference is read
         asm = _assembly(32)
         assert "reference" not in vars(asm) and "p_dense" not in vars(asm.ops)
         ref = asm.reference
         assert ref is asm.reference and ref.p is asm.ops.p_dense
-        assert ref.g_red.shape == (4 * 32 - 1,) * 2
+        assert ref.r.shape == ref.s.shape == (4 * 32 - 1,) * 2
+        assert ref.coupling.shape == (4 * 32 - 1,)
 
 
 class TestStructure:
@@ -393,7 +397,7 @@ class TestStructure:
         # on the constraint-reduced subspace the kernel is one-dimensional;
         # every other singular value is bounded away from zero
         asm = _assembly(32)
-        sing = np.linalg.svd(asm.reference.g_red, compute_uv=False)
+        sing = np.linalg.svd(asm.reference.s, compute_uv=False)
         assert sing[-1] <= 1e-10 * sing[0]
         assert sing[-2] >= 1e-6 * sing[0]
 
@@ -456,7 +460,7 @@ class TestGaugeResidual:
         rng = np.random.default_rng(2)
         y = _lifted(asm, rng.standard_normal(32), rng.standard_normal(31),
                     rng.standard_normal(33), rng.standard_normal(31))
-        rp, rv = asm.gauge(y)
+        rp, rv = asm.gauge(y)[0]
         assert rp <= 1e-14 and rv <= 1e-14
 
     def test_perturbation_linearity(self):
@@ -467,7 +471,7 @@ class TestGaugeResidual:
         delta = 1e-3 * rng.standard_normal(32)
         bad = y.copy()
         bad[asm.blocks["y3"]] += delta
-        rp, _ = asm.gauge(bad)
+        rp, _ = asm.gauge(bad)[0]
         expected = np.linalg.norm(delta) / np.linalg.norm(bad[asm.blocks["y3"]])
         assert rp == pytest.approx(expected, rel=1e-10)
 
@@ -476,10 +480,9 @@ class TestGaugeResidual:
         y3 = asm.blocks["y3"]
         bad = np.zeros(asm.dim)
         bad[y3.start] = bad[y3.stop - 1] = 1.0
-        assert asm.gauge(bad)[0] == pytest.approx(1.0)
         # the full pair comes back with the interior pair, from one lift
-        full, interior = asm.gauge(bad, interior=True)
-        assert full == asm.gauge(bad)
+        full, interior = asm.gauge(bad)
+        assert full[0] == pytest.approx(1.0)
         assert interior[0] == 0.0
 
 
@@ -491,8 +494,7 @@ class TestSharedModelData:
         asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
         lifted = asm.lift(np.random.default_rng(3).standard_normal(asm.dim))
         np.testing.assert_array_equal(asm.lift(lifted), lifted)
-        assert asm.gauge(lifted) == (0.0, 0.0)
-        assert asm.gauge(lifted, interior=True) == ((0.0, 0.0), (0.0, 0.0))
+        assert asm.gauge(lifted) == ((0.0, 0.0), (0.0, 0.0))
 
     def test_electrostatic_lift_is_identity(self):
         es = build_system(TOY, build_grid(TOY.L, 24),
@@ -531,8 +533,25 @@ class TestWithInfluence:
         asm = _assembly(16)
         b_new = np.zeros(asm.dim)
         b_new[0] = 2.0
-        alt = with_influence(asm, b_new, "probe")
-        assert alt.influence == "probe"
+        alt = with_influence(asm, b_new)
         np.testing.assert_array_equal(alt.b, b_new)
         assert alt.split is asm.split and alt.reduction is asm.reduction
 
+
+    def test_copy_couples_its_own_influence(self):
+        # the copy does not inherit the dense reference read on the original:
+        # its coupling g = R M_red^{-1} T^T M b is that of the new b
+        asm = _assembly(16)
+        ref = asm.reference
+        b_new = asm.lift(np.random.default_rng(6).standard_normal(asm.dim))
+        alt = with_influence(asm, b_new)
+        assert "reference" not in vars(alt)
+        t = asm.reduction.t_map
+        m_red = t.T @ (ref.m @ t)
+        b_red = scipy.linalg.solve(0.5 * (m_red + m_red.T).toarray(),
+                                   t.T @ (ref.m @ b_new), assume_a="pos")
+        want = alt.reference.r @ b_red
+        assert np.linalg.norm(alt.reference.coupling - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_array_equal(alt.reference.s, ref.s)
+        assert not np.allclose(alt.reference.coupling, ref.coupling)

@@ -5,7 +5,7 @@ import pytest
 
 import scipy.linalg
 
-from piezolab import spectral
+from piezolab import generator, spectral
 from piezolab.dynamics import default_dt, run
 from piezolab.errors import DegenerateWindow, SecularNotConverged
 from piezolab.generator import assemble_generator
@@ -14,7 +14,7 @@ from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, decay_rate_fit, kernel_basis,
                                open_loop_modes)
 from piezolab.variants import assemble_electrostatic
-from test_generator import _dense_g
+from test_generator import BOX_CORNER, _dense_g
 
 TOY = toy_parameters()
 NON_UNIT = validate_parameters(dict(rho=1.3, alpha=0.8, gamma=-0.7, eps1=1.7,
@@ -172,16 +172,28 @@ class TestClosedLoop:
     @pytest.mark.parametrize("gain", (1e-2, 1.0))
     def test_vectorized_shifts_equal_scalar_loop(self, gain):
         asm, _ = _report(32)
-        r, s = spectral._energy_similarity(asm)
-        theta, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
+        ref = asm.reference
+        theta, u = np.linalg.eigh(1j * (0.5 * (ref.s - ref.s.T)))
         omega_all = -theta
-        c2 = np.abs(u.conj().T @ spectral._coupling(asm, r)) ** 2
-        pos = np.where(omega_all > 0)[0]
+        c2 = np.abs(u.conj().T @ ref.coupling) ** 2
+        pos = np.where(omega_all > spectral.ZERO_MODE_REL_TOL
+                       * np.max(np.abs(omega_all)))[0]
         pos = pos[np.argsort(omega_all[pos])]
         omega, lam, _ = closed_loop_mode_shifts(asm, gain)
         np.testing.assert_array_equal(omega, omega_all[pos])
         want = _scalar_secular_loop(omega_all, c2, pos, gain)
         assert lam.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, gamma", ((32, 1.0), (64, 0.0), (64, 1.0)))
+    def test_shifts_leave_out_the_kernel(self, n, gamma):
+        # 4N - 1 reduced modes: the one-dimensional kernel and 2N - 1
+        # conjugate pairs; the kernel mode is left out whatever the sign of
+        # its rounded frequency
+        params = toy_parameters(gamma=gamma)
+        asm = assemble_generator(params, build_grid(params.L, n))
+        omega, lam, coupling = closed_loop_mode_shifts(asm, 1.0)
+        assert len(omega) == len(lam) == len(coupling) == 2 * n - 1
+        assert omega[0] > 1e-8
 
     def test_unconverged_mode_raises(self, monkeypatch):
         asm, _ = _report(16)
@@ -204,15 +216,14 @@ class TestDiagonalBlocks:
         grid = build_grid(params.L, 32)
         asm = (assemble_electrostatic(params, grid) if system == "electrostatic"
                else assemble_generator(params, grid))
-        _, s = spectral._energy_similarity(asm)
+        s = asm.reference.s
         blocks = spectral._diagonal_blocks(s)
         assert len(blocks) == 1
         np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     def test_gamma_zero_splits_mechanics_from_fields(self):
         asm, _ = _report(32, gamma=0.0)
-        _, s = spectral._energy_similarity(asm)
-        blocks = spectral._diagonal_blocks(s)
+        blocks = spectral._diagonal_blocks(asm.reference.s)
         sl = block_slices(asm.grid)
         keep = asm.reduction.keep
         in_blocks = [np.isin(keep, np.r_[sl[a], sl[b]])
@@ -224,7 +235,7 @@ class TestDiagonalBlocks:
 
     def test_tiny_cross_entry_couples(self):
         asm, _ = _report(32, gamma=0.0)
-        _, s = spectral._energy_similarity(asm)
+        s = asm.reference.s.copy()
         mech, em = spectral._diagonal_blocks(s)
         s[em[3], mech[5]] = 1e-300
         assert len(spectral._diagonal_blocks(s)) == 1
@@ -232,17 +243,49 @@ class TestDiagonalBlocks:
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
         asm, report = _report(n, gamma=0.0)
-        r, s = spectral._energy_similarity(asm)
-        w, v = scipy.linalg.eig(s)
+        ref = asm.reference
+        w, v = scipy.linalg.eig(ref.s)
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
         norms = np.linalg.norm(v, axis=0)
         full = spectral._mode_table(asm, w, norms,
-                                    scipy.linalg.solve_triangular(r, v), 1e-8)
+                                    scipy.linalg.solve_triangular(ref.r, v), 1e-8)
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
                                    atol=1e-12 * report.g_norm)
         assert [(rec.dominant_block, rec.stabilizable) for rec in report.mode_table] \
             == [(rec.dominant_block, rec.stabilizable) for rec in full]
+
+
+class TestEnergyReference:
+    """Every spectral path reads one dense reference per assembly."""
+
+    def test_one_cholesky_for_every_spectral_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return scipy.linalg.cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "cholesky", counting)
+        asm = assemble_generator(TOY, build_grid(1.0, 16))
+        compute_spectrum(asm)
+        closed_loop_spectrum(asm, 0.5)
+        closed_loop_mode_shifts(asm, 0.5)
+        open_loop_modes(asm)
+        kernel_basis(asm)
+        assert calls == [(4 * 16 - 1,) * 2]
+
+    @pytest.mark.parametrize("params", (TOY, NON_UNIT, toy_parameters(gamma=0.0),
+                                        BOX_CORNER),
+                             ids=("toy", "non_unit", "gamma0", "stiff_corner"))
+    def test_cholesky_has_no_field_rows_in_mechanical_columns(self, params):
+        # M_red couples no mechanical coordinate to a field one, so R's field
+        # rows are exactly zero in the mechanical columns and the mode table's
+        # mechanical energy is ||R[mech][:, mech] phi_mech||^2
+        asm = assemble_generator(params, build_grid(params.L, 32))
+        mech = asm.reduction.mechanical
+        em = np.setdiff1d(np.arange(asm.reference.r.shape[0]), mech)
+        assert np.count_nonzero(asm.reference.r[np.ix_(em, mech)]) == 0
 
 
 class TestDecayFit:

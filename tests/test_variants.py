@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from piezolab.dynamics import RankOneMidpoint, default_dt, modal_state, run
 from piezolab.generator import assemble_generator
@@ -66,11 +67,15 @@ class TestElectrostaticAssembly:
         assert not es.bstar_feedback
 
     def test_reduction_is_exact(self):
-        # no gauge: T is the identity and the reduction copies M and G
+        # no gauge: T is the identity and the reference is formed from M and
+        # G themselves, R = chol(M) and S = R G R^{-1}, bit for bit
         es = _es(32, gamma=1.0)
         red, ref = es.reduction, es.reference
-        np.testing.assert_array_equal(ref.m_red, ref.m.toarray())
-        np.testing.assert_array_equal(ref.g_red, _dense_g(es))
+        r = scipy.linalg.cholesky(ref.m.toarray(), lower=False)
+        np.testing.assert_array_equal(ref.r, r)
+        np.testing.assert_array_equal(
+            ref.s, scipy.linalg.solve_triangular(r.T, (r @ _dense_g(es)).T,
+                                                 lower=True).T)
         np.testing.assert_array_equal(red.keep, np.arange(es.dim))
         np.testing.assert_array_equal(red.mechanical, np.arange(es.dim))
         assert red.bound == ()
@@ -138,7 +143,7 @@ class TestChargeMagnetic:
         grid = build_grid(1.0, 16)
         cm = assemble_charge_magnetic(TOY, grid)
         np.testing.assert_array_equal(_dense_g(cm), _dense_g(assemble_generator(TOY, grid)))
-        assert cm.influence == "boundary_charge"
+        np.testing.assert_array_equal(cm.b, charge_magnetic_influence(TOY, grid))
 
     def test_norm_grows_without_bound(self):
         # ||b||_M = (2|gamma|/(eps3 h)) / sqrt(rho dx): doubling N scales by sqrt(2)
