@@ -436,13 +436,14 @@ class TestCliExitCodes:
         assert "reference" not in vars(series.system)
         assert "p_dense" not in vars(series.system.ops)
 
-    def test_modal_start_above_dense_guard_exits_2(self, tmp_path, run_cli):
+    @staticmethod
+    def _refused_above_dense_guard(tmp_path, run_cli, command):
         # N = 1025 gives dim 6149 > DENSE_DIM_GUARD: refused before any dense
         # array, where the reduced Gram matrix alone would take 128 MiB
         cfg = _write(tmp_path, toy_config_dict(t_final=0.01))
         tracemalloc.start()
         try:
-            res = run_cli("simulate", "--config", str(cfg), "--n-cells", "1025",
+            res = run_cli(command, "--config", str(cfg), "--n-cells", "1025",
                           "--out", str(tmp_path / "o"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -452,21 +453,13 @@ class TestCliExitCodes:
         assert f"DENSE_DIM_GUARD = {generator.DENSE_DIM_GUARD}" in res.stderr
         assert peak < 32 * 2 ** 20
 
+    def test_modal_start_above_dense_guard_exits_2(self, tmp_path, run_cli):
+        self._refused_above_dense_guard(tmp_path, run_cli, "simulate")
+
     def test_spectrum_above_dense_guard_exits_2(self, tmp_path, run_cli):
-        # the one guard sits on the dense reference: a spectrum is refused
-        # as a modal start is, before the dense P_xi or any reduced matrix
-        cfg = _write(tmp_path, toy_config_dict(t_final=0.01))
-        tracemalloc.start()
-        try:
-            res = run_cli("spectrum", "--config", str(cfg), "--n-cells", "1025",
-                          "--out", str(tmp_path / "o"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.returncode == 2
-        assert "n_cells 1025" in res.stderr
-        assert f"DENSE_DIM_GUARD = {generator.DENSE_DIM_GUARD}" in res.stderr
-        assert peak < 32 * 2 ** 20
+        # the one guard sits on the dense reference, so a spectrum is
+        # refused as a modal start is
+        self._refused_above_dense_guard(tmp_path, run_cli, "spectrum")
 
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
