@@ -5,7 +5,10 @@ discretization at a pinned tolerance, and returns a CheckResult.  The CLI
 ``paper-suite`` subcommand and tests/test_acceptance.py both drive
 :func:`run_all`.  Assemblies, spectra and the shared trajectory are cached
 (``functools.cache``, keyed by N and gamma) because several checks share
-them.
+them.  The closed-loop checks 7-9 read every per-mode fact (omega, Re
+lambda, |B*phi| and the dominant block) from one
+:func:`~piezolab.spectral.closed_loop_mode_shifts` call each, so no mode is
+paired across two eigensolvers; the dense spectra serve checks 4 and 6.
 """
 
 from __future__ import annotations
@@ -63,14 +66,6 @@ def _conservation_series():
         y0[block] = rng.standard_normal(block.stop - block.start)
     dt = default_dt(asm.params, asm.grid)
     return run(asm, asm.lift(y0), 10_000, dt, record_stride=100, gauge_tol=1e-8)
-
-
-def _em_modes(report):
-    """Electromagnetic modes with positive frequency, sorted, 1-indexed by k."""
-    recs = [r for r in report.mode_table
-            if r.dominant_block == "electromagnetic" and r.eigenvalue.imag > 1e-8]
-    recs.sort(key=lambda r: r.eigenvalue.imag)
-    return recs
 
 
 def skewness_parameter_sets() -> list:
@@ -180,19 +175,6 @@ def check_dispersion() -> CheckResult:
                        "lowest five mechanical and electromagnetic modes")
 
 
-def _matched_closed_loop(n_cells: int, gain: float):
-    """(record, closed-loop eigenvalue) pairs for EM modes at gamma=0."""
-    rep = _spectrum(n_cells, 0.0)
-    asm = _assembly(n_cells, 0.0)
-    om, lam, _ = closed_loop_mode_shifts(asm, gain)
-    pairs = []
-    for rec in _em_modes(rep):
-        w = rec.eigenvalue.imag
-        j = int(np.argmin(np.abs(om - w)))
-        pairs.append((rec, lam[j]))
-    return pairs
-
-
 def check_stabilizability() -> CheckResult:
     """7: even/odd electromagnetic split under unit collocated feedback.
 
@@ -202,24 +184,25 @@ def check_stabilizability() -> CheckResult:
     on this grid no matter the solver, so the odd clause fails honestly
     there; the details table records every mode.
     """
-    pairs = _matched_closed_loop(64, 1.0)
+    omega, lam, coupling, block = closed_loop_mode_shifts(_assembly(64, 0.0), 1.0)
+    em = block == "electromagnetic"
     even_fail, odd_fail = [], []
     lines = []
-    for k, (rec, lam) in enumerate(pairs, start=1):
+    for k, (w, lam_k, c) in enumerate(zip(omega[em], lam[em], coupling[em]), start=1):
         if k % 2 == 0:
-            ok = (rec.bstar_abs <= 1e-8 * rec.norm_m and abs(lam.real) <= 1e-8)
+            ok = (c <= 1e-8 and abs(lam_k.real) <= 1e-8)
             if not ok:
                 even_fail.append(k)
         else:
-            ok = lam.real < -1e-6
+            ok = lam_k.real < -1e-6
             if not ok:
                 odd_fail.append(k)
-            lines.append(f"k={k:3d} omega={rec.eigenvalue.imag:9.3f} "
-                         f"|B*phi|={rec.bstar_abs:.3e} Re={lam.real:+.3e}"
+            lines.append(f"k={k:3d} omega={w:9.3f} "
+                         f"|B*phi|={c:.3e} Re={lam_k.real:+.3e}"
                          + ("" if ok else "  below threshold"))
     passed = not even_fail and not odd_fail
     measured = (f"even failures {len(even_fail)}, odd failures {len(odd_fail)} "
-                f"of {len(pairs)} EM modes")
+                f"of {np.count_nonzero(em)} EM modes")
     return CheckResult("stabilizability", passed, measured,
                        "even: |B*phi| <= 1e-8 and |Re| <= 1e-8; odd: Re < -1e-6",
                        "\n".join(lines))
@@ -228,25 +211,21 @@ def check_stabilizability() -> CheckResult:
 def check_gain_perturbation() -> CheckResult:
     """8: measured Re lambda(k) against the first-order collocated formula.
 
-    The prediction -k |B*phi|^2 / ||phi||_M^2 uses the Gram normalization
-    in which the energy is half the squared norm; modes carry unit M-norm.
+    The prediction is -k |B*phi|^2 for a mode phi of unit M-norm, in the
+    Gram normalization in which the energy is half the squared norm; the
+    shifts' coupling |c| is that |B*phi|.  The three lowest modes with
+    |c| > 1e-8 are compared.
     """
-    rep = _spectrum(64, 1.0)
     asm = _assembly(64, 1.0)
-    stab = [r for r in rep.mode_table
-            if r.stabilizable and r.eigenvalue.imag > 1e-8]
-    stab.sort(key=lambda r: r.eigenvalue.imag)
     worst = 0.0
     lines = []
     for gain in (1e-3, 1e-2):
-        om, lam, _ = closed_loop_mode_shifts(asm, gain)
-        for rec in stab[:3]:
-            w = rec.eigenvalue.imag
-            j = int(np.argmin(np.abs(om - w)))
-            pred = -gain * rec.bstar_abs ** 2 / rec.norm_m ** 2
+        omega, lam, coupling, _ = closed_loop_mode_shifts(asm, gain)
+        for j in np.flatnonzero(coupling > 1e-8)[:3]:
+            pred = -gain * coupling[j] ** 2
             rel = abs(lam[j].real - pred) / abs(pred)
             worst = max(worst, rel)
-            lines.append(f"gain={gain:g} omega={w:.4f}: measured "
+            lines.append(f"gain={gain:g} omega={omega[j]:.4f}: measured "
                          f"{lam[j].real:.6e} predicted {pred:.6e} "
                          f"rel {rel:.2e}")
     return CheckResult("gain_perturbation", worst <= 0.10,
@@ -262,12 +241,9 @@ def check_no_uniform_margin() -> CheckResult:
     (5% jitter allowed) across the top decade at N=256, which is the
     discrete signature that no uniform exponential margin exists.
     """
-    pairs = _matched_closed_loop(256, 1.0)
-    stab = [(rec.eigenvalue.imag, abs(lam.real)) for rec, lam in pairs
-            if rec.bstar_abs > 1e-8 * rec.norm_m]
-    stab.sort()
-    ws = np.array([s[0] for s in stab])
-    res = np.array([s[1] for s in stab])
+    omega, lam, coupling, block = closed_loop_mode_shifts(_assembly(256, 0.0), 1.0)
+    stab = (block == "electromagnetic") & (coupling > 1e-8)
+    ws, res = omega[stab], np.abs(lam[stab].real)
     sel = ws > ws.max() / 10.0
     top = res[sel]
     viol = int(sum(top[j + 1] > top[j] * 1.05 for j in range(top.size - 1)))

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, closed_loop_signal, load_config
 from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
-from .model import build_grid
+from .model import MIN_CELLS, build_grid
 from .operators import ActuationMode
 from .spectral import closed_loop_spectrum, compute_spectrum
 from .variants import (assemble_electrostatic, build_system,
@@ -76,8 +76,9 @@ def _ensure_outdir(out: str) -> Path:
 
 def _n_cells_override(args) -> int | None:
     """The --n-cells flag, held to the same lower bound as the config."""
-    if args.n_cells is not None and args.n_cells < 8:
-        raise ConfigParseError(f"n_cells must be at least 8, got {args.n_cells}")
+    if args.n_cells is not None and args.n_cells < MIN_CELLS:
+        raise ConfigParseError(
+            f"n_cells must be at least {MIN_CELLS}, got {args.n_cells}")
     return args.n_cells
 
 
@@ -91,6 +92,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigParseError(
                 f"gain must be finite and nonnegative, got {args.gain}")
         updates["feedback_gain"] = args.gain
+        updates["input_signal"] = closed_loop_signal(args.gain, config.input_signal)
         if args.gain > 0 and config.actuation is ActuationMode.NONE:
             updates["actuation"] = ActuationMode.CURRENT
     return dataclasses.replace(config, **updates) if updates else config

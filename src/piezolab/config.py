@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, NonPositiveParameter, PiezolabError
-from .model import BeamParameters, validate_parameters
+from .model import MIN_CELLS, BeamParameters, validate_parameters
 from .operators import ActuationMode
 
 SIGNAL_KINDS = ("zero", "constant", "sinusoid", "tabulated")
@@ -114,6 +114,17 @@ def time_steps(t_final: float, dt: float, explicit: bool = True) -> tuple:
             f"dt {dt!r} does not divide t_final {t_final!r}: {n_steps} "
             f"steps end at {n_steps * dt!r}")
     return n_steps, t_final / n_steps
+
+
+def closed_loop_signal(gain: float, signal: SignalSpec) -> SignalSpec:
+    """The input signal of a run with feedback gain ``gain``.
+
+    A positive gain closes the loop and overrides any open-loop signal,
+    which is dropped.  The config file and the ``--gain`` flag share it.
+    """
+    if gain > 0.0 and not signal.trivial:
+        return SignalSpec()
+    return signal
 
 
 def _require(section: dict, key: str, where: str):
@@ -274,7 +285,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     except (ValueError, PiezolabError) as exc:
         raise ConfigParseError(f"invalid params: {exc}") from exc
 
-    n_cells = _integer(_require(doc, "n_cells", "config"), "n_cells", 8)
+    n_cells = _integer(_require(doc, "n_cells", "config"), "n_cells", MIN_CELLS)
 
     t_final = _finite(_require(doc, "t_final", "config"), "t_final")
     if t_final <= 0:
@@ -299,9 +310,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     gain = _finite(doc.get("feedback_gain", 0.0), "feedback_gain")
     if gain < 0:
         raise ConfigParseError(f"feedback_gain must be nonnegative, got {gain}")
-    if gain > 0.0 and not signal.trivial:
-        # closed loop overrides an open-loop input; drop the signal
-        signal = SignalSpec()
+    signal = closed_loop_signal(gain, signal)
     if actuation is ActuationMode.NONE and (gain > 0.0 or not signal.trivial):
         raise ConfigParseError(
             "actuation 'none' admits neither feedback_gain > 0 nor a "

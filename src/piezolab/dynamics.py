@@ -263,8 +263,13 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
     a positive gain) through an influence b off the gauge manifold,
     lift(b) != b as for the distributed current, is guarded on the interior
     cells only: b's boundary jump puts an expected layer in the outermost
-    cells.  Every other run is guarded on all cells.
+    cells.  Every other run is guarded on all cells.  A negative n_steps or a
+    record_stride below 1 raises ValueError.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
     if gain > 0.0 and input_fn is not None:
         raise ValueError("closed-loop gain and an open-loop input are mutually exclusive")
     y = np.asarray(y0, dtype=float).copy()

@@ -14,23 +14,25 @@ dimensions above :data:`~piezolab.generator.DENSE_DIM_GUARD` are refused
 there, before any dense array is formed.
 
 Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
-the skew part of S) runs once per diagonal block of its matrix: the index
-sets between which the matrix holds exact zeros (at gamma = 0 the
-stretching mechanics {y1, y4} and the electromagnetic fields {y2, y5}).
-The block eigenvectors are placed block-diagonally and sorted as one
-spectrum; a matrix of one block goes to the solver unchanged, so its
-output is bit-identical to a full solve.
+the skew part of S) splits its matrix where the model does: if it holds
+exact zeros between the mechanical coordinates (``reduction.mechanical``,
+the blocks y1 and y4) and the field ones, as at gamma = 0, the mechanical
+block is solved first and the field block second.  The block eigenvectors
+are placed block-diagonally and sorted as one spectrum; a matrix that does
+not split goes to the solver unchanged, so its output is bit-identical to
+a full solve.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
-1/omega^2; ``closed_loop_mode_shifts`` therefore also solves the exact
-rank-one secular equation in the eigenbasis of the skew part, giving each
-mode's shift with small relative error.  One damped iteration runs over all
-modes at once, each mode frozen once it has converged; a mode that has not
-converged after SECULAR_MAX_ITER iterations raises
-:class:`~piezolab.errors.SecularNotConverged`.  The two routes agree
-wherever the dense solver can resolve the shift, which the test suite
-checks.
+1/omega^2; ``closed_loop_mode_shifts`` therefore solves the exact rank-one
+secular equation in the eigenbasis of the skew part, giving each mode's
+shift with small relative error, and reads each mode's frequency, feedback
+coupling |B* phi| and dominant block from the same eigenvectors.  One damped
+iteration runs over all modes at once, each mode frozen once it has
+converged; a mode that has not converged after SECULAR_MAX_ITER iterations
+raises :class:`~piezolab.errors.SecularNotConverged`.  The secular and the
+dense routes agree wherever the dense solver can resolve the shift, which
+the test suite checks.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class ModeRecord:
 
     eigenvalue: complex
     bstar_abs: float
-    norm_m: float
     stabilizable: bool
     dominant_block: str  # mechanical | electromagnetic | mixed
 
@@ -87,6 +88,13 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
+def _dominant_block(mech_fraction: float) -> str:
+    """A mode's label from the fraction of its energy that is mechanical."""
+    if mech_fraction >= 0.9:
+        return "mechanical"
+    return "electromagnetic" if mech_fraction <= 0.1 else "mixed"
+
+
 def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
                 phi_red: np.ndarray, eig_tol: float) -> list:
     """Per-mode records from the reduced eigenvectors, which are never lifted.
@@ -110,46 +118,34 @@ def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
         frac = mech_energy / norms[cols] ** 2
         for j, k in enumerate(range(start, start + x.shape[1])):
             bstar_abs = abs(complex(bstar[k]))
-            block = ("mechanical" if frac[j] >= 0.9
-                     else "electromagnetic" if frac[j] <= 0.1 else "mixed")
             table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=bstar_abs,
-                                    norm_m=float(norms[k]),
                                     stabilizable=bool(bstar_abs > eig_tol * norms[k]),
-                                    dominant_block=block))
+                                    dominant_block=_dominant_block(frac[j])))
     return table
 
 
-def _diagonal_blocks(m: np.ndarray) -> list:
-    """Sorted index sets of the diagonal blocks of a square matrix.
+def _decoupled_blocks(m: np.ndarray, mechanical: np.ndarray) -> list:
+    """[mechanical, field] coordinates if m holds exact zeros between them.
 
-    No nonzero entry of m links two sets: they are the connected components
-    of the graph (m != 0) | (m.T != 0), found by a breadth-first search
-    over the rows of that boolean matrix.
+    Otherwise (a nonzero or NaN cross entry, or no field coordinate) the one
+    block of every index.
     """
-    link = m != 0
-    link = link | link.T
-    unseen = np.ones(len(m), dtype=bool)
-    blocks = []
-    while unseen.any():
-        reached = np.zeros_like(unseen)
-        frontier = np.zeros_like(unseen)
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():
-            reached |= frontier
-            frontier = link[frontier].any(axis=0) & ~reached
-        blocks.append(np.flatnonzero(reached))
-        unseen &= ~reached
-    return blocks
+    fields = np.setdiff1d(np.arange(len(m)), mechanical)
+    if (len(fields) and len(mechanical)
+            and not np.any(m[np.ix_(mechanical, fields)])
+            and not np.any(m[np.ix_(fields, mechanical)])):
+        return [mechanical, fields]
+    return [np.arange(len(m))]
 
 
-def _blockwise(solver, m: np.ndarray) -> tuple:
-    """(values, vectors) of ``solver`` run on each diagonal block of m.
+def _blockwise(solver, m: np.ndarray, mechanical: np.ndarray) -> tuple:
+    """(values, vectors) of ``solver`` run on each decoupled block of m.
 
     The values are concatenated block by block and the vectors placed
     block-diagonally in the same column order.  A matrix of one block is
     passed to the solver as is.
     """
-    blocks = _diagonal_blocks(m)
+    blocks = _decoupled_blocks(m, mechanical)
     if len(blocks) == 1:
         return solver(m)
     parts = [solver(m[np.ix_(idx, idx)]) for idx in blocks]
@@ -168,7 +164,7 @@ def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
     phi_red = R^{-1} v have unit M-norm up to rounding; their M-norms are
     the 2-norms of the eigenvectors v, which are not kept.
     """
-    w, v = _blockwise(scipy.linalg.eig, s_matrix)
+    w, v = _blockwise(scipy.linalg.eig, s_matrix, assembly.reduction.mechanical)
     order = _sort_order(w)
     w = w[order]
     v = v[:, order]
@@ -225,19 +221,22 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     """Per-mode closed-loop eigenvalues from the rank-one secular equation.
 
-    Returns (omega, lam, coupling) for the open-loop modes with omega above
-    ZERO_MODE_REL_TOL times the largest |omega|, which leaves out the kernel
-    whatever the sign of its rounding, sorted by omega: lam[j] solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0
-    near i*omega[j], and coupling[j] = |c_j| is the energy-coordinate feedback
-    coupling of the mode.  Accurate for shifts far below the dense-eig noise
-    floor.  A gain that is negative or not finite raises ValueError, and a
-    mode whose damped iteration does not converge raises
-    :class:`SecularNotConverged`.
+    Returns (omega, lam, coupling, dominant_block) for the open-loop modes
+    with omega above ZERO_MODE_REL_TOL times the largest |omega|, which
+    leaves out the kernel whatever the sign of its rounding, sorted by
+    omega.  Each mode is a unit eigenvector u of the skew part of S: lam[j]
+    solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 near i*omega[j];
+    coupling[j] = |c_j| is its energy-coordinate feedback coupling, which is
+    |B* phi| of its unit M-norm lift phi; and dominant_block[j] labels it by
+    its mechanical energy fraction ||u[mech]||^2, with the rule of the mode
+    table.  Accurate for shifts far below the dense-eig noise floor.  A gain
+    that is negative or not finite raises ValueError, and a mode whose
+    damped iteration does not converge raises :class:`SecularNotConverged`.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    a_skew = 0.5 * (ref.s - ref.s.T)
-    theta, u = _blockwise(np.linalg.eigh, 1j * a_skew)
+    mech = assembly.reduction.mechanical
+    theta, u = _blockwise(np.linalg.eigh, 0.5j * (ref.s - ref.s.T), mech)
     if np.any(np.diff(theta) < 0):  # blocks: ascending as one eigh would be
         order = np.argsort(theta, kind="stable")
         theta, u = theta[order], u[:, order]
@@ -247,7 +246,10 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
 
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
-    return omega_all[pos], _secular_roots(omega_all, c2, pos, gain), np.abs(c[pos])
+    mech_fraction = np.linalg.norm(u[np.ix_(mech, pos)], axis=0) ** 2
+    block = np.array([_dominant_block(f) for f in mech_fraction])
+    return (omega_all[pos], _secular_roots(omega_all, c2, pos, gain),
+            np.abs(c[pos]), block)
 
 
 def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,

@@ -509,6 +509,26 @@ class TestCliExitCodes:
         assert len(calls) == 1
         assert (out / "closed_loop_spectrum.csv").stat().st_size > 0
 
+    @pytest.mark.parametrize("command", ("simulate", "stabilize"))
+    def test_gain_flag_overrides_signal_as_the_file_does(self, tmp_path, run_cli,
+                                                         command):
+        # a positive gain closes the loop and drops the open-loop signal,
+        # whether it comes from --gain or from feedback_gain in the file
+        doc = toy_config_dict(n_cells=16, t_final=0.1)
+        doc["actuation"] = "current"
+        doc["input_signal"] = {"kind": "sinusoid", "amplitude": 0.8,
+                               "frequency": 1.5, "phase": 0.3}
+        by_flag = _write(tmp_path, doc, "flag.json")
+        by_file = _write(tmp_path, {**doc, "feedback_gain": 0.5}, "file.json")
+        res = run_cli(command, "--config", str(by_flag), "--gain", "0.5",
+                      "--out", str(tmp_path / "flag"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli(command, "--config", str(by_file),
+                      "--out", str(tmp_path / "file"))
+        assert res.returncode == 0, res.stderr
+        assert ((tmp_path / "flag" / "trajectory.csv").read_bytes()
+                == (tmp_path / "file" / "trajectory.csv").read_bytes())
+
     def test_red_closed_loop_is_reported(self, tmp_path, monkeypatch, capsys):
         # shift the energy-coordinate generator right: the closed loop then
         # crosses the imaginary axis, and the flag, not an exception, says so

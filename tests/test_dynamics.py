@@ -410,6 +410,18 @@ class TestRun:
         with pytest.raises(ValueError, match="dt"):
             run(asm, _random_state(asm, seed=9), n_steps=20, dt=dt, gain=1.0)
 
+    @pytest.mark.parametrize("kwargs, match", (
+        (dict(n_steps=-3), "n_steps"),
+        (dict(n_steps=5, record_stride=0), "record_stride"),
+        (dict(n_steps=5, record_stride=-2), "record_stride"),
+    ), ids=("negative_steps", "zero_stride", "negative_stride"))
+    def test_bad_step_counts_rejected(self, kwargs, match):
+        # a zero stride once divided by zero at the first step, and a
+        # negative step count returned the initial record alone
+        asm = _assembly(16)
+        with pytest.raises(ValueError, match=match):
+            run(asm, _random_state(asm, seed=9), dt=1e-3, **kwargs)
+
     def test_gain_and_input_mutually_exclusive(self):
         asm = _assembly(16)
         with pytest.raises(ValueError):

@@ -104,15 +104,16 @@ class TestStabilizability:
         # theta-profile sin(k pi x/L): the integral of phi5 vanishes for even
         # k and equals 2L/(k pi) times the amplitude for odd k
         asm, report = _report(64, gamma=0.0)
-        em = sorted((rec for rec in report.mode_table
+        norms = spectral._eigenpairs(asm, asm.reference.s)[1]
+        em = sorted(((rec, norm) for rec, norm in zip(report.mode_table, norms)
                      if rec.dominant_block == "electromagnetic"
                      and rec.eigenvalue.imag > 1e-8),
-                    key=lambda rec: rec.eigenvalue.imag)
-        for idx, rec in enumerate(em[:12]):
+                    key=lambda pair: pair[0].eigenvalue.imag)
+        for idx, (rec, norm_m) in enumerate(em[:12]):
             k = idx + 1
             if k % 2 == 0:
                 assert not rec.stabilizable
-                assert rec.bstar_abs <= 1e-8 * rec.norm_m
+                assert rec.bstar_abs <= 1e-8 * norm_m
             else:
                 assert rec.stabilizable
 
@@ -120,8 +121,9 @@ class TestStabilizability:
         # the flag compares |B* phi| against eig_tol * ||phi||_M, so it cannot
         # depend on the eigenvector normalization
         asm, report = _report(32)
-        for rec in report.mode_table[:20]:
-            assert rec.stabilizable == (rec.bstar_abs > 1e-8 * rec.norm_m)
+        norms = spectral._eigenpairs(asm, asm.reference.s)[1]
+        for rec, norm_m in zip(report.mode_table[:20], norms):
+            assert rec.stabilizable == (rec.bstar_abs > 1e-8 * norm_m)
 
 
 def _scalar_secular_loop(omega_all, c2, pos, gain):
@@ -160,7 +162,7 @@ class TestClosedLoop:
         # per-mode shifts from the rank-1 secular equation against the dense
         # closed-loop spectrum, matched by frequency
         asm, report = _report(32)
-        omega, lam, _ = closed_loop_mode_shifts(asm, 1e-2)
+        omega, lam, _, _ = closed_loop_mode_shifts(asm, 1e-2)
         cl = closed_loop_spectrum(asm, 1e-2)
         pos = cl.eigenvalues[cl.eigenvalues.imag > 1e-8]
         for j in range(0, len(omega), 11):
@@ -179,7 +181,7 @@ class TestClosedLoop:
         pos = np.where(omega_all > spectral.ZERO_MODE_REL_TOL
                        * np.max(np.abs(omega_all)))[0]
         pos = pos[np.argsort(omega_all[pos])]
-        omega, lam, _ = closed_loop_mode_shifts(asm, gain)
+        omega, lam, _, _ = closed_loop_mode_shifts(asm, gain)
         np.testing.assert_array_equal(omega, omega_all[pos])
         want = _scalar_secular_loop(omega_all, c2, pos, gain)
         assert lam.tobytes() == want.tobytes()
@@ -191,8 +193,8 @@ class TestClosedLoop:
         # its rounded frequency
         params = toy_parameters(gamma=gamma)
         asm = assemble_generator(params, build_grid(params.L, n))
-        omega, lam, coupling = closed_loop_mode_shifts(asm, 1.0)
-        assert len(omega) == len(lam) == len(coupling) == 2 * n - 1
+        omega, lam, coupling, block = closed_loop_mode_shifts(asm, 1.0)
+        assert len(omega) == len(lam) == len(coupling) == len(block) == 2 * n - 1
         assert omega[0] > 1e-8
 
     def test_unconverged_mode_raises(self, monkeypatch):
@@ -209,21 +211,70 @@ class TestClosedLoop:
                 closed_loop(asm, gain)
 
 
+class TestShiftModes:
+    """The shifts' per-mode facts against the dense spectrum's mode table."""
+
+    @pytest.mark.parametrize("n, rtol", ((64, 1e-10), (256, 1e-8)))
+    def test_modes_match_dense_table(self, n, rtol, monkeypatch):
+        # pair each shift mode with the dense mode of the nearest frequency;
+        # the dense table's M-norms are captured as compute_spectrum forms them.
+        # The largest |B*phi| gap is on the lowest odd mode and is the dense
+        # eig's: at N = 256 its eigenvector gives |B*phi| 2.3e-9 off, where
+        # the eigh one agrees with an extended-precision product to 4e-16
+        table_of = spectral._mode_table
+        seen = {}
+
+        def capturing(asm, w, norms, phi_red, eig_tol):
+            seen["norms"] = norms
+            return table_of(asm, w, norms, phi_red, eig_tol)
+
+        monkeypatch.setattr(spectral, "_mode_table", capturing)
+        asm, report = _report(n, gamma=0.0)
+        omega, _, coupling, block = closed_loop_mode_shifts(asm, 1.0)
+        positive = [(rec, norm) for rec, norm in zip(report.mode_table, seen["norms"])
+                    if rec.eigenvalue.imag > 1e-8]
+        freqs = np.array([rec.eigenvalue.imag for rec, _ in positive])
+        assert len(positive) == len(omega)
+        matched = [int(np.argmin(np.abs(freqs - w))) for w in omega]
+        assert len(set(matched)) == len(omega)
+        stabilizable = 0
+        for j, idx in enumerate(matched):
+            rec, norm_m = positive[idx]
+            assert abs(freqs[idx] - omega[j]) <= 1e-9 * omega[j]
+            assert rec.dominant_block == block[j]
+            if rec.stabilizable:
+                stabilizable += 1
+                want = rec.bstar_abs / norm_m
+                assert abs(coupling[j] - want) <= rtol * want
+        assert stabilizable == n // 2  # the odd electromagnetic modes
+
+    def test_gamma_zero_labels_are_exact(self):
+        # the eigh runs per block at gamma = 0, so every mode lies in one
+        # block and every stabilizable mode is electromagnetic
+        asm, _ = _report(64, gamma=0.0)
+        _, _, coupling, block = closed_loop_mode_shifts(asm, 1.0)
+        assert set(block) == {"mechanical", "electromagnetic"}
+        assert np.count_nonzero(block == "mechanical") == 64
+        assert np.all(coupling[block == "mechanical"] == 0.0)
+
+
 class TestDiagonalBlocks:
     @pytest.mark.parametrize("system", ("toy", "non_unit", "electrostatic"))
     def test_coupled_systems_are_one_block(self, system):
+        # gamma != 0 couples the mechanics to the fields; the electrostatic
+        # model has no field coordinate at all
         params = NON_UNIT if system == "non_unit" else TOY
         grid = build_grid(params.L, 32)
         asm = (assemble_electrostatic(params, grid) if system == "electrostatic"
                else assemble_generator(params, grid))
         s = asm.reference.s
-        blocks = spectral._diagonal_blocks(s)
+        blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
         assert len(blocks) == 1
         np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     def test_gamma_zero_splits_mechanics_from_fields(self):
         asm, _ = _report(32, gamma=0.0)
-        blocks = spectral._diagonal_blocks(asm.reference.s)
+        blocks = spectral._decoupled_blocks(asm.reference.s, asm.reduction.mechanical)
         sl = block_slices(asm.grid)
         keep = asm.reduction.keep
         in_blocks = [np.isin(keep, np.r_[sl[a], sl[b]])
@@ -234,11 +285,15 @@ class TestDiagonalBlocks:
         np.testing.assert_array_equal(blocks[0], asm.reduction.mechanical)
 
     def test_tiny_cross_entry_couples(self):
+        # one 1e-300 entry on either side of the diagonal keeps one block
         asm, _ = _report(32, gamma=0.0)
-        s = asm.reference.s.copy()
-        mech, em = spectral._diagonal_blocks(s)
-        s[em[3], mech[5]] = 1e-300
-        assert len(spectral._diagonal_blocks(s)) == 1
+        mech, em = spectral._decoupled_blocks(asm.reference.s, asm.reduction.mechanical)
+        for row, col in ((em[3], mech[5]), (mech[5], em[3])):
+            s = asm.reference.s.copy()
+            s[row, col] = 1e-300
+            blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
+            assert len(blocks) == 1
+            np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
