@@ -3,12 +3,12 @@
 Each check builds what it needs, measures one quantitative property of the
 discretization at a pinned tolerance, and returns a CheckResult.  The CLI
 ``paper-suite`` subcommand and tests/test_acceptance.py both drive
-:func:`run_all`.  Assemblies, spectra and the shared trajectory are cached
-(``functools.cache``, keyed by N and gamma) because several checks share
-them.  The closed-loop checks 7-9 read every per-mode fact (omega, Re
-lambda, |B*phi| and the dominant block) from one
+:func:`run_all`.  Assemblies, the dense spectra of checks 4 and 6 and the
+shared trajectory are cached (``functools.cache``, keyed by N and gamma),
+so a process forms each once.  The closed-loop checks 7-9 read every
+per-mode fact (omega, Re lambda, |B*phi| and the dominant block) from one
 :func:`~piezolab.spectral.closed_loop_mode_shifts` call each, so no mode is
-paired across two eigensolvers; the dense spectra serve checks 4 and 6.
+paired across two eigensolvers.
 """
 
 from __future__ import annotations
