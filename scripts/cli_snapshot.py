@@ -100,6 +100,11 @@ def _write_inputs(inputs: Path) -> dict:
                                    "path": f"state_{model}.csv"})
         config(f"non_unit_{model}_open_tabulated", **base)
         config(f"non_unit_{model}_closed_tabulated", **base, feedback_gain=0.6)
+    # at N = 256 the six-field fold moves rows all along the grid (258 swaps,
+    # against 2 at N = 16), so this run takes the interior-swap solves
+    config("current_forced_zero_n256", params=TOY, n_cells=256, t_final=0.05,
+           actuation="current", record_stride=8, input_signal=SIGNAL,
+           initial_state={"kind": "zero"})
     config("spectrum", params=TOY, n_cells=N_CELLS, t_final=0.1)
     config("spectrum_non_unit", params=NON_UNIT, n_cells=N_CELLS, t_final=0.1)
     # at gamma = 0 the mechanics and the fields decouple exactly, so the
@@ -127,6 +132,8 @@ def _jobs(configs: dict) -> list:
         for loop in ("open", "closed"):
             key = f"non_unit_{model}_{loop}_tabulated"
             jobs.append((f"simulate_{key}", ["simulate", "--config", configs[key]]))
+    jobs.append(("simulate_current_forced_zero_n256",
+                 ["simulate", "--config", configs["current_forced_zero_n256"]]))
     spec = ["spectrum", "--config", configs["spectrum"]]
     jobs += [
         ("spectrum_full", spec),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .config import ExperimentConfig, closed_loop_signal, load_config
+from .config import ExperimentConfig, load_config
 from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
 from .model import MIN_CELLS, build_grid
@@ -74,32 +74,15 @@ def _ensure_outdir(out: str) -> Path:
     return path
 
 
-def _n_cells_override(args) -> int | None:
-    """The --n-cells flag, held to the same lower bound as the config."""
-    if args.n_cells is not None and args.n_cells < MIN_CELLS:
-        raise ConfigParseError(
-            f"n_cells must be at least {MIN_CELLS}, got {args.n_cells}")
-    return args.n_cells
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    n_cells = _n_cells_override(args)
-    if n_cells is not None:
-        updates["n_cells"] = n_cells
-    if getattr(args, "gain", None) is not None:
-        if not (np.isfinite(args.gain) and args.gain >= 0):
-            raise ConfigParseError(
-                f"gain must be finite and nonnegative, got {args.gain}")
-        updates["feedback_gain"] = args.gain
-        updates["input_signal"] = closed_loop_signal(args.gain, config.input_signal)
-        if args.gain > 0 and config.actuation is ActuationMode.NONE:
-            updates["actuation"] = ActuationMode.CURRENT
-    return dataclasses.replace(config, **updates) if updates else config
+def _load_config(args) -> ExperimentConfig:
+    """The config file with the --n-cells and --gain flags merged in."""
+    flags = {"n_cells": args.n_cells, "feedback_gain": getattr(args, "gain", None)}
+    return load_config(args.config, {key: value for key, value in flags.items()
+                                     if value is not None})
 
 
 def cmd_simulate(args) -> ExperimentReport:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     out = _ensure_outdir(args.out)
     series = simulate(config)
     traj = out / "trajectory.csv"
@@ -150,7 +133,7 @@ def _closed_loop_csv(asm, gain: float, eig_tol: float, out: Path,
 
 
 def cmd_spectrum(args) -> ExperimentReport:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     params = config.params
     grid = build_grid(params.L, config.n_cells)
     asm = build_system(params, grid, VARIANTS[args.variant])
@@ -191,7 +174,7 @@ def cmd_spectrum(args) -> ExperimentReport:
 
 
 def cmd_stabilize(args) -> ExperimentReport:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     if config.feedback_gain <= 0:
         raise ConfigParseError("stabilize requires a positive gain "
                                "(--gain or feedback_gain in the config)")
@@ -225,9 +208,9 @@ def cmd_stabilize(args) -> ExperimentReport:
 def cmd_variants(args) -> ExperimentReport:
     from .model import toy_parameters
 
-    n = _n_cells_override(args)
-    if n is None:
-        n = 64
+    n = 64 if args.n_cells is None else args.n_cells
+    if n < MIN_CELLS:
+        raise ConfigParseError(f"n_cells must be at least {MIN_CELLS}, got {n}")
     out = _ensure_outdir(args.out)
     toy = toy_parameters()
     flat = toy_parameters(gamma=0.0)

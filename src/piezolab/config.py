@@ -116,17 +116,6 @@ def time_steps(t_final: float, dt: float, explicit: bool = True) -> tuple:
     return n_steps, t_final / n_steps
 
 
-def closed_loop_signal(gain: float, signal: SignalSpec) -> SignalSpec:
-    """The input signal of a run with feedback gain ``gain``.
-
-    A positive gain closes the loop and overrides any open-loop signal,
-    which is dropped.  The config file and the ``--gain`` flag share it.
-    """
-    if gain > 0.0 and not signal.trivial:
-        return SignalSpec()
-    return signal
-
-
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigParseError(f"missing key {key!r} in {where}")
@@ -310,7 +299,8 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     gain = _finite(doc.get("feedback_gain", 0.0), "feedback_gain")
     if gain < 0:
         raise ConfigParseError(f"feedback_gain must be nonnegative, got {gain}")
-    signal = closed_loop_signal(gain, signal)
+    if gain > 0.0 and not signal.trivial:
+        signal = SignalSpec()  # the closed loop overrides an open-loop signal
     if actuation is ActuationMode.NONE and (gain > 0.0 or not signal.trivial):
         raise ConfigParseError(
             "actuation 'none' admits neither feedback_gain > 0 nor a "
@@ -327,8 +317,14 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                             tolerances=tolerances, record_stride=stride)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config from disk."""
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read and validate a JSON experiment config from disk.
+
+    ``overrides`` replaces top-level keys of the document before its one
+    validation, as the command-line flags do.  A positive
+    ``feedback_gain`` there also makes an unactuated config
+    (``"actuation": "none"``) current-actuated.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -340,6 +336,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigParseError(
             f"config {path} is not valid JSON: line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}") from exc
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
+        if (overrides.get("feedback_gain", 0.0) > 0
+                and doc.get("actuation", "none") == "none"):
+            doc["actuation"] = "current"
     return config_from_dict(doc, base_dir=path.parent)
 
 

@@ -12,11 +12,11 @@ arithmetic) and is time reversible.  It is taken in the equivalent form
 which needs no product with G.  G is dense only because P_xi is, so the
 stepper never forms it: it factors once a sparse augmented system in which
 the fields P_xi(...) are extra unknowns tied down by tridiagonal Helmholtz
-rows.  With its unknowns in order of their x-coordinate that system is
-banded, with a bandwidth fixed by the model and not by N, so the banded LU
-of LAPACK factors it (see :class:`RankOneMidpoint`) and a step costs O(N).
-The row swaps of partial pivoting are folded into the row order once, so a
-step's solves are two triangular band sweeps each, with no swaps.
+rows (:meth:`SplitGenerator.midpoint_system`).  With its unknowns in order
+of their x-coordinate that system is banded, with a bandwidth fixed by the
+model and not by N, so a step costs O(N).  :class:`BandLU` owns the banded
+solve, from row scaling and the fold of the pivots to the refinement pass;
+the stepper (:class:`RankOneMidpoint`) keeps only the midpoint algebra.
 A record (:meth:`GeneratorAssembly.energy_split` and
 :meth:`GeneratorAssembly.gauge`) is O(N) as well.  Closed-loop runs use
 u = -k v^T y evaluated at the midpoint state; the rank-one modified solve is
@@ -93,81 +93,97 @@ class TimeSeries:
                 writer.writerow([f"{v:.17g}" for v in row])
 
 
-class BandLU:
-    """LAPACK banded LU, with partial pivoting, of a row-scaled matrix.
+def _band_factor(row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                 size: int) -> tuple:
+    """(factors, 0-based interchanges, kl, ku) of ``dgbtrf`` on ``val`` at (row, col)."""
+    kl, ku = int(np.max(row - col)), int(np.max(col - row))
+    # LAPACK band layout with kl extra rows for the fill-in of pivoting
+    band = np.zeros((2 * kl + ku + 1, size), order="F")
+    band[kl + ku + row - col, col] = val
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise LinearSolveFailure(
+            f"banded factorization failed: zero pivot {info} of {size}")
+    return lu, piv, kl, ku
 
-    The matrix holds ``val`` at (``row``, ``col``), and its row i is row i of
-    the system to solve scaled by ``scale[i]``; ``kl`` and ``ku`` are its
-    sub- and superdiagonals.  When ``dgbtrf`` takes every pivot on the
-    diagonal (``swap_free``), L is unit lower with kl subdiagonals and U is
-    upper with ku superdiagonals, and a single right-hand side is solved by
-    two ``dtbsv`` sweeps on copies of them.  Otherwise, and for a block of
-    right-hand sides, ``dgbtrs`` solves on the same factors.
+
+class BandLU:
+    """Banded LU of a sparse square matrix, in a row order that needs no swaps.
+
+    Each row is scaled by 1/max|row| and the matrix, with ``kl`` sub- and
+    ``ku`` superdiagonals, is factored by LAPACK ``dgbtrf`` (partial
+    pivoting).  Where it swaps rows, the swaps are composed into a row order
+    and the rows are factored again in that order: ``dgbtrf`` then takes the
+    same pivots with the same arithmetic, all on the diagonal, since each
+    still has the largest magnitude of its column and the diagonal candidate
+    wins a tie.  A swap there, like a zero pivot, raises
+    :class:`LinearSolveFailure`.  ``folded_swaps`` counts the swaps and
+    ``factored_band`` is the (kl, ku) of the factors.  Row i of the matrix
+    is factored row ``position[i]``, the order :meth:`solve` takes.
     """
 
-    def __init__(self, row: np.ndarray, col: np.ndarray, val: np.ndarray,
-                 scale: np.ndarray):
-        size = scale.size
-        self.kl = kl = int(np.max(row - col))
-        self.ku = ku = int(np.max(col - row))
-        self.scale = scale
-        # LAPACK band layout with kl extra rows for the fill-in of pivoting
-        band = np.zeros((2 * kl + ku + 1, size), order="F")
-        band[kl + ku + row - col, col] = val
-        self.lu, self.piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
-        if info != 0:
-            raise LinearSolveFailure(
-                f"shifted system factorization failed: zero pivot {info} of {size}")
-        # scipy returns the interchanges 0-based: row i with row piv[i]
-        self.swap_free = bool(np.array_equal(self.piv, np.arange(size)))
-        if self.swap_free:
-            self._lower = np.asfortranarray(self.lu[kl + ku:])
-            self._upper = np.asfortranarray(self.lu[kl:kl + ku + 1])
+    def __init__(self, matrix: sparse.sparray):
+        coo = matrix.tocoo()
+        size = matrix.shape[0]
+        row_max = np.zeros(size)
+        np.maximum.at(row_max, coo.row, np.abs(coo.data))
+        scale = 1.0 / row_max
+        scaled = coo.data * scale[coo.row]
+        lu, piv, self.kl, self.ku = _band_factor(coo.row, coo.col, scaled, size)
+        # scipy returns the interchanges 0-based: row i with row piv[i]; in
+        # turn they compose to the row order ``rows``
+        rows = np.arange(size)
+        swapped = np.flatnonzero(piv != rows)
+        for i in swapped:
+            rows[i], rows[piv[i]] = rows[piv[i]], rows[i]
+        self.folded_swaps = swapped.size
+        self.position = np.argsort(rows)
+        kl, ku = self.kl, self.ku
+        if swapped.size:
+            lu, piv, kl, ku = _band_factor(self.position[coo.row], coo.col, scaled, size)
+            stray = np.count_nonzero(piv != np.arange(size))
+            if stray:
+                raise LinearSolveFailure(f"banded factorization swapped {stray} "
+                                         f"of {size} rows in the folded order")
+            scale, matrix = scale[rows], matrix[rows]
+        self.factored_band = (kl, ku)
+        self._scale = scale
+        self._matrix = matrix
+        self._factors, self._piv = lu, piv
+        # unit lower L with kl and upper U with ku diagonals, for dtbsv
+        self._lower = np.asfortranarray(lu[kl + ku:])
+        self._upper = np.asfortranarray(lu[kl:kl + ku + 1])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the unscaled system for ``rhs`` (one per column if 2-D)."""
-        if rhs.ndim == 1 and self.swap_free:
-            x = dtbsv(self.kl, self._lower, self.scale * rhs, lower=1, diag=1,
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        """The unrefined solution: two ``dtbsv`` sweeps, or ``dgbtrs`` for a block."""
+        kl, ku = self.factored_band
+        if rhs.ndim == 1:
+            x = dtbsv(kl, self._lower, self._scale * rhs, lower=1, diag=1,
                       overwrite_x=1)
-            return dtbsv(self.ku, self._upper, x, overwrite_x=1)
-        scale = self.scale if rhs.ndim == 1 else self.scale[:, None]
-        return dgbtrs(self.lu, self.kl, self.ku, scale * rhs, self.piv,
+            return dtbsv(ku, self._upper, x, overwrite_x=1)
+        return dgbtrs(self._factors, kl, ku, self._scale[:, None] * rhs, self._piv,
                       overwrite_b=1)[0]
 
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the matrix's system for ``rhs``, given in factored row order.
 
-def pivot_order(piv: np.ndarray) -> np.ndarray:
-    """The row order that ``dgbtrf``'s interchanges, in turn, compose to."""
-    rows = np.arange(piv.size)
-    for i in np.flatnonzero(piv != rows):
-        j = piv[i]
-        rows[i], rows[j] = rows[j], rows[i]
-    return rows
+        ``rhs[position[i]]`` is the right-hand side of row i, and ``rhs``
+        may hold one right-hand side per column.  One refinement pass on
+        the residual of the unscaled matrix follows the solve.
+        """
+        sol = self._sweep(rhs)
+        sol += self._sweep(rhs - self._matrix @ sol)
+        return sol
 
 
 class RankOneMidpoint:
     """Factored midpoint stepper for y' = G y + b u, u = -gain * v^T y.
 
-    G is given in split form G0 + C A^{-1} K (a :class:`SplitGenerator`).
-    The midpoint state and the auxiliary fields z = A^{-1} K y_mid solve
-
-        [I - dt/2 G0   -dt/2 C] [y_mid]   [y + dt/2 b u]
-        [    -K           A   ] [  z  ] = [     0      ]
-
-    whose blocks are all sparse.  Its unknowns are taken in the model's
-    spatial order (``g.order``), in which the matrix is banded: ``kl`` = 9
-    sub- and ``ku`` = 8 superdiagonals for the six-field models and 3 and 3
-    for the electrostatic one, at every N.  Each row is scaled by
-    1/max|row| and the scaled matrix is factored once by LAPACK ``dgbtrf``
-    (banded LU with partial pivoting).  Where that factorization swaps
-    rows, the swaps are folded into the row order and the rows, taken in
-    that order, are factored again: ``dgbtrf`` then takes the same pivots
-    with the same arithmetic, all of them on the diagonal.  The factored
-    band (``factored_band``) is wider, up to 18 and 9 for the six-field
-    models and 7 and 3 for the electrostatic one; the widest rows are the
-    few that move at the ends of the grid.  ``folded_swaps`` counts the
-    swaps.  A step is one solve, one refinement pass on the residual of
-    the unscaled system, and y+ = 2 y_mid - y; a solve is two ``dtbsv``
-    sweeps, L then U, with no swaps (see :class:`BandLU`).
+    G is given in split form G0 + C A^{-1} K (a :class:`SplitGenerator`),
+    and the midpoint state is solved for through the sparse banded system
+    of :meth:`SplitGenerator.midpoint_system`, factored once by
+    :class:`BandLU` (``lu``).  A step is one solve with its refinement pass
+    and y+ = 2 y_mid - y.
 
     ``v`` is the feedback output row (B* for collocated current feedback,
     the boundary trace for the electrostatic variant).  With gain 0 the
@@ -182,37 +198,12 @@ class RankOneMidpoint:
             raise ValueError(f"dt must be finite and positive, got {dt}")
         self.dt = float(dt)
         self.gain = checked_gain(gain)
-        self._dim = g.shape[0]
         self._half = 0.5 * dt
-        aug = sparse.block_array(
-            [[sparse.eye_array(self._dim) - self._half * g.g0, -self._half * g.c],
-             [-g.k, g.a]], format="csr")
-        aug = aug[g.order][:, g.order]
-        coo = aug.tocoo()
-        size = aug.shape[0]
-        row_max = np.zeros(size)
-        np.maximum.at(row_max, coo.row, np.abs(coo.data))
-        scale = 1.0 / row_max
-        scaled = coo.data * scale[coo.row]
-        lu = BandLU(coo.row, coo.col, scaled, scale)
-        self.kl, self.ku = lu.kl, lu.ku
-        self.folded_swaps = int(np.count_nonzero(lu.piv != np.arange(size)))
-        # row i of the factored system is row rows[i] of the ordered one
-        rows = pivot_order(lu.piv)
-        at = np.argsort(rows)
-        if self.folded_swaps:
-            # in pivot order dgbtrf takes the same pivots, all on the
-            # diagonal: each one still has the largest magnitude of its
-            # column, and the diagonal candidate wins a tie
-            lu = BandLU(at[coo.row], coo.col, scaled, scale[rows])
-            aug = aug[rows]
-        self._lu = lu
-        self._aug = aug
-        self.factored_band = (lu.kl, lu.ku)
+        self.lu = BandLU(g.midpoint_system(dt))
         # where each state coordinate sits among the ordered unknowns, and
         # the factored row that holds its equation
-        self._where = np.argsort(g.order)[:self._dim]
-        self._rows_in = at[self._where]
+        self._where = np.argsort(g.order)[:g.shape[0]]
+        self._rows_in = self.lu.position[self._where]
         self._b = b
         self._v = v
         if self.gain > 0.0:
@@ -222,18 +213,14 @@ class RankOneMidpoint:
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
 
     def _midpoint(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - dt/2 G) x = rhs through the augmented system.
+        """Solve (I - dt/2 G) x = rhs, one right-hand side per column if 2-D.
 
-        ``rhs`` may hold one right-hand side per column.  One refinement
-        pass on the residual of the unscaled augmented system keeps the
-        per-step error at rounding level so the gauge constraint does not
-        accumulate solver error over long runs.
+        The refinement pass of the solve keeps the per-step error at
+        rounding level, so the gauge does not drift over long runs.
         """
-        full = np.zeros((self._aug.shape[0],) + rhs.shape[1:])
+        full = np.zeros((self.lu.position.size,) + rhs.shape[1:])
         full[self._rows_in] = rhs
-        sol = self._lu.solve(full)
-        sol += self._lu.solve(full - self._aug @ sol)
-        return sol[self._where]
+        return self.lu.solve(full)[self._where]
 
     def step(self, y: np.ndarray, u_mid=0.0) -> np.ndarray:
         """One open-loop step with prescribed midpoint input.
@@ -322,8 +309,8 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                       gauge_interior_pos=np.array(interior_pos),
                       gauge_interior_vel=np.array(interior_vel),
                       inputs=np.array(inputs), dt=dt, system=assembly,
-                      factored_band=stepper.factored_band,
-                      folded_swaps=stepper.folded_swaps)
+                      factored_band=stepper.lu.factored_band,
+                      folded_swaps=stepper.lu.folded_swaps)
 
 
 def _trial_profiles(assembly: GeneratorAssembly, coeffs: np.ndarray) -> np.ndarray:

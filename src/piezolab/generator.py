@@ -58,13 +58,13 @@ T and the blocks it binds (:class:`Reduction`).
 on probe certificates: for a few seeded random probes z it applies G and
 G^T through the split, with banded solves of A, and M part by part, and
 checks M G z + G^T (M z) = 0 and that w = G T z lies on the gauge manifold.
-The dense reference is :attr:`GeneratorAssembly.reference`, the one
-producer of dense arrays, formed on the first read: P_xi, M with its dense
-block c P_xi, and the energy-space system of the spectra, S = R G_red R^{-1}
-and g = R M_red^{-1} T^T M b with M_red = R^T R.  Spectra, the kernel basis,
-modal starts and the full-space skewness of :func:`dense_skew_defect` read
-it, a time step never does.  A state dimension above DENSE_DIM_GUARD is
-refused there, before any dense array is formed.
+The dense reference is :attr:`GeneratorAssembly.reference`, formed on the
+first read: M with its dense block c P_xi, and the energy-space system of
+the spectra, S = R G_red R^{-1} and g = R M_red^{-1} T^T M b with
+M_red = R^T R.  Spectra, the kernel basis and modal starts read it, a time
+step never does.  A state dimension above DENSE_DIM_GUARD is refused there,
+and by the full-space skewness of :func:`dense_skew_defect`, before any
+dense array is formed.
 """
 
 from __future__ import annotations
@@ -142,10 +142,11 @@ class SplitGenerator:
     application of P_xi goes through z, so no block is dense.  ``shape`` is
     the shape of G, as for any linear operator.
 
-    ``order`` lists the unknowns of the midpoint system, the state and then
-    z, by their x-coordinate on the grid (:func:`spatial_order`).  Every
-    block couples only neighbouring cells and nodes, so in that order the
-    system is banded with a bandwidth that does not grow with N.
+    ``order`` lists the unknowns of the midpoint system
+    (:meth:`midpoint_system`), the state and then z, by their x-coordinate
+    on the grid (:func:`spatial_order`).  Every block couples only
+    neighbouring cells and nodes, so in that order the system is banded
+    with a bandwidth that does not grow with N.
     """
 
     g0: sparse.csr_array    # (dim, dim)
@@ -157,6 +158,20 @@ class SplitGenerator:
     @property
     def shape(self) -> tuple:
         return self.g0.shape
+
+    def midpoint_system(self, dt: float) -> sparse.csr_array:
+        """The matrix of a midpoint step dt, its rows and unknowns in ``order``.
+
+        y_mid and z = A^{-1} K y_mid solve [[I - dt/2 G0, -dt/2 C], [-K, A]]
+        (y_mid, z) = (y + dt/2 b u, 0).  It is banded: 9 sub- and 8
+        superdiagonals for the six-field models and 3 and 3 for the
+        electrostatic one, at every N.
+        """
+        half = 0.5 * dt
+        aug = sparse.block_array(
+            [[sparse.eye_array(self.shape[0]) - half * self.g0, -half * self.c],
+             [-self.k, self.a]], format="csr")
+        return aug[self.order][:, self.order]
 
     def dense(self, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """G, or its ``rows``, as a dense array, given the dense P_xi ``p``.
@@ -289,10 +304,9 @@ class DenseReference:
     coordinates, skew-symmetric up to rounding, and ``coupling`` =
     R M_red^{-1} T^T M b is the influence there, g, so the collocated
     closed loop is S - k g g^T.  M_red, G_red and the dense G are not kept:
-    ``split.dense(p)`` forms G where it is wanted.
+    ``split.dense(ops.p_dense)`` forms G where it is wanted.
     """
 
-    p: np.ndarray = field(repr=False)        # dense P_xi
     m: sparse.csr_array = field(repr=False)  # Gram matrix
     r: np.ndarray = field(repr=False)        # upper Cholesky factor of M_red
     s: np.ndarray = field(repr=False)        # R G_red R^{-1}
@@ -357,13 +371,7 @@ class GeneratorAssembly:
         the dense G only, bit for bit the same rows of the whole G.  The
         arrays are read-only, since every caller shares them.
         """
-        if self.dim > DENSE_DIM_GUARD:
-            raise ConfigParseError(
-                f"spectra and modal starts need the dense eigensolve: n_cells "
-                f"{self.grid.n_cells} gives state dimension {self.dim}, above "
-                f"DENSE_DIM_GUARD = {DENSE_DIM_GUARD}; a run from a zero or "
-                f"tabulated start needs none")
-        p = self.ops.p_dense
+        _guard_dense(self)
         m = gram(self.energy_parts, self.dim)
         t = self.reduction.t_map
         m_red = (t.T @ (m @ t)).toarray()
@@ -373,12 +381,12 @@ class GeneratorAssembly:
             raise NotPositiveDefinite("Gram matrix on the constrained subspace "
                                       "is not positive definite") from exc
         del m_red  # M_red and G_red are temporaries; R, S and g are kept
-        g_red = self.split.dense(p, rows=self.reduction.keep) @ t
+        g_red = self.split.dense(self.ops.p_dense, rows=self.reduction.keep) @ t
         s = solve_triangular(r.T, (r @ g_red).T, lower=True).T
         coupling = r @ cho_solve((r, False), t.T @ self.b_dual)
         for arr in (r, s, coupling):
             arr.setflags(write=False)
-        return DenseReference(p=p, m=m, r=r, s=s, coupling=coupling)
+        return DenseReference(m=m, r=r, s=s, coupling=coupling)
 
     def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
         """The energy (1/2) y^T M y of a flat state, part by part, at O(N)."""
@@ -579,13 +587,26 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
         gauge_defect=gauge_defect)
 
 
-def dense_skew_defect(assembly: GeneratorAssembly) -> float:
-    """The full-space skewness ||M G + G^T M|| / ||M G|| on the dense reference.
+def _guard_dense(assembly: GeneratorAssembly) -> None:
+    """Refuse a state dimension above DENSE_DIM_GUARD, before any dense array."""
+    if assembly.dim > DENSE_DIM_GUARD:
+        raise ConfigParseError(
+            f"spectra and modal starts need the dense eigensolve: n_cells "
+            f"{assembly.grid.n_cells} gives state dimension {assembly.dim}, above "
+            f"DENSE_DIM_GUARD = {DENSE_DIM_GUARD}; a run from a zero or "
+            f"tabulated start needs none")
 
-    Frobenius norms of the dense (dim, dim) products: O(N^2) memory and
-    O(N^3) time, for small grids (acceptance check 1).
+
+def dense_skew_defect(assembly: GeneratorAssembly) -> float:
+    """The full-space skewness ||M G + G^T M|| / ||M G|| of the dense G and M.
+
+    Frobenius norms of the dense (dim, dim) products, formed from
+    ``ops.p_dense``: O(N^2) memory and O(N^3) time, for small grids
+    (acceptance check 1).  Refused above DENSE_DIM_GUARD, as the dense
+    reference is.
     """
-    g = assembly.split.dense(assembly.reference.p)
+    _guard_dense(assembly)
+    g = assembly.split.dense(assembly.ops.p_dense)
     # M G part by part: the dense nonlocal part goes through BLAS and the
     # sparse parts stay sparse
     mg = np.zeros_like(g)

@@ -377,12 +377,12 @@ class TestCliExitCodes:
         stepper = dynamics.RankOneMidpoint(asm.split, asm.b, asm.output,
                                            series.dt, gain=0.5)
         assert outcome["factored_band"] == list(series.factored_band) \
-            == list(stepper.factored_band)
-        assert outcome["folded_swaps"] == series.folded_swaps == stepper.folded_swaps
+            == list(stepper.lu.factored_band)
+        assert outcome["folded_swaps"] == series.folded_swaps == stepper.lu.folded_swaps
         # the toy system swaps rows at the ends of the grid, so the fold
         # widens the band beyond the ordered system's 9 and 8 diagonals
         assert outcome["folded_swaps"] > 0
-        assert outcome["factored_band"] != [stepper.kl, stepper.ku]
+        assert outcome["factored_band"] != [stepper.lu.kl, stepper.lu.ku]
 
     def test_report_has_interior_gauge(self, tmp_path, run_cli):
         # a forced distributed-current run from rest: the boundary layer of the
@@ -528,6 +528,26 @@ class TestCliExitCodes:
         assert res.returncode == 0, res.stderr
         assert ((tmp_path / "flag" / "trajectory.csv").read_bytes()
                 == (tmp_path / "file" / "trajectory.csv").read_bytes())
+
+    def test_zero_gain_flag_keeps_the_signal(self, tmp_path, run_cli):
+        # --gain 0 opens the loop of a file with a positive feedback_gain, so
+        # the file's signal drives the run as it does at feedback_gain 0
+        doc = toy_config_dict(n_cells=16, t_final=0.1)
+        doc["actuation"] = "current"
+        doc["input_signal"] = {"kind": "sinusoid", "amplitude": 0.8,
+                               "frequency": 1.5, "phase": 0.3}
+        by_flag = _write(tmp_path, {**doc, "feedback_gain": 0.5}, "flag.json")
+        by_file = _write(tmp_path, {**doc, "feedback_gain": 0.0}, "file.json")
+        res = run_cli("simulate", "--config", str(by_flag), "--gain", "0",
+                      "--out", str(tmp_path / "flag"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("simulate", "--config", str(by_file),
+                      "--out", str(tmp_path / "file"))
+        assert res.returncode == 0, res.stderr
+        flag = (tmp_path / "flag" / "trajectory.csv").read_bytes()
+        assert flag == (tmp_path / "file" / "trajectory.csv").read_bytes()
+        assert any(float(line.split(b",")[-1]) != 0.0
+                   for line in flag.splitlines()[1:])
 
     def test_red_closed_loop_is_reported(self, tmp_path, monkeypatch, capsys):
         # shift the energy-coordinate generator right: the closed loop then

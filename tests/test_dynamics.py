@@ -8,14 +8,14 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgbtrs
+from scipy import sparse
+from scipy.linalg.lapack import dgbtrf
 
 from piezolab import dynamics, spectral
 from piezolab.acceptance import skewness_parameter_sets
 from piezolab.dynamics import (BandLU, RankOneMidpoint, _trial_profiles,
-                               admissibility_estimate, default_dt, modal_state,
-                               pivot_order, run)
-from piezolab.errors import GaugeDrift, NonFiniteState, PiezolabError
+                               admissibility_estimate, default_dt, modal_state, run)
+from piezolab.errors import GaugeDrift, LinearSolveFailure, NonFiniteState, PiezolabError
 from piezolab.generator import _split_generator, assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode, build_operators
@@ -221,24 +221,24 @@ class TestBandedStepper:
         asm = build_system(TOY, build_grid(TOY.L, n), actuation)
         stepper = _stepper(asm, default_dt(TOY, asm.grid))
         expected = (3, 3) if actuation is ActuationMode.CHARGE_ELECTROSTATIC else (9, 8)
-        assert (stepper.kl, stepper.ku) == expected
+        assert (stepper.lu.kl, stepper.lu.ku) == expected
 
 
 def _random_band(seed, n=40, kl=3, ku=2):
-    """A random (row, col, val) band matrix whose small diagonal forces swaps."""
+    """A random sparse band matrix whose small diagonal forces swaps."""
     i, j = np.indices((n, n))
     band = (i - j <= kl) & (j - i <= ku)
     row, col = i[band], j[band]
     val = np.random.default_rng(seed).standard_normal(row.size)
     val[row == col] *= 1e-3
-    return row, col, val
+    return sparse.csr_array((val, (row, col)), shape=(n, n))
 
 
 class TestSwapFreeSolve:
     """The fold of the pivots into the row order, and the two solve routes."""
 
     # the six-field split is shared by the current and charge-magnetic models
-    # (they differ only in b), and the augmented matrix holds neither b, the
+    # (they differ only in b), and the midpoint system holds neither b, the
     # output row nor the gain; the splits are built without assembling the
     # dense reference, whose certificates fail at BOX_CORNER for N >= 512
     @pytest.mark.parametrize("n", (16, 64, 256, 1024))
@@ -247,53 +247,50 @@ class TestSwapFreeSolve:
     @pytest.mark.parametrize("split", (_split_generator, _electrostatic_split),
                              ids=("six_field", "electrostatic"))
     def test_no_swaps_after_fold(self, split, params, n):
+        # BandLU refuses a folded order in which dgbtrf still swaps rows
         grid = build_grid(params.L, n)
         g = split(params, grid, build_operators(params, grid))
-        zeros = np.zeros(g.shape[0])
-        stepper = RankOneMidpoint(g, zeros, zeros, default_dt(params, grid))
-        lu = stepper._lu
-        assert lu.swap_free
+        lu = BandLU(g.midpoint_system(default_dt(params, grid)))
         # the dtbsv route is dgbtrs on the same factors, bit for bit
-        rhs = np.random.default_rng(n).standard_normal(lu.scale.size)
-        expected = dgbtrs(lu.lu, lu.kl, lu.ku, lu.scale * rhs, lu.piv)[0]
-        np.testing.assert_array_equal(lu.solve(rhs), expected)
+        rhs = np.random.default_rng(n).standard_normal(lu.position.size)
+        np.testing.assert_array_equal(lu._sweep(rhs), lu._sweep(rhs[:, None])[:, 0])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_fold_of_random_band(self, seed):
-        row, col, val = _random_band(seed)
-        scale = np.ones(40)
-        first = BandLU(row, col, val, scale)
-        assert not first.swap_free
-        rows = pivot_order(first.piv)
-        folded = BandLU(np.argsort(rows)[row], col, val, scale)
-        assert folded.swap_free
-        dense = np.zeros((40, 40))
-        dense[row, col] = val
+        matrix = _random_band(seed)
+        lu = BandLU(matrix)
+        assert lu.folded_swaps > 0
         rhs = np.random.default_rng(seed).standard_normal(40)
-        expected = np.linalg.solve(dense, rhs)
-        np.testing.assert_allclose(folded.solve(rhs[rows]), expected, rtol=1e-9, atol=1e-9)
+        expected = np.linalg.solve(matrix.toarray(), rhs)
+        ordered = np.empty(40)
+        ordered[lu.position] = rhs
+        np.testing.assert_allclose(lu.solve(ordered), expected, rtol=1e-9, atol=1e-9)
 
-    def test_vector_solve_with_swaps_uses_dgbtrs(self, monkeypatch):
-        # factors whose pivots are not the identity solve a single vector
-        # with dgbtrs, on the unscaled system
+    def test_singular_band_raises(self):
+        # two equal rows: eliminating one with the other leaves an exact
+        # zero pivot
+        dense = _random_band(5).toarray()
+        dense[21] = dense[20]
+        with pytest.raises(LinearSolveFailure, match="zero pivot"):
+            BandLU(sparse.csr_array(dense))
+
+    def test_swap_in_folded_order_raises(self, monkeypatch):
+        # a second factorization that still swaps is refused, not solved with
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[3].shape)
-            return dgbtrs(*args, **kwargs)
+        def swapping(*args, **kwargs):
+            lu, piv, info = dgbtrf(*args, **kwargs)
+            calls.append(piv)
+            if len(calls) == 2:
+                piv = piv.copy()
+                piv[0] = 1
+            return lu, piv, info
 
-        monkeypatch.setattr(dynamics, "dgbtrs", counted)
-        row, col, val = _random_band(7)
-        scale = np.random.default_rng(8).uniform(0.5, 2.0, 40)
-        lu = BandLU(row, col, val, scale)
-        assert not lu.swap_free
-        dense = np.zeros((40, 40))
-        dense[row, col] = val
-        rhs = np.random.default_rng(9).standard_normal(40)
-        np.testing.assert_allclose(dense @ lu.solve(rhs), scale * rhs,
-                                   rtol=1e-9, atol=1e-9)
-        assert calls == [(40,)]
+        monkeypatch.setattr(dynamics, "dgbtrf", swapping)
+        with pytest.raises(LinearSolveFailure, match="folded order"):
+            BandLU(_random_band(7))
+        assert len(calls) == 2
 
 
 def _check_open_loop_conservation_and_gauge(actuation):
