@@ -10,7 +10,10 @@ Each job runs ``piezolab.cli.main`` in this process with its own output
 directory under OUT; the configs and tabulated inputs the jobs read are
 written to OUT/_inputs, and every job's exit code goes to OUT/exit_codes.csv.
 The last job is the whole ``paper-suite``, so its ``acceptance_summary.csv``
-pins every acceptance measurement.
+pins every acceptance measurement.  The summary holds no ``details`` text,
+so the checks then run once more in this process (``acceptance.run_all``)
+and OUT/acceptance_details.csv records each check's name, ``measured`` and
+``details``: a change in a check's details table shows in the comparison.
 Snapshot two checkouts on the same machine and compare them: a refactor that
 keeps behaviour leaves every CSV byte-identical, and one that changes only
 rounding (a different linear solver, say) stays within a small ``--rtol``.
@@ -36,6 +39,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import piezolab.cli
+import piezolab.acceptance
 
 TOY = {"rho": 1.0, "alpha": 1.0, "gamma": 1.0, "eps1": 1.0, "eps3": 1.0,
        "mu": 1.0, "h": 1.0, "L": 1.0}
@@ -171,6 +175,11 @@ def snapshot(out: Path) -> int:
         writer = csv.writer(fh)
         writer.writerow(["job", "exit_code"])
         writer.writerows(codes)
+    with open(out / "acceptance_details.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["check", "measured", "details"])
+        writer.writerows((res.name, res.measured, res.details)
+                         for res in piezolab.acceptance.run_all())
     print(f"{len(codes)} jobs from {piezolab.cli.__file__} into {out}")
     return 0
 

@@ -155,9 +155,8 @@ def check_dispersion() -> CheckResult:
     rep64, rep128 = _spectrum(64, 0.0), _spectrum(128, 0.0)
 
     def freqs(rep, block):
-        vals = [r.eigenvalue.imag for r in rep.mode_table
-                if r.dominant_block == block and r.eigenvalue.imag > 1e-8]
-        return sorted(vals)
+        im = rep.eigenvalues.imag
+        return np.sort(im[(rep.dominant_block == block) & (im > 1e-8)])
 
     ratios = []
     mech_t = [k * np.pi * np.sqrt(p.alpha / p.rho) / p.L for k in range(1, 6)]

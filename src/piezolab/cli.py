@@ -152,8 +152,8 @@ def cmd_spectrum(args) -> ExperimentReport:
     spec_path = out / "spectrum.csv"
     report.write_csv(str(spec_path))
     paths = [str(spec_path)]
-    n_modes = len(report.mode_table)
-    n_stabilizable = sum(1 for rec in report.mode_table if rec.stabilizable)
+    n_modes = len(report.eigenvalues)
+    n_stabilizable = int(np.count_nonzero(report.stabilizable))
     rel = report.max_abs_real / max(report.g_norm, 1e-30)
     outcome = {
         "max_abs_real": report.max_abs_real,

@@ -41,7 +41,7 @@ from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFa
                      NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator, gram_product
 from .model import BeamParameters, StaggeredGrid, build_grid
-from .spectral import checked_gain, open_loop_modes
+from .spectral import checked_gain, lift_modes, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
@@ -388,16 +388,15 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
 
     Takes the real part of the lifted eigenvector of the positive-imaginary
     member, renormalized to M-norm ``amplitude``.  Kernel modes are skipped.
-    The eigenvectors come from the dense reference, so a state dimension
-    above :data:`~piezolab.generator.DENSE_DIM_GUARD` raises
-    :class:`ConfigParseError` before any dense array is formed.
+    A negative or too large mode_index raises :class:`ConfigParseError`, as
+    does a state dimension above :data:`~piezolab.generator.DENSE_DIM_GUARD`
+    (the eigenvectors come from the dense reference), before any dense array.
     """
-    w, vectors_reduced = open_loop_modes(assembly)
+    w, v = open_loop_modes(assembly)
     pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
-    if mode_index >= pos.size:
+    if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
-    phi_red = vectors_reduced[:, pos[mode_index]]
-    phi = assembly.reduction.t_map @ phi_red
+    phi = lift_modes(assembly, v[:, pos[mode_index]])
     m = assembly.reference.m
     y = np.real(phi)
     nrm = np.sqrt(float(y @ m @ y))
@@ -413,10 +412,11 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
 
     Fields are the blocks the assembly names.  When no gauge-bound block
     (y3, y6) is given the model's lift fills them; explicitly tabulated
-    gauge-bound blocks must satisfy the constraint.
+    gauge-bound blocks must satisfy the constraint.  A coordinate set twice,
+    also through an alias (s/y1, w/y4), raises :class:`ConfigParseError`.
     """
     y = np.zeros(assembly.dim)
-    given = set()
+    given, seen = set(), set()
     for name, idx, value in rows:
         block = assembly.blocks.get(name)
         if block is None:
@@ -424,7 +424,10 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
         size = block.stop - block.start
         if not 0 <= idx < size:
             raise ConfigParseError(f"index {idx} out of range for field {name}")
+        if block.start + idx in seen:
+            raise ConfigParseError(f"state coordinate {name}[{idx}] is set twice")
         y[block.start + idx] = value
+        seen.add(block.start + idx)
         given.add(name)
 
     if given.isdisjoint(assembly.reduction.bound):

@@ -60,7 +60,7 @@ G^T through the split, with banded solves of A, and M part by part, and
 checks M G z + G^T (M z) = 0 and that w = G T z lies on the gauge manifold.
 The dense reference is :attr:`GeneratorAssembly.reference`, formed on the
 first read: M with its dense block c P_xi, and the energy-space system of
-the spectra, S = R G_red R^{-1} and g = R M_red^{-1} T^T M b with
+the spectra, S = R G_red R^{-1} and g = R^{-T} T^T M b with
 M_red = R^T R.  Spectra, the kernel basis and modal starts read it, a time
 step never does.  A state dimension above DENSE_DIM_GUARD is refused there,
 and by the full-space skewness of :func:`dense_skew_defect`, before any
@@ -74,7 +74,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cho_solve_banded, cholesky, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky, solve_triangular
 from scipy.linalg.blas import dtbsv
 
 from .errors import AssemblyInconsistent, ConfigParseError, NotPositiveDefinite
@@ -301,16 +301,17 @@ class DenseReference:
     ``m`` is the Gram matrix with its dense block c P_xi, and ``r`` the
     upper Cholesky factor of M_red = T^T M T (symmetrized) = R^T R.  ``s`` =
     R G_red R^{-1} is the reduced generator G_red = (G T)[keep] in energy
-    coordinates, skew-symmetric up to rounding, and ``coupling`` =
-    R M_red^{-1} T^T M b is the influence there, g, so the collocated
-    closed loop is S - k g g^T.  M_red, G_red and the dense G are not kept:
-    ``split.dense(ops.p_dense)`` forms G where it is wanted.
+    coordinates, skew-symmetric up to rounding, and ``coupling`` = g =
+    R^{-T} T^T M b the influence there (one triangular solve, not the
+    rounding of R M_red^{-1} T^T M b), so the collocated closed loop is
+    S - k g g^T and B* T R^{-1} v = g^T v.  M_red, G_red and the dense G are
+    not kept: ``split.dense(ops.p_dense)`` forms G where it is wanted.
     """
 
     m: sparse.csr_array = field(repr=False)  # Gram matrix
     r: np.ndarray = field(repr=False)        # upper Cholesky factor of M_red
     s: np.ndarray = field(repr=False)        # R G_red R^{-1}
-    coupling: np.ndarray = field(repr=False)  # g = R M_red^{-1} T^T M b
+    coupling: np.ndarray = field(repr=False)  # g = R^{-T} T^T M b
 
 
 @dataclass(frozen=True)
@@ -383,7 +384,7 @@ class GeneratorAssembly:
         del m_red  # M_red and G_red are temporaries; R, S and g are kept
         g_red = self.split.dense(self.ops.p_dense, rows=self.reduction.keep) @ t
         s = solve_triangular(r.T, (r @ g_red).T, lower=True).T
-        coupling = r @ cho_solve((r, False), t.T @ self.b_dual)
+        coupling = solve_triangular(r, t.T @ self.b_dual, trans="T")
         for arr in (r, s, coupling):
             arr.setflags(write=False)
         return DenseReference(m=m, r=r, s=s, coupling=coupling)

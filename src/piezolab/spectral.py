@@ -6,12 +6,15 @@ S = R G_red R^{-1} is similar to the reduced generator and skew-symmetric up
 to rounding, so an honest dense eigensolve of S measures how imaginary the
 spectrum really is.  Closed-loop spectra perturb S by the rank-one collocated
 feedback -k g g^T, whose symmetric negative-semidefinite structure forces
-Re(lambda) <= 0, with g = R M_red^{-1} T^T M b.  R, S and g are read from
-the assembly's dense reference
+Re(lambda) <= 0, with g = R^{-T} T^T M b.  R, S and g are read from the
+assembly's dense reference
 (:attr:`~piezolab.generator.GeneratorAssembly.reference`), which the first
 spectrum of an assembly forms once for every spectral call; state
 dimensions above :data:`~piezolab.generator.DENSE_DIM_GUARD` are refused
 there, before any dense array is formed.
+
+Every per-mode fact is read from eigenvectors in energy coordinates (see
+:func:`_mode_table`); only a returned state is lifted (:func:`lift_modes`).
 
 Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
 the skew part of S) splits its matrix where the model does: if it holds
@@ -53,34 +56,26 @@ SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
 
 
 @dataclass(frozen=True)
-class ModeRecord:
-    """Per-mode summary used for stabilizability classification."""
-
-    eigenvalue: complex
-    bstar_abs: float
-    stabilizable: bool
-    dominant_block: str  # mechanical | electromagnetic | mixed
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
-    """Spectrum of one assembly, sorted by |Im|, positive imaginary part first."""
+    """Spectrum of one assembly, sorted by |Im|, with its mode-table columns."""
 
     eigenvalues: np.ndarray
     max_abs_real: float
     kernel_dimension: int
-    mode_table: list = field(repr=False)
+    bstar_abs: np.ndarray = field(repr=False)
+    stabilizable: np.ndarray = field(repr=False)
+    dominant_block: np.ndarray = field(repr=False)
     g_norm: float = 0.0          # spectral radius, the scale for tolerances
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["re", "im", "bstar_abs", "stabilizable", "dominant_block"])
-            for rec in self.mode_table:
-                writer.writerow([f"{rec.eigenvalue.real:.17g}",
-                                 f"{rec.eigenvalue.imag:.17g}",
-                                 f"{rec.bstar_abs:.17g}",
-                                 int(rec.stabilizable), rec.dominant_block])
+            columns = zip(self.eigenvalues, self.bstar_abs, self.stabilizable,
+                          self.dominant_block)
+            for lam, bstar_abs, flag, block in columns:
+                writer.writerow([f"{lam.real:.17g}", f"{lam.imag:.17g}",
+                                 f"{bstar_abs:.17g}", int(flag), block])
 
 
 def _sort_order(values: np.ndarray) -> np.ndarray:
@@ -88,40 +83,31 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
-def _dominant_block(mech_fraction: float) -> str:
-    """A mode's label from the fraction of its energy that is mechanical."""
-    if mech_fraction >= 0.9:
-        return "mechanical"
-    return "electromagnetic" if mech_fraction <= 0.1 else "mixed"
+def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
+    """Each mode's label from the fraction of its energy that is mechanical."""
+    return np.where(mech_fraction >= 0.9, "mechanical",
+                    np.where(mech_fraction <= 0.1, "electromagnetic", "mixed"))
 
 
-def _mode_table(assembly: GeneratorAssembly, w: np.ndarray, norms: np.ndarray,
-                phi_red: np.ndarray, eig_tol: float) -> list:
-    """Per-mode records from the reduced eigenvectors, which are never lifted.
+def _mode_table(assembly: GeneratorAssembly, v: np.ndarray, eig_tol: float) -> tuple:
+    """Columns (bstar_abs, stabilizable, dominant_block) of the modes v.
 
-    B* phi is (T^T b_dual) phi_red, the M-norm of phi is the norm of its
-    energy coordinates (``norms``) and the mechanical energy is
-    ||R[mech][:, mech] phi_mech||^2.  M_red couples no mechanical coordinate
-    to a field one, so the field rows of R's mechanical columns are exactly
-    zero and that norm is the whole mechanical part of ||R phi||^2.  The
-    products run over blocks of TABLE_BLOCK eigenvectors.
+    v holds energy coordinates, read without a lift to phi = T R^{-1} v:
+    B* phi = g^T v, since T^T M b = R^T g; ||phi||_M = ||v||; and the
+    mechanical energy fraction is ||v[mech]||^2 / ||v||^2, as for the shifts
+    (both mechanical/field blocks of R are exactly zero).  A mode is
+    stabilizable when |B* phi| > eig_tol ||phi||_M.  The norms run over
+    blocks of TABLE_BLOCK columns.
     """
-    red = assembly.reduction
-    bstar = (red.t_map.T @ assembly.b_dual) @ phi_red
-    mech = red.mechanical
-    r_mech = assembly.reference.r[np.ix_(mech, mech)]
-    table = []
-    for start in range(0, len(w), TABLE_BLOCK):
+    mech = assembly.reduction.mechanical
+    bstar_abs = np.abs(assembly.reference.coupling @ v)
+    norms, mech_norms = np.empty((2, v.shape[1]))
+    for start in range(0, v.shape[1], TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
-        x = r_mech @ phi_red[mech, cols]
-        mech_energy = np.einsum("ij,ij->j", x.conj(), x).real
-        frac = mech_energy / norms[cols] ** 2
-        for j, k in enumerate(range(start, start + x.shape[1])):
-            bstar_abs = abs(complex(bstar[k]))
-            table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=bstar_abs,
-                                    stabilizable=bool(bstar_abs > eig_tol * norms[k]),
-                                    dominant_block=_dominant_block(frac[j])))
-    return table
+        norms[cols] = np.linalg.norm(v[:, cols], axis=0)
+        mech_norms[cols] = np.linalg.norm(v[mech, cols], axis=0)
+    return (bstar_abs, bstar_abs > eig_tol * norms,
+            _dominant_block(mech_norms ** 2 / norms ** 2))
 
 
 def _decoupled_blocks(m: np.ndarray, mechanical: np.ndarray) -> list:
@@ -158,37 +144,40 @@ def _blockwise(solver, m: np.ndarray, mechanical: np.ndarray) -> tuple:
 
 
 def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
-    """Sorted eigenvalues of S, and the M-norms and reduced lifts of its eigenvectors.
+    """Eigenvalues and energy-coordinate eigenvectors v of S, sorted as a spectrum.
 
-    ``s_matrix`` is S or the closed-loop S of the assembly.  The lifts
-    phi_red = R^{-1} v have unit M-norm up to rounding; their M-norms are
-    the 2-norms of the eigenvectors v, which are not kept.
+    ``s_matrix`` is S or the closed-loop S of the assembly.  A unit column
+    of v is a mode T R^{-1} v of unit M-norm; none is lifted here.
     """
     w, v = _blockwise(scipy.linalg.eig, s_matrix, assembly.reduction.mechanical)
     order = _sort_order(w)
-    w = w[order]
-    v = v[:, order]
-    return (w, np.linalg.norm(v, axis=0),
-            scipy.linalg.solve_triangular(assembly.reference.r, v))
+    return w[order], v[:, order]
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
-    """Eigenvalues and unit M-norm reduced eigenvectors, in spectrum order.
+    """Eigenvalues and energy-coordinate eigenvectors, in spectrum order.
 
-    The eigenpairs of :func:`compute_spectrum` without its mode table.
+    The eigenpairs of :func:`compute_spectrum` without its mode table;
+    :func:`lift_modes` turns the columns that are wanted into states.
     """
-    w, _, phi_red = _eigenpairs(assembly, assembly.reference.s)
-    return w, phi_red
+    return _eigenpairs(assembly, assembly.reference.s)
+
+
+def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
+    """The full states T R^{-1} v of energy coordinates v (a vector or columns)."""
+    return assembly.reduction.t_map @ scipy.linalg.solve_triangular(
+        assembly.reference.r, v)
 
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray,
                   eig_tol: float) -> SpectrumReport:
-    w, norms, phi_red = _eigenpairs(assembly, s_matrix)
+    w, v = _eigenpairs(assembly, s_matrix)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-    table = _mode_table(assembly, w, norms, phi_red, eig_tol)
+    bstar_abs, stabilizable, block = _mode_table(assembly, v, eig_tol)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
-                          kernel_dimension=kernel_dim, mode_table=table,
+                          kernel_dimension=kernel_dim, bstar_abs=bstar_abs,
+                          stabilizable=stabilizable, dominant_block=block,
                           g_norm=g_norm)
 
 
@@ -247,9 +236,8 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     mech_fraction = np.linalg.norm(u[np.ix_(mech, pos)], axis=0) ** 2
-    block = np.array([_dominant_block(f) for f in mech_fraction])
     return (omega_all[pos], _secular_roots(omega_all, c2, pos, gain),
-            np.abs(c[pos]), block)
+            np.abs(c[pos]), _dominant_block(mech_fraction))
 
 
 def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
@@ -297,13 +285,10 @@ def kernel_basis(assembly: GeneratorAssembly):
     (constant y4).  Computed from the singular values of the energy-coordinate
     similarity of G_red that lie below ZERO_MODE_REL_TOL times the largest.
     """
-    ref = assembly.reference
-    u_svd, sing, vt = np.linalg.svd(ref.s)
+    _, sing, vt = np.linalg.svd(assembly.reference.s)
     scale = sing[0] if len(sing) else 0.0
     null_mask = sing <= ZERO_MODE_REL_TOL * scale
-    vecs = vt[null_mask].T  # orthonormal in energy coordinates = M-orthonormal
-    phi_red = scipy.linalg.solve_triangular(ref.r, vecs)
-    return assembly.reduction.t_map @ phi_red
+    return lift_modes(assembly, vt[null_mask].T)  # orthonormal v: M-orthonormal
 
 
 @dataclass(frozen=True)

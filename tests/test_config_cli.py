@@ -329,6 +329,25 @@ class TestCliExitCodes:
         assert res.returncode == 2, res.stderr
         assert named in res.stderr
 
+    @pytest.mark.parametrize("actuation,text,named", [
+        ("current", "y1,0,1.0\ny1,0,2.0\n", "y1[0]"),
+        ("charge_electrostatic", "w,3,1.0\nw,3,1.0\n", "w[3]"),
+        ("charge_electrostatic", "s,0,1.0\ny1,0,1.0\n", "y1[0]"),
+        ("charge_electrostatic", "y4,2,1.0\nw,2,1.0\n", "w[2]"),
+    ], ids=["same_row", "same_row_alias", "s_and_y1", "y4_and_w"])
+    def test_coordinate_set_twice_exits_2(self, tmp_path, run_cli, actuation,
+                                          text, named):
+        # a second row for one coordinate, also under the other name of its
+        # block, is refused rather than overwriting the first
+        (tmp_path / "tab.csv").write_text("field,index,value\n" + text,
+                                          encoding="utf-8")
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1), "actuation": actuation,
+               "initial_state": {"kind": "tabulated", "path": "tab.csv"}}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert f"{named} is set twice" in res.stderr
+
     def test_bad_time_bounds_exit_2(self, tmp_path, run_cli):
         doc = toy_config_dict()
         doc["dt"] = 2.0

@@ -15,7 +15,8 @@ from piezolab import dynamics, spectral
 from piezolab.acceptance import skewness_parameter_sets
 from piezolab.dynamics import (BandLU, RankOneMidpoint, _trial_profiles,
                                admissibility_estimate, default_dt, modal_state, run)
-from piezolab.errors import GaugeDrift, LinearSolveFailure, NonFiniteState, PiezolabError
+from piezolab.errors import (ConfigParseError, GaugeDrift, LinearSolveFailure,
+                             NonFiniteState, PiezolabError)
 from piezolab.generator import _split_generator, assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode, build_operators
@@ -476,11 +477,13 @@ class TestModalState:
         # spectrum, bit for bit, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
-        w, vectors_reduced = spectral.open_loop_modes(asm)
+        w, v = spectral.open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
-        y = np.real(asm.reduction.t_map @ vectors_reduced[:, pos[2]])
+        phi = asm.reduction.t_map @ scipy.linalg.solve_triangular(asm.reference.r,
+                                                                  v[:, pos[2]])
+        y = np.real(phi)
         expected = (1.5 / np.sqrt(float(y @ asm.reference.m @ y))) * y
 
         def no_table(*args):
@@ -488,6 +491,13 @@ class TestModalState:
 
         monkeypatch.setattr(spectral, "_mode_table", no_table)
         np.testing.assert_array_equal(modal_state(asm, 2, 1.5), expected)
+
+    @pytest.mark.parametrize("mode_index", (-1, -63, 63))
+    def test_mode_index_out_of_range(self, mode_index):
+        # 2N - 1 = 63 oscillatory pairs at N = 32: a negative index is refused
+        # like one past the last pair, not read from the end
+        with pytest.raises(ConfigParseError, match=f"mode_index {mode_index} out"):
+            modal_state(_assembly(32), mode_index)
 
 
 class TestAdmissibility:

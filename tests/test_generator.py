@@ -18,7 +18,6 @@ from piezolab.generator import (CONSTRAINT_TOL, SKEW_TOL, assemble, assemble_con
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
 from piezolab.operators import ActuationMode, build_operators
-from piezolab.spectral import ModeRecord
 from piezolab.variants import build_system
 
 TOY = toy_parameters()
@@ -151,23 +150,18 @@ def _dense_reference(asm, actuation):
                            b_red=b_red, mech=mech)
 
 
-def _lifted_mode_table(ref, b, w, norms, phi_red, eig_tol=1e-8):
-    """Mode records from eigenvectors lifted through the dense T and M."""
-    phi = ref.t @ phi_red
-    bstar = (ref.m @ b) @ phi
+def _lifted_mode_table(ref, b, r, v, eig_tol=1e-8):
+    """Mode-table columns from eigenvectors lifted through R, the dense T and M."""
+    phi = ref.t @ scipy.linalg.solve_triangular(r, v)
+    bstar = np.abs((ref.m @ b) @ phi)
     total = np.einsum("ij,ij->j", phi.conj(), ref.m @ phi).real
     pm = phi[ref.mech]
     mech_energy = np.einsum("ij,ij->j", pm.conj(),
                             ref.m[np.ix_(ref.mech, ref.mech)] @ pm).real
-    table = []
-    for k in range(len(w)):
-        frac = mech_energy[k] / total[k]
-        block = ("mechanical" if frac >= 0.9
-                 else "electromagnetic" if frac <= 0.1 else "mixed")
-        table.append(ModeRecord(eigenvalue=complex(w[k]), bstar_abs=abs(bstar[k]),
-                                stabilizable=bool(abs(bstar[k]) > eig_tol * norms[k]),
-                                dominant_block=block))
-    return table
+    frac = mech_energy / total
+    block = np.where(frac >= 0.9, "mechanical",
+                     np.where(frac <= 0.1, "electromagnetic", "mixed"))
+    return bstar, bstar > eig_tol * np.linalg.norm(v, axis=0), block
 
 
 class TestSkewness:
@@ -257,16 +251,15 @@ class TestDenseReference:
         for got, want in ((_dense_g(asm), ref.g), (g_red, ref.g_red)):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
-        # the mode table in reduced coordinates against the lifted one,
-        # on the same eigenpairs
-        w, norms, phi_red = spectral._eigenpairs(asm, own.s)
-        table = spectral.compute_spectrum(asm).mode_table
-        lifted = _lifted_mode_table(ref, asm.b, w, norms, phi_red)
-        assert [(rec.stabilizable, rec.dominant_block) for rec in table] == \
-            [(rec.stabilizable, rec.dominant_block) for rec in lifted]
-        for rec, want, norm_m in zip(table, lifted, norms):
-            if want.bstar_abs > 1e-8 * norm_m:
-                assert rec.bstar_abs == pytest.approx(want.bstar_abs, rel=1e-6)
+        # the mode table in energy coordinates against the lifted one, on
+        # the same eigenpairs
+        _, v = spectral._eigenpairs(asm, own.s)
+        report = spectral.compute_spectrum(asm)
+        bstar, stabilizable, block = _lifted_mode_table(ref, asm.b, r, v)
+        np.testing.assert_array_equal(report.stabilizable, stabilizable)
+        np.testing.assert_array_equal(report.dominant_block, block)
+        np.testing.assert_allclose(report.bstar_abs[stabilizable],
+                                   bstar[stabilizable], rtol=1e-6)
 
     @pytest.mark.parametrize("actuation", ALL_SYSTEMS, ids=lambda a: a.value)
     @pytest.mark.parametrize("n", (16, 64))
