@@ -9,6 +9,11 @@
 Each job runs ``piezolab.cli.main`` in this process with its own output
 directory under OUT; the configs and tabulated inputs the jobs read are
 written to OUT/_inputs, and every job's exit code goes to OUT/exit_codes.csv.
+The ``simulate`` jobs run every actuation model open loop, closed loop and
+forced by a sinusoid, from rest, a mode and a tabulated start of the free
+fields.  Three more cover the other input paths: a constant and a tabulated
+input signal, and a tabulated start that also gives the gauge-bound y3/y6
+rows, which the run checks against the gauge instead of lifting them.
 The last job is the whole ``paper-suite``, so its ``acceptance_summary.csv``
 pins every acceptance measurement.  The summary holds no ``details`` text,
 so the checks then run once more in this process (``acceptance.run_all``)
@@ -51,18 +56,33 @@ NON_UNIT_MODELS = ("charge_magnetic", "charge_electrostatic")
 SIGNAL = {"kind": "sinusoid", "amplitude": 0.8, "frequency": 1.5, "phase": 0.3}
 
 
-def _state_rows(model: str) -> list:
-    """Smooth tabulated start: free fields only, gauge-bound ones are lifted."""
+def _state_rows(model: str, bound: bool = False) -> list:
+    """Smooth tabulated start of the free fields, which the run lifts.
+
+    With ``bound`` the rows also give y3 = xi grad y2 and y6 = xi grad y5
+    (toy units: xi = 1/12, 1/dx = N), on the gauge to rounding.
+    """
     n = N_CELLS
     if model == "charge_electrostatic":
         sizes = {"s": n, "w": n}
     else:
         sizes = {"y1": n, "y2": n - 1, "y4": n + 1, "y5": n - 1}
-    rows = []
+    rows, free = [], {}
     for k, (name, size) in enumerate(sizes.items(), start=1):
-        for j in range(size):
-            rows.append((name, j, math.sin(k * math.pi * (j + 0.5) / size)))
+        free[name] = [math.sin(k * math.pi * (j + 0.5) / size) for j in range(size)]
+        rows += [(name, j, value) for j, value in enumerate(free[name])]
+    if bound:
+        for name, source in (("y3", "y2"), ("y6", "y5")):
+            w = [0.0, *free[source], 0.0]
+            rows += [(name, j, n * (w[j + 1] - w[j]) / 12.0) for j in range(n)]
     return rows
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_inputs(inputs: Path) -> dict:
@@ -78,11 +98,8 @@ def _write_inputs(inputs: Path) -> dict:
 
     for model in MODELS:
         state = f"state_{model}.csv"
-        with open(inputs / state, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["field", "index", "value"])
-            for name, j, value in _state_rows(model):
-                writer.writerow([name, j, repr(value)])
+        _write_csv(inputs / state, ["field", "index", "value"],
+                   ([name, j, repr(value)] for name, j, value in _state_rows(model)))
         starts = {"zero": {"kind": "zero"},
                   "modal": {"kind": "modal", "mode_index": 1, "amplitude": 1.5},
                   "tabulated": {"kind": "tabulated", "path": state}}
@@ -109,6 +126,25 @@ def _write_inputs(inputs: Path) -> dict:
     config("current_forced_zero_n256", params=TOY, n_cells=256, t_final=0.05,
            actuation="current", record_stride=8, input_signal=SIGNAL,
            initial_state={"kind": "zero"})
+    # the input paths the runs above miss: a constant and a tabulated
+    # signal, and a tabulated start whose y3/y6 rows are checked, not lifted
+    _write_csv(inputs / "signal.csv", ["time", "value"],
+               ([repr(0.01 * j), repr(0.5 * math.cos(7.0 * 0.01 * j))]
+                for j in range(26)))
+    _write_csv(inputs / "state_current_bound.csv", ["field", "index", "value"],
+               ([name, j, repr(value)]
+                for name, j, value in _state_rows("current", bound=True)))
+    config("current_forced_constant_modal", params=TOY, n_cells=N_CELLS,
+           t_final=0.25, actuation="current", record_stride=2,
+           input_signal={"kind": "constant", "amplitude": 0.7},
+           initial_state={"kind": "modal", "mode_index": 1})
+    config("charge_magnetic_forced_tabulated_signal", params=TOY,
+           n_cells=N_CELLS, t_final=0.25, actuation="charge_magnetic",
+           record_stride=2, input_signal={"kind": "tabulated", "path": "signal.csv"},
+           initial_state={"kind": "zero"})
+    config("current_open_tabulated_bound", params=TOY, n_cells=N_CELLS,
+           t_final=0.25, actuation="current", record_stride=2,
+           initial_state={"kind": "tabulated", "path": "state_current_bound.csv"})
     config("spectrum", params=TOY, n_cells=N_CELLS, t_final=0.1)
     config("spectrum_non_unit", params=NON_UNIT, n_cells=N_CELLS, t_final=0.1)
     # at gamma = 0 the mechanics and the fields decouple exactly, so the
@@ -136,8 +172,10 @@ def _jobs(configs: dict) -> list:
         for loop in ("open", "closed"):
             key = f"non_unit_{model}_{loop}_tabulated"
             jobs.append((f"simulate_{key}", ["simulate", "--config", configs[key]]))
-    jobs.append(("simulate_current_forced_zero_n256",
-                 ["simulate", "--config", configs["current_forced_zero_n256"]]))
+    for key in ("current_forced_zero_n256", "current_forced_constant_modal",
+                "charge_magnetic_forced_tabulated_signal",
+                "current_open_tabulated_bound"):
+        jobs.append((f"simulate_{key}", ["simulate", "--config", configs[key]]))
     spec = ["spectrum", "--config", configs["spectrum"]]
     jobs += [
         ("spectrum_full", spec),

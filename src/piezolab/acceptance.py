@@ -3,9 +3,10 @@
 Each check builds what it needs, measures one quantitative property of the
 discretization at a pinned tolerance, and returns a CheckResult.  The CLI
 ``paper-suite`` subcommand and tests/test_acceptance.py both drive
-:func:`run_all`.  Assemblies, the dense spectra of checks 4 and 6 and the
-shared trajectory are cached (``functools.cache``, keyed by N and gamma),
-so a process forms each once.  The closed-loop checks 7-9 read every
+:func:`run_all`.  Assemblies (keyed by N and gamma) and the trajectory that
+checks 2 and 3 share are cached (``functools.cache``), so a process forms
+each once; every dense spectrum is read by one check and is not kept.
+The closed-loop checks 7-9 read every
 per-mode fact (omega, Re lambda, |B*phi| and the dominant block) from one
 :func:`~piezolab.spectral.closed_loop_mode_shifts` call each, so no mode is
 paired across two eigensolvers.
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import time_steps
 from .dynamics import admissibility_estimate, default_dt, modal_state, run
+from .errors import ConfigParseError
 from .generator import assemble_generator, dense_skew_defect
 from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
@@ -48,11 +51,6 @@ class CheckResult:
 def _assembly(n_cells: int, gamma: float):
     params = toy_parameters(gamma)
     return assemble_generator(params, build_grid(params.L, n_cells))
-
-
-@functools.cache
-def _spectrum(n_cells: int, gamma: float):
-    return compute_spectrum(_assembly(n_cells, gamma))
 
 
 @functools.cache
@@ -120,7 +118,7 @@ def check_gauge() -> CheckResult:
 
 def check_imaginary_spectrum() -> CheckResult:
     """4: spectral abscissa relative to the spectral radius at N=128."""
-    rep = _spectrum(128, 1.0)
+    rep = compute_spectrum(_assembly(128, 1.0))
     rel = rep.max_abs_real / rep.g_norm
     tol = 1e-10
     return CheckResult("imaginary_spectrum", rel <= tol,
@@ -135,8 +133,8 @@ def check_pxi_identity() -> CheckResult:
     worst_id = 0.0
     spec_ok = True
     lo = hi = None
-    for params, n in ((toy_parameters(), 16), (toy_parameters(), 64),
-                      (toy_parameters(0.0), 64)):
+    params = toy_parameters()
+    for n in (16, 64):
         ops = build_operators(params, build_grid(params.L, n))
         worst_id = max(worst_id, p_xi_identity_check(ops))
         ev = np.linalg.eigvalsh(ops.p_dense)
@@ -152,7 +150,7 @@ def check_pxi_identity() -> CheckResult:
 def check_dispersion() -> CheckResult:
     """6: analytic dispersion at gamma=0 with second-order refinement."""
     p = toy_parameters(0.0)
-    rep64, rep128 = _spectrum(64, 0.0), _spectrum(128, 0.0)
+    rep64, rep128 = (compute_spectrum(_assembly(n, 0.0)) for n in (64, 128))
 
     def freqs(rep, block):
         im = rep.eigenvalues.imag
@@ -261,9 +259,8 @@ def check_electrostatic_decay() -> CheckResult:
     for n in (64, 128):
         grid = build_grid(params.L, n)
         es = assemble_electrostatic(params, grid)
-        dt = default_dt(params, grid)
-        ts = run(es, modal_state(es, 0), max(1, int(round(8.0 / dt))), dt,
-                 gain=1.0, record_stride=4)
+        n_steps, dt = time_steps(8.0, default_dt(params, grid), explicit=False)
+        ts = run(es, modal_state(es, 0), n_steps, dt, gain=1.0, record_stride=4)
         fit = decay_rate_fit(ts, (0.5, 7.5))
         rates[n], r2[n] = fit.rate, fit.r_squared
     rel = abs(rates[64] - rates[128]) / rates[128]
@@ -350,15 +347,15 @@ ALL_CHECKS = (
 )
 
 
+def select(only: str | None = None) -> list:
+    """The checks whose name contains ``only`` (all for None); ConfigParseError if none."""
+    names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
+    checks = [fn for fn, name in zip(ALL_CHECKS, names) if only is None or only in name]
+    if not checks:
+        raise ConfigParseError(f"no check matches {only!r}; available: {', '.join(names)}")
+    return checks
+
+
 def run_all(only: str | None = None) -> list:
     """Run every check (or those whose name contains ``only``)."""
-    results = []
-    for fn in ALL_CHECKS:
-        name = fn.__name__.removeprefix("check_")
-        if only is not None and only not in name:
-            continue
-        results.append(fn())
-    if only is not None and not results:
-        names = ", ".join(f.__name__.removeprefix("check_") for f in ALL_CHECKS)
-        raise ValueError(f"no check matches {only!r}; available: {names}")
-    return results
+    return [check() for check in select(only)]

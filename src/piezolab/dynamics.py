@@ -17,8 +17,9 @@ of their x-coordinate that system is banded, with a bandwidth fixed by the
 model and not by N, so a step costs O(N).  :class:`BandLU` owns the banded
 solve, from row scaling and the fold of the pivots to the refinement pass;
 the stepper (:class:`RankOneMidpoint`) keeps only the midpoint algebra.
-A record (:meth:`GeneratorAssembly.energy_split` and
-:meth:`GeneratorAssembly.gauge`) is O(N) as well.  Closed-loop runs use
+:func:`run` checks the start and every record the same way; a record
+(:meth:`GeneratorAssembly.energy_split` and :meth:`GeneratorAssembly.gauge`)
+is O(N) as well.  Closed-loop runs use
 u = -k v^T y evaluated at the midpoint state; the rank-one modified solve is
 done with a Sherman-Morrison update of the factored shift so the per-step
 dissipation identity  E(n+1) - E(n) = -k dt (v^T y_mid)(B* y_mid)  holds to
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dtbtrs
 
 from .config import time_steps
 from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
@@ -118,8 +119,9 @@ class BandLU:
     still has the largest magnitude of its column and the diagonal candidate
     wins a tie.  A swap there, like a zero pivot, raises
     :class:`LinearSolveFailure`.  ``folded_swaps`` counts the swaps and
-    ``factored_band`` is the (kl, ku) of the factors.  Row i of the matrix
-    is factored row ``position[i]``, the order :meth:`solve` takes.
+    ``factored_band`` is the (kl, ku) of the unit lower and upper bands
+    that every solve sweeps.  Row i of the matrix is factored row
+    ``position[i]``, the order :meth:`solve` takes.
     """
 
     def __init__(self, matrix: sparse.sparray):
@@ -149,20 +151,20 @@ class BandLU:
         self.factored_band = (kl, ku)
         self._scale = scale
         self._matrix = matrix
-        self._factors, self._piv = lu, piv
-        # unit lower L with kl and upper U with ku diagonals, for dtbsv
+        # unit lower L and upper U, in the band layout of dtbsv and dtbtrs
         self._lower = np.asfortranarray(lu[kl + ku:])
         self._upper = np.asfortranarray(lu[kl:kl + ku + 1])
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """The unrefined solution: two ``dtbsv`` sweeps, or ``dgbtrs`` for a block."""
+        """The unrefined solution: ``dtbsv`` sweeps a vector, ``dtbtrs`` a block."""
         kl, ku = self.factored_band
         if rhs.ndim == 1:
             x = dtbsv(kl, self._lower, self._scale * rhs, lower=1, diag=1,
                       overwrite_x=1)
             return dtbsv(ku, self._upper, x, overwrite_x=1)
-        return dgbtrs(self._factors, kl, ku, self._scale[:, None] * rhs, self._piv,
-                      overwrite_b=1)[0]
+        x = dtbtrs(self._lower, self._scale[:, None] * rhs, uplo="L", diag="U",
+                   overwrite_b=1)[0]
+        return dtbtrs(self._upper, x, overwrite_b=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the matrix's system for ``rhs``, given in factored row order.
@@ -243,15 +245,17 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
         gauge_tol: float = 1e-8) -> TimeSeries:
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
-    ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  Aborts with
-    :class:`NonFiniteState` when an input or a recorded state holds NaN or
-    Inf, and with :class:`GaugeDrift` when a recorded gauge residual exceeds
-    100 * gauge_tol or is not a number.  A run driven (by ``input_fn`` or
-    a positive gain) through an influence b off the gauge manifold,
-    lift(b) != b as for the distributed current, is guarded on the interior
-    cells only: b's boundary jump puts an expected layer in the outermost
-    cells.  Every other run is guarded on all cells.  A negative n_steps or a
-    record_stride below 1 raises ValueError.
+    ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  The start,
+    every ``record_stride``-th state and the last pass one checked record:
+    it aborts with :class:`NonFiniteState` when the state holds NaN or Inf
+    (so does a non-finite input), and with :class:`GaugeDrift` when a gauge
+    residual exceeds 100 * gauge_tol or is not a number, so a bad start
+    fails at step 0.  A run driven (by ``input_fn`` or a positive gain)
+    through an influence b off the gauge manifold, lift(b) != b as for the
+    distributed current, is guarded on the interior cells only: b's boundary
+    jump puts an expected layer in the outermost cells.  Every other run is
+    guarded on all cells.  A negative n_steps or a record_stride below 1
+    raises ValueError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
@@ -266,15 +270,25 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                               gain=gain)
     interior_guard = ((input_fn is not None or gain > 0.0)
                       and not np.array_equal(assembly.lift(assembly.b), assembly.b))
-
-    times = [0.0]
-    energies = [assembly.energy_split(y)]
-    (rp, rv), (ip, iv) = assembly.gauge(y)
-    gauge_pos, gauge_vel = [rp], [rv]
-    interior_pos, interior_vel = [ip], [iv]
-    inputs = [0.0]
-
     threshold = 100.0 * gauge_tol
+    records = []  # time, energy split, gauge pos, vel, interior pos, vel, input
+
+    def record(step: int, y: np.ndarray, u: float) -> None:
+        """Check and keep the state after ``step`` steps, ``u`` the last input."""
+        if not np.isfinite(y).all():
+            raise NonFiniteState(
+                f"state is not finite at step {step} (t={step * dt:.6g}, "
+                f"last input {u!r})")
+        (rp, rv), (ip, iv) = assembly.gauge(y)
+        records.append((step * dt, assembly.energy_split(y), rp, rv, ip, iv, u))
+        if interior_guard:
+            rp, rv = ip, iv
+        if not (rp <= threshold and rv <= threshold):
+            raise GaugeDrift(
+                f"gauge residual (pos={rp:.3e}, vel={rv:.3e}) exceeded "
+                f"{threshold:.3e} at step {step} (t={step * dt:.6g})")
+
+    record(0, y, 0.0)
     for j in range(n_steps):
         if gain > 0.0:
             y, u = stepper.step_closed(y)
@@ -286,28 +300,13 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                     f"(t={(j + 0.5) * dt:.6g}, input {u!r})")
             y = stepper.step(y, u)
         if (j + 1) % record_stride == 0 or j == n_steps - 1:
-            if not np.isfinite(y).all():
-                raise NonFiniteState(
-                    f"state is not finite at step {j + 1} (t={(j + 1) * dt:.6g}, "
-                    f"last input {u!r})")
-            times.append((j + 1) * dt)
-            energies.append(assembly.energy_split(y))
-            (rp, rv), (ip, iv) = assembly.gauge(y)
-            gauge_pos.append(rp)
-            gauge_vel.append(rv)
-            interior_pos.append(ip)
-            interior_vel.append(iv)
-            inputs.append(u)
-            rp_g, rv_g = (ip, iv) if interior_guard else (rp, rv)
-            if not (rp_g <= threshold and rv_g <= threshold):
-                raise GaugeDrift(
-                    f"gauge residual (pos={rp_g:.3e}, vel={rv_g:.3e}) exceeded "
-                    f"{threshold:.3e} at step {j + 1} (t={(j + 1) * dt:.6g})")
+            record(j + 1, y, u)
 
-    return TimeSeries(times=np.array(times), energies=energies,
-                      gauge_pos=np.array(gauge_pos), gauge_vel=np.array(gauge_vel),
-                      gauge_interior_pos=np.array(interior_pos),
-                      gauge_interior_vel=np.array(interior_vel),
+    times, energies, *gauges, inputs = zip(*records)
+    return TimeSeries(times=np.array(times), energies=list(energies),
+                      gauge_pos=np.array(gauges[0]), gauge_vel=np.array(gauges[1]),
+                      gauge_interior_pos=np.array(gauges[2]),
+                      gauge_interior_vel=np.array(gauges[3]),
                       inputs=np.array(inputs), dt=dt, system=assembly,
                       factored_band=stepper.lu.factored_band,
                       folded_swaps=stepper.lu.folded_swaps)
@@ -350,10 +349,8 @@ def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
     if trials < 10:
         raise ValueError(f"at least 10 trials required, got {trials}")
     rng = np.random.default_rng(seed)
-    params, grid = assembly.params, assembly.grid
-    dt = default_dt(params, grid)
-    n_steps = max(1, int(round(T / dt)))
-    dt = T / n_steps
+    n_steps, dt = time_steps(T, default_dt(assembly.params, assembly.grid),
+                             explicit=False)
     stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt)
 
     # draws in the order of one trial after another; the trials then run
@@ -452,10 +449,8 @@ def simulate(config) -> TimeSeries:
     """
     params = config.params
     grid = build_grid(params.L, config.n_cells)
-    explicit = config.dt is not None
-    n_steps, dt = time_steps(
-        config.t_final, config.dt if explicit else default_dt(params, grid),
-        explicit)
+    n_steps, dt = time_steps(config.t_final, config.dt or default_dt(params, grid),
+                             explicit=config.dt is not None)
     gain = config.feedback_gain
     input_fn = config.input_signal.as_function()
     spec = config.initial_state

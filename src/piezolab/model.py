@@ -68,7 +68,7 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
     required-positive constant is not strictly positive, ValueError when a
     constant is missing, not a real number (booleans and numeric strings
     are refused) or non-finite, and reports if the derived xi underflows
-    to zero.
+    to zero or overflows.
     """
     for name in _ALL_FIELDS:
         if name not in raw:
@@ -84,9 +84,15 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
     for name in _POSITIVE_FIELDS:
         if values[name] <= 0.0:
             raise NonPositiveParameter(name, values[name])
-    xi = values["eps1"] * values["h"] ** 2 / (12.0 * values["eps3"])
+    try:
+        xi = values["eps1"] * values["h"] ** 2 / (12.0 * values["eps3"])
+    except OverflowError:  # h ** 2 beyond the float range
+        xi = float("inf")
     if xi == 0.0:
         raise NonPositiveParameter("xi", 0.0)
+    if not np.isfinite(xi):
+        raise ValueError(f"derived parameter 'xi' = eps1 h^2 / (12 eps3) "
+                         f"overflows to {xi!r}")
     return BeamParameters(xi=xi, **values)
 
 

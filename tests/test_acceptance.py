@@ -23,7 +23,7 @@ def test_acceptance(check):
 
 def test_closed_loop_checks_take_no_dense_spectrum(monkeypatch):
     # checks 7-9 read omega, Re lambda, |B*phi| and the dominant block from
-    # the shifts alone; with the spectrum cache empty, none forms a spectrum
+    # the shifts alone, so none forms a spectrum
     calls = []
     compute_spectrum = acceptance.compute_spectrum
 
@@ -31,7 +31,6 @@ def test_closed_loop_checks_take_no_dense_spectrum(monkeypatch):
         calls.append(args)
         return compute_spectrum(*args, **kwargs)
 
-    acceptance._spectrum.cache_clear()
     monkeypatch.setattr(acceptance, "compute_spectrum", counting)
     for check in (acceptance.check_stabilizability,
                   acceptance.check_gain_perturbation,

@@ -99,6 +99,16 @@ class TestConfigParsing:
             assert config_from_dict({**toy_config_dict(t_final=t_final),
                                      "dt": dt}).dt == dt
 
+    @pytest.mark.parametrize("params", ({"eps1": 1e300, "h": 1e10}, {"eps3": 1e-320},
+                                        {"h": 1e200}),
+                             ids=("eps1_h", "eps3", "h_squared"))
+    def test_overflowing_xi_rejected(self, params):
+        # every constant is finite, but xi = eps1 h^2 / (12 eps3) is not
+        doc = toy_config_dict()
+        doc["params"].update(params)
+        with pytest.raises(ConfigParseError, match="'xi'"):
+            config_from_dict(doc)
+
     def test_coarse_grid_rejected(self):
         doc = toy_config_dict(n_cells=4)
         with pytest.raises(ConfigParseError, match="n_cells"):
@@ -248,6 +258,17 @@ class TestCliExitCodes:
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "feedback_gain" in res.stderr
+
+    def test_overflowing_xi_exits_2(self, tmp_path, run_cli):
+        # an infinite xi once reached the first dense solve and exited 1
+        doc = toy_config_dict(n_cells=16, t_final=0.1)
+        doc["params"]["eps3"] = 1e-320
+        out = tmp_path / "o"
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert "'xi'" in res.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("gain", ["nan", "inf"])
     def test_non_finite_gain_flag_exits_2(self, tmp_path, gain, run_cli):
@@ -614,6 +635,15 @@ class TestCliExitCodes:
         assert res.returncode == 0, res.stderr
         assert "[PASS] skewness" in res.stdout
         assert (out / "acceptance_summary.csv").stat().st_size > 0
+
+    def test_paper_suite_unknown_filter_exits_2(self, tmp_path, run_cli):
+        # a filter that matches no check is bad input, refused before --out
+        # is made
+        out = tmp_path / "suite"
+        res = run_cli("paper-suite", "--only", "nosuch", "--out", str(out))
+        assert res.returncode == 2
+        assert "nosuch" in res.stderr
+        assert not out.exists()
 
     def test_deterministic_artifacts(self, tmp_path, run_cli):
         cfg = _write(tmp_path, {**toy_config_dict(n_cells=16, t_final=0.2),

@@ -252,9 +252,12 @@ class TestSwapFreeSolve:
         grid = build_grid(params.L, n)
         g = split(params, grid, build_operators(params, grid))
         lu = BandLU(g.midpoint_system(default_dt(params, grid)))
-        # the dtbsv route is dgbtrs on the same factors, bit for bit
-        rhs = np.random.default_rng(n).standard_normal(lu.position.size)
-        np.testing.assert_array_equal(lu._sweep(rhs), lu._sweep(rhs[:, None])[:, 0])
+        # a block of columns (dtbtrs) sweeps each column as one vector
+        # (dtbsv) does, bit for bit
+        rhs = np.random.default_rng(n).standard_normal((lu.position.size, 3))
+        block = lu._sweep(rhs)
+        for col in range(3):
+            np.testing.assert_array_equal(block[:, col], lu._sweep(rhs[:, col]))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -390,6 +393,23 @@ class TestRun:
             run(asm, _random_state(asm, seed=9), n_steps=20, dt=1e-3,
                 input_fn=lambda t: bad if t > 2e-3 else 0.0, record_stride=5)
         assert isinstance(info.value, PiezolabError)
+
+    def test_non_finite_start_fails_at_step_0(self):
+        # the start passes the same record guards as every later state, so a
+        # run of no steps cannot return a NaN energy
+        asm = _assembly(16)
+        y0 = _random_state(asm, seed=9)
+        y0[asm.blocks["y4"].start] = np.nan
+        with pytest.raises(NonFiniteState, match="step 0 "):
+            run(asm, y0, n_steps=0, dt=1e-3)
+
+    def test_off_manifold_start_fails_at_step_0(self):
+        # the guard names the start, not the first stride the defect survives to
+        asm = _assembly(16)
+        y0 = _random_state(asm, seed=9)
+        y0[asm.blocks["y3"].start + 5] += 1e-3
+        with pytest.raises(GaugeDrift, match="step 0 "):
+            run(asm, y0, n_steps=10, dt=1e-3, record_stride=5)
 
     @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
     def test_bad_gain_rejected(self, gain):
