@@ -14,6 +14,9 @@ forced by a sinusoid, from rest, a mode and a tabulated start of the free
 fields.  Three more cover the other input paths: a constant and a tabulated
 input signal, and a tabulated start that also gives the gauge-bound y3/y6
 rows, which the run checks against the gauge instead of lifting them.
+The ``spectrum`` jobs pick the charge models with ``--variant``, except one
+whose config sets ``"actuation": "charge_magnetic"`` (closed loop): it
+writes the same spectra as the ``--variant charge_magnetic`` job.
 The last job is the whole ``paper-suite``, so its ``acceptance_summary.csv``
 pins every acceptance measurement.  The summary holds no ``details`` text,
 so the checks then run once more in this process (``acceptance.run_all``)
@@ -146,6 +149,8 @@ def _write_inputs(inputs: Path) -> dict:
            t_final=0.25, actuation="current", record_stride=2,
            initial_state={"kind": "tabulated", "path": "state_current_bound.csv"})
     config("spectrum", params=TOY, n_cells=N_CELLS, t_final=0.1)
+    config("spectrum_charge_magnetic", params=TOY, n_cells=N_CELLS, t_final=0.1,
+           actuation="charge_magnetic")
     config("spectrum_non_unit", params=NON_UNIT, n_cells=N_CELLS, t_final=0.1)
     # at gamma = 0 the mechanics and the fields decouple exactly, so the
     # spectra are solved block by block
@@ -182,6 +187,9 @@ def _jobs(configs: dict) -> list:
         ("spectrum_full_closed_loop", [*spec, "--closed-loop", "1.0"]),
         ("spectrum_charge_magnetic_closed_loop",
          [*spec, "--variant", "charge_magnetic", "--closed-loop", "1.0"]),
+        ("spectrum_charge_magnetic_actuation_closed_loop",
+         ["spectrum", "--config", configs["spectrum_charge_magnetic"],
+          "--closed-loop", "1.0"]),
         ("spectrum_electrostatic", [*spec, "--variant", "electrostatic"]),
         ("spectrum_non_unit_closed_loop",
          ["spectrum", "--config", configs["spectrum_non_unit"],

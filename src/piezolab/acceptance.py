@@ -25,8 +25,8 @@ from .errors import ConfigParseError
 from .generator import assemble_generator, dense_skew_defect
 from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
-from .spectral import (closed_loop_mode_shifts, compute_spectrum, decay_rate_fit,
-                       kernel_basis)
+from .spectral import (STABILIZABLE_TOL, closed_loop_mode_shifts, compute_spectrum,
+                       decay_rate_fit, kernel_basis)
 from .variants import assemble_electrostatic, charge_influence_norm
 
 
@@ -63,7 +63,7 @@ def _conservation_series():
         block = asm.blocks[name]
         y0[block] = rng.standard_normal(block.stop - block.start)
     dt = default_dt(asm.params, asm.grid)
-    return run(asm, asm.lift(y0), 10_000, dt, record_stride=100, gauge_tol=1e-8)
+    return run(asm, asm.lift(y0), 10_000, dt, record_stride=100)
 
 
 def skewness_parameter_sets() -> list:
@@ -187,7 +187,7 @@ def check_stabilizability() -> CheckResult:
     lines = []
     for k, (w, lam_k, c) in enumerate(zip(omega[em], lam[em], coupling[em]), start=1):
         if k % 2 == 0:
-            ok = (c <= 1e-8 and abs(lam_k.real) <= 1e-8)
+            ok = (c <= STABILIZABLE_TOL and abs(lam_k.real) <= 1e-8)
             if not ok:
                 even_fail.append(k)
         else:
@@ -211,14 +211,14 @@ def check_gain_perturbation() -> CheckResult:
     The prediction is -k |B*phi|^2 for a mode phi of unit M-norm, in the
     Gram normalization in which the energy is half the squared norm; the
     shifts' coupling |c| is that |B*phi|.  The three lowest modes with
-    |c| > 1e-8 are compared.
+    |c| > STABILIZABLE_TOL are compared.
     """
     asm = _assembly(64, 1.0)
     worst = 0.0
     lines = []
     for gain in (1e-3, 1e-2):
         omega, lam, coupling, _ = closed_loop_mode_shifts(asm, gain)
-        for j in np.flatnonzero(coupling > 1e-8)[:3]:
+        for j in np.flatnonzero(coupling > STABILIZABLE_TOL)[:3]:
             pred = -gain * coupling[j] ** 2
             rel = abs(lam[j].real - pred) / abs(pred)
             worst = max(worst, rel)
@@ -239,7 +239,7 @@ def check_no_uniform_margin() -> CheckResult:
     discrete signature that no uniform exponential margin exists.
     """
     omega, lam, coupling, block = closed_loop_mode_shifts(_assembly(256, 0.0), 1.0)
-    stab = (block == "electromagnetic") & (coupling > 1e-8)
+    stab = (block == "electromagnetic") & (coupling > STABILIZABLE_TOL)
     ws, res = omega[stab], np.abs(lam[stab].real)
     sel = ws > ws.max() / 10.0
     top = res[sel]

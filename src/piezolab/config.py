@@ -77,12 +77,6 @@ class InitialStateSpec:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    gauge_tol: float = 1e-8
-    eig_tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment description shared by the CLI and library calls."""
 
@@ -94,7 +88,6 @@ class ExperimentConfig:
     input_signal: SignalSpec = field(default_factory=SignalSpec)
     feedback_gain: float = 0.0
     initial_state: InitialStateSpec = field(default_factory=InitialStateSpec)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     record_stride: int = 1
 
 
@@ -238,22 +231,8 @@ def _parse_initial_state(raw, base_dir: Path) -> InitialStateSpec:
                                               "initial_state.amplitude"))
 
 
-def _parse_tolerances(raw) -> Tolerances:
-    if raw is None:
-        return Tolerances()
-    if not isinstance(raw, dict):
-        raise ConfigParseError("tolerances must be an object")
-    _reject_unknown(raw, ("gauge_tol", "eig_tol"), "tolerances")
-    tol = Tolerances(gauge_tol=_finite(raw.get("gauge_tol", 1e-8), "tolerances.gauge_tol"),
-                     eig_tol=_finite(raw.get("eig_tol", 1e-8), "tolerances.eig_tol"))
-    for name in ("gauge_tol", "eig_tol"):
-        if getattr(tol, name) <= 0:
-            raise ConfigParseError(f"tolerances.{name} must be positive")
-    return tol
-
-
 _TOP_KEYS = ("params", "n_cells", "t_final", "dt", "actuation", "input_signal",
-             "feedback_gain", "initial_state", "tolerances", "record_stride")
+             "feedback_gain", "initial_state", "record_stride")
 
 
 def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
@@ -307,14 +286,13 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             "non-trivial input_signal")
 
     initial = _parse_initial_state(doc.get("initial_state"), base_dir)
-    tolerances = _parse_tolerances(doc.get("tolerances"))
 
     stride = _integer(doc.get("record_stride", 1), "record_stride", 1)
 
     return ExperimentConfig(params=params, n_cells=n_cells, t_final=t_final,
                             dt=dt, actuation=actuation, input_signal=signal,
                             feedback_gain=gain, initial_state=initial,
-                            tolerances=tolerances, record_stride=stride)
+                            record_stride=stride)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

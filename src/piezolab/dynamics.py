@@ -34,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dtbtrs
 
 from .config import time_steps
@@ -42,11 +41,14 @@ from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFa
                      NonFiniteState)
 from .generator import GeneratorAssembly, SplitGenerator, gram_product
 from .model import BeamParameters, StaggeredGrid, build_grid
-from .spectral import checked_gain, lift_modes, open_loop_modes
+from .spectral import ZERO_MODE_REL_TOL, checked_gain, lift_modes, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
 TRIAL_HARMONICS = 4  # harmonics of an admissibility trial's input
+# a tabulated start's y3/y6 rows must meet the gauge to GAUGE_TOL, and a run
+# aborts where a gauge residual exceeds 100 * GAUGE_TOL
+GAUGE_TOL = 1e-8
 
 CSV_COLUMNS = ["time", "E_total", "E_kin_v", "E_kin_theta", "E_kin_eta",
                "E_elastic", "E_nonlocal", "E_magnetic",
@@ -151,18 +153,14 @@ class BandLU:
         self.factored_band = (kl, ku)
         self._scale = scale
         self._matrix = matrix
-        # unit lower L and upper U, in the band layout of dtbsv and dtbtrs
+        # unit lower L and upper U, in the band layout of dtbtrs
         self._lower = np.asfortranarray(lu[kl + ku:])
         self._upper = np.asfortranarray(lu[kl:kl + ku + 1])
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """The unrefined solution: ``dtbsv`` sweeps a vector, ``dtbtrs`` a block."""
-        kl, ku = self.factored_band
-        if rhs.ndim == 1:
-            x = dtbsv(kl, self._lower, self._scale * rhs, lower=1, diag=1,
-                      overwrite_x=1)
-            return dtbsv(ku, self._upper, x, overwrite_x=1)
-        x = dtbtrs(self._lower, self._scale[:, None] * rhs, uplo="L", diag="U",
+        """The unrefined solution, by ``dtbtrs`` on a vector or a block."""
+        # scale each row; a block's transpose product comes back in Fortran order
+        x = dtbtrs(self._lower, (self._scale * rhs.T).T, uplo="L", diag="U",
                    overwrite_b=1)[0]
         return dtbtrs(self._upper, x, overwrite_b=1)[0]
 
@@ -241,15 +239,14 @@ class RankOneMidpoint:
 
 def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
         dt: float, input_fn: Callable[[float], float] | None = None,
-        gain: float = 0.0, record_stride: int = 1,
-        gauge_tol: float = 1e-8) -> TimeSeries:
+        gain: float = 0.0, record_stride: int = 1) -> TimeSeries:
     """Integrate n_steps of the (possibly forced or closed-loop) system.
 
     ``input_fn`` is evaluated at midpoint times (j + 1/2) dt.  The start,
     every ``record_stride``-th state and the last pass one checked record:
     it aborts with :class:`NonFiniteState` when the state holds NaN or Inf
     (so does a non-finite input), and with :class:`GaugeDrift` when a gauge
-    residual exceeds 100 * gauge_tol or is not a number, so a bad start
+    residual exceeds 100 * GAUGE_TOL or is not a number, so a bad start
     fails at step 0.  A run driven (by ``input_fn`` or a positive gain)
     through an influence b off the gauge manifold, lift(b) != b as for the
     distributed current, is guarded on the interior cells only: b's boundary
@@ -270,7 +267,7 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                               gain=gain)
     interior_guard = ((input_fn is not None or gain > 0.0)
                       and not np.array_equal(assembly.lift(assembly.b), assembly.b))
-    threshold = 100.0 * gauge_tol
+    threshold = 100.0 * GAUGE_TOL
     records = []  # time, energy split, gauge pos, vel, interior pos, vel, input
 
     def record(step: int, y: np.ndarray, u: float) -> None:
@@ -390,7 +387,8 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     (the eigenvectors come from the dense reference), before any dense array.
     """
     w, v = open_loop_modes(assembly)
-    pos = np.flatnonzero(w.imag > 1e-10 * max(float(np.max(np.abs(w))), 1.0))
+    scale = max(float(np.max(np.abs(w))), 1.0)
+    pos = np.flatnonzero(w.imag > ZERO_MODE_REL_TOL * scale)
     if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
     phi = lift_modes(assembly, v[:, pos[mode_index]])
@@ -403,8 +401,7 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     return (amplitude / nrm) * y
 
 
-def _tabulated_state(rows, assembly: GeneratorAssembly,
-                     gauge_tol: float) -> np.ndarray:
+def _tabulated_state(rows, assembly: GeneratorAssembly) -> np.ndarray:
     """Assemble a flat state from (field, index, value) rows.
 
     Fields are the blocks the assembly names.  When no gauge-bound block
@@ -430,10 +427,10 @@ def _tabulated_state(rows, assembly: GeneratorAssembly,
     if given.isdisjoint(assembly.reduction.bound):
         return assembly.lift(y)
     rp, rv = assembly.gauge(y)[0]
-    if max(rp, rv) > gauge_tol:
+    if max(rp, rv) > GAUGE_TOL:
         raise GaugeViolation(
             f"tabulated state violates the gauge constraint "
-            f"(pos={rp:.3e}, vel={rv:.3e}, tol={gauge_tol:.1e}); omit y3/y6 "
+            f"(pos={rp:.3e}, vel={rv:.3e}, tol={GAUGE_TOL:.1e}); omit y3/y6 "
             f"rows to have them filled by projection")
     return y
 
@@ -461,7 +458,6 @@ def simulate(config) -> TimeSeries:
     elif spec.kind == "modal":
         y0 = modal_state(assembly, spec.mode_index, spec.amplitude)
     else:
-        y0 = _tabulated_state(spec.rows, assembly, config.tolerances.gauge_tol)
+        y0 = _tabulated_state(spec.rows, assembly)
     return run(assembly, y0, n_steps, dt, input_fn=input_fn, gain=gain,
-               record_stride=config.record_stride,
-               gauge_tol=config.tolerances.gauge_tol)
+               record_stride=config.record_stride)

@@ -50,6 +50,9 @@ from .errors import DegenerateWindow, SecularNotConverged
 from .generator import GeneratorAssembly
 
 ZERO_MODE_REL_TOL = 1e-10
+# feedback reaches a mode phi when |B* phi| > STABILIZABLE_TOL ||phi||_M: the
+# mode table's stabilizable flag and the coupling rule of acceptance checks 7-9
+STABILIZABLE_TOL = 1e-8
 TABLE_BLOCK = 128
 SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
 SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
@@ -89,15 +92,15 @@ def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
                     np.where(mech_fraction <= 0.1, "electromagnetic", "mixed"))
 
 
-def _mode_table(assembly: GeneratorAssembly, v: np.ndarray, eig_tol: float) -> tuple:
+def _mode_table(assembly: GeneratorAssembly, v: np.ndarray) -> tuple:
     """Columns (bstar_abs, stabilizable, dominant_block) of the modes v.
 
     v holds energy coordinates, read without a lift to phi = T R^{-1} v:
     B* phi = g^T v, since T^T M b = R^T g; ||phi||_M = ||v||; and the
     mechanical energy fraction is ||v[mech]||^2 / ||v||^2, as for the shifts
     (both mechanical/field blocks of R are exactly zero).  A mode is
-    stabilizable when |B* phi| > eig_tol ||phi||_M.  The norms run over
-    blocks of TABLE_BLOCK columns.
+    stabilizable when |B* phi| > STABILIZABLE_TOL ||phi||_M.  The norms run
+    over blocks of TABLE_BLOCK columns.
     """
     mech = assembly.reduction.mechanical
     bstar_abs = np.abs(assembly.reference.coupling @ v)
@@ -106,7 +109,7 @@ def _mode_table(assembly: GeneratorAssembly, v: np.ndarray, eig_tol: float) -> t
         cols = slice(start, start + TABLE_BLOCK)
         norms[cols] = np.linalg.norm(v[:, cols], axis=0)
         mech_norms[cols] = np.linalg.norm(v[mech, cols], axis=0)
-    return (bstar_abs, bstar_abs > eig_tol * norms,
+    return (bstar_abs, bstar_abs > STABILIZABLE_TOL * norms,
             _dominant_block(mech_norms ** 2 / norms ** 2))
 
 
@@ -169,21 +172,20 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
         assembly.reference.r, v)
 
 
-def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray,
-                  eig_tol: float) -> SpectrumReport:
+def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> SpectrumReport:
     w, v = _eigenpairs(assembly, s_matrix)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-    bstar_abs, stabilizable, block = _mode_table(assembly, v, eig_tol)
+    bstar_abs, stabilizable, block = _mode_table(assembly, v)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, bstar_abs=bstar_abs,
                           stabilizable=stabilizable, dominant_block=block,
                           g_norm=g_norm)
 
 
-def compute_spectrum(assembly: GeneratorAssembly, eig_tol: float = 1e-8) -> SpectrumReport:
+def compute_spectrum(assembly: GeneratorAssembly) -> SpectrumReport:
     """Dense spectrum of the generator on the constrained subspace."""
-    return _build_report(assembly, assembly.reference.s, eig_tol)
+    return _build_report(assembly, assembly.reference.s)
 
 
 def checked_gain(gain: float) -> float:
@@ -193,8 +195,7 @@ def checked_gain(gain: float) -> float:
     return float(gain)
 
 
-def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
-                         eig_tol: float = 1e-8) -> SpectrumReport:
+def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumReport:
     """Spectrum of the collocated-feedback generator G - gain * b (b^T M).
 
     Collocated feedback keeps the spectrum in the closed left half plane;
@@ -204,7 +205,7 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float,
     gain = checked_gain(gain)
     ref = assembly.reference
     s_cl = ref.s - gain * np.outer(ref.coupling, ref.coupling)
-    return _build_report(assembly, s_cl, eig_tol)
+    return _build_report(assembly, s_cl)
 
 
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):

@@ -171,15 +171,12 @@ class TestConfigParsing:
         (("input_signal", "frequency"), float("nan")),
         (("input_signal", "phase"), float("-inf")),
         (("initial_state", "amplitude"), float("nan")),
-        (("tolerances", "gauge_tol"), float("nan")),
-        (("tolerances", "eig_tol"), float("inf")),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
     def test_non_finite_number_rejected(self, path, value):
         doc = toy_config_dict()
         doc["actuation"] = "current"
         doc["input_signal"] = {"kind": "sinusoid", "amplitude": 1.0,
                                "frequency": 1.0, "phase": 0.0}
-        doc["tolerances"] = {}
         section = doc
         for key in path[:-1]:
             section = section[key]
@@ -199,12 +196,6 @@ class TestConfigParsing:
         doc[kind] = {"kind": "tabulated", "path": "tab.csv"}
         with pytest.raises(ConfigParseError, match="non-finite"):
             config_from_dict(doc, base_dir=tmp_path)
-
-    def test_solver_tol_is_unknown(self):
-        doc = toy_config_dict()
-        doc["tolerances"] = {"solver_tol": 1e-10}
-        with pytest.raises(ConfigParseError, match="solver_tol"):
-            config_from_dict(doc)
 
     def test_tabulated_state_gauge_projection(self, tmp_path):
         # y3/y6 omitted: the free fields are projected onto the gauge manifold
@@ -259,6 +250,18 @@ class TestCliExitCodes:
         assert res.returncode == 2
         assert "feedback_gain" in res.stderr
 
+    def test_tolerances_section_exits_2(self, tmp_path, run_cli):
+        # the gauge and stabilizability tolerances are program constants, so
+        # a config that still sets one is refused before --out is made
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "tolerances": {"gauge_tol": 1e-8}}
+        out = tmp_path / "o"
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert "'tolerances'" in res.stderr
+        assert not out.exists()
+
     def test_overflowing_xi_exits_2(self, tmp_path, run_cli):
         # an infinite xi once reached the first dense solve and exited 1
         doc = toy_config_dict(n_cells=16, t_final=0.1)
@@ -295,20 +298,17 @@ class TestCliExitCodes:
         (("initial_state", "amplitude"), None),
         (("initial_state", "mode_index"), "x"),
         (("initial_state", "mode_index"), 1.5),
-        (("tolerances", "gauge_tol"), "x"),
         # booleans and numeric strings are not numbers either
         (("t_final",), True),
         (("dt",), "0.01"),
         (("feedback_gain",), False),
         (("params", "rho"), "2.0"),
         (("params", "gamma"), True),
-        (("tolerances", "gauge_tol"), "1e-8"),
         (("input_signal", "amplitude"), True),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
     def test_malformed_number_exits_2(self, tmp_path, run_cli, path, value):
         doc = {**toy_config_dict(n_cells=16, t_final=0.1),
-               "actuation": "current", "input_signal": {"kind": "constant"},
-               "tolerances": {}}
+               "actuation": "current", "input_signal": {"kind": "constant"}}
         section = doc
         for key in path[:-1]:
             section = section[key]
@@ -439,7 +439,7 @@ class TestCliExitCodes:
                              .read_text(encoding="utf-8"))["outcome"]
         config = config_from_dict(doc)
         series = dynamics.simulate(config)
-        guard = 100.0 * config.tolerances.gauge_tol
+        guard = 100.0 * dynamics.GAUGE_TOL
         assert outcome["gauge_interior_pos_max"] == series.gauge_interior_pos.max()
         assert outcome["gauge_interior_vel_max"] == series.gauge_interior_vel.max()
         assert max(outcome["gauge_interior_pos_max"],
@@ -519,6 +519,38 @@ class TestCliExitCodes:
         assert res.returncode == 0, res.stderr
         header = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "re,im,bstar_abs,stabilizable,dominant_block"
+
+    def test_spectrum_model_from_actuation(self, tmp_path, run_cli):
+        # the config's actuation picks the model, 2N electrostatic modes at
+        # N = 16, and --variant replaces it, 4N - 1 six-field modes; the
+        # report echoes the model that ran
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "actuation": "charge_electrostatic"}
+        cfg = _write(tmp_path, doc)
+        for flags, modes, echo in (((), 32, "charge_electrostatic"),
+                                   (("--variant", "full"), 63, "current")):
+            out = tmp_path / echo
+            res = run_cli("spectrum", "--config", str(cfg), *flags,
+                          "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            rows = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+            assert len(rows) - 1 == modes
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            assert report["config_echo"]["actuation"] == echo
+
+    def test_actuation_closed_loop_spectrum_matches_variant(self, tmp_path,
+                                                            run_cli):
+        # a charge_magnetic config needs no --variant for its spectra
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "actuation": "charge_magnetic"}
+        cfg = _write(tmp_path, doc)
+        for sub, flags in (("file", ()), ("flag", ("--variant", "charge_magnetic"))):
+            res = run_cli("spectrum", "--config", str(cfg), *flags,
+                          "--closed-loop", "1.0", "--out", str(tmp_path / sub))
+            assert res.returncode == 0, res.stderr
+        for name in ("spectrum.csv", "closed_loop_spectrum.csv"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "flag" / name).read_bytes())
 
     def test_variants_coarse_grid_exits_2(self, tmp_path, run_cli):
         res = run_cli("variants", "--n-cells", "4", "--out", str(tmp_path / "o"))

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf
 
 from piezolab import dynamics, spectral
@@ -252,12 +253,16 @@ class TestSwapFreeSolve:
         grid = build_grid(params.L, n)
         g = split(params, grid, build_operators(params, grid))
         lu = BandLU(g.midpoint_system(default_dt(params, grid)))
-        # a block of columns (dtbtrs) sweeps each column as one vector
-        # (dtbsv) does, bit for bit
+        # dtbtrs sweeps a block of columns, and one column as a vector, bit
+        # for bit as the two BLAS dtbsv sweeps of that column do
+        kl, ku = lu.factored_band
         rhs = np.random.default_rng(n).standard_normal((lu.position.size, 3))
         block = lu._sweep(rhs)
         for col in range(3):
-            np.testing.assert_array_equal(block[:, col], lu._sweep(rhs[:, col]))
+            x = dtbsv(kl, lu._lower, lu._scale * rhs[:, col], lower=1, diag=1)
+            expected = dtbsv(ku, lu._upper, x)
+            np.testing.assert_array_equal(block[:, col], expected)
+            np.testing.assert_array_equal(lu._sweep(rhs[:, col]), expected)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

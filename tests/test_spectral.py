@@ -115,8 +115,8 @@ class TestStabilizability:
                 assert report.stabilizable[j]
 
     def test_flag_is_scale_invariant(self):
-        # the flag compares |B* phi| against eig_tol * ||phi||_M, so it cannot
-        # depend on the eigenvector normalization
+        # the flag compares |B* phi| against STABILIZABLE_TOL * ||phi||_M, so
+        # it cannot depend on the eigenvector normalization
         asm, report = _report(32)
         norms = np.linalg.norm(open_loop_modes(asm)[1], axis=0)
         np.testing.assert_array_equal(report.stabilizable[:20],
@@ -222,9 +222,9 @@ class TestShiftModes:
         table_of = spectral._mode_table
         seen = {}
 
-        def capturing(asm, v, eig_tol):
+        def capturing(asm, v):
             seen["norms"] = np.linalg.norm(v, axis=0)
-            return table_of(asm, v, eig_tol)
+            return table_of(asm, v)
 
         monkeypatch.setattr(spectral, "_mode_table", capturing)
         asm, report = _report(n, gamma=0.0)
@@ -299,7 +299,7 @@ class TestDiagonalBlocks:
         w, v = scipy.linalg.eig(ref.s)
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
-        _, stabilizable, block = spectral._mode_table(asm, v, 1e-8)
+        _, stabilizable, block = spectral._mode_table(asm, v)
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
                                    atol=1e-12 * report.g_norm)
         np.testing.assert_array_equal(report.dominant_block, block)
