@@ -22,14 +22,13 @@ from .config import ExperimentConfig, load_config
 from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
 from .model import MIN_CELLS, build_grid
-from .operators import ActuationMode
 from .spectral import closed_loop_spectrum, compute_spectrum
 from .variants import (assemble_electrostatic, build_system,
                        charge_influence_norm)
 
-VARIANTS = {"full": ActuationMode.CURRENT,
-            "electrostatic": ActuationMode.CHARGE_ELECTROSTATIC,
-            "charge_magnetic": ActuationMode.CHARGE_MAGNETIC}
+# spectrum --variant names and the actuation each writes into the config
+VARIANTS = {"full": "current", "electrostatic": "charge_electrostatic",
+            "charge_magnetic": "charge_magnetic"}
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -76,9 +75,8 @@ def _ensure_outdir(out: str) -> Path:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with the --n-cells, --gain and --variant flags merged in."""
-    variant = getattr(args, "variant", None)
     flags = {"n_cells": args.n_cells, "feedback_gain": getattr(args, "gain", None),
-             "actuation": None if variant is None else VARIANTS[variant].value}
+             "actuation": VARIANTS.get(getattr(args, "variant", None))}
     return load_config(args.config, {key: value for key, value in flags.items()
                                      if value is not None})
 
