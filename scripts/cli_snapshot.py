@@ -1,9 +1,9 @@
 """Byte-identity oracle for refactors: run a fixed list of small CLI jobs.
 
     python3 scripts/cli_snapshot.py OUT            # run every job into OUT/
-    python3 scripts/cli_snapshot.py --compare A B  # exit 1 naming each CSV that differs
+    python3 scripts/cli_snapshot.py --compare A B  # exit 1 naming each file that differs
     python3 scripts/cli_snapshot.py --compare A B --rtol 1e-10
-                                                   # print each CSV's largest relative
+                                                   # print each file's largest relative
                                                    # difference; exit 1 only above R
 
 Each job runs ``piezolab.cli.main`` in this process with its own output
@@ -23,8 +23,12 @@ so the checks then run once more in this process (``acceptance.run_all``)
 and OUT/acceptance_details.csv records each check's name, ``measured`` and
 ``details``: a change in a check's details table shows in the comparison.
 Snapshot two checkouts on the same machine and compare them: a refactor that
-keeps behaviour leaves every CSV byte-identical, and one that changes only
-rounding (a different linear solver, say) stays within a small ``--rtol``.
+keeps behaviour leaves every CSV byte-identical and every job's
+``report.json`` the same once the snapshot root (OUT, made absolute, which
+the reports echo in their artifact paths and tabulated inputs) is replaced
+by a fixed token; one that changes only rounding (a different linear
+solver, say) stays within a small ``--rtol``, which bounds a report's
+numbers as it bounds a CSV column.  Compare snapshots where they were made.
 ``piezolab`` is imported from the path as given (set PYTHONPATH to snapshot
 another checkout's ``src``); when it is not importable, this checkout's
 ``src`` is used.
@@ -49,6 +53,7 @@ except ImportError:
     import piezolab.cli
 import piezolab.acceptance
 
+ROOT_TOKEN = "<snapshot root>"
 TOY = {"rho": 1.0, "alpha": 1.0, "gamma": 1.0, "eps1": 1.0, "eps3": 1.0,
        "mu": 1.0, "h": 1.0, "L": 1.0}
 NON_UNIT = {"rho": 1.3, "alpha": 0.8, "gamma": -0.7, "eps1": 1.7, "eps3": 0.9,
@@ -210,6 +215,7 @@ def _jobs(configs: dict) -> list:
 
 
 def snapshot(out: Path) -> int:
+    out = out.resolve()
     configs = _write_inputs(out / "_inputs")
     codes = []
     for name, argv in _jobs(configs):
@@ -261,26 +267,87 @@ def _largest_difference(path_a: Path, path_b: Path) -> tuple:
     return worst, where
 
 
-def compare(a: Path, b: Path, rtol: float | None = None) -> int:
-    """Name every CSV present on one side only or differing in a byte.
+def _report(path: Path, root: Path):
+    """A job's report.json, each string with the snapshot root replaced."""
+    prefix = str(root.resolve())
 
-    With ``rtol`` a differing CSV also prints its largest relative
-    difference (see :func:`_largest_difference`), and only one above
-    ``rtol`` makes the comparison fail.
+    def normalized(node):
+        if isinstance(node, str):
+            return node.replace(prefix, ROOT_TOKEN)
+        if isinstance(node, dict):
+            return {key: normalized(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [normalized(value) for value in node]
+        return node
+    return normalized(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _leaf_difference(x, y, where: str = "") -> tuple:
+    """(difference, key path) of the leaf that differs most between two reports.
+
+    A number differs by |a - b| / max(|a|, |b|, 1), the rule of a CSV
+    column; any other difference, in a string, a flag or the shape,
+    counts as infinite.
     """
-    files_a = {p.relative_to(a) for p in a.rglob("*.csv")}
-    files_b = {p.relative_to(b) for p in b.rglob("*.csv")}
+    number = (int, float)
+    if isinstance(x, dict) and isinstance(y, dict):
+        if x.keys() != y.keys():
+            return math.inf, where or "keys"
+        return max((_leaf_difference(x[k], y[k], f"{where}/{k}") for k in x),
+                   default=(0.0, where))
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return math.inf, where
+        return max((_leaf_difference(u, v, f"{where}/{i}")
+                    for i, (u, v) in enumerate(zip(x, y))), default=(0.0, where))
+    if (isinstance(x, number) and isinstance(y, number)
+            and not isinstance(x, bool) and not isinstance(y, bool)):
+        if math.isnan(x) or math.isnan(y):
+            return (0.0 if math.isnan(x) and math.isnan(y) else math.inf), where
+        return abs(x - y) / max(abs(x), abs(y), 1.0), where
+    return (0.0 if x == y else math.inf), where
+
+
+def _same(a: Path, b: Path, rel: Path) -> bool:
+    """Whether a CSV is byte-identical, or a report equal up to the root."""
+    if rel.name == "report.json":
+        return (json.dumps(_report(a / rel, a), sort_keys=True)
+                == json.dumps(_report(b / rel, b), sort_keys=True))
+    return filecmp.cmp(a / rel, b / rel, shallow=False)
+
+
+def _file_difference(a: Path, b: Path, rel: Path) -> tuple:
+    """(difference, where) of the largest difference in one compared file."""
+    if rel.name == "report.json":
+        return _leaf_difference(_report(a / rel, a), _report(b / rel, b))
+    return _largest_difference(a / rel, b / rel)
+
+
+def _compared(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*")
+            if p.suffix == ".csv" or p.name == "report.json"}
+
+
+def compare(a: Path, b: Path, rtol: float | None = None) -> int:
+    """Name every CSV or report present on one side only or differing.
+
+    A CSV must be byte-identical and a report equal once the snapshot root
+    is replaced (see :func:`_report`).  With ``rtol`` a differing file also
+    prints its largest relative difference (see
+    :func:`_largest_difference` and :func:`_leaf_difference`), and only
+    one above ``rtol`` makes the comparison fail.
+    """
+    files_a, files_b = _compared(a), _compared(b)
     problems = [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
     problems += [f"only in {b}: {rel}" for rel in sorted(files_b - files_a)]
-    differing = [rel for rel in sorted(files_a & files_b)
-                 if not filecmp.cmp(a / rel, b / rel, shallow=False)]
+    differing = [rel for rel in sorted(files_a & files_b) if not _same(a, b, rel)]
     within = 0
     for rel in differing:
         if rtol is None:
             problems.append(f"differs: {rel}")
             continue
-        diff, column = _largest_difference(a / rel, b / rel)
-        line = f"differs: {rel}: largest relative difference {diff:.3e} ({column})"
+        diff, where = _file_difference(a, b, rel)
+        line = f"differs: {rel}: largest relative difference {diff:.3e} ({where})"
         if diff <= rtol:
             within += 1
             print(line)
@@ -289,7 +356,8 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     for line in problems:
         print(line)
     same = len(files_a & files_b) - len(differing)
-    print(f"{same} of {len(files_a | files_b)} CSV files byte-identical")
+    print(f"{same} of {len(files_a | files_b)} files identical "
+          "(CSVs byte for byte, reports up to the snapshot root)")
     if rtol is not None:
         print(f"{within} differ within relative {rtol:.1e}")
     return 1 if problems else 0

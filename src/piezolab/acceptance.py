@@ -2,14 +2,14 @@
 
 Each check builds what it needs, measures one quantitative property of the
 discretization at a pinned tolerance, and returns a CheckResult.  The CLI
-``paper-suite`` subcommand and tests/test_acceptance.py both drive
-:func:`run_all`.  Assemblies (keyed by N and gamma) and the trajectory that
-checks 2 and 3 share are cached (``functools.cache``), so a process forms
-each once; every dense spectrum is read by one check and is not kept.
-The closed-loop checks 7-9 read every
-per-mode fact (omega, Re lambda, |B*phi| and the dominant block) from one
-:func:`~piezolab.spectral.closed_loop_mode_shifts` call each, so no mode is
-paired across two eigensolvers.
+``paper-suite`` subcommand and ``scripts/cli_snapshot.py`` run
+:func:`run_all`; tests/test_acceptance.py iterates :data:`ALL_CHECKS`.
+Assemblies (keyed by N and gamma) and the trajectory that checks 2 and 3
+share are cached (``functools.cache``), so a process forms each once; every
+dense spectrum is read by one check and is not kept.  The closed-loop checks
+7-9 read every per-mode fact (omega, Re lambda, |B*phi| and the dominant
+block) from one :func:`~piezolab.spectral.closed_loop_mode_shifts` call
+each, so no mode is paired across two eigensolvers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
 from .spectral import (STABILIZABLE_TOL, closed_loop_mode_shifts, compute_spectrum,
                        decay_rate_fit, kernel_basis)
-from .variants import assemble_electrostatic, charge_influence_norm
+from .variants import assemble_charge_magnetic, assemble_electrostatic
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,10 @@ def check_kernel_audit() -> CheckResult:
 def check_charge_norm_growth() -> CheckResult:
     """13: boundary charge influence norm grows under refinement."""
     params = toy_parameters()
-    norms = [charge_influence_norm(params, build_grid(params.L, n))
-             for n in (32, 64, 128, 256)]
+    norms = []
+    for n in (32, 64, 128, 256):
+        asm = assemble_charge_magnetic(params, build_grid(params.L, n))
+        norms.append(float(np.sqrt(asm.b @ asm.b_dual)))
     mono = all(norms[i] < norms[i + 1] for i in range(3))
     return CheckResult("charge_norm_growth", mono,
                        "norms " + ", ".join(f"{v:.2f}" for v in norms),
@@ -347,15 +349,13 @@ ALL_CHECKS = (
 )
 
 
-def select(only: str | None = None) -> list:
-    """The checks whose name contains ``only`` (all for None); ConfigParseError if none."""
+def run_all(only: str | None = None) -> list:
+    """Run every check, or those whose name contains ``only``.
+
+    A filter that matches no check raises ConfigParseError before any runs.
+    """
     names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
     checks = [fn for fn, name in zip(ALL_CHECKS, names) if only is None or only in name]
     if not checks:
         raise ConfigParseError(f"no check matches {only!r}; available: {', '.join(names)}")
-    return checks
-
-
-def run_all(only: str | None = None) -> list:
-    """Run every check (or those whose name contains ``only``)."""
-    return [check() for check in select(only)]
+    return [check() for check in checks]

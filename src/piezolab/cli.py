@@ -1,9 +1,13 @@
 """Command-line front end: config ingestion, experiments, CSV emission.
 
 Subcommands: simulate | spectrum | stabilize | variants | paper-suite.
-Exit codes: 0 success, 1 check failure or simulation error, 2 config error,
-3 IO error.  All CSV output uses fixed 17-digit formatting, so identical
-configs produce byte-identical artifacts.
+Each ``cmd_*`` only computes, returning an :class:`ExperimentReport` with
+its artifacts still to write; :func:`main` alone creates ``--out`` and
+writes them and ``report.json``, so a command that stops before its
+verdict leaves nothing behind.  Exit codes: 0 success, 1 check failure
+or simulation error, 2 config error, 3 IO error.  All CSV output uses
+fixed 17-digit formatting, so identical configs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .dynamics import simulate
 from .errors import ConfigParseError, PiezolabError
 from .model import MIN_CELLS, build_grid
 from .spectral import closed_loop_spectrum, compute_spectrum
-from .variants import (assemble_electrostatic, build_system,
-                       charge_influence_norm)
+from .variants import (assemble_charge_magnetic, assemble_electrostatic,
+                       build_system)
 
 # spectrum --variant names and the actuation each writes into the config
 VARIANTS = {"full": "current", "electrostatic": "charge_electrostatic",
@@ -38,24 +42,38 @@ EXIT_IO = 3
 
 @dataclasses.dataclass
 class ExperimentReport:
-    """What a subcommand did: resolved config, summary numbers, artifacts."""
+    """What a subcommand computed: resolved config, summary numbers, verdicts.
+
+    ``artifacts`` maps each file name to the writer that writes it, given
+    its path; :func:`main` writes them in order once the command is done.
+    """
 
     command: str
     config_echo: dict
     outcome: dict
-    artifact_paths: list
     pass_fail: dict
+    artifacts: dict = dataclasses.field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
         return all(self.pass_fail.values())
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def write_json(self, path: Path, artifact_paths: list) -> None:
+        doc = {"command": self.command, "config_echo": self.config_echo,
+               "outcome": self.outcome, "artifact_paths": artifact_paths,
+               "pass_fail": self.pass_fail}
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
 
-    def write_json(self, path: Path) -> None:
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True)
-                        + "\n", encoding="utf-8")
+
+def _write_table(header: list, rows: list):
+    """The writer of one CSV table, for :attr:`ExperimentReport.artifacts`."""
+    def write(path: str) -> None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return write
 
 
 def _echo_config(config: ExperimentConfig) -> dict:
@@ -65,12 +83,6 @@ def _echo_config(config: ExperimentConfig) -> dict:
     sig.pop("samples", None)
     doc["initial_state"].pop("rows", None)
     return doc
-
-
-def _ensure_outdir(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -88,11 +100,7 @@ def _energy_nonincreasing(e: np.ndarray) -> bool:
 
 def cmd_simulate(args) -> ExperimentReport:
     config = _load_config(args)
-    out = _ensure_outdir(args.out)
     series = simulate(config)
-    traj = out / "trajectory.csv"
-    series.write_csv(str(traj))
-
     e = series.total_energy()
     drift = float(np.max(np.abs(e - e[0])) / e[0]) if e[0] > 0 else 0.0
     outcome = {
@@ -120,19 +128,17 @@ def cmd_simulate(args) -> ExperimentReport:
         pass_fail["energy_drift"] = bool(drift <= 1e-9)
         pass_fail["gauge_bounded"] = bool(
             max(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) <= 1e-10)
-    return ExperimentReport("simulate", _echo_config(config), outcome,
-                            [str(traj)], pass_fail)
+    return ExperimentReport("simulate", _echo_config(config), outcome, pass_fail,
+                            {"trajectory.csv": series.write_csv})
 
 
-def _closed_loop_csv(asm, gain: float, out: Path, outcome: dict,
-                     pass_fail: dict) -> str:
+def _add_closed_loop(report: ExperimentReport, asm, gain: float) -> None:
+    """Add the closed-loop spectrum at ``gain``: its CSV, abscissa and verdict."""
     cl = closed_loop_spectrum(asm, gain)
-    cl_path = out / "closed_loop_spectrum.csv"
-    cl.write_csv(str(cl_path))
-    outcome["closed_loop_abscissa"] = float(cl.eigenvalues.real.max())
-    pass_fail["closed_loop_left_half"] = bool(
+    report.artifacts["closed_loop_spectrum.csv"] = cl.write_csv
+    report.outcome["closed_loop_abscissa"] = float(cl.eigenvalues.real.max())
+    report.pass_fail["closed_loop_left_half"] = bool(
         cl.eigenvalues.real.max() <= 1e-12 * max(cl.g_norm, 1.0))
-    return str(cl_path)
 
 
 def cmd_spectrum(args) -> ExperimentReport:
@@ -148,31 +154,27 @@ def cmd_spectrum(args) -> ExperimentReport:
         if not (np.isfinite(args.closed_loop) and args.closed_loop >= 0):
             raise ConfigParseError(f"--closed-loop gain must be finite and "
                                    f"nonnegative, got {args.closed_loop}")
-    out = _ensure_outdir(args.out)
 
-    report = compute_spectrum(asm)
-    spec_path = out / "spectrum.csv"
-    report.write_csv(str(spec_path))
-    paths = [str(spec_path)]
-    n_modes = len(report.eigenvalues)
-    n_stabilizable = int(np.count_nonzero(report.stabilizable))
-    rel = report.max_abs_real / max(report.g_norm, 1e-30)
+    spectrum = compute_spectrum(asm)
+    n_modes = len(spectrum.eigenvalues)
+    n_stabilizable = int(np.count_nonzero(spectrum.stabilizable))
+    rel = spectrum.max_abs_real / max(spectrum.g_norm, 1e-30)
     outcome = {
-        "max_abs_real": report.max_abs_real,
-        "spectral_radius": report.g_norm,
+        "max_abs_real": spectrum.max_abs_real,
+        "spectral_radius": spectrum.g_norm,
         "abscissa_relative": rel,
-        "kernel_dimension": report.kernel_dimension,
+        "kernel_dimension": spectrum.kernel_dimension,
         "n_modes": n_modes,
         "n_stabilizable": n_stabilizable,
         "n_non_stabilizable": n_modes - n_stabilizable,
     }
-    pass_fail = {"imaginary_axis": bool(rel <= 1e-10)}
+    report = ExperimentReport("spectrum", _echo_config(config), outcome,
+                              {"imaginary_axis": bool(rel <= 1e-10)},
+                              {"spectrum.csv": spectrum.write_csv})
     if args.closed_loop is not None:
         outcome["closed_loop_gain"] = args.closed_loop
-        paths.append(_closed_loop_csv(asm, args.closed_loop, out, outcome,
-                                      pass_fail))
-    return ExperimentReport("spectrum", _echo_config(config), outcome, paths,
-                            pass_fail)
+        _add_closed_loop(report, asm, args.closed_loop)
+    return report
 
 
 def cmd_stabilize(args) -> ExperimentReport:
@@ -180,12 +182,7 @@ def cmd_stabilize(args) -> ExperimentReport:
     if config.feedback_gain <= 0:
         raise ConfigParseError("stabilize requires a positive gain "
                                "(--gain or feedback_gain in the config)")
-    out = _ensure_outdir(args.out)
     series = simulate(config)
-    traj = out / "trajectory.csv"
-    series.write_csv(str(traj))
-    paths = [str(traj)]
-
     e = series.total_energy()
     outcome = {
         "gain": config.feedback_gain,
@@ -194,15 +191,14 @@ def cmd_stabilize(args) -> ExperimentReport:
         "energy_ratio": float(e[-1] / e[0]) if e[0] > 0 else 0.0,
         "max_energy_increment": float(np.diff(e).max()),
     }
-    pass_fail = {"energy_nonincreasing": _energy_nonincreasing(e)}
-
+    report = ExperimentReport("stabilize", _echo_config(config), outcome,
+                              {"energy_nonincreasing": _energy_nonincreasing(e)},
+                              {"trajectory.csv": series.write_csv})
     # a closed-loop spectrum acts through B*, so it shows this run's loop
     # only where the output row is B*
     if series.system.bstar_feedback:
-        paths.append(_closed_loop_csv(series.system, config.feedback_gain, out,
-                                      outcome, pass_fail))
-    return ExperimentReport("stabilize", _echo_config(config), outcome, paths,
-                            pass_fail)
+        _add_closed_loop(report, series.system, config.feedback_gain)
+    return report
 
 
 def cmd_variants(args) -> ExperimentReport:
@@ -211,7 +207,6 @@ def cmd_variants(args) -> ExperimentReport:
     n = 64 if args.n_cells is None else args.n_cells
     if n < MIN_CELLS:
         raise ConfigParseError(f"n_cells must be at least {MIN_CELLS}, got {n}")
-    out = _ensure_outdir(args.out)
     toy = toy_parameters()
     flat = toy_parameters(gamma=0.0)
     grid = build_grid(1.0, n)
@@ -222,48 +217,39 @@ def cmd_variants(args) -> ExperimentReport:
     low1 = float(np.sort(lam1.imag[lam1.imag > 1e-12])[0])
     target = 0.5 * np.pi
 
-    rows = [(n_ref, charge_influence_norm(toy, build_grid(1.0, n_ref)))
-            for n_ref in (32, 64, 128, 256)]
-    table = out / "charge_influence_norms.csv"
-    with open(table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_cells", "influence_norm"])
-        for n_ref, val in rows:
-            writer.writerow([n_ref, f"{val:.17g}"])
-
+    norms = {}
+    for n_ref in (32, 64, 128, 256):
+        asm = assemble_charge_magnetic(toy, build_grid(1.0, n_ref))
+        norms[n_ref] = float(np.sqrt(asm.b @ asm.b_dual))
     outcome = {
         "es_lowest_omega_gamma0": low0,
         "es_lowest_omega_toy": low1,
         "es_gamma0_target": float(target),
-        "charge_norms": {str(k): v for k, v in rows},
+        "charge_norms": {str(k): v for k, v in norms.items()},
     }
+    values = list(norms.values())
     pass_fail = {
         "es_dispersion": bool(abs(low0 - target) <= 0.01 * target),
         "pxi_stiffening": bool(low1 > low0),
-        "charge_norm_monotone": bool(all(rows[i][1] < rows[i + 1][1]
-                                         for i in range(len(rows) - 1))),
+        "charge_norm_monotone": all(a < b for a, b in zip(values, values[1:])),
     }
-    return ExperimentReport("variants", {"n_cells": n}, outcome,
-                            [str(table)], pass_fail)
+    table = _write_table(["n_cells", "influence_norm"],
+                         [[k, f"{v:.17g}"] for k, v in norms.items()])
+    return ExperimentReport("variants", {"n_cells": n}, outcome, pass_fail,
+                            {"charge_influence_norms.csv": table})
 
 
 def cmd_paper_suite(args) -> ExperimentReport:
-    checks = acceptance.select(args.only)
-    out = _ensure_outdir(args.out)
-    results = [check() for check in checks]
-    summary = out / "acceptance_summary.csv"
-    with open(summary, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "measured", "tolerance", "pass"])
-        for res in results:
-            writer.writerow([res.name, res.measured, res.tolerance,
-                             int(res.passed)])
+    results = acceptance.run_all(args.only)
     for res in results:
         print(res.line())
-    outcome = {res.name: res.measured for res in results}
-    pass_fail = {res.name: res.passed for res in results}
-    return ExperimentReport("paper-suite", {"only": args.only}, outcome,
-                            [str(summary)], pass_fail)
+    summary = _write_table(["check", "measured", "tolerance", "pass"],
+                           [[res.name, res.measured, res.tolerance, int(res.passed)]
+                            for res in results])
+    return ExperimentReport("paper-suite", {"only": args.only},
+                            {res.name: res.measured for res in results},
+                            {res.name: res.passed for res in results},
+                            {"acceptance_summary.csv": summary})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,10 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then create --out and write what it computed.
+
+    A command that stops before its verdict creates nothing; an --out that
+    cannot be written is an IO error after the computation.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        paths = []
+        for name, write in report.artifacts.items():
+            paths.append(str(out / name))
+            write(paths[-1])
+        report_path = out / "report.json"
+        report.write_json(report_path, paths + [str(report_path)])
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -326,15 +325,6 @@ def main(argv=None) -> int:
     except (PiezolabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-
-    try:
-        out = _ensure_outdir(args.out)
-        report_path = out / "report.json"
-        report.artifact_paths.append(str(report_path))
-        report.write_json(report_path)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
     for name, ok in report.pass_fail.items():
         print(f"{'ok' if ok else 'FAIL'}  {name}")

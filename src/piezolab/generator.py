@@ -69,7 +69,7 @@ dense array is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -625,21 +625,19 @@ def assemble_control(params: BeamParameters, grid: StaggeredGrid) -> np.ndarray:
     return b
 
 
-def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:
-    """The current-actuated six-field model, built and certified by :func:`assemble`."""
+def assemble_six_field(params: BeamParameters, grid: StaggeredGrid,
+                       b: np.ndarray) -> GeneratorAssembly:
+    """A six-field model with influence ``b``, built and certified by :func:`assemble`.
+
+    The current and the charge-magnetic models declare the same split,
+    energy parts and lift; only b differs.
+    """
     ops = build_operators(params, grid)
     return assemble(params, grid, ops, _split_generator(params, grid, ops),
-                    energy_parts(params, grid, ops), assemble_control(params, grid),
-                    _lift(params, grid, ops), ("y3", "y6"), block_slices(grid))
+                    energy_parts(params, grid, ops), b, _lift(params, grid, ops),
+                    ("y3", "y6"), block_slices(grid))
 
 
-def with_influence(assembly: GeneratorAssembly, b: np.ndarray) -> GeneratorAssembly:
-    """Same interior dynamics with a different control influence vector.
-
-    A field swap of b, b_dual = M b and the output row (B*); the copy forms
-    its own dense reference, whose coupling g is that of the new b.
-    """
-    b = np.asarray(b, dtype=float).copy()
-    b.setflags(write=False)
-    b_dual = gram_product(assembly.energy_parts, b)
-    return replace(assembly, b=b, b_dual=b_dual, output=b_dual)
+def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:
+    """The current-actuated six-field model (see :func:`assemble_six_field`)."""
+    return assemble_six_field(params, grid, assemble_control(params, grid))

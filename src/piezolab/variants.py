@@ -23,10 +23,15 @@ import numpy as np
 from scipy import sparse
 
 from .generator import (GeneratorAssembly, HelmholtzInverse, SplitGenerator,
-                        assemble, assemble_generator, energy_parts, gram_product,
-                        sparse_blocks, spatial_order, with_influence)
+                        assemble, assemble_generator, assemble_six_field,
+                        sparse_blocks, spatial_order)
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import ActuationMode, DiscreteOperators, build_operators
+
+
+def _charge_load(params: BeamParameters, grid: StaggeredGrid) -> float:
+    """Influence (gamma/(rho eps3 h)) (2/dx) of a boundary charge on its momentum row."""
+    return (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / grid.dx)
 
 
 def _electrostatic_split(params: BeamParameters, grid: StaggeredGrid,
@@ -81,7 +86,7 @@ def assemble_electrostatic(params: BeamParameters,
                                                ops)),
     }
     b = np.zeros(2 * n)
-    b[-1] = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / dx)
+    b[-1] = _charge_load(params, grid)
     output = np.zeros(2 * n)
     output[-1] = np.copysign(1.0, params.gamma)
     return assemble(params, grid, ops, split, parts, b,
@@ -94,7 +99,7 @@ def charge_magnetic_influence(params: BeamParameters, grid: StaggeredGrid) -> np
     """Influence vector for +/- delta charge loads at x = 0 and x = L."""
     y4 = block_slices(grid)["y4"]
     b = np.zeros(grid.state_dim)
-    weight = (params.gamma / (params.rho * params.eps3 * params.h)) * (2.0 / grid.dx)
+    weight = _charge_load(params, grid)
     b[y4.start] = weight
     b[y4.stop - 1] = -weight
     return b
@@ -105,21 +110,11 @@ def assemble_charge_magnetic(params: BeamParameters,
     """Full magnetic generator with boundary charge forcing on the y4 rows.
 
     The interior dynamics are identical to the current-actuated system; only
-    the influence vector changes, and its M-norm is grid-sensitive because
-    the delta loads concentrate on single boundary nodes.
+    the influence vector changes, and its M-norm sqrt(b^T M b) is
+    grid-sensitive because the delta loads concentrate on single boundary
+    nodes.
     """
-    return with_influence(assemble_generator(params, grid),
-                          charge_magnetic_influence(params, grid))
-
-
-def charge_influence_norm(params: BeamParameters, grid: StaggeredGrid) -> float:
-    """Energy norm ||b||_M of the boundary charge influence.
-
-    Only the energy parts are built; the generator is not needed.
-    """
-    parts = energy_parts(params, grid, build_operators(params, grid))
-    b = charge_magnetic_influence(params, grid)
-    return float(np.sqrt(b @ gram_product(parts, b)))
+    return assemble_six_field(params, grid, charge_magnetic_influence(params, grid))
 
 
 def build_system(params: BeamParameters, grid: StaggeredGrid,

@@ -349,6 +349,7 @@ class TestCliExitCodes:
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2, res.stderr
         assert named in res.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("actuation,text,named", [
         ("current", "y1,0,1.0\ny1,0,2.0\n", "y1[0]"),
@@ -492,6 +493,7 @@ class TestCliExitCodes:
         assert "n_cells 1025" in res.stderr
         assert f"DENSE_DIM_GUARD = {generator.DENSE_DIM_GUARD}" in res.stderr
         assert peak < 32 * 2 ** 20
+        assert not (tmp_path / "o").exists()
 
     def test_modal_start_above_dense_guard_exits_2(self, tmp_path, run_cli):
         self._refused_above_dense_guard(tmp_path, run_cli, "simulate")
@@ -501,10 +503,31 @@ class TestCliExitCodes:
         # refused as a modal start is
         self._refused_above_dense_guard(tmp_path, run_cli, "spectrum")
 
+    def test_refused_run_creates_no_out(self, tmp_path, run_cli):
+        # every command computes before --out is made, so a run that stops
+        # before its verdict leaves no directory behind
+        out = tmp_path / "o"
+        # 2N = 6146 is above the dense guard for the electrostatic spectra
+        res = run_cli("variants", "--n-cells", "3073", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "DENSE_DIM_GUARD" in res.stderr
+        assert not out.exists()
+        # a tabulated y3 row off the gauge fails the run at step 0
+        (tmp_path / "tab.csv").write_text("field,index,value\ny3,0,1.0\n",
+                                          encoding="utf-8")
+        doc = {**toy_config_dict(n_cells=16, t_final=0.1),
+               "initial_state": {"kind": "tabulated", "path": "tab.csv"}}
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(out))
+        assert res.returncode == 1, res.stderr
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
+        # reported once the run is done, when main creates --out
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
         res = run_cli("simulate", "--config", str(cfg), "--out", "/proc/nope/dir")
         assert res.returncode == 3
+        assert "io error" in res.stderr
 
     def test_stabilize_requires_gain(self, tmp_path, run_cli):
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
@@ -730,3 +753,27 @@ class TestSnapshotCompare:
         a, b = self._pair(tmp_path, value_b)
         assert _snapshot_script().compare(a, b, rtol) == code
         assert "differs: trajectory.csv" in capsys.readouterr().out
+
+    def test_reports_compared_up_to_the_root(self, tmp_path, capsys):
+        # artifact paths name each snapshot's own root, which is replaced
+        # before the comparison; a number that differs is named, and under
+        # --rtol its relative difference is bounded as a CSV cell's is
+        def report(root, energy):
+            job = root.resolve() / "job"
+            job.mkdir(parents=True)
+            doc = {"artifact_paths": [str(job / "trajectory.csv")],
+                   "outcome": {"energy_final": energy, "factored_band": [18, 9]},
+                   "pass_fail": {"energy_drift": True}}
+            (job / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+
+        script = _snapshot_script()
+        report(tmp_path / "a", 2.0)
+        report(tmp_path / "b", 2.0)
+        report(tmp_path / "c", 2.0 * (1.0 + 1e-12))
+        a, b, c = (tmp_path / sub for sub in "abc")
+        assert script.compare(a, b) == 0
+        assert script.compare(a, c) == 1
+        assert "differs: job/report.json" in capsys.readouterr().out
+        assert script.compare(a, c, 1e-10) == 0
+        assert "(/outcome/energy_final)" in capsys.readouterr().out
+        assert script.compare(a, c, 1e-13) == 1

@@ -13,8 +13,7 @@ from scipy import sparse
 from piezolab import spectral
 from piezolab.errors import AssemblyInconsistent
 from piezolab.generator import (CONSTRAINT_TOL, SKEW_TOL, assemble, assemble_control,
-                                assemble_generator, dense_skew_defect, gram,
-                                with_influence)
+                                assemble_generator, dense_skew_defect, gram)
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
 from piezolab.operators import ActuationMode, build_operators
@@ -219,11 +218,6 @@ class TestSplitForm:
             for j in range(fields):
                 block = a[i * n:(i + 1) * n, j * n:(j + 1) * n]
                 np.testing.assert_array_equal(block, helmholtz if i == j else 0.0)
-
-    def test_influence_keeps_split(self):
-        asm = _assembly(16)
-        swapped = with_influence(asm, np.ones(asm.dim))
-        assert swapped.split is asm.split
 
 
 class TestDenseReference:
@@ -518,32 +512,3 @@ class TestSharedModelData:
             tol = (max(1e-12, 10.0 * np.finfo(float).eps * kappa)
                    if name == "nonlocal_" else 1e-12)
             assert getattr(split, name) == pytest.approx(want, rel=tol)
-
-
-class TestWithInfluence:
-    def test_replaces_vector_and_label(self):
-        asm = _assembly(16)
-        b_new = np.zeros(asm.dim)
-        b_new[0] = 2.0
-        alt = with_influence(asm, b_new)
-        np.testing.assert_array_equal(alt.b, b_new)
-        assert alt.split is asm.split and alt.reduction is asm.reduction
-
-
-    def test_copy_couples_its_own_influence(self):
-        # the copy does not inherit the dense reference read on the original:
-        # its coupling g = R M_red^{-1} T^T M b is that of the new b
-        asm = _assembly(16)
-        ref = asm.reference
-        b_new = asm.lift(np.random.default_rng(6).standard_normal(asm.dim))
-        alt = with_influence(asm, b_new)
-        assert "reference" not in vars(alt)
-        t = asm.reduction.t_map
-        m_red = t.T @ (ref.m @ t)
-        b_red = scipy.linalg.solve(0.5 * (m_red + m_red.T).toarray(),
-                                   t.T @ (ref.m @ b_new), assume_a="pos")
-        want = alt.reference.r @ b_red
-        assert np.linalg.norm(alt.reference.coupling - want) \
-            <= 1e-12 * np.linalg.norm(want)
-        np.testing.assert_array_equal(alt.reference.s, ref.s)
-        assert not np.allclose(alt.reference.coupling, ref.coupling)

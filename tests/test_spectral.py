@@ -13,7 +13,7 @@ from piezolab.model import block_slices, build_grid, toy_parameters, validate_pa
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, decay_rate_fit, kernel_basis,
                                open_loop_modes)
-from piezolab.variants import assemble_electrostatic
+from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 from test_generator import BOX_CORNER, _dense_g
 
 TOY = toy_parameters()
@@ -198,6 +198,16 @@ class TestClosedLoop:
         asm, _ = _report(16)
         monkeypatch.setattr(spectral, "SECULAR_MAX_ITER", 2)
         with pytest.raises(SecularNotConverged, match=r"mode 0 \(omega = .*2 iterations"):
+            closed_loop_mode_shifts(asm, 1.0)
+
+    def test_strong_charge_coupling_raises(self):
+        # a known fault, pinned so that it stays visible: the boundary charge
+        # coupling of the charge-magnetic model at N = 64, gamma = 1 and
+        # gain 1 is too strong for the damped secular iteration, which
+        # raises rather than return a wrong root.  Retiring the secular
+        # solve (ROADMAP item 5) turns this into a test of the roots.
+        asm = assemble_charge_magnetic(TOY, build_grid(TOY.L, 64))
+        with pytest.raises(SecularNotConverged, match="6 of 127 modes did not"):
             closed_loop_mode_shifts(asm, 1.0)
 
     @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))

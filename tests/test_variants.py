@@ -9,7 +9,7 @@ from piezolab.generator import assemble_generator
 from piezolab.model import block_slices, build_grid, toy_parameters
 from piezolab.spectral import compute_spectrum, decay_rate_fit
 from piezolab.variants import (assemble_charge_magnetic, assemble_electrostatic,
-                               charge_influence_norm, charge_magnetic_influence)
+                               charge_magnetic_influence)
 from test_generator import _dense_g
 
 TOY = toy_parameters()
@@ -149,7 +149,8 @@ class TestChargeMagnetic:
         # ||b||_M = (2|gamma|/(eps3 h)) / sqrt(rho dx): doubling N scales by sqrt(2)
         norms = []
         for n in (32, 64, 128, 256):
-            norms.append(charge_influence_norm(TOY, build_grid(1.0, n)))
+            cm = assemble_charge_magnetic(TOY, build_grid(1.0, n))
+            norms.append(np.sqrt(cm.b @ cm.b_dual))
         assert all(a < b for a, b in zip(norms, norms[1:]))
         np.testing.assert_allclose(norms, [2.0 * np.sqrt(n) for n in (32, 64, 128, 256)],
                                    rtol=1e-12)
