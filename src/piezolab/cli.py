@@ -217,24 +217,24 @@ def cmd_variants(args) -> ExperimentReport:
     low1 = float(np.sort(lam1.imag[lam1.imag > 1e-12])[0])
     target = 0.5 * np.pi
 
-    norms = {}
+    rows = []
     for n_ref in (32, 64, 128, 256):
         asm = assemble_charge_magnetic(toy, build_grid(1.0, n_ref))
-        norms[n_ref] = float(np.sqrt(asm.b @ asm.b_dual))
+        rows.append((n_ref, float(np.sqrt(asm.b @ asm.b_dual))))
     outcome = {
         "es_lowest_omega_gamma0": low0,
         "es_lowest_omega_toy": low1,
         "es_gamma0_target": float(target),
-        "charge_norms": {str(k): v for k, v in norms.items()},
+        "charge_norms": {str(k): v for k, v in rows},
     }
-    values = list(norms.values())
     pass_fail = {
         "es_dispersion": bool(abs(low0 - target) <= 0.01 * target),
         "pxi_stiffening": bool(low1 > low0),
-        "charge_norm_monotone": all(a < b for a, b in zip(values, values[1:])),
+        "charge_norm_monotone": bool(all(rows[i][1] < rows[i + 1][1]
+                                         for i in range(len(rows) - 1))),
     }
     table = _write_table(["n_cells", "influence_norm"],
-                         [[k, f"{v:.17g}"] for k, v in norms.items()])
+                         [[n_ref, f"{val:.17g}"] for n_ref, val in rows])
     return ExperimentReport("variants", {"n_cells": n}, outcome, pass_fail,
                             {"charge_influence_norms.csv": table})
 
