@@ -1,7 +1,8 @@
 """Byte-identity oracle for refactors: run a fixed list of small CLI jobs.
 
     python3 scripts/cli_snapshot.py OUT            # run every job into OUT/
-    python3 scripts/cli_snapshot.py --compare A B  # exit 1 naming each file that differs
+    python3 scripts/cli_snapshot.py --compare A B  # exit 1 naming each file that differs,
+                                                   # and its column or key path
     python3 scripts/cli_snapshot.py --compare A B --rtol 1e-10
                                                    # print each file's largest relative
                                                    # difference; exit 1 only above R
@@ -287,12 +288,16 @@ def _leaf_difference(x, y, where: str = "") -> tuple:
 
     A number differs by |a - b| / max(|a|, |b|, 1), the rule of a CSV
     column; any other difference, in a string, a flag or the shape,
-    counts as infinite.
+    counts as infinite.  Where an object has keys on one side only, the
+    key path names them, A's and B's.
     """
     number = (int, float)
     if isinstance(x, dict) and isinstance(y, dict):
         if x.keys() != y.keys():
-            return math.inf, where or "keys"
+            only = [f"only in {side}: {', '.join(sorted(keys))}"
+                    for side, keys in (("A", x.keys() - y.keys()),
+                                       ("B", y.keys() - x.keys())) if keys]
+            return math.inf, f"{where or '/'} keys {'; '.join(only)}"
         return max((_leaf_difference(x[k], y[k], f"{where}/{k}") for k in x),
                    default=(0.0, where))
     if isinstance(x, list) and isinstance(y, list):
@@ -332,10 +337,11 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     """Name every CSV or report present on one side only or differing.
 
     A CSV must be byte-identical and a report equal once the snapshot root
-    is replaced (see :func:`_report`).  With ``rtol`` a differing file also
-    prints its largest relative difference (see
-    :func:`_largest_difference` and :func:`_leaf_difference`), and only
-    one above ``rtol`` makes the comparison fail.
+    is replaced (see :func:`_report`).  A differing file is named with
+    where it differs most, the CSV column or the report's key path (see
+    :func:`_largest_difference` and :func:`_leaf_difference`); with
+    ``rtol`` it also prints that relative difference, and only one above
+    ``rtol`` makes the comparison fail.
     """
     files_a, files_b = _compared(a), _compared(b)
     problems = [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
@@ -343,10 +349,10 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     differing = [rel for rel in sorted(files_a & files_b) if not _same(a, b, rel)]
     within = 0
     for rel in differing:
-        if rtol is None:
-            problems.append(f"differs: {rel}")
-            continue
         diff, where = _file_difference(a, b, rel)
+        if rtol is None:
+            problems.append(f"differs: {rel} ({where})")
+            continue
         line = f"differs: {rel}: largest relative difference {diff:.3e} ({where})"
         if diff <= rtol:
             within += 1

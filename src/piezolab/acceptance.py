@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import time_steps
-from .dynamics import admissibility_estimate, default_dt, modal_state, run
+from .dynamics import (ENERGY_DRIFT_TOL, GAUGE_BOUND_TOL, admissibility_estimate,
+                       default_dt, modal_state, run)
 from .errors import ConfigParseError
 from .generator import assemble_generator, dense_skew_defect
 from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
-from .spectral import (STABILIZABLE_TOL, closed_loop_mode_shifts, compute_spectrum,
-                       decay_rate_fit, kernel_basis)
+from .spectral import (IMAGINARY_AXIS_TOL, STABILIZABLE_TOL, closed_loop_mode_shifts,
+                       compute_spectrum, decay_rate_fit, kernel_basis)
 from .variants import assemble_charge_magnetic, assemble_electrostatic
 
 
@@ -98,7 +99,7 @@ def check_skewness() -> CheckResult:
 
 def check_conservation() -> CheckResult:
     """2: open-loop energy drift over 1e4 midpoint steps."""
-    tol = 1e-9
+    tol = ENERGY_DRIFT_TOL
     ts = _conservation_series()
     e = ts.total_energy()
     drift = float(np.max(np.abs(e - e[0])) / e[0])
@@ -109,7 +110,7 @@ def check_conservation() -> CheckResult:
 
 def check_gauge() -> CheckResult:
     """3: gauge residuals along the same 1e4-step trajectory."""
-    tol = 1e-10
+    tol = GAUGE_BOUND_TOL
     ts = _conservation_series()
     worst = float(max(ts.gauge_pos.max(), ts.gauge_vel.max()))
     return CheckResult("gauge", worst <= tol,
@@ -120,7 +121,7 @@ def check_imaginary_spectrum() -> CheckResult:
     """4: spectral abscissa relative to the spectral radius at N=128."""
     rep = compute_spectrum(_assembly(128, 1.0))
     rel = rep.max_abs_real / rep.g_norm
-    tol = 1e-10
+    tol = IMAGINARY_AXIS_TOL
     return CheckResult("imaginary_spectrum", rel <= tol,
                        f"max|Re|/max|lambda| {rel:.3e}", f"<= {tol:.0e}",
                        f"max|Re| = {rep.max_abs_real:.3e}, "

@@ -1,13 +1,15 @@
 """Command-line front end: config ingestion, experiments, CSV emission.
 
 Subcommands: simulate | spectrum | stabilize | variants | paper-suite.
-Each ``cmd_*`` only computes, returning an :class:`ExperimentReport` with
-its artifacts still to write; :func:`main` alone creates ``--out`` and
-writes them and ``report.json``, so a command that stops before its
-verdict leaves nothing behind.  Exit codes: 0 success, 1 check failure
-or simulation error, 2 config error, 3 IO error.  All CSV output uses
-fixed 17-digit formatting, so identical configs produce byte-identical
-artifacts.
+A ``stabilize`` report is the ``simulate`` report of its closed loop
+(:func:`_run_report`) plus the gain's own keys.  Each ``cmd_*`` only
+computes, returning an :class:`ExperimentReport` with its artifacts still
+to write; :func:`main` alone creates ``--out`` and writes them and
+``report.json``, so a command that stops before its verdict leaves
+nothing behind.  Exit codes: 0 success, 1 check failure or simulation
+error, 2 config error (an off-gauge tabulated start included), 3 IO
+error.  All CSV output uses fixed 17-digit formatting, so identical
+configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import numpy as np
 
 from . import acceptance
 from .config import ExperimentConfig, load_config
-from .dynamics import simulate
+from .dynamics import ENERGY_DRIFT_TOL, GAUGE_BOUND_TOL, simulate
 from .errors import ConfigParseError, PiezolabError
 from .model import MIN_CELLS, build_grid
-from .spectral import closed_loop_spectrum, compute_spectrum
+from .spectral import IMAGINARY_AXIS_TOL, closed_loop_spectrum, compute_spectrum
 from .variants import (assemble_charge_magnetic, assemble_electrostatic,
                        build_system)
 
@@ -93,13 +95,14 @@ def _load_config(args) -> ExperimentConfig:
                                      if value is not None})
 
 
-def _energy_nonincreasing(e: np.ndarray) -> bool:
-    """No record's total energy exceeds the one before it, to rounding."""
-    return bool(np.diff(e).max() <= 1e-12 * max(e[0], 1.0))
+def _run_report(command: str, config: ExperimentConfig) -> tuple:
+    """Run ``config`` and report it: (report, the run's TimeSeries).
 
-
-def cmd_simulate(args) -> ExperimentReport:
-    config = _load_config(args)
+    The report holds the run's outcome, its verdicts (energy_nonincreasing
+    for a closed loop, energy_drift and gauge_bounded for a run neither
+    closed nor forced) and trajectory.csv; ``simulate`` returns it as it
+    is and ``stabilize`` adds to it.
+    """
     series = simulate(config)
     e = series.total_energy()
     drift = float(np.max(np.abs(e - e[0])) / e[0]) if e[0] > 0 else 0.0
@@ -120,16 +123,20 @@ def cmd_simulate(args) -> ExperimentReport:
                          "method": "probe"},
     }
     pass_fail = {}
-    closed = config.feedback_gain > 0.0
-    forced = config.input_signal.as_function() is not None
-    if closed:
-        pass_fail["energy_nonincreasing"] = _energy_nonincreasing(e)
-    elif not forced:
-        pass_fail["energy_drift"] = bool(drift <= 1e-9)
+    if config.feedback_gain > 0.0:
+        # no record's total energy exceeds the one before it, to rounding
+        pass_fail["energy_nonincreasing"] = bool(
+            np.diff(e).max() <= 1e-12 * max(e[0], 1.0))
+    elif config.input_signal.as_function() is None:
+        pass_fail["energy_drift"] = bool(drift <= ENERGY_DRIFT_TOL)
         pass_fail["gauge_bounded"] = bool(
-            max(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) <= 1e-10)
-    return ExperimentReport("simulate", _echo_config(config), outcome, pass_fail,
-                            {"trajectory.csv": series.write_csv})
+            max(outcome["gauge_pos_max"], outcome["gauge_vel_max"]) <= GAUGE_BOUND_TOL)
+    return ExperimentReport(command, _echo_config(config), outcome, pass_fail,
+                            {"trajectory.csv": series.write_csv}), series
+
+
+def cmd_simulate(args) -> ExperimentReport:
+    return _run_report("simulate", _load_config(args))[0]
 
 
 def _add_closed_loop(report: ExperimentReport, asm, gain: float) -> None:
@@ -169,7 +176,7 @@ def cmd_spectrum(args) -> ExperimentReport:
         "n_non_stabilizable": n_modes - n_stabilizable,
     }
     report = ExperimentReport("spectrum", _echo_config(config), outcome,
-                              {"imaginary_axis": bool(rel <= 1e-10)},
+                              {"imaginary_axis": bool(rel <= IMAGINARY_AXIS_TOL)},
                               {"spectrum.csv": spectrum.write_csv})
     if args.closed_loop is not None:
         outcome["closed_loop_gain"] = args.closed_loop
@@ -182,18 +189,11 @@ def cmd_stabilize(args) -> ExperimentReport:
     if config.feedback_gain <= 0:
         raise ConfigParseError("stabilize requires a positive gain "
                                "(--gain or feedback_gain in the config)")
-    series = simulate(config)
+    report, series = _run_report("stabilize", config)
     e = series.total_energy()
-    outcome = {
-        "gain": config.feedback_gain,
-        "energy_initial": float(e[0]),
-        "energy_final": float(e[-1]),
-        "energy_ratio": float(e[-1] / e[0]) if e[0] > 0 else 0.0,
-        "max_energy_increment": float(np.diff(e).max()),
-    }
-    report = ExperimentReport("stabilize", _echo_config(config), outcome,
-                              {"energy_nonincreasing": _energy_nonincreasing(e)},
-                              {"trajectory.csv": series.write_csv})
+    report.outcome.update(gain=config.feedback_gain,
+                          energy_ratio=float(e[-1] / e[0]) if e[0] > 0 else 0.0,
+                          max_energy_increment=float(np.diff(e).max()))
     # a closed-loop spectrum acts through B*, so it shows this run's loop
     # only where the output row is B*
     if series.system.bstar_feedback:

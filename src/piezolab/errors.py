@@ -26,10 +26,6 @@ class GridTooCoarse(PiezolabError, ValueError):
         super().__init__(f"n_cells={n_cells} is below the minimum of {minimum}")
 
 
-class GaugeViolation(PiezolabError, ValueError):
-    """A state handed to an energy evaluation violates the gauge constraint."""
-
-
 class GaugeDrift(PiezolabError, RuntimeError):
     """Gauge residual grew beyond the abort threshold during a simulation."""
 
@@ -52,6 +48,10 @@ class LinearSolveFailure(PiezolabError, RuntimeError):
 
 class ConfigParseError(PiezolabError, ValueError):
     """Experiment configuration is malformed; message names the key at fault."""
+
+
+class GaugeViolation(ConfigParseError):
+    """A tabulated start's gauge-bound rows violate the gauge constraint."""
 
 
 class DegenerateWindow(PiezolabError, ValueError):

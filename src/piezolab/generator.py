@@ -46,10 +46,11 @@ so that the stress is s = alpha y1 + gamma y6 + q, the y5 row carries
 -(gamma/eps3) div(r) and the y6 row (gamma/eps3)(grad_f(y4) - r).  The
 stencils and A come sparse from :func:`~piezolab.operators.build_operators`.
 
-Each model declares its energy once, as named quadratic forms on blocks of
-the state (``energy_parts``): the Gram matrix M is their sum, and M y, the
-energy split and B* are evaluated from them part by part.  A form is a
-diagonal (a 1-D array), a sparse matrix, or the nonlocal
+Each model declares its energy once, as quadratic forms on blocks of the
+state (``energy_parts``), keyed by the part names of ENERGY_PARTS, which
+also name a trajectory's E_* columns: the Gram matrix M is their sum, and
+M y, the energy split and B* are evaluated from them part by part.  A form
+is a diagonal (a 1-D array), a sparse matrix, or the nonlocal
 :class:`HelmholtzInverse` c P_xi, which is applied through the banded
 Cholesky factor of A at O(N).  The gauge is declared once too, by the lift
 T and the blocks it binds (:class:`Reduction`).
@@ -87,30 +88,9 @@ NORM_FLOOR = 1e-30
 PROBES = 3        # seeded random probe vectors of each certificate
 PROBE_SEED = 20160
 DENSE_DIM_GUARD = 6 * 1024  # largest state dimension given a dense reference
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Energy split into its six nonnegative quadratic contributions.
-
-    A model without some of the parts leaves them at zero.
-    """
-
-    kinetic_v: float = 0.0
-    kinetic_theta: float = 0.0
-    kinetic_eta: float = 0.0
-    elastic: float = 0.0
-    nonlocal_: float = 0.0
-    magnetic: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (self.kinetic_v + self.kinetic_theta + self.kinetic_eta
-                + self.elastic + self.nonlocal_ + self.magnetic)
-
-    def as_row(self) -> list:
-        return [self.total, self.kinetic_v, self.kinetic_theta, self.kinetic_eta,
-                self.elastic, self.nonlocal_, self.magnetic]
+# the energy parts a model may declare, in the order of the E_* columns of
+# a trajectory (after E_total)
+ENERGY_PARTS = ("kin_v", "kin_theta", "kin_eta", "elastic", "nonlocal", "magnetic")
 
 
 @dataclass(frozen=True)
@@ -389,10 +369,20 @@ class GeneratorAssembly:
             arr.setflags(write=False)
         return DenseReference(m=m, r=r, s=s, coupling=coupling)
 
-    def energy_split(self, y: np.ndarray) -> EnergyBreakdown:
-        """The energy (1/2) y^T M y of a flat state, part by part, at O(N)."""
-        return EnergyBreakdown(**{name: 0.5 * _quadratic(form, y[sl])
-                                  for name, (sl, form) in self.energy_parts.items()})
+    def energy_split(self, y: np.ndarray) -> dict:
+        """The energy (1/2) y^T M y of a flat state, part by part, at O(N).
+
+        ``{"total": ..., part: ...}`` with the parts in the order of
+        ENERGY_PARTS, 0.0 for a part the model does not declare, and the
+        total their sum from left to right.
+        """
+        split = dict.fromkeys(ENERGY_PARTS, 0.0)
+        for name, (sl, form) in self.energy_parts.items():
+            split[name] = 0.5 * _quadratic(form, y[sl])
+        total = 0.0
+        for value in split.values():
+            total += value
+        return {"total": total, **split}
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """T y[keep]: the free coordinates of ``y`` lifted onto the gauge manifold."""
@@ -442,13 +432,13 @@ def energy_parts(params: BeamParameters, grid: StaggeredGrid,
     # y2 - div(y3) over the adjacent blocks (y2, y3)
     mag = sparse.hstack([sparse.eye_array(n - 1), -ops.div_int])
     return {
-        "kinetic_v": (sl["y4"], params.rho * ops.node_weights),
-        "kinetic_theta": (sl["y5"],
+        "kin_v": (sl["y4"], params.rho * ops.node_weights),
+        "kin_theta": (sl["y5"],
                           np.full(n - 1, (params.eps1 * params.h ** 2 / 12.0) * dx)),
-        "kinetic_eta": (sl["y6"], np.full(n, params.eps3 * dx)),
+        "kin_eta": (sl["y6"], np.full(n, params.eps3 * dx)),
         "elastic": (sl["y1"], np.full(n, params.alpha * dx)),
-        "nonlocal_": (sl["y1"], HelmholtzInverse((params.gamma ** 2 / params.eps3) * dx,
-                                                 ops)),
+        "nonlocal": (sl["y1"], HelmholtzInverse((params.gamma ** 2 / params.eps3) * dx,
+                                                ops)),
         "magnetic": (slice(sl["y2"].start, sl["y3"].stop),
                      (params.mu * dx) * (mag.T @ mag)),
     }

@@ -50,6 +50,9 @@ from .errors import DegenerateWindow, SecularNotConverged
 from .generator import GeneratorAssembly
 
 ZERO_MODE_REL_TOL = 1e-10
+# largest max|Re| / spectral radius of an open-loop spectrum on the imaginary
+# axis (acceptance check 4 and the verdict of ``piezolab spectrum``)
+IMAGINARY_AXIS_TOL = 1e-10
 # feedback reaches a mode phi when |B* phi| > STABILIZABLE_TOL ||phi||_M: the
 # mode table's stabilizable flag and the coupling rule of acceptance checks 7-9
 STABILIZABLE_TOL = 1e-8

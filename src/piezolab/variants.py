@@ -80,10 +80,10 @@ def assemble_electrostatic(params: BeamParameters,
     strain, velocity = slice(0, n), slice(n, 2 * n)
     split = _electrostatic_split(params, grid, ops)
     parts = {
-        "kinetic_v": (velocity, params.rho * ops.node_weights[1:]),
+        "kin_v": (velocity, params.rho * ops.node_weights[1:]),
         "elastic": (strain, np.full(n, params.alpha * dx)),
-        "nonlocal_": (strain, HelmholtzInverse((params.gamma**2 / params.eps3) * dx,
-                                               ops)),
+        "nonlocal": (strain, HelmholtzInverse((params.gamma**2 / params.eps3) * dx,
+                                              ops)),
     }
     b = np.zeros(2 * n)
     b[-1] = _charge_load(params, grid)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import piezolab
-from piezolab import cli, dynamics, generator
+from piezolab import acceptance, cli, dynamics, generator
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
 from piezolab.model import build_grid
@@ -217,6 +217,48 @@ class TestConfigParsing:
         doc["initial_state"] = {"kind": "tabulated", "path": "state.csv"}
         with pytest.raises(GaugeViolation):
             simulate(config_from_dict(doc, base_dir=tmp_path))
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _set(**keys):
+    return lambda doc: {**doc, **keys}
+
+
+_TAB_STATE = _set(initial_state={"kind": "tabulated", "path": "tab.csv"})
+_TAB_SIGNAL = _set(actuation="current",
+                   input_signal={"kind": "tabulated", "path": "tab.csv"})
+# (edit of the toy config, the tab.csv it reads or None, text the message names)
+_REJECTED_CONFIGS = {
+    "missing_key": (_drop("n_cells"), None, "'n_cells'"),
+    "root_not_object": (lambda doc: [doc], None, "config root"),
+    "params_not_object": (_set(params=[1.0]), None, "params must be an object"),
+    "signal_not_object": (_set(actuation="current", input_signal="sinusoid"), None,
+                          "input_signal must be an object"),
+    "state_not_object": (_set(initial_state=0), None,
+                         "initial_state must be an object"),
+    "signal_kind": (_set(actuation="current", input_signal={"kind": "square"}),
+                    None, "input_signal.kind"),
+    "state_kind": (_set(initial_state={"kind": "random"}), None,
+                   "initial_state.kind"),
+    "t_final_zero": (_set(t_final=0.0), None, "t_final must be positive"),
+    "dt_negative": (_set(dt=-0.01), None, "dt must be positive"),
+    "actuation": (_set(actuation="optical"), None, "actuation must be one of"),
+    "negative_gain": (_set(actuation="current", feedback_gain=-0.5), None,
+                      "feedback_gain must be nonnegative"),
+    "xi_underflow": (lambda doc: {**doc, "params": {**doc["params"], "eps1": 1e-300,
+                                                    "h": 1e-100}},
+                     None, "params.xi"),
+    "state_file_missing": (_set(initial_state={"kind": "tabulated",
+                                               "path": "absent.csv"}),
+                           None, "cannot read state file"),
+    "state_header": (_TAB_STATE, "name,index,value\ny1,0,1\n",
+                     "needs a header with field,index,value"),
+    "state_no_rows": (_TAB_STATE, "field,index,value\n", "has no rows"),
+    "signal_no_rows": (_TAB_SIGNAL, "time,value\n", "has no samples"),
+}
 
 
 class TestCliExitCodes:
@@ -512,14 +554,15 @@ class TestCliExitCodes:
         assert res.returncode == 2, res.stderr
         assert "DENSE_DIM_GUARD" in res.stderr
         assert not out.exists()
-        # a tabulated y3 row off the gauge fails the run at step 0
+        # a tabulated y3 row off the gauge is a config error: the start is
+        # refused before step 0
         (tmp_path / "tab.csv").write_text("field,index,value\ny3,0,1.0\n",
                                           encoding="utf-8")
         doc = {**toy_config_dict(n_cells=16, t_final=0.1),
                "initial_state": {"kind": "tabulated", "path": "tab.csv"}}
         res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
                       "--out", str(out))
-        assert res.returncode == 1, res.stderr
+        assert res.returncode == 2, res.stderr
         assert not out.exists()
 
     def test_unwritable_out_exits_3(self, tmp_path, run_cli):
@@ -574,6 +617,48 @@ class TestCliExitCodes:
         for name in ("spectrum.csv", "closed_loop_spectrum.csv"):
             assert ((tmp_path / "file" / name).read_bytes()
                     == (tmp_path / "flag" / name).read_bytes())
+
+    @pytest.mark.parametrize("case", _REJECTED_CONFIGS)
+    def test_rejected_config_exits_2(self, tmp_path, run_cli, case):
+        # every documented rejection is a config error named in the message,
+        # refused before --out is made
+        edit, text, named = _REJECTED_CONFIGS[case]
+        if text is not None:
+            (tmp_path / "tab.csv").write_text(text, encoding="utf-8")
+        doc = edit(toy_config_dict(n_cells=16, t_final=0.1))
+        out = tmp_path / "o"
+        res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--config", "absent.json"], "cannot read config"),
+        (["spectrum", "--config", "cfg.json", "--closed-loop", "-1"], "--closed-loop"),
+        (["spectrum", "--config", "cfg.json", "--closed-loop", "nan"], "--closed-loop"),
+    ], ids=["unreadable_config", "negative_closed_loop", "nan_closed_loop"])
+    def test_rejected_command_exits_2(self, tmp_path, run_cli, argv, named):
+        _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        out = tmp_path / "o"
+        res = run_cli(*argv, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr
+        assert not out.exists()
+
+    def test_variants_success(self, tmp_path, run_cli):
+        res = run_cli("variants", "--n-cells", "16", "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+        assert report["pass_fail"] == {"es_dispersion": True, "pxi_stiffening": True,
+                                       "charge_norm_monotone": True}
+        # the same influence norms as acceptance check 13, at the same grids
+        norms = report["outcome"]["charge_norms"]
+        grids = ["32", "64", "128", "256"]
+        assert sorted(norms, key=int) == grids
+        assert (acceptance.check_charge_norm_growth().measured
+                == "norms " + ", ".join(f"{norms[n]:.2f}" for n in grids))
 
     def test_variants_coarse_grid_exits_2(self, tmp_path, run_cli):
         res = run_cli("variants", "--n-cells", "4", "--out", str(tmp_path / "o"))
@@ -777,3 +862,14 @@ class TestSnapshotCompare:
         assert script.compare(a, c, 1e-10) == 0
         assert "(/outcome/energy_final)" in capsys.readouterr().out
         assert script.compare(a, c, 1e-13) == 1
+
+    @pytest.mark.parametrize("rtol", [None, 1e-10])
+    def test_keys_on_one_side_are_named(self, tmp_path, capsys, rtol):
+        for sub, outcome in (("a", {"gain": 0.8, "old": 1}),
+                             ("b", {"gain": 0.8, "dt": 0.01, "n_records": 3})):
+            (tmp_path / sub / "job").mkdir(parents=True)
+            (tmp_path / sub / "job" / "report.json").write_text(
+                json.dumps({"outcome": outcome}), encoding="utf-8")
+        assert _snapshot_script().compare(tmp_path / "a", tmp_path / "b", rtol) == 1
+        assert ("(/outcome keys only in A: old; only in B: dt, n_records)"
+                in capsys.readouterr().out)

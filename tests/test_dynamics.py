@@ -323,7 +323,7 @@ def _check_closed_loop_dissipation_identity(actuation):
     worst = 0.0
     for _ in range(200):
         y_next, _ = stepper.step_closed(y)
-        e, e_next = asm.energy_split(y).total, asm.energy_split(y_next).total
+        e, e_next = asm.energy_split(y)["total"], asm.energy_split(y_next)["total"]
         y_mid = 0.5 * (y + y_next)
         pred = -k * dt * (asm.output @ y_mid) * (asm.b_dual @ y_mid)
         worst = max(worst, abs((e_next - e) - pred) / e)

@@ -492,7 +492,7 @@ class TestSharedModelData:
     def test_energy_split_is_half_gram_quadratic(self, actuation):
         asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
         y = asm.lift(np.random.default_rng(9).standard_normal(asm.dim))
-        assert asm.energy_split(y).total == pytest.approx(
+        assert asm.energy_split(y)["total"] == pytest.approx(
             0.5 * y @ (asm.reference.m @ y), rel=1e-12)
 
     @pytest.mark.parametrize("params, n", ((TOY, 24), (BOX_CORNER, 48)),
@@ -510,5 +510,5 @@ class TestSharedModelData:
             dense = gram({name: (sl, form)}, asm.dim).toarray()[sl, sl]
             want = 0.5 * y[sl] @ dense @ y[sl]
             tol = (max(1e-12, 10.0 * np.finfo(float).eps * kappa)
-                   if name == "nonlocal_" else 1e-12)
-            assert getattr(split, name) == pytest.approx(want, rel=tol)
+                   if name == "nonlocal" else 1e-12)
+            assert split[name] == pytest.approx(want, rel=tol)

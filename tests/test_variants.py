@@ -107,13 +107,13 @@ class TestBoundaryFeedback:
         dt = default_dt(es.params, es.grid)
         stepper = RankOneMidpoint(es.split, es.b, es.output, dt, gain=1.0)
         y = modal_state(es, 0)
-        e = [es.energy_split(y).total]
+        e = [es.energy_split(y)["total"]]
         for _ in range(int(round(4.0 / dt))):
             y_next, _ = stepper.step_closed(y)
             y_mid = 0.5 * (y + y_next)
             assert (es.output @ y_mid) * (es.b_dual @ y_mid) >= 0.0
             y = y_next
-            e.append(es.energy_split(y).total)
+            e.append(es.energy_split(y)["total"])
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
     def test_decay_rate(self):
