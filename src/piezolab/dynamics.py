@@ -93,13 +93,12 @@ class TimeSeries:
         return self.energies[:, 0]
 
     def write_csv(self, path: str) -> None:
+        table = np.column_stack([self.times, self.energies, self.gauge_pos,
+                                 self.gauge_vel, self.inputs]).tolist()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for i, t in enumerate(self.times):
-                row = [t, *self.energies[i],
-                       self.gauge_pos[i], self.gauge_vel[i], self.inputs[i]]
-                writer.writerow([f"{v:.17g}" for v in row])
+            writer.writerows([f"{v:.17g}" for v in row] for row in table)
 
 
 def _band_factor(row: np.ndarray, col: np.ndarray, val: np.ndarray,
