@@ -219,10 +219,6 @@ class TestConfigParsing:
             simulate(config_from_dict(doc, base_dir=tmp_path))
 
 
-def _drop(key):
-    return lambda doc: {k: v for k, v in doc.items() if k != key}
-
-
 def _set(**keys):
     return lambda doc: {**doc, **keys}
 
@@ -232,7 +228,8 @@ _TAB_SIGNAL = _set(actuation="current",
                    input_signal={"kind": "tabulated", "path": "tab.csv"})
 # (edit of the toy config, the tab.csv it reads or None, text the message names)
 _REJECTED_CONFIGS = {
-    "missing_key": (_drop("n_cells"), None, "'n_cells'"),
+    "missing_key": (lambda doc: {k: v for k, v in doc.items() if k != "n_cells"},
+                    None, "'n_cells'"),
     "root_not_object": (lambda doc: [doc], None, "config root"),
     "params_not_object": (_set(params=[1.0]), None, "params must be an object"),
     "signal_not_object": (_set(actuation="current", input_signal="sinusoid"), None,
@@ -688,6 +685,27 @@ class TestCliExitCodes:
                          "--out", str(out)]) == 0
         assert len(calls) == 1
         assert (out / "closed_loop_spectrum.csv").stat().st_size > 0
+
+    def test_stabilize_reports_what_simulate_does(self, tmp_path, run_cli):
+        # stabilize runs its config as simulate does and only adds the keys
+        # of its gain and its closed-loop spectrum
+        cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
+        reports = {}
+        for command in ("simulate", "stabilize"):
+            out = tmp_path / command
+            res = run_cli(command, "--config", str(cfg), "--gain", "0.5",
+                          "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            reports[command] = json.loads((out / "report.json").read_text(
+                encoding="utf-8"))
+        sim, stab = reports["simulate"], reports["stabilize"]
+        added = {"gain", "energy_ratio", "max_energy_increment",
+                 "closed_loop_abscissa"}
+        assert set(stab["outcome"]) == set(sim["outcome"]) | added
+        assert {k: stab["outcome"][k] for k in sim["outcome"]} == sim["outcome"]
+        assert stab["pass_fail"] == {**sim["pass_fail"], "closed_loop_left_half": True}
+        assert ((tmp_path / "simulate" / "trajectory.csv").read_bytes()
+                == (tmp_path / "stabilize" / "trajectory.csv").read_bytes())
 
     @pytest.mark.parametrize("command", ("simulate", "stabilize"))
     def test_gain_flag_overrides_signal_as_the_file_does(self, tmp_path, run_cli,
