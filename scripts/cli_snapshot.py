@@ -18,11 +18,10 @@ rows, which the run checks against the gauge instead of lifting them.
 The ``spectrum`` jobs pick the charge models with ``--variant``, except one
 whose config sets ``"actuation": "charge_magnetic"`` (closed loop): it
 writes the same spectra as the ``--variant charge_magnetic`` job.
-The last job is the whole ``paper-suite``, so its ``acceptance_summary.csv``
-pins every acceptance measurement.  The summary holds no ``details`` text,
-so the checks then run once more in this process (``acceptance.run_all``)
-and OUT/acceptance_details.csv records each check's name, ``measured`` and
-``details``: a change in a check's details table shows in the comparison.
+The last job is the whole ``paper-suite``: its ``acceptance_summary.csv``
+pins every acceptance measurement, and its ``acceptance_details.csv`` each
+check's ``details`` text, so a change in a check's details table shows in
+the comparison.
 Snapshot two checkouts on the same machine and compare them: a refactor that
 keeps behaviour leaves every CSV byte-identical and every job's
 ``report.json`` the same once the snapshot root (OUT, made absolute, which
@@ -52,7 +51,6 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import piezolab.cli
-import piezolab.acceptance
 
 ROOT_TOKEN = "<snapshot root>"
 TOY = {"rho": 1.0, "alpha": 1.0, "gamma": 1.0, "eps1": 1.0, "eps3": 1.0,
@@ -228,11 +226,6 @@ def snapshot(out: Path) -> int:
         writer = csv.writer(fh)
         writer.writerow(["job", "exit_code"])
         writer.writerows(codes)
-    with open(out / "acceptance_details.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "measured", "details"])
-        writer.writerows((res.name, res.measured, res.details)
-                         for res in piezolab.acceptance.run_all())
     print(f"{len(codes)} jobs from {piezolab.cli.__file__} into {out}")
     return 0
 
@@ -283,27 +276,28 @@ def _report(path: Path, root: Path):
     return normalized(json.loads(path.read_text(encoding="utf-8")))
 
 
-def _leaf_difference(x, y, where: str = "") -> tuple:
+def _leaf_difference(x, y, one_sided: list, where: str = "") -> tuple:
     """(difference, key path) of the leaf that differs most between two reports.
 
     A number differs by |a - b| / max(|a|, |b|, 1), the rule of a CSV
     column; any other difference, in a string, a flag or the shape,
-    counts as infinite.  Where an object has keys on one side only, the
-    key path names them, A's and B's.
+    counts as infinite.  Where an object has keys on one side only, its
+    key path and those keys, A's and B's, are appended to ``one_sided``,
+    and the leaves both sides share are compared all the same.
     """
     number = (int, float)
     if isinstance(x, dict) and isinstance(y, dict):
-        if x.keys() != y.keys():
-            only = [f"only in {side}: {', '.join(sorted(keys))}"
-                    for side, keys in (("A", x.keys() - y.keys()),
-                                       ("B", y.keys() - x.keys())) if keys]
-            return math.inf, f"{where or '/'} keys {'; '.join(only)}"
-        return max((_leaf_difference(x[k], y[k], f"{where}/{k}") for k in x),
-                   default=(0.0, where))
+        only = [f"only in {side}: {', '.join(sorted(keys))}"
+                for side, keys in (("A", x.keys() - y.keys()),
+                                   ("B", y.keys() - x.keys())) if keys]
+        if only:
+            one_sided.append(f"{where or '/'} keys {'; '.join(only)}")
+        return max((_leaf_difference(x[k], y[k], one_sided, f"{where}/{k}")
+                    for k in x if k in y), default=(0.0, where))
     if isinstance(x, list) and isinstance(y, list):
         if len(x) != len(y):
             return math.inf, where
-        return max((_leaf_difference(u, v, f"{where}/{i}")
+        return max((_leaf_difference(u, v, one_sided, f"{where}/{i}")
                     for i, (u, v) in enumerate(zip(x, y))), default=(0.0, where))
     if (isinstance(x, number) and isinstance(y, number)
             and not isinstance(x, bool) and not isinstance(y, bool)):
@@ -322,10 +316,22 @@ def _same(a: Path, b: Path, rel: Path) -> bool:
 
 
 def _file_difference(a: Path, b: Path, rel: Path) -> tuple:
-    """(difference, where) of the largest difference in one compared file."""
-    if rel.name == "report.json":
-        return _leaf_difference(_report(a / rel, a), _report(b / rel, b))
-    return _largest_difference(a / rel, b / rel)
+    """(difference, places) of the largest difference in one compared file.
+
+    ``places`` names where it lies: a CSV's column or a report's key path.
+    A report whose objects have keys on one side only differs infinitely;
+    its places are then those keys, object by object, and the largest
+    difference among the leaves both sides share.
+    """
+    if rel.name != "report.json":
+        diff, column = _largest_difference(a / rel, b / rel)
+        return diff, [column]
+    one_sided = []
+    diff, where = _leaf_difference(_report(a / rel, a), _report(b / rel, b), one_sided)
+    if not one_sided:
+        return diff, [where]
+    return math.inf, [*one_sided,
+                      f"largest shared difference {diff:.3e} at {where or '/'}"]
 
 
 def _compared(root: Path) -> set:
@@ -338,10 +344,10 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
 
     A CSV must be byte-identical and a report equal once the snapshot root
     is replaced (see :func:`_report`).  A differing file is named with
-    where it differs most, the CSV column or the report's key path (see
-    :func:`_largest_difference` and :func:`_leaf_difference`); with
-    ``rtol`` it also prints that relative difference, and only one above
-    ``rtol`` makes the comparison fail.
+    where it differs most, the CSV column or the report's key path, and a
+    report with keys on one side only also with those keys (see
+    :func:`_file_difference`); with ``rtol`` it also prints that relative
+    difference, and only one above ``rtol`` makes the comparison fail.
     """
     files_a, files_b = _compared(a), _compared(b)
     problems = [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
@@ -349,11 +355,12 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     differing = [rel for rel in sorted(files_a & files_b) if not _same(a, b, rel)]
     within = 0
     for rel in differing:
-        diff, where = _file_difference(a, b, rel)
+        diff, places = _file_difference(a, b, rel)
+        where = " ".join(f"({place})" for place in places)
         if rtol is None:
-            problems.append(f"differs: {rel} ({where})")
+            problems.append(f"differs: {rel} {where}")
             continue
-        line = f"differs: {rel}: largest relative difference {diff:.3e} ({where})"
+        line = f"differs: {rel}: largest relative difference {diff:.3e} {where}"
         if diff <= rtol:
             within += 1
             print(line)

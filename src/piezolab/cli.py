@@ -79,12 +79,14 @@ def _write_table(header: list, rows: list):
 
 
 def _echo_config(config: ExperimentConfig) -> dict:
-    doc = dataclasses.asdict(config)
-    doc["actuation"] = config.actuation.value
-    sig = doc["input_signal"]
-    sig.pop("samples", None)
-    doc["initial_state"].pop("rows", None)
-    return doc
+    """The config echoed in report.json, without copying tabulated samples or rows."""
+    def fields(obj, skip=None) -> dict:
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if f.name != skip}
+    return {**fields(config), "params": fields(config.params),
+            "actuation": config.actuation.value,
+            "input_signal": fields(config.input_signal, skip="samples"),
+            "initial_state": fields(config.initial_state, skip="rows")}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -246,10 +248,13 @@ def cmd_paper_suite(args) -> ExperimentReport:
     summary = _write_table(["check", "measured", "tolerance", "pass"],
                            [[res.name, res.measured, res.tolerance, int(res.passed)]
                             for res in results])
+    details = _write_table(["check", "measured", "details"],
+                           [[res.name, res.measured, res.details] for res in results])
     return ExperimentReport("paper-suite", {"only": args.only},
                             {res.name: res.measured for res in results},
                             {res.name: res.passed for res in results},
-                            {"acceptance_summary.csv": summary})
+                            {"acceptance_summary.csv": summary,
+                             "acceptance_details.csv": details})
 
 
 def build_parser() -> argparse.ArgumentParser:

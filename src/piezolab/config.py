@@ -95,11 +95,15 @@ def time_steps(t_final: float, dt: float, explicit: bool = True) -> tuple:
     """(n_steps, dt) of a run from 0 to t_final in steps of about dt.
 
     n_steps is the whole number of steps nearest t_final / dt (at least
-    one).  Where n_steps * dt misses t_final by more than rounding, an
-    explicit dt raises ConfigParseError and any other dt becomes
-    t_final / n_steps.
+    one).  A t_final / dt that overflows raises ConfigParseError.  Where
+    n_steps * dt misses t_final by more than rounding, an explicit dt
+    raises ConfigParseError and any other dt becomes t_final / n_steps.
     """
-    n_steps = max(1, round(t_final / dt))
+    ratio = t_final / dt
+    if not np.isfinite(ratio):
+        raise ConfigParseError(f"dt {dt!r} is too small for t_final {t_final!r}: "
+                               f"t_final / dt = {ratio!r} steps")
+    n_steps = max(1, round(ratio))
     if abs(n_steps * dt - t_final) <= T_FINAL_RTOL * t_final:
         return n_steps, dt
     if explicit:

@@ -29,8 +29,8 @@ builds; the run loop, the mode table and the spectra take nothing else.  It
 acts on flat state arrays whose named blocks are the slices ``blocks``, and
 its row ``b_dual`` = M b is the control adjoint: B* y = b^T M y is
 ``b_dual @ y``, which equals (dx/h) * sum(y5) for the current influence.
-A model is a declaration (split generator, energy parts, b, lift T, bound
-blocks, output row) that the one builder :func:`assemble` certifies; the
+A model is a declaration (split generator, energy parts, b, gauge, output
+row) that the one builder :func:`assemble` certifies; the
 six-field models are declared here, the electrostatic one in
 :mod:`piezolab.variants`.
 
@@ -52,8 +52,9 @@ also name a trajectory's E_* columns: the Gram matrix M is their sum, and
 M y, the energy split and B* are evaluated from them part by part.  A form
 is a diagonal (a 1-D array), a sparse matrix, or the nonlocal
 :class:`HelmholtzInverse` c P_xi, which is applied through the banded
-Cholesky factor of A at O(N).  The gauge is declared once too, by the lift
-T and the blocks it binds (:class:`Reduction`).
+Cholesky factor of A at O(N).  The gauge is declared once too, as a map
+from each gauge-bound block to (free block, operator), from which
+:func:`assemble` derives the lift T and every gauge residual (:class:`Reduction`).
 
 :func:`assemble` is O(N) and forms no dense array.  It gates every model
 on probe certificates: for a few seeded random probes z it applies G and
@@ -97,19 +98,19 @@ ENERGY_PARTS = ("kin_v", "kin_theta", "kin_eta", "elastic", "nonlocal", "magneti
 class Reduction:
     """Coordinates in which the Gram matrix is definite.
 
-    The six-field models eliminate the gauge-bound y3 and y6 and keep
-    (y1, y2, y4, y5); a model without a gauge keeps every coordinate.
-    ``keep`` lists the free full coordinates, on which T is the identity,
-    and ``bound`` names the blocks T fills from them (none without a gauge).
-    ``t_bound`` holds the rows of T on those blocks, so a gauge residual
-    lifts only what it measures.  The reduced Gram matrix and generator
-    are temporaries of the dense reference (:class:`DenseReference`).
+    ``gauge`` maps each gauge-bound block to (free block, operator): the
+    six-field models bind y3 = xi grad(y2) and y6 = xi grad(y5), a model
+    without a gauge binds none.  :func:`assemble` derives the rest from it:
+    ``keep`` lists the free full coordinates, on which the lift T is the
+    identity, T fills each bound block by its operator, and ``bound`` names
+    those blocks.  The reduced Gram matrix and generator are temporaries of
+    the dense reference (:class:`DenseReference`).
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
     keep: np.ndarray    # full coordinates of the reduced ones, T[keep] = I
-    bound: tuple        # gauge-bound block names, (pos, vel) or empty
-    t_bound: sparse.csr_array  # rows of T on the bound blocks, in their order
+    gauge: dict         # {bound block: (free block, operator)}, or empty
+    bound: tuple        # the gauge's keys: y3 and y6, or empty
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
 
 
@@ -394,26 +395,27 @@ class GeneratorAssembly:
 
         Each is the residual y - lift(y) on one gauge-bound block, measured
         against that block of y, over all its cells and over the interior
-        ones, from one lift; all are zero for a model without a gauge.  Only
-        the bound rows of the lift are formed.  A run driven through an
+        ones, from one residual; all are zero for a model without a gauge.
+        Only the bound blocks of the lift are formed.  A run driven through an
         influence off the gauge manifold develops a discretization layer in
         the first and last cell (the distributed current has a boundary jump
         that the interior-node gradient cannot represent), so the interior
         residual is the meaningful drift diagnostic for it.
         """
-        red = self.reduction
-        if not red.bound:
+        gauge = self.reduction.gauge
+        if not gauge:
             return (0.0, 0.0), (0.0, 0.0)
-        lifted = red.t_bound @ y[red.keep]
-        full, inner, start = [], [], 0
-        for name in red.bound:
-            yb = y[self.blocks[name]]
-            r = yb - lifted[start:start + yb.size]
-            start += yb.size
-            scale = max(np.linalg.norm(yb), NORM_FLOOR)
+        full, inner = [], []
+        for name, r in zip(gauge, _off_gauge(gauge, self.blocks, y)):
+            scale = max(np.linalg.norm(y[self.blocks[name]]), NORM_FLOOR)
             full.append(float(np.linalg.norm(r) / scale))
             inner.append(float(np.linalg.norm(r[1:-1]) / scale))
         return tuple(full), tuple(inner)
+
+
+def _off_gauge(gauge: dict, blocks: dict, w: np.ndarray) -> list:
+    """w - lift(w) on each bound block, in order; ``w`` may be a block of states."""
+    return [w[blocks[name]] - op @ w[blocks[free]] for name, (free, op) in gauge.items()]
 
 
 def energy_parts(params: BeamParameters, grid: StaggeredGrid,
@@ -488,33 +490,15 @@ def _split_generator(params: BeamParameters, grid: StaggeredGrid,
     return SplitGenerator(g0=g0, c=c, k=k, a=a, order=order)
 
 
-def _lift(params: BeamParameters, grid: StaggeredGrid,
-          ops: DiscreteOperators) -> sparse.csr_array:
-    """The lift T of (y1, y2, y4, y5) onto y3 = xi grad(y2), y6 = xi grad(y5)."""
-    n = grid.n_cells
-    sl = block_slices(grid)
-    col = {"y1": slice(0, n), "y2": slice(n, 2 * n - 1),
-           "y4": slice(2 * n - 1, 3 * n), "y5": slice(3 * n, 4 * n - 1)}
-    return sparse_blocks((grid.state_dim, 4 * n - 1), [
-        (sl["y1"], col["y1"], sparse.eye_array(n)),
-        (sl["y2"], col["y2"], sparse.eye_array(n - 1)),
-        (sl["y3"], col["y2"], params.xi * ops.grad_nc),
-        (sl["y4"], col["y4"], sparse.eye_array(n + 1)),
-        (sl["y5"], col["y5"], sparse.eye_array(n - 1)),
-        (sl["y6"], col["y5"], params.xi * ops.grad_nc),
-    ])
-
-
 def _probe_certificates(ops: DiscreteOperators, split: SplitGenerator, parts: dict,
-                        t: sparse.csr_array, keep: np.ndarray, bound_rows: np.ndarray,
-                        t_bound: sparse.csr_array) -> tuple:
+                        t: sparse.csr_array, gauge: dict, blocks: dict) -> tuple:
     """The skewness and gauge certificates on seeded random probes, at O(N).
 
     Skewness is a full-space statement: for PROBES random states z,
     ||M G z + G^T (M z)|| / ||M G z||.  The gauge certificate lifts PROBES
     random reduced vectors, w = G T z, and measures how far w is from the
-    manifold, ||w[bound] - t_bound w[keep]|| / ||w|| (zero without
-    ``bound_rows``).  Each is the largest over its probes.  G and G^T are
+    manifold, ||w - lift(w)|| / ||w|| on the bound blocks (zero for an
+    empty ``gauge``).  Each is the largest over its probes.  G and G^T are
     applied through the split with banded solves of A, M part by part.
     """
     rng = np.random.default_rng(PROBE_SEED)
@@ -523,50 +507,50 @@ def _probe_certificates(ops: DiscreteOperators, split: SplitGenerator, parts: di
     sym = mgz + split.apply_transpose(ops, gram_product(parts, z))
     scale = np.linalg.norm(mgz, axis=0)
     skew = float(np.max(np.linalg.norm(sym, axis=0) / np.maximum(scale, NORM_FLOOR)))
-    if not bound_rows.size:
+    if not gauge:
         return skew, 0.0
     w = split.apply(ops, t @ rng.standard_normal((t.shape[1], PROBES)))
-    off = w[bound_rows] - t_bound @ w[keep]
-    gauge = np.linalg.norm(off, axis=0) / np.maximum(np.linalg.norm(w, axis=0),
-                                                      NORM_FLOOR)
-    return skew, float(np.max(gauge))
+    off = np.concatenate(_off_gauge(gauge, blocks, w))
+    defect = np.linalg.norm(off, axis=0) / np.maximum(np.linalg.norm(w, axis=0),
+                                                       NORM_FLOOR)
+    return skew, float(np.max(defect))
 
 
 def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
-             split: SplitGenerator, parts: dict, b: np.ndarray,
-             t: sparse.csr_array, bound: tuple, blocks: dict,
-             output: np.ndarray | None = None) -> GeneratorAssembly:
+             split: SplitGenerator, parts: dict, b: np.ndarray, gauge: dict,
+             blocks: dict, output: np.ndarray | None = None) -> GeneratorAssembly:
     """Build and certify the linear system a model declares, at O(N).
 
-    Forms the reduction to the coordinates outside the ``bound`` blocks and
-    B* = M b part by part; no dense array is formed.  The output row
-    defaults to B* itself.  Raises :class:`AssemblyInconsistent` if the
-    skewness probe exceeds SKEW_TOL or the gauge probe exceeds
-    CONSTRAINT_TOL (see :func:`_probe_certificates`); either would signal an
-    operator compatibility bug.  A model that binds no block has no gauge
-    to certify.
+    ``gauge`` maps each gauge-bound block to (free block, operator); the
+    kept coordinates, the lift T and every gauge residual come from it (see
+    :class:`Reduction`).  B* = M b is formed part by part; no dense array
+    is formed, and the output row defaults to B* itself.  Raises
+    :class:`AssemblyInconsistent` if the skewness probe exceeds SKEW_TOL or
+    the gauge probe exceeds CONSTRAINT_TOL (see :func:`_probe_certificates`);
+    either would signal an operator compatibility bug.  A model that binds
+    no block has no gauge to certify.
     """
     dim = split.shape[0]
     free, mechanical = np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool)
-    for name in bound:
+    for name in gauge:
         free[blocks[name]] = False
     for name in ("y1", "y4"):
         mechanical[blocks[name]] = True
     keep = np.flatnonzero(free)
-    # the bound blocks' rows, in the order ``bound`` names them
-    index = np.arange(dim)
-    bound_rows = (np.concatenate([index[blocks[name]] for name in bound]) if bound
-                  else index[:0])
-    t_bound = t[bound_rows]
-    skew, gauge_defect = _probe_certificates(ops, split, parts, t, keep, bound_rows,
-                                             t_bound)
+    column = np.cumsum(free) - 1  # the reduced column of each free coordinate
+    eye = sparse.eye_array(dim, format="csr")[:, keep]  # T on the free coordinates
+    t = sparse_blocks((dim, keep.size), [
+        (slice(0, dim), slice(0, keep.size), eye),
+        *((blocks[name], slice(int(column[blocks[src].start]), None), op)
+          for name, (src, op) in gauge.items())])
+    skew, gauge_defect = _probe_certificates(ops, split, parts, t, gauge, blocks)
     # "not <=" so that a defect that is not a number fails too
     if not skew <= SKEW_TOL:
         raise AssemblyInconsistent(f"skewness certificate failed: {skew:.3e}")
     if not gauge_defect <= CONSTRAINT_TOL:
         raise AssemblyInconsistent("generator does not preserve the gauge "
                                    f"manifold: defect {gauge_defect:.3e}")
-    red = Reduction(t_map=t, keep=keep, bound=bound, t_bound=t_bound,
+    red = Reduction(t_map=t, keep=keep, gauge=gauge, bound=tuple(gauge),
                     mechanical=np.flatnonzero(mechanical[keep]))
 
     b.setflags(write=False)
@@ -620,12 +604,13 @@ def assemble_six_field(params: BeamParameters, grid: StaggeredGrid,
     """A six-field model with influence ``b``, built and certified by :func:`assemble`.
 
     The current and the charge-magnetic models declare the same split,
-    energy parts and lift; only b differs.
+    energy parts and gauge; only b differs.
     """
     ops = build_operators(params, grid)
+    xi_grad = params.xi * ops.grad_nc
     return assemble(params, grid, ops, _split_generator(params, grid, ops),
-                    energy_parts(params, grid, ops), b, _lift(params, grid, ops),
-                    ("y3", "y6"), block_slices(grid))
+                    energy_parts(params, grid, ops), b,
+                    {"y3": ("y2", xi_grad), "y6": ("y5", xi_grad)}, block_slices(grid))
 
 
 def assemble_generator(params: BeamParameters, grid: StaggeredGrid) -> GeneratorAssembly:

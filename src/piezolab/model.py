@@ -67,8 +67,9 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
     Raises :class:`NonPositiveParameter` naming the offending field when a
     required-positive constant is not strictly positive, ValueError when a
     constant is missing, not a real number (booleans and numeric strings
-    are refused) or non-finite, and reports if the derived xi underflows
-    to zero or overflows.
+    are refused) or non-finite, and reports if the derived xi or the
+    derived wave speed sqrt(alpha/rho), which sets the default time step,
+    underflows to zero or overflows.
     """
     for name in _ALL_FIELDS:
         if name not in raw:
@@ -88,11 +89,14 @@ def validate_parameters(raw: Mapping[str, float]) -> BeamParameters:
         xi = values["eps1"] * values["h"] ** 2 / (12.0 * values["eps3"])
     except OverflowError:  # h ** 2 beyond the float range
         xi = float("inf")
-    if xi == 0.0:
-        raise NonPositiveParameter("xi", 0.0)
-    if not np.isfinite(xi):
-        raise ValueError(f"derived parameter 'xi' = eps1 h^2 / (12 eps3) "
-                         f"overflows to {xi!r}")
+    wave_speed = (values["alpha"] / values["rho"]) ** 0.5
+    for name, value, formula in (("xi", xi, "eps1 h^2 / (12 eps3)"),
+                                 ("wave_speed", wave_speed, "sqrt(alpha / rho)")):
+        if value == 0.0:
+            raise NonPositiveParameter(name, 0.0)
+        if not np.isfinite(value):
+            raise ValueError(f"derived parameter {name!r} = {formula} "
+                             f"overflows to {value!r}")
     return BeamParameters(xi=xi, **values)
 
 

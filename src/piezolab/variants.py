@@ -63,8 +63,8 @@ def assemble_electrostatic(params: BeamParameters,
 
     The state is (s, w): s = v_x on the n_cells cells (block y1, alias s)
     and w = v_dot on the nodes 1..n_cells (block y4, alias w; node 0 is
-    clamped to zero and removed).  Every coordinate is mechanical, there is
-    no gauge, and the reduction is the identity.  The energy has a kinetic,
+    clamped to zero and removed).  Every coordinate is mechanical, the gauge
+    it declares is empty, and the reduction is the identity.  The energy has a kinetic,
     an elastic and a nonlocal part.  The feedback output is
     sign(gamma) v_dot(L), which equals (eps3 h / |gamma|) B* y, so the loop
     u = -k v^T y is collocated and dissipative for either sign of gamma.
@@ -89,8 +89,7 @@ def assemble_electrostatic(params: BeamParameters,
     b[-1] = _charge_load(params, grid)
     output = np.zeros(2 * n)
     output[-1] = np.copysign(1.0, params.gamma)
-    return assemble(params, grid, ops, split, parts, b,
-                    sparse.eye_array(2 * n, format="csr"), (),
+    return assemble(params, grid, ops, split, parts, b, {},
                     {"y1": strain, "y4": velocity, "s": strain, "w": velocity},
                     output=output)
 

@@ -1,5 +1,6 @@
 """JSON config ingestion and the command-line front end."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -248,6 +249,18 @@ _REJECTED_CONFIGS = {
     "xi_underflow": (lambda doc: {**doc, "params": {**doc["params"], "eps1": 1e-300,
                                                     "h": 1e-100}},
                      None, "params.xi"),
+    # t_final / dt overflows: round() of it once raised OverflowError (exit 1)
+    "dt_subnormal": (_set(t_final=1.0, dt=1e-320), None, "dt 1e-320"),
+    "t_final_huge": (_set(t_final=1e308, dt=1e-10), None, "dt 1e-10"),
+    # sqrt(alpha/rho) of inf or 0 once divided by zero in default_dt (exit 1)
+    "wave_speed_overflow": (lambda doc: {**doc, "params": {**doc["params"],
+                                                           "alpha": 1e300,
+                                                           "rho": 1e-300}},
+                            None, "'wave_speed'"),
+    "wave_speed_underflow": (lambda doc: {**doc, "params": {**doc["params"],
+                                                            "alpha": 1e-300,
+                                                            "rho": 1e300}},
+                             None, "params.wave_speed"),
     "state_file_missing": (_set(initial_state={"kind": "tabulated",
                                                "path": "absent.csv"}),
                            None, "cannot read state file"),
@@ -794,6 +807,20 @@ class TestCliExitCodes:
         assert "[PASS] skewness" in res.stdout
         assert (out / "acceptance_summary.csv").stat().st_size > 0
 
+    def test_paper_suite_writes_details(self, tmp_path, run_cli):
+        # each check's details text is written beside the summary
+        out = tmp_path / "suite"
+        res = run_cli("paper-suite", "--only", "skewness", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        result, = acceptance.run_all("skewness")
+        assert result.details
+        with open(out / "acceptance_details.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["check", "measured", "details"],
+                        [result.name, result.measured, result.details]]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert str(out / "acceptance_details.csv") in report["artifact_paths"]
+
     def test_paper_suite_unknown_filter_exits_2(self, tmp_path, run_cli):
         # a filter that matches no check is bad input, refused before --out
         # is made
@@ -891,3 +918,14 @@ class TestSnapshotCompare:
         assert _snapshot_script().compare(tmp_path / "a", tmp_path / "b", rtol) == 1
         assert ("(/outcome keys only in A: old; only in B: dt, n_records)"
                 in capsys.readouterr().out)
+
+    def test_one_sided_keys_do_not_hide_shared_leaves(self, tmp_path, capsys):
+        # B gains a key and changes a shared number: both are named
+        for sub, outcome in (("a", {"gain": 2.0}), ("b", {"gain": 2.5, "dt": 0.01})):
+            (tmp_path / sub / "job").mkdir(parents=True)
+            (tmp_path / sub / "job" / "report.json").write_text(
+                json.dumps({"outcome": outcome}), encoding="utf-8")
+        assert _snapshot_script().compare(tmp_path / "a", tmp_path / "b") == 1
+        out = capsys.readouterr().out
+        assert ("differs: job/report.json (/outcome keys only in B: dt) "
+                "(largest shared difference 2.000e-01 at /outcome/gain)") in out

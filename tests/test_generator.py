@@ -269,13 +269,12 @@ class TestAssemble:
     """The one builder refuses a declaration that breaks a certificate."""
 
     @staticmethod
-    def _declare(asm, split=None, t=None):
-        # the six-field declaration of ``asm``, with its split or lift replaced
-        red = asm.reduction
+    def _declare(asm, split=None, gauge=None):
+        # the six-field declaration of ``asm``, with its split or gauge replaced
         return assemble(asm.params, asm.grid, asm.ops,
-                        asm.split if split is None else split,
-                        asm.energy_parts, asm.b, red.t_map if t is None else t,
-                        red.bound, asm.blocks)
+                        asm.split if split is None else split, asm.energy_parts,
+                        asm.b, asm.reduction.gauge if gauge is None else gauge,
+                        asm.blocks)
 
     def test_declaration_reassembles(self):
         asm = _assembly(16)
@@ -298,11 +297,10 @@ class TestAssemble:
     def test_wrong_lift_fails_gauge(self):
         # y3 = 2 xi grad(y2) is not a manifold that G preserves
         asm = _assembly(16)
-        scale = np.ones(asm.dim)
-        scale[asm.blocks["y3"]] = 2.0
-        t = sparse.csr_array(sparse.diags_array(scale) @ asm.reduction.t_map)
+        gauge = {**asm.reduction.gauge,
+                 "y3": ("y2", 2.0 * asm.params.xi * asm.ops.grad_nc)}
         with pytest.raises(AssemblyInconsistent, match="gauge"):
-            self._declare(asm, t=t)
+            self._declare(asm, gauge=gauge)
 
 
 def _dense_gauge_defect(asm):
