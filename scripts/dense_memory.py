@@ -1,0 +1,111 @@
+"""Memory of the dense spectral path, per model, traced with ``tracemalloc``.
+
+    python3 scripts/dense_memory.py [--n-cells N]
+
+For each actuation model (current, charge_magnetic, electrostatic) at
+gamma = 0 and gamma = 1 on N cells (default 256, state dimension 4N - 1 of
+the six-field models), it builds the assembly and prints, in MiB:
+
+* ``ref_kept``: what the dense reference (``GeneratorAssembly.reference``:
+  M, R, S and g) keeps once formed;
+* ``ref_peak``: the traced peak while it is formed, above the traced memory
+  before (so it includes ``ref_kept``);
+* ``spectrum``, ``closed_loop`` and ``shifts``: the traced peak of
+  ``compute_spectrum``, ``closed_loop_spectrum`` and
+  ``closed_loop_mode_shifts`` at gain GAIN, each above the traced memory at
+  its start, with the reference already formed.
+
+``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
+not the BLAS library's own buffers, so these are the transients of the
+arrays the code forms.  A shift solve that raises ``SecularNotConverged``
+is marked ``*``; its peak is still the peak of the work done.  A line with
+the versions and the CPU count comes first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+try:
+    import piezolab
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import piezolab
+
+from piezolab.errors import SecularNotConverged
+from piezolab.generator import assemble_generator
+from piezolab.model import build_grid, toy_parameters
+from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
+                               compute_spectrum)
+from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
+
+MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
+          "electrostatic": assemble_electrostatic}
+COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "shifts")
+MIB = 2.0 ** 20
+GAIN = 1.0
+
+
+def _traced(call) -> tuple:
+    """(traced peak of call() above the start in MiB, whether it raised)."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        raised = False
+    except SecularNotConverged:
+        raised = True
+    return (tracemalloc.get_traced_memory()[1] - start) / MIB, raised
+
+
+def measure(n_cells: int) -> list:
+    """One row per (model, gamma): model, gamma, dim, the COLUMNS, shifts raised."""
+    rows = []
+    tracemalloc.start()
+    try:
+        for name, build in MODELS.items():
+            for gamma in (0.0, 1.0):
+                params = toy_parameters(gamma=gamma)
+                asm = build(params, build_grid(params.L, n_cells))
+                before = tracemalloc.get_traced_memory()[0]
+                ref_peak, _ = _traced(lambda: asm.reference)
+                ref_kept = (tracemalloc.get_traced_memory()[0] - before) / MIB
+                spectrum, _ = _traced(lambda: compute_spectrum(asm))
+                closed, _ = _traced(lambda: closed_loop_spectrum(asm, GAIN))
+                shifts, raised = _traced(lambda: closed_loop_mode_shifts(asm, GAIN))
+                rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
+                             spectrum, closed, shifts, raised))
+                del asm
+    finally:
+        tracemalloc.stop()
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-cells", type=int, default=256)
+    args = parser.parse_args(argv)
+    print(f"# python {platform.python_version()}, numpy {np.__version__}, "
+          f"scipy {scipy.__version__}, piezolab {piezolab.__version__}, "
+          f"{os.cpu_count()} CPUs, {platform.machine()}")
+    print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start")
+    print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
+          + " ".join(f"{c:>11}" for c in COLUMNS))
+    for name, gamma, dim, *values, raised in measure(args.n_cells):
+        cells = [f"{v:11.1f}" for v in values]
+        if raised:
+            cells[-1] = f"{values[-1]:10.1f}*"
+        print(f"{name:<16} {gamma:5g} {dim:5d} " + " ".join(cells))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

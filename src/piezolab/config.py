@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, NonPositiveParameter, PiezolabError
-from .model import MIN_CELLS, BeamParameters, validate_parameters
+from .model import (MIN_CELLS, BeamParameters, build_grid, check_scales, default_dt,
+                    validate_parameters)
 from .operators import ActuationMode
 
 SIGNAL_KINDS = ("zero", "constant", "sinusoid", "tabulated")
@@ -258,6 +259,11 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         raise ConfigParseError(f"invalid params: {exc}") from exc
 
     n_cells = _integer(_require(doc, "n_cells", "config"), "n_cells", MIN_CELLS)
+    grid = build_grid(params.L, n_cells)
+    try:
+        check_scales(params, grid)
+    except ValueError as exc:
+        raise ConfigParseError(f"params at n_cells {n_cells}: {exc}") from exc
 
     t_final = _finite(_require(doc, "t_final", "config"), "t_final")
     if t_final <= 0:
@@ -269,6 +275,10 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         if dt <= 0:
             raise ConfigParseError(f"dt must be positive, got {dt}")
         time_steps(t_final, dt)
+    elif default_dt(params, grid) == 0.0:
+        raise ConfigParseError(
+            f"params at n_cells {n_cells}: the default time step "
+            f"dx / (10 sqrt(alpha / rho)) underflows to 0; give dt")
 
     actuation_name = doc.get("actuation", "none")
     try:

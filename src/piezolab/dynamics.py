@@ -40,7 +40,7 @@ from .config import time_steps
 from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFailure,
                      NonFiniteState)
 from .generator import ENERGY_PARTS, GeneratorAssembly, SplitGenerator, gram_product
-from .model import BeamParameters, StaggeredGrid, build_grid
+from .model import build_grid, default_dt
 from .spectral import ZERO_MODE_REL_TOL, checked_gain, lift_modes, open_loop_modes
 from .variants import build_system
 
@@ -56,12 +56,6 @@ GAUGE_BOUND_TOL = 1e-10
 
 CSV_COLUMNS = ["time", *(f"E_{name}" for name in ("total", *ENERGY_PARTS)),
                "gauge_pos", "gauge_vel", "input"]
-
-
-def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
-    """dx / (10 c) with c the mechanical wave speed sqrt(alpha/rho)."""
-    c = float(np.sqrt(params.alpha / params.rho))
-    return grid.dx / (10.0 * c)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ import numpy as np
 from .errors import GridTooCoarse, NonPositiveParameter
 
 MIN_CELLS = 8
+# headroom of check_scales: 2 for the entry estimate, 2 for ||z|| of a probe
+SCALE_MARGIN = 4.0
 
 _POSITIVE_FIELDS = ("rho", "alpha", "eps1", "eps3", "mu", "h", "L")
 _ALL_FIELDS = ("rho", "alpha", "gamma", "eps1", "eps3", "mu", "h", "L")
@@ -142,6 +144,35 @@ def build_grid(L: float, n_cells: int) -> StaggeredGrid:
     nodes.setflags(write=False)
     cells.setflags(write=False)
     return StaggeredGrid(n_cells=n_cells, dx=dx, node_coords=nodes, cell_coords=cells)
+
+
+def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
+    """dx / (10 c) with c the mechanical wave speed sqrt(alpha/rho)."""
+    c = float(np.sqrt(params.alpha / params.rho))
+    return grid.dx / (10.0 * c)
+
+
+def check_scales(params: BeamParameters, grid: StaggeredGrid) -> None:
+    """Raise ValueError if the grid's energy-weighted generator overflows.
+
+    Up to a factor of about 2, the largest entry s of the energy-weighted
+    generator M G is the largest of alpha, |gamma|, gamma^2/eps3,
+    |gamma| xi/dx, mu dx, mu and mu/dx.  The probe certificates square
+    ||M G z|| <= ||M G||_F ||z|| <= 2 d s ||z|| over the d = 6N - 1
+    coordinates, and a probe's ||z|| is about sqrt(d), so s d^(3/2) times
+    SCALE_MARGIN must have a finite square.  Only Python floats are used,
+    so no warning is printed on the way.
+    """
+    p, dx = params, grid.dx
+    s = max(p.alpha, abs(p.gamma), p.gamma * p.gamma / p.eps3,
+            abs(p.gamma) * p.xi / dx, p.mu * dx, p.mu, p.mu / dx)
+    limit = float(np.sqrt(np.finfo(float).max)) / (SCALE_MARGIN * grid.state_dim ** 1.5)
+    if not s <= limit:
+        raise ValueError(
+            f"the energy-weighted generator M G overflows double precision at "
+            f"dx = {dx:.6g}: its entries reach {s:.6g} (the largest of alpha, "
+            f"|gamma|, gamma^2/eps3, |gamma| xi/dx, mu dx, mu and mu/dx), above "
+            f"{limit:.6g} for {grid.state_dim} coordinates")
 
 
 def block_slices(grid: StaggeredGrid) -> dict:

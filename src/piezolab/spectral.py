@@ -20,10 +20,13 @@ Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
 the skew part of S) splits its matrix where the model does: if it holds
 exact zeros between the mechanical coordinates (``reduction.mechanical``,
 the blocks y1 and y4) and the field ones, as at gamma = 0, the mechanical
-block is solved first and the field block second.  The block eigenvectors
-are placed block-diagonally and sorted as one spectrum; a matrix that does
-not split goes to the solver unchanged, so its output is bit-identical to
-a full solve.
+block is solved first and the field block second, each formed only when
+it is solved (the skew part too), and each block eigenvector goes straight
+to its column of the sorted spectrum.  A matrix that does not split goes
+to the solver unchanged, so its output is bit-identical to a full solve,
+and its eigenvectors are sorted in place.  Either way a solve holds one
+(dim, dim) eigenvector array beside the reference, never a sorted copy
+(:func:`_blockwise`).
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -31,11 +34,11 @@ machine epsilon times ||S||) swamps the true decay rates, which shrink like
 secular equation in the eigenbasis of the skew part, giving each mode's
 shift with small relative error, and reads each mode's frequency, feedback
 coupling |B* phi| and dominant block from the same eigenvectors.  One damped
-iteration runs over all modes at once, each mode frozen once it has
-converged; a mode that has not converged after SECULAR_MAX_ITER iterations
-raises :class:`~piezolab.errors.SecularNotConverged`.  The secular and the
-dense routes agree wherever the dense solver can resolve the shift, which
-the test suite checks.
+iteration runs over TABLE_BLOCK modes at a time, each mode frozen once it
+has converged; a mode that has not converged after SECULAR_MAX_ITER
+iterations raises :class:`~piezolab.errors.SecularNotConverged`.  The
+secular and the dense routes agree wherever the dense solver can resolve
+the shift, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -89,6 +92,11 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
+def _ascending(values: np.ndarray) -> np.ndarray:
+    # the order of eigh's values; one eigh of the whole matrix keeps it
+    return np.argsort(values, kind="stable")
+
+
 def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
     """Each mode's label from the fraction of its energy that is mechanical."""
     return np.where(mech_fraction >= 0.9, "mechanical",
@@ -116,37 +124,89 @@ def _mode_table(assembly: GeneratorAssembly, v: np.ndarray) -> tuple:
             _dominant_block(mech_norms ** 2 / norms ** 2))
 
 
-def _decoupled_blocks(m: np.ndarray, mechanical: np.ndarray) -> list:
-    """[mechanical, field] coordinates if m holds exact zeros between them.
+def _whole_or_block(m: np.ndarray):
+    """entries(rows, cols) of m: the whole m for None, else that block."""
+    return lambda rows, cols: m if rows is None else m[np.ix_(rows, cols)]
 
-    Otherwise (a nonzero or NaN cross entry, or no field coordinate) the one
-    block of every index.
+
+def _skew_part(s: np.ndarray):
+    """entries(rows, cols) of the Hermitian 0.5j (S - S^T), formed only where read."""
+    def entries(rows, cols):
+        if rows is None:
+            return 0.5j * (s - s.T)
+        return 0.5j * (s[np.ix_(rows, cols)] - s[np.ix_(cols, rows)].T)
+    return entries
+
+
+def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
+    """[mechanical, field] coordinates if the matrix holds exact zeros between them.
+
+    ``entries(rows, cols)`` gives a block of the (dim, dim) matrix; only the
+    two cross blocks are read.  Otherwise (a nonzero or NaN cross entry, or
+    no field coordinate) the one block of every index.
     """
-    fields = np.setdiff1d(np.arange(len(m)), mechanical)
+    fields = np.setdiff1d(np.arange(dim), mechanical)
     if (len(fields) and len(mechanical)
-            and not np.any(m[np.ix_(mechanical, fields)])
-            and not np.any(m[np.ix_(fields, mechanical)])):
+            and not np.any(entries(mechanical, fields))
+            and not np.any(entries(fields, mechanical))):
         return [mechanical, fields]
-    return [np.arange(len(m))]
+    return [np.arange(dim)]
 
 
-def _blockwise(solver, m: np.ndarray, mechanical: np.ndarray) -> tuple:
-    """(values, vectors) of ``solver`` run on each decoupled block of m.
+def _reorder_columns(v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """v[:, order], formed in v itself by following the cycles of ``order``.
 
-    The values are concatenated block by block and the vectors placed
-    block-diagonally in the same column order.  A matrix of one block is
-    passed to the solver as is.
+    Each cycle holds one column aside, so no second (n, n) array is made;
+    values and memory layout are those of v.
     """
-    blocks = _decoupled_blocks(m, mechanical)
+    order = order.tolist()
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if seen[start] or order[start] == start:
+            continue
+        held = v[:, start].copy()
+        j = start
+        while order[j] != start:
+            v[:, j] = v[:, order[j]]
+            seen[j] = True
+            j = order[j]
+        v[:, j] = held
+        seen[j] = True
+    return v
+
+
+def _blockwise(solver, entries, dim: int, mechanical: np.ndarray, sort) -> tuple:
+    """(values, vectors) of ``solver`` on each decoupled block, sorted by ``sort``.
+
+    ``entries(rows, cols)`` gives a block of the (dim, dim) matrix and
+    ``entries(None, None)`` all of it (see :func:`_decoupled_blocks`);
+    ``sort(values)`` is the order of the values.  A matrix of one block goes
+    to the solver as is and its vectors are reordered in place, exactly as
+    ``vectors[:, order]``.  Otherwise each diagonal block is formed only
+    when it is solved, and each block's vectors go straight to their sorted
+    columns of one zero Fortran-order array, the layout ``vectors[:, order]``
+    of block-diagonally placed vectors would have; either way no sorted
+    copy of the vectors is made.
+    """
+    blocks = _decoupled_blocks(entries, dim, mechanical)
     if len(blocks) == 1:
-        return solver(m)
-    parts = [solver(m[np.ix_(idx, idx)]) for idx in blocks]
-    vectors = np.zeros(m.shape, dtype=np.result_type(*(v for _, v in parts)))
+        values, vectors = solver(entries(None, None))
+        order = sort(values)
+        return values[order], _reorder_columns(vectors, order)
+    parts = [solver(entries(idx, idx)) for idx in blocks]
+    values = np.concatenate([w for w, _ in parts])
+    order = sort(values)
+    column = np.empty_like(order)
+    column[order] = np.arange(dim)  # the sorted column of each unsorted one
+    vectors = np.zeros((dim, dim), order="F",
+                       dtype=np.result_type(*(v for _, v in parts)))
     start = 0
     for idx, (w, v) in zip(blocks, parts):
-        vectors[idx, start:start + len(w)] = v
+        # column by column: a 2-D fancy assignment would buffer its indices
+        for k, col in enumerate(column[start:start + len(w)].tolist()):
+            vectors[idx, col] = v[:, k]
         start += len(w)
-    return np.concatenate([w for w, _ in parts]), vectors
+    return values[order], vectors
 
 
 def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
@@ -155,9 +215,8 @@ def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
     ``s_matrix`` is S or the closed-loop S of the assembly.  A unit column
     of v is a mode T R^{-1} v of unit M-norm; none is lifted here.
     """
-    w, v = _blockwise(scipy.linalg.eig, s_matrix, assembly.reduction.mechanical)
-    order = _sort_order(w)
-    return w[order], v[:, order]
+    return _blockwise(scipy.linalg.eig, _whole_or_block(s_matrix), len(s_matrix),
+                      assembly.reduction.mechanical, _sort_order)
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
@@ -225,21 +284,24 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     table.  Accurate for shifts far below the dense-eig noise floor.  A gain
     that is negative or not finite raises ValueError, and a mode whose
     damped iteration does not converge raises :class:`SecularNotConverged`.
+
+    The eigenvectors u are the one (dim, dim) array of the call: the skew
+    part is formed block by block where it splits, c = conj(g^T u) needs no
+    conjugate copy of u, and u is let go before the secular solve, which
+    holds TABLE_BLOCK rows of the other modes at a time.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
     mech = assembly.reduction.mechanical
-    theta, u = _blockwise(np.linalg.eigh, 0.5j * (ref.s - ref.s.T), mech)
-    if np.any(np.diff(theta) < 0):  # blocks: ascending as one eigh would be
-        order = np.argsort(theta, kind="stable")
-        theta, u = theta[order], u[:, order]
+    theta, u = _blockwise(np.linalg.eigh, _skew_part(ref.s), len(ref.s), mech, _ascending)
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
-    c = u.conj().T @ ref.coupling
+    c = np.conj(ref.coupling @ u)  # u^H g, without a conjugate copy of u
     c2 = np.abs(c) ** 2
 
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     mech_fraction = np.linalg.norm(u[np.ix_(mech, pos)], axis=0) ** 2
+    del u  # the secular solve needs only the frequencies and couplings
     return (omega_all[pos], _secular_roots(omega_all, c2, pos, gain),
             np.abs(c[pos]), _dominant_block(mech_fraction))
 
@@ -248,17 +310,38 @@ def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
                    gain: float) -> np.ndarray:
     """The root i omega + delta near each mode pos[j], by one damped iteration.
 
-    Row j holds the other modes of pos[j] as one contiguous row, so each
-    row's sum is the pairwise sum a loop over the modes would take.  A mode
-    leaves the iteration once its step is below SECULAR_RTOL relative.
+    The modes are solved TABLE_BLOCK rows at a time.  Row j holds the other
+    modes of pos[j] as one contiguous row, so each row's sum is the pairwise
+    sum a loop over the modes would take, whatever rows share its chunk.  A
+    mode leaves the iteration once its step is below SECULAR_RTOL relative;
+    every chunk runs before a mode that has not converged raises, so the
+    error names the first such mode and counts them all.
     """
+    roots = np.empty(len(pos), dtype=complex)
+    failed = []
+    for start in range(0, len(pos), TABLE_BLOCK):
+        rows = slice(start, start + TABLE_BLOCK)
+        left = _secular_chunk(omega_all, c2, pos[rows], gain, roots[rows])
+        failed.extend(start + left)
+    if failed:
+        j = int(failed[0])
+        raise SecularNotConverged(
+            f"secular equation of mode {j} (omega = {omega_all[pos[j]]:.6g}) did "
+            f"not converge in {SECULAR_MAX_ITER} iterations; {len(failed)} of "
+            f"{len(pos)} modes did not")
+    return roots
+
+
+def _secular_chunk(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
+                   gain: float, roots: np.ndarray) -> np.ndarray:
+    """Write the roots of the modes pos into ``roots``; return the rows left over."""
     cols = np.arange(len(omega_all) - 1)
     others = cols + (cols >= pos[:, None])  # row j: every mode but pos[j]
     i_omega = 1j * omega_all[others]
     c2_others = c2[others]
+    del others
     lam0 = 1j * omega_all[pos]
     push = -gain * c2[pos]
-    roots = np.empty(len(pos), dtype=complex)
     rows = np.arange(len(pos))
     delta = np.zeros(len(pos), dtype=complex)
     for _ in range(SECULAR_MAX_ITER):
@@ -268,18 +351,14 @@ def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
         done = np.abs(new_delta - delta) <= SECULAR_RTOL * np.abs(new_delta) + 1e-300
         roots[rows[done]] = lam0[done] + new_delta[done]
         if done.all():
-            return roots
+            return rows[:0]
         if done.any():
             left = ~done
             rows, i_omega, c2_others = rows[left], i_omega[left], c2_others[left]
             lam0, push = lam0[left], push[left]
             delta, new_delta = delta[left], new_delta[left]
         delta = 0.5 * (delta + new_delta)
-    j = int(rows[0])
-    raise SecularNotConverged(
-        f"secular equation of mode {j} (omega = {omega_all[pos[j]]:.6g}) did "
-        f"not converge in {SECULAR_MAX_ITER} iterations; {rows.size} of "
-        f"{len(pos)} modes did not")
+    return rows
 
 
 def kernel_basis(assembly: GeneratorAssembly):

@@ -224,6 +224,10 @@ def _set(**keys):
     return lambda doc: {**doc, **keys}
 
 
+def _params(**keys):
+    return lambda doc: {**doc, "params": {**doc["params"], **keys}}
+
+
 _TAB_STATE = _set(initial_state={"kind": "tabulated", "path": "tab.csv"})
 _TAB_SIGNAL = _set(actuation="current",
                    input_signal={"kind": "tabulated", "path": "tab.csv"})
@@ -261,6 +265,14 @@ _REJECTED_CONFIGS = {
                                                             "alpha": 1e-300,
                                                             "rho": 1e300}},
                              None, "params.wave_speed"),
+    # scales beyond double precision: default_dt once underflowed to 0
+    # (ZeroDivisionError), or numpy warned of overflow before the skewness
+    # certificate read nan (exit 1)
+    "generator_overflow_tiny_L": (_params(L=1e-300, alpha=1e300), None,
+                                  "energy-weighted generator M G"),
+    "generator_overflow": (_params(alpha=1e300), None, "energy-weighted generator M G"),
+    "default_dt_underflow": (_params(rho=1e-44, L=1e-300, mu=1e-300, gamma=1e-300),
+                             None, "default time step"),
     "state_file_missing": (_set(initial_state={"kind": "tabulated",
                                                "path": "absent.csv"}),
                            None, "cannot read state file"),
@@ -631,13 +643,27 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("case", _REJECTED_CONFIGS)
     def test_rejected_config_exits_2(self, tmp_path, run_cli, case):
         # every documented rejection is a config error named in the message,
-        # refused before --out is made
+        # refused before --out is made and without a warning (the suite
+        # turns every warning into an error)
         edit, text, named = _REJECTED_CONFIGS[case]
         if text is not None:
             (tmp_path / "tab.csv").write_text(text, encoding="utf-8")
         doc = edit(toy_config_dict(n_cells=16, t_final=0.1))
         out = tmp_path / "o"
         res = run_cli("simulate", "--config", str(_write(tmp_path, doc)),
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ("generator_overflow_tiny_L", "generator_overflow"))
+    def test_rejected_scale_exits_2_for_spectrum(self, tmp_path, run_cli, case):
+        # the spectrum once failed in eig ("array must not contain infs or
+        # NaNs") or in the skewness certificate, after numpy's warnings
+        edit, _, named = _REJECTED_CONFIGS[case]
+        doc = edit(toy_config_dict(n_cells=16, t_final=0.1))
+        out = tmp_path / "o"
+        res = run_cli("spectrum", "--config", str(_write(tmp_path, doc)),
                       "--out", str(out))
         assert res.returncode == 2, res.stderr
         assert named in res.stderr

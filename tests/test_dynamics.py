@@ -178,6 +178,10 @@ class TestRandomStepper:
              dt_factor=1.0, gain=10.0)
     @example(params=BOX_CORNER, n=48, actuation=ActuationMode.CHARGE_ELECTROSTATIC,
              dt_factor=0.2, gain=0.0)
+    # u = -k v^T y_mid cancels here: its error 6.7e-15 is 1.3e-11 of |u| and
+    # 2.1e-16 of k |v| |y_mid|
+    @example(params=_random_parameters(310711854), n=48, actuation=ActuationMode.CURRENT,
+             dt_factor=0.9375, gain=1.0)
     @settings(max_examples=30, deadline=None)
     def test_fifty_steps_against_dense(self, params, n, actuation, dt_factor, gain):
         asm = build_system(params, build_grid(params.L, n), actuation)
@@ -194,7 +198,10 @@ class TestRandomStepper:
             y_next, u = stepper.step_closed(y)
             assert np.linalg.norm(y_next - (2.0 * y_mid - y)) <= \
                 1e-11 * np.linalg.norm(y_next)
-            assert u == pytest.approx(-gain * (asm.output @ y_mid), rel=1e-11, abs=0.0)
+            # u = -k v^T y_mid may cancel, so it is bounded as the state is:
+            # against k |v| |y_mid|, not against |u|
+            assert abs(u + gain * (asm.output @ y_mid)) <= \
+                1e-11 * gain * np.linalg.norm(asm.output) * np.linalg.norm(y_mid)
         worst = worst_identity = 0.0
         for j in range(50):
             if gain > 0.0:

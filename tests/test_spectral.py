@@ -1,5 +1,8 @@
 """Eigenstructure in the energy inner product and stabilizability reports."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -275,13 +278,16 @@ class TestDiagonalBlocks:
         asm = (assemble_electrostatic(params, grid) if system == "electrostatic"
                else assemble_generator(params, grid))
         s = asm.reference.s
-        blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
+        blocks = spectral._decoupled_blocks(spectral._whole_or_block(s), len(s),
+                                            asm.reduction.mechanical)
         assert len(blocks) == 1
         np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     def test_gamma_zero_splits_mechanics_from_fields(self):
         asm, _ = _report(32, gamma=0.0)
-        blocks = spectral._decoupled_blocks(asm.reference.s, asm.reduction.mechanical)
+        s = asm.reference.s
+        blocks = spectral._decoupled_blocks(spectral._whole_or_block(s), len(s),
+                                            asm.reduction.mechanical)
         sl = block_slices(asm.grid)
         keep = asm.reduction.keep
         in_blocks = [np.isin(keep, np.r_[sl[a], sl[b]])
@@ -294,12 +300,16 @@ class TestDiagonalBlocks:
     def test_tiny_cross_entry_couples(self):
         # one 1e-300 entry on either side of the diagonal keeps one block
         asm, _ = _report(32, gamma=0.0)
-        mech, em = spectral._decoupled_blocks(asm.reference.s, asm.reduction.mechanical)
+        dim = len(asm.reference.s)
+        mech, em = spectral._decoupled_blocks(spectral._whole_or_block(asm.reference.s),
+                                              dim, asm.reduction.mechanical)
         for row, col in ((em[3], mech[5]), (mech[5], em[3])):
             s = asm.reference.s.copy()
             s[row, col] = 1e-300
-            blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
-            assert len(blocks) == 1
+            for entries in (spectral._whole_or_block(s), spectral._skew_part(s)):
+                blocks = spectral._decoupled_blocks(entries, dim,
+                                                    asm.reduction.mechanical)
+                assert len(blocks) == 1
             np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     @pytest.mark.parametrize("n", (32, 64))
@@ -314,6 +324,114 @@ class TestDiagonalBlocks:
                                    atol=1e-12 * report.g_norm)
         np.testing.assert_array_equal(report.dominant_block, block)
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
+
+
+def _solve_then_sort(solver, m, mechanical, sort):
+    """The former route: solve, place the vectors block-diagonally, then sort.
+
+    A sort that keeps every column in place (one eigh is ascending
+    already) was skipped, so the solver's own layout was kept.
+    """
+    blocks = spectral._decoupled_blocks(spectral._whole_or_block(m), len(m), mechanical)
+    if len(blocks) == 1:
+        w, v = solver(m)
+    else:
+        parts = [solver(m[np.ix_(idx, idx)]) for idx in blocks]
+        v = np.zeros(m.shape, dtype=np.result_type(*(v for _, v in parts)))
+        start = 0
+        for idx, (bw, bv) in zip(blocks, parts):
+            v[idx, start:start + len(bw)] = bv
+            start += len(bw)
+        w = np.concatenate([bw for bw, _ in parts])
+    order = sort(w)
+    if np.array_equal(order, np.arange(len(order))):
+        return w, v
+    return w[order], v[:, order]
+
+
+def _same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.strides == want.strides and got.tobytes() == want.tobytes())
+
+
+class TestSortedSolves:
+    """The dense solves sort in place or place each column at its sorted position."""
+
+    @pytest.mark.parametrize("n, kind", ((6, "identity"), (9, "one_cycle"),
+                                         (50, "random"), (1, "identity"),
+                                         (0, "identity")))
+    def test_reorder_in_place_equals_fancy_index(self, n, kind):
+        rng = np.random.default_rng(n)
+        order = {"identity": np.arange(n), "one_cycle": np.roll(np.arange(n), 1),
+                 "random": rng.permutation(n)}[kind]
+        v = np.asfortranarray(rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n)))  # as eig returns it
+        want = v[:, order]
+        got = spectral._reorder_columns(v, order)
+        assert got is v
+        assert _same_array(got, want)
+
+    @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("split", "unsplit"))
+    @pytest.mark.parametrize("solver", ("eig", "eigh"))
+    def test_sorted_placement_equals_solve_then_sort(self, solver, gamma):
+        asm, _ = _report(32, gamma=gamma)
+        s, mech = asm.reference.s, asm.reduction.mechanical
+        if solver == "eig":
+            args = (scipy.linalg.eig, s, spectral._whole_or_block(s),
+                    spectral._sort_order)
+        else:
+            args = (np.linalg.eigh, 0.5j * (s - s.T), spectral._skew_part(s),
+                    spectral._ascending)
+        solve, m, entries, sort = args
+        blocks = spectral._decoupled_blocks(entries, len(s), mech)
+        assert len(blocks) == (2 if gamma == 0.0 else 1)
+        w, v = spectral._blockwise(solve, entries, len(s), mech, sort)
+        want_w, want_v = _solve_then_sort(solve, m, mech, sort)
+        assert _same_array(w, want_w)
+        assert _same_array(v, want_v)
+
+    def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
+        # 255 modes at N = 128: two chunks of TABLE_BLOCK rows against one
+        asm, _ = _report(128, gamma=1.0)
+        chunked = closed_loop_mode_shifts(asm, 1.0)
+        assert len(chunked[0]) == 255 > spectral.TABLE_BLOCK
+        monkeypatch.setattr(spectral, "TABLE_BLOCK", 255)
+        for got, want in zip(chunked, closed_loop_mode_shifts(asm, 1.0)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_chunked_failure_names_the_same_mode(self, monkeypatch):
+        # the strong charge coupling at N = 64 leaves 6 of 127 modes
+        # unconverged, in more than one chunk of 16 rows
+        asm = assemble_charge_magnetic(TOY, build_grid(TOY.L, 64))
+        messages = []
+        for rows in (spectral.TABLE_BLOCK, 16):
+            monkeypatch.setattr(spectral, "TABLE_BLOCK", rows)
+            with pytest.raises(SecularNotConverged) as err:
+                closed_loop_mode_shifts(asm, 1.0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "mode 17 " in messages[0] and "6 of 127 modes did not" in messages[0]
+
+
+class TestDenseMemoryScript:
+    def test_smoke_at_n16(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "dense_memory.py"
+        spec = importlib.util.spec_from_file_location("dense_memory", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--n-cells", "16"]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == ["model", "gamma", "dim", *script.COLUMNS]
+        rows = lines[1:]
+        assert [row[:3] for row in rows] == [
+            [model, gamma, dim] for model, dim in (("current", "63"),
+                                                   ("charge_magnetic", "63"),
+                                                   ("electrostatic", "32"))
+            for gamma in ("0", "1")]
+        for row in rows:
+            values = [float(cell.rstrip("*")) for cell in row[3:]]
+            assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
 
 
 class TestEnergyReference:
@@ -386,9 +504,12 @@ class TestEnergyReference:
             g[i] = (rhs[i] - r[:i, i] @ g[:i]) / r[i, i]
         assert np.max(np.abs(ref.coupling - g)) <= 1e-14 * np.max(np.abs(g))
         mech = asm.reduction.mechanical
-        theta, u = spectral._blockwise(np.linalg.eigh,
-                                       0.5j * (ref.s - ref.s.T), mech)
-        c = np.abs(u.conj().T @ ref.coupling)
+        theta, u = spectral._blockwise(np.linalg.eigh, spectral._skew_part(ref.s),
+                                       len(ref.s), mech, spectral._ascending)
+        # u^H g with one dot per contiguous column of a C-order u, as this
+        # test formed it before the sorted solves returned u in Fortran order
+        # (the shifts' own np.conj(g @ u) on that layout reads 5.2e-10 here)
+        c = np.abs(np.ascontiguousarray(u).conj().T @ ref.coupling)
         want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
         big = want > 1e-8
         assert np.count_nonzero(big) == 256  # both members of the 128 odd EM pairs
