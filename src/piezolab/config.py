@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, NonPositiveParameter, PiezolabError
-from .model import (MIN_CELLS, BeamParameters, build_grid, check_scales, default_dt,
-                    validate_parameters)
+from .model import MIN_CELLS, BeamParameters, check_scales, validate_parameters
 from .operators import ActuationMode
 
 SIGNAL_KINDS = ("zero", "constant", "sinusoid", "tabulated")
@@ -259,11 +259,6 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         raise ConfigParseError(f"invalid params: {exc}") from exc
 
     n_cells = _integer(_require(doc, "n_cells", "config"), "n_cells", MIN_CELLS)
-    grid = build_grid(params.L, n_cells)
-    try:
-        check_scales(params, grid)
-    except ValueError as exc:
-        raise ConfigParseError(f"params at n_cells {n_cells}: {exc}") from exc
 
     t_final = _finite(_require(doc, "t_final", "config"), "t_final")
     if t_final <= 0:
@@ -275,10 +270,6 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         if dt <= 0:
             raise ConfigParseError(f"dt must be positive, got {dt}")
         time_steps(t_final, dt)
-    elif default_dt(params, grid) == 0.0:
-        raise ConfigParseError(
-            f"params at n_cells {n_cells}: the default time step "
-            f"dx / (10 sqrt(alpha / rho)) underflows to 0; give dt")
 
     actuation_name = doc.get("actuation", "none")
     try:
@@ -287,6 +278,15 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         valid = ", ".join(m.value for m in ActuationMode)
         raise ConfigParseError(f"actuation must be one of {valid}, "
                                f"got {actuation_name!r}") from None
+    try:
+        check_scales(params, n_cells, actuation is ActuationMode.CHARGE_ELECTROSTATIC)
+    except ValueError as exc:
+        raise ConfigParseError(f"params at n_cells {n_cells}: {exc}") from exc
+    if dt is None and params.L / n_cells / (10.0 * math.sqrt(params.alpha / params.rho)) == 0.0:
+        # the dynamics' default_dt, dx / (10 c), on the dx of build_grid
+        raise ConfigParseError(
+            f"params at n_cells {n_cells}: the default time step "
+            f"dx / (10 sqrt(alpha / rho)) underflows to 0; give dt")
 
     signal = _parse_signal(doc.get("input_signal"), base_dir)
     gain = _finite(doc.get("feedback_gain", 0.0), "feedback_gain")

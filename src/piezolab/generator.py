@@ -160,17 +160,12 @@ class SplitGenerator:
         A is block diagonal with one Helmholtz block per auxiliary field, so
         A^{-1} K is ``p`` applied to each block of rows of K.  Every product
         is sparse times dense, and each row of G is formed alone, so the
-        rows come out as the same rows of the whole G.  G0 is added into
-        C (A^{-1} K) in place, entry by entry, so no second dense copy is made.
+        rows come out as the same rows of the whole G.
         """
         n = p.shape[0]
         pk = np.vstack([p @ self.k[i:i + n] for i in range(0, self.k.shape[0], n)])
         g0, c = (self.g0, self.c) if rows is None else (self.g0[rows], self.c[rows])
-        out = c @ pk
-        del pk
-        g0 = g0.tocoo()
-        np.add.at(out, (g0.row, g0.col), g0.data)
-        return out
+        return g0 + c @ pk
 
     def apply(self, ops: DiscreteOperators, z: np.ndarray) -> np.ndarray:
         """G z, with A^{-1} applied by banded Cholesky solves; z may be a block."""

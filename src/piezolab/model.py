@@ -152,27 +152,36 @@ def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
     return grid.dx / (10.0 * c)
 
 
-def check_scales(params: BeamParameters, grid: StaggeredGrid) -> None:
-    """Raise ValueError if the grid's energy-weighted generator overflows.
+def check_scales(params: BeamParameters, n_cells: int, electrostatic: bool = False) -> None:
+    """Raise ValueError if dx = L / n_cells underflows to 0 or M G overflows.
 
     Up to a factor of about 2, the largest entry s of the energy-weighted
     generator M G is the largest of alpha, |gamma|, gamma^2/eps3,
-    |gamma| xi/dx, mu dx, mu and mu/dx.  The probe certificates square
-    ||M G z|| <= ||M G||_F ||z|| <= 2 d s ||z|| over the d = 6N - 1
-    coordinates, and a probe's ||z|| is about sqrt(d), so s d^(3/2) times
-    SCALE_MARGIN must have a finite square.  Only Python floats are used,
-    so no warning is printed on the way.
+    |gamma| xi/dx, mu dx, mu and mu/dx on the six-field grid, and of alpha
+    and gamma^2/eps3 in the electrostatic model, which holds no magnetic
+    field.  The probe certificates square
+    ||M G z|| <= ||M G||_F ||z|| <= 2 d s ||z|| over the d coordinates
+    (6N - 1, or 2N electrostatic), and a probe's ||z|| is about sqrt(d), so
+    s d^(3/2) times SCALE_MARGIN must have a finite square.  dx is that of
+    :func:`build_grid`, and only Python floats are used, so no array is
+    made and no warning is printed on the way.
     """
-    p, dx = params, grid.dx
-    s = max(p.alpha, abs(p.gamma), p.gamma * p.gamma / p.eps3,
-            abs(p.gamma) * p.xi / dx, p.mu * dx, p.mu, p.mu / dx)
-    limit = float(np.sqrt(np.finfo(float).max)) / (SCALE_MARGIN * grid.state_dim ** 1.5)
+    p, dx = params, params.L / n_cells
+    if dx == 0.0:
+        raise ValueError(f"the cell width dx = L / n_cells underflows to 0 at L = {p.L:.6g}")
+    entries = {"alpha": p.alpha, "gamma^2/eps3": p.gamma * p.gamma / p.eps3}
+    dim = 2 * n_cells
+    if not electrostatic:
+        entries.update({"|gamma|": abs(p.gamma), "|gamma| xi/dx": abs(p.gamma) * p.xi / dx,
+                        "mu dx": p.mu * dx, "mu": p.mu, "mu/dx": p.mu / dx})
+        dim = 6 * n_cells - 1
+    name, s = max(entries.items(), key=lambda item: item[1])
+    limit = float(np.sqrt(np.finfo(float).max)) / (SCALE_MARGIN * dim ** 1.5)
     if not s <= limit:
         raise ValueError(
-            f"the energy-weighted generator M G overflows double precision at "
-            f"dx = {dx:.6g}: its entries reach {s:.6g} (the largest of alpha, "
-            f"|gamma|, gamma^2/eps3, |gamma| xi/dx, mu dx, mu and mu/dx), above "
-            f"{limit:.6g} for {grid.state_dim} coordinates")
+            f"the energy-weighted generator M G overflows double precision: its "
+            f"entry {name} = {s:.6g} at dx = {dx:.6g} is above {limit:.6g} for "
+            f"{dim} coordinates")
 
 
 def block_slices(grid: StaggeredGrid) -> dict:

@@ -269,8 +269,16 @@ _REJECTED_CONFIGS = {
     # (ZeroDivisionError), or numpy warned of overflow before the skewness
     # certificate read nan (exit 1)
     "generator_overflow_tiny_L": (_params(L=1e-300, alpha=1e300), None,
-                                  "energy-weighted generator M G"),
-    "generator_overflow": (_params(alpha=1e300), None, "energy-weighted generator M G"),
+                                  "M G overflows double precision: its entry mu/dx"),
+    "generator_overflow": (_params(alpha=1e300), None,
+                           "M G overflows double precision: its entry alpha"),
+    "generator_overflow_mu": (_params(mu=1e160), None,
+                              "M G overflows double precision: its entry mu/dx"),
+    "generator_overflow_electrostatic": (
+        lambda doc: _params(alpha=1e300)({**doc, "actuation": "charge_electrostatic"}),
+        None, "M G overflows double precision: its entry alpha"),
+    # dx = L / n_cells once divided by zero inside the scale check itself (exit 1)
+    "dx_underflow": (_params(L=1e-323), None, "dx = L / n_cells underflows to 0"),
     "default_dt_underflow": (_params(rho=1e-44, L=1e-300, mu=1e-300, gamma=1e-300),
                              None, "default time step"),
     "state_file_missing": (_set(initial_state={"kind": "tabulated",
@@ -668,6 +676,16 @@ class TestCliExitCodes:
         assert res.returncode == 2, res.stderr
         assert named in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("simulate", "spectrum"))
+    def test_electrostatic_ignores_mu_scale(self, tmp_path, run_cli, command):
+        # the electrostatic model holds no magnetic field, so a mu that the
+        # six-field scale check refuses still runs
+        doc = _params(mu=1e160)({**toy_config_dict(n_cells=16, t_final=0.1),
+                                 "actuation": "charge_electrostatic"})
+        res = run_cli(command, "--config", str(_write(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("argv, named", [
         (["simulate", "--config", "absent.json"], "cannot read config"),

@@ -310,7 +310,7 @@ class TestDiagonalBlocks:
                 blocks = spectral._decoupled_blocks(entries, dim,
                                                     asm.reduction.mechanical)
                 assert len(blocks) == 1
-            np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
+                np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
