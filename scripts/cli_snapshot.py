@@ -22,6 +22,12 @@ The last job is the whole ``paper-suite``: its ``acceptance_summary.csv``
 pins every acceptance measurement, and its ``acceptance_details.csv`` each
 check's ``details`` text, so a change in a check's details table shows in
 the comparison.
+OUT/environment.json records what the numbers may depend on besides the
+code: the BLAS, the numpy and scipy versions, the CPU count and the BLAS
+thread settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS,
+read from the environment, null when unset); the same jobs can differ in
+the last bits between one and two BLAS threads, so a comparison of two
+snapshots whose records differ fails and names each field that differs.
 Snapshot two checkouts on the same machine and compare them: a refactor that
 keeps behaviour leaves every CSV byte-identical and every job's
 ``report.json`` the same once the snapshot root (OUT, made absolute, which
@@ -43,8 +49,12 @@ import filecmp
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 try:
     import piezolab.cli
@@ -53,6 +63,8 @@ except ImportError:
     import piezolab.cli
 
 ROOT_TOKEN = "<snapshot root>"
+RECORD = "environment.json"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TOY = {"rho": 1.0, "alpha": 1.0, "gamma": 1.0, "eps1": 1.0, "eps3": 1.0,
        "mu": 1.0, "h": 1.0, "L": 1.0}
 NON_UNIT = {"rho": 1.3, "alpha": 0.8, "gamma": -0.7, "eps1": 1.7, "eps3": 0.9,
@@ -213,9 +225,22 @@ def _jobs(configs: dict) -> list:
     return jobs
 
 
+def _environment() -> dict:
+    """The BLAS name, numpy and scipy versions, CPU count and thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+    except (KeyError, TypeError):
+        blas = None
+    return {"blas": blas, "numpy": np.__version__, "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
 def snapshot(out: Path) -> int:
     out = out.resolve()
     configs = _write_inputs(out / "_inputs")
+    out.joinpath(RECORD).write_text(json.dumps(_environment(), indent=1, sort_keys=True)
+                                    + "\n", encoding="utf-8")
     codes = []
     for name, argv in _jobs(configs):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -339,6 +364,24 @@ def _compared(root: Path) -> set:
             if p.suffix == ".csv" or p.name == "report.json"}
 
 
+def _environment_differences(a: Path, b: Path) -> list:
+    """A line for each field in which the two snapshots' records differ.
+
+    A record on one side only is named as such; two snapshots without one
+    have nothing to compare.
+    """
+    records = [json.loads(path.read_text(encoding="utf-8")) if path.is_file() else None
+               for path in (a / RECORD, b / RECORD)]
+    if records == [None, None]:
+        return []
+    if None in records:
+        return [f"only in {a if records[1] is None else b}: {RECORD}"]
+    ra, rb = records
+    return [f"environment differs: {key} is {ra.get(key)!r} in {a} and "
+            f"{rb.get(key)!r} in {b}" for key in sorted(ra.keys() | rb.keys())
+            if ra.get(key) != rb.get(key)]
+
+
 def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     """Name every CSV or report present on one side only or differing.
 
@@ -348,9 +391,12 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> int:
     report with keys on one side only also with those keys (see
     :func:`_file_difference`); with ``rtol`` it also prints that relative
     difference, and only one above ``rtol`` makes the comparison fail.
+    Environment records that differ fail it whatever ``rtol`` is (see
+    :func:`_environment_differences`).
     """
     files_a, files_b = _compared(a), _compared(b)
-    problems = [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
+    problems = _environment_differences(a, b)
+    problems += [f"only in {a}: {rel}" for rel in sorted(files_a - files_b)]
     problems += [f"only in {b}: {rel}" for rel in sorted(files_b - files_a)]
     differing = [rel for rel in sorted(files_a & files_b) if not _same(a, b, rel)]
     within = 0

@@ -18,8 +18,10 @@ the six-field models), it builds the assembly and prints, in MiB:
 ``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
 not the BLAS library's own buffers, so these are the transients of the
 arrays the code forms.  A shift solve that raises ``SecularNotConverged``
-is marked ``*``; its peak is still the peak of the work done.  A line with
-the versions and the CPU count comes first.
+(a closed-loop root still moving after ``ABERTH_MAX_SWEEPS`` sweeps; none
+does on these models at N up to 256) is marked ``*``; its peak is still
+the peak of the work done.  A line with the versions and the CPU count
+comes first.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, NonPositiveParameter, PiezolabError
-from .model import MIN_CELLS, BeamParameters, check_scales, validate_parameters
+from .model import (MIN_CELLS, BeamParameters, check_scales, default_dt_at,
+                    validate_parameters)
 from .operators import ActuationMode
 
 SIGNAL_KINDS = ("zero", "constant", "sinusoid", "tabulated")
@@ -27,6 +27,8 @@ STATE_KINDS = ("zero", "modal", "tabulated")
 # n_steps * dt ends on t_final when it misses it by at most this, relative
 # to t_final: the rounding of dt and of the product, not a step too few
 T_FINAL_RTOL = 1e-12
+# largest planned n_steps * n_cells of a run, about 2 h at 0.7 us per cell-step
+MAX_CELL_STEPS = 1e10
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         dt = _finite(dt, "dt")
         if dt <= 0:
             raise ConfigParseError(f"dt must be positive, got {dt}")
-        time_steps(t_final, dt)
+        n_steps, _ = time_steps(t_final, dt)
 
     actuation_name = doc.get("actuation", "none")
     try:
@@ -282,11 +284,17 @@ def config_from_dict(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         check_scales(params, n_cells, actuation is ActuationMode.CHARGE_ELECTROSTATIC)
     except ValueError as exc:
         raise ConfigParseError(f"params at n_cells {n_cells}: {exc}") from exc
-    if dt is None and params.L / n_cells / (10.0 * math.sqrt(params.alpha / params.rho)) == 0.0:
-        # the dynamics' default_dt, dx / (10 c), on the dx of build_grid
+    if dt is None:
+        default = default_dt_at(params, params.L / n_cells)  # dx of build_grid
+        if default == 0.0:
+            raise ConfigParseError(
+                f"params at n_cells {n_cells}: the default time step "
+                f"dx / (10 sqrt(alpha / rho)) underflows to 0; give dt")
+        n_steps, _ = time_steps(t_final, default, explicit=False)
+    if float(n_steps) * n_cells > MAX_CELL_STEPS:
         raise ConfigParseError(
-            f"params at n_cells {n_cells}: the default time step "
-            f"dx / (10 sqrt(alpha / rho)) underflows to 0; give dt")
+            f"the run plans {float(n_steps):.3g} steps of {n_cells} cells, above "
+            f"{MAX_CELL_STEPS:.0e} cell-steps; give a larger dt or a shorter t_final")
 
     signal = _parse_signal(doc.get("input_signal"), base_dir)
     gain = _finite(doc.get("feedback_gain", 0.0), "feedback_gain")

@@ -63,4 +63,4 @@ class NotPositiveDefinite(PiezolabError, RuntimeError):
 
 
 class SecularNotConverged(PiezolabError, RuntimeError):
-    """A mode's secular-equation iteration used up its iteration budget."""
+    """The closed-loop root solve used up its sweeps with a root still moving."""

@@ -147,9 +147,13 @@ def build_grid(L: float, n_cells: int) -> StaggeredGrid:
 
 
 def default_dt(params: BeamParameters, grid: StaggeredGrid) -> float:
+    """The default time step on ``grid`` (see :func:`default_dt_at`)."""
+    return default_dt_at(params, grid.dx)
+
+
+def default_dt_at(params: BeamParameters, dx: float) -> float:
     """dx / (10 c) with c the mechanical wave speed sqrt(alpha/rho)."""
-    c = float(np.sqrt(params.alpha / params.rho))
-    return grid.dx / (10.0 * c)
+    return dx / (10.0 * float(np.sqrt(params.alpha / params.rho)))
 
 
 def check_scales(params: BeamParameters, n_cells: int, electrostatic: bool = False) -> None:

@@ -31,14 +31,12 @@ and its eigenvectors are sorted in place.  Either way a solve holds one
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
 1/omega^2; ``closed_loop_mode_shifts`` therefore solves the exact rank-one
-secular equation in the eigenbasis of the skew part, giving each mode's
-shift with small relative error, and reads each mode's frequency, feedback
-coupling |B* phi| and dominant block from the same eigenvectors.  One damped
-iteration runs over TABLE_BLOCK modes at a time, each mode frozen once it
-has converged; a mode that has not converged after SECULAR_MAX_ITER
-iterations raises :class:`~piezolab.errors.SecularNotConverged`.  The
-secular and the dense routes agree wherever the dense solver can resolve
-the shift, which the test suite checks.
+secular equation in the eigenbasis of the skew part, with small relative
+error, by one Aberth-Ehrlich solve of every root from the first-order
+guesses i omega - gain |c|^2.  A root stops once its step is below
+ABERTH_RTOL of its shift, part by part, one still moving after
+ABERTH_MAX_SWEEPS sweeps raises :class:`~piezolab.errors.SecularNotConverged`,
+and the root started from a mode is that mode's value.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ IMAGINARY_AXIS_TOL = 1e-10
 # mode table's stabilizable flag and the coupling rule of acceptance checks 7-9
 STABILIZABLE_TOL = 1e-8
 TABLE_BLOCK = 128
-SECULAR_MAX_ITER = 60   # damped iterations per mode of the secular equation
-SECULAR_RTOL = 1e-12    # relative step at which a mode's shift has converged
+ABERTH_MAX_SWEEPS = 100  # sweeps of the closed-loop root solve before it gives up
+ABERTH_RTOL = 1e-12      # relative step at which a closed-loop root has converged
 
 
 @dataclass(frozen=True)
@@ -277,18 +275,12 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     with omega above ZERO_MODE_REL_TOL times the largest |omega|, which
     leaves out the kernel whatever the sign of its rounding, sorted by
     omega.  Each mode is a unit eigenvector u of the skew part of S: lam[j]
-    solves 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 near i*omega[j];
-    coupling[j] = |c_j| is its energy-coordinate feedback coupling, which is
-    |B* phi| of its unit M-norm lift phi; and dominant_block[j] labels it by
-    its mechanical energy fraction ||u[mech]||^2, with the rule of the mode
-    table.  Accurate for shifts far below the dense-eig noise floor.  A gain
-    that is negative or not finite raises ValueError, and a mode whose
-    damped iteration does not converge raises :class:`SecularNotConverged`.
-
-    The eigenvectors u are the one (dim, dim) array of the call: the skew
-    part is formed block by block where it splits, c = conj(g^T u) needs no
-    conjugate copy of u, and u is let go before the secular solve, which
-    holds TABLE_BLOCK rows of the other modes at a time.
+    is the root of 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from
+    mode j (:func:`_closed_loop_roots`), accurate far below the dense-eig
+    noise floor; coupling[j] = |c_j| is |B* phi| of its unit M-norm lift
+    phi; and dominant_block[j] labels it by its mechanical energy fraction
+    ||u[mech]||^2, with the rule of the mode table.  A gain that is
+    negative or not finite raises ValueError.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
@@ -296,69 +288,63 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     theta, u = _blockwise(np.linalg.eigh, _skew_part(ref.s), len(ref.s), mech, _ascending)
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
     c = np.conj(ref.coupling @ u)  # u^H g, without a conjugate copy of u
-    c2 = np.abs(c) ** 2
-
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     mech_fraction = np.linalg.norm(u[np.ix_(mech, pos)], axis=0) ** 2
-    del u  # the secular solve needs only the frequencies and couplings
-    return (omega_all[pos], _secular_roots(omega_all, c2, pos, gain),
-            np.abs(c[pos]), _dominant_block(mech_fraction))
+    del u  # the one (dim, dim) array; the roots need only omega and c
+    lam = _closed_loop_roots(omega_all, np.abs(c) ** 2, gain)
+    return omega_all[pos], lam[pos], np.abs(c[pos]), _dominant_block(mech_fraction)
 
 
-def _secular_roots(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
-                   gain: float) -> np.ndarray:
-    """The root i omega + delta near each mode pos[j], by one damped iteration.
+def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np.ndarray:
+    """Each mode's root of 1 + gain * sum_l weight_l / (lam - i omega_l) = 0.
 
-    The modes are solved TABLE_BLOCK rows at a time.  Row j holds the other
-    modes of pos[j] as one contiguous row, so each row's sum is the pairwise
-    sum a loop over the modes would take, whatever rows share its chunk.  A
-    mode leaves the iteration once its step is below SECULAR_RTOL relative;
-    every chunk runs before a mode that has not converged raises, so the
-    error names the first such mode and counts them all.
+    A mode with gain * weight = 0 keeps its pole a = i omega.  The others
+    start at the first-order guesses a - gain weight, and each Aberth-Ehrlich
+    sweep moves every root still moving by its step from the roots of the
+    sweep before, TABLE_BLOCK roots at a time (a row sums over all the other
+    roots, so the chunks change nothing).  For the root z of pole a that step
+    is h / (h' + h r), where h = d (1 + gain s) + gain weight is the equation
+    times d = z - a, s sums weight_l / (z - a_l) and r sums
+    1/(z - a_l) - 1/(z - z_l) over the others: nothing is divided by d, so a
+    small shift keeps its digits.  A root stops once its step is at most
+    ABERTH_RTOL of |Re d| in the real part and of |d|, plus rounding of z,
+    in the imaginary part; one still moving after ABERTH_MAX_SWEEPS sweeps
+    raises SecularNotConverged.  The root started from a mode is its value;
+    no pairing is claimed where strong coupling moves roots off their poles.
     """
-    roots = np.empty(len(pos), dtype=complex)
-    failed = []
-    for start in range(0, len(pos), TABLE_BLOCK):
-        rows = slice(start, start + TABLE_BLOCK)
-        left = _secular_chunk(omega_all, c2, pos[rows], gain, roots[rows])
-        failed.extend(start + left)
-    if failed:
-        j = int(failed[0])
-        raise SecularNotConverged(
-            f"secular equation of mode {j} (omega = {omega_all[pos[j]]:.6g}) did "
-            f"not converge in {SECULAR_MAX_ITER} iterations; {len(failed)} of "
-            f"{len(pos)} modes did not")
-    return roots
-
-
-def _secular_chunk(omega_all: np.ndarray, c2: np.ndarray, pos: np.ndarray,
-                   gain: float, roots: np.ndarray) -> np.ndarray:
-    """Write the roots of the modes pos into ``roots``; return the rows left over."""
-    cols = np.arange(len(omega_all) - 1)
-    others = cols + (cols >= pos[:, None])  # row j: every mode but pos[j]
-    i_omega = 1j * omega_all[others]
-    c2_others = c2[others]
-    del others
-    lam0 = 1j * omega_all[pos]
-    push = -gain * c2[pos]
-    rows = np.arange(len(pos))
-    delta = np.zeros(len(pos), dtype=complex)
-    for _ in range(SECULAR_MAX_ITER):
-        terms = (lam0 + delta)[:, None] - i_omega
-        np.divide(c2_others, terms, out=terms)
-        new_delta = push / (1.0 + gain * np.sum(terms, axis=1))
-        done = np.abs(new_delta - delta) <= SECULAR_RTOL * np.abs(new_delta) + 1e-300
-        roots[rows[done]] = lam0[done] + new_delta[done]
-        if done.all():
-            return rows[:0]
-        if done.any():
-            left = ~done
-            rows, i_omega, c2_others = rows[left], i_omega[left], c2_others[left]
-            lam0, push = lam0[left], push[left]
-            delta, new_delta = delta[left], new_delta[left]
-        delta = 0.5 * (delta + new_delta)
-    return rows
+    lam = 1j * omega
+    coupled = np.flatnonzero(gain * weight > 0)
+    poles, weight = lam[coupled], weight[coupled]
+    roots = poles - gain * weight
+    cols = np.arange(len(coupled) - 1)
+    moving = np.arange(len(coupled))
+    for _ in range(ABERTH_MAX_SWEEPS):
+        step = np.empty(len(moving), dtype=complex)
+        for start in range(0, len(moving), TABLE_BLOCK):
+            rows = moving[start:start + TABLE_BLOCK]
+            others = cols + (cols >= rows[:, None])  # row j: every root but rows[j]
+            z = roots[rows, None]
+            inverse = 1.0 / (z - poles[others])
+            r = inverse.sum(axis=1) - (1.0 / (z - roots[others])).sum(axis=1)
+            terms = weight[others] * inverse
+            s, s2 = terms.sum(axis=1), (terms * inverse).sum(axis=1)  # s2 = -ds/dz
+            d = z[:, 0] - poles[rows]
+            h = d * (1.0 + gain * s) + gain * weight[rows]
+            step[start:start + len(rows)] = h / (1.0 + gain * (s - d * s2) + h * r)
+        roots[moving] -= step
+        d = roots[moving] - poles[moving]
+        done = ((np.abs(step.real) <= ABERTH_RTOL * np.abs(d.real))
+                & (np.abs(step.imag) <= ABERTH_RTOL * np.abs(d)
+                   + 4.0 * np.finfo(float).eps * np.abs(roots[moving])))
+        moving = moving[~done]
+        if not len(moving):
+            lam[coupled] = roots
+            return lam
+    raise SecularNotConverged(
+        f"{len(moving)} of {len(coupled)} closed-loop roots still moved after "
+        f"{ABERTH_MAX_SWEEPS} sweeps, the lowest from the mode at |omega| = "
+        f"{np.min(np.abs(omega[coupled[moving]])):.6g}")
 
 
 def kernel_basis(assembly: GeneratorAssembly):

@@ -281,6 +281,10 @@ _REJECTED_CONFIGS = {
     "dx_underflow": (_params(L=1e-323), None, "dx = L / n_cells underflows to 0"),
     "default_dt_underflow": (_params(rho=1e-44, L=1e-300, mu=1e-300, gamma=1e-300),
                              None, "default time step"),
+    # about 1.6e76 steps at the default dt: the run once went on until it
+    # was killed at 1.1 GB
+    "planned_work": (_params(alpha=1e150), None,
+                     "plans 1.6e+76 steps of 16 cells, above 1e+10 cell-steps"),
     "state_file_missing": (_set(initial_state={"kind": "tabulated",
                                                "path": "absent.csv"}),
                            None, "cannot read state file"),
@@ -951,6 +955,21 @@ class TestSnapshotCompare:
         assert script.compare(a, c, 1e-10) == 0
         assert "(/outcome/energy_final)" in capsys.readouterr().out
         assert script.compare(a, c, 1e-13) == 1
+
+    def test_environment_records_compared(self, tmp_path, capsys, monkeypatch):
+        # identical files under two BLAS thread settings: the comparison
+        # fails and names the setting, whatever --rtol allows
+        script = _snapshot_script()
+        a, b = self._pair(tmp_path, 1.0)
+        for root, threads in ((a, "1"), (b, "2")):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            record = script._environment()
+            (root / script.RECORD).write_text(json.dumps(record), encoding="utf-8")
+        assert script.compare(a, a) == 0
+        assert script.compare(a, b, 1e-10) == 1
+        out = capsys.readouterr().out
+        assert "environment differs: OPENBLAS_NUM_THREADS is '1'" in out
+        assert "numpy" not in out
 
     @pytest.mark.parametrize("rtol", [None, 1e-10])
     def test_keys_on_one_side_are_named(self, tmp_path, capsys, rtol):

@@ -126,23 +126,41 @@ class TestStabilizability:
                                       report.bstar_abs[:20] > 1e-8 * norms[:20])
 
 
-def _scalar_secular_loop(omega_all, c2, pos, gain):
-    """The per-mode damped iteration that the vectorized solve replaced."""
+def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
+    """The per-mode damped iteration that the closed-loop root solve replaced."""
     lams = np.empty(len(pos), dtype=complex)
     for out_idx, j in enumerate(pos):
         others = np.arange(len(omega_all)) != j
         lam0 = 1j * omega_all[j]
         delta = 0.0 + 0.0j
-        for _ in range(spectral.SECULAR_MAX_ITER):
+        for _ in range(max_iter):
             denom_terms = (lam0 + delta) - 1j * omega_all[others]
             corr = 1.0 + gain * np.sum(c2[others] / denom_terms)
             new_delta = -gain * c2[j] / corr
-            if abs(new_delta - delta) <= spectral.SECULAR_RTOL * abs(new_delta) + 1e-300:
+            if abs(new_delta - delta) <= rtol * abs(new_delta) + 1e-300:
                 delta = new_delta
                 break
             delta = 0.5 * (delta + new_delta)
         lams[out_idx] = lam0 + delta
     return lams
+
+
+def _all_roots(asm, gain):
+    """(omega, roots) of every mode of the shifts' eigh, the kernel included."""
+    s = asm.reference.s
+    theta, u = spectral._blockwise(np.linalg.eigh, spectral._skew_part(s), len(s),
+                                   asm.reduction.mechanical, spectral._ascending)
+    c2 = np.abs(asm.reference.coupling @ u) ** 2
+    return -theta, spectral._closed_loop_roots(-theta, c2, gain)
+
+
+def _dense_distance(asm, roots, gain):
+    """Largest distance, both ways, from the roots to the dense closed-loop
+    eigenvalues, relative to their spectral radius."""
+    ref = asm.reference
+    dense = scipy.linalg.eigvals(ref.s - gain * np.outer(ref.coupling, ref.coupling))
+    dist = np.abs(roots[:, None] - dense[None, :])
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max()) / np.abs(dense).max()
 
 
 class TestClosedLoop:
@@ -184,7 +202,8 @@ class TestClosedLoop:
         omega, lam, _, _ = closed_loop_mode_shifts(asm, gain)
         np.testing.assert_array_equal(omega, omega_all[pos])
         want = _scalar_secular_loop(omega_all, c2, pos, gain)
-        assert lam.tobytes() == want.tobytes()
+        np.testing.assert_allclose(lam.real, want.real, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(lam.imag, want.imag, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n, gamma", ((32, 1.0), (64, 0.0), (64, 1.0)))
     def test_shifts_leave_out_the_kernel(self, n, gamma):
@@ -199,19 +218,38 @@ class TestClosedLoop:
 
     def test_unconverged_mode_raises(self, monkeypatch):
         asm, _ = _report(16)
-        monkeypatch.setattr(spectral, "SECULAR_MAX_ITER", 2)
-        with pytest.raises(SecularNotConverged, match=r"mode 0 \(omega = .*2 iterations"):
+        monkeypatch.setattr(spectral, "ABERTH_MAX_SWEEPS", 2)
+        with pytest.raises(SecularNotConverged,
+                           match=r"of 63 closed-loop roots still moved after 2 "
+                                 r"sweeps, the lowest from the mode at \|omega\| = "):
             closed_loop_mode_shifts(asm, 1.0)
 
-    def test_strong_charge_coupling_raises(self):
-        # a known fault, pinned so that it stays visible: the boundary charge
-        # coupling of the charge-magnetic model at N = 64, gamma = 1 and
-        # gain 1 is too strong for the damped secular iteration, which
-        # raises rather than return a wrong root.  Retiring the secular
-        # solve (ROADMAP item 5) turns this into a test of the roots.
+    def test_strong_charge_coupling_solves(self):
+        # the boundary charge coupling of the charge-magnetic model at
+        # N = 64, gamma = 1 and gain 1 once left 6 of 127 modes of the
+        # damped secular iteration unconverged; every root is found now
         asm = assemble_charge_magnetic(TOY, build_grid(TOY.L, 64))
-        with pytest.raises(SecularNotConverged, match="6 of 127 modes did not"):
-            closed_loop_mode_shifts(asm, 1.0)
+        omega, lam, _, _ = closed_loop_mode_shifts(asm, 1.0)
+        assert len(lam) == 127
+        omega_all, roots = _all_roots(asm, 1.0)
+        pos = [int(np.flatnonzero(omega_all == w)[0]) for w in omega]
+        assert lam.tobytes() == roots[pos].tobytes()
+        assert _dense_distance(asm, roots, 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gain", (1e-3, 1e-2, 1.0))
+    @pytest.mark.parametrize("gamma", (0.0, 1.0))
+    @pytest.mark.parametrize("n", (32, 64))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_roots_match_dense_eig(self, build, n, gamma, gain):
+        # the coupled roots and the uncoupled poles against the dense
+        # closed-loop eigenvalues, each set within 1e-12 of the spectral
+        # radius of the other
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, n))
+        _, roots = _all_roots(asm, gain)
+        assert _dense_distance(asm, roots, gain) <= 1e-12
 
     @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
     def test_bad_gain_rejected(self, gain):
@@ -400,9 +438,10 @@ class TestSortedSolves:
             assert got.tobytes() == want.tobytes()
 
     def test_chunked_failure_names_the_same_mode(self, monkeypatch):
-        # the strong charge coupling at N = 64 leaves 6 of 127 modes
-        # unconverged, in more than one chunk of 16 rows
+        # four sweeps leave the strong charge coupling at N = 64 with roots
+        # still moving in more than one chunk of 16 rows
         asm = assemble_charge_magnetic(TOY, build_grid(TOY.L, 64))
+        monkeypatch.setattr(spectral, "ABERTH_MAX_SWEEPS", 4)
         messages = []
         for rows in (spectral.TABLE_BLOCK, 16):
             monkeypatch.setattr(spectral, "TABLE_BLOCK", rows)
@@ -410,7 +449,8 @@ class TestSortedSolves:
                 closed_loop_mode_shifts(asm, 1.0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert "mode 17 " in messages[0] and "6 of 127 modes did not" in messages[0]
+        assert int(messages[0].split()[0]) > 16
+        assert "of 255 closed-loop roots still moved after 4 sweeps" in messages[0]
 
 
 class TestDenseMemoryScript:
