@@ -226,8 +226,8 @@ class TestClosedLoop:
 
     def test_strong_charge_coupling_solves(self):
         # the boundary charge coupling of the charge-magnetic model at
-        # N = 64, gamma = 1 and gain 1 once left 6 of 127 modes of the
-        # damped secular iteration unconverged; every root is found now
+        # N = 64, gamma = 1 and gain 1 moves roots far from their poles (one
+        # pair becomes two real roots), where a per-mode iteration fails
         asm = assemble_charge_magnetic(TOY, build_grid(TOY.L, 64))
         omega, lam, _, _ = closed_loop_mode_shifts(asm, 1.0)
         assert len(lam) == 127
