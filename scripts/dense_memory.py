@@ -13,7 +13,11 @@ the six-field models), it builds the assembly and prints, in MiB:
 * ``spectrum``, ``closed_loop`` and ``shifts``: the traced peak of
   ``compute_spectrum``, ``closed_loop_spectrum`` and
   ``closed_loop_mode_shifts`` at gain GAIN, each above the traced memory at
-  its start, with the reference already formed.
+  its start, with the reference already formed;
+* beside each of those, ``by``: the route of its dense solve
+  (``spectral.solve_route``): ``eig`` or ``eigh`` of the whole matrix,
+  ``svd`` for a bipartite one, and the two block routes joined by ``+``
+  where it splits into its mechanical and field blocks.
 
 ``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
 not the BLAS library's own buffers, so these are the transients of the
@@ -46,12 +50,13 @@ from piezolab.errors import SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
-                               compute_spectrum)
+                               compute_spectrum, solve_route)
 from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 
 MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
           "electrostatic": assemble_electrostatic}
 COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "shifts")
+SOLVED = ("spectrum", "closed_loop", "shifts")  # the columns with a route beside
 MIB = 2.0 ** 20
 GAIN = 1.0
 
@@ -68,8 +73,17 @@ def _traced(call) -> tuple:
     return (tracemalloc.get_traced_memory()[1] - start) / MIB, raised
 
 
+def _routes(asm) -> tuple:
+    """The dense solve routes of the SOLVED calls on one assembly."""
+    ref, red = asm.reference, asm.reduction
+    s_cl = ref.s - GAIN * np.outer(ref.coupling, ref.coupling)
+    return (solve_route(ref.s, red), solve_route(s_cl, red),
+            solve_route(ref.s, red, skew=True))
+
+
 def measure(n_cells: int) -> list:
-    """One row per (model, gamma): model, gamma, dim, the COLUMNS, shifts raised."""
+    """One row per (model, gamma): model, gamma, dim, the COLUMNS, shifts
+    raised, the routes of the SOLVED calls."""
     rows = []
     tracemalloc.start()
     try:
@@ -84,7 +98,7 @@ def measure(n_cells: int) -> list:
                 closed, _ = _traced(lambda: closed_loop_spectrum(asm, GAIN))
                 shifts, raised = _traced(lambda: closed_loop_mode_shifts(asm, GAIN))
                 rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             spectrum, closed, shifts, raised))
+                             spectrum, closed, shifts, raised, _routes(asm)))
                 del asm
     finally:
         tracemalloc.stop()
@@ -100,11 +114,14 @@ def main(argv=None) -> int:
           f"{os.cpu_count()} CPUs, {platform.machine()}")
     print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start")
     print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
-          + " ".join(f"{c:>11}" for c in COLUMNS))
-    for name, gamma, dim, *values, raised in measure(args.n_cells):
+          + " ".join(f"{c:>11}" + (f" {'by':<7}" if c in SOLVED else "")
+                     for c in COLUMNS))
+    for name, gamma, dim, *values, raised, routes in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
         if raised:
             cells[-1] = f"{values[-1]:10.1f}*"
+        for i, route in zip(range(len(COLUMNS) - len(SOLVED), len(COLUMNS)), routes):
+            cells[i] += f" {route:<7}"
         print(f"{name:<16} {gamma:5g} {dim:5d} " + " ".join(cells))
     return 0
 

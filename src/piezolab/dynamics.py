@@ -380,20 +380,24 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
                 amplitude: float = 1.0) -> np.ndarray:
     """Real standing-wave state from the mode_index-th oscillatory pair.
 
-    Takes the real part of the lifted eigenvector of the positive-imaginary
-    member, renormalized to M-norm ``amplitude``.  That part is never zero:
-    LAPACK ``geev`` returns each eigenvector with its largest component
-    real, and the lift T R^{-1} is injective.  Kernel modes are skipped.
-    A negative or too large mode_index raises :class:`ConfigParseError`, as
-    does a state dimension above :data:`~piezolab.generator.DENSE_DIM_GUARD`
-    (the eigenvectors come from the dense reference), before any dense array.
+    Takes the energy-coordinate eigenvector of the positive-imaginary
+    member, scaled so that its largest-modulus component (the first on a
+    tie) is real and positive, whichever solver gave it; the state is the
+    real part of its lift, renormalized to M-norm ``amplitude``.  That part
+    is never zero, since the lift T R^{-1} is real and injective.  Kernel
+    modes are skipped.  A negative or too large mode_index raises
+    :class:`ConfigParseError`, as does a state dimension above
+    :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
+    the dense reference), before any dense array.
     """
     w, v = open_loop_modes(assembly)
     scale = max(float(np.max(np.abs(w))), 1.0)
     pos = np.flatnonzero(w.imag > ZERO_MODE_REL_TOL * scale)
     if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
-    y = np.real(lift_modes(assembly, v[:, pos[mode_index]]))
+    x = v[:, pos[mode_index]]
+    top = x[np.argmax(np.abs(x))]
+    y = np.real(lift_modes(assembly, x * (np.conj(top) / abs(top))))
     m = assembly.reference.m
     return (amplitude / np.sqrt(float(y @ m @ y))) * y
 

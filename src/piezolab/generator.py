@@ -103,8 +103,10 @@ class Reduction:
     without a gauge binds none.  :func:`assemble` derives the rest from it:
     ``keep`` lists the free full coordinates, on which the lift T is the
     identity, T fills each bound block by its operator, and ``bound`` names
-    those blocks.  The reduced Gram matrix and generator are temporaries of
-    the dense reference (:class:`DenseReference`).
+    those blocks.  ``mechanical`` and ``velocity`` name reduced coordinates
+    by their block, so the dense solves can split where the model does (see
+    :mod:`piezolab.spectral`).  The reduced Gram matrix and generator are
+    temporaries of the dense reference (:class:`DenseReference`).
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
@@ -112,6 +114,7 @@ class Reduction:
     gauge: dict         # {bound block: (free block, operator)}, or empty
     bound: tuple        # the gauge's keys: y3 and y6, or empty
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
+    velocity: np.ndarray    # reduced coordinates of the blocks y4 and y5
 
 
 @dataclass(frozen=True)
@@ -516,6 +519,15 @@ def _probe_certificates(ops: DiscreteOperators, split: SplitGenerator, parts: di
     return skew, float(np.max(defect))
 
 
+def _declared(blocks: dict, names: tuple, dim: int) -> np.ndarray:
+    """Mask of the coordinates in the named blocks that the model declares."""
+    mask = np.zeros(dim, dtype=bool)
+    for name in names:
+        if name in blocks:
+            mask[blocks[name]] = True
+    return mask
+
+
 def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators,
              split: SplitGenerator, parts: dict, b: np.ndarray, gauge: dict,
              blocks: dict, output: np.ndarray | None = None) -> GeneratorAssembly:
@@ -531,11 +543,11 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
     no block has no gauge to certify.
     """
     dim = split.shape[0]
-    free, mechanical = np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool)
+    free = np.ones(dim, dtype=bool)
     for name in gauge:
         free[blocks[name]] = False
-    for name in ("y1", "y4"):
-        mechanical[blocks[name]] = True
+    mechanical, velocity = (_declared(blocks, names, dim)
+                            for names in (("y1", "y4"), ("y4", "y5")))
     keep = np.flatnonzero(free)
     column = np.cumsum(free) - 1  # the reduced column of each free coordinate
     eye = sparse.eye_array(dim, format="csr")[:, keep]  # T on the free coordinates
@@ -551,7 +563,8 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
         raise AssemblyInconsistent("generator does not preserve the gauge "
                                    f"manifold: defect {gauge_defect:.3e}")
     red = Reduction(t_map=t, keep=keep, gauge=gauge, bound=tuple(gauge),
-                    mechanical=np.flatnonzero(mechanical[keep]))
+                    mechanical=np.flatnonzero(mechanical[keep]),
+                    velocity=np.flatnonzero(velocity[keep]))
 
     b.setflags(write=False)
     b_dual = gram_product(parts, b)

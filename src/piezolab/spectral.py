@@ -17,16 +17,35 @@ Every per-mode fact is read from eigenvectors in energy coordinates (see
 :func:`_mode_table`); only a returned state is lifted (:func:`lift_modes`).
 
 Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
-the skew part of S) splits its matrix where the model does: if it holds
-exact zeros between the mechanical coordinates (``reduction.mechanical``,
-the blocks y1 and y4) and the field ones, as at gamma = 0, the mechanical
-block is solved first and the field block second, each formed only when
-it is solved (the skew part too), and each block eigenvector goes straight
-to its column of the sorted spectrum.  A matrix that does not split goes
-to the solver unchanged, so its output is bit-identical to a full solve,
-and its eigenvectors are sorted in place.  Either way a solve holds one
+the skew part of S) splits its matrix where the model does, twice over
+(:func:`_plan`):
+
+* if it holds exact zeros between the mechanical coordinates
+  (``reduction.mechanical``, the blocks y1 and y4) and the field ones, as
+  at gamma = 0, the mechanical block is solved first and the field block
+  second;
+* a block of S whose position-position and velocity-velocity sub-blocks
+  (``reduction.velocity``, the blocks y4 and y5) are exact zeros is
+  bipartite, S = [[0, B], [C, 0]] with C = -B^T to rounding.  That holds
+  for every electrostatic S and both blocks at gamma = 0.  Its pairs come
+  from one real SVD Bs = (B - C^T)/2 = U diag(sigma) V^T, by the
+  Jordan-Wielandt relation: x = (u; -+ i v)/sqrt(2) belongs to
+  lam = -+ i sigma, and to theta = +- sigma of the skew part, and a
+  rectangular Bs adds its null vectors at 0.  Re lam = 0 is structure, not
+  rounding: the spectrum of a real bipartite matrix is symmetric under
+  lam -> -lam and lam -> conj(lam), so a simple eigenvalue cannot leave the
+  imaginary axis.  The Rayleigh quotient of S itself on x is
+  x^H S x = -+ i u_k^T Bs v_k exactly, and the SVD's sigma_k is
+  u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from the real
+  products g.u and g.v (:func:`_svd_block`).
+
+Each block, or its Bs, is formed only when it is solved (the skew part
+too), and each block eigenvector goes straight to its column of the sorted
+spectrum.  A matrix that does not split and is not bipartite goes to the
+solver unchanged, so its output is bit-identical to a full solve, and its
+eigenvectors are sorted in place.  Either way a solve holds one
 (dim, dim) eigenvector array beside the reference, never a sorted copy
-(:func:`_blockwise`).
+(:func:`_blockwise`); :func:`solve_route` names the route of a matrix.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -60,6 +79,7 @@ STABILIZABLE_TOL = 1e-8
 TABLE_BLOCK = 128
 ABERTH_MAX_SWEEPS = 100  # sweeps of the closed-loop root solve before it gives up
 ABERTH_RTOL = 1e-12      # relative step at which a closed-loop root has converged
+HALF = np.sqrt(0.5)      # the scale of each half of a bipartite eigenvector
 
 
 @dataclass(frozen=True)
@@ -101,24 +121,23 @@ def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
                     np.where(mech_fraction <= 0.1, "electromagnetic", "mixed"))
 
 
-def _mode_table(assembly: GeneratorAssembly, v: np.ndarray) -> tuple:
-    """Columns (bstar_abs, stabilizable, dominant_block) of the modes v.
+def _mode_table(assembly: GeneratorAssembly, v: np.ndarray, bstar_abs: np.ndarray) -> tuple:
+    """Columns (stabilizable, dominant_block) of the modes v with |B* phi| bstar_abs.
 
     v holds energy coordinates, read without a lift to phi = T R^{-1} v:
-    B* phi = g^T v, since T^T M b = R^T g; ||phi||_M = ||v||; and the
-    mechanical energy fraction is ||v[mech]||^2 / ||v||^2, as for the shifts
-    (both mechanical/field blocks of R are exactly zero).  A mode is
-    stabilizable when |B* phi| > STABILIZABLE_TOL ||phi||_M.  The norms run
-    over blocks of TABLE_BLOCK columns.
+    ||phi||_M = ||v||, and the mechanical energy fraction is
+    ||v[mech]||^2 / ||v||^2, as for the shifts (both mechanical/field
+    blocks of R are exactly zero).  A mode is stabilizable when
+    |B* phi| > STABILIZABLE_TOL ||phi||_M.  The norms run over blocks of
+    TABLE_BLOCK columns.
     """
     mech = assembly.reduction.mechanical
-    bstar_abs = np.abs(assembly.reference.coupling @ v)
     norms, mech_norms = np.empty((2, v.shape[1]))
     for start in range(0, v.shape[1], TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
         norms[cols] = np.linalg.norm(v[:, cols], axis=0)
         mech_norms[cols] = np.linalg.norm(v[mech, cols], axis=0)
-    return (bstar_abs, bstar_abs > STABILIZABLE_TOL * norms,
+    return (bstar_abs > STABILIZABLE_TOL * norms,
             _dominant_block(mech_norms ** 2 / norms ** 2))
 
 
@@ -136,6 +155,12 @@ def _skew_part(s: np.ndarray):
     return entries
 
 
+# the two dense solves, by whether they solve the skew part of S:
+# (solver, entries of the solved matrix, order of its values)
+_SOLVES = {False: (scipy.linalg.eig, _whole_or_block, _sort_order),
+           True: (np.linalg.eigh, _skew_part, _ascending)}
+
+
 def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
     """[mechanical, field] coordinates if the matrix holds exact zeros between them.
 
@@ -149,6 +174,44 @@ def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
             and not np.any(entries(fields, mechanical))):
         return [mechanical, fields]
     return [np.arange(dim)]
+
+
+def _bipartite(s: np.ndarray, idx: np.ndarray, velocity: np.ndarray):
+    """(positions, velocities) of the block idx of S if it is bipartite, else None.
+
+    The block is bipartite when its position-position and its
+    velocity-velocity sub-blocks of S hold exact zeros (a NaN is not zero)
+    and neither is empty.
+    """
+    moving = np.isin(idx, velocity)
+    p, q = idx[~moving], idx[moving]
+    if (len(p) and len(q) and not np.any(s[np.ix_(p, p)])
+            and not np.any(s[np.ix_(q, q)])):
+        return p, q
+    return None
+
+
+def _plan(s: np.ndarray, reduction, skew: bool) -> list:
+    """[(block, its (positions, velocities) or None)] of one dense solve.
+
+    The blocks are those of :func:`_decoupled_blocks` on the solved matrix;
+    whether a block is bipartite is read from S itself.
+    """
+    entries = _SOLVES[skew][1](s)
+    return [(idx, _bipartite(s, idx, reduction.velocity))
+            for idx in _decoupled_blocks(entries, len(s), reduction.mechanical)]
+
+
+def solve_route(s_matrix: np.ndarray, reduction, skew: bool = False) -> str:
+    """How the dense eigenpairs of ``s_matrix`` are solved, block by block.
+
+    ``"svd"`` for a bipartite block, else the solver (``"eig"``, or
+    ``"eigh"`` of the skew part for ``skew``), joined by ``"+"`` when the
+    matrix splits into its mechanical and field blocks.
+    """
+    solver = "eigh" if skew else "eig"
+    plan = _plan(s_matrix, reduction, skew)
+    return "+".join("svd" if halves else solver for _, halves in plan)
 
 
 def _reorder_columns(v: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -173,38 +236,92 @@ def _reorder_columns(v: np.ndarray, order: np.ndarray) -> np.ndarray:
     return v
 
 
-def _blockwise(solver, entries, dim: int, mechanical: np.ndarray, sort) -> tuple:
-    """(values, vectors) of ``solver`` on each decoupled block, sorted by ``sort``.
+def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
+               skew: bool) -> tuple:
+    """(values, |g^T x| of each, place) of the bipartite block (p, q) of S.
 
-    ``entries(rows, cols)`` gives a block of the (dim, dim) matrix and
-    ``entries(None, None)`` all of it (see :func:`_decoupled_blocks`);
-    ``sort(values)`` is the order of the values.  A matrix of one block goes
-    to the solver as is and its vectors are reordered in place, exactly as
-    ``vectors[:, order]``.  Otherwise each diagonal block is formed only
-    when it is solved, and each block's vectors go straight to their sorted
-    columns of one zero Fortran-order array, the layout ``vectors[:, order]``
-    of block-diagonally placed vectors would have; either way no sorted
-    copy of the vectors is made.
+    With Bs = (S_pq - S_qp^T)/2 = U diag(sigma) V^T (one real SVD), the
+    vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S, and to
+    theta = +- sigma of its skew part; the null vectors (u; 0) or (0; v) of
+    a rectangular Bs close each list at value 0.  |g^T x| comes from the
+    real products g_p.u and g_q.v, and ``place(vectors, cols)`` writes
+    column k of the block to column cols[k] of the zero ``vectors``.
     """
-    blocks = _decoupled_blocks(entries, dim, mechanical)
-    if len(blocks) == 1:
-        values, vectors = solver(entries(None, None))
+    bs = s[np.ix_(p, q)]
+    bs -= s[np.ix_(q, p)].T
+    bs *= 0.5
+    u, sigma, vt = scipy.linalg.svd(bs, overwrite_a=True)
+    del bs
+    r, null = len(sigma), len(p) + len(q) - 2 * len(sigma)
+    values = np.concatenate((sigma, -sigma, np.zeros(null)))
+    if not skew:  # lam = -i theta, with real parts and the kernel exactly +0
+        values, theta = np.zeros(len(values), dtype=complex), values
+        values.imag[:2 * r] = -theta[:2 * r]
+    gu, gv = coupling[p] @ u, vt @ coupling[q]
+    pair = np.hypot(gu[:r], gv[:r]) * HALF
+    coupling_abs = np.concatenate((pair, pair, np.abs(gu[r:]), np.abs(gv[r:])))
+
+    def place(vectors: np.ndarray, cols: list) -> None:
+        for k in range(r):
+            half_u, half_v = HALF * u[:, k], HALF * vt[k]
+            for col, sign in ((cols[k], -1.0), (cols[r + k], 1.0)):
+                vectors.real[p, col] = half_u
+                vectors.imag[q, col] = sign * half_v
+        for j, col in enumerate(cols[2 * r:]):
+            if len(p) > len(q):
+                vectors.real[p, col] = u[:, r + j]
+            else:
+                vectors.real[q, col] = vt[r + j]
+    return values, coupling_abs, place
+
+
+def _dense_block(m: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
+                 solver) -> tuple:
+    """(values, |g^T x| of each, place) of the block idx of the solved matrix m."""
+    w, v = solver(m)
+
+    def place(vectors: np.ndarray, cols: list) -> None:
+        # column by column: a 2-D fancy assignment would buffer its indices
+        for k, col in enumerate(cols):
+            vectors[idx, col] = v[:, k]
+    return w, np.abs(coupling[idx] @ v), place
+
+
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool) -> tuple:
+    """(values, vectors, |g^T vectors|) of S, or of its skew part, sorted; g = coupling.
+
+    The pairs are solved block by block (:func:`_plan`): a bipartite block
+    by one SVD (:func:`_svd_block`), any other by ``eig`` of S or ``eigh``
+    of the skew part.  A matrix of one block that is
+    not bipartite goes to the solver as is and its vectors are reordered in
+    place, exactly as ``vectors[:, order]``.  Otherwise each block, or its
+    Bs, is formed only when it is solved, and each block's vectors go
+    straight to their sorted columns of one zero Fortran-order complex
+    array; either way no sorted copy of the vectors is made.  The values
+    are sorted by |Im| (positive first among a conjugate pair) for S and
+    ascending for the skew part.
+    """
+    solver, entries, sort = _SOLVES[skew]
+    plan = _plan(s, reduction, skew)
+    if len(plan) == 1 and plan[0][1] is None:
+        values, vectors = solver(entries(s)(None, None))
         order = sort(values)
-        return values[order], _reorder_columns(vectors, order)
-    parts = [solver(entries(idx, idx)) for idx in blocks]
-    values = np.concatenate([w for w, _ in parts])
+        vectors = _reorder_columns(vectors, order)
+        return values[order], vectors, np.abs(coupling @ vectors)
+    blocks = entries(s)
+    parts = [_svd_block(s, *halves, coupling, skew) if halves
+             else _dense_block(blocks(idx, idx), idx, coupling, solver)
+             for idx, halves in plan]
+    values = np.concatenate([w for w, _, _ in parts])
     order = sort(values)
     column = np.empty_like(order)
-    column[order] = np.arange(dim)  # the sorted column of each unsorted one
-    vectors = np.zeros((dim, dim), order="F",
-                       dtype=np.result_type(*(v for _, v in parts)))
+    column[order] = np.arange(len(s))  # the sorted column of each unsorted one
+    vectors = np.zeros((len(s), len(s)), order="F", dtype=complex)
     start = 0
-    for idx, (w, v) in zip(blocks, parts):
-        # column by column: a 2-D fancy assignment would buffer its indices
-        for k, col in enumerate(column[start:start + len(w)].tolist()):
-            vectors[idx, col] = v[:, k]
+    for w, _, place in parts:
+        place(vectors, column[start:start + len(w)].tolist())
         start += len(w)
-    return values[order], vectors
+    return values[order], vectors, np.concatenate([c for _, c, _ in parts])[order]
 
 
 def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
@@ -213,8 +330,8 @@ def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
     ``s_matrix`` is S or the closed-loop S of the assembly.  A unit column
     of v is a mode T R^{-1} v of unit M-norm; none is lifted here.
     """
-    return _blockwise(scipy.linalg.eig, _whole_or_block(s_matrix), len(s_matrix),
-                      assembly.reduction.mechanical, _sort_order)
+    return _blockwise(s_matrix, assembly.reduction, assembly.reference.coupling,
+                      skew=False)[:2]
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
@@ -233,10 +350,12 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
 
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> SpectrumReport:
-    w, v = _eigenpairs(assembly, s_matrix)
+    # B* phi = g^T v, since T^T M b = R^T g
+    w, v, bstar_abs = _blockwise(s_matrix, assembly.reduction,
+                                 assembly.reference.coupling, skew=False)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-    bstar_abs, stabilizable, block = _mode_table(assembly, v)
+    stabilizable, block = _mode_table(assembly, v, bstar_abs)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, bstar_abs=bstar_abs,
                           stabilizable=stabilizable, dominant_block=block,
@@ -277,23 +396,22 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     omega.  Each mode is a unit eigenvector u of the skew part of S: lam[j]
     is the root of 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from
     mode j (:func:`_closed_loop_roots`), accurate far below the dense-eig
-    noise floor; coupling[j] = |c_j| is |B* phi| of its unit M-norm lift
-    phi; and dominant_block[j] labels it by its mechanical energy fraction
-    ||u[mech]||^2, with the rule of the mode table.  A gain that is
-    negative or not finite raises ValueError.
+    noise floor; coupling[j] = |c_j| = |g^T u_j| is |B* phi| of its unit
+    M-norm lift phi; and dominant_block[j] labels it by its mechanical
+    energy fraction ||u[mech]||^2, with the rule of the mode table.  A gain
+    that is negative or not finite raises ValueError.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    mech = assembly.reduction.mechanical
-    theta, u = _blockwise(np.linalg.eigh, _skew_part(ref.s), len(ref.s), mech, _ascending)
+    theta, u, c = _blockwise(ref.s, assembly.reduction, ref.coupling, skew=True)
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
-    c = np.conj(ref.coupling @ u)  # u^H g, without a conjugate copy of u
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
-    mech_fraction = np.linalg.norm(u[np.ix_(mech, pos)], axis=0) ** 2
+    mech_fraction = np.linalg.norm(u[np.ix_(assembly.reduction.mechanical, pos)],
+                                   axis=0) ** 2
     del u  # the one (dim, dim) array; the roots need only omega and c
-    lam = _closed_loop_roots(omega_all, np.abs(c) ** 2, gain)
-    return omega_all[pos], lam[pos], np.abs(c[pos]), _dominant_block(mech_fraction)
+    lam = _closed_loop_roots(omega_all, c ** 2, gain)
+    return omega_all[pos], lam[pos], c[pos], _dominant_block(mech_fraction)
 
 
 def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np.ndarray:

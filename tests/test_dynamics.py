@@ -506,15 +506,19 @@ class TestLargeGrid:
 class TestModalState:
     def test_eigenvector_without_mode_table(self, monkeypatch):
         # the start is the real part of the lifted eigenvector from the
-        # spectrum, bit for bit, but no per-mode table is built for it
+        # spectrum, with its largest-modulus component made real and
+        # positive, bit for bit, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
         w, v = spectral.open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
-        phi = asm.reduction.t_map @ scipy.linalg.solve_triangular(asm.reference.r,
-                                                                  v[:, pos[2]])
+        x = v[:, pos[2]]
+        k = int(np.argmax(np.abs(x)))
+        x = x * (np.conj(x[k]) / abs(x[k]))
+        assert x[k].real > 0.0 and abs(x[k].imag) <= 1e-16 * abs(x[k])
+        phi = asm.reduction.t_map @ scipy.linalg.solve_triangular(asm.reference.r, x)
         y = np.real(phi)
         expected = (1.5 / np.sqrt(float(y @ asm.reference.m @ y))) * y
 
@@ -523,6 +527,28 @@ class TestModalState:
 
         monkeypatch.setattr(spectral, "_mode_table", no_table)
         np.testing.assert_array_equal(modal_state(asm, 2, 1.5), expected)
+
+    @pytest.mark.parametrize("actuation", (ActuationMode.CURRENT,
+                                           ActuationMode.CHARGE_ELECTROSTATIC),
+                             ids=lambda a: a.value)
+    def test_sign_rule_is_the_solvers_own(self, actuation):
+        # at gamma = 0 (and always for the electrostatic model) the vectors
+        # come from one SVD per bipartite block; the rule gives the start of
+        # the eig vectors of the same S, up to rounding
+        params = toy_parameters(gamma=0.0)
+        asm = build_system(params, build_grid(params.L, 32), actuation)
+        w, v = scipy.linalg.eig(asm.reference.s)
+        order = spectral._sort_order(w)
+        w, v = w[order], v[:, order]
+        pos = np.flatnonzero(w.imag > 1e-10 * np.max(np.abs(w)))
+        m = asm.reference.m
+        for mode in range(6):
+            x = v[:, pos[mode]]
+            k = int(np.argmax(np.abs(x)))
+            y = np.real(spectral.lift_modes(asm, x * (np.conj(x[k]) / abs(x[k]))))
+            want = y / np.sqrt(float(y @ m @ y))
+            got = modal_state(asm, mode)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("mode_index", (-1, -63, 63))
     def test_mode_index_out_of_range(self, mode_index):

@@ -30,6 +30,20 @@ def _report(n=64, gamma=1.0):
     return asm, compute_spectrum(asm)
 
 
+def _system(system, n):
+    """The six-field model at gamma = 0 or the electrostatic one, on n cells."""
+    if system == "electrostatic":
+        return assemble_electrostatic(TOY, build_grid(TOY.L, n))
+    params = toy_parameters(gamma=0.0)
+    return assemble_generator(params, build_grid(params.L, n))
+
+
+def _set_distance(a, b):
+    """Largest distance from a point of either set to the other set."""
+    dist = np.abs(a[:, None] - b[None, :])
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
 def _positive_branch(report, block):
     im = report.eigenvalues.imag
     return np.sort(im[(report.dominant_block == block) & (im > 1e-8)])
@@ -147,11 +161,9 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
 
 def _all_roots(asm, gain):
     """(omega, roots) of every mode of the shifts' eigh, the kernel included."""
-    s = asm.reference.s
-    theta, u = spectral._blockwise(np.linalg.eigh, spectral._skew_part(s), len(s),
-                                   asm.reduction.mechanical, spectral._ascending)
-    c2 = np.abs(asm.reference.coupling @ u) ** 2
-    return -theta, spectral._closed_loop_roots(-theta, c2, gain)
+    ref = asm.reference
+    theta, _, c = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+    return -theta, spectral._closed_loop_roots(-theta, c ** 2, gain)
 
 
 def _dense_distance(asm, roots, gain):
@@ -266,16 +278,14 @@ class TestShiftModes:
     def test_modes_match_dense_table(self, n, rtol, monkeypatch):
         # pair each shift mode with the dense mode of the nearest frequency;
         # the dense table's M-norms are captured as compute_spectrum forms them.
-        # Both read g from one triangular solve, so the |B*phi| gap left is
-        # the dense eig eigenvector's, largest on the lowest odd mode: at
-        # N = 256 it gives |B*phi| 2.3e-9 off an extended-precision product,
-        # where the eigh eigenvector agrees with it to 4e-16
+        # Both read g from one triangular solve, and at gamma = 0 both read
+        # their vectors from the same SVD of each bipartite block
         table_of = spectral._mode_table
         seen = {}
 
-        def capturing(asm, v):
+        def capturing(asm, v, bstar_abs):
             seen["norms"] = np.linalg.norm(v, axis=0)
-            return table_of(asm, v)
+            return table_of(asm, v, bstar_abs)
 
         monkeypatch.setattr(spectral, "_mode_table", capturing)
         asm, report = _report(n, gamma=0.0)
@@ -357,11 +367,91 @@ class TestDiagonalBlocks:
         w, v = scipy.linalg.eig(ref.s)
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
-        _, stabilizable, block = spectral._mode_table(asm, v)
+        stabilizable, block = spectral._mode_table(asm, v, np.abs(ref.coupling @ v))
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
                                    atol=1e-12 * report.g_norm)
         np.testing.assert_array_equal(report.dominant_block, block)
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
+
+
+class TestBipartiteRoute:
+    """Bipartite blocks, solved by one SVD, against eig and eigh of the same S."""
+
+    CASES = [("electrostatic", n) for n in (16, 64, 256)] + [("gamma0", n)
+                                                           for n in (16, 64, 128)]
+
+    @pytest.mark.parametrize("system, n", CASES)
+    def test_matches_dense_solvers(self, system, n):
+        asm = _system(system, n)
+        ref = asm.reference
+        assert spectral.solve_route(ref.s, asm.reduction) == (
+            "svd" if system == "electrostatic" else "svd+svd")
+        report = compute_spectrum(asm)
+        rho = report.g_norm
+        w, v = scipy.linalg.eig(ref.s)
+        assert _set_distance(report.eigenvalues, w) <= 1e-12 * rho
+        theta, _, _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+        want = np.linalg.eigvalsh(0.5j * (ref.s - ref.s.T))
+        assert np.max(np.abs(theta - want)) <= 1e-12 * rho
+        # on the imaginary axis by structure, not by tolerance
+        assert report.max_abs_real == 0.0
+        order = spectral._sort_order(w)
+        w, v = w[order], v[:, order]
+        stabilizable, block = spectral._mode_table(asm, v, np.abs(ref.coupling @ v))
+        np.testing.assert_array_equal(report.stabilizable, stabilizable)
+        np.testing.assert_array_equal(report.dominant_block, block)
+
+    @pytest.mark.parametrize("system, n", CASES)
+    def test_eigenpair_residual(self, system, n):
+        asm = _system(system, n)
+        s = asm.reference.s
+        w, v = open_loop_modes(asm)
+        rho = np.max(np.abs(w))
+        for start in range(0, len(w), spectral.TABLE_BLOCK):
+            cols = slice(start, start + spectral.TABLE_BLOCK)
+            res = np.linalg.norm(s @ v[:, cols] - v[:, cols] * w[cols], axis=0)
+            assert np.max(res) <= 1e-10 * rho
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
+    @pytest.mark.parametrize("part", ("positions", "velocities"))
+    def test_tiny_diagonal_entry_goes_to_eig(self, system, part):
+        # one 1e-300 entry in a position-position or velocity-velocity block
+        # sends that block back to the solver; its partner block keeps the SVD
+        asm = _system(system, 32)
+        s = asm.reference.s.copy()
+        (_, (p, q)), *rest = reversed(spectral._plan(s, asm.reduction, False))
+        idx = p if part == "positions" else q
+        s[idx[3], idx[5]] = 1e-300
+        want = "eig" if system == "electrostatic" else "svd+eig"
+        for skew, solver in ((False, "eig"), (True, "eigh")):
+            assert spectral.solve_route(s, asm.reduction, skew) == want.replace("eig",
+                                                                                solver)
+        w, _, _ = spectral._blockwise(s, asm.reduction, asm.reference.coupling, False)
+        assert _set_distance(w, scipy.linalg.eigvals(s)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_rectangular_block_has_the_translation_kernel(self):
+        # at gamma = 0 the mechanical Bs maps the N + 1 velocities y4 to the
+        # N strains y1; its null vector is the rigid translation
+        asm = _system("gamma0", 32)
+        (_, (p, q)), (_, (p_em, q_em)) = spectral._plan(asm.reference.s,
+                                                          asm.reduction, False)
+        assert (len(p), len(q)) == (32, 33) and len(p_em) == len(q_em) == 31
+        report = compute_spectrum(asm)
+        assert report.kernel_dimension == 1
+        assert report.eigenvalues[0] == 0.0
+        assert report.dominant_block[0] == "mechanical"
+        v = open_loop_modes(asm)[1][:, 0]
+        assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
+
+    def test_closed_loop_keeps_eig_where_feedback_fills(self):
+        # k g g^T fills the velocity block the influence reaches; a block it
+        # does not reach stays bipartite
+        for system, want in (("electrostatic", "eig"), ("gamma0", "svd+eig")):
+            asm = _system(system, 16)
+            g = asm.reference.coupling
+            assert spectral.solve_route(asm.reference.s - np.outer(g, g),
+                                        asm.reduction) == want
 
 
 def _solve_then_sort(solver, m, mechanical, sort):
@@ -411,22 +501,55 @@ class TestSortedSolves:
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("split", "unsplit"))
     @pytest.mark.parametrize("solver", ("eig", "eigh"))
-    def test_sorted_placement_equals_solve_then_sort(self, solver, gamma):
+    def test_sorted_placement_equals_solve_then_sort(self, solver, gamma, monkeypatch):
+        # the split blocks at gamma = 0 are bipartite; with that route
+        # turned off each goes to the solver, as a block that is not would
+        monkeypatch.setattr(spectral, "_bipartite", lambda *args: None)
         asm, _ = _report(32, gamma=gamma)
         s, mech = asm.reference.s, asm.reduction.mechanical
-        if solver == "eig":
-            args = (scipy.linalg.eig, s, spectral._whole_or_block(s),
-                    spectral._sort_order)
-        else:
-            args = (np.linalg.eigh, 0.5j * (s - s.T), spectral._skew_part(s),
-                    spectral._ascending)
-        solve, m, entries, sort = args
-        blocks = spectral._decoupled_blocks(entries, len(s), mech)
+        skew = solver == "eigh"
+        solve, entries, sort = spectral._SOLVES[skew]
+        m = 0.5j * (s - s.T) if skew else s
+        blocks = spectral._decoupled_blocks(entries(s), len(s), mech)
         assert len(blocks) == (2 if gamma == 0.0 else 1)
-        w, v = spectral._blockwise(solve, entries, len(s), mech, sort)
+        w, v, c = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
         want_w, want_v = _solve_then_sort(solve, m, mech, sort)
         assert _same_array(w, want_w)
         assert _same_array(v, want_v)
+        if gamma != 0.0:  # one block: g^T v of the sorted vectors, bit for bit
+            assert c.tobytes() == np.abs(asm.reference.coupling @ want_v).tobytes()
+
+    @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
+    @pytest.mark.parametrize("skew", (False, True), ids=("eig", "eigh"))
+    def test_bipartite_placement_equals_factors_then_sort(self, skew, system):
+        # each bipartite block's vectors (u; -+ i v)/sqrt(2), and its null
+        # vectors, placed block-diagonally from the SVD of its Bs and then
+        # sorted, are the sorted placement bit for bit
+        asm = _system(system, 32)
+        s, red = asm.reference.s, asm.reduction
+        plan = spectral._plan(s, red, skew)
+        assert all(halves is not None for _, halves in plan)
+        values, columns = [], []
+        for idx, (p, q) in plan:
+            u, sigma, vt = scipy.linalg.svd(0.5 * (s[np.ix_(p, q)] - s[np.ix_(q, p)].T))
+            r, half = len(sigma), np.sqrt(0.5)
+            block = np.zeros((len(s), len(p) + len(q)), dtype=complex)
+            block.real[p, :r] = block.real[p, r:2 * r] = half * u[:, :r]
+            block.imag[q, :r] = -(half * vt[:r].T)
+            block.imag[q, r:2 * r] = half * vt[:r].T
+            if len(p) > len(q):
+                block.real[p, 2 * r:] = u[:, r:]
+            else:
+                block.real[q, 2 * r:] = vt[r:].T
+            theta = np.concatenate((sigma, -sigma, np.zeros(len(p) + len(q) - 2 * r)))
+            values.append(theta if skew else -1j * theta)
+            columns.append(block)
+        w = np.concatenate(values)
+        order = spectral._SOLVES[skew][2](w)
+        got_w, got_v, _ = spectral._blockwise(s, red, asm.reference.coupling, skew)
+        np.testing.assert_array_equal(got_w, w[order])
+        assert got_v.tobytes(order="F") == np.hstack(columns)[:, order].tobytes(order="F")
+        assert got_v.flags.f_contiguous
 
     def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
         # 255 modes at N = 128: two chunks of TABLE_BLOCK rows against one
@@ -462,7 +585,9 @@ class TestDenseMemoryScript:
         assert script.main(["--n-cells", "16"]) == 0
         lines = [line.split() for line in capsys.readouterr().out.splitlines()
                  if not line.startswith("#")]
-        assert lines[0] == ["model", "gamma", "dim", *script.COLUMNS]
+        header = [cell for c in script.COLUMNS
+                  for cell in ((c, "by") if c in script.SOLVED else (c,))]
+        assert lines[0] == ["model", "gamma", "dim", *header]
         rows = lines[1:]
         assert [row[:3] for row in rows] == [
             [model, gamma, dim] for model, dim in (("current", "63"),
@@ -470,8 +595,17 @@ class TestDenseMemoryScript:
                                                    ("electrostatic", "32"))
             for gamma in ("0", "1")]
         for row in rows:
-            values = [float(cell.rstrip("*")) for cell in row[3:]]
+            assert len(row) == 3 + len(header)
+            values = [float(cell.rstrip("*")) for cell, name in zip(row[3:], header)
+                      if name != "by"]
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
+        # (spectrum, closed loop, shifts) routes: bipartite blocks by SVD; a
+        # charge load is zero at gamma = 0, so its closed loop is the open one
+        routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
+                  for row in rows]
+        assert routes == [("svd+svd", "svd+eig", "svd+svd"), ("eig", "eig", "eigh"),
+                          ("svd+svd",) * 3, ("eig", "eig", "eigh"),
+                          ("svd",) * 3, ("svd", "eig", "svd")]
 
 
 class TestEnergyReference:
@@ -532,7 +666,7 @@ class TestEnergyReference:
     def test_coupling_matches_long_double_solve(self):
         # g = R^{-T} T^T M b, checked against forward substitution in long
         # double on the same R: at N = 256, gamma = 0 g is within 6e-16 of
-        # it and every mode with |c| > 1e-8 within 4e-12 relative
+        # it and every mode with |c| > 1e-8 within 1e-11 relative
         # (g = R cho_solve(M_red, .) read 1.4e-14, and 2.4e-9 on the
         # highest mode's |c|)
         asm, _ = _report(256, gamma=0.0)
@@ -543,17 +677,16 @@ class TestEnergyReference:
         for i in range(len(rhs)):  # R^T g = rhs, R^T lower triangular
             g[i] = (rhs[i] - r[:i, i] @ g[:i]) / r[i, i]
         assert np.max(np.abs(ref.coupling - g)) <= 1e-14 * np.max(np.abs(g))
-        mech = asm.reduction.mechanical
-        theta, u = spectral._blockwise(np.linalg.eigh, spectral._skew_part(ref.s),
-                                       len(ref.s), mech, spectral._ascending)
-        # u^H g with one dot per contiguous column of a C-order u, as this
-        # test formed it before the sorted solves returned u in Fortran order
-        # (the shifts' own np.conj(g @ u) on that layout reads 5.2e-10 here)
-        c = np.abs(np.ascontiguousarray(u).conj().T @ ref.coupling)
-        want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
+        # the shifts' own |c| = |g^T u|, read from the real products of g
+        # with the SVD factors of each bipartite block, against the long
+        # double product with their eigenvectors
+        omega, _, coupling, _ = closed_loop_mode_shifts(asm, 1.0)
+        theta, u, _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+        pos = [int(np.flatnonzero(-theta == w)[0]) for w in omega]
+        want = np.abs(u[:, pos].conj().T.astype(np.clongdouble) @ g).astype(float)
         big = want > 1e-8
-        assert np.count_nonzero(big) == 256  # both members of the 128 odd EM pairs
-        assert np.max(np.abs(c[big] - want[big]) / want[big]) <= 1e-11
+        assert np.count_nonzero(big) == 128  # the positive members of the odd EM pairs
+        assert np.max(np.abs(coupling[big] - want[big]) / want[big]) <= 1e-11
 
 
 class TestDecayFit:
