@@ -40,12 +40,15 @@ the skew part of S) splits its matrix where the model does, twice over
   products g.u and g.v (:func:`_svd_block`).
 
 Each block, or its Bs, is formed only when it is solved (the skew part
-too), and each block eigenvector goes straight to its column of the sorted
-spectrum.  A matrix that does not split and is not bipartite goes to the
-solver unchanged, so its output is bit-identical to a full solve, and its
-eigenvectors are sorted in place.  Either way a solve holds one
-(dim, dim) eigenvector array beside the reference, never a sorted copy
-(:func:`_blockwise`); :func:`solve_route` names the route of a matrix.
+too).  The spectra and the shifts read only each mode's facts |g^T x|,
+||x|| and ||x[mech]||, which every block's own solve gives, so on a
+matrix that splits or is bipartite they form no (dim, dim) eigenvector
+array; :func:`open_loop_modes` places each block eigenvector straight in
+its column of the sorted spectrum.  A matrix that does not split and is
+not bipartite goes to the solver unchanged, so its output is
+bit-identical to a full solve, and its eigenvectors are sorted in place.
+No solve makes a sorted copy (:func:`_blockwise`); :func:`solve_route`
+names the route of a matrix.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -121,22 +124,25 @@ def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
                     np.where(mech_fraction <= 0.1, "electromagnetic", "mixed"))
 
 
-def _mode_table(assembly: GeneratorAssembly, v: np.ndarray, bstar_abs: np.ndarray) -> tuple:
-    """Columns (stabilizable, dominant_block) of the modes v with |B* phi| bstar_abs.
-
-    v holds energy coordinates, read without a lift to phi = T R^{-1} v:
-    ||phi||_M = ||v||, and the mechanical energy fraction is
-    ||v[mech]||^2 / ||v||^2, as for the shifts (both mechanical/field
-    blocks of R are exactly zero).  A mode is stabilizable when
-    |B* phi| > STABILIZABLE_TOL ||phi||_M.  The norms run over blocks of
-    TABLE_BLOCK columns.
-    """
-    mech = assembly.reduction.mechanical
+def _column_norms(v: np.ndarray, mech: np.ndarray) -> tuple:
+    """(||x||, ||x[mech]||) of each column x of v, over blocks of TABLE_BLOCK columns."""
     norms, mech_norms = np.empty((2, v.shape[1]))
     for start in range(0, v.shape[1], TABLE_BLOCK):
         cols = slice(start, start + TABLE_BLOCK)
         norms[cols] = np.linalg.norm(v[:, cols], axis=0)
         mech_norms[cols] = np.linalg.norm(v[mech, cols], axis=0)
+    return norms, mech_norms
+
+
+def _mode_table(bstar_abs: np.ndarray, norms: np.ndarray, mech_norms: np.ndarray) -> tuple:
+    """Columns (stabilizable, dominant_block) of modes with energy-coordinate vectors v.
+
+    The inputs are |g^T v|, ||v|| and ||v[mech]|| of each mode, read
+    without a lift to phi = T R^{-1} v: B* phi = g^T v, ||phi||_M = ||v||,
+    and the mechanical energy fraction is ||v[mech]||^2 / ||v||^2 (both
+    mechanical/field blocks of R are exactly zero).  A mode is
+    stabilizable when |B* phi| > STABILIZABLE_TOL ||phi||_M.
+    """
     return (bstar_abs > STABILIZABLE_TOL * norms,
             _dominant_block(mech_norms ** 2 / norms ** 2))
 
@@ -237,29 +243,37 @@ def _reorder_columns(v: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
-               skew: bool) -> tuple:
-    """(values, |g^T x| of each, place) of the bipartite block (p, q) of S.
+               mechanical: np.ndarray, skew: bool) -> tuple:
+    """(values, facts, place) of the bipartite block (p, q) of S.
 
     With Bs = (S_pq - S_qp^T)/2 = U diag(sigma) V^T (one real SVD), the
     vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S, and to
     theta = +- sigma of its skew part; the null vectors (u; 0) or (0; v) of
-    a rectangular Bs close each list at value 0.  |g^T x| comes from the
-    real products g_p.u and g_q.v, and ``place(vectors, cols)`` writes
-    column k of the block to column cols[k] of the zero ``vectors``.
+    a rectangular Bs close each list at value 0.  The facts |g^T x|, ||x||
+    and ||x[mechanical]|| of each come from real products with the factors,
+    |(a; -+ i b)|/sqrt(2) = hypot(a, b)/sqrt(2), and ``place(vectors,
+    cols)`` writes column k of the block to column cols[k] of the zero
+    ``vectors``.
     """
-    bs = s[np.ix_(p, q)]
-    bs -= s[np.ix_(q, p)].T
-    bs *= 0.5
-    u, sigma, vt = scipy.linalg.svd(bs, overwrite_a=True)
-    del bs
+    bst = s[np.ix_(q, p)]  # Bs^T in C order is Bs in Fortran order: no copy for LAPACK
+    bst -= s[np.ix_(p, q)].T
+    bst *= -0.5
+    u, sigma, vt = scipy.linalg.svd(bst.T, overwrite_a=True)
+    del bst
     r, null = len(sigma), len(p) + len(q) - 2 * len(sigma)
     values = np.concatenate((sigma, -sigma, np.zeros(null)))
     if not skew:  # lam = -i theta, with real parts and the kernel exactly +0
         values, theta = np.zeros(len(values), dtype=complex), values
         values.imag[:2 * r] = -theta[:2 * r]
-    gu, gv = coupling[p] @ u, vt @ coupling[q]
-    pair = np.hypot(gu[:r], gv[:r]) * HALF
-    coupling_abs = np.concatenate((pair, pair, np.abs(gu[r:]), np.abs(gv[r:])))
+
+    def per_vector(a, b):
+        pair = np.hypot(a[:r], b[:r]) * HALF
+        return np.concatenate((pair, pair, np.abs(a[r:]), np.abs(b[r:])))
+
+    pm, qm = np.isin(p, mechanical), np.isin(q, mechanical)
+    facts = (per_vector(coupling[p] @ u, vt @ coupling[q]),
+             per_vector(np.linalg.norm(u, axis=0), np.linalg.norm(vt, axis=1)),
+             per_vector(np.linalg.norm(u[pm], axis=0), np.linalg.norm(vt[:, qm], axis=1)))
 
     def place(vectors: np.ndarray, cols: list) -> None:
         for k in range(r):
@@ -272,56 +286,66 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
                 vectors.real[p, col] = u[:, r + j]
             else:
                 vectors.real[q, col] = vt[r + j]
-    return values, coupling_abs, place
+    return values, facts, place
 
 
 def _dense_block(m: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-                 solver) -> tuple:
-    """(values, |g^T x| of each, place) of the block idx of the solved matrix m."""
+                 mechanical: np.ndarray, solver) -> tuple:
+    """(values, facts, place) of the block idx of the solved matrix m."""
     w, v = solver(m)
 
     def place(vectors: np.ndarray, cols: list) -> None:
         # column by column: a 2-D fancy assignment would buffer its indices
         for k, col in enumerate(cols):
             vectors[idx, col] = v[:, k]
-    return w, np.abs(coupling[idx] @ v), place
+    mech = np.flatnonzero(np.isin(idx, mechanical))
+    return w, (np.abs(coupling[idx] @ v), *_column_norms(v, mech)), place
 
 
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool) -> tuple:
-    """(values, vectors, |g^T vectors|) of S, or of its skew part, sorted; g = coupling.
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool,
+               vectors: bool = True) -> tuple:
+    """(values, vectors, facts) of S, or of its skew part, sorted.
 
-    The pairs are solved block by block (:func:`_plan`): a bipartite block
-    by one SVD (:func:`_svd_block`), any other by ``eig`` of S or ``eigh``
-    of the skew part.  A matrix of one block that is
-    not bipartite goes to the solver as is and its vectors are reordered in
-    place, exactly as ``vectors[:, order]``.  Otherwise each block, or its
-    Bs, is formed only when it is solved, and each block's vectors go
-    straight to their sorted columns of one zero Fortran-order complex
-    array; either way no sorted copy of the vectors is made.  The values
+    The facts are (|g^T x|, ||x||, ||x[mech]||) of each eigenvector x, with
+    g = ``coupling`` and mech = ``reduction.mechanical``.  The pairs are
+    solved block by block (:func:`_plan`): a bipartite block by one SVD
+    (:func:`_svd_block`), any other by ``eig`` of S or ``eigh`` of the
+    skew part.  A matrix of one block that is not bipartite goes to the
+    solver as is and its vectors are reordered in place, exactly as
+    ``vectors[:, order]``.  Otherwise each block, or its Bs, is formed only
+    when it is solved, its facts are read from the block's own solve, and
+    only for ``vectors`` do its vectors go straight to their sorted columns
+    of one zero Fortran-order complex array (else None is returned in its
+    place); either way no sorted copy of the vectors is made.  The values
     are sorted by |Im| (positive first among a conjugate pair) for S and
     ascending for the skew part.
     """
     solver, entries, sort = _SOLVES[skew]
+    mech = reduction.mechanical
     plan = _plan(s, reduction, skew)
     if len(plan) == 1 and plan[0][1] is None:
-        values, vectors = solver(entries(s)(None, None))
+        values, v = solver(entries(s)(None, None))
         order = sort(values)
-        vectors = _reorder_columns(vectors, order)
-        return values[order], vectors, np.abs(coupling @ vectors)
+        v = _reorder_columns(v, order)
+        facts = (np.abs(coupling @ v), *_column_norms(v, mech))
+        return values[order], v if vectors else None, facts
     blocks = entries(s)
-    parts = [_svd_block(s, *halves, coupling, skew) if halves
-             else _dense_block(blocks(idx, idx), idx, coupling, solver)
+    parts = [_svd_block(s, *halves, coupling, mech, skew) if halves
+             else _dense_block(blocks(idx, idx), idx, coupling, mech, solver)
              for idx, halves in plan]
     values = np.concatenate([w for w, _, _ in parts])
     order = sort(values)
+    facts = tuple(np.concatenate(fact)[order] for fact in zip(*(f for _, f, _ in parts)))
+    if not vectors:
+        return values[order], None, facts
     column = np.empty_like(order)
     column[order] = np.arange(len(s))  # the sorted column of each unsorted one
-    vectors = np.zeros((len(s), len(s)), order="F", dtype=complex)
+    v = np.zeros((len(s), len(s)), order="F", dtype=complex)
     start = 0
     for w, _, place in parts:
-        place(vectors, column[start:start + len(w)].tolist())
+        place(v, column[start:start + len(w)].tolist())
         start += len(w)
-    return values[order], vectors, np.concatenate([c for _, c, _ in parts])[order]
+    return values[order], v, facts
 
 
 def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
@@ -350,12 +374,12 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
 
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> SpectrumReport:
-    # B* phi = g^T v, since T^T M b = R^T g
-    w, v, bstar_abs = _blockwise(s_matrix, assembly.reduction,
-                                 assembly.reference.coupling, skew=False)
+    w, _, (bstar_abs, norms, mech_norms) = _blockwise(
+        s_matrix, assembly.reduction, assembly.reference.coupling, skew=False,
+        vectors=False)
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
-    stabilizable, block = _mode_table(assembly, v, bstar_abs)
+    stabilizable, block = _mode_table(bstar_abs, norms, mech_norms)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, bstar_abs=bstar_abs,
                           stabilizable=stabilizable, dominant_block=block,
@@ -398,20 +422,20 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     mode j (:func:`_closed_loop_roots`), accurate far below the dense-eig
     noise floor; coupling[j] = |c_j| = |g^T u_j| is |B* phi| of its unit
     M-norm lift phi; and dominant_block[j] labels it by its mechanical
-    energy fraction ||u[mech]||^2, with the rule of the mode table.  A gain
+    energy fraction ||u[mech]||^2 / ||u||^2, with the rule of the mode
+    table.  No eigenvector array is kept (see :func:`_blockwise`).  A gain
     that is negative or not finite raises ValueError.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    theta, u, c = _blockwise(ref.s, assembly.reduction, ref.coupling, skew=True)
+    theta, _, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction,
+                                                  ref.coupling, skew=True, vectors=False)
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
-    mech_fraction = np.linalg.norm(u[np.ix_(assembly.reduction.mechanical, pos)],
-                                   axis=0) ** 2
-    del u  # the one (dim, dim) array; the roots need only omega and c
     lam = _closed_loop_roots(omega_all, c ** 2, gain)
-    return omega_all[pos], lam[pos], c[pos], _dominant_block(mech_fraction)
+    return (omega_all[pos], lam[pos], c[pos],
+            _dominant_block(mech_norms[pos] ** 2 / norms[pos] ** 2))
 
 
 def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np.ndarray:

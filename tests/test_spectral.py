@@ -162,7 +162,8 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
 def _all_roots(asm, gain):
     """(omega, roots) of every mode of the shifts' eigh, the kernel included."""
     ref = asm.reference
-    theta, _, c = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+    theta, _, (c, _, _) = spectral._blockwise(ref.s, asm.reduction, ref.coupling,
+                                              skew=True)
     return -theta, spectral._closed_loop_roots(-theta, c ** 2, gain)
 
 
@@ -283,9 +284,9 @@ class TestShiftModes:
         table_of = spectral._mode_table
         seen = {}
 
-        def capturing(asm, v, bstar_abs):
-            seen["norms"] = np.linalg.norm(v, axis=0)
-            return table_of(asm, v, bstar_abs)
+        def capturing(bstar_abs, norms, mech_norms):
+            seen["norms"] = norms
+            return table_of(bstar_abs, norms, mech_norms)
 
         monkeypatch.setattr(spectral, "_mode_table", capturing)
         asm, report = _report(n, gamma=0.0)
@@ -367,7 +368,8 @@ class TestDiagonalBlocks:
         w, v = scipy.linalg.eig(ref.s)
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
-        stabilizable, block = spectral._mode_table(asm, v, np.abs(ref.coupling @ v))
+        stabilizable, block = spectral._mode_table(
+            np.abs(ref.coupling @ v), *spectral._column_norms(v, asm.reduction.mechanical))
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
                                    atol=1e-12 * report.g_norm)
         np.testing.assert_array_equal(report.dominant_block, block)
@@ -397,7 +399,8 @@ class TestBipartiteRoute:
         assert report.max_abs_real == 0.0
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
-        stabilizable, block = spectral._mode_table(asm, v, np.abs(ref.coupling @ v))
+        stabilizable, block = spectral._mode_table(
+            np.abs(ref.coupling @ v), *spectral._column_norms(v, asm.reduction.mechanical))
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
         np.testing.assert_array_equal(report.dominant_block, block)
 
@@ -512,12 +515,14 @@ class TestSortedSolves:
         m = 0.5j * (s - s.T) if skew else s
         blocks = spectral._decoupled_blocks(entries(s), len(s), mech)
         assert len(blocks) == (2 if gamma == 0.0 else 1)
-        w, v, c = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
+        w, v, facts = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
         want_w, want_v = _solve_then_sort(solve, m, mech, sort)
         assert _same_array(w, want_w)
         assert _same_array(v, want_v)
-        if gamma != 0.0:  # one block: g^T v of the sorted vectors, bit for bit
-            assert c.tobytes() == np.abs(asm.reference.coupling @ want_v).tobytes()
+        if gamma != 0.0:  # one block: the facts of the sorted vectors, bit for bit
+            want = (np.abs(asm.reference.coupling @ want_v),
+                    *spectral._column_norms(want_v, mech))
+            assert all(got.tobytes() == fact.tobytes() for got, fact in zip(facts, want))
 
     @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
     @pytest.mark.parametrize("skew", (False, True), ids=("eig", "eigh"))
@@ -546,10 +551,20 @@ class TestSortedSolves:
             columns.append(block)
         w = np.concatenate(values)
         order = spectral._SOLVES[skew][2](w)
-        got_w, got_v, _ = spectral._blockwise(s, red, asm.reference.coupling, skew)
+        got_w, got_v, facts = spectral._blockwise(s, red, asm.reference.coupling, skew)
         np.testing.assert_array_equal(got_w, w[order])
         assert got_v.tobytes(order="F") == np.hstack(columns)[:, order].tobytes(order="F")
         assert got_v.flags.f_contiguous
+        # the facts read from the factors are those of the placed vectors,
+        # and the same bit for bit when no vector is placed
+        want = (np.abs(asm.reference.coupling @ got_v),
+                *spectral._column_norms(got_v, red.mechanical))
+        for got, fact in zip(facts, want):
+            np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
+        w_only, none, facts_only = spectral._blockwise(s, red, asm.reference.coupling,
+                                                       skew, vectors=False)
+        assert none is None and w_only.tobytes() == got_w.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(facts, facts_only))
 
     def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
         # 255 modes at N = 128: two chunks of TABLE_BLOCK rows against one
