@@ -162,9 +162,13 @@ def _skew_part(s: np.ndarray):
 
 
 # the two dense solves, by whether they solve the skew part of S:
-# (solver, entries of the solved matrix, order of its values)
-_SOLVES = {False: (scipy.linalg.eig, _whole_or_block, _sort_order),
-           True: (np.linalg.eigh, _skew_part, _ascending)}
+# (entries of the solved matrix, order of its values)
+_SOLVES = {False: (_whole_or_block, _sort_order), True: (_skew_part, _ascending)}
+
+
+def _solver(skew: bool):
+    """eigh for the skew part, else eig: looked up per call, never held."""
+    return np.linalg.eigh if skew else scipy.linalg.eig
 
 
 def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
@@ -203,7 +207,7 @@ def _plan(s: np.ndarray, reduction, skew: bool) -> list:
     The blocks are those of :func:`_decoupled_blocks` on the solved matrix;
     whether a block is bipartite is read from S itself.
     """
-    entries = _SOLVES[skew][1](s)
+    entries = _SOLVES[skew][0](s)
     return [(idx, _bipartite(s, idx, reduction.velocity))
             for idx in _decoupled_blocks(entries, len(s), reduction.mechanical)]
 
@@ -320,7 +324,7 @@ def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool,
     are sorted by |Im| (positive first among a conjugate pair) for S and
     ascending for the skew part.
     """
-    solver, entries, sort = _SOLVES[skew]
+    (entries, sort), solver = _SOLVES[skew], _solver(skew)
     mech = reduction.mechanical
     plan = _plan(s, reduction, skew)
     if len(plan) == 1 and plan[0][1] is None:

@@ -423,13 +423,12 @@ class TestBipartiteRoute:
         # sends that block back to the solver; its partner block keeps the SVD
         asm = _system(system, 32)
         s = asm.reference.s.copy()
-        (_, (p, q)), *rest = reversed(spectral._plan(s, asm.reduction, False))
+        _, (p, q) = spectral._plan(s, asm.reduction, False)[-1]  # the last block
         idx = p if part == "positions" else q
         s[idx[3], idx[5]] = 1e-300
-        want = "eig" if system == "electrostatic" else "svd+eig"
         for skew, solver in ((False, "eig"), (True, "eigh")):
-            assert spectral.solve_route(s, asm.reduction, skew) == want.replace("eig",
-                                                                                solver)
+            want = solver if system == "electrostatic" else "svd+" + solver
+            assert spectral.solve_route(s, asm.reduction, skew) == want
         w, _, _ = spectral._blockwise(s, asm.reduction, asm.reference.coupling, False)
         assert _set_distance(w, scipy.linalg.eigvals(s)) <= 1e-12 * np.max(np.abs(w))
 
@@ -446,6 +445,26 @@ class TestBipartiteRoute:
         assert report.dominant_block[0] == "mechanical"
         v = open_loop_modes(asm)[1][:, 0]
         assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
+
+    def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
+        # the solver is looked up per call, so a wrapper on scipy.linalg.eig
+        # sees every dense eig: none for an electrostatic or gamma = 0
+        # spectrum, one for the electrostatic closed loop and for gamma != 0
+        calls = []
+        eig = scipy.linalg.eig
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counting)
+        es = _system("electrostatic", 16)
+        compute_spectrum(es)
+        compute_spectrum(_system("gamma0", 16))
+        assert calls == []
+        closed_loop_spectrum(es, 1.0)
+        compute_spectrum(assemble_generator(TOY, build_grid(TOY.L, 16)))
+        assert calls == [(32, 32), (63, 63)]
 
     def test_closed_loop_keeps_eig_where_feedback_fills(self):
         # k g g^T fills the velocity block the influence reaches; a block it
@@ -511,7 +530,7 @@ class TestSortedSolves:
         asm, _ = _report(32, gamma=gamma)
         s, mech = asm.reference.s, asm.reduction.mechanical
         skew = solver == "eigh"
-        solve, entries, sort = spectral._SOLVES[skew]
+        (entries, sort), solve = spectral._SOLVES[skew], spectral._solver(skew)
         m = 0.5j * (s - s.T) if skew else s
         blocks = spectral._decoupled_blocks(entries(s), len(s), mech)
         assert len(blocks) == (2 if gamma == 0.0 else 1)
@@ -550,7 +569,7 @@ class TestSortedSolves:
             values.append(theta if skew else -1j * theta)
             columns.append(block)
         w = np.concatenate(values)
-        order = spectral._SOLVES[skew][2](w)
+        order = spectral._SOLVES[skew][1](w)
         got_w, got_v, facts = spectral._blockwise(s, red, asm.reference.coupling, skew)
         np.testing.assert_array_equal(got_w, w[order])
         assert got_v.tobytes(order="F") == np.hstack(columns)[:, order].tobytes(order="F")
