@@ -384,7 +384,8 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     member, scaled so that its largest-modulus component (the first on a
     tie) is real and positive, whichever solver gave it; the state is the
     real part of its lift, renormalized to M-norm ``amplitude``.  That part
-    is never zero, since the lift T R^{-1} is real and injective.  Kernel
+    is never zero: the scaled vector has a nonzero real part, and the lift
+    T R^{-1} is real and injective.  Kernel
     modes are skipped.  A negative or too large mode_index raises
     :class:`ConfigParseError`, as does a state dimension above
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
