@@ -162,13 +162,9 @@ def _skew_part(s: np.ndarray):
 
 
 # the two dense solves, by whether they solve the skew part of S:
-# (entries of the solved matrix, order of its values)
+# (entries of the solved matrix, order of its values); the solver itself is
+# looked up per call, so a wrapper installed on it sees every call
 _SOLVES = {False: (_whole_or_block, _sort_order), True: (_skew_part, _ascending)}
-
-
-def _solver(skew: bool):
-    """eigh for the skew part, else eig: looked up per call, never held."""
-    return np.linalg.eigh if skew else scipy.linalg.eig
 
 
 def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
@@ -324,7 +320,8 @@ def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool,
     are sorted by |Im| (positive first among a conjugate pair) for S and
     ascending for the skew part.
     """
-    (entries, sort), solver = _SOLVES[skew], _solver(skew)
+    entries, sort = _SOLVES[skew]
+    solver = np.linalg.eigh if skew else scipy.linalg.eig
     mech = reduction.mechanical
     plan = _plan(s, reduction, skew)
     if len(plan) == 1 and plan[0][1] is None:
