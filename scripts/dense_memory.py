@@ -10,10 +10,12 @@ the six-field models), it builds the assembly and prints, in MiB:
   M, R, S and g) keeps once formed;
 * ``ref_peak``: the traced peak while it is formed, above the traced memory
   before (so it includes ``ref_kept``);
-* ``spectrum``, ``closed_loop`` and ``shifts``: the traced peak of
-  ``compute_spectrum``, ``closed_loop_spectrum`` and
-  ``closed_loop_mode_shifts`` at gain GAIN, each above the traced memory at
-  its start, with the reference already formed;
+* ``spectrum``, ``closed_loop``, ``modal`` and ``shifts``: the traced peak
+  of ``compute_spectrum``, ``closed_loop_spectrum``, the modal start
+  ``dynamics.modal_state(asm, 0)`` and ``closed_loop_mode_shifts`` at gain
+  GAIN, each above the traced memory at its start, with the reference
+  already formed (the modal start solves S as the spectrum does, and its
+  lift copies R to complex, one (dim, dim) complex array);
 * beside each of those, ``by``: the route of its dense solve
   (``spectral.solve_route``): ``eig`` or ``eigh`` of the whole matrix,
   ``svd`` for a bipartite one, and the two block routes joined by ``+``
@@ -46,6 +48,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import piezolab
 
+from piezolab.dynamics import modal_state
 from piezolab.errors import SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
@@ -55,8 +58,8 @@ from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 
 MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
           "electrostatic": assemble_electrostatic}
-COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "shifts")
-SOLVED = ("spectrum", "closed_loop", "shifts")  # the columns with a route beside
+COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts")
+SOLVED = ("spectrum", "closed_loop", "modal", "shifts")  # the columns with a route beside
 MIB = 2.0 ** 20
 GAIN = 1.0
 
@@ -77,7 +80,7 @@ def _routes(asm) -> tuple:
     """The dense solve routes of the SOLVED calls on one assembly."""
     ref, red = asm.reference, asm.reduction
     s_cl = ref.s - GAIN * np.outer(ref.coupling, ref.coupling)
-    return (solve_route(ref.s, red), solve_route(s_cl, red),
+    return (solve_route(ref.s, red), solve_route(s_cl, red), solve_route(ref.s, red),
             solve_route(ref.s, red, skew=True))
 
 
@@ -96,9 +99,10 @@ def measure(n_cells: int) -> list:
                 ref_kept = (tracemalloc.get_traced_memory()[0] - before) / MIB
                 spectrum, _ = _traced(lambda: compute_spectrum(asm))
                 closed, _ = _traced(lambda: closed_loop_spectrum(asm, GAIN))
+                modal, _ = _traced(lambda: modal_state(asm, 0))
                 shifts, raised = _traced(lambda: closed_loop_mode_shifts(asm, GAIN))
                 rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             spectrum, closed, shifts, raised, _routes(asm)))
+                             spectrum, closed, modal, shifts, raised, _routes(asm)))
                 del asm
     finally:
         tracemalloc.stop()

@@ -380,23 +380,26 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
                 amplitude: float = 1.0) -> np.ndarray:
     """Real standing-wave state from the mode_index-th oscillatory pair.
 
-    Takes the energy-coordinate eigenvector of the positive-imaginary
-    member, scaled so that its largest-modulus component (the first on a
-    tie) is real and positive, whichever solver gave it; the state is the
-    real part of its lift, renormalized to M-norm ``amplitude``.  That part
-    is never zero: the scaled vector has a nonzero real part, and the lift
-    T R^{-1} is real and injective.  Kernel
-    modes are skipped.  A negative or too large mode_index raises
+    Builds the one energy-coordinate eigenvector of the positive-imaginary
+    member (by the ``mode`` getter of
+    :func:`~piezolab.spectral.open_loop_modes`, so no (dim, dim) eigenvector
+    array is formed), scaled so that its largest-modulus component (the
+    first on a tie) is real and positive, whichever solver gave it; the
+    state is the real part of its lift, renormalized to M-norm
+    ``amplitude``.  That part is never zero: the scaled vector has a nonzero
+    real part, and the lift T R^{-1} is real and injective.  Kernel modes
+    are skipped.  A negative or too large mode_index raises
     :class:`ConfigParseError`, as does a state dimension above
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
     the dense reference), before any dense array.
     """
-    w, v = open_loop_modes(assembly)
+    w, mode = open_loop_modes(assembly)
     scale = max(float(np.max(np.abs(w))), 1.0)
     pos = np.flatnonzero(w.imag > ZERO_MODE_REL_TOL * scale)
     if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
-    x = v[:, pos[mode_index]]
+    x = mode(pos[mode_index])
+    del mode  # its block factors need not outlive the lift's complex copy of R
     top = x[np.argmax(np.abs(x))]
     y = np.real(lift_modes(assembly, x * (np.conj(top) / abs(top))))
     m = assembly.reference.m

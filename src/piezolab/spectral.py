@@ -17,10 +17,10 @@ Every per-mode fact is read from eigenvectors in energy coordinates (see
 :func:`_mode_table`); only a returned state is lifted (:func:`lift_modes`).
 
 Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
-the skew part of S) splits its matrix where the model does, twice over
-(:func:`_plan`):
+the skew part of S) splits its matrix where the model does, twice over,
+reading S itself for either solver (:func:`_plan`):
 
-* if it holds exact zeros between the mechanical coordinates
+* if S holds exact zeros between the mechanical coordinates
   (``reduction.mechanical``, the blocks y1 and y4) and the field ones, as
   at gamma = 0, the mechanical block is solved first and the field block
   second;
@@ -40,15 +40,14 @@ the skew part of S) splits its matrix where the model does, twice over
   products g.u and g.v (:func:`_svd_block`).
 
 Each block, or its Bs, is formed only when it is solved (the skew part
-too).  The spectra and the shifts read only each mode's facts |g^T x|,
-||x|| and ||x[mech]||, which every block's own solve gives, so on a
-matrix that splits or is bipartite they form no (dim, dim) eigenvector
-array; :func:`open_loop_modes` places each block eigenvector straight in
-its column of the sorted spectrum.  A matrix that does not split and is
-not bipartite goes to the solver unchanged, so its output is
-bit-identical to a full solve, and its eigenvectors are sorted in place.
-No solve makes a sorted copy (:func:`_blockwise`); :func:`solve_route`
-names the route of a matrix.
+too), and a block that is all of S goes to the solver as is (S, or
+0.5j (S - S^T) for ``eigh``), so its output is bit-identical to a full
+solve.  The spectra and the shifts read only
+each mode's facts |g^T x|, ||x|| and ||x[mech]||, which every block's own
+solve gives before any sort; an eigenvector is built only when asked for,
+one new vector at a time, by the ``mode`` getter of :func:`_blockwise`
+(:func:`open_loop_modes`), so no solve forms a (dim, dim) array of sorted
+or placed eigenvectors.  :func:`solve_route` names the route of a matrix.
 
 For the high-frequency tail the dense solver's noise floor (about
 machine epsilon times ||S||) swamps the true decay rates, which shrink like
@@ -147,39 +146,19 @@ def _mode_table(bstar_abs: np.ndarray, norms: np.ndarray, mech_norms: np.ndarray
             _dominant_block(mech_norms ** 2 / norms ** 2))
 
 
-def _whole_or_block(m: np.ndarray):
-    """entries(rows, cols) of m: the whole m for None, else that block."""
-    return lambda rows, cols: m if rows is None else m[np.ix_(rows, cols)]
+def _decoupled_blocks(s: np.ndarray, mechanical: np.ndarray) -> list:
+    """[mechanical, field] coordinates if S holds exact zeros between them.
 
-
-def _skew_part(s: np.ndarray):
-    """entries(rows, cols) of the Hermitian 0.5j (S - S^T), formed only where read."""
-    def entries(rows, cols):
-        if rows is None:
-            return 0.5j * (s - s.T)
-        return 0.5j * (s[np.ix_(rows, cols)] - s[np.ix_(cols, rows)].T)
-    return entries
-
-
-# the two dense solves, by whether they solve the skew part of S:
-# (entries of the solved matrix, order of its values); the solver itself is
-# looked up per call, so a wrapper installed on it sees every call
-_SOLVES = {False: (_whole_or_block, _sort_order), True: (_skew_part, _ascending)}
-
-
-def _decoupled_blocks(entries, dim: int, mechanical: np.ndarray) -> list:
-    """[mechanical, field] coordinates if the matrix holds exact zeros between them.
-
-    ``entries(rows, cols)`` gives a block of the (dim, dim) matrix; only the
-    two cross blocks are read.  Otherwise (a nonzero or NaN cross entry, or
-    no field coordinate) the one block of every index.
+    Only the two cross blocks of S are read; where they are zero, so are
+    those of its skew part.  Otherwise (a nonzero or NaN cross entry, or no
+    field coordinate) the one block of every index.
     """
-    fields = np.setdiff1d(np.arange(dim), mechanical)
+    fields = np.setdiff1d(np.arange(len(s)), mechanical)
     if (len(fields) and len(mechanical)
-            and not np.any(entries(mechanical, fields))
-            and not np.any(entries(fields, mechanical))):
+            and not np.any(s[np.ix_(mechanical, fields)])
+            and not np.any(s[np.ix_(fields, mechanical)])):
         return [mechanical, fields]
-    return [np.arange(dim)]
+    return [np.arange(len(s))]
 
 
 def _bipartite(s: np.ndarray, idx: np.ndarray, velocity: np.ndarray):
@@ -197,15 +176,10 @@ def _bipartite(s: np.ndarray, idx: np.ndarray, velocity: np.ndarray):
     return None
 
 
-def _plan(s: np.ndarray, reduction, skew: bool) -> list:
-    """[(block, its (positions, velocities) or None)] of one dense solve.
-
-    The blocks are those of :func:`_decoupled_blocks` on the solved matrix;
-    whether a block is bipartite is read from S itself.
-    """
-    entries = _SOLVES[skew][0](s)
+def _plan(s: np.ndarray, reduction) -> list:
+    """[(block, its (positions, velocities) or None)] of every dense solve of S."""
     return [(idx, _bipartite(s, idx, reduction.velocity))
-            for idx in _decoupled_blocks(entries, len(s), reduction.mechanical)]
+            for idx in _decoupled_blocks(s, reduction.mechanical)]
 
 
 def solve_route(s_matrix: np.ndarray, reduction, skew: bool = False) -> str:
@@ -216,44 +190,26 @@ def solve_route(s_matrix: np.ndarray, reduction, skew: bool = False) -> str:
     matrix splits into its mechanical and field blocks.
     """
     solver = "eigh" if skew else "eig"
-    plan = _plan(s_matrix, reduction, skew)
-    return "+".join("svd" if halves else solver for _, halves in plan)
+    return "+".join("svd" if halves else solver for _, halves in _plan(s_matrix, reduction))
 
 
-def _reorder_columns(v: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """v[:, order], formed in v itself by following the cycles of ``order``.
-
-    Each cycle holds one column aside, so no second (n, n) array is made;
-    values and memory layout are those of v.
-    """
-    order = order.tolist()
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start] or order[start] == start:
-            continue
-        held = v[:, start].copy()
-        j = start
-        while order[j] != start:
-            v[:, j] = v[:, order[j]]
-            seen[j] = True
-            j = order[j]
-        v[:, j] = held
-        seen[j] = True
-    return v
+def _block_matrix(s: np.ndarray, idx: np.ndarray, skew: bool) -> np.ndarray:
+    """The block idx of S, or of its skew part 0.5j (S - S^T); S itself if whole."""
+    m = s if len(idx) == len(s) else s[np.ix_(idx, idx)]
+    return 0.5j * (m - m.T) if skew else m
 
 
 def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
                mechanical: np.ndarray, skew: bool) -> tuple:
-    """(values, facts, place) of the bipartite block (p, q) of S.
+    """(values, facts, column) of the bipartite block (p, q) of S.
 
     With Bs = (S_pq - S_qp^T)/2 = U diag(sigma) V^T (one real SVD), the
     vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S, and to
     theta = +- sigma of its skew part; the null vectors (u; 0) or (0; v) of
     a rectangular Bs close each list at value 0.  The facts |g^T x|, ||x||
     and ||x[mechanical]|| of each come from real products with the factors,
-    |(a; -+ i b)|/sqrt(2) = hypot(a, b)/sqrt(2), and ``place(vectors,
-    cols)`` writes column k of the block to column cols[k] of the zero
-    ``vectors``.
+    |(a; -+ i b)|/sqrt(2) = hypot(a, b)/sqrt(2), and ``column(k)`` builds
+    vector k of the block as a new (dim,) array.
     """
     bst = s[np.ix_(q, p)]  # Bs^T in C order is Bs in Fortran order: no copy for LAPACK
     bst -= s[np.ix_(p, q)].T
@@ -275,97 +231,77 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
              per_vector(np.linalg.norm(u, axis=0), np.linalg.norm(vt, axis=1)),
              per_vector(np.linalg.norm(u[pm], axis=0), np.linalg.norm(vt[:, qm], axis=1)))
 
-    def place(vectors: np.ndarray, cols: list) -> None:
-        for k in range(r):
-            half_u, half_v = HALF * u[:, k], HALF * vt[k]
-            for col, sign in ((cols[k], -1.0), (cols[r + k], 1.0)):
-                vectors.real[p, col] = half_u
-                vectors.imag[q, col] = sign * half_v
-        for j, col in enumerate(cols[2 * r:]):
-            if len(p) > len(q):
-                vectors.real[p, col] = u[:, r + j]
-            else:
-                vectors.real[q, col] = vt[r + j]
-    return values, facts, place
+    def column(k: int) -> np.ndarray:
+        x = np.zeros(len(coupling), dtype=complex)
+        if k < 2 * r:  # the pairs (u; - i v) first, then (u; + i v)
+            sign, j = (-1.0, k) if k < r else (1.0, k - r)
+            x.real[p] = HALF * u[:, j]
+            x.imag[q] = sign * (HALF * vt[j])
+        elif len(p) > len(q):
+            x.real[p] = u[:, k - r]
+        else:
+            x.real[q] = vt[k - r]
+        return x
+    return values, facts, column
 
 
-def _dense_block(m: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-                 mechanical: np.ndarray, solver) -> tuple:
-    """(values, facts, place) of the block idx of the solved matrix m."""
-    w, v = solver(m)
+def _dense_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
+                 mechanical: np.ndarray, skew: bool) -> tuple:
+    """(values, facts, column) of the block idx of S by ``eig``, or of its
+    skew part by ``eigh``; the solved matrix is let go before the facts."""
+    solver = np.linalg.eigh if skew else scipy.linalg.eig
+    w, v = solver(_block_matrix(s, idx, skew))
 
-    def place(vectors: np.ndarray, cols: list) -> None:
-        # column by column: a 2-D fancy assignment would buffer its indices
-        for k, col in enumerate(cols):
-            vectors[idx, col] = v[:, k]
+    def column(k: int) -> np.ndarray:
+        x = np.zeros(len(coupling), dtype=complex)
+        x[idx] = v[:, k]
+        return x
     mech = np.flatnonzero(np.isin(idx, mechanical))
-    return w, (np.abs(coupling[idx] @ v), *_column_norms(v, mech)), place
+    return w, (np.abs(coupling[idx] @ v), *_column_norms(v, mech)), column
 
 
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool,
-               vectors: bool = True) -> tuple:
-    """(values, vectors, facts) of S, or of its skew part, sorted.
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool) -> tuple:
+    """(values, facts, mode) of S, or of its skew part, sorted.
 
     The facts are (|g^T x|, ||x||, ||x[mech]||) of each eigenvector x, with
-    g = ``coupling`` and mech = ``reduction.mechanical``.  The pairs are
-    solved block by block (:func:`_plan`): a bipartite block by one SVD
+    g = ``coupling`` and mech = ``reduction.mechanical``, and ``mode(j)``
+    builds the j-th sorted eigenvector as a new (dim,) array.  The pairs
+    are solved block by block (:func:`_plan`): a bipartite block by one SVD
     (:func:`_svd_block`), any other by ``eig`` of S or ``eigh`` of the
-    skew part.  A matrix of one block that is not bipartite goes to the
-    solver as is and its vectors are reordered in place, exactly as
-    ``vectors[:, order]``.  Otherwise each block, or its Bs, is formed only
-    when it is solved, its facts are read from the block's own solve, and
-    only for ``vectors`` do its vectors go straight to their sorted columns
-    of one zero Fortran-order complex array (else None is returned in its
-    place); either way no sorted copy of the vectors is made.  The values
-    are sorted by |Im| (positive first among a conjugate pair) for S and
-    ascending for the skew part.
+    skew part (:func:`_dense_block`), each block formed only when it is
+    solved, and a block that is all of S given to the solver without a
+    copy.  The facts are read from each block's own solve and sorted with
+    the values, by |Im| (positive first among a conjugate pair) for S and
+    ascending for the skew part; no (dim, dim) array of sorted or placed
+    vectors is formed.
     """
-    entries, sort = _SOLVES[skew]
-    solver = np.linalg.eigh if skew else scipy.linalg.eig
+    sort = _ascending if skew else _sort_order
     mech = reduction.mechanical
-    plan = _plan(s, reduction, skew)
-    if len(plan) == 1 and plan[0][1] is None:
-        values, v = solver(entries(s)(None, None))
-        order = sort(values)
-        v = _reorder_columns(v, order)
-        facts = (np.abs(coupling @ v), *_column_norms(v, mech))
-        return values[order], v if vectors else None, facts
-    blocks = entries(s)
     parts = [_svd_block(s, *halves, coupling, mech, skew) if halves
-             else _dense_block(blocks(idx, idx), idx, coupling, mech, solver)
-             for idx, halves in plan]
+             else _dense_block(s, idx, coupling, mech, skew)
+             for idx, halves in _plan(s, reduction)]
     values = np.concatenate([w for w, _, _ in parts])
     order = sort(values)
     facts = tuple(np.concatenate(fact)[order] for fact in zip(*(f for _, f, _ in parts)))
-    if not vectors:
-        return values[order], None, facts
-    column = np.empty_like(order)
-    column[order] = np.arange(len(s))  # the sorted column of each unsorted one
-    v = np.zeros((len(s), len(s)), order="F", dtype=complex)
-    start = 0
-    for w, _, place in parts:
-        place(v, column[start:start + len(w)].tolist())
-        start += len(w)
-    return values[order], v, facts
+    starts = np.cumsum([0] + [len(w) for w, _, _ in parts[:-1]])
 
-
-def _eigenpairs(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> tuple:
-    """Eigenvalues and energy-coordinate eigenvectors v of S, sorted as a spectrum.
-
-    ``s_matrix`` is S or the closed-loop S of the assembly.  A unit column
-    of v is a mode T R^{-1} v of unit M-norm; none is lifted here.
-    """
-    return _blockwise(s_matrix, assembly.reduction, assembly.reference.coupling,
-                      skew=False)[:2]
+    def mode(j: int) -> np.ndarray:
+        i = order[j]
+        block = np.searchsorted(starts, i, side="right") - 1
+        return parts[block][2](i - starts[block])
+    return values[order], facts, mode
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
-    """Eigenvalues and energy-coordinate eigenvectors, in spectrum order.
+    """(eigenvalues, mode) of S in spectrum order, without a mode table.
 
-    The eigenpairs of :func:`compute_spectrum` without its mode table;
-    :func:`lift_modes` turns the columns that are wanted into states.
+    The eigenvalues are those of :func:`compute_spectrum`; ``mode(j)``
+    builds the energy-coordinate eigenvector v of eigenvalue j as a new
+    vector, whose unit M-norm mode is T R^{-1} v (:func:`lift_modes`).
     """
-    return _eigenpairs(assembly, assembly.reference.s)
+    ref = assembly.reference
+    w, _, mode = _blockwise(ref.s, assembly.reduction, ref.coupling, skew=False)
+    return w, mode
 
 
 def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
@@ -375,9 +311,8 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
 
 
 def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> SpectrumReport:
-    w, _, (bstar_abs, norms, mech_norms) = _blockwise(
-        s_matrix, assembly.reduction, assembly.reference.coupling, skew=False,
-        vectors=False)
+    w, (bstar_abs, norms, mech_norms) = _blockwise(
+        s_matrix, assembly.reduction, assembly.reference.coupling, skew=False)[:2]
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
     stabilizable, block = _mode_table(bstar_abs, norms, mech_norms)
@@ -408,7 +343,10 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumRe
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    s_cl = ref.s - gain * np.outer(ref.coupling, ref.coupling)
+    g, s_cl = ref.coupling, ref.s.copy()
+    for start in range(0, len(g), TABLE_BLOCK):  # in place, TABLE_BLOCK rows at a time
+        rows = slice(start, start + TABLE_BLOCK)
+        s_cl[rows] -= gain * np.outer(g[rows], g)
     return _build_report(assembly, s_cl)
 
 
@@ -429,8 +367,8 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    theta, _, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction,
-                                                  ref.coupling, skew=True, vectors=False)
+    theta, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction,
+                                               ref.coupling, skew=True)[:2]
     omega_all = -theta  # eigenvalues of the skew part are -i*theta
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]

@@ -510,11 +510,11 @@ class TestModalState:
         # positive, bit for bit, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
-        w, v = spectral.open_loop_modes(asm)
+        w, mode = spectral.open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
-        x = v[:, pos[2]]
+        x = mode(pos[2])
         k = int(np.argmax(np.abs(x)))
         x = x * (np.conj(x[k]) / abs(x[k]))
         assert x[k].real > 0.0 and abs(x[k].imag) <= 1e-16 * abs(x[k])
@@ -549,6 +549,25 @@ class TestModalState:
             want = y / np.sqrt(float(y @ m @ y))
             got = modal_state(asm, mode)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_builds_no_eigenvector_array(self):
+        # the electrostatic S is bipartite: its one vector is built from the
+        # SVD factors, so with the reference formed the start peaks below
+        # the spectrum's own peak beside one (dim, dim) complex array, the
+        # lift's complex copy of R (a placed eigenvector array is a second)
+        asm = build_system(TOY, build_grid(TOY.L, 256), ActuationMode.CHARGE_ELECTROSTATIC)
+        dim = asm.reference.s.shape[0]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (spectral.compute_spectrum, modal_state):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                call(asm)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert dim == 512 and peaks[1] < peaks[0] + dim * dim * 16
 
     @pytest.mark.parametrize("mode_index", (-1, -63, 63))
     def test_mode_index_out_of_range(self, mode_index):

@@ -44,6 +44,12 @@ def _set_distance(a, b):
     return max(dist.min(axis=1).max(), dist.min(axis=0).max())
 
 
+def _all_modes(asm):
+    """open_loop_modes with every eigenvector built, as the columns of v."""
+    w, mode = open_loop_modes(asm)
+    return w, np.column_stack([mode(j) for j in range(len(w))])
+
+
 def _positive_branch(report, block):
     im = report.eigenvalues.imag
     return np.sort(im[(report.dominant_block == block) & (im > 1e-8)])
@@ -63,12 +69,12 @@ class TestOpenLoopSpectrum:
 
     def test_eigenpair_residual(self):
         asm, report = _report(32)
-        w, v = open_loop_modes(asm)
+        w, mode = open_loop_modes(asm)
         np.testing.assert_array_equal(w, report.eigenvalues)
         m, g = asm.reference.m, _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
-            phi = spectral.lift_modes(asm, v[:, j])
+            phi = spectral.lift_modes(asm, mode(j))
             res = g @ phi - lam * phi
             num = np.sqrt(abs(np.vdot(res, m @ res).real))
             den = np.sqrt(abs(np.vdot(phi, m @ phi).real))
@@ -119,7 +125,7 @@ class TestStabilizability:
         # theta-profile sin(k pi x/L): the integral of phi5 vanishes for even
         # k and equals 2L/(k pi) times the amplitude for odd k
         asm, report = _report(64, gamma=0.0)
-        norms = np.linalg.norm(open_loop_modes(asm)[1], axis=0)
+        norms = np.linalg.norm(_all_modes(asm)[1], axis=0)
         im = report.eigenvalues.imag
         em = np.flatnonzero((report.dominant_block == "electromagnetic") & (im > 1e-8))
         em = em[np.argsort(im[em], kind="stable")]
@@ -135,7 +141,7 @@ class TestStabilizability:
         # the flag compares |B* phi| against STABILIZABLE_TOL * ||phi||_M, so
         # it cannot depend on the eigenvector normalization
         asm, report = _report(32)
-        norms = np.linalg.norm(open_loop_modes(asm)[1], axis=0)
+        norms = np.linalg.norm(_all_modes(asm)[1], axis=0)
         np.testing.assert_array_equal(report.stabilizable[:20],
                                       report.bstar_abs[:20] > 1e-8 * norms[:20])
 
@@ -162,7 +168,7 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
 def _all_roots(asm, gain):
     """(omega, roots) of every mode of the shifts' eigh, the kernel included."""
     ref = asm.reference
-    theta, _, (c, _, _) = spectral._blockwise(ref.s, asm.reduction, ref.coupling,
+    theta, (c, _, _), _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling,
                                               skew=True)
     return -theta, spectral._closed_loop_roots(-theta, c ** 2, gain)
 
@@ -327,16 +333,14 @@ class TestDiagonalBlocks:
         asm = (assemble_electrostatic(params, grid) if system == "electrostatic"
                else assemble_generator(params, grid))
         s = asm.reference.s
-        blocks = spectral._decoupled_blocks(spectral._whole_or_block(s), len(s),
-                                            asm.reduction.mechanical)
+        blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
         assert len(blocks) == 1
         np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
 
     def test_gamma_zero_splits_mechanics_from_fields(self):
         asm, _ = _report(32, gamma=0.0)
         s = asm.reference.s
-        blocks = spectral._decoupled_blocks(spectral._whole_or_block(s), len(s),
-                                            asm.reduction.mechanical)
+        blocks = spectral._decoupled_blocks(s, asm.reduction.mechanical)
         sl = block_slices(asm.grid)
         keep = asm.reduction.keep
         in_blocks = [np.isin(keep, np.r_[sl[a], sl[b]])
@@ -347,19 +351,32 @@ class TestDiagonalBlocks:
         np.testing.assert_array_equal(blocks[0], asm.reduction.mechanical)
 
     def test_tiny_cross_entry_couples(self):
-        # one 1e-300 entry on either side of the diagonal keeps one block
+        # one 1e-300 entry on either side of the diagonal keeps one block,
+        # for eig of S and for eigh of its skew part alike
         asm, _ = _report(32, gamma=0.0)
-        dim = len(asm.reference.s)
-        mech, em = spectral._decoupled_blocks(spectral._whole_or_block(asm.reference.s),
-                                              dim, asm.reduction.mechanical)
+        red = asm.reduction
+        mech, em = spectral._decoupled_blocks(asm.reference.s, red.mechanical)
         for row, col in ((em[3], mech[5]), (mech[5], em[3])):
             s = asm.reference.s.copy()
             s[row, col] = 1e-300
-            for entries in (spectral._whole_or_block(s), spectral._skew_part(s)):
-                blocks = spectral._decoupled_blocks(entries, dim,
-                                                    asm.reduction.mechanical)
-                assert len(blocks) == 1
-                np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
+            blocks = spectral._decoupled_blocks(s, red.mechanical)
+            assert len(blocks) == 1
+            np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
+            assert spectral.solve_route(s, red) == "eig"
+            assert spectral.solve_route(s, red, skew=True) == "eigh"
+
+    @pytest.mark.parametrize("gamma", (0.0, 1.0))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_skew_route_is_the_eig_route(self, build, gamma):
+        # one split test reads S for both solvers, so eigh of the skew part
+        # solves the blocks that eig of S solves
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, 32))
+        s, red = asm.reference.s, asm.reduction
+        assert (spectral.solve_route(s, red, skew=True)
+                == spectral.solve_route(s, red).replace("eig", "eigh"))
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
@@ -408,7 +425,7 @@ class TestBipartiteRoute:
     def test_eigenpair_residual(self, system, n):
         asm = _system(system, n)
         s = asm.reference.s
-        w, v = open_loop_modes(asm)
+        w, v = _all_modes(asm)
         rho = np.max(np.abs(w))
         for start in range(0, len(w), spectral.TABLE_BLOCK):
             cols = slice(start, start + spectral.TABLE_BLOCK)
@@ -423,7 +440,7 @@ class TestBipartiteRoute:
         # sends that block back to the solver; its partner block keeps the SVD
         asm = _system(system, 32)
         s = asm.reference.s.copy()
-        _, (p, q) = spectral._plan(s, asm.reduction, False)[-1]  # the last block
+        _, (p, q) = spectral._plan(s, asm.reduction)[-1]  # the last block
         idx = p if part == "positions" else q
         s[idx[3], idx[5]] = 1e-300
         for skew, solver in ((False, "eig"), (True, "eigh")):
@@ -436,14 +453,13 @@ class TestBipartiteRoute:
         # at gamma = 0 the mechanical Bs maps the N + 1 velocities y4 to the
         # N strains y1; its null vector is the rigid translation
         asm = _system("gamma0", 32)
-        (_, (p, q)), (_, (p_em, q_em)) = spectral._plan(asm.reference.s,
-                                                          asm.reduction, False)
+        (_, (p, q)), (_, (p_em, q_em)) = spectral._plan(asm.reference.s, asm.reduction)
         assert (len(p), len(q)) == (32, 33) and len(p_em) == len(q_em) == 31
         report = compute_spectrum(asm)
         assert report.kernel_dimension == 1
         assert report.eigenvalues[0] == 0.0
         assert report.dominant_block[0] == "mechanical"
-        v = open_loop_modes(asm)[1][:, 0]
+        v = open_loop_modes(asm)[1](0)
         assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
 
     def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
@@ -482,7 +498,7 @@ def _solve_then_sort(solver, m, mechanical, sort):
     A sort that keeps every column in place (one eigh is ascending
     already) was skipped, so the solver's own layout was kept.
     """
-    blocks = spectral._decoupled_blocks(spectral._whole_or_block(m), len(m), mechanical)
+    blocks = spectral._decoupled_blocks(m, mechanical)
     if len(blocks) == 1:
         w, v = solver(m)
     else:
@@ -505,21 +521,7 @@ def _same_array(got, want):
 
 
 class TestSortedSolves:
-    """The dense solves sort in place or place each column at its sorted position."""
-
-    @pytest.mark.parametrize("n, kind", ((6, "identity"), (9, "one_cycle"),
-                                         (50, "random"), (1, "identity"),
-                                         (0, "identity")))
-    def test_reorder_in_place_equals_fancy_index(self, n, kind):
-        rng = np.random.default_rng(n)
-        order = {"identity": np.arange(n), "one_cycle": np.roll(np.arange(n), 1),
-                 "random": rng.permutation(n)}[kind]
-        v = np.asfortranarray(rng.standard_normal((n, n))
-                              + 1j * rng.standard_normal((n, n)))  # as eig returns it
-        want = v[:, order]
-        got = spectral._reorder_columns(v, order)
-        assert got is v
-        assert _same_array(got, want)
+    """Each sorted eigenvector a ``mode`` getter builds is the former sorted column."""
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("split", "unsplit"))
     @pytest.mark.parametrize("solver", ("eig", "eigh"))
@@ -530,15 +532,17 @@ class TestSortedSolves:
         asm, _ = _report(32, gamma=gamma)
         s, mech = asm.reference.s, asm.reduction.mechanical
         skew = solver == "eigh"
-        entries, sort = spectral._SOLVES[skew]
+        sort = spectral._ascending if skew else spectral._sort_order
         solve = np.linalg.eigh if skew else scipy.linalg.eig
         m = 0.5j * (s - s.T) if skew else s
-        blocks = spectral._decoupled_blocks(entries(s), len(s), mech)
-        assert len(blocks) == (2 if gamma == 0.0 else 1)
-        w, v, facts = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
+        assert len(spectral._decoupled_blocks(s, mech)) == (2 if gamma == 0.0 else 1)
+        w, facts, mode = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
         want_w, want_v = _solve_then_sort(solve, m, mech, sort)
         assert _same_array(w, want_w)
-        assert _same_array(v, want_v)
+        for j in range(len(w)):
+            x = mode(j)
+            assert x.dtype == want_v.dtype and x.shape == (len(s),)
+            assert x.tobytes() == want_v[:, j].tobytes()
         if gamma != 0.0:  # one block: the facts of the sorted vectors, bit for bit
             want = (np.abs(asm.reference.coupling @ want_v),
                     *spectral._column_norms(want_v, mech))
@@ -549,10 +553,10 @@ class TestSortedSolves:
     def test_bipartite_placement_equals_factors_then_sort(self, skew, system):
         # each bipartite block's vectors (u; -+ i v)/sqrt(2), and its null
         # vectors, placed block-diagonally from the SVD of its Bs and then
-        # sorted, are the sorted placement bit for bit
+        # sorted, are the getter's vectors bit for bit
         asm = _system(system, 32)
         s, red = asm.reference.s, asm.reduction
-        plan = spectral._plan(s, red, skew)
+        plan = spectral._plan(s, red)
         assert all(halves is not None for _, halves in plan)
         values, columns = [], []
         for idx, (p, q) in plan:
@@ -570,21 +574,27 @@ class TestSortedSolves:
             values.append(theta if skew else -1j * theta)
             columns.append(block)
         w = np.concatenate(values)
-        order = spectral._SOLVES[skew][1](w)
-        got_w, got_v, facts = spectral._blockwise(s, red, asm.reference.coupling, skew)
+        order = (spectral._ascending if skew else spectral._sort_order)(w)
+        got_w, facts, mode = spectral._blockwise(s, red, asm.reference.coupling, skew)
         np.testing.assert_array_equal(got_w, w[order])
-        assert got_v.tobytes(order="F") == np.hstack(columns)[:, order].tobytes(order="F")
-        assert got_v.flags.f_contiguous
-        # the facts read from the factors are those of the placed vectors,
-        # and the same bit for bit when no vector is placed
-        want = (np.abs(asm.reference.coupling @ got_v),
-                *spectral._column_norms(got_v, red.mechanical))
+        want_v = np.hstack(columns)[:, order]
+        for j in range(len(w)):
+            assert mode(j).tobytes() == want_v[:, j].tobytes()
+        # the facts read from the factors are those of the built vectors
+        want = (np.abs(asm.reference.coupling @ want_v),
+                *spectral._column_norms(want_v, red.mechanical))
         for got, fact in zip(facts, want):
             np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
-        w_only, none, facts_only = spectral._blockwise(s, red, asm.reference.coupling,
-                                                       skew, vectors=False)
-        assert none is None and w_only.tobytes() == got_w.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(facts, facts_only))
+
+    def test_mode_is_a_new_vector(self):
+        # the getter builds each vector anew, so changing one leaves the next
+        # call alone, on the one-block eig route as on the bipartite one
+        for asm in (_report(16)[0], _system("electrostatic", 16)):
+            mode = open_loop_modes(asm)[1]
+            x = mode(3)
+            want = x.copy()
+            x[:] = 0.0
+            assert mode(3).tobytes() == want.tobytes()
 
     def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
         # 255 modes at N = 128: two chunks of TABLE_BLOCK rows against one
@@ -634,13 +644,15 @@ class TestDenseMemoryScript:
             values = [float(cell.rstrip("*")) for cell, name in zip(row[3:], header)
                       if name != "by"]
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
-        # (spectrum, closed loop, shifts) routes: bipartite blocks by SVD; a
-        # charge load is zero at gamma = 0, so its closed loop is the open one
+        # (spectrum, closed loop, modal start, shifts) routes: bipartite
+        # blocks by SVD; a charge load is zero at gamma = 0, so its closed
+        # loop is the open one; the modal start solves S as the spectrum does
         routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
                   for row in rows]
-        assert routes == [("svd+svd", "svd+eig", "svd+svd"), ("eig", "eig", "eigh"),
-                          ("svd+svd",) * 3, ("eig", "eig", "eigh"),
-                          ("svd",) * 3, ("svd", "eig", "svd")]
+        assert routes == [("svd+svd", "svd+eig", "svd+svd", "svd+svd"),
+                          ("eig", "eig", "eig", "eigh"),
+                          ("svd+svd",) * 4, ("eig", "eig", "eig", "eigh"),
+                          ("svd",) * 4, ("svd", "eig", "svd", "svd")]
 
 
 class TestEnergyReference:
@@ -716,9 +728,9 @@ class TestEnergyReference:
         # with the SVD factors of each bipartite block, against the long
         # double product with their eigenvectors
         omega, _, coupling, _ = closed_loop_mode_shifts(asm, 1.0)
-        theta, u, _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
-        pos = [int(np.flatnonzero(-theta == w)[0]) for w in omega]
-        want = np.abs(u[:, pos].conj().T.astype(np.clongdouble) @ g).astype(float)
+        theta, _, mode = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+        u = np.column_stack([mode(int(np.flatnonzero(-theta == w)[0])) for w in omega])
+        want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
         big = want > 1e-8
         assert np.count_nonzero(big) == 128  # the positive members of the odd EM pairs
         assert np.max(np.abs(coupling[big] - want[big]) / want[big]) <= 1e-11
