@@ -381,14 +381,13 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     """Real standing-wave state from the mode_index-th oscillatory pair.
 
     Builds the one energy-coordinate eigenvector of the positive-imaginary
-    member (by the ``mode`` getter of
-    :func:`~piezolab.spectral.open_loop_modes`, so no (dim, dim) eigenvector
-    array is formed), scaled so that its largest-modulus component (the
-    first on a tie) is real and positive, whichever solver gave it; the
-    state is the real part of its lift, renormalized to M-norm
-    ``amplitude``.  That part is never zero: the scaled vector has a nonzero
-    real part, and the lift T R^{-1} is real and injective.  Kernel modes
-    are skipped.  A negative or too large mode_index raises
+    member from its block's solve (the ``mode`` getter of
+    :func:`~piezolab.spectral.open_loop_modes`; no other vector is built),
+    scaled so that its largest-modulus component (the first on a tie) is
+    real and positive, whichever solver gave it; the state is the real part
+    of its lift, renormalized to M-norm ``amplitude``.  That part is never
+    zero: the scaled vector has a nonzero real part, and the lift T R^{-1}
+    is real and injective.  Kernel modes are skipped.  A negative or too large mode_index raises
     :class:`ConfigParseError`, as does a state dimension above
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
     the dense reference), before any dense array.
