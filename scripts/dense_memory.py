@@ -1,4 +1,4 @@
-"""Memory of the dense spectral path, per model, traced with ``tracemalloc``.
+"""Memory and time of the dense spectral path, per model, traced with ``tracemalloc``.
 
     python3 scripts/dense_memory.py [--n-cells N]
 
@@ -14,20 +14,22 @@ the six-field models), it builds the assembly and prints, in MiB:
   of ``compute_spectrum``, ``closed_loop_spectrum``, the modal start
   ``dynamics.modal_state(asm, 0)`` and ``closed_loop_mode_shifts`` at gain
   GAIN, each above the traced memory at its start, with the reference
-  already formed (the modal start solves S as the spectrum does, and its
-  lift copies R to complex, one (dim, dim) complex array);
-* beside each of those, ``by``: the route of its dense solve
-  (``spectral.solve_route``): ``eig`` or ``eigh`` of the whole matrix,
-  ``svd`` for a bipartite one, and the two block routes joined by ``+``
-  where it splits into its mechanical and field blocks.
+  already formed (the modal start solves S as the spectrum does);
+* beside each of those, ``s``: the wall seconds of one more call of it
+  with tracing off, and ``by``: the route of its dense solve
+  (``spectral.solve_route``): ``svd`` for a bipartite matrix, ``skew``
+  for the skew part of any other open-loop S, ``eig`` for any other
+  closed-loop one, and the two block routes joined by ``+`` where it
+  splits into its mechanical and field blocks.
 
 ``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
 not the BLAS library's own buffers, so these are the transients of the
 arrays the code forms.  A shift solve that raises ``SecularNotConverged``
 (a closed-loop root still moving after ``ABERTH_MAX_SWEEPS`` sweeps; none
 does on these models at N up to 256) is marked ``*``; its peak is still
-the peak of the work done.  A line with the versions and the CPU count
-comes first.
+the peak of the work done.  The seconds are single calls on a warm
+process, so expect the noise of the machine.  A line with the versions and
+the CPU count comes first.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import os
 import platform
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -76,17 +79,31 @@ def _traced(call) -> tuple:
     return (tracemalloc.get_traced_memory()[1] - start) / MIB, raised
 
 
+def _timed(call) -> float:
+    """Wall seconds of one call() with tracing off."""
+    tracemalloc.stop()
+    try:
+        start = time.perf_counter()
+        try:
+            call()
+        except SecularNotConverged:
+            pass
+        return time.perf_counter() - start
+    finally:
+        tracemalloc.start()
+
+
 def _routes(asm) -> tuple:
     """The dense solve routes of the SOLVED calls on one assembly."""
     ref, red = asm.reference, asm.reduction
     s_cl = ref.s - GAIN * np.outer(ref.coupling, ref.coupling)
-    return (solve_route(ref.s, red), solve_route(s_cl, red), solve_route(ref.s, red),
-            solve_route(ref.s, red, skew=True))
+    route = solve_route(ref.s, red)
+    return route, solve_route(s_cl, red, closed_loop=True), route, route
 
 
 def measure(n_cells: int) -> list:
     """One row per (model, gamma): model, gamma, dim, the COLUMNS, shifts
-    raised, the routes of the SOLVED calls."""
+    raised, the seconds and the routes of the SOLVED calls."""
     rows = []
     tracemalloc.start()
     try:
@@ -97,13 +114,15 @@ def measure(n_cells: int) -> list:
                 before = tracemalloc.get_traced_memory()[0]
                 ref_peak, _ = _traced(lambda: asm.reference)
                 ref_kept = (tracemalloc.get_traced_memory()[0] - before) / MIB
-                spectrum, _ = _traced(lambda: compute_spectrum(asm))
-                closed, _ = _traced(lambda: closed_loop_spectrum(asm, GAIN))
-                modal, _ = _traced(lambda: modal_state(asm, 0))
-                shifts, raised = _traced(lambda: closed_loop_mode_shifts(asm, GAIN))
+                calls = (lambda: compute_spectrum(asm),
+                         lambda: closed_loop_spectrum(asm, GAIN),
+                         lambda: modal_state(asm, 0),
+                         lambda: closed_loop_mode_shifts(asm, GAIN))
+                peaks, raised = zip(*(_traced(call) for call in calls))
+                seconds = tuple(_timed(call) for call in calls)
                 rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             spectrum, closed, modal, shifts, raised, _routes(asm)))
-                del asm
+                             *peaks, raised[-1], seconds, _routes(asm)))
+                del asm, calls
     finally:
         tracemalloc.stop()
     return rows
@@ -116,16 +135,18 @@ def main(argv=None) -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, piezolab {piezolab.__version__}, "
           f"{os.cpu_count()} CPUs, {platform.machine()}")
-    print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start")
+    print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start; "
+          f"s, wall seconds untraced")
     print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
-          + " ".join(f"{c:>11}" + (f" {'by':<7}" if c in SOLVED else "")
+          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<8}" if c in SOLVED else "")
                      for c in COLUMNS))
-    for name, gamma, dim, *values, raised, routes in measure(args.n_cells):
+    for name, gamma, dim, *values, raised, seconds, routes in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
         if raised:
             cells[-1] = f"{values[-1]:10.1f}*"
-        for i, route in zip(range(len(COLUMNS) - len(SOLVED), len(COLUMNS)), routes):
-            cells[i] += f" {route:<7}"
+        solved = range(len(COLUMNS) - len(SOLVED), len(COLUMNS))
+        for i, wall, route in zip(solved, seconds, routes):
+            cells[i] += f" {wall:7.3f} {route:<8}"
         print(f"{name:<16} {gamma:5g} {dim:5d} " + " ".join(cells))
     return 0
 

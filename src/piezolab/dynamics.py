@@ -384,10 +384,11 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     member from its block's solve (the ``mode`` getter of
     :func:`~piezolab.spectral.open_loop_modes`; no other vector is built),
     scaled so that its largest-modulus component (the first on a tie) is
-    real and positive, whichever solver gave it; the state is the real part
-    of its lift, renormalized to M-norm ``amplitude``.  That part is never
-    zero: the scaled vector has a nonzero real part, and the lift T R^{-1}
-    is real and injective.  Kernel modes are skipped.  A negative or too large mode_index raises
+    real and positive, whichever solver gave it; the state is the lift of
+    its real part (the real part of its lift, as T R^{-1} is real),
+    renormalized to M-norm ``amplitude``.  That part is never zero: the
+    scaled vector has a nonzero real part, and the lift is injective.
+    Kernel modes are skipped.  A negative or too large mode_index raises
     :class:`ConfigParseError`, as does a state dimension above
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
     the dense reference), before any dense array.
@@ -398,9 +399,9 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
     x = mode(pos[mode_index])
-    del mode  # its block factors need not outlive the lift's complex copy of R
+    del mode  # its block factors need not outlive the lift
     top = x[np.argmax(np.abs(x))]
-    y = np.real(lift_modes(assembly, x * (np.conj(top) / abs(top))))
+    y = lift_modes(assembly, np.real(x * (np.conj(top) / abs(top))))
     m = assembly.reference.m
     return (amplitude / np.sqrt(float(y @ m @ y))) * y
 

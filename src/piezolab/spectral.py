@@ -3,8 +3,7 @@
 All spectra are computed on the gauge-constrained subspace, where the Gram
 matrix is positive definite: with M_red = R^T R (Cholesky), the matrix
 S = R G_red R^{-1} is similar to the reduced generator and skew-symmetric up
-to rounding, so an honest dense eigensolve of S measures how imaginary the
-spectrum really is.  Closed-loop spectra perturb S by the rank-one collocated
+to rounding.  Closed-loop spectra perturb S by the rank-one collocated
 feedback -k g g^T, whose symmetric negative-semidefinite structure forces
 Re(lambda) <= 0, with g = R^{-T} T^T M b.  R, S and g are read from the
 assembly's dense reference
@@ -16,33 +15,39 @@ there, before any dense array is formed.
 Every per-mode fact is read from eigenvectors in energy coordinates (see
 :func:`_mode_table`); only a returned state is lifted (:func:`lift_modes`).
 
-Every dense eigensolve (``eig`` of S or of the closed-loop S, ``eigh`` of
-the skew part of S) splits its matrix where the model does, twice over,
-reading S itself for either solver (:func:`_plan`):
+Every dense eigensolve splits its matrix where the model does, twice over,
+reading the matrix itself (:func:`_plan`):
 
-* if S holds exact zeros between the mechanical coordinates
+* if it holds exact zeros between the mechanical coordinates
   (``reduction.mechanical``, the blocks y1 and y4) and the field ones, as
   at gamma = 0, the mechanical block is solved first and the field block
   second;
-* a block of S whose position-position and velocity-velocity sub-blocks
+* a block whose position-position and velocity-velocity sub-blocks
   (``reduction.velocity``, the blocks y4 and y5) are exact zeros is
   bipartite, S = [[0, B], [C, 0]] with C = -B^T to rounding.  That holds
   for every electrostatic S and both blocks at gamma = 0.  Its pairs come
   from one real SVD Bs = (B - C^T)/2 = U diag(sigma) V^T, by the
   Jordan-Wielandt relation: x = (u; -+ i v)/sqrt(2) belongs to
-  lam = -+ i sigma, and to theta = +- sigma of the skew part, and a
-  rectangular Bs adds its null vectors at 0.  Re lam = 0 is structure, not
-  rounding: the spectrum of a real bipartite matrix is symmetric under
-  lam -> -lam and lam -> conj(lam), so a simple eigenvalue cannot leave the
-  imaginary axis.  The Rayleigh quotient of S itself on x is
-  x^H S x = -+ i u_k^T Bs v_k exactly, and the SVD's sigma_k is
-  u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from the real
+  lam = -+ i sigma, and a rectangular Bs adds its null vectors at 0.
+  Re lam = 0 is structure, not rounding: the spectrum of a real bipartite
+  matrix is symmetric under lam -> -lam and lam -> conj(lam), so a simple
+  eigenvalue cannot leave the imaginary axis.  The Rayleigh quotient of S
+  itself on x is x^H S x = -+ i u_k^T Bs v_k exactly, and the SVD's sigma_k
+  is u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from the real
   products g.u and g.v (:func:`_svd_block`).
 
-Each block, or its Bs, is formed only when it is solved (the skew part
-too), and a block that is all of S goes to the solver as is (S, or
-0.5j (S - S^T) for ``eigh``), so its output is bit-identical to a full
-solve.  The spectra and the shifts read only
+Any other block of the open-loop S, which is skew to rounding, is solved by
+its skew part K = (S - S^T)/2 (:func:`_skew_block`): an orthogonal
+similarity Q^T K Q = T makes K skew tridiagonal, and T's even rows against
+its odd columns are a bidiagonal Bs, so the same SVD gives every pair
+(Ward and Gray, ACM TOMS 4 (1978) 278-285), with vectors
+x = (Q_e u -+ i Q_o v)/sqrt(2).  Its real parts are the first-order ones
+Re(x^H S x)/||x||^2, read from the symmetric part of S itself, so the
+imaginary-axis verdict still measures S.  The closed-loop S is not
+normal: its other blocks go to ``eig`` (:func:`_eig_block`).
+
+Each block is formed only when it is solved, and a block that is all of S
+goes to its solver without a copy.  The spectra and the shifts read only
 each mode's facts |g^T x|, ||x|| and ||x[mech]||, which every block's own
 solve gives before any sort; an eigenvector is built only when asked for,
 one new vector at a time, by the ``mode`` getter of :func:`_blockwise`
@@ -112,11 +117,6 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.real, -np.sign(values.imag), np.abs(values.imag)))
 
 
-def _ascending(values: np.ndarray) -> np.ndarray:
-    # the order of eigh's values; one eigh of the whole matrix keeps it
-    return np.argsort(values, kind="stable")
-
-
 def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
     """Each mode's label from the fraction of its energy that is mechanical."""
     return np.where(mech_fraction >= 0.9, "mechanical",
@@ -182,33 +182,49 @@ def _plan(s: np.ndarray, reduction) -> list:
             for idx in _decoupled_blocks(s, reduction.mechanical)]
 
 
-def solve_route(s_matrix: np.ndarray, reduction, skew: bool = False) -> str:
+def solve_route(s_matrix: np.ndarray, reduction, closed_loop: bool = False) -> str:
     """How the dense eigenpairs of ``s_matrix`` are solved, block by block.
 
-    ``"svd"`` for a bipartite block, else the solver (``"eig"``, or
-    ``"eigh"`` of the skew part for ``skew``), joined by ``"+"`` when the
-    matrix splits into its mechanical and field blocks.
+    ``"svd"`` for a bipartite block, any other by ``"skew"`` (the skew part
+    of an open-loop S) or, for a ``closed_loop`` one, ``"eig"``; joined by
+    ``"+"`` when the matrix splits into its mechanical and field blocks.
     """
-    solver = "eigh" if skew else "eig"
+    solver = "eig" if closed_loop else "skew"
     return "+".join("svd" if halves else solver for _, halves in _plan(s_matrix, reduction))
 
 
-def _block_matrix(s: np.ndarray, idx: np.ndarray, skew: bool) -> np.ndarray:
-    """The block idx of S, or of its skew part 0.5j (S - S^T); S itself if whole."""
-    m = s if len(idx) == len(s) else s[np.ix_(idx, idx)]
-    return 0.5j * (m - m.T) if skew else m
+def _block(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The block idx of S; S itself if it is all of S."""
+    return s if len(idx) == len(s) else s[np.ix_(idx, idx)]
+
+
+def _pairs(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-vector magnitudes of the r pairs (a; -+ i b)/sqrt(2), then the null vectors.
+
+    ``a`` holds a value per left singular vector and ``b`` per right one;
+    |(a; -+ i b)|/sqrt(2) = hypot(a, b)/sqrt(2) belongs to both members of
+    a pair, and a null vector (a; 0) or (0; b) keeps its own.
+    """
+    pair = np.hypot(a[:r], b[:r]) * HALF
+    return np.concatenate((pair, pair, np.abs(a[r:]), np.abs(b[r:])))
+
+
+def _pair_values(sigma: np.ndarray, size: int) -> np.ndarray:
+    """lam = -+ i sigma of the pairs, then 0 for the null vectors, real parts +0."""
+    values = np.zeros(size, dtype=complex)
+    values.imag[:2 * len(sigma)] = np.concatenate((-sigma, sigma))
+    return values
 
 
 def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
-               mechanical: np.ndarray, skew: bool) -> tuple:
+               mechanical: np.ndarray) -> tuple:
     """(values, facts, column) of the bipartite block (p, q) of S.
 
     With Bs = (S_pq - S_qp^T)/2 = U diag(sigma) V^T (one real SVD), the
-    vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S, and to
-    theta = +- sigma of its skew part; the null vectors (u; 0) or (0; v) of
-    a rectangular Bs close each list at value 0.  The facts |g^T x|, ||x||
-    and ||x[mechanical]|| of each come from real products with the factors,
-    |(a; -+ i b)|/sqrt(2) = hypot(a, b)/sqrt(2), and ``column(k)`` builds
+    vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S; the
+    null vectors (u; 0) or (0; v) of a rectangular Bs close the list at 0.
+    The facts |g^T x|, ||x|| and ||x[mechanical]|| of each come from real
+    products with the factors (:func:`_pairs`), and ``column(k)`` builds
     vector k of the block as a new (dim,) array.
     """
     bst = s[np.ix_(q, p)]  # Bs^T in C order is Bs in Fortran order: no copy for LAPACK
@@ -216,20 +232,11 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
     bst *= -0.5
     u, sigma, vt = scipy.linalg.svd(bst.T, overwrite_a=True)
     del bst
-    r, null = len(sigma), len(p) + len(q) - 2 * len(sigma)
-    values = np.concatenate((sigma, -sigma, np.zeros(null)))
-    if not skew:  # lam = -i theta, with real parts and the kernel exactly +0
-        values, theta = np.zeros(len(values), dtype=complex), values
-        values.imag[:2 * r] = -theta[:2 * r]
-
-    def per_vector(a, b):
-        pair = np.hypot(a[:r], b[:r]) * HALF
-        return np.concatenate((pair, pair, np.abs(a[r:]), np.abs(b[r:])))
-
+    r = len(sigma)
     pm, qm = np.isin(p, mechanical), np.isin(q, mechanical)
-    facts = (per_vector(coupling[p] @ u, vt @ coupling[q]),
-             per_vector(np.linalg.norm(u, axis=0), np.linalg.norm(vt, axis=1)),
-             per_vector(np.linalg.norm(u[pm], axis=0), np.linalg.norm(vt[:, qm], axis=1)))
+    facts = (_pairs(r, coupling[p] @ u, vt @ coupling[q]),
+             _pairs(r, np.linalg.norm(u, axis=0), np.linalg.norm(vt, axis=1)),
+             _pairs(r, np.linalg.norm(u[pm], axis=0), np.linalg.norm(vt[:, qm], axis=1)))
 
     def column(k: int) -> np.ndarray:
         x = np.zeros(len(coupling), dtype=complex)
@@ -242,15 +249,94 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
         else:
             x.real[q] = vt[k - r]
         return x
+    return _pair_values(sigma, len(p) + len(q)), facts, column
+
+
+def _skew_bidiagonal(m: np.ndarray) -> tuple:
+    """(Q, Bs) of K = (m - m^T)/2: Q^T K Q = T is skew tridiagonal, Bs = T[0::2, 1::2].
+
+    K is formed once in Fortran order and reduced in place (``dgehrd``),
+    and Q is formed in the same memory (``dorghr``).  With T's subdiagonal
+    e, T[i + 1, i] = e_i = -T[i, i + 1], so T's even rows against its odd
+    columns are the lower bidiagonal Bs.  A matrix that is not finite
+    raises ValueError, as ``eig`` and ``svd`` do.
+    """
+    k = np.subtract(m, m.T, order="F")
+    k *= 0.5
+    if not np.isfinite(k).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack, n = scipy.linalg.lapack, len(k)
+    h, tau, _ = lapack.dgehrd(k, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=1)
+    e = np.diagonal(h, -1)
+    bs = np.zeros(((n + 1) // 2, n // 2), order="F")
+    np.fill_diagonal(bs, -e[0::2])     # T[2i, 2i + 1]
+    np.fill_diagonal(bs[1:], e[1::2])  # T[2i, 2i - 1]
+    q, _ = lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(n)[0]), overwrite_a=1)
+    return q, bs
+
+
+def _symmetric_forms(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y_j^T sym(m) y_j of each column y_j of y, sym(m) = (m + m^T)/2.
+
+    sym(m) is formed TABLE_BLOCK rows at a time, before any product, so
+    the forms carry the rounding of sym(m), not of m.
+    """
+    forms = np.zeros(y.shape[1])
+    for start in range(0, len(m), TABLE_BLOCK):
+        rows = slice(start, start + TABLE_BLOCK)
+        forms += np.einsum("ij,ij->j", y[rows], (m[rows] + m[:, rows].T) @ y)
+    return 0.5 * forms
+
+
+def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
+                mechanical: np.ndarray) -> tuple:
+    """(values, facts, column) of the block idx of an open-loop S by its skew part.
+
+    With Q^T K Q = T (:func:`_skew_bidiagonal`), T's even rows against its
+    odd columns are the lower bidiagonal Bs = U diag(sigma) V^T (one real
+    SVD), so x = (Q_e u -+ i Q_o v)/sqrt(2) belongs to -+ i sigma, with Q_e
+    and Q_o the even and odd columns of Q (see :func:`_svd_block`).  The
+    halves Q_e U and Q_o V overwrite Q_e and Q_o in row chunks of
+    TABLE_BLOCK, so Q's memory holds every half-vector y.  The facts and
+    the real part of each x, Re(x^H S x)/||x||^2 = x^H sym(S) x/||x||^2, are
+    combined from those of its halves (:func:`_pairs`); a pair shares its
+    real part.
+    """
+    m = _block(s, idx)
+    y, bs = _skew_bidiagonal(m)
+    u, sigma, vt = scipy.linalg.svd(bs, overwrite_a=True)
+    del bs
+    for start in range(0, len(y), TABLE_BLOCK):
+        rows = slice(start, start + TABLE_BLOCK)
+        y[rows, 0::2] = y[rows, 0::2] @ u
+        y[rows, 1::2] = y[rows, 1::2] @ vt.T
+    del u, vt
+    norms, mech_norms = _column_norms(y, np.flatnonzero(np.isin(idx, mechanical)))
+    forms = _symmetric_forms(m, y)
+    r = len(sigma)
+    facts = tuple(_pairs(r, f[0::2], f[1::2])
+                  for f in (coupling[idx] @ y, norms, mech_norms))
+    values = _pair_values(sigma, len(y))
+    pair = (forms[0:2 * r:2] + forms[1::2]) / 2
+    values.real = np.concatenate((pair, pair, forms[2 * r::2])) / facts[1] ** 2
+
+    def column(k: int) -> np.ndarray:
+        x = np.zeros(len(coupling), dtype=complex)
+        if k < 2 * r:  # the pairs (Q_e u - i Q_o v) first, then (Q_e u + i Q_o v)
+            sign, j = (-1.0, k) if k < r else (1.0, k - r)
+            x.real[idx] = HALF * y[:, 2 * j]
+            x.imag[idx] = sign * (HALF * y[:, 2 * j + 1])
+        else:
+            x.real[idx] = y[:, 2 * (k - r)]
+        return x
     return values, facts, column
 
 
-def _dense_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-                 mechanical: np.ndarray, skew: bool) -> tuple:
-    """(values, facts, column) of the block idx of S by ``eig``, or of its
-    skew part by ``eigh``; the solved matrix is let go before the facts."""
-    solver = np.linalg.eigh if skew else scipy.linalg.eig
-    w, v = solver(_block_matrix(s, idx, skew))
+def _eig_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
+               mechanical: np.ndarray) -> tuple:
+    """(values, facts, column) of the block idx of a closed-loop S by ``eig``;
+    the solved matrix is let go before the facts."""
+    w, v = scipy.linalg.eig(_block(s, idx))
 
     def column(k: int) -> np.ndarray:
         x = np.zeros(len(coupling), dtype=complex)
@@ -260,28 +346,29 @@ def _dense_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
     return w, (np.abs(coupling[idx] @ v), *_column_norms(v, mech)), column
 
 
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray, skew: bool) -> tuple:
-    """(values, facts, mode) of S, or of its skew part, sorted.
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray,
+               closed_loop: bool = False) -> tuple:
+    """(values, facts, mode) of S, sorted by |Im| (positive first in a pair).
 
     The facts are (|g^T x|, ||x||, ||x[mech]||) of each eigenvector x, with
     g = ``coupling`` and mech = ``reduction.mechanical``, and ``mode(j)``
     builds the j-th sorted eigenvector as a new (dim,) array.  The pairs
     are solved block by block (:func:`_plan`): a bipartite block by one SVD
-    (:func:`_svd_block`), any other by ``eig`` of S or ``eigh`` of the
-    skew part (:func:`_dense_block`), each block formed only when it is
-    solved, and a block that is all of S given to the solver without a
-    copy.  The facts are read from each block's own solve and sorted with
-    the values, by |Im| (positive first among a conjugate pair) for S and
-    ascending for the skew part; no (dim, dim) array of sorted or placed
-    vectors is formed.
+    (:func:`_svd_block`), any other by the skew part of an open-loop S
+    (:func:`_skew_block`) or by ``eig`` of a ``closed_loop`` one
+    (:func:`_eig_block`), each block formed only when it is solved, and a
+    block that is all of S given to its solver without a copy.  The facts
+    are read from each block's own solve and sorted with the values; no
+    (dim, dim) array of sorted or placed vectors is formed.  A matrix that
+    is not finite raises ValueError.
     """
-    sort = _ascending if skew else _sort_order
+    dense = _eig_block if closed_loop else _skew_block
     mech = reduction.mechanical
-    parts = [_svd_block(s, *halves, coupling, mech, skew) if halves
-             else _dense_block(s, idx, coupling, mech, skew)
+    parts = [_svd_block(s, *halves, coupling, mech) if halves
+             else dense(s, idx, coupling, mech)
              for idx, halves in _plan(s, reduction)]
     values = np.concatenate([w for w, _, _ in parts])
-    order = sort(values)
+    order = _sort_order(values)
     facts = tuple(np.concatenate(fact)[order] for fact in zip(*(f for _, f, _ in parts)))
     starts = np.cumsum([0] + [len(w) for w, _, _ in parts[:-1]])
 
@@ -300,7 +387,7 @@ def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
     vector, whose unit M-norm mode is T R^{-1} v (:func:`lift_modes`).
     """
     ref = assembly.reference
-    w, _, mode = _blockwise(ref.s, assembly.reduction, ref.coupling, skew=False)
+    w, _, mode = _blockwise(ref.s, assembly.reduction, ref.coupling)
     return w, mode
 
 
@@ -310,9 +397,10 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
         assembly.reference.r, v)
 
 
-def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> SpectrumReport:
+def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray,
+                  closed_loop: bool) -> SpectrumReport:
     w, (bstar_abs, norms, mech_norms) = _blockwise(
-        s_matrix, assembly.reduction, assembly.reference.coupling, skew=False)[:2]
+        s_matrix, assembly.reduction, assembly.reference.coupling, closed_loop)[:2]
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
     stabilizable, block = _mode_table(bstar_abs, norms, mech_norms)
@@ -323,8 +411,15 @@ def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray) -> Spectrum
 
 
 def compute_spectrum(assembly: GeneratorAssembly) -> SpectrumReport:
-    """Dense spectrum of the generator on the constrained subspace."""
-    return _build_report(assembly, assembly.reference.s)
+    """Dense spectrum of the generator on the constrained subspace.
+
+    Each block of S is solved by one SVD, of a bipartite block or of the
+    bidiagonal form of a block's skew part (:func:`_blockwise`); each real
+    part is the Rayleigh quotient of S on its eigenvector, exactly 0 on a
+    bipartite block, so ``max_abs_real`` is the largest first-order real
+    part of S's pairs.
+    """
+    return _build_report(assembly, assembly.reference.s, closed_loop=False)
 
 
 def checked_gain(gain: float) -> float:
@@ -347,7 +442,7 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumRe
     for start in range(0, len(g), TABLE_BLOCK):  # in place, TABLE_BLOCK rows at a time
         rows = slice(start, start + TABLE_BLOCK)
         s_cl[rows] -= gain * np.outer(g[rows], g)
-    return _build_report(assembly, s_cl)
+    return _build_report(assembly, s_cl, closed_loop=True)
 
 
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
@@ -356,20 +451,21 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     Returns (omega, lam, coupling, dominant_block) for the open-loop modes
     with omega above ZERO_MODE_REL_TOL times the largest |omega|, which
     leaves out the kernel whatever the sign of its rounding, sorted by
-    omega.  Each mode is a unit eigenvector u of the skew part of S: lam[j]
-    is the root of 1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from
-    mode j (:func:`_closed_loop_roots`), accurate far below the dense-eig
-    noise floor; coupling[j] = |c_j| = |g^T u_j| is |B* phi| of its unit
-    M-norm lift phi; and dominant_block[j] labels it by its mechanical
-    energy fraction ||u[mech]||^2 / ||u||^2, with the rule of the mode
-    table.  No eigenvector array is kept (see :func:`_blockwise`).  A gain
-    that is negative or not finite raises ValueError.
+    omega.  Each mode is an eigenvector x of the spectrum's solve
+    (:func:`_blockwise`), a unit eigenvector of the skew part of S, and
+    omega its imaginary part: lam[j] is the root of
+    1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from mode j
+    (:func:`_closed_loop_roots`), accurate far below the dense-eig noise
+    floor; coupling[j] = |c_j| = |g^T x_j| is |B* phi| of its unit M-norm
+    lift phi; and dominant_block[j] labels it by its mechanical energy
+    fraction ||x[mech]||^2 / ||x||^2, with the rule of the mode table.  No
+    eigenvector array is kept.  A gain that is negative or not finite
+    raises ValueError, as does an S that is not finite.
     """
     gain = checked_gain(gain)
     ref = assembly.reference
-    theta, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction,
-                                               ref.coupling, skew=True)[:2]
-    omega_all = -theta  # eigenvalues of the skew part are -i*theta
+    w, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction, ref.coupling)[:2]
+    omega_all = w.imag
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     lam = _closed_loop_roots(omega_all, c ** 2, gain)

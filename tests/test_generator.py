@@ -247,7 +247,7 @@ class TestDenseReference:
 
         # the mode table in energy coordinates against the lifted one, on
         # the same eigenpairs
-        w, _, mode = spectral._blockwise(own.s, asm.reduction, own.coupling, skew=False)
+        w, _, mode = spectral._blockwise(own.s, asm.reduction, own.coupling)
         v = np.column_stack([mode(j) for j in range(len(w))])
         report = spectral.compute_spectrum(asm)
         bstar, stabilizable, block = _lifted_mode_table(ref, asm.b, r, v)

@@ -1,5 +1,6 @@
 """Eigenstructure in the energy inner product and stabilizability reports."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -165,12 +166,17 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
     return lams
 
 
-def _all_roots(asm, gain):
-    """(omega, roots) of every mode of the shifts' eigh, the kernel included."""
+def _modes(asm):
+    """(omega, |c|^2) of every open-loop mode the shifts read, the kernel included."""
     ref = asm.reference
-    theta, (c, _, _), _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling,
-                                              skew=True)
-    return -theta, spectral._closed_loop_roots(-theta, c ** 2, gain)
+    w, (c, _, _), _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+    return w.imag, c ** 2
+
+
+def _all_roots(asm, gain):
+    """(omega, roots) of every mode of the shifts' solve, the kernel included."""
+    omega, c2 = _modes(asm)
+    return omega, spectral._closed_loop_roots(omega, c2, gain)
 
 
 def _dense_distance(asm, roots, gain):
@@ -186,9 +192,11 @@ class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):
         asm, report = _report(32)
         cl = closed_loop_spectrum(asm, 0.0)
-        np.testing.assert_allclose(np.sort_complex(cl.eigenvalues),
-                                   np.sort_complex(report.eigenvalues),
-                                   rtol=0, atol=1e-10 * report.g_norm)
+        # sorted by Im: the real parts are rounding, eig's and the open
+        # loop's Rayleigh quotients, so they cannot order the two alike
+        by_im = [lam[np.argsort(lam.imag, kind="stable")]
+                 for lam in (cl.eigenvalues, report.eigenvalues)]
+        np.testing.assert_allclose(*by_im, rtol=0, atol=1e-10 * report.g_norm)
 
     def test_left_half_plane(self):
         asm, _ = _report(64)
@@ -211,10 +219,7 @@ class TestClosedLoop:
     @pytest.mark.parametrize("gain", (1e-2, 1.0))
     def test_vectorized_shifts_equal_scalar_loop(self, gain):
         asm, _ = _report(32)
-        ref = asm.reference
-        theta, u = np.linalg.eigh(1j * (0.5 * (ref.s - ref.s.T)))
-        omega_all = -theta
-        c2 = np.abs(u.conj().T @ ref.coupling) ** 2
+        omega_all, c2 = _modes(asm)
         pos = np.where(omega_all > spectral.ZERO_MODE_REL_TOL
                        * np.max(np.abs(omega_all)))[0]
         pos = pos[np.argsort(omega_all[pos])]
@@ -352,7 +357,7 @@ class TestDiagonalBlocks:
 
     def test_tiny_cross_entry_couples(self):
         # one 1e-300 entry on either side of the diagonal keeps one block,
-        # for eig of S and for eigh of its skew part alike
+        # for the skew part of an open-loop S and eig of a closed-loop one
         asm, _ = _report(32, gamma=0.0)
         red = asm.reduction
         mech, em = spectral._decoupled_blocks(asm.reference.s, red.mechanical)
@@ -362,21 +367,21 @@ class TestDiagonalBlocks:
             blocks = spectral._decoupled_blocks(s, red.mechanical)
             assert len(blocks) == 1
             np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
-            assert spectral.solve_route(s, red) == "eig"
-            assert spectral.solve_route(s, red, skew=True) == "eigh"
+            assert spectral.solve_route(s, red) == "skew"
+            assert spectral.solve_route(s, red, closed_loop=True) == "eig"
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0))
     @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
                                        assemble_electrostatic),
                              ids=("current", "charge_magnetic", "electrostatic"))
     def test_skew_route_is_the_eig_route(self, build, gamma):
-        # one split test reads S for both solvers, so eigh of the skew part
-        # solves the blocks that eig of S solves
+        # one split test reads the matrix for both solvers, so the skew
+        # route of an open-loop S solves the blocks that eig would
         params = toy_parameters(gamma=gamma)
         asm = build(params, build_grid(params.L, 32))
         s, red = asm.reference.s, asm.reduction
-        assert (spectral.solve_route(s, red, skew=True)
-                == spectral.solve_route(s, red).replace("eig", "eigh"))
+        assert (spectral.solve_route(s, red)
+                == spectral.solve_route(s, red, closed_loop=True).replace("eig", "skew"))
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
@@ -409,7 +414,7 @@ class TestBipartiteRoute:
         rho = report.g_norm
         w, v = scipy.linalg.eig(ref.s)
         assert _set_distance(report.eigenvalues, w) <= 1e-12 * rho
-        theta, _, _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
+        theta = np.sort(-report.eigenvalues.imag)  # the skew part's eigenvalues
         want = np.linalg.eigvalsh(0.5j * (ref.s - ref.s.T))
         assert np.max(np.abs(theta - want)) <= 1e-12 * rho
         # on the imaginary axis by structure, not by tolerance
@@ -437,17 +442,20 @@ class TestBipartiteRoute:
     @pytest.mark.parametrize("part", ("positions", "velocities"))
     def test_tiny_diagonal_entry_goes_to_eig(self, system, part):
         # one 1e-300 entry in a position-position or velocity-velocity block
-        # sends that block back to the solver; its partner block keeps the SVD
+        # sends that block back to the solver, the skew route or, for a
+        # closed loop, eig; its partner block keeps the SVD
         asm = _system(system, 32)
         s = asm.reference.s.copy()
         _, (p, q) = spectral._plan(s, asm.reduction)[-1]  # the last block
         idx = p if part == "positions" else q
         s[idx[3], idx[5]] = 1e-300
-        for skew, solver in ((False, "eig"), (True, "eigh")):
+        want_w = scipy.linalg.eigvals(s)
+        for closed_loop, solver in ((False, "skew"), (True, "eig")):
             want = solver if system == "electrostatic" else "svd+" + solver
-            assert spectral.solve_route(s, asm.reduction, skew) == want
-        w, _, _ = spectral._blockwise(s, asm.reduction, asm.reference.coupling, False)
-        assert _set_distance(w, scipy.linalg.eigvals(s)) <= 1e-12 * np.max(np.abs(w))
+            assert spectral.solve_route(s, asm.reduction, closed_loop) == want
+            w, _, _ = spectral._blockwise(s, asm.reduction, asm.reference.coupling,
+                                          closed_loop)
+            assert _set_distance(w, want_w) <= 1e-12 * np.max(np.abs(w))
 
     def test_rectangular_block_has_the_translation_kernel(self):
         # at gamma = 0 the mechanical Bs maps the N + 1 velocities y4 to the
@@ -464,8 +472,8 @@ class TestBipartiteRoute:
 
     def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
         # the solver is looked up per call, so a wrapper on scipy.linalg.eig
-        # sees every dense eig: none for an electrostatic or gamma = 0
-        # spectrum, one for the electrostatic closed loop and for gamma != 0
+        # sees every dense eig: none for any open-loop call, bipartite or
+        # not, and one per non-bipartite block of a closed-loop spectrum
         calls = []
         eig = scipy.linalg.eig
 
@@ -474,13 +482,19 @@ class TestBipartiteRoute:
             return eig(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eig", counting)
-        es = _system("electrostatic", 16)
-        compute_spectrum(es)
-        compute_spectrum(_system("gamma0", 16))
+        systems = (_system("electrostatic", 16), _system("gamma0", 16),
+                   assemble_generator(TOY, build_grid(TOY.L, 16)),
+                   assemble_charge_magnetic(TOY, build_grid(TOY.L, 16)))
+        for asm in systems:
+            compute_spectrum(asm)
+            closed_loop_mode_shifts(asm, 1.0)
+            open_loop_modes(asm)[1](0)
         assert calls == []
-        closed_loop_spectrum(es, 1.0)
-        compute_spectrum(assemble_generator(TOY, build_grid(TOY.L, 16)))
-        assert calls == [(32, 32), (63, 63)]
+        for asm in systems:
+            closed_loop_spectrum(asm, 1.0)
+        # the electrostatic and the gamma = 0 field blocks are filled by
+        # the feedback; the gamma = 0 mechanical block stays bipartite
+        assert calls == [(32, 32), (30, 30), (63, 63), (63, 63)]
 
     def test_closed_loop_keeps_eig_where_feedback_fills(self):
         # k g g^T fills the velocity block the influence reaches; a block it
@@ -489,14 +503,117 @@ class TestBipartiteRoute:
             asm = _system(system, 16)
             g = asm.reference.coupling
             assert spectral.solve_route(asm.reference.s - np.outer(g, g),
-                                        asm.reduction) == want
+                                        asm.reduction, closed_loop=True) == want
+
+
+MODELS = pytest.mark.parametrize(
+    "build", (assemble_generator, assemble_charge_magnetic, assemble_electrostatic),
+    ids=("current", "charge_magnetic", "electrostatic"))
+
+
+class TestSkewRoute:
+    """Open-loop blocks that are not bipartite, solved by the SVD of the
+    bidiagonal form of their skew part, against eig and eigh of the same S."""
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    @pytest.mark.parametrize("n", (32, 64, 128))
+    @MODELS
+    def test_matches_dense_solvers(self, build, n, gamma):
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, n))
+        ref, red = asm.reference, asm.reduction
+        assert spectral.solve_route(ref.s, red) == (
+            "svd" if build is assemble_electrostatic else "skew")
+        report = compute_spectrum(asm)
+        rho = report.g_norm
+        w, v = scipy.linalg.eig(ref.s)
+        order = spectral._sort_order(w)
+        w, v = w[order], v[:, order]
+        assert np.max(np.abs(report.eigenvalues - w)) <= 1e-13 * rho
+        # |B* phi| against the vectors of eigh of the skew part, which eig's
+        # own vectors miss by up to 2e-10 where modes are close
+        theta, u = np.linalg.eigh(0.5j * (ref.s - ref.s.T))
+        want = np.abs(ref.coupling @ u[:, spectral._sort_order(-1j * theta)])
+        assert np.max(np.abs(report.bstar_abs - want)) <= 1e-11
+        stabilizable, block = spectral._mode_table(
+            np.abs(ref.coupling @ v), *spectral._column_norms(v, red.mechanical))
+        np.testing.assert_array_equal(report.stabilizable, stabilizable)
+        np.testing.assert_array_equal(report.dominant_block, block)
+        kernel = np.count_nonzero(np.abs(w) <= spectral.ZERO_MODE_REL_TOL * rho)
+        assert report.kernel_dimension == kernel
+        # the Rayleigh real parts: the members of a pair, in turn after the
+        # kernel, are conjugates, and they lie far below eig's rounding
+        # (exactly 0 on the bipartite route)
+        pairs = report.eigenvalues[report.kernel_dimension:]
+        np.testing.assert_array_equal(pairs[0::2], np.conj(pairs[1::2]))
+        assert report.max_abs_real <= 1e-20 * rho
+
+    @pytest.mark.parametrize("n", (32, 64))
+    def test_eigenpair_residual(self, n):
+        asm = assemble_generator(TOY, build_grid(TOY.L, n))
+        s = asm.reference.s
+        w, v = _all_modes(asm)
+        rho = np.max(np.abs(w))
+        res = np.linalg.norm(s @ v - v * w, axis=0)
+        assert np.max(res) <= 1e-12 * rho
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
+        # the real parts are the Rayleigh quotients of S on the built vectors
+        rayleigh = np.einsum("ij,ij->j", v.conj(), s @ v).real
+        assert np.max(np.abs(w.real - rayleigh)) <= 1e-13 * rho
+
+    def test_real_parts_are_zero_on_bipartite_blocks(self):
+        # a 1e-300 entry sends the gamma = 0 field block to the skew route;
+        # the mechanical block keeps the SVD, whose modes form no product
+        # with S and have real part exactly 0
+        asm = _system("gamma0", 32)
+        s, red = asm.reference.s.copy(), asm.reduction
+        (mech, _), (_, (p, _)) = spectral._plan(s, red)
+        s[p[3], p[5]] = 1e-300
+        assert spectral.solve_route(s, red) == "svd+skew"
+        w, _, mode = spectral._blockwise(s, red, asm.reference.coupling)
+        on_mech = [j for j in range(len(w)) if not np.any(np.delete(mode(j), mech))]
+        assert len(on_mech) == len(mech)
+        assert np.all(w[on_mech].real == 0.0)
+        assert np.count_nonzero(np.delete(w, on_mech).real) > 0
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf))
+    @pytest.mark.parametrize("system, block", (("toy", "whole"), ("gamma0", "positions"),
+                                               ("gamma0", "coupling")))
+    def test_non_finite_entry_raises(self, system, block, value):
+        # one NaN or Inf in S raises ValueError on the skew route (a
+        # position-position entry leaves the block's bipartite form) as on
+        # the SVD route (a position-velocity entry keeps it), for the
+        # spectrum and the shifts alike
+        asm = (assemble_generator(TOY, build_grid(TOY.L, 16)) if system == "toy"
+               else _system("gamma0", 16))
+        ref, red = asm.reference, asm.reduction
+        _, halves = spectral._plan(ref.s, red)[-1]
+        p, q = halves if halves else (np.arange(3), np.arange(5, 9))
+        s = ref.s.copy()
+        s[p[2], (p if block == "positions" else q)[3]] = value
+        ref = asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
+        assert spectral.solve_route(ref.s, red).endswith(
+            "svd" if block == "coupling" else "skew")
+        for call in (lambda: spectral._blockwise(ref.s, red, ref.coupling),
+                     lambda: compute_spectrum(asm),
+                     lambda: closed_loop_mode_shifts(asm, 1.0),
+                     lambda: open_loop_modes(asm)):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                call()
+
+
+def _skew_solve(m):
+    """(values, vectors) of the skew route on all of m, one column per call."""
+    idx = np.arange(len(m))
+    w, _, column = spectral._skew_block(m, idx, np.zeros(len(m)), idx[:0])
+    return w, np.column_stack([column(k) for k in range(len(w))])
 
 
 def _solve_then_sort(solver, m, mechanical, sort):
     """The former route: solve, place the vectors block-diagonally, then sort.
 
-    A sort that keeps every column in place (one eigh is ascending
-    already) was skipped, so the solver's own layout was kept.
+    A sort that keeps every column in place was skipped, so the solver's
+    own layout was kept.
     """
     blocks = spectral._decoupled_blocks(m, mechanical)
     if len(blocks) == 1:
@@ -524,36 +641,43 @@ class TestSortedSolves:
     """Each sorted eigenvector a ``mode`` getter builds is the former sorted column."""
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("split", "unsplit"))
-    @pytest.mark.parametrize("solver", ("eig", "eigh"))
+    @pytest.mark.parametrize("solver", ("eig", "skew"))
     def test_sorted_placement_equals_solve_then_sort(self, solver, gamma, monkeypatch):
         # the split blocks at gamma = 0 are bipartite; with that route
-        # turned off each goes to the solver, as a block that is not would
+        # turned off each goes to the solver, as a block that is not would:
+        # eig of a closed-loop S or the skew route of an open-loop one
         monkeypatch.setattr(spectral, "_bipartite", lambda *args: None)
         asm, _ = _report(32, gamma=gamma)
         s, mech = asm.reference.s, asm.reduction.mechanical
-        skew = solver == "eigh"
-        sort = spectral._ascending if skew else spectral._sort_order
-        solve = np.linalg.eigh if skew else scipy.linalg.eig
-        m = 0.5j * (s - s.T) if skew else s
+        closed_loop = solver == "eig"
+        solve = scipy.linalg.eig if closed_loop else _skew_solve
         assert len(spectral._decoupled_blocks(s, mech)) == (2 if gamma == 0.0 else 1)
-        w, facts, mode = spectral._blockwise(s, asm.reduction, asm.reference.coupling, skew)
-        want_w, want_v = _solve_then_sort(solve, m, mech, sort)
+        w, facts, mode = spectral._blockwise(s, asm.reduction, asm.reference.coupling,
+                                             closed_loop)
+        want_w, want_v = _solve_then_sort(solve, s, mech, spectral._sort_order)
         assert _same_array(w, want_w)
         for j in range(len(w)):
             x = mode(j)
             assert x.dtype == want_v.dtype and x.shape == (len(s),)
             assert x.tobytes() == want_v[:, j].tobytes()
-        if gamma != 0.0:  # one block: the facts of the sorted vectors, bit for bit
-            want = (np.abs(asm.reference.coupling @ want_v),
-                    *spectral._column_norms(want_v, mech))
+        # the facts of the sorted vectors: bit for bit where eig solved one
+        # block, and to rounding where the skew route combined its halves
+        want = (np.abs(asm.reference.coupling @ want_v),
+                *spectral._column_norms(want_v, mech))
+        if closed_loop and gamma != 0.0:
             assert all(got.tobytes() == fact.tobytes() for got, fact in zip(facts, want))
+        elif not closed_loop:
+            for got, fact in zip(facts, want):
+                np.testing.assert_allclose(got, fact, rtol=1e-13,
+                                           atol=1e-13 * np.max(fact))
 
     @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
-    @pytest.mark.parametrize("skew", (False, True), ids=("eig", "eigh"))
-    def test_bipartite_placement_equals_factors_then_sort(self, skew, system):
+    @pytest.mark.parametrize("closed_loop", (True, False), ids=("eig", "skew"))
+    def test_bipartite_placement_equals_factors_then_sort(self, closed_loop, system):
         # each bipartite block's vectors (u; -+ i v)/sqrt(2), and its null
         # vectors, placed block-diagonally from the SVD of its Bs and then
-        # sorted, are the getter's vectors bit for bit
+        # sorted, are the getter's vectors bit for bit, whichever solver
+        # would take a block that is not bipartite
         asm = _system(system, 32)
         s, red = asm.reference.s, asm.reduction
         plan = spectral._plan(s, red)
@@ -571,11 +695,12 @@ class TestSortedSolves:
             else:
                 block.real[q, 2 * r:] = vt[r:].T
             theta = np.concatenate((sigma, -sigma, np.zeros(len(p) + len(q) - 2 * r)))
-            values.append(theta if skew else -1j * theta)
+            values.append(-1j * theta)
             columns.append(block)
         w = np.concatenate(values)
-        order = (spectral._ascending if skew else spectral._sort_order)(w)
-        got_w, facts, mode = spectral._blockwise(s, red, asm.reference.coupling, skew)
+        order = spectral._sort_order(w)
+        got_w, facts, mode = spectral._blockwise(s, red, asm.reference.coupling,
+                                                 closed_loop)
         np.testing.assert_array_equal(got_w, w[order])
         want_v = np.hstack(columns)[:, order]
         for j in range(len(w)):
@@ -597,13 +722,15 @@ class TestSortedSolves:
             assert mode(3).tobytes() == want.tobytes()
 
     def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
-        # 255 modes at N = 128: two chunks of TABLE_BLOCK rows against one
+        # 511 modes at N = 128: four chunks of TABLE_BLOCK roots against one,
+        # on the same modes (the skew route's own products run in
+        # TABLE_BLOCK rows too, and round by their chunk)
         asm, _ = _report(128, gamma=1.0)
-        chunked = closed_loop_mode_shifts(asm, 1.0)
-        assert len(chunked[0]) == 255 > spectral.TABLE_BLOCK
-        monkeypatch.setattr(spectral, "TABLE_BLOCK", 255)
-        for got, want in zip(chunked, closed_loop_mode_shifts(asm, 1.0)):
-            assert got.tobytes() == want.tobytes()
+        omega, c2 = _modes(asm)
+        chunked = spectral._closed_loop_roots(omega, c2, 1.0)
+        assert np.count_nonzero(c2) == 511 > 3 * spectral.TABLE_BLOCK
+        monkeypatch.setattr(spectral, "TABLE_BLOCK", 511)
+        assert chunked.tobytes() == spectral._closed_loop_roots(omega, c2, 1.0).tobytes()
 
     def test_chunked_failure_names_the_same_mode(self, monkeypatch):
         # four sweeps leave the strong charge coupling at N = 64 with roots
@@ -631,7 +758,7 @@ class TestDenseMemoryScript:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()
                  if not line.startswith("#")]
         header = [cell for c in script.COLUMNS
-                  for cell in ((c, "by") if c in script.SOLVED else (c,))]
+                  for cell in ((c, "s", "by") if c in script.SOLVED else (c,))]
         assert lines[0] == ["model", "gamma", "dim", *header]
         rows = lines[1:]
         assert [row[:3] for row in rows] == [
@@ -642,16 +769,19 @@ class TestDenseMemoryScript:
         for row in rows:
             assert len(row) == 3 + len(header)
             values = [float(cell.rstrip("*")) for cell, name in zip(row[3:], header)
-                      if name != "by"]
+                      if name not in ("s", "by")]
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
+            seconds = [float(cell) for cell, name in zip(row[3:], header) if name == "s"]
+            assert len(seconds) == len(script.SOLVED) and min(seconds) >= 0.0
         # (spectrum, closed loop, modal start, shifts) routes: bipartite
-        # blocks by SVD; a charge load is zero at gamma = 0, so its closed
-        # loop is the open one; the modal start solves S as the spectrum does
+        # blocks by SVD, any other open-loop block by its skew part; a charge
+        # load is zero at gamma = 0, so its closed loop is the open one; the
+        # modal start and the shifts solve S as the spectrum does
         routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
                   for row in rows]
         assert routes == [("svd+svd", "svd+eig", "svd+svd", "svd+svd"),
-                          ("eig", "eig", "eig", "eigh"),
-                          ("svd+svd",) * 4, ("eig", "eig", "eig", "eigh"),
+                          ("skew", "eig", "skew", "skew"),
+                          ("svd+svd",) * 4, ("skew", "eig", "skew", "skew"),
                           ("svd",) * 4, ("svd", "eig", "svd", "svd")]
 
 
@@ -728,8 +858,8 @@ class TestEnergyReference:
         # with the SVD factors of each bipartite block, against the long
         # double product with their eigenvectors
         omega, _, coupling, _ = closed_loop_mode_shifts(asm, 1.0)
-        theta, _, mode = spectral._blockwise(ref.s, asm.reduction, ref.coupling, skew=True)
-        u = np.column_stack([mode(int(np.flatnonzero(-theta == w)[0])) for w in omega])
+        lam, _, mode = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+        u = np.column_stack([mode(int(np.flatnonzero(lam.imag == w)[0])) for w in omega])
         want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
         big = want > 1e-8
         assert np.count_nonzero(big) == 128  # the positive members of the odd EM pairs
