@@ -506,18 +506,15 @@ class TestBipartiteRoute:
                                         asm.reduction, closed_loop=True) == want
 
 
-MODELS = pytest.mark.parametrize(
-    "build", (assemble_generator, assemble_charge_magnetic, assemble_electrostatic),
-    ids=("current", "charge_magnetic", "electrostatic"))
-
-
 class TestSkewRoute:
     """Open-loop blocks that are not bipartite, solved by the SVD of the
     bidiagonal form of their skew part, against eig and eigh of the same S."""
 
     @pytest.mark.parametrize("gamma", (0.5, 1.0))
     @pytest.mark.parametrize("n", (32, 64, 128))
-    @MODELS
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
     def test_matches_dense_solvers(self, build, n, gamma):
         params = toy_parameters(gamma=gamma)
         asm = build(params, build_grid(params.L, n))
