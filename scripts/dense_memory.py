@@ -14,20 +14,23 @@ the six-field models), it builds the assembly and prints, in MiB:
   of ``compute_spectrum``, ``closed_loop_spectrum``, the modal start
   ``dynamics.modal_state(asm, 0)`` and ``closed_loop_mode_shifts`` at gain
   GAIN, each above the traced memory at its start, with the reference
-  already formed (the modal start solves S as the spectrum does);
+  already formed.  The four share the assembly's one open-loop solve; it
+  is dropped before each call, so each solves S as a first call on a new
+  assembly would;
 * beside each of those, ``s``: the wall seconds of one more call of it
   with tracing off, and ``by``: the route of its dense solve
-  (``spectral.solve_route``): ``svd`` for a bipartite matrix, ``skew``
-  for the skew part of any other open-loop S, ``eig`` for any other
-  closed-loop one, and the two block routes joined by ``+`` where it
-  splits into its mechanical and field blocks.
+  (``spectral.solve_route``): ``svd`` for a bipartite matrix and ``skew``
+  for the skew part of any other, the two block routes joined by ``+``
+  where S splits into its mechanical and field blocks; the closed loop
+  adds ``+roots``, the secular solve that gives its eigenpairs from that
+  solve.
 
 ``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
 not the BLAS library's own buffers, so these are the transients of the
-arrays the code forms.  A shift solve that raises ``SecularNotConverged``
-(a closed-loop root still moving after ``ABERTH_MAX_SWEEPS`` sweeps; none
-does on these models at N up to 256) is marked ``*``; its peak is still
-the peak of the work done.  The seconds are single calls on a warm
+arrays the code forms.  A closed loop or shift solve that raises
+``SecularNotConverged`` (a closed-loop root still moving after
+``ABERTH_MAX_SWEEPS`` sweeps; none does on these models at N up to 256) is
+marked ``*``; its peak is still the peak of the work done.  The seconds are single calls on a warm
 process, so expect the noise of the machine.  A line with the versions and
 the CPU count comes first.
 """
@@ -95,15 +98,13 @@ def _timed(call) -> float:
 
 def _routes(asm) -> tuple:
     """The dense solve routes of the SOLVED calls on one assembly."""
-    ref, red = asm.reference, asm.reduction
-    s_cl = ref.s - GAIN * np.outer(ref.coupling, ref.coupling)
-    route = solve_route(ref.s, red)
-    return route, solve_route(s_cl, red, closed_loop=True), route, route
+    route = solve_route(asm.reference.s, asm.reduction)
+    return route, route + "+roots", route, route
 
 
 def measure(n_cells: int) -> list:
-    """One row per (model, gamma): model, gamma, dim, the COLUMNS, shifts
-    raised, the seconds and the routes of the SOLVED calls."""
+    """One row per (model, gamma): model, gamma, dim, the COLUMNS, and
+    whether each raised, the seconds and the routes of the SOLVED calls."""
     rows = []
     tracemalloc.start()
     try:
@@ -118,11 +119,15 @@ def measure(n_cells: int) -> list:
                          lambda: closed_loop_spectrum(asm, GAIN),
                          lambda: modal_state(asm, 0),
                          lambda: closed_loop_mode_shifts(asm, GAIN))
-                peaks, raised = zip(*(_traced(call) for call in calls))
-                seconds = tuple(_timed(call) for call in calls)
+
+                def cold(call):
+                    asm.__dict__.pop("open_loop", None)  # the kept solve, before the start
+                    return call
+                peaks, raised = zip(*(_traced(cold(call)) for call in calls))
+                seconds = tuple(_timed(cold(call)) for call in calls)
                 rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             *peaks, raised[-1], seconds, _routes(asm)))
-                del asm, calls
+                             *peaks, raised, seconds, _routes(asm)))
+                del asm, calls, cold
     finally:
         tracemalloc.stop()
     return rows
@@ -138,15 +143,15 @@ def main(argv=None) -> int:
     print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start; "
           f"s, wall seconds untraced")
     print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
-          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<8}" if c in SOLVED else "")
+          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<13}" if c in SOLVED else "")
                      for c in COLUMNS))
     for name, gamma, dim, *values, raised, seconds, routes in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
-        if raised:
-            cells[-1] = f"{values[-1]:10.1f}*"
         solved = range(len(COLUMNS) - len(SOLVED), len(COLUMNS))
-        for i, wall, route in zip(solved, seconds, routes):
-            cells[i] += f" {wall:7.3f} {route:<8}"
+        for i, wall, route, failed in zip(solved, seconds, routes, raised):
+            if failed:
+                cells[i] = f"{values[i]:10.1f}*"
+            cells[i] += f" {wall:7.3f} {route:<13}"
         print(f"{name:<16} {gamma:5g} {dim:5d} " + " ".join(cells))
     return 0
 

@@ -5,11 +5,13 @@ discretization at a pinned tolerance, and returns a CheckResult.  The CLI
 ``paper-suite`` subcommand and ``scripts/cli_snapshot.py`` run
 :func:`run_all`; tests/test_acceptance.py iterates :data:`ALL_CHECKS`.
 Assemblies (keyed by N and gamma) and the trajectory that checks 2 and 3
-share are cached (``functools.cache``), so a process forms each once; every
-dense spectrum is read by one check and is not kept.  The closed-loop checks
-7-9 read every per-mode fact (omega, Re lambda, |B*phi| and the dominant
-block) from one :func:`~piezolab.spectral.closed_loop_mode_shifts` call
-each, so no mode is paired across two eigensolvers.
+share are cached (``functools.cache``); :func:`run_all` clears the
+assemblies after each check, so none, nor the dense reference or the
+open-loop solve kept on it, outlives the check that formed it.  The
+closed-loop checks 7-9 read every per-mode fact (omega, Re lambda, |B*phi|
+and the dominant block) from one
+:func:`~piezolab.spectral.closed_loop_mode_shifts` call each, so no mode is
+paired across two eigensolvers; check 8's two gains share one solve.
 """
 
 from __future__ import annotations
@@ -354,9 +356,15 @@ def run_all(only: str | None = None) -> list:
     """Run every check, or those whose name contains ``only``.
 
     A filter that matches no check raises ConfigParseError before any runs.
+    The cached assemblies are cleared after each check, so the memory a
+    check's dense arrays take is freed before the next one runs.
     """
     names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
     checks = [fn for fn, name in zip(ALL_CHECKS, names) if only is None or only in name]
     if not checks:
         raise ConfigParseError(f"no check matches {only!r}; available: {', '.join(names)}")
-    return [check() for check in checks]
+    results = []
+    for check in checks:
+        results.append(check())
+        _assembly.cache_clear()
+    return results

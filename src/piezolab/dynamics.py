@@ -393,13 +393,12 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
     the dense reference), before any dense array.
     """
-    w, mode = open_loop_modes(assembly)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    pos = np.flatnonzero(w.imag > ZERO_MODE_REL_TOL * scale)
+    omega, mode = open_loop_modes(assembly)
+    scale = max(float(np.max(np.abs(omega))), 1.0)
+    pos = np.flatnonzero(omega > ZERO_MODE_REL_TOL * scale)
     if not 0 <= mode_index < pos.size:
         raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
     x = mode(pos[mode_index])
-    del mode  # its block factors need not outlive the lift
     top = x[np.argmax(np.abs(x))]
     y = lift_modes(assembly, np.real(x * (np.conj(top) / abs(top))))
     m = assembly.reference.m

@@ -69,6 +69,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -182,15 +184,14 @@ def _plan(s: np.ndarray, reduction) -> list:
             for idx in _decoupled_blocks(s, reduction.mechanical)]
 
 
-def solve_route(s_matrix: np.ndarray, reduction, closed_loop: bool = False) -> str:
+def solve_route(s_matrix: np.ndarray, reduction) -> str:
     """How the dense eigenpairs of ``s_matrix`` are solved, block by block.
 
-    ``"svd"`` for a bipartite block, any other by ``"skew"`` (the skew part
-    of an open-loop S) or, for a ``closed_loop`` one, ``"eig"``; joined by
-    ``"+"`` when the matrix splits into its mechanical and field blocks.
+    ``"svd"`` for a bipartite block and ``"skew"`` (its skew part) for any
+    other, joined by ``"+"`` when the matrix splits into its mechanical and
+    field blocks.
     """
-    solver = "eig" if closed_loop else "skew"
-    return "+".join("svd" if halves else solver for _, halves in _plan(s_matrix, reduction))
+    return "+".join("svd" if halves else "skew" for _, halves in _plan(s_matrix, reduction))
 
 
 def _block(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -209,6 +210,30 @@ def _pairs(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((pair, pair, np.abs(a[r:]), np.abs(b[r:])))
 
 
+def _pair_coupling(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c = x^H g of the r pairs x = (a; -+ i b)/sqrt(2), then of the null vectors.
+
+    ``a`` and ``b`` are g's products with the two halves, as in
+    :func:`_pairs`; g is real, so g^T x = (g.a -+ i g.b)/sqrt(2) and c is
+    its conjugate.
+    """
+    pair = HALF * (a[:r] + 1j * b[:r])
+    return np.concatenate((pair, pair.conj(), a[r:], b[r:]))
+
+
+def _halves(r: int, z: np.ndarray) -> tuple:
+    """(alpha, beta) with sum_k z_k x_k = sum_j alpha_j a_j + i beta_j b_j over
+    the r pairs x = (a -+ i b)/sqrt(2), for each column of z in block order."""
+    return HALF * (z[:r] + z[r:2 * r]), HALF * (z[r:2 * r] - z[:r])
+
+
+def _squares(parts: tuple, m: int) -> np.ndarray:
+    """Squared norms of m complex columns, the real parts of each the first m
+    columns of the real arrays ``parts`` and the imaginary parts the last m."""
+    squares = sum(np.einsum("ij,ij->j", part, part) for part in parts)
+    return squares[:m] + squares[m:]
+
+
 def _pair_values(sigma: np.ndarray, size: int) -> np.ndarray:
     """lam = -+ i sigma of the pairs, then 0 for the null vectors, real parts +0."""
     values = np.zeros(size, dtype=complex)
@@ -216,16 +241,35 @@ def _pair_values(sigma: np.ndarray, size: int) -> np.ndarray:
     return values
 
 
+class _Part(NamedTuple):
+    """One block's eigenpairs in block order: the pairs at -+ i sigma, then the null vectors.
+
+    ``facts`` are (|g^T x|, ||x||, ||x[mech]||) of each vector x and
+    ``coupling`` its c = x^H g; ``column(k)`` builds vector k as a new
+    (dim,) array; ``mech_squares(z)`` is ||x[mech]||^2 of x = sum_k z_k x_k
+    for each column of z, from real products with the block's real
+    factors; ``real_parts()`` forms the real parts of the values, which
+    ``values`` holds as +0.
+    """
+
+    values: np.ndarray
+    facts: tuple
+    coupling: np.ndarray
+    column: Callable
+    mech_squares: Callable
+    real_parts: Callable
+
+
 def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
-               mechanical: np.ndarray) -> tuple:
-    """(values, facts, column) of the bipartite block (p, q) of S.
+               mechanical: np.ndarray) -> _Part:
+    """The bipartite block (p, q) of S.
 
     With Bs = (S_pq - S_qp^T)/2 = U diag(sigma) V^T (one real SVD), the
     vectors x = (u; -+ i v)/sqrt(2) belong to lam = -+ i sigma of S; the
     null vectors (u; 0) or (0; v) of a rectangular Bs close the list at 0.
-    The facts |g^T x|, ||x|| and ||x[mechanical]|| of each come from real
-    products with the factors (:func:`_pairs`), and ``column(k)`` builds
-    vector k of the block as a new (dim,) array.
+    Their facts and couplings come from real products with the factors
+    (:func:`_pairs`), as do the mechanical parts of their combinations, and
+    their real parts are 0.
     """
     bst = s[np.ix_(q, p)]  # Bs^T in C order is Bs in Fortran order: no copy for LAPACK
     bst -= s[np.ix_(p, q)].T
@@ -234,7 +278,8 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
     del bst
     r = len(sigma)
     pm, qm = np.isin(p, mechanical), np.isin(q, mechanical)
-    facts = (_pairs(r, coupling[p] @ u, vt @ coupling[q]),
+    a, b = coupling[p] @ u, vt @ coupling[q]
+    facts = (_pairs(r, a, b),
              _pairs(r, np.linalg.norm(u, axis=0), np.linalg.norm(vt, axis=1)),
              _pairs(r, np.linalg.norm(u[pm], axis=0), np.linalg.norm(vt[:, qm], axis=1)))
 
@@ -249,7 +294,19 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
         else:
             x.real[q] = vt[k - r]
         return x
-    return _pair_values(sigma, len(p) + len(q)), facts, column
+
+    def mech_squares(z: np.ndarray) -> np.ndarray:
+        alpha, beta = _halves(r, z)
+        if len(p) > len(q):  # the null vectors (u; 0)
+            alpha = np.concatenate((alpha, z[2 * r:]))
+        else:                # (0; v) = i (0; v) times -i
+            beta = np.concatenate((beta, -1j * z[2 * r:]))
+        return _squares((u[pm] @ np.hstack((alpha.real, alpha.imag)),
+                         vt[:, qm].T @ np.hstack((beta.real, beta.imag))), z.shape[1])
+
+    size = len(p) + len(q)
+    return _Part(_pair_values(sigma, size), facts, _pair_coupling(r, a, b), column,
+                 mech_squares, lambda: np.zeros(size))
 
 
 def _skew_bidiagonal(m: np.ndarray) -> tuple:
@@ -259,7 +316,7 @@ def _skew_bidiagonal(m: np.ndarray) -> tuple:
     and Q is formed in the same memory (``dorghr``).  With T's subdiagonal
     e, T[i + 1, i] = e_i = -T[i, i + 1], so T's even rows against its odd
     columns are the lower bidiagonal Bs.  A matrix that is not finite
-    raises ValueError, as ``eig`` and ``svd`` do.
+    raises ValueError, as ``svd`` does.
     """
     k = np.subtract(m, m.T, order="F")
     k *= 0.5
@@ -289,21 +346,21 @@ def _symmetric_forms(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-                mechanical: np.ndarray) -> tuple:
-    """(values, facts, column) of the block idx of an open-loop S by its skew part.
+                mechanical: np.ndarray) -> _Part:
+    """The block idx of an open-loop S, by its skew part.
 
     With Q^T K Q = T (:func:`_skew_bidiagonal`), T's even rows against its
     odd columns are the lower bidiagonal Bs = U diag(sigma) V^T (one real
     SVD), so x = (Q_e u -+ i Q_o v)/sqrt(2) belongs to -+ i sigma, with Q_e
     and Q_o the even and odd columns of Q (see :func:`_svd_block`).  The
     halves Q_e U and Q_o V overwrite Q_e and Q_o in row chunks of
-    TABLE_BLOCK, so Q's memory holds every half-vector y.  The facts and
-    the real part of each x, Re(x^H S x)/||x||^2 = x^H sym(S) x/||x||^2, are
-    combined from those of its halves (:func:`_pairs`); a pair shares its
-    real part.
+    TABLE_BLOCK, so Q's memory holds every half-vector y.  The facts of
+    each x, and the mechanical parts of combinations, are combined from
+    those of its halves (:func:`_pairs`).  Its real part,
+    Re(x^H S x)/||x||^2 = x^H sym(S) x/||x||^2, is formed only when read
+    (:func:`_symmetric_forms`); a pair shares it.
     """
-    m = _block(s, idx)
-    y, bs = _skew_bidiagonal(m)
+    y, bs = _skew_bidiagonal(_block(s, idx))
     u, sigma, vt = scipy.linalg.svd(bs, overwrite_a=True)
     del bs
     for start in range(0, len(y), TABLE_BLOCK):
@@ -311,14 +368,10 @@ def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
         y[rows, 0::2] = y[rows, 0::2] @ u
         y[rows, 1::2] = y[rows, 1::2] @ vt.T
     del u, vt
-    norms, mech_norms = _column_norms(y, np.flatnonzero(np.isin(idx, mechanical)))
-    forms = _symmetric_forms(m, y)
-    r = len(sigma)
-    facts = tuple(_pairs(r, f[0::2], f[1::2])
-                  for f in (coupling[idx] @ y, norms, mech_norms))
-    values = _pair_values(sigma, len(y))
-    pair = (forms[0:2 * r:2] + forms[1::2]) / 2
-    values.real = np.concatenate((pair, pair, forms[2 * r::2])) / facts[1] ** 2
+    mech = np.flatnonzero(np.isin(idx, mechanical))
+    norms, mech_norms = _column_norms(y, mech)
+    r, f = len(sigma), coupling[idx] @ y
+    facts = tuple(_pairs(r, h[0::2], h[1::2]) for h in (f, norms, mech_norms))
 
     def column(k: int) -> np.ndarray:
         x = np.zeros(len(coupling), dtype=complex)
@@ -329,66 +382,106 @@ def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
         else:
             x.real[idx] = y[:, 2 * (k - r)]
         return x
-    return values, facts, column
+
+    def mech_squares(z: np.ndarray) -> np.ndarray:
+        alpha, beta = _halves(r, z)
+        alpha = np.concatenate((alpha, z[2 * r:]))  # and the null vector's, if any
+        m = z.shape[1]
+        coef = np.empty((len(y), 2 * m))  # rows in the order of y's columns
+        coef[0::2, :m], coef[0::2, m:] = alpha.real, alpha.imag
+        coef[1::2, :m], coef[1::2, m:] = -beta.imag, beta.real
+        return _squares((y[mech] @ coef,), m)
+
+    def real_parts() -> np.ndarray:
+        forms = _symmetric_forms(_block(s, idx), y)
+        pair = (forms[0:2 * r:2] + forms[1::2]) / 2
+        return np.concatenate((pair, pair, forms[2 * r::2])) / facts[1] ** 2
+
+    return _Part(_pair_values(sigma, len(y)), facts, _pair_coupling(r, f[0::2], f[1::2]),
+                 column, mech_squares, real_parts)
 
 
-def _eig_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-               mechanical: np.ndarray) -> tuple:
-    """(values, facts, column) of the block idx of a closed-loop S by ``eig``;
-    the solved matrix is let go before the facts."""
-    w, v = scipy.linalg.eig(_block(s, idx))
+class _OpenLoop:
+    """The eigenpairs of an open-loop S, in spectrum order (:func:`_sort_order`).
 
-    def column(k: int) -> np.ndarray:
-        x = np.zeros(len(coupling), dtype=complex)
-        x[idx] = v[:, k]
-        return x
-    mech = np.flatnonzero(np.isin(idx, mechanical))
-    return w, (np.abs(coupling[idx] @ v), *_column_norms(v, mech)), column
-
-
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray,
-               closed_loop: bool = False) -> tuple:
-    """(values, facts, mode) of S, sorted by |Im| (positive first in a pair).
-
-    The facts are (|g^T x|, ||x||, ||x[mech]||) of each eigenvector x, with
-    g = ``coupling`` and mech = ``reduction.mechanical``, and ``mode(j)``
-    builds the j-th sorted eigenvector as a new (dim,) array.  The pairs
-    are solved block by block (:func:`_plan`): a bipartite block by one SVD
-    (:func:`_svd_block`), any other by the skew part of an open-loop S
-    (:func:`_skew_block`) or by ``eig`` of a ``closed_loop`` one
-    (:func:`_eig_block`), each block formed only when it is solved, and a
-    block that is all of S given to its solver without a copy.  The facts
-    are read from each block's own solve and sorted with the values; no
-    (dim, dim) array of sorted or placed vectors is formed.  A matrix that
-    is not finite raises ValueError.
+    ``omega`` holds the imaginary parts of the eigenvalues, ``facts``
+    (|g^T x|, ||x||, ||x[mech]||) and ``coupling`` c = x^H g of each
+    eigenvector x, read from the blocks' own solves (:class:`_Part`) and
+    sorted with them; ``values`` adds the real parts, formed on the first
+    read.  ``mode(j)`` builds the j-th eigenvector as a new (dim,) array,
+    and :meth:`mech_norms` reads the mechanical parts of combinations of
+    them, so no (dim, dim) array of sorted or placed vectors is formed.
     """
-    dense = _eig_block if closed_loop else _skew_block
-    mech = reduction.mechanical
-    parts = [_svd_block(s, *halves, coupling, mech) if halves
-             else dense(s, idx, coupling, mech)
-             for idx, halves in _plan(s, reduction)]
-    values = np.concatenate([w for w, _, _ in parts])
-    order = _sort_order(values)
-    facts = tuple(np.concatenate(fact)[order] for fact in zip(*(f for _, f, _ in parts)))
-    starts = np.cumsum([0] + [len(w) for w, _, _ in parts[:-1]])
 
-    def mode(j: int) -> np.ndarray:
-        i = order[j]
-        block = np.searchsorted(starts, i, side="right") - 1
-        return parts[block][2](i - starts[block])
-    return values[order], facts, mode
+    def __init__(self, parts: list):
+        self._parts = parts
+        self._starts = np.cumsum([0] + [len(part.values) for part in parts[:-1]])
+        self._order = _sort_order(np.concatenate([part.values for part in parts]))
+        self.omega = np.concatenate([part.values.imag for part in parts])[self._order]
+        self.facts = tuple(np.concatenate(fact)[self._order]
+                           for fact in zip(*(part.facts for part in parts)))
+        self.coupling = np.concatenate([part.coupling for part in parts])[self._order]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        w = np.concatenate([part.values for part in self._parts])
+        w.real = np.concatenate([part.real_parts() for part in self._parts])
+        return w[self._order]
+
+    def mode(self, j: int) -> np.ndarray:
+        i = self._order[j]
+        block = np.searchsorted(self._starts, i, side="right") - 1
+        return self._parts[block].column(i - self._starts[block])
+
+    def mech_norms(self, z: np.ndarray) -> np.ndarray:
+        """||x[mech]|| of x = sum_j z_j mode(j) for each column of z."""
+        placed = np.empty_like(z)
+        placed[self._order] = z
+        return np.sqrt(sum(part.mech_squares(placed[start:start + len(part.values)])
+                           for part, start in zip(self._parts, self._starts)))
+
+
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray) -> _OpenLoop:
+    """The eigenpairs of an open-loop S, solved block by block (:func:`_plan`).
+
+    A bipartite block is solved by one SVD (:func:`_svd_block`), any other
+    by its skew part (:func:`_skew_block`), each block formed only when it
+    is solved and a block that is all of S given to its solver without a
+    copy; the facts read g = ``coupling`` and mech =
+    ``reduction.mechanical``.  A matrix that is not finite raises
+    ValueError.
+    """
+    mech = reduction.mechanical
+    return _OpenLoop([_svd_block(s, *halves, coupling, mech) if halves
+                      else _skew_block(s, idx, coupling, mech)
+                      for idx, halves in _plan(s, reduction)])
+
+
+def _open_loop(assembly: GeneratorAssembly) -> _OpenLoop:
+    """The solve of the assembly's S, formed on the first call and kept.
+
+    It is kept on the assembly as its dense reference is
+    (:attr:`~piezolab.generator.GeneratorAssembly.reference`), so every
+    spectral call on one assembly shares one solve.
+    """
+    kept = assembly.__dict__
+    if "open_loop" not in kept:
+        ref = assembly.reference
+        kept["open_loop"] = _blockwise(ref.s, assembly.reduction, ref.coupling)
+    return kept["open_loop"]
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
-    """(eigenvalues, mode) of S in spectrum order, without a mode table.
+    """(omega, mode) of S in spectrum order, without a mode table.
 
-    The eigenvalues are those of :func:`compute_spectrum`; ``mode(j)``
-    builds the energy-coordinate eigenvector v of eigenvalue j as a new
-    vector, whose unit M-norm mode is T R^{-1} v (:func:`lift_modes`).
+    omega holds the imaginary parts of the eigenvalues of
+    :func:`compute_spectrum`, whose real parts are not formed here;
+    ``mode(j)`` builds the energy-coordinate eigenvector v of eigenvalue j
+    as a new vector, whose unit M-norm mode is T R^{-1} v
+    (:func:`lift_modes`).
     """
-    ref = assembly.reference
-    w, _, mode = _blockwise(ref.s, assembly.reduction, ref.coupling)
-    return w, mode
+    solve = _open_loop(assembly)
+    return solve.omega, solve.mode
 
 
 def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
@@ -397,10 +490,9 @@ def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
         assembly.reference.r, v)
 
 
-def _build_report(assembly: GeneratorAssembly, s_matrix: np.ndarray,
-                  closed_loop: bool) -> SpectrumReport:
-    w, (bstar_abs, norms, mech_norms) = _blockwise(
-        s_matrix, assembly.reduction, assembly.reference.coupling, closed_loop)[:2]
+def _build_report(w: np.ndarray, facts: tuple) -> SpectrumReport:
+    """The report of eigenvalues w in spectrum order, with the facts of their vectors."""
+    bstar_abs, norms, mech_norms = facts
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
     stabilizable, block = _mode_table(bstar_abs, norms, mech_norms)
@@ -419,7 +511,8 @@ def compute_spectrum(assembly: GeneratorAssembly) -> SpectrumReport:
     bipartite block, so ``max_abs_real`` is the largest first-order real
     part of S's pairs.
     """
-    return _build_report(assembly, assembly.reference.s, closed_loop=False)
+    solve = _open_loop(assembly)
+    return _build_report(solve.values, solve.facts)
 
 
 def checked_gain(gain: float) -> float:
@@ -432,17 +525,43 @@ def checked_gain(gain: float) -> float:
 def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumReport:
     """Spectrum of the collocated-feedback generator G - gain * b (b^T M).
 
+    In energy coordinates that is S - gain g g^T, a rank-one update of S,
+    so it is read from the open-loop solve of S (:func:`_blockwise`) with
+    no eigensolve of its own.  Each mode's eigenvalue is its root of the
+    secular equation (:func:`_closed_loop_roots`): a mode with
+    gain |c|^2 = 0 keeps lam = i omega and its open-loop facts.  The
+    eigenvector of any other root lam is x = sum_l z_l x_l over the
+    open-loop eigenvectors x_l, z_l = c_l/(lam - i omega_l) with
+    c_l = x_l^H g (Bunch, Nielsen and Sorensen, Numer. Math. 31 (1978)
+    31-48), scaled to ||x|| = ||z|| = 1, whose facts are
+    |g^T x| = |sum_l conj(c_l) z_l| and ||x[mech]||
+    (:meth:`_OpenLoop.mech_norms`), TABLE_BLOCK roots at a time.
+
     Collocated feedback keeps the spectrum in the closed left half plane;
     the eigenvalues are returned unchecked, so a caller can report a
-    crossing.  A gain that is negative or not finite raises ValueError.
+    crossing.  A gain that is negative or not finite raises ValueError, as
+    does a root or a fact that is not finite; a root still moving after
+    ABERTH_MAX_SWEEPS sweeps raises SecularNotConverged.
     """
     gain = checked_gain(gain)
-    ref = assembly.reference
-    g, s_cl = ref.coupling, ref.s.copy()
-    for start in range(0, len(g), TABLE_BLOCK):  # in place, TABLE_BLOCK rows at a time
-        rows = slice(start, start + TABLE_BLOCK)
-        s_cl[rows] -= gain * np.outer(g[rows], g)
-    return _build_report(assembly, s_cl, closed_loop=True)
+    solve = _open_loop(assembly)
+    c, omega, weight = solve.coupling, solve.omega, solve.facts[0] ** 2
+    lam = _closed_loop_roots(omega, weight, gain)
+    bstar_abs, norms, mech_norms = (fact.copy() for fact in solve.facts)
+    coupled = np.flatnonzero(gain * weight > 0)
+    for start in range(0, len(coupled), TABLE_BLOCK):
+        cols = coupled[start:start + TABLE_BLOCK]
+        with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+            z = c[:, None] / (lam[cols] - 1j * omega[:, None])
+            z /= np.linalg.norm(z, axis=0)
+        bstar_abs[cols] = np.abs(c.conj() @ z)
+        norms[cols] = 1.0
+        mech_norms[cols] = solve.mech_norms(z)
+    facts = (bstar_abs, norms, mech_norms)
+    if not all(np.isfinite(part).all() for part in (lam, *facts)):
+        raise ValueError("a closed-loop root or eigenvector is not finite")
+    order = _sort_order(lam)
+    return _build_report(lam[order], tuple(fact[order] for fact in facts))
 
 
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
@@ -451,9 +570,10 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     Returns (omega, lam, coupling, dominant_block) for the open-loop modes
     with omega above ZERO_MODE_REL_TOL times the largest |omega|, which
     leaves out the kernel whatever the sign of its rounding, sorted by
-    omega.  Each mode is an eigenvector x of the spectrum's solve
-    (:func:`_blockwise`), a unit eigenvector of the skew part of S, and
-    omega its imaginary part: lam[j] is the root of
+    omega: the positive-frequency view of the roots of
+    :func:`closed_loop_spectrum`.  Each mode is an eigenvector x of the
+    assembly's open-loop solve (:func:`_blockwise`), a unit eigenvector of
+    the skew part of S, and omega its imaginary part: lam[j] is the root of
     1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from mode j
     (:func:`_closed_loop_roots`), accurate far below the dense-eig noise
     floor; coupling[j] = |c_j| = |g^T x_j| is |B* phi| of its unit M-norm
@@ -463,14 +583,18 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     raises ValueError, as does an S that is not finite.
     """
     gain = checked_gain(gain)
-    ref = assembly.reference
-    w, (c, norms, mech_norms) = _blockwise(ref.s, assembly.reduction, ref.coupling)[:2]
-    omega_all = w.imag
+    solve = _open_loop(assembly)
+    omega_all, (c, norms, mech_norms) = solve.omega, solve.facts
     pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
     pos = pos[np.argsort(omega_all[pos])]
     lam = _closed_loop_roots(omega_all, c ** 2, gain)
     return (omega_all[pos], lam[pos], c[pos],
             _dominant_block(mech_norms[pos] ** 2 / norms[pos] ** 2))
+
+
+def _imag_tolerance(d: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The imaginary step below which a root with shift d from its pole has converged."""
+    return ABERTH_RTOL * np.abs(d) + 4.0 * np.finfo(float).eps * np.abs(roots)
 
 
 def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np.ndarray:
@@ -486,9 +610,12 @@ def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np
     1/(z - a_l) - 1/(z - z_l) over the others: nothing is divided by d, so a
     small shift keeps its digits.  A root stops once its step is at most
     ABERTH_RTOL of |Re d| in the real part and of |d|, plus rounding of z,
-    in the imaginary part; one still moving after ABERTH_MAX_SWEEPS sweeps
-    raises SecularNotConverged.  The root started from a mode is its value;
-    no pairing is claimed where strong coupling moves roots off their poles.
+    in the imaginary part (:func:`_imag_tolerance`); one still moving after
+    ABERTH_MAX_SWEEPS sweeps raises SecularNotConverged.  S - gain g g^T is
+    real, so a root whose imaginary part is within that tolerance of 0 is
+    taken as real, where rounding would leave it just off the axis.  The
+    root started from a mode is its value; no pairing is claimed where
+    strong coupling moves roots off their poles.
     """
     lam = 1j * omega
     coupled = np.flatnonzero(gain * weight > 0)
@@ -512,10 +639,10 @@ def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np
         roots[moving] -= step
         d = roots[moving] - poles[moving]
         done = ((np.abs(step.real) <= ABERTH_RTOL * np.abs(d.real))
-                & (np.abs(step.imag) <= ABERTH_RTOL * np.abs(d)
-                   + 4.0 * np.finfo(float).eps * np.abs(roots[moving])))
+                & (np.abs(step.imag) <= _imag_tolerance(d, roots[moving])))
         moving = moving[~done]
         if not len(moving):
+            roots.imag[np.abs(roots.imag) <= _imag_tolerance(roots - poles, roots)] = 0.0
             lam[coupled] = roots
             return lam
     raise SecularNotConverged(

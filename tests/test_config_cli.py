@@ -7,14 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import piezolab
-from piezolab import acceptance, cli, dynamics, generator
+from piezolab import acceptance, cli, dynamics, generator, spectral
 from piezolab.config import (config_from_dict, load_config, toy_config_dict)
 from piezolab.errors import ConfigParseError, GaugeViolation
 from piezolab.model import build_grid
@@ -809,16 +808,13 @@ class TestCliExitCodes:
                    for line in flag.splitlines()[1:])
 
     def test_red_closed_loop_is_reported(self, tmp_path, monkeypatch, capsys):
-        # shift the energy-coordinate generator right: the closed loop then
-        # crosses the imaginary axis, and the flag, not an exception, says so
-        reference = generator.GeneratorAssembly.reference.func
-
-        def shifted(asm):
-            ref = reference(asm)
-            return replace(ref, s=ref.s + 0.1 * np.eye(ref.s.shape[0]))
-
-        monkeypatch.setattr(generator.GeneratorAssembly, "reference",
-                            property(shifted))
+        # shift every closed-loop root right: the closed loop then crosses
+        # the imaginary axis, and the flag, not an exception, says so (the
+        # closed loop is read from the solve of S's skew part, so a shift of
+        # S itself would show only in the open-loop verdict)
+        roots = spectral._closed_loop_roots
+        monkeypatch.setattr(spectral, "_closed_loop_roots",
+                            lambda *args: roots(*args) + 0.1)
         cfg = _write(tmp_path, toy_config_dict(n_cells=16, t_final=0.1))
         out = tmp_path / "o"
         assert cli.main(["spectrum", "--config", str(cfg),

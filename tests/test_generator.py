@@ -247,8 +247,8 @@ class TestDenseReference:
 
         # the mode table in energy coordinates against the lifted one, on
         # the same eigenpairs
-        w, _, mode = spectral._blockwise(own.s, asm.reduction, own.coupling)
-        v = np.column_stack([mode(j) for j in range(len(w))])
+        solve = spectral._blockwise(own.s, asm.reduction, own.coupling)
+        v = np.column_stack([solve.mode(j) for j in range(len(solve.omega))])
         report = spectral.compute_spectrum(asm)
         bstar, stabilizable, block = _lifted_mode_table(ref, asm.b, r, v)
         np.testing.assert_array_equal(report.stabilizable, stabilizable)

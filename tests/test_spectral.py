@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import scipy.linalg
 
-from piezolab import generator, spectral
+from piezolab import acceptance, cli, generator, spectral
+from piezolab.config import toy_config_dict
 from piezolab.dynamics import default_dt, run
 from piezolab.errors import DegenerateWindow, SecularNotConverged
 from piezolab.generator import assemble_generator
@@ -46,9 +48,11 @@ def _set_distance(a, b):
 
 
 def _all_modes(asm):
-    """open_loop_modes with every eigenvector built, as the columns of v."""
-    w, mode = open_loop_modes(asm)
-    return w, np.column_stack([mode(j) for j in range(len(w))])
+    """The spectrum's eigenvalues, and every eigenvector open_loop_modes
+    builds, as the columns of v."""
+    omega, mode = open_loop_modes(asm)
+    return (compute_spectrum(asm).eigenvalues,
+            np.column_stack([mode(j) for j in range(len(omega))]))
 
 
 def _positive_branch(report, block):
@@ -70,8 +74,8 @@ class TestOpenLoopSpectrum:
 
     def test_eigenpair_residual(self):
         asm, report = _report(32)
-        w, mode = open_loop_modes(asm)
-        np.testing.assert_array_equal(w, report.eigenvalues)
+        omega, mode = open_loop_modes(asm)
+        np.testing.assert_array_equal(omega, report.eigenvalues.imag)
         m, g = asm.reference.m, _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
@@ -169,8 +173,8 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
 def _modes(asm):
     """(omega, |c|^2) of every open-loop mode the shifts read, the kernel included."""
     ref = asm.reference
-    w, (c, _, _), _ = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
-    return w.imag, c ** 2
+    solve = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+    return solve.omega, solve.facts[0] ** 2
 
 
 def _all_roots(asm, gain):
@@ -179,13 +183,33 @@ def _all_roots(asm, gain):
     return omega, spectral._closed_loop_roots(omega, c2, gain)
 
 
+def _count_solves(monkeypatch):
+    """The dense reductions made from now on, "skew" or "svd" each; eig raises."""
+    calls = []
+    skew, svd = spectral._skew_bidiagonal, spectral._svd_block
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig was called")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    monkeypatch.setattr(spectral, "_skew_bidiagonal",
+                        lambda *args: calls.append("skew") or skew(*args))
+    monkeypatch.setattr(spectral, "_svd_block",
+                        lambda *args: calls.append("svd") or svd(*args))
+    return calls
+
+
+def _dense_closed_loop(asm, gain):
+    """The oracle: (eigenvalues, eigenvectors) of the dense S - gain g g^T by eig."""
+    ref = asm.reference
+    return scipy.linalg.eig(ref.s - gain * np.outer(ref.coupling, ref.coupling))
+
+
 def _dense_distance(asm, roots, gain):
     """Largest distance, both ways, from the roots to the dense closed-loop
     eigenvalues, relative to their spectral radius."""
-    ref = asm.reference
-    dense = scipy.linalg.eigvals(ref.s - gain * np.outer(ref.coupling, ref.coupling))
-    dist = np.abs(roots[:, None] - dense[None, :])
-    return max(dist.min(axis=1).max(), dist.min(axis=0).max()) / np.abs(dense).max()
+    dense = _dense_closed_loop(asm, gain)[0]
+    return _set_distance(roots, dense) / np.abs(dense).max()
 
 
 class TestClosedLoop:
@@ -204,12 +228,12 @@ class TestClosedLoop:
         assert cl.eigenvalues.real.max() <= 1e-12 * cl.g_norm
 
     def test_secular_shifts_match_dense_eigensolve(self):
-        # per-mode shifts from the rank-1 secular equation against the dense
-        # closed-loop spectrum, matched by frequency
+        # per-mode shifts from the rank-1 secular equation against eig of
+        # the dense closed loop, matched by frequency
         asm, report = _report(32)
         omega, lam, _, _ = closed_loop_mode_shifts(asm, 1e-2)
-        cl = closed_loop_spectrum(asm, 1e-2)
-        pos = cl.eigenvalues[cl.eigenvalues.imag > 1e-8]
+        dense = _dense_closed_loop(asm, 1e-2)[0]
+        pos = dense[dense.imag > 1e-8]
         for j in range(0, len(omega), 11):
             if omega[j] <= 1e-8:
                 continue  # kernel entry has no positive-frequency partner
@@ -274,6 +298,98 @@ class TestClosedLoop:
         asm = build(params, build_grid(params.L, n))
         _, roots = _all_roots(asm, gain)
         assert _dense_distance(asm, roots, gain) <= 1e-12
+
+    @pytest.mark.parametrize("gain", (1e-3, 1e-2, 1.0))
+    @pytest.mark.parametrize("gamma", (0.0, 1.0))
+    @pytest.mark.parametrize("n", (32, 64))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_spectrum_matches_dense_eig(self, build, n, gamma, gain):
+        # the closed-loop report, read from the open-loop solve, against eig
+        # of the dense S - gain g g^T, both in spectrum order: the values
+        # within 1e-12 of the spectral radius both ways, the same flags and
+        # labels, and |B* phi| of the stabilizable modes within 1e-6
+        # relative, the noise of eig's vectors (3.7e-7 at worst here, on
+        # the current model at N = 64, gamma = 0)
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, n))
+        report = closed_loop_spectrum(asm, gain)
+        w, v = _dense_closed_loop(asm, gain)
+        order = spectral._sort_order(w)
+        w, v = w[order], v[:, order]
+        assert _set_distance(report.eigenvalues, w) <= 1e-12 * np.abs(w).max()
+        bstar_abs = np.abs(asm.reference.coupling @ v)
+        stabilizable, block = spectral._mode_table(
+            bstar_abs, *spectral._column_norms(v, asm.reduction.mechanical))
+        np.testing.assert_array_equal(report.stabilizable, stabilizable)
+        np.testing.assert_array_equal(report.dominant_block, block)
+        np.testing.assert_allclose(report.bstar_abs[stabilizable], bstar_abs[stabilizable],
+                                   rtol=1e-6, atol=0)
+        assert np.isfinite(report.eigenvalues).all() and np.isfinite(report.bstar_abs).all()
+
+    @pytest.mark.parametrize("gamma, solves", ((1.0, ["skew"]), (0.0, ["svd", "svd"])))
+    def test_closed_loop_run_solves_once_without_eig(self, gamma, solves, tmp_path,
+                                                      monkeypatch, capsys):
+        # `spectrum --closed-loop` reads both spectra from one open-loop
+        # solve: one reduction of the whole S at gamma = 1, one SVD per
+        # bipartite block at gamma = 0, and no eig
+        calls = _count_solves(monkeypatch)
+        doc = toy_config_dict(n_cells=16, t_final=0.1)
+        doc["params"]["gamma"] = gamma
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["spectrum", "--config", str(cfg), "--closed-loop", "1.0",
+                         "--out", str(tmp_path / "o")]) == 0, capsys.readouterr().err
+        assert calls == solves
+
+    def test_gain_perturbation_check_shares_one_solve(self, monkeypatch):
+        # check 8 reads the shifts at two gains on one assembly
+        acceptance._assembly.cache_clear()
+        calls = _count_solves(monkeypatch)
+        assert acceptance.check_gain_perturbation().passed
+        assert calls == ["skew"]
+
+    def test_unconverged_closed_loop_run_writes_nothing(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # the root solve runs inside `spectrum --closed-loop`: a root still
+        # moving after its sweeps stops the run before --out is made
+        monkeypatch.setattr(spectral, "ABERTH_MAX_SWEEPS", 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(toy_config_dict(n_cells=16, t_final=0.1)),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--config", str(cfg), "--variant", "charge_magnetic",
+                         "--closed-loop", "1.0", "--out", str(out)]) == 1
+        assert ("closed-loop roots still moved after 2 sweeps"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ("root_on_its_pole", "nan_root"))
+    def test_non_finite_closed_loop_is_never_written(self, fault, tmp_path,
+                                                     monkeypatch, capsys):
+        # a coupled root on its own pole makes its z = c / 0 infinite; a NaN
+        # root is not finite itself: either raises, and no file is written
+        roots = spectral._closed_loop_roots
+
+        def faulty(omega, weight, gain):
+            lam = roots(omega, weight, gain)
+            j = int(np.argmax(weight))
+            lam[j] = 1j * omega[j] if fault == "root_on_its_pole" else np.nan
+            return lam
+
+        monkeypatch.setattr(spectral, "_closed_loop_roots", faulty)
+        asm, _ = _report(16)
+        with pytest.raises(ValueError, match="closed-loop root or eigenvector is not finite"):
+            closed_loop_spectrum(asm, 1.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(toy_config_dict(n_cells=16, t_final=0.1)),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--config", str(cfg), "--closed-loop", "1.0",
+                         "--out", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("gain", (np.nan, np.inf, -1.0))
     def test_bad_gain_rejected(self, gain):
@@ -356,8 +472,7 @@ class TestDiagonalBlocks:
         np.testing.assert_array_equal(blocks[0], asm.reduction.mechanical)
 
     def test_tiny_cross_entry_couples(self):
-        # one 1e-300 entry on either side of the diagonal keeps one block,
-        # for the skew part of an open-loop S and eig of a closed-loop one
+        # one 1e-300 entry on either side of the diagonal keeps one block
         asm, _ = _report(32, gamma=0.0)
         red = asm.reduction
         mech, em = spectral._decoupled_blocks(asm.reference.s, red.mechanical)
@@ -368,20 +483,19 @@ class TestDiagonalBlocks:
             assert len(blocks) == 1
             np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
             assert spectral.solve_route(s, red) == "skew"
-            assert spectral.solve_route(s, red, closed_loop=True) == "eig"
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0))
     @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
                                        assemble_electrostatic),
                              ids=("current", "charge_magnetic", "electrostatic"))
-    def test_skew_route_is_the_eig_route(self, build, gamma):
-        # one split test reads the matrix for both solvers, so the skew
-        # route of an open-loop S solves the blocks that eig would
+    def test_skew_route_is_the_eig_route(self, build, gamma, monkeypatch):
+        # the closed loop, which eig once solved block by block, reads the
+        # open-loop solve: one SVD or skew reduction per block of its route
         params = toy_parameters(gamma=gamma)
         asm = build(params, build_grid(params.L, 32))
-        s, red = asm.reference.s, asm.reduction
-        assert (spectral.solve_route(s, red)
-                == spectral.solve_route(s, red, closed_loop=True).replace("eig", "skew"))
+        calls = _count_solves(monkeypatch)
+        closed_loop_spectrum(asm, 1.0)
+        assert "+".join(calls) == spectral.solve_route(asm.reference.s, asm.reduction)
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
@@ -442,19 +556,20 @@ class TestBipartiteRoute:
     @pytest.mark.parametrize("part", ("positions", "velocities"))
     def test_tiny_diagonal_entry_goes_to_eig(self, system, part):
         # one 1e-300 entry in a position-position or velocity-velocity block
-        # sends that block back to the solver, the skew route or, for a
-        # closed loop, eig; its partner block keeps the SVD
+        # sends that block to the skew route, while its partner block keeps
+        # the SVD; the spectra on that route match eig, the closed loop's too
         asm = _system(system, 32)
-        s = asm.reference.s.copy()
+        ref = asm.reference
+        s = ref.s.copy()
         _, (p, q) = spectral._plan(s, asm.reduction)[-1]  # the last block
         idx = p if part == "positions" else q
         s[idx[3], idx[5]] = 1e-300
-        want_w = scipy.linalg.eigvals(s)
-        for closed_loop, solver in ((False, "skew"), (True, "eig")):
-            want = solver if system == "electrostatic" else "svd+" + solver
-            assert spectral.solve_route(s, asm.reduction, closed_loop) == want
-            w, _, _ = spectral._blockwise(s, asm.reduction, asm.reference.coupling,
-                                          closed_loop)
+        assert spectral.solve_route(s, asm.reduction) == (
+            "skew" if system == "electrostatic" else "svd+skew")
+        asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
+        for w, want_w in ((compute_spectrum(asm).eigenvalues, scipy.linalg.eigvals(s)),
+                          (closed_loop_spectrum(asm, 1.0).eigenvalues,
+                           _dense_closed_loop(asm, 1.0)[0])):
             assert _set_distance(w, want_w) <= 1e-12 * np.max(np.abs(w))
 
     def test_rectangular_block_has_the_translation_kernel(self):
@@ -473,15 +588,10 @@ class TestBipartiteRoute:
     def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
         # the solver is looked up per call, so a wrapper on scipy.linalg.eig
         # sees every dense eig: none for any open-loop call, bipartite or
-        # not, and one per non-bipartite block of a closed-loop spectrum
-        calls = []
-        eig = scipy.linalg.eig
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eig(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig", counting)
+        # not, and none for a closed-loop spectrum, which reads the same
+        # solve where its feedback fills a bipartite block, as the
+        # electrostatic one and the gamma = 0 field block
+        calls = _count_solves(monkeypatch)
         systems = (_system("electrostatic", 16), _system("gamma0", 16),
                    assemble_generator(TOY, build_grid(TOY.L, 16)),
                    assemble_charge_magnetic(TOY, build_grid(TOY.L, 16)))
@@ -489,21 +599,8 @@ class TestBipartiteRoute:
             compute_spectrum(asm)
             closed_loop_mode_shifts(asm, 1.0)
             open_loop_modes(asm)[1](0)
-        assert calls == []
-        for asm in systems:
             closed_loop_spectrum(asm, 1.0)
-        # the electrostatic and the gamma = 0 field blocks are filled by
-        # the feedback; the gamma = 0 mechanical block stays bipartite
-        assert calls == [(32, 32), (30, 30), (63, 63), (63, 63)]
-
-    def test_closed_loop_keeps_eig_where_feedback_fills(self):
-        # k g g^T fills the velocity block the influence reaches; a block it
-        # does not reach stays bipartite
-        for system, want in (("electrostatic", "eig"), ("gamma0", "svd+eig")):
-            asm = _system(system, 16)
-            g = asm.reference.coupling
-            assert spectral.solve_route(asm.reference.s - np.outer(g, g),
-                                        asm.reduction, closed_loop=True) == want
+        assert calls == ["svd", "svd", "svd", "skew", "skew"]
 
 
 class TestSkewRoute:
@@ -567,7 +664,8 @@ class TestSkewRoute:
         (mech, _), (_, (p, _)) = spectral._plan(s, red)
         s[p[3], p[5]] = 1e-300
         assert spectral.solve_route(s, red) == "svd+skew"
-        w, _, mode = spectral._blockwise(s, red, asm.reference.coupling)
+        solve = spectral._blockwise(s, red, asm.reference.coupling)
+        w, mode = solve.values, solve.mode
         on_mech = [j for j in range(len(w)) if not np.any(np.delete(mode(j), mech))]
         assert len(on_mech) == len(mech)
         assert np.all(w[on_mech].real == 0.0)
@@ -580,7 +678,7 @@ class TestSkewRoute:
         # one NaN or Inf in S raises ValueError on the skew route (a
         # position-position entry leaves the block's bipartite form) as on
         # the SVD route (a position-velocity entry keeps it), for the
-        # spectrum and the shifts alike
+        # spectrum, the shifts and the closed loop alike
         asm = (assemble_generator(TOY, build_grid(TOY.L, 16)) if system == "toy"
                else _system("gamma0", 16))
         ref, red = asm.reference, asm.reduction
@@ -594,6 +692,7 @@ class TestSkewRoute:
         for call in (lambda: spectral._blockwise(ref.s, red, ref.coupling),
                      lambda: compute_spectrum(asm),
                      lambda: closed_loop_mode_shifts(asm, 1.0),
+                     lambda: closed_loop_spectrum(asm, 1.0),
                      lambda: open_loop_modes(asm)):
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 call()
@@ -602,8 +701,10 @@ class TestSkewRoute:
 def _skew_solve(m):
     """(values, vectors) of the skew route on all of m, one column per call."""
     idx = np.arange(len(m))
-    w, _, column = spectral._skew_block(m, idx, np.zeros(len(m)), idx[:0])
-    return w, np.column_stack([column(k) for k in range(len(w))])
+    part = spectral._skew_block(m, idx, np.zeros(len(m)), idx[:0])
+    w = part.values.copy()
+    w.real = part.real_parts()
+    return w, np.column_stack([part.column(k) for k in range(len(w))])
 
 
 def _solve_then_sort(solver, m, mechanical, sort):
@@ -637,44 +738,35 @@ def _same_array(got, want):
 class TestSortedSolves:
     """Each sorted eigenvector a ``mode`` getter builds is the former sorted column."""
 
-    @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("split", "unsplit"))
-    @pytest.mark.parametrize("solver", ("eig", "skew"))
-    def test_sorted_placement_equals_solve_then_sort(self, solver, gamma, monkeypatch):
+    @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("skew-split", "skew-unsplit"))
+    def test_sorted_placement_equals_solve_then_sort(self, gamma, monkeypatch):
         # the split blocks at gamma = 0 are bipartite; with that route
-        # turned off each goes to the solver, as a block that is not would:
-        # eig of a closed-loop S or the skew route of an open-loop one
+        # turned off each goes to the skew route, as a block that is not
+        # would
         monkeypatch.setattr(spectral, "_bipartite", lambda *args: None)
         asm, _ = _report(32, gamma=gamma)
         s, mech = asm.reference.s, asm.reduction.mechanical
-        closed_loop = solver == "eig"
-        solve = scipy.linalg.eig if closed_loop else _skew_solve
         assert len(spectral._decoupled_blocks(s, mech)) == (2 if gamma == 0.0 else 1)
-        w, facts, mode = spectral._blockwise(s, asm.reduction, asm.reference.coupling,
-                                             closed_loop)
-        want_w, want_v = _solve_then_sort(solve, s, mech, spectral._sort_order)
+        solve = spectral._blockwise(s, asm.reduction, asm.reference.coupling)
+        w = solve.values
+        want_w, want_v = _solve_then_sort(_skew_solve, s, mech, spectral._sort_order)
         assert _same_array(w, want_w)
         for j in range(len(w)):
-            x = mode(j)
+            x = solve.mode(j)
             assert x.dtype == want_v.dtype and x.shape == (len(s),)
             assert x.tobytes() == want_v[:, j].tobytes()
-        # the facts of the sorted vectors: bit for bit where eig solved one
-        # block, and to rounding where the skew route combined its halves
+        # the facts of the sorted vectors, to rounding, as the skew route
+        # combined its halves
         want = (np.abs(asm.reference.coupling @ want_v),
                 *spectral._column_norms(want_v, mech))
-        if closed_loop and gamma != 0.0:
-            assert all(got.tobytes() == fact.tobytes() for got, fact in zip(facts, want))
-        elif not closed_loop:
-            for got, fact in zip(facts, want):
-                np.testing.assert_allclose(got, fact, rtol=1e-13,
-                                           atol=1e-13 * np.max(fact))
+        for got, fact in zip(solve.facts, want):
+            np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
 
     @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
-    @pytest.mark.parametrize("closed_loop", (True, False), ids=("eig", "skew"))
-    def test_bipartite_placement_equals_factors_then_sort(self, closed_loop, system):
+    def test_bipartite_placement_equals_factors_then_sort(self, system):
         # each bipartite block's vectors (u; -+ i v)/sqrt(2), and its null
         # vectors, placed block-diagonally from the SVD of its Bs and then
-        # sorted, are the getter's vectors bit for bit, whichever solver
-        # would take a block that is not bipartite
+        # sorted, are the getter's vectors bit for bit
         asm = _system(system, 32)
         s, red = asm.reference.s, asm.reduction
         plan = spectral._plan(s, red)
@@ -696,16 +788,15 @@ class TestSortedSolves:
             columns.append(block)
         w = np.concatenate(values)
         order = spectral._sort_order(w)
-        got_w, facts, mode = spectral._blockwise(s, red, asm.reference.coupling,
-                                                 closed_loop)
-        np.testing.assert_array_equal(got_w, w[order])
+        solve = spectral._blockwise(s, red, asm.reference.coupling)
+        np.testing.assert_array_equal(solve.values, w[order])
         want_v = np.hstack(columns)[:, order]
         for j in range(len(w)):
-            assert mode(j).tobytes() == want_v[:, j].tobytes()
+            assert solve.mode(j).tobytes() == want_v[:, j].tobytes()
         # the facts read from the factors are those of the built vectors
         want = (np.abs(asm.reference.coupling @ want_v),
                 *spectral._column_norms(want_v, red.mechanical))
-        for got, fact in zip(facts, want):
+        for got, fact in zip(solve.facts, want):
             np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
 
     def test_mode_is_a_new_vector(self):
@@ -771,15 +862,12 @@ class TestDenseMemoryScript:
             seconds = [float(cell) for cell, name in zip(row[3:], header) if name == "s"]
             assert len(seconds) == len(script.SOLVED) and min(seconds) >= 0.0
         # (spectrum, closed loop, modal start, shifts) routes: bipartite
-        # blocks by SVD, any other open-loop block by its skew part; a charge
-        # load is zero at gamma = 0, so its closed loop is the open one; the
-        # modal start and the shifts solve S as the spectrum does
+        # blocks by SVD, any other by its skew part, and the closed loop by
+        # the roots of its secular equation on that solve
         routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
                   for row in rows]
-        assert routes == [("svd+svd", "svd+eig", "svd+svd", "svd+svd"),
-                          ("skew", "eig", "skew", "skew"),
-                          ("svd+svd",) * 4, ("skew", "eig", "skew", "skew"),
-                          ("svd",) * 4, ("svd", "eig", "svd", "svd")]
+        assert routes == [(route, route + "+roots", route, route)
+                          for route in ("svd+svd", "skew") * 2 + ("svd", "svd")]
 
 
 class TestEnergyReference:
@@ -855,8 +943,9 @@ class TestEnergyReference:
         # with the SVD factors of each bipartite block, against the long
         # double product with their eigenvectors
         omega, _, coupling, _ = closed_loop_mode_shifts(asm, 1.0)
-        lam, _, mode = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
-        u = np.column_stack([mode(int(np.flatnonzero(lam.imag == w)[0])) for w in omega])
+        solve = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+        u = np.column_stack([solve.mode(int(np.flatnonzero(solve.omega == w)[0]))
+                             for w in omega])
         want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
         big = want > 1e-8
         assert np.count_nonzero(big) == 128  # the positive members of the odd EM pairs
