@@ -15,8 +15,8 @@ there, before any dense array is formed.
 Every per-mode fact is read from eigenvectors in energy coordinates (see
 :func:`_mode_table`); only a returned state is lifted (:func:`lift_modes`).
 
-Every dense eigensolve splits its matrix where the model does, twice over,
-reading the matrix itself (:func:`_plan`):
+The one dense eigensolve is that of the open-loop S.  It splits S where
+the model does, twice over, reading the matrix itself (:func:`_plan`):
 
 * if it holds exact zeros between the mechanical coordinates
   (``reduction.mechanical``, the blocks y1 and y4) and the field ones, as
@@ -36,15 +36,15 @@ reading the matrix itself (:func:`_plan`):
   is u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from the real
   products g.u and g.v (:func:`_svd_block`).
 
-Any other block of the open-loop S, which is skew to rounding, is solved by
-its skew part K = (S - S^T)/2 (:func:`_skew_block`): an orthogonal
-similarity Q^T K Q = T makes K skew tridiagonal, and T's even rows against
-its odd columns are a bidiagonal Bs, so the same SVD gives every pair
-(Ward and Gray, ACM TOMS 4 (1978) 278-285), with vectors
+Any other block of S, which is skew to rounding, is solved by its skew
+part K = (S - S^T)/2 (:func:`_skew_block`): an orthogonal similarity
+Q^T K Q = T makes K skew tridiagonal, and T's even rows against its odd
+columns are a bidiagonal Bs, so the same SVD gives every pair (Ward and
+Gray, ACM TOMS 4 (1978) 278-285), with vectors
 x = (Q_e u -+ i Q_o v)/sqrt(2).  Its real parts are the first-order ones
 Re(x^H S x)/||x||^2, read from the symmetric part of S itself, so the
-imaginary-axis verdict still measures S.  The closed-loop S is not
-normal: its other blocks go to ``eig`` (:func:`_eig_block`).
+imaginary-axis verdict still measures S; only the open-loop report reads
+them, and they are formed on its first read.
 
 Each block is formed only when it is solved, and a block that is all of S
 goes to its solver without a copy.  The spectra and the shifts read only
@@ -52,17 +52,27 @@ each mode's facts |g^T x|, ||x|| and ||x[mech]||, which every block's own
 solve gives before any sort; an eigenvector is built only when asked for,
 one new vector at a time, by the ``mode`` getter of :func:`_blockwise`
 (:func:`open_loop_modes`), so no solve forms a (dim, dim) array of sorted
-or placed eigenvectors.  :func:`solve_route` names the route of a matrix.
+or placed eigenvectors.  The solve is kept on the assembly, so every
+spectral call on it shares one (:func:`_open_loop`).  :func:`solve_route`
+names the route of a matrix.
 
-For the high-frequency tail the dense solver's noise floor (about
-machine epsilon times ||S||) swamps the true decay rates, which shrink like
-1/omega^2; ``closed_loop_mode_shifts`` therefore solves the exact rank-one
-secular equation in the eigenbasis of the skew part, with small relative
-error, by one Aberth-Ehrlich solve of every root from the first-order
-guesses i omega - gain |c|^2.  A root stops once its step is below
-ABERTH_RTOL of its shift, part by part, one still moving after
-ABERTH_MAX_SWEEPS sweeps raises :class:`~piezolab.errors.SecularNotConverged`,
-and the root started from a mode is that mode's value.
+The closed loop S - k g g^T is a rank-one update of S, solved in the
+eigenbasis of the skew part without an eigensolve of its own.  Its
+eigenvalues are the roots of the secular equation
+1 + k sum_l |c_l|^2/(lam - i omega_l) = 0 with c_l = x_l^H g (Golub, SIAM
+Rev. 15 (1973) 318-334), found by one Aberth-Ehrlich solve of every root
+from the first-order guesses i omega - k |c|^2; a mode with k |c|^2 = 0
+keeps its pole.  A root stops once its step is below ABERTH_RTOL of its
+shift, part by part, one still moving after ABERTH_MAX_SWEEPS sweeps
+raises :class:`~piezolab.errors.SecularNotConverged`, and the root started
+from a mode is that mode's value.  The roots keep small relative error in
+the high-frequency tail, whose decay rates shrink like 1/omega^2 far below
+the noise floor of a dense eigensolve (about machine epsilon times ||S||).
+Each root's eigenvector is sum_l c_l/(lam - i omega_l) x_l (Bunch, Nielsen
+and Sorensen, Numer. Math. 31 (1978) 31-48), whose facts are read from the
+coefficients and the real halves of the x_l (:func:`closed_loop_spectrum`).
+The closed loop reads S only through its skew part: a symmetric part of S
+shows in the open-loop real parts, not in the closed-loop roots.
 """
 
 from __future__ import annotations
@@ -597,6 +607,20 @@ def _imag_tolerance(d: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return ABERTH_RTOL * np.abs(d) + 4.0 * np.finfo(float).eps * np.abs(roots)
 
 
+def _conjugate_pairs(poles: np.ndarray, weight: np.ndarray, roots: np.ndarray) -> None:
+    """Set the root of each pole -i w to the conjugate of that of i w, in place,
+    where the two poles have one weight and the roots are conjugates to the
+    stop tolerance: only rounding tells them apart."""
+    w = poles.imag
+    top = np.flatnonzero(w > 0)
+    by = np.argsort(w)
+    k = by[np.searchsorted(w, -w[top], sorter=by)]
+    pair = ((w[k] == -w[top]) & (weight[k] == weight[top])
+            & (np.abs(roots[k] - roots[top].conj())
+               <= _imag_tolerance(roots[top] - poles[top], roots[top])))
+    roots[k[pair]] = roots[top[pair]].conj()
+
+
 def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np.ndarray:
     """Each mode's root of 1 + gain * sum_l weight_l / (lam - i omega_l) = 0.
 
@@ -612,10 +636,12 @@ def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np
     ABERTH_RTOL of |Re d| in the real part and of |d|, plus rounding of z,
     in the imaginary part (:func:`_imag_tolerance`); one still moving after
     ABERTH_MAX_SWEEPS sweeps raises SecularNotConverged.  S - gain g g^T is
-    real, so a root whose imaginary part is within that tolerance of 0 is
-    taken as real, where rounding would leave it just off the axis.  The
-    root started from a mode is its value; no pairing is claimed where
-    strong coupling moves roots off their poles.
+    real, so its spectrum is closed under conjugation: a root whose
+    imaginary part is within that tolerance of 0 is taken as real, and the
+    roots of a conjugate pair of poles that are conjugates to that
+    tolerance are made exact ones (:func:`_conjugate_pairs`), where rounding
+    would leave them apart.  The root started from a mode is its value; no
+    pairing is claimed where strong coupling moves roots off their poles.
     """
     lam = 1j * omega
     coupled = np.flatnonzero(gain * weight > 0)
@@ -643,6 +669,7 @@ def _closed_loop_roots(omega: np.ndarray, weight: np.ndarray, gain: float) -> np
         moving = moving[~done]
         if not len(moving):
             roots.imag[np.abs(roots.imag) <= _imag_tolerance(roots - poles, roots)] = 0.0
+            _conjugate_pairs(poles, weight, roots)
             lam[coupled] = roots
             return lam
     raise SecularNotConverged(

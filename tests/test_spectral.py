@@ -308,10 +308,11 @@ class TestClosedLoop:
     def test_spectrum_matches_dense_eig(self, build, n, gamma, gain):
         # the closed-loop report, read from the open-loop solve, against eig
         # of the dense S - gain g g^T, both in spectrum order: the values
-        # within 1e-12 of the spectral radius both ways, the same flags and
-        # labels, and |B* phi| of the stabilizable modes within 1e-6
-        # relative, the noise of eig's vectors (3.7e-7 at worst here, on
-        # the current model at N = 64, gamma = 0)
+        # within 1e-12 of the spectral radius both ways and row by row (real
+        # roots exactly real, conjugate pairs exact, as eig's), the same
+        # flags and labels, and |B* phi| of the stabilizable modes within
+        # 1e-6 relative, the noise of eig's vectors (3.7e-7 at worst here,
+        # on the current model at N = 64, gamma = 0)
         params = toy_parameters(gamma=gamma)
         asm = build(params, build_grid(params.L, n))
         report = closed_loop_spectrum(asm, gain)
@@ -319,6 +320,7 @@ class TestClosedLoop:
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
         assert _set_distance(report.eigenvalues, w) <= 1e-12 * np.abs(w).max()
+        np.testing.assert_allclose(report.eigenvalues, w, rtol=0, atol=1e-12 * np.abs(w).max())
         bstar_abs = np.abs(asm.reference.coupling @ v)
         stabilizable, block = spectral._mode_table(
             bstar_abs, *spectral._column_norms(v, asm.reduction.mechanical))
