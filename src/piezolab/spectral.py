@@ -418,9 +418,10 @@ class _OpenLoop:
     (|g^T x|, ||x||, ||x[mech]||) and ``coupling`` c = x^H g of each
     eigenvector x, read from the blocks' own solves (:class:`_Part`) and
     sorted with them; ``values`` adds the real parts, formed on the first
-    read.  ``mode(j)`` builds the j-th eigenvector as a new (dim,) array,
-    and :meth:`mech_norms` reads the mechanical parts of combinations of
-    them, so no (dim, dim) array of sorted or placed vectors is formed.
+    read.  These arrays are read-only, since every caller shares them.
+    ``mode(j)`` builds the j-th eigenvector as a new (dim,) array, and
+    :meth:`mech_norms` reads the mechanical parts of combinations of them,
+    so no (dim, dim) array of sorted or placed vectors is formed.
     """
 
     def __init__(self, parts: list):
@@ -431,12 +432,16 @@ class _OpenLoop:
         self.facts = tuple(np.concatenate(fact)[self._order]
                            for fact in zip(*(part.facts for part in parts)))
         self.coupling = np.concatenate([part.coupling for part in parts])[self._order]
+        for arr in (self.omega, self.coupling, *self.facts):
+            arr.setflags(write=False)
 
     @cached_property
     def values(self) -> np.ndarray:
         w = np.concatenate([part.values for part in self._parts])
         w.real = np.concatenate([part.real_parts() for part in self._parts])
-        return w[self._order]
+        w = w[self._order]
+        w.setflags(write=False)
+        return w
 
     def mode(self, j: int) -> np.ndarray:
         i = self._order[j]
