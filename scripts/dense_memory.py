@@ -10,12 +10,13 @@ the six-field models), it builds the assembly and prints, in MiB:
   M, R, S and g) keeps once formed;
 * ``ref_peak``: the traced peak while it is formed, above the traced memory
   before (so it includes ``ref_kept``);
-* ``spectrum``, ``closed_loop``, ``modal`` and ``shifts``: the traced peak
-  of ``compute_spectrum``, ``closed_loop_spectrum``, the modal start
-  ``dynamics.modal_state(asm, 0)`` and ``closed_loop_mode_shifts`` at gain
-  GAIN, each above the traced memory at its start, with the reference
-  already formed.  The four share the assembly's one open-loop solve; it
-  is dropped before each call, so each solves S as a first call on a new
+* ``spectrum``, ``closed_loop``, ``modal``, ``shifts`` and ``kernel``: the
+  traced peak of ``compute_spectrum``, ``closed_loop_spectrum``, the modal
+  start ``dynamics.modal_state(asm, 0)``, ``closed_loop_mode_shifts`` at
+  gain GAIN and ``kernel_basis``, each above the traced memory at its
+  start, with the reference already formed.  The five share the
+  assembly's one open-loop solve (``spectral.open_loop_modes``); it is
+  dropped before each call, so each solves S as a first call on a new
   assembly would;
 * beside each of those, ``s``: the wall seconds of one more call of it
   with tracing off, and ``by``: the route of its dense solve
@@ -59,13 +60,13 @@ from piezolab.errors import SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
-                               compute_spectrum, solve_route)
+                               compute_spectrum, kernel_basis, solve_route)
 from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 
 MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
           "electrostatic": assemble_electrostatic}
-COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts")
-SOLVED = ("spectrum", "closed_loop", "modal", "shifts")  # the columns with a route beside
+COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts", "kernel")
+SOLVED = COLUMNS[2:]  # the columns with a route beside
 MIB = 2.0 ** 20
 GAIN = 1.0
 
@@ -99,7 +100,7 @@ def _timed(call) -> float:
 def _routes(asm) -> tuple:
     """The dense solve routes of the SOLVED calls on one assembly."""
     route = solve_route(asm.reference.s, asm.reduction)
-    return route, route + "+roots", route, route
+    return route, route + "+roots", route, route, route
 
 
 def measure(n_cells: int) -> list:
@@ -118,7 +119,8 @@ def measure(n_cells: int) -> list:
                 calls = (lambda: compute_spectrum(asm),
                          lambda: closed_loop_spectrum(asm, GAIN),
                          lambda: modal_state(asm, 0),
-                         lambda: closed_loop_mode_shifts(asm, GAIN))
+                         lambda: closed_loop_mode_shifts(asm, GAIN),
+                         lambda: kernel_basis(asm))
 
                 def cold(call):
                     asm.__dict__.pop("open_loop", None)  # the kept solve, before the start

@@ -41,7 +41,7 @@ from .errors import (ConfigParseError, GaugeDrift, GaugeViolation, LinearSolveFa
                      NonFiniteState)
 from .generator import ENERGY_PARTS, GeneratorAssembly, SplitGenerator, gram_product
 from .model import build_grid, default_dt
-from .spectral import ZERO_MODE_REL_TOL, checked_gain, lift_modes, open_loop_modes
+from .spectral import checked_gain, lift_modes, open_loop_modes
 from .variants import build_system
 
 TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
@@ -380,25 +380,24 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
                 amplitude: float = 1.0) -> np.ndarray:
     """Real standing-wave state from the mode_index-th oscillatory pair.
 
-    Builds the one energy-coordinate eigenvector of the positive-imaginary
-    member from its block's solve (the ``mode`` getter of
-    :func:`~piezolab.spectral.open_loop_modes`; no other vector is built),
-    scaled so that its largest-modulus component (the first on a tie) is
-    real and positive, whichever solver gave it; the state is the lift of
-    its real part (the real part of its lift, as T R^{-1} is real),
-    renormalized to M-norm ``amplitude``.  That part is never zero: the
-    scaled vector has a nonzero real part, and the lift is injective.
-    Kernel modes are skipped.  A negative or too large mode_index raises
+    The pair is the mode_index-th of the ``pairs`` of the modal object
+    (:func:`~piezolab.spectral.open_loop_modes`), whose ``mode`` getter
+    builds the one energy-coordinate eigenvector of its positive-imaginary
+    member (no other vector is built), scaled so that its largest-modulus
+    component (the first on a tie) is real and positive, whichever solver
+    gave it; the state is the lift of its real part (the real part of its
+    lift, as T R^{-1} is real), renormalized to M-norm ``amplitude``.  That
+    part is never zero: the scaled vector has a nonzero real part, and the
+    lift is injective.  A negative or too large mode_index raises
     :class:`ConfigParseError`, as does a state dimension above
     :data:`~piezolab.generator.DENSE_DIM_GUARD` (the eigenvectors come from
     the dense reference), before any dense array.
     """
-    omega, mode = open_loop_modes(assembly)
-    scale = max(float(np.max(np.abs(omega))), 1.0)
-    pos = np.flatnonzero(omega > ZERO_MODE_REL_TOL * scale)
-    if not 0 <= mode_index < pos.size:
-        raise ConfigParseError(f"mode_index {mode_index} out of range ({pos.size} pairs)")
-    x = mode(pos[mode_index])
+    solve = open_loop_modes(assembly)
+    pairs = solve.pairs
+    if not 0 <= mode_index < pairs.size:
+        raise ConfigParseError(f"mode_index {mode_index} out of range ({pairs.size} pairs)")
+    x = solve.mode(pairs[mode_index])
     top = x[np.argmax(np.abs(x))]
     y = lift_modes(assembly, np.real(x * (np.conj(top) / abs(top))))
     m = assembly.reference.m

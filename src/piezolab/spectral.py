@@ -50,11 +50,11 @@ Each block is formed only when it is solved, and a block that is all of S
 goes to its solver without a copy.  The spectra and the shifts read only
 each mode's facts |g^T x|, ||x|| and ||x[mech]||, which every block's own
 solve gives before any sort; an eigenvector is built only when asked for,
-one new vector at a time, by the ``mode`` getter of :func:`_blockwise`
-(:func:`open_loop_modes`), so no solve forms a (dim, dim) array of sorted
-or placed eigenvectors.  The solve is kept on the assembly, so every
-spectral call on it shares one (:func:`_open_loop`).  :func:`solve_route`
-names the route of a matrix.
+one new vector at a time, by the ``mode`` getter of the solve, so no solve
+forms a (dim, dim) array of sorted or placed eigenvectors.  The solve is
+kept on the assembly as its one modal object (:func:`open_loop_modes`),
+which every spectral call reads, the kernel basis too, so S is factored
+once.  :func:`solve_route` names the route of a matrix.
 
 The closed loop S - k g g^T is a rank-one update of S, solved in the
 eigenbasis of the skew part without an eigensolve of its own.  Its
@@ -411,15 +411,22 @@ def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
                  column, mech_squares, real_parts)
 
 
-class _OpenLoop:
+def _zero_modes(values: np.ndarray) -> np.ndarray:
+    """Which values are zero modes: |value| <= ZERO_MODE_REL_TOL times the largest."""
+    return np.abs(values) <= ZERO_MODE_REL_TOL * np.max(np.abs(values), initial=0.0)
+
+
+class OpenLoopModes:
     """The eigenpairs of an open-loop S, in spectrum order (:func:`_sort_order`).
 
     ``omega`` holds the imaginary parts of the eigenvalues, ``facts``
     (|g^T x|, ||x||, ||x[mech]||) and ``coupling`` c = x^H g of each
     eigenvector x, read from the blocks' own solves (:class:`_Part`) and
     sorted with them; ``values`` adds the real parts, formed on the first
-    read.  These arrays are read-only, since every caller shares them.
-    ``mode(j)`` builds the j-th eigenvector as a new (dim,) array, and
+    read.  ``kernel`` indexes the zero modes (:func:`_zero_modes` of omega)
+    and ``pairs`` the modes with omega above them, in ascending omega.
+    These arrays are read-only, since every caller shares them.  ``mode(j)``
+    builds the j-th eigenvector as a new (dim,) array, and
     :meth:`mech_norms` reads the mechanical parts of combinations of them,
     so no (dim, dim) array of sorted or placed vectors is formed.
     """
@@ -432,7 +439,10 @@ class _OpenLoop:
         self.facts = tuple(np.concatenate(fact)[self._order]
                            for fact in zip(*(part.facts for part in parts)))
         self.coupling = np.concatenate([part.coupling for part in parts])[self._order]
-        for arr in (self.omega, self.coupling, *self.facts):
+        zero = _zero_modes(self.omega)
+        self.kernel = np.flatnonzero(zero)
+        self.pairs = np.flatnonzero(~zero & (self.omega > 0))
+        for arr in (self.omega, self.coupling, self.kernel, self.pairs, *self.facts):
             arr.setflags(write=False)
 
     @cached_property
@@ -456,7 +466,7 @@ class _OpenLoop:
                            for part, start in zip(self._parts, self._starts)))
 
 
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray) -> _OpenLoop:
+def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray) -> OpenLoopModes:
     """The eigenpairs of an open-loop S, solved block by block (:func:`_plan`).
 
     A bipartite block is solved by one SVD (:func:`_svd_block`), any other
@@ -467,36 +477,24 @@ def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray) -> _OpenLoop:
     ValueError.
     """
     mech = reduction.mechanical
-    return _OpenLoop([_svd_block(s, *halves, coupling, mech) if halves
-                      else _skew_block(s, idx, coupling, mech)
-                      for idx, halves in _plan(s, reduction)])
+    return OpenLoopModes([_svd_block(s, *halves, coupling, mech) if halves
+                          else _skew_block(s, idx, coupling, mech)
+                          for idx, halves in _plan(s, reduction)])
 
 
-def _open_loop(assembly: GeneratorAssembly) -> _OpenLoop:
-    """The solve of the assembly's S, formed on the first call and kept.
+def open_loop_modes(assembly: GeneratorAssembly) -> OpenLoopModes:
+    """The modes of the assembly's S (:class:`OpenLoopModes`), solved once and kept.
 
-    It is kept on the assembly as its dense reference is
+    They are kept on the assembly as its dense reference is
     (:attr:`~piezolab.generator.GeneratorAssembly.reference`), so every
-    spectral call on one assembly shares one solve.
+    spectral call on one assembly shares one solve (:func:`_blockwise`).
+    The unit M-norm mode of an eigenvector v is T R^{-1} v (:func:`lift_modes`).
     """
     kept = assembly.__dict__
     if "open_loop" not in kept:
         ref = assembly.reference
         kept["open_loop"] = _blockwise(ref.s, assembly.reduction, ref.coupling)
     return kept["open_loop"]
-
-
-def open_loop_modes(assembly: GeneratorAssembly) -> tuple:
-    """(omega, mode) of S in spectrum order, without a mode table.
-
-    omega holds the imaginary parts of the eigenvalues of
-    :func:`compute_spectrum`, whose real parts are not formed here;
-    ``mode(j)`` builds the energy-coordinate eigenvector v of eigenvalue j
-    as a new vector, whose unit M-norm mode is T R^{-1} v
-    (:func:`lift_modes`).
-    """
-    solve = _open_loop(assembly)
-    return solve.omega, solve.mode
 
 
 def lift_modes(assembly: GeneratorAssembly, v: np.ndarray) -> np.ndarray:
@@ -509,7 +507,7 @@ def _build_report(w: np.ndarray, facts: tuple) -> SpectrumReport:
     """The report of eigenvalues w in spectrum order, with the facts of their vectors."""
     bstar_abs, norms, mech_norms = facts
     g_norm = float(np.max(np.abs(w))) if len(w) else 0.0
-    kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_MODE_REL_TOL * g_norm))
+    kernel_dim = int(np.count_nonzero(_zero_modes(w)))
     stabilizable, block = _mode_table(bstar_abs, norms, mech_norms)
     return SpectrumReport(eigenvalues=w, max_abs_real=float(np.max(np.abs(w.real))),
                           kernel_dimension=kernel_dim, bstar_abs=bstar_abs,
@@ -526,7 +524,7 @@ def compute_spectrum(assembly: GeneratorAssembly) -> SpectrumReport:
     bipartite block, so ``max_abs_real`` is the largest first-order real
     part of S's pairs.
     """
-    solve = _open_loop(assembly)
+    solve = open_loop_modes(assembly)
     return _build_report(solve.values, solve.facts)
 
 
@@ -541,16 +539,16 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumRe
     """Spectrum of the collocated-feedback generator G - gain * b (b^T M).
 
     In energy coordinates that is S - gain g g^T, a rank-one update of S,
-    so it is read from the open-loop solve of S (:func:`_blockwise`) with
-    no eigensolve of its own.  Each mode's eigenvalue is its root of the
-    secular equation (:func:`_closed_loop_roots`): a mode with
+    so it is read from the open-loop solve of S (:func:`open_loop_modes`)
+    with no eigensolve of its own.  Each mode's eigenvalue is its root of
+    the secular equation (:func:`_closed_loop_roots`): a mode with
     gain |c|^2 = 0 keeps lam = i omega and its open-loop facts.  The
     eigenvector of any other root lam is x = sum_l z_l x_l over the
     open-loop eigenvectors x_l, z_l = c_l/(lam - i omega_l) with
     c_l = x_l^H g (Bunch, Nielsen and Sorensen, Numer. Math. 31 (1978)
     31-48), scaled to ||x|| = ||z|| = 1, whose facts are
     |g^T x| = |sum_l conj(c_l) z_l| and ||x[mech]||
-    (:meth:`_OpenLoop.mech_norms`), TABLE_BLOCK roots at a time.
+    (:meth:`OpenLoopModes.mech_norms`), TABLE_BLOCK roots at a time.
 
     Collocated feedback keeps the spectrum in the closed left half plane;
     the eigenvalues are returned unchecked, so a caller can report a
@@ -559,7 +557,7 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumRe
     ABERTH_MAX_SWEEPS sweeps raises SecularNotConverged.
     """
     gain = checked_gain(gain)
-    solve = _open_loop(assembly)
+    solve = open_loop_modes(assembly)
     c, omega, weight = solve.coupling, solve.omega, solve.facts[0] ** 2
     lam = _closed_loop_roots(omega, weight, gain)
     bstar_abs, norms, mech_norms = (fact.copy() for fact in solve.facts)
@@ -582,13 +580,12 @@ def closed_loop_spectrum(assembly: GeneratorAssembly, gain: float) -> SpectrumRe
 def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     """Per-mode closed-loop eigenvalues from the rank-one secular equation.
 
-    Returns (omega, lam, coupling, dominant_block) for the open-loop modes
-    with omega above ZERO_MODE_REL_TOL times the largest |omega|, which
-    leaves out the kernel whatever the sign of its rounding, sorted by
-    omega: the positive-frequency view of the roots of
-    :func:`closed_loop_spectrum`.  Each mode is an eigenvector x of the
-    assembly's open-loop solve (:func:`_blockwise`), a unit eigenvector of
-    the skew part of S, and omega its imaginary part: lam[j] is the root of
+    Returns (omega, lam, coupling, dominant_block) for the ``pairs`` of the
+    assembly's modal object (:func:`open_loop_modes`), which leave out the
+    kernel whatever the sign of its rounding, in ascending omega: the
+    positive-frequency view of the roots of :func:`closed_loop_spectrum`.
+    Each mode is an eigenvector x of that solve, a unit eigenvector of the
+    skew part of S, and omega its imaginary part: lam[j] is the root of
     1 + gain * sum_l |c_l|^2/(lam - i w_l) = 0 started from mode j
     (:func:`_closed_loop_roots`), accurate far below the dense-eig noise
     floor; coupling[j] = |c_j| = |g^T x_j| is |B* phi| of its unit M-norm
@@ -598,12 +595,10 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     raises ValueError, as does an S that is not finite.
     """
     gain = checked_gain(gain)
-    solve = _open_loop(assembly)
-    omega_all, (c, norms, mech_norms) = solve.omega, solve.facts
-    pos = np.where(omega_all > ZERO_MODE_REL_TOL * np.max(np.abs(omega_all)))[0]
-    pos = pos[np.argsort(omega_all[pos])]
-    lam = _closed_loop_roots(omega_all, c ** 2, gain)
-    return (omega_all[pos], lam[pos], c[pos],
+    solve = open_loop_modes(assembly)
+    (c, norms, mech_norms), pos = solve.facts, solve.pairs
+    lam = _closed_loop_roots(solve.omega, c ** 2, gain)
+    return (solve.omega[pos], lam[pos], c[pos],
             _dominant_block(mech_norms[pos] ** 2 / norms[pos] ** 2))
 
 
@@ -687,13 +682,16 @@ def kernel_basis(assembly: GeneratorAssembly):
     """M-orthonormal basis of the kernel of G on the constrained subspace.
 
     Returns an array of full-state columns; contains the rigid translation
-    (constant y4).  Computed from the singular values of the energy-coordinate
-    similarity of G_red that lie below ZERO_MODE_REL_TOL times the largest.
+    (constant y4).  They lift the ``kernel`` modes of :func:`open_loop_modes`,
+    null vectors that are real and orthonormal by construction ((u; 0) or
+    (0; v) of a rectangular Bs, a column of Q on the skew route).  A zero
+    mode that is not real (a pair at +- i 0) raises ValueError.
     """
-    _, sing, vt = np.linalg.svd(assembly.reference.s)
-    scale = sing[0] if len(sing) else 0.0
-    null_mask = sing <= ZERO_MODE_REL_TOL * scale
-    return lift_modes(assembly, vt[null_mask].T)  # orthonormal v: M-orthonormal
+    solve = open_loop_modes(assembly)
+    v = np.array([solve.mode(j) for j in solve.kernel]).reshape(-1, len(solve.omega)).T
+    if np.any(v.imag):
+        raise ValueError("a zero mode of S is not real")
+    return lift_modes(assembly, v.real)
 
 
 @dataclass(frozen=True)

@@ -510,11 +510,11 @@ class TestModalState:
         # positive, bit for bit, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
-        omega, mode = spectral.open_loop_modes(asm)
-        np.testing.assert_array_equal(omega, report.eigenvalues.imag)
+        solve = spectral.open_loop_modes(asm)
+        np.testing.assert_array_equal(solve.omega, report.eigenvalues.imag)
         pos = np.flatnonzero(report.eigenvalues.imag
                              > 1e-10 * max(report.g_norm, 1.0))
-        x = mode(pos[2])
+        x = solve.mode(pos[2])
         k = int(np.argmax(np.abs(x)))
         x = x * (np.conj(x[k]) / abs(x[k]))
         assert x[k].real > 0.0 and abs(x[k].imag) <= 1e-16 * abs(x[k])

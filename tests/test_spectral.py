@@ -12,7 +12,7 @@ import scipy.linalg
 
 from piezolab import acceptance, cli, generator, spectral
 from piezolab.config import toy_config_dict
-from piezolab.dynamics import default_dt, run
+from piezolab.dynamics import default_dt, modal_state, run
 from piezolab.errors import DegenerateWindow, SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import block_slices, build_grid, toy_parameters, validate_parameters
@@ -50,9 +50,9 @@ def _set_distance(a, b):
 def _all_modes(asm):
     """The spectrum's eigenvalues, and every eigenvector open_loop_modes
     builds, as the columns of v."""
-    omega, mode = open_loop_modes(asm)
+    solve = open_loop_modes(asm)
     return (compute_spectrum(asm).eigenvalues,
-            np.column_stack([mode(j) for j in range(len(omega))]))
+            np.column_stack([solve.mode(j) for j in range(len(solve.omega))]))
 
 
 def _positive_branch(report, block):
@@ -74,12 +74,12 @@ class TestOpenLoopSpectrum:
 
     def test_eigenpair_residual(self):
         asm, report = _report(32)
-        omega, mode = open_loop_modes(asm)
-        np.testing.assert_array_equal(omega, report.eigenvalues.imag)
+        solve = open_loop_modes(asm)
+        np.testing.assert_array_equal(solve.omega, report.eigenvalues.imag)
         m, g = asm.reference.m, _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
-            phi = spectral.lift_modes(asm, mode(j))
+            phi = spectral.lift_modes(asm, solve.mode(j))
             res = g @ phi - lam * phi
             num = np.sqrt(abs(np.vdot(res, m @ res).real))
             den = np.sqrt(abs(np.vdot(phi, m @ phi).real))
@@ -123,6 +123,44 @@ class TestKernel:
                                       eps3=1, mu=1, h=1, L=1))
         asm2 = assemble_generator(p2, build_grid(1.0, 32))
         assert compute_spectrum(asm2).kernel_dimension == 1
+
+    @pytest.mark.parametrize("n", (16, 64))
+    @pytest.mark.parametrize("gamma", (0.0, 1.0, -1.3))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_matches_the_svd_of_s(self, build, gamma, n):
+        # the oracle is the kernel of a full SVD of S: the right singular
+        # vectors whose values are at most ZERO_MODE_REL_TOL times the
+        # largest, lifted; the basis spans the same space, with real
+        # M-orthonormal columns
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, n))
+        ref = asm.reference
+        _, sing, vt = np.linalg.svd(ref.s)
+        want = spectral.lift_modes(asm, vt[sing <= spectral.ZERO_MODE_REL_TOL * sing[0]].T)
+        basis = kernel_basis(asm)
+        dim = compute_spectrum(asm).kernel_dimension
+        assert basis.shape == want.shape == (asm.dim, dim)
+        assert dim == (0 if build is assemble_electrostatic else 1)
+        assert basis.dtype == np.float64
+        np.testing.assert_allclose(basis.T @ ref.m @ basis, np.eye(dim), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis @ (basis.T @ ref.m), want @ (want.T @ ref.m),
+                                   rtol=0, atol=1e-13)
+
+    def test_a_zero_pair_raises(self):
+        # a zero row of the square field block of Bs at gamma = 0 puts a
+        # pair at +- i 0, whose vectors are not real: the real parts alone
+        # would span half of its kernel
+        asm = _system("gamma0", 16)
+        ref, red = asm.reference, asm.reduction
+        _, (_, (p, q)) = spectral._plan(ref.s, red)
+        s = ref.s.copy()
+        s[p[4], q] = s[q, p[4]] = 0.0
+        asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
+        assert len(open_loop_modes(asm).kernel) == 3
+        with pytest.raises(ValueError, match="a zero mode of S is not real"):
+            kernel_basis(asm)
 
 
 class TestStabilizability:
@@ -584,7 +622,7 @@ class TestBipartiteRoute:
         assert report.kernel_dimension == 1
         assert report.eigenvalues[0] == 0.0
         assert report.dominant_block[0] == "mechanical"
-        v = open_loop_modes(asm)[1](0)
+        v = open_loop_modes(asm).mode(0)
         assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
 
     def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
@@ -600,7 +638,7 @@ class TestBipartiteRoute:
         for asm in systems:
             compute_spectrum(asm)
             closed_loop_mode_shifts(asm, 1.0)
-            open_loop_modes(asm)[1](0)
+            open_loop_modes(asm).mode(0)
             closed_loop_spectrum(asm, 1.0)
         assert calls == ["svd", "svd", "svd", "skew", "skew"]
 
@@ -805,7 +843,7 @@ class TestSortedSolves:
         # the getter builds each vector anew, so changing one leaves the next
         # call alone, on the one-block eig route as on the bipartite one
         for asm in (_report(16)[0], _system("electrostatic", 16)):
-            mode = open_loop_modes(asm)[1]
+            mode = open_loop_modes(asm).mode
             x = mode(3)
             want = x.copy()
             x[:] = 0.0
@@ -863,12 +901,12 @@ class TestDenseMemoryScript:
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
             seconds = [float(cell) for cell, name in zip(row[3:], header) if name == "s"]
             assert len(seconds) == len(script.SOLVED) and min(seconds) >= 0.0
-        # (spectrum, closed loop, modal start, shifts) routes: bipartite
-        # blocks by SVD, any other by its skew part, and the closed loop by
-        # the roots of its secular equation on that solve
+        # (spectrum, closed loop, modal start, shifts, kernel) routes:
+        # bipartite blocks by SVD, any other by its skew part, and the closed
+        # loop by the roots of its secular equation on that solve
         routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
                   for row in rows]
-        assert routes == [(route, route + "+roots", route, route)
+        assert routes == [(route, route + "+roots", route, route, route)
                           for route in ("svd+svd", "skew") * 2 + ("svd", "svd")]
 
 
@@ -876,20 +914,37 @@ class TestEnergyReference:
     """Every spectral path reads one dense reference per assembly."""
 
     def test_one_cholesky_for_every_spectral_call(self, monkeypatch):
+        # one Cholesky and one open-loop solve (one reduction per block of
+        # its route) serve every spectral call, and no call factors S again
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return scipy.linalg.cholesky(*args, **kwargs)
 
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
         monkeypatch.setattr(generator, "cholesky", counting)
-        asm = assemble_generator(TOY, build_grid(1.0, 16))
-        compute_spectrum(asm)
-        closed_loop_spectrum(asm, 0.5)
-        closed_loop_mode_shifts(asm, 0.5)
-        open_loop_modes(asm)
-        kernel_basis(asm)
-        assert calls == [(4 * 16 - 1,) * 2]
+        solves = _count_solves(monkeypatch)
+        for module, name in ((np.linalg, "svd"), (scipy.linalg, "eig"), (np.linalg, "eigh")):
+            monkeypatch.setattr(module, name, refused(name))
+        for gamma, route in ((0.0, ["svd", "svd"]), (1.0, ["skew"])):
+            calls.clear()
+            solves.clear()
+            params = toy_parameters(gamma=gamma)
+            asm = assemble_generator(params, build_grid(1.0, 16))
+            compute_spectrum(asm)
+            closed_loop_spectrum(asm, 0.5)
+            closed_loop_mode_shifts(asm, 0.5)
+            open_loop_modes(asm)
+            kernel_basis(asm)
+            modal_state(asm, 1)
+            assert calls == [(4 * 16 - 1,) * 2]
+            assert solves == route
+            assert "+".join(route) == spectral.solve_route(asm.reference.s, asm.reduction)
 
     @pytest.mark.parametrize("params", (TOY, NON_UNIT, toy_parameters(gamma=0.0),
                                         BOX_CORNER),
