@@ -149,16 +149,20 @@ class TestKernel:
                                    rtol=0, atol=1e-13)
 
     def test_a_zero_pair_raises(self):
-        # a zero row of the square field block of Bs at gamma = 0 puts a
-        # pair at +- i 0, whose vectors are not real: the real parts alone
-        # would span half of its kernel
+        # a row of 1e-300 in the square field block of Bs at gamma = 0 puts a
+        # pair at +- i sigma, sigma far below the threshold: both members are
+        # zero modes, none is in pairs, and their vectors are not real, so
+        # the real parts alone would span half of the kernel
         asm = _system("gamma0", 16)
         ref, red = asm.reference, asm.reduction
         _, (_, (p, q)) = spectral._plan(ref.s, red)
         s = ref.s.copy()
-        s[p[4], q] = s[q, p[4]] = 0.0
+        s[p[4], q] = 1e-300
+        s[q, p[4]] = -1e-300
         asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
-        assert len(open_loop_modes(asm).kernel) == 3
+        solve = open_loop_modes(asm)
+        assert len(solve.kernel) == 3 and np.count_nonzero(solve.omega[solve.kernel] > 0) == 1
+        assert len(solve.pairs) == (len(solve.omega) - 3) // 2
         with pytest.raises(ValueError, match="a zero mode of S is not real"):
             kernel_basis(asm)
 
@@ -928,9 +932,9 @@ class TestEnergyReference:
             return call
 
         monkeypatch.setattr(generator, "cholesky", counting)
-        solves = _count_solves(monkeypatch)
-        for module, name in ((np.linalg, "svd"), (scipy.linalg, "eig"), (np.linalg, "eigh")):
-            monkeypatch.setattr(module, name, refused(name))
+        solves = _count_solves(monkeypatch)  # scipy.linalg.eig raises too
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refused(name))
         for gamma, route in ((0.0, ["svd", "svd"]), (1.0, ["skew"])):
             calls.clear()
             solves.clear()
