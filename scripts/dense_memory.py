@@ -7,9 +7,12 @@ gamma = 0 and gamma = 1 on N cells (default 256, state dimension 4N - 1 of
 the six-field models), it builds the assembly and prints, in MiB:
 
 * ``ref_kept``: what the dense reference (``GeneratorAssembly.reference``:
-  M, R, S and g) keeps once formed;
+  R, S and g, and the dense P_xi it reads, kept on the operators) keeps
+  once formed;
 * ``ref_peak``: the traced peak while it is formed, above the traced memory
   before (so it includes ``ref_kept``);
+* ``ref_s``: the wall seconds of forming it once more with tracing off, as
+  a first read on a new assembly would (the kept P_xi dropped too);
 * ``spectrum``, ``closed_loop``, ``modal``, ``shifts`` and ``kernel``: the
   traced peak of ``compute_spectrum``, ``closed_loop_spectrum``, the modal
   start ``dynamics.modal_state(asm, 0)``, ``closed_loop_mode_shifts`` at
@@ -103,9 +106,17 @@ def _routes(asm) -> tuple:
     return route, route + "+roots", route, route, route
 
 
+def _cold_reference(asm):
+    """The reference formed again, with the kept one, its solve and P_xi dropped."""
+    asm.__dict__.pop("reference", None)
+    asm.__dict__.pop("open_loop", None)
+    asm.ops.__dict__.pop("p_dense", None)
+    return asm.reference
+
+
 def measure(n_cells: int) -> list:
-    """One row per (model, gamma): model, gamma, dim, the COLUMNS, and
-    whether each raised, the seconds and the routes of the SOLVED calls."""
+    """One row per (model, gamma): model, gamma, dim, the COLUMNS, ref_s, and
+    whether each SOLVED call raised, its seconds and its route."""
     rows = []
     tracemalloc.start()
     try:
@@ -126,9 +137,10 @@ def measure(n_cells: int) -> list:
                     asm.__dict__.pop("open_loop", None)  # the kept solve, before the start
                     return call
                 peaks, raised = zip(*(_traced(cold(call)) for call in calls))
+                ref_s = _timed(lambda: _cold_reference(asm))
                 seconds = tuple(_timed(cold(call)) for call in calls)
                 rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             *peaks, raised, seconds, _routes(asm)))
+                             *peaks, ref_s, raised, seconds, _routes(asm)))
                 del asm, calls, cold
     finally:
         tracemalloc.stop()
@@ -145,10 +157,12 @@ def main(argv=None) -> int:
     print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start; "
           f"s, wall seconds untraced")
     print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
-          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<13}" if c in SOLVED else "")
+          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<13}" if c in SOLVED
+                                   else f" {'ref_s':>7}" if c == "ref_peak" else "")
                      for c in COLUMNS))
-    for name, gamma, dim, *values, raised, seconds, routes in measure(args.n_cells):
+    for name, gamma, dim, *values, ref_s, raised, seconds, routes in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
+        cells[COLUMNS.index("ref_peak")] += f" {ref_s:7.3f}"
         solved = range(len(COLUMNS) - len(SOLVED), len(COLUMNS))
         for i, wall, route, failed in zip(solved, seconds, routes, raised):
             if failed:

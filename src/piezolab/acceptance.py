@@ -25,7 +25,7 @@ from .config import time_steps
 from .dynamics import (ENERGY_DRIFT_TOL, GAUGE_BOUND_TOL, admissibility_estimate,
                        default_dt, modal_state, run)
 from .errors import ConfigParseError
-from .generator import assemble_generator, dense_skew_defect
+from .generator import assemble_generator, dense_skew_defect, gram_product
 from .model import build_grid, toy_parameters, validate_parameters
 from .operators import build_operators, p_xi_identity_check
 from .spectral import (IMAGINARY_AXIS_TOL, STABILIZABLE_TOL, closed_loop_mode_shifts,
@@ -304,11 +304,11 @@ def check_kernel_audit() -> CheckResult:
         dims[n] = basis.shape[1]
         y_tr = np.zeros(asm.dim)
         y_tr[asm.blocks["y4"]] = 1.0
-        m = asm.reference.m
-        y_tr = y_tr / np.sqrt(float(y_tr @ m @ y_tr))
-        coeff = basis.T @ (m @ y_tr)
+        m = functools.partial(gram_product, asm.energy_parts)  # y -> M y
+        y_tr = y_tr / np.sqrt(float(y_tr @ m(y_tr)))
+        coeff = basis.T @ m(y_tr)
         resid = y_tr - basis @ coeff
-        worst_proj = max(worst_proj, float(np.sqrt(abs(resid @ m @ resid))))
+        worst_proj = max(worst_proj, float(np.sqrt(abs(resid @ m(resid)))))
     reproducible = len(set(dims.values())) == 1
     passed = reproducible and worst_proj <= 1e-8
     details = (f"measured kernel dimension {dims} on the constrained subspace; "

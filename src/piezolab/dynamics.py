@@ -400,8 +400,7 @@ def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,
     x = solve.mode(pairs[mode_index])
     top = x[np.argmax(np.abs(x))]
     y = lift_modes(assembly, np.real(x * (np.conj(top) / abs(top))))
-    m = assembly.reference.m
-    return (amplitude / np.sqrt(float(y @ m @ y))) * y
+    return (amplitude / np.sqrt(float(y @ gram_product(assembly.energy_parts, y)))) * y
 
 
 def _tabulated_state(rows, assembly: GeneratorAssembly) -> np.ndarray:

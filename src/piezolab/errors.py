@@ -38,6 +38,15 @@ class AssemblyInconsistent(PiezolabError, RuntimeError):
     """An assembled operator failed its structural certificate (e.g. skewness)."""
 
 
+class FreeBlockCoupling(AssemblyInconsistent):
+    """The reduced Gram matrix is not block diagonal over the free blocks.
+
+    The dense reference factors M_red one free block at a time, so an entry
+    between two free blocks, or a nonlocal part that is not one free block,
+    is refused rather than factored.
+    """
+
+
 class SolverFailure(PiezolabError, RuntimeError):
     """An elliptic solve failed; cannot happen for a well-posed factorization."""
 

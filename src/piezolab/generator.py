@@ -61,9 +61,12 @@ on probe certificates: for a few seeded random probes z it applies G and
 G^T through the split, with banded solves of A, and M part by part, and
 checks M G z + G^T (M z) = 0 and that w = G T z lies on the gauge manifold.
 The dense reference is :attr:`GeneratorAssembly.reference`, formed on the
-first read: M with its dense block c P_xi, and the energy-space system of
-the spectra, S = R G_red R^{-1} and g = R^{-T} T^T M b with
-M_red = R^T R.  Spectra, the kernel basis and modal starts read it, a time
+first read: the energy-space system of the spectra, S = R G_red R^{-1} and
+g = R^{-T} T^T M b with M_red = R^T R.  It is formed by the free blocks of
+the state, over which M_red is block diagonal: one Cholesky factor per
+free block, dense only in the block that carries c P_xi and banded in the
+others, and S only on the nonzero blocks of G_red; neither M nor M_red is
+formed dense.  Spectra, the kernel basis and modal starts read it, a time
 step never does.  A state dimension above DENSE_DIM_GUARD is refused there,
 and by the full-space skewness of :func:`dense_skew_defect`, before any
 dense array is formed.
@@ -76,10 +79,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky, cholesky_banded, solve_triangular
 from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dtbtrs
 
-from .errors import AssemblyInconsistent, ConfigParseError, NotPositiveDefinite
+from .errors import (AssemblyInconsistent, ConfigParseError, FreeBlockCoupling,
+                     NotPositiveDefinite)
 from .model import BeamParameters, StaggeredGrid, block_slices
 from .operators import DiscreteOperators, build_operators
 
@@ -105,8 +110,9 @@ class Reduction:
     identity, T fills each bound block by its operator, and ``bound`` names
     those blocks.  ``mechanical`` and ``velocity`` name reduced coordinates
     by their block, so the dense solves can split where the model does (see
-    :mod:`piezolab.spectral`).  The reduced Gram matrix and generator are
-    temporaries of the dense reference (:class:`DenseReference`).
+    :mod:`piezolab.spectral`).  The dense reference
+    (:class:`DenseReference`) forms the reduced Gram matrix and generator
+    only block by block, as temporaries.
     """
 
     t_map: sparse.csr_array  # lift to the full coordinates
@@ -157,18 +163,16 @@ class SplitGenerator:
              [-self.k, self.a]], format="csr")
         return aug[self.order][:, self.order]
 
-    def dense(self, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """G, or its ``rows``, as a dense array, given the dense P_xi ``p``.
+    def dense(self, p: np.ndarray) -> np.ndarray:
+        """G as a dense array, given the dense P_xi ``p``.
 
         A is block diagonal with one Helmholtz block per auxiliary field, so
         A^{-1} K is ``p`` applied to each block of rows of K.  Every product
-        is sparse times dense, and each row of G is formed alone, so the
-        rows come out as the same rows of the whole G.
+        is sparse times dense.
         """
         n = p.shape[0]
         pk = np.vstack([p @ self.k[i:i + n] for i in range(0, self.k.shape[0], n)])
-        g0, c = (self.g0, self.c) if rows is None else (self.g0[rows], self.c[rows])
-        return g0 + c @ pk
+        return self.g0 + self.c @ pk
 
     def apply(self, ops: DiscreteOperators, z: np.ndarray) -> np.ndarray:
         """G z, with A^{-1} applied by banded Cholesky solves; z may be a block."""
@@ -201,8 +205,9 @@ class HelmholtzInverse:
 
     A = I - xi lap_cc = R^T R is held by its banded Cholesky factor R in
     ``ops``, so x^T (c P_xi) x = c |R^{-T} x|^2 costs one banded triangular
-    solve and c P_xi x a banded Cholesky solve.  Only :func:`gram` places
-    the dense c P_xi, from ``ops.p_dense``, for the dense reference.
+    solve and c P_xi x a banded Cholesky solve.  Only :func:`gram` and the
+    dense reference's factor of its block (:func:`_block_factor`) place the
+    dense c P_xi, from ``ops.p_dense``.
     """
 
     c: float
@@ -273,7 +278,8 @@ def gram(parts: dict, dim: int) -> sparse.csr_array:
     (1/2) y[sl]^T F y[sl], and M is the sum of the parts placed on their
     diagonal blocks.  A form F is a diagonal given as a 1-D array, a sparse
     matrix, or a :class:`HelmholtzInverse`, whose dense c P_xi is placed;
-    that block makes M O(N^2), so only the dense reference forms it.
+    that block makes M O(N^2), so the dense reference forms M only from the
+    other parts (:func:`_block_factors`).
     """
     return sparse_blocks((dim, dim), [(sl, sl, _matrix(a)) for sl, a in parts.values()])
 
@@ -282,20 +288,142 @@ def gram(parts: dict, dim: int) -> sparse.csr_array:
 class DenseReference:
     """The dense reference of an assembly: its system in energy coordinates.
 
-    ``m`` is the Gram matrix with its dense block c P_xi, and ``r`` the
-    upper Cholesky factor of M_red = T^T M T (symmetrized) = R^T R.  ``s`` =
+    ``r`` is the upper Cholesky factor of M_red = T^T M T = R^T R, block
+    diagonal over the free blocks with exact zeros off them.  ``s`` =
     R G_red R^{-1} is the reduced generator G_red = (G T)[keep] in energy
-    coordinates, skew-symmetric up to rounding, and ``coupling`` = g =
-    R^{-T} T^T M b the influence there (one triangular solve, not the
-    rounding of R M_red^{-1} T^T M b), so the collocated closed loop is
-    S - k g g^T and B* T R^{-1} v = g^T v.  M_red, G_red and the dense G are
-    not kept: ``split.dense(ops.p_dense)`` forms G where it is wanted.
+    coordinates, skew-symmetric up to rounding, with exact zeros on every
+    block where G_red has none, and ``coupling`` = g = R^{-T} T^T M b the
+    influence there (triangular solves, not the rounding of
+    R M_red^{-1} T^T M b), so the collocated closed loop is S - k g g^T and
+    B* T R^{-1} v = g^T v.  No dense M, M_red, G_red or G is formed:
+    ``split.dense(ops.p_dense)`` forms G where it is wanted, and
+    :func:`gram_product` applies M.
     """
 
-    m: sparse.csr_array = field(repr=False)  # Gram matrix
     r: np.ndarray = field(repr=False)        # upper Cholesky factor of M_red
     s: np.ndarray = field(repr=False)        # R G_red R^{-1}
     coupling: np.ndarray = field(repr=False)  # g = R^{-T} T^T M b
+
+
+@dataclass(frozen=True)
+class _BlockFactor:
+    """The upper Cholesky factor R_i of one free block of M_red, in its own form.
+
+    ``upper`` is the dense factor of a block that holds a nonlocal part, and
+    otherwise the sparse banded factor, whose upper band is ``band`` in
+    LAPACK storage (a diagonal is a band of width 0).  Only the dense block
+    goes through BLAS-3.
+    """
+
+    upper: np.ndarray | sparse.csr_array
+    band: np.ndarray | None = None
+
+    def times(self, x) -> np.ndarray:
+        """R_i x for a dense or sparse x, as a dense array."""
+        out = self.upper @ x
+        return out.toarray() if sparse.issparse(out) else out
+
+    def solve_t(self, b: np.ndarray) -> np.ndarray:
+        """R_i^{-T} b for a 2-D array b."""
+        if self.band is None:
+            return solve_triangular(self.upper, b, trans="T")
+        return dtbtrs(self.band, b, trans="T")[0]  # R_i has a positive diagonal
+
+
+def _free_blocks(blocks: dict, red: Reduction) -> list:
+    """(full slice, reduced slice) of each distinct free block, in state order."""
+    spans = sorted({(sl.start, sl.stop) for name, sl in blocks.items()
+                    if name not in red.gauge})
+    return [(slice(lo, hi), slice(start, start + hi - lo))
+            for (lo, hi), start in ((span, int(np.searchsorted(red.keep, span[0])))
+                                    for span in spans)]
+
+
+def _block_factor(m_block: sparse.csr_array, forms: list) -> _BlockFactor:
+    """The factor of one free block: its local part m_block plus the nonlocal forms.
+
+    Dense (``cholesky``) with the forms' c P_xi added, else banded
+    (``cholesky_banded``) at the bandwidth of m_block's stored entries.
+    """
+    try:
+        if forms:
+            dense = m_block.toarray()
+            for form in forms:
+                dense += form.c * form.ops.p_dense
+            return _BlockFactor(cholesky(dense, lower=False))
+        coo = m_block.tocoo()
+        width = int(np.max(coo.col - coo.row, initial=0))
+        band = np.zeros((width + 1, m_block.shape[0]))
+        for k in range(width + 1):
+            band[width - k, k:] = m_block.diagonal(k)
+        band = cholesky_banded(band)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("Gram matrix on the constrained subspace "
+                                  "is not positive definite") from exc
+    upper = sparse.diags_array([band[width - k, k:] for k in range(width + 1)],
+                               offsets=list(range(width + 1)), format="csr")
+    return _BlockFactor(upper, band)
+
+
+def _block_factors(parts: dict, t: sparse.csr_array, free: list,
+                   label: np.ndarray) -> list:
+    """The Cholesky factor of each free block of M_red = T^T M T (:func:`_block_factor`).
+
+    M_red's local part is formed sparse, from every part but the nonlocal
+    ones; a nonlocal part c P_xi with c != 0 is added to its own free block
+    only, and one with c = 0 is left out.  An entry of M_red between two
+    free blocks (``label`` gives the block of each reduced coordinate, -1
+    for none), or a nonlocal part that is not one free block, raises
+    :class:`FreeBlockCoupling`.
+    """
+    local = {name: part for name, part in parts.items()
+             if not isinstance(part[1], HelmholtzInverse)}
+    helmholtz = [(name, sl, form) for name, (sl, form) in parts.items()
+                 if isinstance(form, HelmholtzInverse) and form.c != 0.0]
+    m_red = (t.T @ (gram(local, t.shape[0]) @ t)).tocsr()
+    rows, cols = m_red.nonzero()
+    if np.any(label < 0) or np.any(label[rows] != label[cols]):
+        raise FreeBlockCoupling("M_red has an entry between two free blocks")
+    full = [fs for fs, _ in free]
+    for name, sl, _ in helmholtz:
+        if sl not in full:
+            raise FreeBlockCoupling(f"the nonlocal part {name!r} is not one free block")
+    return [_block_factor(m_red[rs, rs], [form for _, sl, form in helmholtz if sl == fs])
+            for fs, rs in free]
+
+
+def _pairs(matrix: sparse.csr_array, row_label: np.ndarray, col_label: np.ndarray) -> set:
+    """The (row label, column label) pairs of the nonzero entries of ``matrix``."""
+    rows, cols = matrix.nonzero()
+    return set(zip(row_label[rows].tolist(), col_label[cols].tolist()))
+
+
+def _reduced_blocks(g0: sparse.csr_array, c: sparse.csr_array, kt: sparse.csr_array,
+                    ops: DiscreteOperators, free: list, label: np.ndarray):
+    """(i, j, G_ij) for each nonzero block of G_red = G0_red + C_red A^{-1} K_red.
+
+    G0_red = (G0 T)[keep], C_red = C[keep] and K_red = K T; ``label`` gives
+    the free block of each reduced coordinate.  A is block diagonal with one
+    Helmholtz block per auxiliary field, and a field reaches the block
+    (i, j) only if C_red holds a nonzero entry in (i, field) and K_red one in
+    (field, j); there it adds its dense C_red P_xi K_red.  Every other
+    block is G0_red's own, sparse, and a block none of them reaches is
+    not formed.
+    """
+    n = ops.n_cells
+    field = np.arange(kt.shape[0]) // n
+    k_pairs = _pairs(kt, field, label)
+    via = {}  # (i, j): the fields that reach the block
+    for i, f in sorted(_pairs(c, label, field)):
+        for j in sorted(j for h, j in k_pairs if h == f):
+            via.setdefault((i, j), []).append(f)
+    for i, j in sorted(_pairs(g0, label, label) | via.keys()):
+        rows, cols = free[i][1], free[j][1]
+        block = g0[rows, cols]
+        for f in via.get((i, j), ()):
+            aux = slice(f * n, (f + 1) * n)
+            block = block + c[rows, aux] @ (ops.p_dense @ kt[aux, cols])
+        yield i, j, block
 
 
 @dataclass(frozen=True)
@@ -349,29 +477,46 @@ class GeneratorAssembly:
     def reference(self) -> DenseReference:
         """The dense reference, formed on the first read and kept.
 
-        O(N^2) memory and O(N^3) time.  A state dimension above
-        DENSE_DIM_GUARD raises :class:`ConfigParseError` before any dense
-        array is formed; an M_red that is not positive definite raises
-        :class:`NotPositiveDefinite`.  G_red is taken from the free rows of
-        the dense G only, bit for bit the same rows of the whole G.  The
-        arrays are read-only, since every caller shares them.
+        Formed block by block over the free blocks of the state (the
+        blocks the gauge does not bind), over which M_red is block diagonal:
+        one Cholesky factor R_i per free block, dense where a nonlocal part
+        c P_xi (c != 0) lives and banded elsewhere (:class:`_BlockFactor`);
+        S_ij = R_i G_ij R_j^{-1} only on the nonzero blocks of G_red
+        (:func:`_reduced_blocks`), the others exact zeros; g_i =
+        R_i^{-T} (T^T M b)_i.  M and M_red are never dense: M_red's local
+        part is sparse, and P_xi is added to its one block.  O(N^2) memory;
+        O(N^3) time in the nonlocal block only, O(N^2) in the others.
+
+        A state dimension above DENSE_DIM_GUARD raises
+        :class:`ConfigParseError` before any dense array is formed; an M_red
+        with an entry between two free blocks, or a nonlocal part that is
+        not one free block, raises :class:`FreeBlockCoupling`, and one that
+        is not positive definite :class:`NotPositiveDefinite`.  The arrays
+        are read-only, since every caller shares them.
         """
         _guard_dense(self)
-        m = gram(self.energy_parts, self.dim)
-        t = self.reduction.t_map
-        m_red = (t.T @ (m @ t)).toarray()
-        try:
-            r = cholesky(0.5 * (m_red + m_red.T), lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("Gram matrix on the constrained subspace "
-                                      "is not positive definite") from exc
-        del m_red  # M_red and G_red are temporaries; R, S and g are kept
-        g_red = self.split.dense(self.ops.p_dense, rows=self.reduction.keep) @ t
-        s = solve_triangular(r.T, (r @ g_red).T, lower=True).T
-        coupling = solve_triangular(r, t.T @ self.b_dual, trans="T")
+        red, split = self.reduction, self.split
+        t, n_red = red.t_map, red.keep.size
+        free = _free_blocks(self.blocks, red)
+        label = np.full(n_red, -1)  # the free block of each reduced coordinate
+        for i, (_, rs) in enumerate(free):
+            label[rs] = i
+        factors = _block_factors(self.energy_parts, t, free, label)
+
+        r = np.zeros((n_red, n_red))
+        for (_, rs), factor in zip(free, factors):
+            r[rs, rs] = factor.times(sparse.eye_array(rs.stop - rs.start))
+        g0 = (split.g0[red.keep] @ t).tocsr()
+        c, kt = split.c[red.keep].tocsr(), (split.k @ t).tocsr()
+        s = np.zeros((n_red, n_red))
+        for i, j, g_ij in _reduced_blocks(g0, c, kt, self.ops, free, label):
+            s[free[i][1], free[j][1]] = factors[j].solve_t(factors[i].times(g_ij).T).T
+        rhs = t.T @ self.b_dual
+        coupling = np.concatenate([factor.solve_t(rhs[rs, None])[:, 0]
+                                   for (_, rs), factor in zip(free, factors)])
         for arr in (r, s, coupling):
             arr.setflags(write=False)
-        return DenseReference(m=m, r=r, s=s, coupling=coupling)
+        return DenseReference(r=r, s=s, coupling=coupling)
 
     def energy_split(self, y: np.ndarray) -> dict:
         """The energy (1/2) y^T M y of a flat state, part by part, at O(N).

@@ -18,7 +18,7 @@ from piezolab.dynamics import (BandLU, RankOneMidpoint, _trial_profiles,
                                admissibility_estimate, default_dt, modal_state, run)
 from piezolab.errors import (ConfigParseError, GaugeDrift, LinearSolveFailure,
                              NonFiniteState, PiezolabError)
-from piezolab.generator import _split_generator, assemble_generator
+from piezolab.generator import _split_generator, assemble_generator, gram, gram_product
 from piezolab.model import build_grid, toy_parameters
 from piezolab.operators import ActuationMode, build_operators
 from piezolab.variants import _electrostatic_split, build_system
@@ -60,7 +60,7 @@ class TestStepMidpoint:
         asm = _assembly(32)
         y0 = _random_state(asm, seed=7)
         y1 = _stepper(asm, 1e-3).step(y0, 0.0)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         n0 = y0 @ (m @ y0)
         n1 = y1 @ (m @ y1)
         assert abs(n1 - n0) <= 1e-12 * n0
@@ -151,7 +151,7 @@ class TestSparseAgainstDense:
         asm = build_system(TOY, build_grid(TOY.L, 32), actuation)
         dt = default_dt(TOY, asm.grid)
         stepper = _stepper(asm, dt, gain)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         y = _random_state(asm, seed=4)
         worst = 0.0
         for j in range(300):
@@ -186,7 +186,7 @@ class TestRandomStepper:
     def test_fifty_steps_against_dense(self, params, n, actuation, dt_factor, gain):
         asm = build_system(params, build_grid(params.L, n), actuation)
         dt = dt_factor * default_dt(params, asm.grid)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         stepper = _stepper(asm, dt, gain)
         dense = DenseMidpoint(asm, dt, gain)
         y = y_ref = _random_state(asm, seed=n)
@@ -507,7 +507,8 @@ class TestModalState:
     def test_eigenvector_without_mode_table(self, monkeypatch):
         # the start is the lift of the real part of the eigenvector from the
         # spectrum, with its largest-modulus component made real and
-        # positive, bit for bit, but no per-mode table is built for it
+        # positive, bit for bit, normalized by its M-norm with M applied part
+        # by part, but no per-mode table is built for it
         asm = _assembly(32)
         report = spectral.compute_spectrum(asm)
         solve = spectral.open_loop_modes(asm)
@@ -520,7 +521,7 @@ class TestModalState:
         assert x[k].real > 0.0 and abs(x[k].imag) <= 1e-16 * abs(x[k])
         y = asm.reduction.t_map @ scipy.linalg.solve_triangular(asm.reference.r,
                                                                 np.real(x))
-        expected = (1.5 / np.sqrt(float(y @ asm.reference.m @ y))) * y
+        expected = (1.5 / np.sqrt(float(y @ gram_product(asm.energy_parts, y)))) * y
 
         def no_table(*args):
             raise AssertionError("modal_state built a mode table")
@@ -541,7 +542,7 @@ class TestModalState:
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
         pos = np.flatnonzero(w.imag > 1e-10 * np.max(np.abs(w)))
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         for mode in range(6):
             x = v[:, pos[mode]]
             k = int(np.argmax(np.abs(x)))
@@ -586,7 +587,7 @@ class TestAdmissibility:
         y = y0.copy()
         for _ in range(500):
             y = stepper.step(y)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         ratio = (y @ m @ y) / (y0 @ m @ y0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -594,7 +595,7 @@ class TestAdmissibility:
         # the trials run as columns of one block; the estimate equals the
         # trials run one after another with their own scalar input loop
         asm = _assembly(16)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         T, trials = 0.5, 10
         rng = np.random.default_rng(5)
         dt = default_dt(TOY, asm.grid)

@@ -177,7 +177,7 @@ class TestSkewness:
     def test_quadratic_form_has_no_real_part(self, seed):
         asm = _assembly(16)
         y = np.random.default_rng(seed).standard_normal(asm.dim)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         norm2 = y @ (m @ y)
         assert abs(y @ (m @ (_dense_g(asm) @ y))) <= 1e-12 * max(norm2, 1.0)
 
@@ -233,8 +233,8 @@ class TestDenseReference:
         own = asm.reference
         r = own.r
         # M_red = R^T R, and the feedback coupling g = R b_red
-        for got, want in ((own.m.toarray(), ref.m), (r.T @ r, ref.m_red),
-                          (own.coupling, r @ ref.b_red)):
+        for got, want in ((gram(asm.energy_parts, asm.dim).toarray(), ref.m),
+                          (r.T @ r, ref.m_red), (own.coupling, r @ ref.b_red)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the reference forms I - P_xi as -xi lap_cc P_xi, whose rounding
         # grows with the condition number of A = I - xi lap_cc; G and
@@ -261,7 +261,7 @@ class TestDenseReference:
     def test_gram_and_lift_stay_sparse(self, actuation, n):
         # only the y1 block of M, which carries P_xi, is dense
         asm = build_system(TOY, build_grid(TOY.L, n), actuation)
-        m = asm.reference.m
+        m = gram(asm.energy_parts, asm.dim)
         assert sparse.issparse(m) and sparse.issparse(asm.reduction.t_map)
         assert m.nnz <= n * n + 20 * n
 
@@ -492,7 +492,7 @@ class TestSharedModelData:
         asm = build_system(TOY, build_grid(TOY.L, 24), actuation)
         y = asm.lift(np.random.default_rng(9).standard_normal(asm.dim))
         assert asm.energy_split(y)["total"] == pytest.approx(
-            0.5 * y @ (asm.reference.m @ y), rel=1e-12)
+            0.5 * y @ (gram(asm.energy_parts, asm.dim) @ y), rel=1e-12)
 
     @pytest.mark.parametrize("params, n", ((TOY, 24), (BOX_CORNER, 48)),
                              ids=("toy", "stiff_corner"))

@@ -184,7 +184,7 @@ class TestMassMatrix:
         grid = build_grid(1.0, 32)
         asm = assemble_generator(TOY, grid)
         t = asm.reduction.t_map
-        m_red = (t.T @ (asm.reference.m @ t)).toarray()
+        m_red = (t.T @ (gram(asm.energy_parts, asm.dim) @ t)).toarray()
         assert np.linalg.eigvalsh(0.5 * (m_red + m_red.T))[0] > 0.0
 
     def test_rho_block(self):

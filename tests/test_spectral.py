@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import scipy.linalg
+from scipy import sparse
 
 from piezolab import acceptance, cli, generator, spectral
 from piezolab.config import toy_config_dict
 from piezolab.dynamics import default_dt, modal_state, run
-from piezolab.errors import DegenerateWindow, SecularNotConverged
-from piezolab.generator import assemble_generator
+from piezolab.errors import DegenerateWindow, FreeBlockCoupling, SecularNotConverged
+from piezolab.generator import HelmholtzInverse, assemble_generator, gram
 from piezolab.model import block_slices, build_grid, toy_parameters, validate_parameters
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, decay_rate_fit, kernel_basis,
@@ -76,7 +77,7 @@ class TestOpenLoopSpectrum:
         asm, report = _report(32)
         solve = open_loop_modes(asm)
         np.testing.assert_array_equal(solve.omega, report.eigenvalues.imag)
-        m, g = asm.reference.m, _dense_g(asm)
+        m, g = gram(asm.energy_parts, asm.dim), _dense_g(asm)
         for j in range(0, len(report.eigenvalues), 37):
             lam = report.eigenvalues[j]
             phi = spectral.lift_modes(asm, solve.mode(j))
@@ -112,7 +113,7 @@ class TestKernel:
         sl = block_slices(asm.grid)["y4"]
         tr = np.zeros(asm.dim)
         tr[sl] = 1.0
-        coeffs = basis.T @ (asm.reference.m @ tr)
+        coeffs = basis.T @ (gram(asm.energy_parts, asm.dim) @ tr)
         recon = basis @ coeffs
         assert np.linalg.norm(recon - tr) <= 1e-8 * np.linalg.norm(tr)
         assert abs(asm.b_dual @ basis[:, 0]) <= 1e-10
@@ -144,8 +145,9 @@ class TestKernel:
         assert basis.shape == want.shape == (asm.dim, dim)
         assert dim == (0 if build is assemble_electrostatic else 1)
         assert basis.dtype == np.float64
-        np.testing.assert_allclose(basis.T @ ref.m @ basis, np.eye(dim), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(basis @ (basis.T @ ref.m), want @ (want.T @ ref.m),
+        m = gram(asm.energy_parts, asm.dim)
+        np.testing.assert_allclose(basis.T @ m @ basis, np.eye(dim), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis @ (basis.T @ m), want @ (want.T @ m),
                                    rtol=0, atol=1e-13)
 
     def test_a_zero_pair_raises(self):
@@ -890,7 +892,8 @@ class TestDenseMemoryScript:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()
                  if not line.startswith("#")]
         header = [cell for c in script.COLUMNS
-                  for cell in ((c, "s", "by") if c in script.SOLVED else (c,))]
+                  for cell in ((c, "s", "by") if c in script.SOLVED
+                               else (c, "ref_s") if c == "ref_peak" else (c,))]
         assert lines[0] == ["model", "gamma", "dim", *header]
         rows = lines[1:]
         assert [row[:3] for row in rows] == [
@@ -901,10 +904,11 @@ class TestDenseMemoryScript:
         for row in rows:
             assert len(row) == 3 + len(header)
             values = [float(cell.rstrip("*")) for cell, name in zip(row[3:], header)
-                      if name not in ("s", "by")]
+                      if name not in ("s", "by", "ref_s")]
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
-            seconds = [float(cell) for cell, name in zip(row[3:], header) if name == "s"]
-            assert len(seconds) == len(script.SOLVED) and min(seconds) >= 0.0
+            seconds = [float(cell) for cell, name in zip(row[3:], header)
+                       if name in ("s", "ref_s")]
+            assert len(seconds) == 1 + len(script.SOLVED) and min(seconds) >= 0.0
         # (spectrum, closed loop, modal start, shifts, kernel) routes:
         # bipartite blocks by SVD, any other by its skew part, and the closed
         # loop by the roots of its secular equation on that solve
@@ -918,37 +922,106 @@ class TestEnergyReference:
     """Every spectral path reads one dense reference per assembly."""
 
     def test_one_cholesky_for_every_spectral_call(self, monkeypatch):
-        # one Cholesky and one open-loop solve (one reduction per block of
-        # its route) serve every spectral call, and no call factors S again
+        # one Cholesky factorization per free block, all made on the first
+        # spectral call, and one open-loop solve (one reduction per block of
+        # its route) serve every spectral call, and no call factors M_red or
+        # S again; only y1, where c P_xi lives (c != 0 at gamma = 1), is
+        # factored dense, the banded and diagonal blocks by cholesky_banded
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return scipy.linalg.cholesky(*args, **kwargs)
+        def counting(kind, factor):
+            def call(a, *args, **kwargs):
+                calls.append((kind, a.shape[-1]))
+                return factor(a, *args, **kwargs)
+            return call
 
         def refused(name):
             def call(*args, **kwargs):
                 raise AssertionError(f"{name} was called")
             return call
 
-        monkeypatch.setattr(generator, "cholesky", counting)
+        monkeypatch.setattr(generator, "cholesky", counting("dense", scipy.linalg.cholesky))
+        monkeypatch.setattr(generator, "cholesky_banded",
+                            counting("banded", scipy.linalg.cholesky_banded))
         solves = _count_solves(monkeypatch)  # scipy.linalg.eig raises too
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, refused(name))
-        for gamma, route in ((0.0, ["svd", "svd"]), (1.0, ["skew"])):
+        for gamma, route, dense in ((0.0, ["svd", "svd"], ()), (1.0, ["skew"], ("y1",))):
             calls.clear()
             solves.clear()
             params = toy_parameters(gamma=gamma)
             asm = assemble_generator(params, build_grid(1.0, 16))
             compute_spectrum(asm)
+            first = list(calls)
             closed_loop_spectrum(asm, 0.5)
             closed_loop_mode_shifts(asm, 0.5)
             open_loop_modes(asm)
             kernel_basis(asm)
             modal_state(asm, 1)
-            assert calls == [(4 * 16 - 1,) * 2]
+            assert calls == first
+            free = {name: asm.blocks[name] for name in ("y1", "y2", "y4", "y5")}
+            want = [("dense" if name in dense else "banded", sl.stop - sl.start)
+                    for name, sl in free.items()]
+            assert sorted(first) == sorted(want)
             assert solves == route
             assert "+".join(route) == spectral.solve_route(asm.reference.s, asm.reduction)
+
+    @pytest.mark.parametrize("n", (16, 32, 64))
+    @pytest.mark.parametrize("params", (toy_parameters(gamma=0.0), TOY,
+                                        toy_parameters(gamma=-1.3), NON_UNIT),
+                             ids=("gamma0", "gamma1", "gamma-1.3", "non_unit"))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_blocks_match_the_whole_matrix_oracle(self, build, params, n):
+        # the reference formed by free blocks against the whole-matrix
+        # route: the dense M_red = T^T M T, its one Cholesky factor R,
+        # S = R G_red R^{-1} and g = R^{-T} T^T M b
+        asm = build(params, build_grid(params.L, n))
+        ref, red = asm.reference, asm.reduction
+        t = red.t_map
+        m_red = (t.T @ (gram(asm.energy_parts, asm.dim) @ t)).toarray()
+        m_red = 0.5 * (m_red + m_red.T)
+        r = scipy.linalg.cholesky(m_red, lower=False)
+        g_red = (_dense_g(asm) @ t)[red.keep]
+        s = scipy.linalg.solve_triangular(r.T, (r @ g_red).T, lower=True).T
+        g = scipy.linalg.solve_triangular(r, t.T @ asm.b_dual, trans="T")
+        assert np.max(np.abs(ref.r.T @ ref.r - m_red)) <= 1e-13 * np.max(np.abs(m_red))
+        assert np.max(np.abs(ref.s - s)) <= 1e-12 * np.max(np.abs(s))
+        assert np.max(np.abs(ref.coupling - g)) <= 1e-13 * np.max(np.abs(g))
+        assert spectral.solve_route(ref.s, red) == spectral.solve_route(s, red)
+        # R is exactly zero off its free blocks, S on its position-position
+        # block and, at gamma = 0, on the mechanical/field cross blocks
+        block = np.full(len(red.keep), -1)
+        for i, name in enumerate(("y1", "y2", "y4", "y5")):
+            if name in asm.blocks:
+                block[np.isin(red.keep, np.arange(asm.dim)[asm.blocks[name]])] = i
+        assert np.all(block >= 0)
+        assert not np.any(ref.r[block[:, None] != block[None, :]])
+        positions = np.setdiff1d(np.arange(len(red.keep)), red.velocity)
+        assert not np.any(ref.s[np.ix_(positions, positions)])
+        if params.gamma == 0.0:
+            fields = np.setdiff1d(np.arange(len(red.keep)), red.mechanical)
+            assert not np.any(ref.s[np.ix_(red.mechanical, fields)])
+            assert not np.any(ref.s[np.ix_(fields, red.mechanical)])
+
+    def test_refuses_a_coupling_between_free_blocks(self):
+        # an energy part that couples y4 and y5 puts an entry of M_red
+        # between two free blocks, and a nonlocal part on the bound block y6
+        # is no free block: either is refused before any factor is formed
+        asm = assemble_generator(TOY, build_grid(TOY.L, 16))
+        y4, y5 = asm.blocks["y4"], asm.blocks["y5"]
+        span, k = slice(y4.start, y5.stop), y5.start - y4.start
+        size = span.stop - span.start
+        coupling = sparse.csr_array((np.full(4, 1e-3), ([0, 0, k, k], [0, k, 0, k])),
+                                    shape=(size, size))
+        for name, part, match in (
+                ("coupling", (span, coupling), "between two free blocks"),
+                ("nonlocal_y6", (asm.blocks["y6"], HelmholtzInverse(1.0, asm.ops)),
+                 "'nonlocal_y6' is not one free block")):
+            bad = dataclasses.replace(asm, energy_parts={**asm.energy_parts, name: part})
+            with pytest.raises(FreeBlockCoupling, match=match):
+                bad.reference
 
     @pytest.mark.parametrize("params", (TOY, NON_UNIT, toy_parameters(gamma=0.0),
                                         BOX_CORNER),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from piezolab.dynamics import RankOneMidpoint, default_dt, modal_state, run
-from piezolab.generator import assemble_generator
+from piezolab.generator import assemble_generator, gram
 from piezolab.model import block_slices, build_grid, toy_parameters
 from piezolab.spectral import compute_spectrum, decay_rate_fit
 from piezolab.variants import (assemble_charge_magnetic, assemble_electrostatic,
@@ -67,15 +68,27 @@ class TestElectrostaticAssembly:
         assert not es.bstar_feedback
 
     def test_reduction_is_exact(self):
-        # no gauge: T is the identity and the reference is formed from M and
-        # G themselves, R = chol(M) and S = R G R^{-1}, bit for bit
+        # no gauge: T is the identity, and the reference is formed from M
+        # and G themselves one free block at a time: R_i = chol(M_ii) bit for
+        # bit on the dense strain block s and the diagonal velocity block w,
+        # zero between them, and S_ij = R_i G_ij R_j^{-1} on the two blocks
+        # where G is nonzero (to the rounding of the sparse products' order),
+        # S_ss = S_ww = 0 exactly
         es = _es(32, gamma=1.0)
         red, ref = es.reduction, es.reference
-        r = scipy.linalg.cholesky(ref.m.toarray(), lower=False)
-        np.testing.assert_array_equal(ref.r, r)
-        np.testing.assert_array_equal(
-            ref.s, scipy.linalg.solve_triangular(r.T, (r @ _dense_g(es)).T,
-                                                 lower=True).T)
+        m = gram(es.energy_parts, es.dim).toarray()
+        g = sparse.csr_array(_dense_g(es))
+        blocks = {name: es.blocks[name] for name in ("s", "w")}
+        r = {name: scipy.linalg.cholesky(m[sl, sl], lower=False)
+             for name, sl in blocks.items()}
+        np.testing.assert_array_equal(ref.r, scipy.linalg.block_diag(r["s"], r["w"]))
+        s = np.zeros_like(ref.s)
+        for i, j in (("s", "w"), ("w", "s")):
+            s[blocks[i], blocks[j]] = scipy.linalg.solve_triangular(
+                r[j], (r[i] @ g[blocks[i], blocks[j]]).T, trans="T").T
+        np.testing.assert_allclose(ref.s, s, rtol=0, atol=1e-15 * np.max(np.abs(s)))
+        for name in ("s", "w"):
+            assert not np.any(ref.s[blocks[name], blocks[name]])
         np.testing.assert_array_equal(red.keep, np.arange(es.dim))
         np.testing.assert_array_equal(red.mechanical, np.arange(es.dim))
         assert red.bound == ()
