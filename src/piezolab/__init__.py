@@ -10,13 +10,15 @@ Core entry points:
   :func:`piezolab.variants.build_system` picks one.  A state is a flat float
   array of ``asm.dim`` coordinates, its named blocks are the slices
   ``asm.blocks``, and the collocated output B* y is ``asm.b_dual @ y``
-* :func:`piezolab.dynamics.run`, :func:`piezolab.dynamics.simulate`
+* :func:`piezolab.dynamics.run`, :func:`piezolab.dynamics.simulate`, and
+  :func:`piezolab.dynamics.admissibility_constant`, the exact input-to-state
+  constant of the midpoint step
 * :func:`piezolab.spectral.compute_spectrum`
 * ``piezolab`` console script for the experiment suite
 """
 
 from .config import ExperimentConfig, config_from_dict, load_config, toy_config_dict
-from .dynamics import TimeSeries, admissibility_estimate, run, simulate
+from .dynamics import TimeSeries, admissibility_constant, run, simulate
 from .generator import GeneratorAssembly, assemble_generator
 from .model import (BeamParameters, StaggeredGrid, build_grid, toy_parameters,
                     validate_parameters)
@@ -33,7 +35,7 @@ __all__ = [
     "SpectrumReport",
     "StaggeredGrid",
     "TimeSeries",
-    "admissibility_estimate",
+    "admissibility_constant",
     "assemble_generator",
     "build_grid",
     "build_operators",

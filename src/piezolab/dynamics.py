@@ -1,4 +1,4 @@
-"""Implicit-midpoint time integration and the admissibility experiment.
+"""Implicit-midpoint time integration and the exact admissibility constant.
 
 The midpoint step for y' = G y + b u is
 
@@ -23,7 +23,8 @@ is O(N) as well.  Closed-loop runs use
 u = -k v^T y evaluated at the midpoint state; the rank-one modified solve is
 done with a Sherman-Morrison update of the factored shift so the per-step
 dissipation identity  E(n+1) - E(n) = -k dt (v^T y_mid)(B* y_mid)  holds to
-rounding.
+rounding.  :func:`admissibility_constant` gives the exact input-to-state
+constant of the open-loop step from the open-loop modes, with no time step.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .model import build_grid, default_dt
 from .spectral import checked_gain, lift_modes, open_loop_modes
 from .variants import build_system
 
-TRIAL_MODES = 4      # modal profiles per field of an admissibility trial
-TRIAL_HARMONICS = 4  # harmonics of an admissibility trial's input
 # a tabulated start's y3/y6 rows must meet the gauge to GAUGE_TOL, and a run
 # aborts where a gauge residual exceeds 100 * GAUGE_TOL
 GAUGE_TOL = 1e-8
@@ -212,21 +211,18 @@ class RankOneMidpoint:
             self._sm_denom = 1.0 + self._sm_c * float(self._v @ self._w0)
 
     def _midpoint(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - dt/2 G) x = rhs, one right-hand side per column if 2-D.
+        """Solve (I - dt/2 G) x = rhs.
 
         The refinement pass of the solve keeps the per-step error at
         rounding level, so the gauge does not drift over long runs.
         """
-        full = np.zeros((self.lu.position.size,) + rhs.shape[1:])
+        full = np.zeros(self.lu.position.size)
         full[self._rows_in] = rhs
         return self.lu.solve(full)[self._where]
 
     def step(self, y: np.ndarray, u_mid=0.0) -> np.ndarray:
-        """One open-loop step with prescribed midpoint input.
-
-        ``y`` may hold one state per column and ``u_mid`` one input each.
-        """
-        rhs = y + np.multiply.outer(self._b, self._half * u_mid)
+        """One open-loop step with prescribed midpoint input."""
+        rhs = y + (self._half * u_mid) * self._b
         return 2.0 * self._midpoint(rhs) - y
 
     def step_closed(self, y: np.ndarray) -> tuple:
@@ -309,71 +305,39 @@ def run(assembly: GeneratorAssembly, y0: np.ndarray, n_steps: int,
                       folded_swaps=stepper.lu.folded_swaps)
 
 
-def _trial_profiles(assembly: GeneratorAssembly, coeffs: np.ndarray) -> np.ndarray:
-    """Smooth gauge-constrained flat state from grid-independent modal coefficients.
+def admissibility_constant(assembly: GeneratorAssembly, T: float) -> float:
+    """The input-to-state constant sup ||y(T)||_M^2 / (||y0||_M^2 + ||u||_{L2}^2).
 
-    coeffs has shape (4, n_modes); rows drive y1, y2, y4, y5, and the lift
-    fills the gauge-bound blocks.  Profiles are analytic in x, so states on
-    different grids sample the same function.
+    It is exact for the midpoint step with the n steps of dt that reach T
+    from the default dt (:func:`time_steps`), read from the open-loop modes
+    (:func:`~piezolab.spectral.open_loop_modes`) with no time step.  The
+    step is M-unitary, so the constant is 1 + lambda_max(L L*), where L maps
+    the midpoint inputs to y(T).  In the modes, with c = x^H g, mode j
+    advances by r_j = exp(i theta_j), theta_j = 2 atan(omega_j dt/2), and
+    takes the input through d_j = c_j / (1 - i omega_j dt/2), so
+
+        (L L*)_jk = dt d_j conj(d_k) sum_{m<n} (r_j conj(r_k))^m
+                  = dt d_j conj(d_k) exp(i (n-1) delta) sin(n delta) / sin(delta)
+
+    with delta = (theta_j - theta_k)/2 and the limit n at delta = 0.  This
+    Dirichlet-kernel form stays accurate where theta_j ~ theta_k, where
+    (1 - q^n)/(1 - q) does not.  The phase exp(i (n-1) delta) is the
+    similarity by diag(exp(i (n-1) theta_j / 2)), which is unitary, so it is
+    left out.  Modes with c_j = 0 are dropped, so with g = 0 the constant is
+    exactly 1.
     """
-    grid = assembly.grid
-    L = grid.L
-    xc = grid.cell_coords
-    xn = grid.node_coords
-    xi_nodes = xn[1:-1]
-    n_modes = coeffs.shape[1]
-    y = np.zeros(assembly.dim)
-    # the block slices are views, so the sums below fill y in place
-    y1, y2, y4, y5 = (y[assembly.blocks[name]] for name in ("y1", "y2", "y4", "y5"))
-    for m in range(1, n_modes + 1):
-        k = m * np.pi / L
-        y1 += coeffs[0, m - 1] * np.cos(k * xc)
-        y2 += coeffs[1, m - 1] * np.sin(k * xi_nodes)
-        y4 += coeffs[2, m - 1] * np.cos(k * xn)
-        y5 += coeffs[3, m - 1] * np.sin(k * xi_nodes)
-    return assembly.lift(y)
-
-
-def admissibility_estimate(trials: int, T: float, assembly: GeneratorAssembly,
-                           seed: int = 42) -> float:
-    """Largest observed ||y(T)||_M^2 / (||y0||_M^2 + ||i_s||_{L2}^2).
-
-    Randomness is drawn in a grid-independent modal basis (TRIAL_MODES
-    profiles per field, an input of TRIAL_HARMONICS harmonics) so estimates
-    on different grids probe the same ensemble of smooth data.  Trials with
-    a vanishing denominator are skipped.
-    """
-    if trials < 10:
-        raise ValueError(f"at least 10 trials required, got {trials}")
-    rng = np.random.default_rng(seed)
-    n_steps, dt = time_steps(T, default_dt(assembly.params, assembly.grid),
-                             explicit=False)
-    stepper = RankOneMidpoint(assembly.split, assembly.b, assembly.output, dt)
-
-    # draws in the order of one trial after another; the trials then run
-    # together, one state per column and one input per column
-    y0, amp, phase = [], [], []
-    for _ in range(trials):
-        y0.append(_trial_profiles(assembly, rng.standard_normal((4, TRIAL_MODES))))
-        amp.append(rng.standard_normal(TRIAL_HARMONICS))
-        phase.append(rng.uniform(0.0, 2.0 * np.pi, TRIAL_HARMONICS))
-    y0 = np.stack(y0, axis=1)
-    amp, phase = np.array(amp), np.array(phase)
-    harmonic = np.arange(1, TRIAL_HARMONICS + 1)
-
-    y = y0.copy()
-    input_sq = np.zeros(trials)
-    for j in range(n_steps):
-        t = (j + 0.5) * dt
-        u = np.sum(amp * np.sin(2.0 * np.pi * harmonic * t / T + phase), axis=1)
-        input_sq += u * u * dt
-        y = stepper.step(y, u)
-
-    parts = assembly.energy_parts
-    denom = np.einsum("ij,ij->j", y0, gram_product(parts, y0)) + input_sq
-    ratio = (np.einsum("ij,ij->j", y, gram_product(parts, y))[denom > 1e-14]
-             / denom[denom > 1e-14])
-    return float(ratio.max(initial=0.0))
+    solve = open_loop_modes(assembly)
+    n, dt = time_steps(T, default_dt(assembly.params, assembly.grid), explicit=False)
+    coupled = solve.coupling != 0.0
+    half = 0.5 * dt * solve.omega[coupled]
+    d = solve.coupling[coupled] / (1.0 - 1j * half)
+    half_theta = np.arctan(half)
+    delta = np.subtract.outer(half_theta, half_theta)
+    sin_delta = np.sin(delta)
+    kernel = np.divide(np.sin(n * delta), sin_delta, out=np.full(delta.shape, float(n)),
+                       where=sin_delta != 0.0)
+    gram = dt * np.outer(d, d.conj()) * kernel
+    return 1.0 + float(np.max(np.linalg.eigvalsh(gram), initial=0.0))
 
 
 def modal_state(assembly: GeneratorAssembly, mode_index: int = 0,

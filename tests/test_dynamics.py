@@ -14,8 +14,9 @@ from scipy.linalg.lapack import dgbtrf
 
 from piezolab import dynamics, spectral
 from piezolab.acceptance import skewness_parameter_sets
-from piezolab.dynamics import (BandLU, RankOneMidpoint, _trial_profiles,
-                               admissibility_estimate, default_dt, modal_state, run)
+from piezolab.config import time_steps
+from piezolab.dynamics import (BandLU, RankOneMidpoint, admissibility_constant, default_dt,
+                               modal_state, run)
 from piezolab.errors import (ConfigParseError, GaugeDrift, LinearSolveFailure,
                              NonFiniteState, PiezolabError)
 from piezolab.generator import _split_generator, assemble_generator, gram, gram_product
@@ -591,40 +592,52 @@ class TestAdmissibility:
         ratio = (y @ m @ y) / (y0 @ m @ y0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_batched_trials_match_serial(self):
-        # the trials run as columns of one block; the estimate equals the
-        # trials run one after another with their own scalar input loop
-        asm = _assembly(16)
-        m = gram(asm.energy_parts, asm.dim)
-        T, trials = 0.5, 10
-        rng = np.random.default_rng(5)
-        dt = default_dt(TOY, asm.grid)
-        n_steps = max(1, int(round(T / dt)))
-        dt = T / n_steps
+
+def _optimal_input(asm, n, dt):
+    """The real input of unit L2 norm that the n midpoint steps of dt send furthest.
+
+    L is formed column by column in the open-loop modes: input sample m
+    reaches mode j at the end as dt d_j r_j^(n-1-m).  With the input scaled
+    by sqrt(dt), the L2 norm is the Euclidean one, and L^H L is real (the
+    modes come in conjugate pairs), so its top eigenvector is a real input.
+    """
+    solve = spectral.open_loop_modes(asm)
+    half = 0.5 * dt * solve.omega
+    r = (1.0 + 1j * half) / (1.0 - 1j * half)
+    d = solve.coupling / (1.0 - 1j * half)
+    ell = np.sqrt(dt) * d[:, None] * r[:, None] ** np.arange(n - 1, -1, -1)
+    top = np.linalg.eigh((ell.conj().T @ ell).real)[1][:, -1]
+    return top / np.sqrt(dt)
+
+
+ADMISSIBILITY_CASES = [(actuation, gamma, n)
+                       for actuation in (ActuationMode.CURRENT, ActuationMode.CHARGE_MAGNETIC)
+                       for gamma in (0.0, 1.0) for n in (32, 64)]
+
+
+class TestAdmissibilityConstant:
+    @pytest.mark.parametrize("actuation, gamma, n", ADMISSIBILITY_CASES)
+    def test_matches_the_stepper_driven_by_the_optimal_input(self, actuation, gamma, n):
+        # from rest, y(T) = L u, so the optimal input's energy gain is lambda_max
+        params = toy_parameters(gamma)
+        asm = build_system(params, build_grid(params.L, n), actuation)
+        n_steps, dt = time_steps(1.0, default_dt(params, asm.grid), explicit=False)
+        u = _optimal_input(asm, n_steps, dt)
         stepper = _stepper(asm, dt)
-        best = 0.0
-        for _ in range(trials):
-            y0 = _trial_profiles(asm, rng.standard_normal((4, 4)))
-            amp = rng.standard_normal(4)
-            phase = rng.uniform(0.0, 2.0 * np.pi, 4)
-            y, input_sq = y0.copy(), 0.0
-            for j in range(n_steps):
-                t = (j + 0.5) * dt
-                u = sum(amp[q] * np.sin(2.0 * np.pi * (q + 1) * t / T + phase[q])
-                        for q in range(4))
-                input_sq += u * u * dt
-                y = stepper.step(y, u)
-            best = max(best, (y @ m @ y) / (y0 @ m @ y0 + input_sq))
-        batched = admissibility_estimate(trials, T, asm, seed=5)
-        assert batched == pytest.approx(best, rel=1e-13)
+        y = np.zeros(asm.dim)
+        for u_mid in u:
+            y = stepper.step(y, u_mid)
+        gain = (y @ gram_product(asm.energy_parts, y)) / (dt * (u @ u))
+        c = admissibility_constant(asm, 1.0)
+        assert c - 1.0 == pytest.approx(gain, rel=1e-12)
+        # ||y(T)|| <= ||y0|| + sqrt(T) ||g|| ||u||: each step is M-unitary and
+        # its input map (I - dt/2 S)^{-1} dt g has norm at most dt ||g||
+        g = asm.reference.coupling
+        assert 1.0 <= c <= 1.0 + g @ g
 
-    def test_deterministic_under_seed(self):
-        asm = _assembly(32)
-        a = admissibility_estimate(trials=10, T=0.5, assembly=asm, seed=42)
-        b = admissibility_estimate(trials=10, T=0.5, assembly=asm, seed=42)
-        assert a == b
-
-    def test_rejects_few_trials(self):
-        asm = _assembly(16)
-        with pytest.raises(ValueError):
-            admissibility_estimate(trials=3, T=0.5, assembly=asm, seed=0)
+    def test_is_one_without_coupling(self):
+        # the charge-magnetic influence is proportional to gamma
+        params = toy_parameters(0.0)
+        asm = build_system(params, build_grid(params.L, 32), ActuationMode.CHARGE_MAGNETIC)
+        assert not np.any(asm.reference.coupling)
+        assert admissibility_constant(asm, 1.0) == 1.0
