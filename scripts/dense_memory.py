@@ -4,7 +4,10 @@
 
 For each actuation model (current, charge_magnetic, electrostatic) at
 gamma = 0 and gamma = 1 on N cells (default 256, state dimension 4N - 1 of
-the six-field models), it builds the assembly and prints, in MiB:
+the six-field models), it builds the assembly and prints ``halves``, the
+sizes |P|x|Q| of the bipartite halves of each block that the dense solve
+splits S into (``spectral._plan``; two blocks, joined by ``+``, where S
+splits into its mechanical and field blocks), then, in MiB:
 
 * ``ref_kept``: what the dense reference (``GeneratorAssembly.reference``:
   R, S and g, and the dense P_xi it reads, kept on the operators) keeps
@@ -22,12 +25,7 @@ the six-field models), it builds the assembly and prints, in MiB:
   dropped before each call, so each solves S as a first call on a new
   assembly would;
 * beside each of those, ``s``: the wall seconds of one more call of it
-  with tracing off, and ``by``: the route of its dense solve
-  (``spectral.solve_route``): ``svd`` for a bipartite matrix and ``skew``
-  for the skew part of any other, the two block routes joined by ``+``
-  where S splits into its mechanical and field blocks; the closed loop
-  adds ``+roots``, the secular solve that gives its eigenpairs from that
-  solve.
+  with tracing off.
 
 ``tracemalloc`` sees every numpy array, LAPACK's work arrays included, but
 not the BLAS library's own buffers, so these are the transients of the
@@ -62,14 +60,15 @@ from piezolab.dynamics import modal_state
 from piezolab.errors import SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
+from piezolab import spectral
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
-                               compute_spectrum, kernel_basis, solve_route)
+                               compute_spectrum, kernel_basis)
 from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 
 MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
           "electrostatic": assemble_electrostatic}
 COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts", "kernel")
-SOLVED = COLUMNS[2:]  # the columns with a route beside
+SOLVED = COLUMNS[2:]  # the columns of the spectral calls
 MIB = 2.0 ** 20
 GAIN = 1.0
 
@@ -100,10 +99,10 @@ def _timed(call) -> float:
         tracemalloc.start()
 
 
-def _routes(asm) -> tuple:
-    """The dense solve routes of the SOLVED calls on one assembly."""
-    route = solve_route(asm.reference.s, asm.reduction)
-    return route, route + "+roots", route, route, route
+def _halves(asm) -> str:
+    """|P|x|Q| of each block of the assembly's dense solve, joined by ``+``."""
+    return "+".join(f"{len(p)}x{len(q)}"
+                    for p, q in spectral._plan(asm.reference, asm.reduction.mechanical))
 
 
 def _cold_reference(asm):
@@ -115,8 +114,8 @@ def _cold_reference(asm):
 
 
 def measure(n_cells: int) -> list:
-    """One row per (model, gamma): model, gamma, dim, the COLUMNS, ref_s, and
-    whether each SOLVED call raised, its seconds and its route."""
+    """One row per (model, gamma): model, gamma, dim, halves, the COLUMNS,
+    ref_s, and whether each SOLVED call raised and its seconds."""
     rows = []
     tracemalloc.start()
     try:
@@ -139,8 +138,8 @@ def measure(n_cells: int) -> list:
                 peaks, raised = zip(*(_traced(cold(call)) for call in calls))
                 ref_s = _timed(lambda: _cold_reference(asm))
                 seconds = tuple(_timed(cold(call)) for call in calls)
-                rows.append((name, gamma, asm.reference.s.shape[0], ref_kept, ref_peak,
-                             *peaks, ref_s, raised, seconds, _routes(asm)))
+                rows.append((name, gamma, asm.reference.s.shape[0], _halves(asm),
+                             ref_kept, ref_peak, *peaks, ref_s, raised, seconds))
                 del asm, calls, cold
     finally:
         tracemalloc.stop()
@@ -156,19 +155,19 @@ def main(argv=None) -> int:
           f"{os.cpu_count()} CPUs, {platform.machine()}")
     print(f"# N = {args.n_cells}, gain {GAIN:g}; MiB, traced peak above the start; "
           f"s, wall seconds untraced")
-    print(f"{'model':<16} {'gamma':>5} {'dim':>5} "
-          + " ".join(f"{c:>11}" + (f" {'s':>7} {'by':<13}" if c in SOLVED
+    print(f"{'model':<16} {'gamma':>5} {'dim':>5} {'halves':<15} "
+          + " ".join(f"{c:>11}" + (f" {'s':>7}" if c in SOLVED
                                    else f" {'ref_s':>7}" if c == "ref_peak" else "")
                      for c in COLUMNS))
-    for name, gamma, dim, *values, ref_s, raised, seconds, routes in measure(args.n_cells):
+    for name, gamma, dim, halves, *values, ref_s, raised, seconds in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
         cells[COLUMNS.index("ref_peak")] += f" {ref_s:7.3f}"
         solved = range(len(COLUMNS) - len(SOLVED), len(COLUMNS))
-        for i, wall, route, failed in zip(solved, seconds, routes, raised):
+        for i, wall, failed in zip(solved, seconds, raised):
             if failed:
                 cells[i] = f"{values[i]:10.1f}*"
-            cells[i] += f" {wall:7.3f} {route:<13}"
-        print(f"{name:<16} {gamma:5g} {dim:5d} " + " ".join(cells))
+            cells[i] += f" {wall:7.3f}"
+        print(f"{name:<16} {gamma:5g} {dim:5d} {halves:<15} " + " ".join(cells))
     return 0
 
 

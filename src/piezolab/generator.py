@@ -65,7 +65,8 @@ first read: the energy-space system of the spectra, S = R G_red R^{-1} and
 g = R^{-T} T^T M b with M_red = R^T R.  It is formed by the free blocks of
 the state, over which M_red is block diagonal: one Cholesky factor per
 free block, dense only in the block that carries c P_xi and banded in the
-others, and S only on the nonzero blocks of G_red; neither M nor M_red is
+others, and S only on the nonzero blocks of G_red, which also 2-colour the
+free blocks into the halves of the spectral solve; neither M nor M_red is
 formed dense.  Spectra, the kernel basis and modal starts read it, a time
 step never does.  A state dimension above DENSE_DIM_GUARD is refused there,
 and by the full-space skewness of :func:`dense_skew_defect`, before any
@@ -108,9 +109,9 @@ class Reduction:
     without a gauge binds none.  :func:`assemble` derives the rest from it:
     ``keep`` lists the free full coordinates, on which the lift T is the
     identity, T fills each bound block by its operator, and ``bound`` names
-    those blocks.  ``mechanical`` and ``velocity`` name reduced coordinates
-    by their block, so the dense solves can split where the model does (see
-    :mod:`piezolab.spectral`).  The dense reference
+    those blocks.  ``mechanical`` names the reduced coordinates of the
+    mechanical blocks, so the dense solves can split where the model does
+    (see :mod:`piezolab.spectral`).  The dense reference
     (:class:`DenseReference`) forms the reduced Gram matrix and generator
     only block by block, as temporaries.
     """
@@ -120,7 +121,6 @@ class Reduction:
     gauge: dict         # {bound block: (free block, operator)}, or empty
     bound: tuple        # the gauge's keys: y3 and y6, or empty
     mechanical: np.ndarray  # reduced coordinates of the blocks y1 and y4
-    velocity: np.ndarray    # reduced coordinates of the blocks y4 and y5
 
 
 @dataclass(frozen=True)
@@ -295,14 +295,19 @@ class DenseReference:
     block where G_red has none, and ``coupling`` = g = R^{-T} T^T M b the
     influence there (triangular solves, not the rounding of
     R M_red^{-1} T^T M b), so the collocated closed loop is S - k g g^T and
-    B* T R^{-1} v = g^T v.  No dense M, M_red, G_red or G is formed:
-    ``split.dense(ops.p_dense)`` forms G where it is wanted, and
-    :func:`gram_product` applies M.
+    B* T R^{-1} v = g^T v.  ``colour`` 2-colours the free blocks over the
+    nonzero blocks of G_red (:func:`_two_colours`), one bool per reduced
+    coordinate: False on the colour P, True on Q.  Where G_red couples the
+    colours only to each other, S_PP and S_QQ are exact zeros and S is
+    bipartite, which the spectral solve reads (see :mod:`piezolab.spectral`).
+    No dense M, M_red, G_red or G is formed: ``split.dense(ops.p_dense)``
+    forms G where it is wanted, and :func:`gram_product` applies M.
     """
 
     r: np.ndarray = field(repr=False)        # upper Cholesky factor of M_red
     s: np.ndarray = field(repr=False)        # R G_red R^{-1}
     coupling: np.ndarray = field(repr=False)  # g = R^{-T} T^T M b
+    colour: np.ndarray = field(repr=False)   # True on the reduced coordinates of Q
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,29 @@ def _reduced_blocks(g0: sparse.csr_array, c: sparse.csr_array, kt: sparse.csr_ar
         yield i, j, block
 
 
+def _two_colours(linked: list) -> np.ndarray:
+    """A colour per free block, True for Q, over the graph whose edges are ``linked``.
+
+    ``linked[i]`` holds the free blocks that block i couples to.  Each
+    connected component starts from its first free block in state order,
+    which takes the colour P, and every neighbour of a block takes the
+    other colour.  An edge whose ends take one colour (an odd cycle, or a
+    block that couples to itself) is left in place: it puts its entries
+    into S_PP or S_QQ, where the spectral solve refuses them.
+    """
+    colour = [None] * len(linked)
+    for start in range(len(linked)):
+        if colour[start] is None:
+            colour[start], todo = False, [start]
+            while todo:
+                i = todo.pop()
+                for j in sorted(linked[i]):
+                    if colour[j] is None:
+                        colour[j] = not colour[i]
+                        todo.append(j)
+    return np.array(colour, dtype=bool)
+
+
 @dataclass(frozen=True)
 class GeneratorAssembly:
     """One actuation model as the linear system y' = G y + b u.
@@ -485,7 +513,11 @@ class GeneratorAssembly:
         (:func:`_reduced_blocks`), the others exact zeros; g_i =
         R_i^{-T} (T^T M b)_i.  M and M_red are never dense: M_red's local
         part is sparse, and P_xi is added to its one block.  O(N^2) memory;
-        O(N^3) time in the nonlocal block only, O(N^2) in the others.
+        O(N^3) time in the nonlocal block only, O(N^2) in the others.  The
+        same blocks (i, j) link the free blocks i and j of the 2-colouring
+        ``colour`` (:func:`_two_colours`): at gamma != 0 P = {y1, y5} and
+        Q = {y2, y4}, at gamma = 0 and on the electrostatic model the
+        positions and the velocities.
 
         A state dimension above DENSE_DIM_GUARD raises
         :class:`ConfigParseError` before any dense array is formed; an M_red
@@ -509,14 +541,18 @@ class GeneratorAssembly:
         g0 = (split.g0[red.keep] @ t).tocsr()
         c, kt = split.c[red.keep].tocsr(), (split.k @ t).tocsr()
         s = np.zeros((n_red, n_red))
+        linked = [set() for _ in free]
         for i, j, g_ij in _reduced_blocks(g0, c, kt, self.ops, free, label):
             s[free[i][1], free[j][1]] = factors[j].solve_t(factors[i].times(g_ij).T).T
+            linked[i].add(j)
+            linked[j].add(i)
         rhs = t.T @ self.b_dual
         coupling = np.concatenate([factor.solve_t(rhs[rs, None])[:, 0]
                                    for (_, rs), factor in zip(free, factors)])
-        for arr in (r, s, coupling):
+        colour = _two_colours(linked)[label]
+        for arr in (r, s, coupling, colour):
             arr.setflags(write=False)
-        return DenseReference(r=r, s=s, coupling=coupling)
+        return DenseReference(r=r, s=s, coupling=coupling, colour=colour)
 
     def energy_split(self, y: np.ndarray) -> dict:
         """The energy (1/2) y^T M y of a flat state, part by part, at O(N).
@@ -691,8 +727,7 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
     free = np.ones(dim, dtype=bool)
     for name in gauge:
         free[blocks[name]] = False
-    mechanical, velocity = (_declared(blocks, names, dim)
-                            for names in (("y1", "y4"), ("y4", "y5")))
+    mechanical = _declared(blocks, ("y1", "y4"), dim)
     keep = np.flatnonzero(free)
     column = np.cumsum(free) - 1  # the reduced column of each free coordinate
     eye = sparse.eye_array(dim, format="csr")[:, keep]  # T on the free coordinates
@@ -708,8 +743,7 @@ def assemble(params: BeamParameters, grid: StaggeredGrid, ops: DiscreteOperators
         raise AssemblyInconsistent("generator does not preserve the gauge "
                                    f"manifold: defect {gauge_defect:.3e}")
     red = Reduction(t_map=t, keep=keep, gauge=gauge, bound=tuple(gauge),
-                    mechanical=np.flatnonzero(mechanical[keep]),
-                    velocity=np.flatnonzero(velocity[keep]))
+                    mechanical=np.flatnonzero(mechanical[keep]))
 
     b.setflags(write=False)
     b_dual = gram_product(parts, b)

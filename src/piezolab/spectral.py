@@ -22,42 +22,42 @@ the model does, twice over, reading the matrix itself (:func:`_plan`):
   (``reduction.mechanical``, the blocks y1 and y4) and the field ones, as
   at gamma = 0, the mechanical block is solved first and the field block
   second;
-* a block whose position-position and velocity-velocity sub-blocks
-  (``reduction.velocity``, the blocks y4 and y5) are exact zeros is
-  bipartite, S = [[0, B], [C, 0]] with C = -B^T to rounding.  That holds
-  for every electrostatic S and both blocks at gamma = 0.  Its pairs come
-  from one real SVD Bs = (B - C^T)/2 = U diag(sigma) V^T, by the
-  Jordan-Wielandt relation: x = (u; -+ i v)/sqrt(2) belongs to
-  lam = -+ i sigma, and a rectangular Bs adds its null vectors at 0.
-  Re lam = 0 is structure, not rounding: the spectrum of a real bipartite
-  matrix is symmetric under lam -> -lam and lam -> conj(lam), so a simple
+* each block is split into its halves P and Q by the 2-colouring of the
+  free blocks that the reference keeps (``colour``): the fields couple
+  only in alternation, y1 with y4, y4 with y5 through gamma and y5 with
+  y2, so P = {y1, y5} and Q = {y2, y4} at gamma != 0, and the positions
+  and the velocities at gamma = 0 and on the electrostatic model.  With
+  S_PP and S_QQ exact zeros the block is bipartite,
+  S = [[0, B], [C, 0]] with C = -B^T to rounding, and its pairs come from
+  one real SVD Bs = (B - C^T)/2 = U diag(sigma) V^T, by the
+  Jordan-Wielandt relation (Golub and Kahan, SIAM J. Numer. Anal. B 2
+  (1965) 205-224): x = (u; -+ i v)/sqrt(2) belongs to lam = -+ i sigma,
+  and a rectangular Bs adds its null vectors at 0.  Re lam = 0 is
+  structure, not rounding: the spectrum of a real bipartite matrix is
+  symmetric under lam -> -lam and lam -> conj(lam), so a simple
   eigenvalue cannot leave the imaginary axis.  The Rayleigh quotient of S
-  itself on x is x^H S x = -+ i u_k^T Bs v_k exactly, and the SVD's sigma_k
-  is u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from the real
-  products g.u and g.v (:func:`_svd_block`).
+  itself on x is x^H S x = -+ i u_k^T Bs v_k exactly, and the SVD's
+  sigma_k is u_k^T Bs v_k to rounding.  The coupling |g^T x| is read from
+  the real products g.u and g.v (:func:`_svd_block`).
 
-Any other block of S, which is skew to rounding, is solved by its skew
-part K = (S - S^T)/2 (:func:`_skew_block`): an orthogonal similarity
-Q^T K Q = T makes K skew tridiagonal, and T's even rows against its odd
-columns are a bidiagonal Bs, so the same SVD gives every pair (Ward and
-Gray, ACM TOMS 4 (1978) 278-285), with vectors
-x = (Q_e u -+ i Q_o v)/sqrt(2).  Its real parts are the first-order ones
-Re(x^H S x)/||x||^2, read from the symmetric part of S itself, so the
-imaginary-axis verdict still measures S; only the open-loop report reads
-them, and they are formed on its first read.
+A block whose S_PP or S_QQ holds a nonzero or a NaN (an odd cycle of its
+free blocks, or an entry off the structure) raises ValueError; there is no
+other route.  The vectors x are eigenvectors of the skew part
+(S - S^T)/2, and each eigenvalue of S lies within ||sym S||_2 of one of
+their i omega (Bauer-Fike, the skew part being normal), which
+:func:`symmetric_part_norm` reads on the same halves.
 
-Each block is formed only when it is solved, and a block that is all of S
-goes to its solver without a copy.  The spectra and the shifts read only
-each mode's facts |g^T x|, ||x|| and ||x[mech]||, which every block's own
-solve gives before any sort; an eigenvector is built only when asked for,
-one new vector at a time, by the ``mode`` getter of the solve, so no solve
-forms a (dim, dim) array of sorted or placed eigenvectors.  The solve is
-kept on the assembly as its one modal object (:func:`open_loop_modes`),
-which every spectral call reads, the kernel basis too, so S is factored
-once.  :func:`solve_route` names the route of a matrix.
+Each block's halves are formed only when it is solved.  The spectra and the
+shifts read only each mode's facts |g^T x|, ||x|| and ||x[mech]||, which
+every block's own solve gives before any sort; an eigenvector is built
+only when asked for, one new vector at a time, by the ``mode`` getter of
+the solve, so no solve forms a (dim, dim) array of sorted or placed
+eigenvectors.  The solve is kept on the assembly as its one modal object
+(:func:`open_loop_modes`), which every spectral call reads, the kernel
+basis too, so S is factored once.
 
 The closed loop S - k g g^T is a rank-one update of S, solved in the
-eigenbasis of the skew part without an eigensolve of its own.  Its
+eigenbasis of the open-loop solve without an eigensolve of its own.  Its
 eigenvalues are the roots of the secular equation
 1 + k sum_l |c_l|^2/(lam - i omega_l) = 0 with c_l = x_l^H g (Golub, SIAM
 Rev. 15 (1973) 318-334), found by one Aberth-Ehrlich solve of every root
@@ -71,15 +71,14 @@ the noise floor of a dense eigensolve (about machine epsilon times ||S||).
 Each root's eigenvector is sum_l c_l/(lam - i omega_l) x_l (Bunch, Nielsen
 and Sorensen, Numer. Math. 31 (1978) 31-48), whose facts are read from the
 coefficients and the real halves of the x_l (:func:`closed_loop_spectrum`).
-The closed loop reads S only through its skew part: a symmetric part of S
-shows in the open-loop real parts, not in the closed-loop roots.
+The closed loop reads S only through its skew part, as the open loop
+does.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,16 +134,6 @@ def _dominant_block(mech_fraction: np.ndarray) -> np.ndarray:
                     np.where(mech_fraction <= 0.1, "electromagnetic", "mixed"))
 
 
-def _column_norms(v: np.ndarray, mech: np.ndarray) -> tuple:
-    """(||x||, ||x[mech]||) of each column x of v, over blocks of TABLE_BLOCK columns."""
-    norms, mech_norms = np.empty((2, v.shape[1]))
-    for start in range(0, v.shape[1], TABLE_BLOCK):
-        cols = slice(start, start + TABLE_BLOCK)
-        norms[cols] = np.linalg.norm(v[:, cols], axis=0)
-        mech_norms[cols] = np.linalg.norm(v[mech, cols], axis=0)
-    return norms, mech_norms
-
-
 def _mode_table(bstar_abs: np.ndarray, norms: np.ndarray, mech_norms: np.ndarray) -> tuple:
     """Columns (stabilizable, dominant_block) of modes with energy-coordinate vectors v.
 
@@ -173,40 +162,26 @@ def _decoupled_blocks(s: np.ndarray, mechanical: np.ndarray) -> list:
     return [np.arange(len(s))]
 
 
-def _bipartite(s: np.ndarray, idx: np.ndarray, velocity: np.ndarray):
-    """(positions, velocities) of the block idx of S if it is bipartite, else None.
+def _bipartite(s: np.ndarray, idx: np.ndarray, colour: np.ndarray, name: str) -> tuple:
+    """(p, q), the coordinates of the block idx of S of the colour P and of Q.
 
-    The block is bipartite when its position-position and its
-    velocity-velocity sub-blocks of S hold exact zeros (a NaN is not zero)
-    and neither is empty.
+    The block must be bipartite on them: neither is empty and S_pp and S_qq
+    hold exact zeros (a NaN is not zero); otherwise ValueError names it.
     """
-    moving = np.isin(idx, velocity)
-    p, q = idx[~moving], idx[moving]
-    if (len(p) and len(q) and not np.any(s[np.ix_(p, p)])
+    p, q = idx[~colour[idx]], idx[colour[idx]]
+    if not (len(p) and len(q) and not np.any(s[np.ix_(p, p)])
             and not np.any(s[np.ix_(q, q)])):
-        return p, q
-    return None
+        raise ValueError(f"the {name} block of S is not bipartite on the 2-colouring "
+                         f"of its free blocks: S_PP or S_QQ holds a nonzero or a "
+                         f"NaN, or a half is empty")
+    return p, q
 
 
-def _plan(s: np.ndarray, reduction) -> list:
-    """[(block, its (positions, velocities) or None)] of every dense solve of S."""
-    return [(idx, _bipartite(s, idx, reduction.velocity))
-            for idx in _decoupled_blocks(s, reduction.mechanical)]
-
-
-def solve_route(s_matrix: np.ndarray, reduction) -> str:
-    """How the dense eigenpairs of ``s_matrix`` are solved, block by block.
-
-    ``"svd"`` for a bipartite block and ``"skew"`` (its skew part) for any
-    other, joined by ``"+"`` when the matrix splits into its mechanical and
-    field blocks.
-    """
-    return "+".join("svd" if halves else "skew" for _, halves in _plan(s_matrix, reduction))
-
-
-def _block(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The block idx of S; S itself if it is all of S."""
-    return s if len(idx) == len(s) else s[np.ix_(idx, idx)]
+def _plan(ref, mechanical: np.ndarray) -> list:
+    """[(p, q)] of every dense solve of the reference's S, one per block."""
+    blocks = _decoupled_blocks(ref.s, mechanical)
+    names = ("mechanical", "field") if len(blocks) == 2 else ("whole",)
+    return [_bipartite(ref.s, idx, ref.colour, name) for idx, name in zip(blocks, names)]
 
 
 def _pairs(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,8 +233,7 @@ class _Part(NamedTuple):
     ``coupling`` its c = x^H g; ``column(k)`` builds vector k as a new
     (dim,) array; ``mech_squares(z)`` is ||x[mech]||^2 of x = sum_k z_k x_k
     for each column of z, from real products with the block's real
-    factors; ``real_parts()`` forms the real parts of the values, which
-    ``values`` holds as +0.
+    factors.  The real parts of ``values`` are +0, by structure.
     """
 
     values: np.ndarray
@@ -267,7 +241,6 @@ class _Part(NamedTuple):
     coupling: np.ndarray
     column: Callable
     mech_squares: Callable
-    real_parts: Callable
 
 
 def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray,
@@ -314,101 +287,8 @@ def _svd_block(s: np.ndarray, p: np.ndarray, q: np.ndarray, coupling: np.ndarray
         return _squares((u[pm] @ np.hstack((alpha.real, alpha.imag)),
                          vt[:, qm].T @ np.hstack((beta.real, beta.imag))), z.shape[1])
 
-    size = len(p) + len(q)
-    return _Part(_pair_values(sigma, size), facts, _pair_coupling(r, a, b), column,
-                 mech_squares, lambda: np.zeros(size))
-
-
-def _skew_bidiagonal(m: np.ndarray) -> tuple:
-    """(Q, Bs) of K = (m - m^T)/2: Q^T K Q = T is skew tridiagonal, Bs = T[0::2, 1::2].
-
-    K is formed once in Fortran order and reduced in place (``dgehrd``),
-    and Q is formed in the same memory (``dorghr``).  With T's subdiagonal
-    e, T[i + 1, i] = e_i = -T[i, i + 1], so T's even rows against its odd
-    columns are the lower bidiagonal Bs.  A matrix that is not finite
-    raises ValueError, as ``svd`` does.
-    """
-    k = np.subtract(m, m.T, order="F")
-    k *= 0.5
-    if not np.isfinite(k).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lapack, n = scipy.linalg.lapack, len(k)
-    h, tau, _ = lapack.dgehrd(k, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=1)
-    e = np.diagonal(h, -1)
-    bs = np.zeros(((n + 1) // 2, n // 2), order="F")
-    np.fill_diagonal(bs, -e[0::2])     # T[2i, 2i + 1]
-    np.fill_diagonal(bs[1:], e[1::2])  # T[2i, 2i - 1]
-    q, _ = lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(n)[0]), overwrite_a=1)
-    return q, bs
-
-
-def _symmetric_forms(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y_j^T sym(m) y_j of each column y_j of y, sym(m) = (m + m^T)/2.
-
-    sym(m) is formed TABLE_BLOCK rows at a time, before any product, so
-    the forms carry the rounding of sym(m), not of m.
-    """
-    forms = np.zeros(y.shape[1])
-    for start in range(0, len(m), TABLE_BLOCK):
-        rows = slice(start, start + TABLE_BLOCK)
-        forms += np.einsum("ij,ij->j", y[rows], (m[rows] + m[:, rows].T) @ y)
-    return 0.5 * forms
-
-
-def _skew_block(s: np.ndarray, idx: np.ndarray, coupling: np.ndarray,
-                mechanical: np.ndarray) -> _Part:
-    """The block idx of an open-loop S, by its skew part.
-
-    With Q^T K Q = T (:func:`_skew_bidiagonal`), T's even rows against its
-    odd columns are the lower bidiagonal Bs = U diag(sigma) V^T (one real
-    SVD), so x = (Q_e u -+ i Q_o v)/sqrt(2) belongs to -+ i sigma, with Q_e
-    and Q_o the even and odd columns of Q (see :func:`_svd_block`).  The
-    halves Q_e U and Q_o V overwrite Q_e and Q_o in row chunks of
-    TABLE_BLOCK, so Q's memory holds every half-vector y.  The facts of
-    each x, and the mechanical parts of combinations, are combined from
-    those of its halves (:func:`_pairs`).  Its real part,
-    Re(x^H S x)/||x||^2 = x^H sym(S) x/||x||^2, is formed only when read
-    (:func:`_symmetric_forms`); a pair shares it.
-    """
-    y, bs = _skew_bidiagonal(_block(s, idx))
-    u, sigma, vt = scipy.linalg.svd(bs, overwrite_a=True)
-    del bs
-    for start in range(0, len(y), TABLE_BLOCK):
-        rows = slice(start, start + TABLE_BLOCK)
-        y[rows, 0::2] = y[rows, 0::2] @ u
-        y[rows, 1::2] = y[rows, 1::2] @ vt.T
-    del u, vt
-    mech = np.flatnonzero(np.isin(idx, mechanical))
-    norms, mech_norms = _column_norms(y, mech)
-    r, f = len(sigma), coupling[idx] @ y
-    facts = tuple(_pairs(r, h[0::2], h[1::2]) for h in (f, norms, mech_norms))
-
-    def column(k: int) -> np.ndarray:
-        x = np.zeros(len(coupling), dtype=complex)
-        if k < 2 * r:  # the pairs (Q_e u - i Q_o v) first, then (Q_e u + i Q_o v)
-            sign, j = (-1.0, k) if k < r else (1.0, k - r)
-            x.real[idx] = HALF * y[:, 2 * j]
-            x.imag[idx] = sign * (HALF * y[:, 2 * j + 1])
-        else:
-            x.real[idx] = y[:, 2 * (k - r)]
-        return x
-
-    def mech_squares(z: np.ndarray) -> np.ndarray:
-        alpha, beta = _halves(r, z)
-        alpha = np.concatenate((alpha, z[2 * r:]))  # and the null vector's, if any
-        m = z.shape[1]
-        coef = np.empty((len(y), 2 * m))  # rows in the order of y's columns
-        coef[0::2, :m], coef[0::2, m:] = alpha.real, alpha.imag
-        coef[1::2, :m], coef[1::2, m:] = -beta.imag, beta.real
-        return _squares((y[mech] @ coef,), m)
-
-    def real_parts() -> np.ndarray:
-        forms = _symmetric_forms(_block(s, idx), y)
-        pair = (forms[0:2 * r:2] + forms[1::2]) / 2
-        return np.concatenate((pair, pair, forms[2 * r::2])) / facts[1] ** 2
-
-    return _Part(_pair_values(sigma, len(y)), facts, _pair_coupling(r, f[0::2], f[1::2]),
-                 column, mech_squares, real_parts)
+    return _Part(_pair_values(sigma, len(p) + len(q)), facts, _pair_coupling(r, a, b),
+                 column, mech_squares)
 
 
 def _zero_modes(values: np.ndarray) -> np.ndarray:
@@ -419,11 +299,11 @@ def _zero_modes(values: np.ndarray) -> np.ndarray:
 class OpenLoopModes:
     """The eigenpairs of an open-loop S, in spectrum order (:func:`_sort_order`).
 
-    ``omega`` holds the imaginary parts of the eigenvalues, ``facts``
-    (|g^T x|, ||x||, ||x[mech]||) and ``coupling`` c = x^H g of each
-    eigenvector x, read from the blocks' own solves (:class:`_Part`) and
-    sorted with them; ``values`` adds the real parts, formed on the first
-    read.  ``kernel`` indexes the zero modes (:func:`_zero_modes` of omega)
+    ``values`` holds the eigenvalues, whose real parts are +0, ``omega``
+    their imaginary parts, and ``facts`` (|g^T x|, ||x||, ||x[mech]||) and
+    ``coupling`` c = x^H g of each eigenvector x, read from the blocks' own
+    solves (:class:`_Part`) and sorted with them.  ``kernel`` indexes the
+    zero modes (:func:`_zero_modes` of omega)
     and ``pairs`` the modes with omega above them, in ascending omega.
     These arrays are read-only, since every caller shares them.  ``mode(j)``
     builds the j-th eigenvector as a new (dim,) array, and
@@ -434,24 +314,19 @@ class OpenLoopModes:
     def __init__(self, parts: list):
         self._parts = parts
         self._starts = np.cumsum([0] + [len(part.values) for part in parts[:-1]])
-        self._order = _sort_order(np.concatenate([part.values for part in parts]))
-        self.omega = np.concatenate([part.values.imag for part in parts])[self._order]
+        values = np.concatenate([part.values for part in parts])
+        self._order = _sort_order(values)
+        self.values = values[self._order]
+        self.omega = self.values.imag.copy()
         self.facts = tuple(np.concatenate(fact)[self._order]
                            for fact in zip(*(part.facts for part in parts)))
         self.coupling = np.concatenate([part.coupling for part in parts])[self._order]
         zero = _zero_modes(self.omega)
         self.kernel = np.flatnonzero(zero)
         self.pairs = np.flatnonzero(~zero & (self.omega > 0))
-        for arr in (self.omega, self.coupling, self.kernel, self.pairs, *self.facts):
+        for arr in (self.values, self.omega, self.coupling, self.kernel, self.pairs,
+                    *self.facts):
             arr.setflags(write=False)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        w = np.concatenate([part.values for part in self._parts])
-        w.real = np.concatenate([part.real_parts() for part in self._parts])
-        w = w[self._order]
-        w.setflags(write=False)
-        return w
 
     def mode(self, j: int) -> np.ndarray:
         i = self._order[j]
@@ -466,20 +341,29 @@ class OpenLoopModes:
                            for part, start in zip(self._parts, self._starts)))
 
 
-def _blockwise(s: np.ndarray, reduction, coupling: np.ndarray) -> OpenLoopModes:
-    """The eigenpairs of an open-loop S, solved block by block (:func:`_plan`).
+def _blockwise(ref, mechanical: np.ndarray) -> OpenLoopModes:
+    """The eigenpairs of the open-loop S of a dense reference, block by block.
 
-    A bipartite block is solved by one SVD (:func:`_svd_block`), any other
-    by its skew part (:func:`_skew_block`), each block formed only when it
-    is solved and a block that is all of S given to its solver without a
-    copy; the facts read g = ``coupling`` and mech =
-    ``reduction.mechanical``.  A matrix that is not finite raises
-    ValueError.
+    Each block of :func:`_plan` is solved by one SVD on its halves
+    (:func:`_svd_block`); the facts read g = ``ref.coupling`` and the
+    ``mechanical`` coordinates.  A block that is not bipartite on its
+    halves, or a matrix that is not finite, raises ValueError.
     """
-    mech = reduction.mechanical
-    return OpenLoopModes([_svd_block(s, *halves, coupling, mech) if halves
-                          else _skew_block(s, idx, coupling, mech)
-                          for idx, halves in _plan(s, reduction)])
+    return OpenLoopModes([_svd_block(ref.s, p, q, ref.coupling, mechanical)
+                          for p, q in _plan(ref, mechanical)])
+
+
+def symmetric_part_norm(assembly: GeneratorAssembly) -> float:
+    """||sym S||_2 of the assembly's S, sym S = (S + S^T)/2, on the halves of its solve.
+
+    S_PP and S_QQ are exact zeros and so is S between its blocks
+    (:func:`_plan`), so this is the largest sigma_max((S_pq + S_qp^T)/2) over
+    the blocks: the radius around the computed i omega within which the
+    eigenvalues of S lie (Bauer-Fike, the skew part being normal).
+    """
+    s = assembly.reference.s
+    return max(float(np.linalg.norm(0.5 * (s[np.ix_(p, q)] + s[np.ix_(q, p)].T), 2))
+               for p, q in _plan(assembly.reference, assembly.reduction.mechanical))
 
 
 def open_loop_modes(assembly: GeneratorAssembly) -> OpenLoopModes:
@@ -492,8 +376,7 @@ def open_loop_modes(assembly: GeneratorAssembly) -> OpenLoopModes:
     """
     kept = assembly.__dict__
     if "open_loop" not in kept:
-        ref = assembly.reference
-        kept["open_loop"] = _blockwise(ref.s, assembly.reduction, ref.coupling)
+        kept["open_loop"] = _blockwise(assembly.reference, assembly.reduction.mechanical)
     return kept["open_loop"]
 
 
@@ -518,11 +401,10 @@ def _build_report(w: np.ndarray, facts: tuple) -> SpectrumReport:
 def compute_spectrum(assembly: GeneratorAssembly) -> SpectrumReport:
     """Dense spectrum of the generator on the constrained subspace.
 
-    Each block of S is solved by one SVD, of a bipartite block or of the
-    bidiagonal form of a block's skew part (:func:`_blockwise`); each real
-    part is the Rayleigh quotient of S on its eigenvector, exactly 0 on a
-    bipartite block, so ``max_abs_real`` is the largest first-order real
-    part of S's pairs.
+    Each block of S is solved by one SVD on its bipartite halves
+    (:func:`_blockwise`), so every real part, and ``max_abs_real``, is
+    exactly 0 by structure; :func:`symmetric_part_norm` measures how far
+    the eigenvalues of S can lie from them.
     """
     solve = open_loop_modes(assembly)
     return _build_report(solve.values, solve.facts)
@@ -592,7 +474,8 @@ def closed_loop_mode_shifts(assembly: GeneratorAssembly, gain: float):
     lift phi; and dominant_block[j] labels it by its mechanical energy
     fraction ||x[mech]||^2 / ||x||^2, with the rule of the mode table.  No
     eigenvector array is kept.  A gain that is negative or not finite
-    raises ValueError, as does an S that is not finite.
+    raises ValueError, as does an S that is not finite or not bipartite
+    (:func:`_plan`).
     """
     gain = checked_gain(gain)
     solve = open_loop_modes(assembly)
@@ -683,9 +566,9 @@ def kernel_basis(assembly: GeneratorAssembly):
 
     Returns an array of full-state columns; contains the rigid translation
     (constant y4).  They lift the ``kernel`` modes of :func:`open_loop_modes`,
-    null vectors that are real and orthonormal by construction ((u; 0) or
-    (0; v) of a rectangular Bs, a column of Q on the skew route).  A zero
-    mode that is not real (a pair at +- i 0) raises ValueError.
+    null vectors that are real and orthonormal by construction, (u; 0) or
+    (0; v) of a rectangular Bs.  A zero mode that is not real (a pair at
+    +- i 0) raises ValueError.
     """
     solve = open_loop_modes(assembly)
     v = np.array([solve.mode(j) for j in solve.kernel]).reshape(-1, len(solve.omega)).T

@@ -247,7 +247,7 @@ class TestDenseReference:
 
         # the mode table in energy coordinates against the lifted one, on
         # the same eigenpairs
-        solve = spectral._blockwise(own.s, asm.reduction, own.coupling)
+        solve = spectral._blockwise(own, asm.reduction.mechanical)
         v = np.column_stack([solve.mode(j) for j in range(len(solve.omega))])
         report = spectral.compute_spectrum(asm)
         bstar, stabilizable, block = _lifted_mode_table(ref, asm.b, r, v)

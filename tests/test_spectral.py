@@ -35,11 +35,17 @@ def _report(n=64, gamma=1.0):
 
 
 def _system(system, n):
-    """The six-field model at gamma = 0 or the electrostatic one, on n cells."""
+    """The six-field model at gamma = 0, the electrostatic one or, for
+    "coupled", the six-field model at gamma = 1, on n cells."""
     if system == "electrostatic":
         return assemble_electrostatic(TOY, build_grid(TOY.L, n))
-    params = toy_parameters(gamma=0.0)
+    params = TOY if system == "coupled" else toy_parameters(gamma=0.0)
     return assemble_generator(params, build_grid(params.L, n))
+
+
+def _column_norms(v, mech):
+    """(||x||, ||x[mech]||) of each column x of v."""
+    return np.linalg.norm(v, axis=0), np.linalg.norm(v[mech], axis=0)
 
 
 def _set_distance(a, b):
@@ -157,7 +163,7 @@ class TestKernel:
         # the real parts alone would span half of the kernel
         asm = _system("gamma0", 16)
         ref, red = asm.reference, asm.reduction
-        _, (_, (p, q)) = spectral._plan(ref.s, red)
+        _, (p, q) = spectral._plan(ref, red.mechanical)
         s = ref.s.copy()
         s[p[4], q] = 1e-300
         s[q, p[4]] = -1e-300
@@ -216,8 +222,7 @@ def _scalar_secular_loop(omega_all, c2, pos, gain, max_iter=60, rtol=1e-12):
 
 def _modes(asm):
     """(omega, |c|^2) of every open-loop mode the shifts read, the kernel included."""
-    ref = asm.reference
-    solve = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+    solve = spectral._blockwise(asm.reference, asm.reduction.mechanical)
     return solve.omega, solve.facts[0] ** 2
 
 
@@ -228,16 +233,14 @@ def _all_roots(asm, gain):
 
 
 def _count_solves(monkeypatch):
-    """The dense reductions made from now on, "skew" or "svd" each; eig raises."""
+    """The dense block solves made from now on, "svd" each; eig raises."""
     calls = []
-    skew, svd = spectral._skew_bidiagonal, spectral._svd_block
+    svd = spectral._svd_block
 
     def no_eig(*args, **kwargs):
         raise AssertionError("scipy.linalg.eig was called")
 
     monkeypatch.setattr(scipy.linalg, "eig", no_eig)
-    monkeypatch.setattr(spectral, "_skew_bidiagonal",
-                        lambda *args: calls.append("skew") or skew(*args))
     monkeypatch.setattr(spectral, "_svd_block",
                         lambda *args: calls.append("svd") or svd(*args))
     return calls
@@ -309,10 +312,12 @@ class TestClosedLoop:
         assert omega[0] > 1e-8
 
     def test_unconverged_mode_raises(self, monkeypatch):
+        # 62 of the 63 modes are coupled: the kernel's null vector (0; v)
+        # lies on Q, where g is exactly 0
         asm, _ = _report(16)
         monkeypatch.setattr(spectral, "ABERTH_MAX_SWEEPS", 2)
         with pytest.raises(SecularNotConverged,
-                           match=r"of 63 closed-loop roots still moved after 2 "
+                           match=r"of 62 closed-loop roots still moved after 2 "
                                  r"sweeps, the lowest from the mode at \|omega\| = "):
             closed_loop_mode_shifts(asm, 1.0)
 
@@ -367,19 +372,19 @@ class TestClosedLoop:
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0, atol=1e-12 * np.abs(w).max())
         bstar_abs = np.abs(asm.reference.coupling @ v)
         stabilizable, block = spectral._mode_table(
-            bstar_abs, *spectral._column_norms(v, asm.reduction.mechanical))
+            bstar_abs, *_column_norms(v, asm.reduction.mechanical))
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
         np.testing.assert_array_equal(report.dominant_block, block)
         np.testing.assert_allclose(report.bstar_abs[stabilizable], bstar_abs[stabilizable],
                                    rtol=1e-6, atol=0)
         assert np.isfinite(report.eigenvalues).all() and np.isfinite(report.bstar_abs).all()
 
-    @pytest.mark.parametrize("gamma, solves", ((1.0, ["skew"]), (0.0, ["svd", "svd"])))
+    @pytest.mark.parametrize("gamma, solves", ((1.0, ["svd"]), (0.0, ["svd", "svd"])))
     def test_closed_loop_run_solves_once_without_eig(self, gamma, solves, tmp_path,
                                                       monkeypatch, capsys):
         # `spectrum --closed-loop` reads both spectra from one open-loop
-        # solve: one reduction of the whole S at gamma = 1, one SVD per
-        # bipartite block at gamma = 0, and no eig
+        # solve: one SVD of the whole S at gamma = 1, one per block at
+        # gamma = 0, and no eig
         calls = _count_solves(monkeypatch)
         doc = toy_config_dict(n_cells=16, t_final=0.1)
         doc["params"]["gamma"] = gamma
@@ -394,7 +399,7 @@ class TestClosedLoop:
         acceptance._assembly.cache_clear()
         calls = _count_solves(monkeypatch)
         assert acceptance.check_gain_perturbation().passed
-        assert calls == ["skew"]
+        assert calls == ["svd"]
 
     def test_unconverged_closed_loop_run_writes_nothing(self, tmp_path, monkeypatch,
                                                         capsys):
@@ -518,30 +523,36 @@ class TestDiagonalBlocks:
         np.testing.assert_array_equal(blocks[0], asm.reduction.mechanical)
 
     def test_tiny_cross_entry_couples(self):
-        # one 1e-300 entry on either side of the diagonal keeps one block
+        # one 1e-300 entry on either side of the diagonal keeps one block,
+        # which is not bipartite on the colouring: the entry joins two
+        # free blocks of one colour, so the solve refuses it
         asm, _ = _report(32, gamma=0.0)
-        red = asm.reduction
-        mech, em = spectral._decoupled_blocks(asm.reference.s, red.mechanical)
+        ref, red = asm.reference, asm.reduction
+        mech, em = spectral._decoupled_blocks(ref.s, red.mechanical)
         for row, col in ((em[3], mech[5]), (mech[5], em[3])):
-            s = asm.reference.s.copy()
+            s = ref.s.copy()
             s[row, col] = 1e-300
             blocks = spectral._decoupled_blocks(s, red.mechanical)
             assert len(blocks) == 1
             np.testing.assert_array_equal(blocks[0], np.arange(len(s)))
-            assert spectral.solve_route(s, red) == "skew"
+            with pytest.raises(ValueError, match="the whole block of S is not bipartite"):
+                spectral._plan(dataclasses.replace(ref, s=s), red.mechanical)
 
     @pytest.mark.parametrize("gamma", (0.0, 1.0))
     @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
                                        assemble_electrostatic),
                              ids=("current", "charge_magnetic", "electrostatic"))
-    def test_skew_route_is_the_eig_route(self, build, gamma, monkeypatch):
+    def test_one_svd_per_block(self, build, gamma, monkeypatch):
         # the closed loop, which eig once solved block by block, reads the
-        # open-loop solve: one SVD or skew reduction per block of its route
+        # open-loop solve: one SVD per block of its plan
         params = toy_parameters(gamma=gamma)
         asm = build(params, build_grid(params.L, 32))
         calls = _count_solves(monkeypatch)
         closed_loop_spectrum(asm, 1.0)
-        assert "+".join(calls) == spectral.solve_route(asm.reference.s, asm.reduction)
+        plan = spectral._plan(asm.reference, asm.reduction.mechanical)
+        assert calls == ["svd"] * len(plan)
+        assert len(plan) == (2 if gamma == 0.0 and build is not assemble_electrostatic
+                             else 1)
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_gamma_zero_spectrum_matches_full_eig(self, n):
@@ -551,25 +562,91 @@ class TestDiagonalBlocks:
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
         stabilizable, block = spectral._mode_table(
-            np.abs(ref.coupling @ v), *spectral._column_norms(v, asm.reduction.mechanical))
+            np.abs(ref.coupling @ v), *_column_norms(v, asm.reduction.mechanical))
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0,
                                    atol=1e-12 * report.g_norm)
         np.testing.assert_array_equal(report.dominant_block, block)
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
 
 
+def _block_names(asm):
+    """The name of the free block of each reduced coordinate."""
+    keep, names = asm.reduction.keep, np.full(len(asm.reduction.keep), "", dtype="<U2")
+    for name in ("y1", "y2", "y4", "y5"):
+        if name in asm.blocks:
+            names[np.isin(keep, np.arange(asm.dim)[asm.blocks[name]])] = name
+    return names
+
+
+class TestColouring:
+    """The halves of every open-loop solve come from the 2-colouring of the free blocks."""
+
+    @pytest.mark.parametrize("gamma", (0.0, 1.0, -1.3))
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
+                                       assemble_electrostatic),
+                             ids=("current", "charge_magnetic", "electrostatic"))
+    def test_colours_of_the_free_blocks(self, build, gamma):
+        # positions against velocities at gamma = 0, and s against w on the
+        # electrostatic model at any gamma; gamma != 0 links y4 and y5, so
+        # the six-field halves become {y1, y5} and {y2, y4}
+        params = toy_parameters(gamma=gamma)
+        asm = build(params, build_grid(params.L, 16))
+        colour, names = asm.reference.colour, _block_names(asm)
+        assert colour.dtype == bool and colour.shape == names.shape
+        if build is assemble_electrostatic:
+            np.testing.assert_array_equal(colour, np.isin(names, ("y4",)))
+            np.testing.assert_array_equal(colour[:16], False)  # s
+            np.testing.assert_array_equal(colour[16:], True)   # w
+        elif gamma == 0.0:
+            np.testing.assert_array_equal(colour, np.isin(names, ("y4", "y5")))
+        else:
+            np.testing.assert_array_equal(colour, np.isin(names, ("y2", "y4")))
+        assert not colour.flags.writeable
+
+    @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
+    def test_gamma_zero_halves_are_positions_and_velocities(self, system):
+        # the former halves, the velocity blocks y4 and y5, are those of the
+        # colouring, so the solves are the same
+        asm = _system(system, 16)
+        names = _block_names(asm)
+        for p, q in spectral._plan(asm.reference, asm.reduction.mechanical):
+            assert set(names[p]) <= {"y1", "y2"} and set(names[q]) <= {"y4", "y5"}
+
+    def test_coupled_halves(self):
+        # one block at gamma != 0: |P| = 2N - 1 against |Q| = 2N, so Bs has
+        # one null vector (0; v), the kernel
+        asm = _system("coupled", 16)
+        (p, q), = spectral._plan(asm.reference, asm.reduction.mechanical)
+        assert (len(p), len(q)) == (31, 32)
+        names = _block_names(asm)
+        assert set(names[p]) == {"y1", "y5"} and set(names[q]) == {"y2", "y4"}
+        solve = open_loop_modes(asm)
+        kernel, = solve.kernel
+        v = solve.mode(kernel)
+        assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
+        assert solve.facts[0][kernel] == 0.0  # g is exactly 0 on Q
+
+    def test_odd_cycle_leaves_an_entry_in_one_colour(self):
+        # a triangle of free blocks cannot be 2-coloured; the edge whose ends
+        # share a colour stays, for the spectral solve to refuse
+        colour = generator._two_colours([{1, 2}, {0, 2}, {0, 1}])
+        np.testing.assert_array_equal(colour, (False, True, True))
+        np.testing.assert_array_equal(generator._two_colours([{1}, {0, 2}, {1}, set()]),
+                                      (False, True, False, False))
+
+
 class TestBipartiteRoute:
     """Bipartite blocks, solved by one SVD, against eig and eigh of the same S."""
 
-    CASES = [("electrostatic", n) for n in (16, 64, 256)] + [("gamma0", n)
-                                                           for n in (16, 64, 128)]
+    CASES = ([("electrostatic", n) for n in (16, 64, 256)]
+             + [("gamma0", n) for n in (16, 64, 128)] + [("coupled", n) for n in (32, 64)])
 
-    @pytest.mark.parametrize("system, n", CASES)
+    @pytest.mark.parametrize("system, n", CASES[:6])
     def test_matches_dense_solvers(self, system, n):
         asm = _system(system, n)
         ref = asm.reference
-        assert spectral.solve_route(ref.s, asm.reduction) == (
-            "svd" if system == "electrostatic" else "svd+svd")
+        plan = spectral._plan(ref, asm.reduction.mechanical)
+        assert len(plan) == (1 if system == "electrostatic" else 2)
         report = compute_spectrum(asm)
         rho = report.g_norm
         w, v = scipy.linalg.eig(ref.s)
@@ -582,12 +659,15 @@ class TestBipartiteRoute:
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
         stabilizable, block = spectral._mode_table(
-            np.abs(ref.coupling @ v), *spectral._column_norms(v, asm.reduction.mechanical))
+            np.abs(ref.coupling @ v), *_column_norms(v, asm.reduction.mechanical))
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
         np.testing.assert_array_equal(report.dominant_block, block)
 
     @pytest.mark.parametrize("system, n", CASES)
     def test_eigenpair_residual(self, system, n):
+        # the residual of every built vector, and the real parts: exactly 0,
+        # where the Rayleigh quotients of S on the built vectors are 0 to
+        # rounding
         asm = _system(system, n)
         s = asm.reference.s
         w, v = _all_modes(asm)
@@ -597,32 +677,33 @@ class TestBipartiteRoute:
             res = np.linalg.norm(s @ v[:, cols] - v[:, cols] * w[cols], axis=0)
             assert np.max(res) <= 1e-10 * rho
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.all(w.real == 0.0)
+        rayleigh = np.einsum("ij,ij->j", v.conj(), s @ v).real
+        assert np.max(np.abs(rayleigh)) <= 1e-13 * rho
 
-    @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
+    @pytest.mark.parametrize("system", ("gamma0", "electrostatic", "coupled"))
     @pytest.mark.parametrize("part", ("positions", "velocities"))
-    def test_tiny_diagonal_entry_goes_to_eig(self, system, part):
-        # one 1e-300 entry in a position-position or velocity-velocity block
-        # sends that block to the skew route, while its partner block keeps
-        # the SVD; the spectra on that route match eig, the closed loop's too
+    def test_tiny_diagonal_entry_raises(self, system, part):
+        # one 1e-300 entry in S_PP or S_QQ of a block leaves it not
+        # bipartite: the spectrum and the closed loop refuse it, naming the
+        # block, as there is no other route
         asm = _system(system, 32)
         ref = asm.reference
         s = ref.s.copy()
-        _, (p, q) = spectral._plan(s, asm.reduction)[-1]  # the last block
+        p, q = spectral._plan(ref, asm.reduction.mechanical)[-1]  # the last block
         idx = p if part == "positions" else q
         s[idx[3], idx[5]] = 1e-300
-        assert spectral.solve_route(s, asm.reduction) == (
-            "skew" if system == "electrostatic" else "svd+skew")
         asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
-        for w, want_w in ((compute_spectrum(asm).eigenvalues, scipy.linalg.eigvals(s)),
-                          (closed_loop_spectrum(asm, 1.0).eigenvalues,
-                           _dense_closed_loop(asm, 1.0)[0])):
-            assert _set_distance(w, want_w) <= 1e-12 * np.max(np.abs(w))
+        name = {"gamma0": "field", "electrostatic": "whole", "coupled": "whole"}[system]
+        for call in (lambda: compute_spectrum(asm), lambda: closed_loop_spectrum(asm, 1.0)):
+            with pytest.raises(ValueError, match=f"the {name} block of S is not bipartite"):
+                call()
 
     def test_rectangular_block_has_the_translation_kernel(self):
         # at gamma = 0 the mechanical Bs maps the N + 1 velocities y4 to the
         # N strains y1; its null vector is the rigid translation
         asm = _system("gamma0", 32)
-        (_, (p, q)), (_, (p_em, q_em)) = spectral._plan(asm.reference.s, asm.reduction)
+        (p, q), (p_em, q_em) = spectral._plan(asm.reference, asm.reduction.mechanical)
         assert (len(p), len(q)) == (32, 33) and len(p_em) == len(q_em) == 31
         report = compute_spectrum(asm)
         assert report.kernel_dimension == 1
@@ -631,12 +712,10 @@ class TestBipartiteRoute:
         v = open_loop_modes(asm).mode(0)
         assert np.all(v[p] == 0.0) and np.all(v.imag == 0.0)
 
-    def test_eig_is_called_only_off_the_svd_route(self, monkeypatch):
+    def test_eig_is_never_called(self, monkeypatch):
         # the solver is looked up per call, so a wrapper on scipy.linalg.eig
-        # sees every dense eig: none for any open-loop call, bipartite or
-        # not, and none for a closed-loop spectrum, which reads the same
-        # solve where its feedback fills a bipartite block, as the
-        # electrostatic one and the gamma = 0 field block
+        # sees every dense eig: none for any open-loop call and none for a
+        # closed-loop spectrum, which reads the same solve; one SVD per block
         calls = _count_solves(monkeypatch)
         systems = (_system("electrostatic", 16), _system("gamma0", 16),
                    assemble_generator(TOY, build_grid(TOY.L, 16)),
@@ -646,180 +725,111 @@ class TestBipartiteRoute:
             closed_loop_mode_shifts(asm, 1.0)
             open_loop_modes(asm).mode(0)
             closed_loop_spectrum(asm, 1.0)
-        assert calls == ["svd", "svd", "svd", "skew", "skew"]
+        assert calls == ["svd"] * 5
 
 
-class TestSkewRoute:
-    """Open-loop blocks that are not bipartite, solved by the SVD of the
-    bidiagonal form of their skew part, against eig and eigh of the same S."""
+class TestCoupledRoute:
+    """The open loop at gamma != 0, one bipartite block on the halves {y1, y5}
+    and {y2, y4}, against eig and eigh of the same S."""
 
-    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    @pytest.mark.parametrize("params", (TOY, toy_parameters(gamma=-1.3), NON_UNIT),
+                             ids=("gamma1", "gamma-1.3", "non_unit"))
     @pytest.mark.parametrize("n", (32, 64, 128))
-    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic,
-                                       assemble_electrostatic),
-                             ids=("current", "charge_magnetic", "electrostatic"))
-    def test_matches_dense_solvers(self, build, n, gamma):
-        params = toy_parameters(gamma=gamma)
+    @pytest.mark.parametrize("build", (assemble_generator, assemble_charge_magnetic),
+                             ids=("current", "charge_magnetic"))
+    def test_matches_dense_solvers(self, build, n, params):
         asm = build(params, build_grid(params.L, n))
         ref, red = asm.reference, asm.reduction
-        assert spectral.solve_route(ref.s, red) == (
-            "svd" if build is assemble_electrostatic else "skew")
+        (p, q), = spectral._plan(ref, red.mechanical)
+        assert (len(p), len(q)) == (2 * n - 1, 2 * n)
         report = compute_spectrum(asm)
         rho = report.g_norm
         w, v = scipy.linalg.eig(ref.s)
         order = spectral._sort_order(w)
         w, v = w[order], v[:, order]
-        assert np.max(np.abs(report.eigenvalues - w)) <= 1e-13 * rho
+        assert _set_distance(report.eigenvalues, w) <= 1e-12 * rho
+        assert np.max(np.abs(report.eigenvalues - w)) <= 1e-12 * rho
         # |B* phi| against the vectors of eigh of the skew part, which eig's
         # own vectors miss by up to 2e-10 where modes are close
         theta, u = np.linalg.eigh(0.5j * (ref.s - ref.s.T))
         want = np.abs(ref.coupling @ u[:, spectral._sort_order(-1j * theta)])
         assert np.max(np.abs(report.bstar_abs - want)) <= 1e-11
         stabilizable, block = spectral._mode_table(
-            np.abs(ref.coupling @ v), *spectral._column_norms(v, red.mechanical))
+            np.abs(ref.coupling @ v), *_column_norms(v, red.mechanical))
         np.testing.assert_array_equal(report.stabilizable, stabilizable)
         np.testing.assert_array_equal(report.dominant_block, block)
         kernel = np.count_nonzero(np.abs(w) <= spectral.ZERO_MODE_REL_TOL * rho)
-        assert report.kernel_dimension == kernel
-        # the Rayleigh real parts: the members of a pair, in turn after the
-        # kernel, are conjugates, and they lie far below eig's rounding
-        # (exactly 0 on the bipartite route)
+        assert report.kernel_dimension == kernel == 1
+        # exact conjugate pairs after the kernel, on the imaginary axis
         pairs = report.eigenvalues[report.kernel_dimension:]
         np.testing.assert_array_equal(pairs[0::2], np.conj(pairs[1::2]))
-        assert report.max_abs_real <= 1e-20 * rho
+        assert report.max_abs_real == 0.0
 
-    @pytest.mark.parametrize("n", (32, 64))
-    def test_eigenpair_residual(self, n):
-        asm = assemble_generator(TOY, build_grid(TOY.L, n))
-        s = asm.reference.s
-        w, v = _all_modes(asm)
-        rho = np.max(np.abs(w))
-        res = np.linalg.norm(s @ v - v * w, axis=0)
-        assert np.max(res) <= 1e-12 * rho
-        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
-        # the real parts are the Rayleigh quotients of S on the built vectors
-        rayleigh = np.einsum("ij,ij->j", v.conj(), s @ v).real
-        assert np.max(np.abs(w.real - rayleigh)) <= 1e-13 * rho
+    def test_symmetric_part_norm(self):
+        # ||sym S||_2 read on the halves against the dense 2-norm of sym S
+        for asm in (_system("coupled", 32), _system("gamma0", 32),
+                    _system("electrostatic", 32)):
+            s = asm.reference.s
+            want = np.linalg.norm(0.5 * (s + s.T), 2)
+            got = spectral.symmetric_part_norm(asm)
+            assert abs(got - want) <= 1e-14 * np.abs(s).max()
+            assert got <= 1e-11 * compute_spectrum(asm).g_norm
 
     def test_real_parts_are_zero_on_bipartite_blocks(self):
-        # a 1e-300 entry sends the gamma = 0 field block to the skew route;
-        # the mechanical block keeps the SVD, whose modes form no product
-        # with S and have real part exactly 0
+        # every real part is exactly 0, on the split blocks at gamma = 0 as
+        # on the whole S at gamma = 1; a 1e-300 entry in the field block's
+        # S_PP leaves it not bipartite, and the solve refuses it
+        for system in ("gamma0", "coupled"):
+            asm = _system(system, 32)
+            solve = open_loop_modes(asm)
+            assert np.all(solve.values.real == 0.0) and not solve.values.flags.writeable
         asm = _system("gamma0", 32)
-        s, red = asm.reference.s.copy(), asm.reduction
-        (mech, _), (_, (p, _)) = spectral._plan(s, red)
+        ref, red = asm.reference, asm.reduction
+        s = ref.s.copy()
+        _, (p, _) = spectral._plan(ref, red.mechanical)
         s[p[3], p[5]] = 1e-300
-        assert spectral.solve_route(s, red) == "svd+skew"
-        solve = spectral._blockwise(s, red, asm.reference.coupling)
-        w, mode = solve.values, solve.mode
-        on_mech = [j for j in range(len(w)) if not np.any(np.delete(mode(j), mech))]
-        assert len(on_mech) == len(mech)
-        assert np.all(w[on_mech].real == 0.0)
-        assert np.count_nonzero(np.delete(w, on_mech).real) > 0
+        with pytest.raises(ValueError, match="the field block of S is not bipartite"):
+            spectral._blockwise(dataclasses.replace(ref, s=s), red.mechanical)
 
     @pytest.mark.parametrize("value", (np.nan, np.inf))
-    @pytest.mark.parametrize("system, block", (("toy", "whole"), ("gamma0", "positions"),
-                                               ("gamma0", "coupling")))
+    @pytest.mark.parametrize("system", ("coupled", "gamma0"))
+    @pytest.mark.parametrize("block", ("positions", "coupling"))
     def test_non_finite_entry_raises(self, system, block, value):
-        # one NaN or Inf in S raises ValueError on the skew route (a
-        # position-position entry leaves the block's bipartite form) as on
-        # the SVD route (a position-velocity entry keeps it), for the
+        # one NaN or Inf in S raises ValueError: in S_PP it leaves the block
+        # not bipartite, and between the halves the SVD refuses it, for the
         # spectrum, the shifts and the closed loop alike
-        asm = (assemble_generator(TOY, build_grid(TOY.L, 16)) if system == "toy"
-               else _system("gamma0", 16))
+        asm = _system(system, 16)
         ref, red = asm.reference, asm.reduction
-        _, halves = spectral._plan(ref.s, red)[-1]
-        p, q = halves if halves else (np.arange(3), np.arange(5, 9))
+        p, q = spectral._plan(ref, red.mechanical)[-1]
         s = ref.s.copy()
         s[p[2], (p if block == "positions" else q)[3]] = value
         ref = asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
-        assert spectral.solve_route(ref.s, red).endswith(
-            "svd" if block == "coupling" else "skew")
-        for call in (lambda: spectral._blockwise(ref.s, red, ref.coupling),
+        match = ("must not contain infs or NaNs" if block == "coupling"
+                 else "block of S is not bipartite")
+        for call in (lambda: spectral._blockwise(ref, red.mechanical),
                      lambda: compute_spectrum(asm),
                      lambda: closed_loop_mode_shifts(asm, 1.0),
                      lambda: closed_loop_spectrum(asm, 1.0),
                      lambda: open_loop_modes(asm)):
-            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            with pytest.raises(ValueError, match=match):
                 call()
-
-
-def _skew_solve(m):
-    """(values, vectors) of the skew route on all of m, one column per call."""
-    idx = np.arange(len(m))
-    part = spectral._skew_block(m, idx, np.zeros(len(m)), idx[:0])
-    w = part.values.copy()
-    w.real = part.real_parts()
-    return w, np.column_stack([part.column(k) for k in range(len(w))])
-
-
-def _solve_then_sort(solver, m, mechanical, sort):
-    """The former route: solve, place the vectors block-diagonally, then sort.
-
-    A sort that keeps every column in place was skipped, so the solver's
-    own layout was kept.
-    """
-    blocks = spectral._decoupled_blocks(m, mechanical)
-    if len(blocks) == 1:
-        w, v = solver(m)
-    else:
-        parts = [solver(m[np.ix_(idx, idx)]) for idx in blocks]
-        v = np.zeros(m.shape, dtype=np.result_type(*(v for _, v in parts)))
-        start = 0
-        for idx, (bw, bv) in zip(blocks, parts):
-            v[idx, start:start + len(bw)] = bv
-            start += len(bw)
-        w = np.concatenate([bw for bw, _ in parts])
-    order = sort(w)
-    if np.array_equal(order, np.arange(len(order))):
-        return w, v
-    return w[order], v[:, order]
-
-
-def _same_array(got, want):
-    return (got.dtype == want.dtype and got.shape == want.shape
-            and got.strides == want.strides and got.tobytes() == want.tobytes())
 
 
 class TestSortedSolves:
     """Each sorted eigenvector a ``mode`` getter builds is the former sorted column."""
 
-    @pytest.mark.parametrize("gamma", (0.0, 1.0), ids=("skew-split", "skew-unsplit"))
-    def test_sorted_placement_equals_solve_then_sort(self, gamma, monkeypatch):
-        # the split blocks at gamma = 0 are bipartite; with that route
-        # turned off each goes to the skew route, as a block that is not
-        # would
-        monkeypatch.setattr(spectral, "_bipartite", lambda *args: None)
-        asm, _ = _report(32, gamma=gamma)
-        s, mech = asm.reference.s, asm.reduction.mechanical
-        assert len(spectral._decoupled_blocks(s, mech)) == (2 if gamma == 0.0 else 1)
-        solve = spectral._blockwise(s, asm.reduction, asm.reference.coupling)
-        w = solve.values
-        want_w, want_v = _solve_then_sort(_skew_solve, s, mech, spectral._sort_order)
-        assert _same_array(w, want_w)
-        for j in range(len(w)):
-            x = solve.mode(j)
-            assert x.dtype == want_v.dtype and x.shape == (len(s),)
-            assert x.tobytes() == want_v[:, j].tobytes()
-        # the facts of the sorted vectors, to rounding, as the skew route
-        # combined its halves
-        want = (np.abs(asm.reference.coupling @ want_v),
-                *spectral._column_norms(want_v, mech))
-        for got, fact in zip(solve.facts, want):
-            np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
-
-    @pytest.mark.parametrize("system", ("gamma0", "electrostatic"))
+    @pytest.mark.parametrize("system", ("gamma0", "electrostatic", "coupled"))
     def test_bipartite_placement_equals_factors_then_sort(self, system):
         # each bipartite block's vectors (u; -+ i v)/sqrt(2), and its null
         # vectors, placed block-diagonally from the SVD of its Bs and then
         # sorted, are the getter's vectors bit for bit
         asm = _system(system, 32)
         s, red = asm.reference.s, asm.reduction
-        plan = spectral._plan(s, red)
-        assert all(halves is not None for _, halves in plan)
         values, columns = [], []
-        for idx, (p, q) in plan:
-            u, sigma, vt = scipy.linalg.svd(0.5 * (s[np.ix_(p, q)] - s[np.ix_(q, p)].T))
+        for p, q in spectral._plan(asm.reference, red.mechanical):
+            # Bs formed as the solve forms it, down to the signs of its zeros,
+            # which the SVD's Householder reflections read
+            u, sigma, vt = scipy.linalg.svd((-0.5 * (s[np.ix_(q, p)] - s[np.ix_(p, q)].T)).T)
             r, half = len(sigma), np.sqrt(0.5)
             block = np.zeros((len(s), len(p) + len(q)), dtype=complex)
             block.real[p, :r] = block.real[p, r:2 * r] = half * u[:, :r]
@@ -834,20 +844,20 @@ class TestSortedSolves:
             columns.append(block)
         w = np.concatenate(values)
         order = spectral._sort_order(w)
-        solve = spectral._blockwise(s, red, asm.reference.coupling)
+        solve = spectral._blockwise(asm.reference, red.mechanical)
         np.testing.assert_array_equal(solve.values, w[order])
         want_v = np.hstack(columns)[:, order]
         for j in range(len(w)):
             assert solve.mode(j).tobytes() == want_v[:, j].tobytes()
         # the facts read from the factors are those of the built vectors
         want = (np.abs(asm.reference.coupling @ want_v),
-                *spectral._column_norms(want_v, red.mechanical))
+                *_column_norms(want_v, red.mechanical))
         for got, fact in zip(solve.facts, want):
             np.testing.assert_allclose(got, fact, rtol=1e-13, atol=1e-13 * np.max(fact))
 
     def test_mode_is_a_new_vector(self):
         # the getter builds each vector anew, so changing one leaves the next
-        # call alone, on the one-block eig route as on the bipartite one
+        # call alone, on the one coupled block as on the electrostatic one
         for asm in (_report(16)[0], _system("electrostatic", 16)):
             mode = open_loop_modes(asm).mode
             x = mode(3)
@@ -856,13 +866,13 @@ class TestSortedSolves:
             assert mode(3).tobytes() == want.tobytes()
 
     def test_chunked_shifts_equal_one_chunk(self, monkeypatch):
-        # 511 modes at N = 128: four chunks of TABLE_BLOCK roots against one,
-        # on the same modes (the skew route's own products run in
-        # TABLE_BLOCK rows too, and round by their chunk)
+        # 510 coupled modes at N = 128 (the kernel's null vector (0; v) lies
+        # on Q, where g is exactly 0): four chunks of TABLE_BLOCK roots
+        # against one, on the same modes
         asm, _ = _report(128, gamma=1.0)
         omega, c2 = _modes(asm)
         chunked = spectral._closed_loop_roots(omega, c2, 1.0)
-        assert np.count_nonzero(c2) == 511 > 3 * spectral.TABLE_BLOCK
+        assert np.count_nonzero(c2) == 510 > 3 * spectral.TABLE_BLOCK
         monkeypatch.setattr(spectral, "TABLE_BLOCK", 511)
         assert chunked.tobytes() == spectral._closed_loop_roots(omega, c2, 1.0).tobytes()
 
@@ -892,30 +902,26 @@ class TestDenseMemoryScript:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()
                  if not line.startswith("#")]
         header = [cell for c in script.COLUMNS
-                  for cell in ((c, "s", "by") if c in script.SOLVED
+                  for cell in ((c, "s") if c in script.SOLVED
                                else (c, "ref_s") if c == "ref_peak" else (c,))]
-        assert lines[0] == ["model", "gamma", "dim", *header]
+        assert lines[0] == ["model", "gamma", "dim", "halves", *header]
         rows = lines[1:]
-        assert [row[:3] for row in rows] == [
-            [model, gamma, dim] for model, dim in (("current", "63"),
-                                                   ("charge_magnetic", "63"),
-                                                   ("electrostatic", "32"))
-            for gamma in ("0", "1")]
+        # |P|x|Q| of each block of the solve: the mechanical and the field
+        # block at gamma = 0, the whole S at gamma = 1
+        assert [row[:4] for row in rows] == [
+            [model, gamma, dim, halves]
+            for model, dim, halves in (("current", "63", ("16x17+15x15", "31x32")),
+                                       ("charge_magnetic", "63", ("16x17+15x15", "31x32")),
+                                       ("electrostatic", "32", ("16x16", "16x16")))
+            for gamma, halves in zip(("0", "1"), halves)]
         for row in rows:
-            assert len(row) == 3 + len(header)
-            values = [float(cell.rstrip("*")) for cell, name in zip(row[3:], header)
-                      if name not in ("s", "by", "ref_s")]
+            assert len(row) == 4 + len(header)
+            values = [float(cell.rstrip("*")) for cell, name in zip(row[4:], header)
+                      if name not in ("s", "ref_s")]
             assert len(values) == len(script.COLUMNS) and min(values) >= 0.0
-            seconds = [float(cell) for cell, name in zip(row[3:], header)
+            seconds = [float(cell) for cell, name in zip(row[4:], header)
                        if name in ("s", "ref_s")]
             assert len(seconds) == 1 + len(script.SOLVED) and min(seconds) >= 0.0
-        # (spectrum, closed loop, modal start, shifts, kernel) routes:
-        # bipartite blocks by SVD, any other by its skew part, and the closed
-        # loop by the roots of its secular equation on that solve
-        routes = [tuple(cell for cell, name in zip(row[3:], header) if name == "by")
-                  for row in rows]
-        assert routes == [(route, route + "+roots", route, route, route)
-                          for route in ("svd+svd", "skew") * 2 + ("svd", "svd")]
 
 
 class TestEnergyReference:
@@ -923,8 +929,8 @@ class TestEnergyReference:
 
     def test_one_cholesky_for_every_spectral_call(self, monkeypatch):
         # one Cholesky factorization per free block, all made on the first
-        # spectral call, and one open-loop solve (one reduction per block of
-        # its route) serve every spectral call, and no call factors M_red or
+        # spectral call, and one open-loop solve (one SVD per block of its
+        # plan) serve every spectral call, and no call factors M_red or
         # S again; only y1, where c P_xi lives (c != 0 at gamma = 1), is
         # factored dense, the banded and diagonal blocks by cholesky_banded
         calls = []
@@ -946,7 +952,7 @@ class TestEnergyReference:
         solves = _count_solves(monkeypatch)  # scipy.linalg.eig raises too
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, refused(name))
-        for gamma, route, dense in ((0.0, ["svd", "svd"], ()), (1.0, ["skew"], ("y1",))):
+        for gamma, route, dense in ((0.0, ["svd", "svd"], ()), (1.0, ["svd"], ("y1",))):
             calls.clear()
             solves.clear()
             params = toy_parameters(gamma=gamma)
@@ -964,7 +970,7 @@ class TestEnergyReference:
                     for name, sl in free.items()]
             assert sorted(first) == sorted(want)
             assert solves == route
-            assert "+".join(route) == spectral.solve_route(asm.reference.s, asm.reduction)
+            assert len(route) == len(spectral._plan(asm.reference, asm.reduction.mechanical))
 
     @pytest.mark.parametrize("n", (16, 32, 64))
     @pytest.mark.parametrize("params", (toy_parameters(gamma=0.0), TOY,
@@ -989,17 +995,21 @@ class TestEnergyReference:
         assert np.max(np.abs(ref.r.T @ ref.r - m_red)) <= 1e-13 * np.max(np.abs(m_red))
         assert np.max(np.abs(ref.s - s)) <= 1e-12 * np.max(np.abs(s))
         assert np.max(np.abs(ref.coupling - g)) <= 1e-13 * np.max(np.abs(g))
-        assert spectral.solve_route(ref.s, red) == spectral.solve_route(s, red)
-        # R is exactly zero off its free blocks, S on its position-position
-        # block and, at gamma = 0, on the mechanical/field cross blocks
+        # the oracle's S is bipartite on the same halves
+        oracle = dataclasses.replace(ref, s=s)
+        for (p, q), want in zip(spectral._plan(ref, red.mechanical),
+                                spectral._plan(oracle, red.mechanical), strict=True):
+            np.testing.assert_array_equal(np.concatenate((p, q)), np.concatenate(want))
+        # R is exactly zero off its free blocks, S on S_PP and S_QQ of the
+        # colouring and, at gamma = 0, on the mechanical/field cross blocks
         block = np.full(len(red.keep), -1)
         for i, name in enumerate(("y1", "y2", "y4", "y5")):
             if name in asm.blocks:
                 block[np.isin(red.keep, np.arange(asm.dim)[asm.blocks[name]])] = i
         assert np.all(block >= 0)
         assert not np.any(ref.r[block[:, None] != block[None, :]])
-        positions = np.setdiff1d(np.arange(len(red.keep)), red.velocity)
-        assert not np.any(ref.s[np.ix_(positions, positions)])
+        for half in (~ref.colour, ref.colour):
+            assert not np.any(ref.s[np.ix_(half, half)])
         if params.gamma == 0.0:
             fields = np.setdiff1d(np.arange(len(red.keep)), red.mechanical)
             assert not np.any(ref.s[np.ix_(red.mechanical, fields)])
@@ -1077,7 +1087,7 @@ class TestEnergyReference:
         # with the SVD factors of each bipartite block, against the long
         # double product with their eigenvectors
         omega, _, coupling, _ = closed_loop_mode_shifts(asm, 1.0)
-        solve = spectral._blockwise(ref.s, asm.reduction, ref.coupling)
+        solve = spectral._blockwise(ref, asm.reduction.mechanical)
         u = np.column_stack([solve.mode(int(np.flatnonzero(solve.omega == w)[0]))
                              for w in omega])
         want = np.abs(u.conj().T.astype(np.clongdouble) @ g).astype(float)
