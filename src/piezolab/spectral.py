@@ -303,12 +303,12 @@ class OpenLoopModes:
     their imaginary parts, and ``facts`` (|g^T x|, ||x||, ||x[mech]||) and
     ``coupling`` c = x^H g of each eigenvector x, read from the blocks' own
     solves (:class:`_Part`) and sorted with them.  ``kernel`` indexes the
-    zero modes (:func:`_zero_modes` of omega)
-    and ``pairs`` the modes with omega above them, in ascending omega.
-    These arrays are read-only, since every caller shares them.  ``mode(j)``
-    builds the j-th eigenvector as a new (dim,) array, and
-    :meth:`mech_norms` reads the mechanical parts of combinations of them,
-    so no (dim, dim) array of sorted or placed vectors is formed.
+    zero modes (:func:`_zero_modes` of omega) and ``pairs`` the modes with
+    omega above them, in ascending omega.  These arrays are read-only,
+    since every caller shares them.  ``mode(j)`` builds the j-th
+    eigenvector as a new (dim,) array, and :meth:`mech_norms` reads the
+    mechanical parts of combinations of them, so no (dim, dim) array of
+    sorted or placed vectors is formed.
     """
 
     def __init__(self, parts: list):
