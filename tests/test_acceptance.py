@@ -5,9 +5,14 @@ only executes and reports.  A failing check prints its measured table so the
 failure is diagnosable from the test log alone.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from piezolab import acceptance
+from piezolab import acceptance, spectral
+from piezolab.generator import assemble_generator
+from piezolab.model import build_grid, toy_parameters
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS,
@@ -37,3 +42,19 @@ def test_closed_loop_checks_take_no_dense_spectrum(monkeypatch):
                   acceptance.check_no_uniform_margin):
         check()
     assert calls == []
+
+
+def test_imaginary_spectrum_sees_a_symmetric_defect(monkeypatch):
+    # one entry of S_PQ off -S_QP^T keeps S bipartite, so the solve still
+    # reads every real part as exactly 0; check 4 fails on ||sym S||_2
+    params = toy_parameters(1.0)
+    asm = assemble_generator(params, build_grid(params.L, 32))
+    ref = asm.reference
+    (p, q), = spectral._plan(ref, asm.reduction.mechanical)
+    s = ref.s.copy()
+    s[p[3], q[5]] += 1e-6 * np.abs(s).max()
+    asm.__dict__["reference"] = dataclasses.replace(ref, s=s)
+    monkeypatch.setattr(acceptance, "_assembly", lambda n_cells, gamma: asm)
+    result = acceptance.check_imaginary_spectrum()
+    assert spectral.compute_spectrum(asm).max_abs_real == 0.0
+    assert not result.passed, result.line()
