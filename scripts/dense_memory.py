@@ -9,6 +9,9 @@ sizes |P|x|Q| of the bipartite halves of each block that the dense solve
 splits S into (``spectral._plan``; two blocks, joined by ``+``, where S
 splits into its mechanical and field blocks), then, in MiB:
 
+* ``pxi``: the traced peak of forming the dense P_xi (``p_dense``) on a
+  fresh ``build_operators``, the operator-build layer, and beside it
+  ``pxi_s``, the wall seconds of forming it on another with tracing off;
 * ``ref_kept``: what the dense reference (``GeneratorAssembly.reference``:
   R, S and g, and the dense P_xi it reads, kept on the operators) keeps
   once formed;
@@ -60,6 +63,7 @@ from piezolab.dynamics import modal_state
 from piezolab.errors import SecularNotConverged
 from piezolab.generator import assemble_generator
 from piezolab.model import build_grid, toy_parameters
+from piezolab.operators import build_operators
 from piezolab import spectral
 from piezolab.spectral import (closed_loop_mode_shifts, closed_loop_spectrum,
                                compute_spectrum, kernel_basis)
@@ -67,8 +71,9 @@ from piezolab.variants import assemble_charge_magnetic, assemble_electrostatic
 
 MODELS = {"current": assemble_generator, "charge_magnetic": assemble_charge_magnetic,
           "electrostatic": assemble_electrostatic}
-COLUMNS = ("ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts", "kernel")
-SOLVED = COLUMNS[2:]  # the columns of the spectral calls
+COLUMNS = ("pxi", "ref_kept", "ref_peak", "spectrum", "closed_loop", "modal", "shifts",
+           "kernel")
+SOLVED = COLUMNS[3:]  # the columns of the spectral calls
 MIB = 2.0 ** 20
 GAIN = 1.0
 
@@ -115,14 +120,18 @@ def _cold_reference(asm):
 
 def measure(n_cells: int) -> list:
     """One row per (model, gamma): model, gamma, dim, halves, the COLUMNS,
-    ref_s, and whether each SOLVED call raised and its seconds."""
+    pxi_s, ref_s, and whether each SOLVED call raised and its seconds."""
     rows = []
     tracemalloc.start()
     try:
         for name, build in MODELS.items():
             for gamma in (0.0, 1.0):
                 params = toy_parameters(gamma=gamma)
-                asm = build(params, build_grid(params.L, n_cells))
+                grid = build_grid(params.L, n_cells)
+                pxi, _ = _traced(lambda: build_operators(params, grid).p_dense)
+                fresh = build_operators(params, grid)
+                pxi_s = _timed(lambda: fresh.p_dense)
+                asm = build(params, grid)
                 before = tracemalloc.get_traced_memory()[0]
                 ref_peak, _ = _traced(lambda: asm.reference)
                 ref_kept = (tracemalloc.get_traced_memory()[0] - before) / MIB
@@ -139,8 +148,9 @@ def measure(n_cells: int) -> list:
                 ref_s = _timed(lambda: _cold_reference(asm))
                 seconds = tuple(_timed(cold(call)) for call in calls)
                 rows.append((name, gamma, asm.reference.s.shape[0], _halves(asm),
-                             ref_kept, ref_peak, *peaks, ref_s, raised, seconds))
-                del asm, calls, cold
+                             pxi, ref_kept, ref_peak, *peaks, pxi_s, ref_s, raised,
+                             seconds))
+                del asm, calls, cold, fresh
     finally:
         tracemalloc.stop()
     return rows
@@ -157,10 +167,13 @@ def main(argv=None) -> int:
           f"s, wall seconds untraced")
     print(f"{'model':<16} {'gamma':>5} {'dim':>5} {'halves':<15} "
           + " ".join(f"{c:>11}" + (f" {'s':>7}" if c in SOLVED
-                                   else f" {'ref_s':>7}" if c == "ref_peak" else "")
+                                   else f" {'ref_s':>7}" if c == "ref_peak"
+                                   else f" {'pxi_s':>7}" if c == "pxi" else "")
                      for c in COLUMNS))
-    for name, gamma, dim, halves, *values, ref_s, raised, seconds in measure(args.n_cells):
+    for (name, gamma, dim, halves, *values, pxi_s, ref_s, raised,
+         seconds) in measure(args.n_cells):
         cells = [f"{v:11.1f}" for v in values]
+        cells[COLUMNS.index("pxi")] += f" {pxi_s:7.3f}"
         cells[COLUMNS.index("ref_peak")] += f" {ref_s:7.3f}"
         solved = range(len(COLUMNS) - len(SOLVED), len(COLUMNS))
         for i, wall, failed in zip(solved, seconds, raised):

@@ -15,7 +15,8 @@ the fields P_xi(...) are extra unknowns tied down by tridiagonal Helmholtz
 rows (:meth:`SplitGenerator.midpoint_system`).  With its unknowns in order
 of their x-coordinate that system is banded, with a bandwidth fixed by the
 model and not by N, so a step costs O(N).  :class:`BandLU` owns the banded
-solve, from row scaling and the fold of the pivots to the refinement pass;
+solve, from row scaling, the fold of the swaps into the row order and of
+the pivots into the row scale, to the refinement pass;
 the stepper (:class:`RankOneMidpoint`) keeps only the midpoint algebra.
 :func:`run` checks the start and every record the same way; a record
 (:meth:`GeneratorAssembly.energy_split` and :meth:`GeneratorAssembly.gauge`)
@@ -118,10 +119,16 @@ class BandLU:
     same pivots with the same arithmetic, all on the diagonal, since each
     still has the largest magnitude of its column and the diagonal candidate
     wins a tie.  A swap there, like a zero pivot, raises
-    :class:`LinearSolveFailure`.  ``folded_swaps`` counts the swaps and
-    ``factored_band`` is the (kl, ku) of the unit lower and upper bands
-    that every solve sweeps.  Row i of the matrix is factored row
-    ``position[i]``, the order :meth:`solve` takes.
+    :class:`LinearSolveFailure`.  The pivots D = diag(U) are then folded
+    into the row scale: L U = D (D^-1 L D)(D^-1 U), so every solve scales
+    its rows by scale / D and sweeps two unit triangles, both ``dtbtrs``
+    calls with ``diag="U"``, with no division on a column's dependency
+    chain.  A folded factor that is not finite (a pivot so small that the
+    fold overflows) raises :class:`LinearSolveFailure` too.
+    ``folded_swaps`` counts the swaps and ``factored_band`` is the (kl, ku)
+    of the unit lower and upper bands that every solve sweeps.  Row i of
+    the matrix is factored row ``position[i]``, the order :meth:`solve`
+    takes.
     """
 
     def __init__(self, matrix: sparse.sparray):
@@ -149,18 +156,28 @@ class BandLU:
                                          f"of {size} rows in the folded order")
             scale, matrix = scale[rows], matrix[rows]
         self.factored_band = (kl, ku)
-        self._scale = scale
         self._matrix = matrix
-        # unit lower L and upper U, in the band layout of dtbtrs
-        self._lower = np.asfortranarray(lu[kl + ku:])
-        self._upper = np.asfortranarray(lu[kl:kl + ku + 1])
+        # the pivots D = diag(U) fold into the row scale: L U = D (D^-1 L D)
+        # (D^-1 U), two unit triangles in the band layout of dtbtrs
+        lower = np.asfortranarray(lu[kl + ku:])
+        upper = np.asfortranarray(lu[kl:kl + ku + 1])
+        pivots = upper[ku].copy()
+        with np.errstate(over="ignore"):  # a tiny pivot overflows: refused below
+            for k in range(1, kl + 1):   # L[j+k, j] d_j / d_{j+k}
+                lower[k, :-k] *= pivots[:-k] / pivots[k:]
+            for k in range(1, ku + 1):   # U[j-k, j] / d_{j-k}
+                upper[ku - k, k:] /= pivots[:-k]
+            self._scale = scale / pivots
+        if not all(np.isfinite(f).all() for f in (lower, upper, self._scale)):
+            raise LinearSolveFailure(f"folded band factor of {size} rows is not finite")
+        self._lower, self._upper = lower, upper
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
         """The unrefined solution, by ``dtbtrs`` on a vector or a block."""
         # scale each row; a block's transpose product comes back in Fortran order
         x = dtbtrs(self._lower, (self._scale * rhs.T).T, uplo="L", diag="U",
                    overwrite_b=1)[0]
-        return dtbtrs(self._upper, x, overwrite_b=1)[0]
+        return dtbtrs(self._upper, x, diag="U", overwrite_b=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the matrix's system for ``rhs``, given in factored row order.

@@ -262,15 +262,38 @@ class TestSwapFreeSolve:
         g = split(params, grid, build_operators(params, grid))
         lu = BandLU(g.midpoint_system(default_dt(params, grid)))
         # dtbtrs sweeps a block of columns, and one column as a vector, bit
-        # for bit as the two BLAS dtbsv sweeps of that column do
+        # for bit as the two unit-triangular BLAS dtbsv sweeps of that column do
         kl, ku = lu.factored_band
         rhs = np.random.default_rng(n).standard_normal((lu.position.size, 3))
         block = lu._sweep(rhs)
         for col in range(3):
             x = dtbsv(kl, lu._lower, lu._scale * rhs[:, col], lower=1, diag=1)
-            expected = dtbsv(ku, lu._upper, x)
+            expected = dtbsv(ku, lu._upper, x, diag=1)
             np.testing.assert_array_equal(block[:, col], expected)
             np.testing.assert_array_equal(lu._sweep(rhs[:, col]), expected)
+
+    @pytest.mark.parametrize("dt_factor", (1.0, 100.0))
+    @pytest.mark.parametrize("split", (_split_generator, _electrostatic_split),
+                             ids=("six_field", "electrostatic"))
+    def test_folded_factor_matches_dense_solve(self, split, dt_factor):
+        # the pivots folded into the row scale leave two unit triangles; the
+        # solve still matches a dense one, for a vector and for a block
+        grid = build_grid(TOY.L, 64)
+        matrix = split(TOY, grid, build_operators(TOY, grid)).midpoint_system(
+            dt_factor * default_dt(TOY, grid))
+        lu = BandLU(matrix)
+        rhs = np.random.default_rng(7).standard_normal((matrix.shape[0], 3))
+        expected = np.linalg.solve(matrix.toarray(), rhs)
+        ordered = np.empty_like(rhs)
+        ordered[lu.position] = rhs
+        for got, want in ((lu.solve(ordered[:, 0]), expected[:, 0]),
+                          (lu.solve(ordered), expected)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_non_finite_folded_factor_raises(self):
+        # a subnormal pivot overflows the fold to inf: refused, not solved with
+        with pytest.raises(LinearSolveFailure, match="not finite"):
+            BandLU(sparse.csr_array(np.array([[1.0, 0.0], [1.0, 1e-310]])))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
 """Difference operators, the Helmholtz inverse, the Gram matrix, and energy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,55 @@ class TestPXiIdentity:
         c = np.ones(16)
         np.testing.assert_allclose(ops.lap_cc @ (ops.p_dense @ c), 0.0, atol=1e-12)
         np.testing.assert_allclose((ops.p_dense @ c - c) / ops.xi, 0.0, atol=1e-12)
+
+
+def _long_double_inverse(a):
+    """A^{-1} of the tridiagonal A by the Thomas algorithm in long double."""
+    n = a.shape[0]
+    diag = a.diagonal().astype(np.longdouble)
+    off = a.diagonal(1).astype(np.longdouble)
+    x = np.eye(n, dtype=np.longdouble)
+    pivot = diag.copy()
+    for i in range(1, n):
+        factor = off[i - 1] / pivot[i - 1]
+        pivot[i] -= factor * off[i - 1]
+        x[i] -= factor * x[i - 1]
+    x[-1] /= pivot[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - off[i] * x[i + 1]) / pivot[i]
+    return x
+
+
+class TestRefinedPXi:
+    """The dense P_xi: refined on the banded factor, exact in its symmetries."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", (16, 64, 256))
+    def test_matches_long_double_inverse(self, n):
+        grid, ops = _ops(n)
+        exact = _long_double_inverse(ops.a)
+        assert np.max(np.abs(ops.p_dense - exact) / np.abs(exact)) <= 1e-15
+
+    @pytest.mark.parametrize("n", (16, 37, 64, 256))
+    def test_symmetric_and_persymmetric(self, n):
+        grid, ops = _ops(n)
+        p = ops.p_dense
+        np.testing.assert_array_equal(p, p.T)
+        np.testing.assert_array_equal(p, p[::-1, ::-1])
+        assert not p.flags.writeable
+
+    def test_traced_peak(self):
+        n = 512
+        grid, ops = _ops(n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ops.p_dense
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
 
 
 class TestMassMatrix:
