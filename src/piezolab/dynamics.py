@@ -161,16 +161,16 @@ class BandLU:
         # (D^-1 U), two unit triangles in the band layout of dtbtrs
         lower = np.asfortranarray(lu[kl + ku:])
         upper = np.asfortranarray(lu[kl:kl + ku + 1])
-        pivots = upper[ku].copy()
+        pivots = upper[ku]  # only the off-diagonal rows are scaled below
         with np.errstate(over="ignore"):  # a tiny pivot overflows: refused below
             for k in range(1, kl + 1):   # L[j+k, j] d_j / d_{j+k}
                 lower[k, :-k] *= pivots[:-k] / pivots[k:]
             for k in range(1, ku + 1):   # U[j-k, j] / d_{j-k}
                 upper[ku - k, k:] /= pivots[:-k]
-            self._scale = scale / pivots
-        if not all(np.isfinite(f).all() for f in (lower, upper, self._scale)):
+            scale /= pivots
+        if not all(np.isfinite(f).all() for f in (lower, upper, scale)):
             raise LinearSolveFailure(f"folded band factor of {size} rows is not finite")
-        self._lower, self._upper = lower, upper
+        self._lower, self._upper, self._scale = lower, upper, scale
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
         """The unrefined solution, by ``dtbtrs`` on a vector or a block."""

@@ -1,16 +1,18 @@
 """Difference operators, the Helmholtz inverse, the Gram matrix, and energy."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezolab.generator import ENERGY_PARTS, assemble_generator, energy_parts, gram
 from piezolab.model import (block_slices, build_grid, toy_parameters,
                             validate_parameters)
-from piezolab.operators import build_operators, p_xi_identity_check
+from piezolab.operators import _residual, build_operators, p_xi_identity_check
 
 TOY = toy_parameters()
 
@@ -203,6 +205,23 @@ class TestRefinedPXi:
         grid, ops = _ops(n)
         exact = _long_double_inverse(ops.a)
         assert np.max(np.abs(ops.p_dense - exact) / np.abs(exact)) <= 1e-15
+
+    def test_residual_against_exact_arithmetic(self):
+        # Dot2's bound: within u |r| + gamma_4^2 sum|terms| of the exact
+        # residual, where a plain evaluation errs by about u sum|terms|
+        grid, ops = _ops(12)
+        n, u = 12, np.finfo(float).eps / 2
+        p = scipy.linalg.cho_solve_banded((ops.a_chol, False), np.eye(n, order="F"))
+        got = _residual(ops.a, p)
+        a = ops.a.toarray()
+        for i in range(n):
+            for j in range(n):
+                terms = [Fraction(a[i, k]) * Fraction(p[k, j])
+                         for k in range(max(i - 1, 0), min(i + 2, n))]
+                exact = (i == j) - sum(terms)
+                size = 1 + sum(abs(t) for t in terms)
+                bound = u * abs(exact) + (4 * u / (1 - 4 * u)) ** 2 * size
+                assert abs(Fraction(got[i, j]) - exact) <= bound, (i, j)
 
     @pytest.mark.parametrize("n", (16, 37, 64, 256))
     def test_symmetric_and_persymmetric(self, n):
